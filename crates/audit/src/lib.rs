@@ -34,6 +34,13 @@
 //! always returns a justified list. The binary exits nonzero on any
 //! unwaived finding and writes a machine-readable `AUDIT.json`
 //! summary whose waiver counts are part of the tracked trajectory.
+//!
+//! # Line table
+//!
+//! `AUDIT.json` also carries `lines`: per source directory (each
+//! `crates/<name>/src`, the facade's `src`, `benchmark/src`) the
+//! number of lines carrying code after the lexer has blanked comments
+//! — so "lines removed" by a simplification is a CI-diffed number.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,6 +49,7 @@ pub mod lexer;
 pub mod rules;
 
 use lexer::LineView;
+use std::collections::BTreeMap;
 use std::path::Path;
 
 /// A lexed source file plus the metadata rules need: its
@@ -226,6 +234,12 @@ pub struct AuditReport {
     pub waivers: Vec<ResolvedWaiver>,
     /// Names of all rules that ran (stable order).
     pub rule_names: Vec<&'static str>,
+    /// Source lines (carrying code: not blank, not comment-only) per
+    /// source directory — each `crates/<name>/src`, the facade's `src`
+    /// and `benchmark/src` — sorted by directory. The tracked "how
+    /// much code is there" number: a simplification shows up here as
+    /// a CI-diffed decrease.
+    pub lines: Vec<(String, usize)>,
 }
 
 impl AuditReport {
@@ -296,6 +310,16 @@ impl AuditReport {
                 } else {
                     ""
                 }
+            ));
+        }
+        s.push_str("  },\n");
+        s.push_str("  \"lines\": {\n");
+        for (i, (dir, count)) in self.lines.iter().enumerate() {
+            s.push_str(&format!(
+                "    \"{}\": {}{}\n",
+                json_escape(dir),
+                count,
+                if i + 1 < self.lines.len() { "," } else { "" }
             ));
         }
         s.push_str("  },\n");
@@ -390,6 +414,17 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     Ok(files)
 }
 
+/// The `src` directory a file's lines are counted under, if it sits
+/// in one (`tests/`, `benches/` and `examples/` trees do not count).
+fn source_dir(rel_path: &str) -> Option<&str> {
+    if rel_path.starts_with("src/") {
+        return Some("src");
+    }
+    rel_path
+        .find("/src/")
+        .map(|at| &rel_path[..at + "/src".len()])
+}
+
 /// Run the default rule set over a workspace rooted at `root`.
 pub fn audit(root: &Path) -> std::io::Result<AuditReport> {
     let sources = collect_sources(root)?;
@@ -468,10 +503,21 @@ pub fn audit_sources(sources: &[(String, String)]) -> AuditReport {
         .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
     waivers.sort_by(|a, b| (a.path.as_str(), a.waiver.line).cmp(&(b.path.as_str(), b.waiver.line)));
 
+    let mut lines: BTreeMap<&str, usize> = BTreeMap::new();
+    for file in &files {
+        if let Some(dir) = source_dir(&file.rel_path) {
+            *lines.entry(dir).or_default() += file.lines.iter().filter(|l| l.has_code()).count();
+        }
+    }
+
     AuditReport {
         files_scanned: files.len(),
         findings,
         waivers,
         rule_names,
+        lines: lines
+            .into_iter()
+            .map(|(dir, count)| (dir.to_string(), count))
+            .collect(),
     }
 }

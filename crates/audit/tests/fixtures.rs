@@ -568,6 +568,35 @@ fn json_summary_is_deterministic_and_counts_waivers() {
     assert!(!a.is_clean());
 }
 
+#[test]
+fn line_table_counts_code_lines_per_source_directory() {
+    let report = run(&[
+        (
+            "crates/mcd/src/lib.rs",
+            "#![forbid(unsafe_code)]\n#![warn(missing_docs)]\n//! Doc only.\n\nfn a() {} // trailing\n/* block\n   comment */\n",
+        ),
+        (
+            "crates/mcd/src/pool.rs",
+            "fn b() {\n    let s = \"// not a comment\";\n}\n",
+        ),
+        ("crates/mcd/tests/t.rs", "fn not_counted() {}\n"),
+        ("src/session.rs", "fn c() {}\n\n#[cfg(test)]\nmod tests {}\n"),
+        ("benchmark/src/main.rs", "fn main() {}\n"),
+        ("examples/e.rs", "fn main() {}\n"),
+    ]);
+    assert_eq!(
+        report.lines,
+        vec![
+            ("benchmark/src".to_string(), 1),
+            ("crates/mcd/src".to_string(), 6),
+            ("src".to_string(), 3),
+        ]
+    );
+    assert!(report.to_json().contains(
+        "\"lines\": {\n    \"benchmark/src\": 1,\n    \"crates/mcd/src\": 6,\n    \"src\": 3\n  },"
+    ));
+}
+
 // ---------------------------------------------------------------- self-check
 
 #[test]

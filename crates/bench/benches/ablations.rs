@@ -9,7 +9,8 @@
 
 use bnn_accel::{AccelConfig, Accelerator, PerfModel};
 use bnn_bench::{seed, write_csv, Workload};
-use bnn_mcd::{accuracy, BayesConfig, HardwareMaskSource, McdPredictor, SoftwareMaskSource};
+use bnn_fpga::Session;
+use bnn_mcd::{accuracy, BayesConfig, ParallelConfig};
 use bnn_nn::{arch::extract_layers, MaskSet, SgdConfig, Trainer};
 use bnn_quant::Quantizer;
 
@@ -113,12 +114,17 @@ fn ablation_sampler_and_quant() {
     let labels = &ds.test_y[..test_n];
     let s = if bnn_bench::fast_mode() { 8 } else { 30 };
     let cfg = BayesConfig::new(n, s);
-    let pred = McdPredictor::new(&net);
+    let session = || {
+        Session::for_graph(&net)
+            .bayes(cfg)
+            .parallel(ParallelConfig::max_parallel())
+    };
 
-    let mut soft = SoftwareMaskSource::new(seed());
-    let acc_soft = accuracy(&pred.predictive(&test, cfg, &mut soft), labels);
-    let mut hard = HardwareMaskSource::paper_default(seed());
-    let acc_hard = accuracy(&pred.predictive(&test, cfg, &mut hard), labels);
+    let acc_soft = accuracy(&session().seed(seed()).build().predictive(&test), labels);
+    let acc_hard = accuracy(
+        &session().hardware_masks(seed()).build().predictive(&test),
+        labels,
+    );
     println!("MCD accuracy, software masks: {acc_soft:.4}");
     println!("MCD accuracy, LFSR hardware masks: {acc_hard:.4}");
     println!("(difference is sampling noise — the gate network is unbiased)");

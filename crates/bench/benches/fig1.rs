@@ -3,7 +3,8 @@
 
 use bnn_bench::{seed, write_csv, Workload};
 use bnn_data::gaussian_noise_like;
-use bnn_mcd::{avg_predictive_entropy, BayesConfig, McdPredictor, SoftwareMaskSource};
+use bnn_fpga::Session;
+use bnn_mcd::{avg_predictive_entropy, BayesConfig, ParallelConfig};
 use bnn_nn::{MaskSet, SgdConfig, Trainer};
 use bnn_tensor::{softmax_rows, Tensor};
 
@@ -49,9 +50,12 @@ fn main() {
 
     // BNN: MCD, full network, S = 50.
     let s = if bnn_bench::fast_mode() { 10 } else { 50 };
-    let mut src = SoftwareMaskSource::new(seed() ^ 0xB);
-    let bnn_probs =
-        McdPredictor::new(&bnn_net).predictive(&noise, BayesConfig::new(n_sites, s), &mut src);
+    let bnn_probs = Session::for_graph(&bnn_net)
+        .bayes(BayesConfig::new(n_sites, s))
+        .parallel(ParallelConfig::max_parallel())
+        .seed(seed() ^ 0xB)
+        .build()
+        .predictive(&noise);
 
     let hs = confidence_histogram(&std_probs, 10);
     let hb = confidence_histogram(&bnn_probs, 10);

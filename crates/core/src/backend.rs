@@ -125,7 +125,7 @@ impl BayesBackend for AccelBackend {
 mod tests {
     use super::*;
     use crate::config::AccelConfig;
-    use bnn_mcd::{predictive_on, sample_probs_on, MaskSource, ParallelConfig, SoftwareMaskSource};
+    use bnn_mcd::{Engine, MaskSource, Plan, RequestResult, SoftwareMaskSource};
     use bnn_nn::models;
     use bnn_quant::Quantizer;
     use bnn_rng::SoftRng;
@@ -157,7 +157,12 @@ mod tests {
 
         let run = backend.accelerator().run_with_masks(&img, cfg, &mask_sets);
         let mut src2 = SoftwareMaskSource::new(13);
-        let passes = sample_probs_on(&mut backend, &img, cfg, &mut src2, ParallelConfig::serial());
+        let passes = RequestResult::single(Engine::serial().run(
+            &mut backend,
+            Plan::one(&img, &mut src2),
+            cfg,
+        ))
+        .passes;
         for (pass, logits) in passes.iter().zip(&run.logits_per_sample) {
             let mut reference = logits.clone();
             let s = reference.shape();
@@ -175,8 +180,11 @@ mod tests {
         let (mut backend, img) = setup();
         let cfg = BayesConfig::new(2, 4);
         let mut src = SoftwareMaskSource::new(2);
-        let (probs, cost) =
-            predictive_on(&mut backend, &img, cfg, &mut src, ParallelConfig::serial());
+        let RequestResult { probs, cost, .. } = RequestResult::single(Engine::serial().run(
+            &mut backend,
+            Plan::one(&img, &mut src),
+            cfg,
+        ));
         let sum: f32 = probs.as_slice().iter().sum();
         assert!((sum - 1.0).abs() < 1e-4);
         let model = cost.model.expect("accelerator must report model cost");
@@ -197,12 +205,10 @@ mod tests {
         batch.item_mut(0).copy_from_slice(img.as_slice());
         batch.item_mut(1).copy_from_slice(img.as_slice());
         let mut src = SoftwareMaskSource::new(2);
-        let _ = sample_probs_on(
+        let _ = Engine::serial().run(
             &mut backend,
-            &batch,
+            Plan::one(&batch, &mut src),
             BayesConfig::new(1, 1),
-            &mut src,
-            ParallelConfig::serial(),
         );
     }
 }

@@ -2,8 +2,8 @@
 
 use bnn_data::{gaussian_noise_like, Dataset};
 use bnn_mcd::{
-    accuracy, avg_predictive_entropy, ece, mean_probs, sample_probs_on, BayesConfig, FloatBackend,
-    ParallelConfig, SoftwareMaskSource,
+    accuracy, avg_predictive_entropy, ece, mean_probs, BayesConfig, Engine, FloatBackend,
+    ParallelConfig, Plan, RequestResult, SoftwareMaskSource, WorkerPool,
 };
 use bnn_nn::{models, Graph, SgdConfig, Trainer};
 use bnn_tensor::{Shape4, Tensor};
@@ -250,9 +250,14 @@ impl TrainedMetricProvider {
         let cfg = BayesConfig::new(l, b.s_max);
         let mut backend = FloatBackend::new(&net);
         let parallel = ParallelConfig::max_parallel();
+        let pool = WorkerPool::new(parallel.pool_workers());
+        let engine = Engine::new(&pool, parallel);
         let mut src = SoftwareMaskSource::new(self.seed ^ 0xBEEF ^ l as u64);
-        let test_passes = sample_probs_on(&mut backend, &test_x, cfg, &mut src, parallel);
-        let noise_passes = sample_probs_on(&mut backend, &noise, cfg, &mut src, parallel);
+        let mut passes = |x: &Tensor| {
+            RequestResult::single(engine.run(&mut backend, Plan::one(x, &mut src), cfg)).passes
+        };
+        let test_passes = passes(&test_x);
+        let noise_passes = passes(&noise);
 
         self.cache.insert(
             l,

@@ -1,5 +1,5 @@
-//! The [`BayesBackend`] trait and the generic Monte Carlo sampling
-//! engine.
+//! The [`BayesBackend`] trait and the one Monte Carlo sampling
+//! [`Engine`].
 //!
 //! The paper's central claim is that one Bayesian workload — `S`
 //! Monte Carlo forward passes over a partially-Bayesian network — can
@@ -7,24 +7,32 @@
 //! integer arithmetic, and the FPGA accelerator. This module encodes
 //! that claim in the type system. A substrate implements
 //! [`BayesBackend`] (single-pass execution for a prepared input plus
-//! an optional analytic cost model) and the *one* generic engine here
-//! supplies everything else:
+//! an optional analytic cost model) and the engine supplies
+//! everything else, through exactly one entry point,
+//! [`Engine::run`]`(backend, plan, cfg)`:
 //!
-//! * active-site computation (`last L of N`),
-//! * serial mask pre-draw from a [`MaskSource`] (so the deterministic
-//!   stream never depends on thread timing),
-//! * [`ParallelConfig`] two-axis (batch × sample) fan-out over a
-//!   persistent [`WorkerPool`] with per-worker scratch,
-//! * sample averaging ([`mean_probs`]) and batched prediction,
-//! * wall-clock and model-cost accounting ([`CostReport`]).
+//! * a [`Plan`] names the inputs as a sequence of *groups* — one
+//!   tensor ([`Plan::one`]), item ranges of a dataset
+//!   ([`Plan::batched`]) or independent requests
+//!   ([`Plan::requests`]) — and where each group's masks come from
+//!   (one serial [`MaskSource`] consumed in group order, or one
+//!   private [`SoftwareMaskSource`] seed per group);
+//! * the engine computes the active sites (`last L of N`), draws each
+//!   group's masks serially (so the deterministic stream never
+//!   depends on thread timing), and executes the groups in order on
+//!   the resident backend or — [`ParallelConfig::batch_threads`] — as
+//!   contiguous runs over forked backends on its [`WorkerPool`];
+//! * every group, on either schedule, is one timed `prepare` plus its
+//!   sample chunks fanned over [`ParallelConfig::threads`], averaged
+//!   ([`mean_probs`]) and costed ([`CostReport`]), returned as a
+//!   [`RequestResult`]. That single per-group core is what makes solo
+//!   and coalesced, sequential and batch-parallel serving
+//!   bit-identical by construction, not merely by test.
 //!
-//! Every entry point has a `_pooled` variant taking an explicit
-//! [`WorkerPool`] (what a `Session` owns); the plain variants reuse
-//! the process-wide [`WorkerPool::global`], so no predictive call
-//! ever pays per-call thread spawn. [`serve_requests_pooled`] is the
-//! cross-call-batching entry point behind the `bnn-serve` front door:
-//! a micro-batch of independently-seeded [`SeededRequest`]s, each
-//! bit-identical to its solo serving whatever its neighbors.
+//! Callers project the result vector with [`RequestResult::single`]
+//! (a one-group plan) or [`RequestResult::stacked`] (a dataset's rows
+//! and accumulated cost); `Session` and `bnn-serve` are thin callers
+//! of exactly this.
 //!
 //! [`FloatBackend`] (below) wraps the f32 [`Graph`] executor with the
 //! intermediate-layer-caching suffix re-runs; [`FusedBackend`] layers
@@ -42,6 +50,7 @@ use crate::predict::{active_sites, mean_probs, BayesConfig, ParallelConfig};
 use crate::source::{MaskSource, SoftwareMaskSource};
 use bnn_nn::{Activations, ExecScratch, Graph, MaskSet, Node, Op, StackedScratch};
 use bnn_tensor::{softmax_rows, Shape4, Tensor};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -105,9 +114,8 @@ impl CostReport {
 /// One Bayesian execution substrate (float, int8, accelerator, ...).
 ///
 /// A backend executes single Monte Carlo passes for one *prepared*
-/// input; the generic engine ([`sample_probs_on`], [`predictive_on`],
-/// [`predictive_batched_on`]) owns mask pre-draw, thread fan-out,
-/// averaging and cost accounting. The contract:
+/// input; the generic engine ([`Engine::run`]) owns mask pre-draw,
+/// thread fan-out, averaging and cost accounting. The contract:
 ///
 /// 1. [`BayesBackend::prepare`] binds an input batch and precomputes
 ///    whatever is shared across samples — typically the deterministic
@@ -182,8 +190,8 @@ pub trait BayesBackend: Sync {
     /// must compute bit-identically to the original (same graph, same
     /// parameters); prepared state and pooled scratches need not (and
     /// should not) be carried over. The default `None` opts the
-    /// substrate out — `predictive_batched*` then falls back to the
-    /// sequential batch loop, which stays bit-identical.
+    /// substrate out — [`Engine::run`] then serves the groups
+    /// sequentially, which stays bit-identical.
     fn fork(&self) -> Option<Self>
     where
         Self: Sized,
@@ -192,63 +200,130 @@ pub trait BayesBackend: Sync {
     }
 }
 
-/// Per-sample softmax probabilities: `s` tensors of shape `(n, k)`.
+/// The one Monte Carlo sampling engine: a [`WorkerPool`] and the
+/// [`ParallelConfig`] schedule that spreads work over it.
 ///
-/// This is *the* sampling engine — every backend and the legacy
-/// [`crate::McdPredictor`] route through it. All `S` mask sets are
-/// drawn serially from `src` up front, then the passes execute as
-/// contiguous sample chunks on `pool` (joined in chunk order), which
-/// keeps the result bit-identical at any thread count, chunk size and
-/// pool size. With no active Bayesian site the predictive is
-/// deterministic: one pass, replicated, and `src` is not consumed.
-///
-/// # Panics
-///
-/// Panics if `cfg.s == 0`.
-pub fn sample_probs_pooled<B: BayesBackend>(
-    backend: &mut B,
-    x: &Tensor,
-    cfg: BayesConfig,
-    src: &mut dyn MaskSource,
+/// Every prediction in the stack — a `Session` call, a `bnn-serve`
+/// micro-batch, a conformance check — is one [`Engine::run`] over a
+/// [`Plan`]. The engine is a cheap `Copy` view: build one per call
+/// from whatever owns the pool.
+#[derive(Debug, Clone, Copy)]
+pub struct Engine<'p> {
+    pool: &'p WorkerPool,
     parallel: ParallelConfig,
-    pool: &WorkerPool,
-) -> Vec<Tensor> {
-    assert!(cfg.s > 0, "at least one Monte Carlo sample required");
-    let parallel = parallel.normalized();
-    let active = active_sites(backend.n_sites(), cfg.l);
-    let channels = backend.site_channels(x.shape());
-    let mask_sets = draw_mask_sets(&active, &channels, cfg, src);
-    backend.prepare(x, &active);
-    run_prepared(backend, cfg.s, &mask_sets, parallel, pool)
 }
 
-/// The pool the legacy (pool-less) entry points fall back to: the
-/// process-wide [`WorkerPool::global`] when the schedule actually
-/// fans out, else a static zero-worker inline pool — so strictly
-/// serial callers never spawn the global worker threads.
-fn fallback_pool(parallel: ParallelConfig) -> &'static WorkerPool {
-    if parallel.pool_workers() == 0 {
-        WorkerPool::inline()
-    } else {
-        WorkerPool::global()
+impl Engine<'static> {
+    /// The fully serial engine ([`ParallelConfig::serial`]) on a
+    /// process-wide zero-worker pool: everything runs inline on the
+    /// caller and no thread is ever spawned.
+    pub fn serial() -> Engine<'static> {
+        Engine {
+            pool: WorkerPool::inline(),
+            parallel: ParallelConfig::serial(),
+        }
     }
 }
 
-/// [`sample_probs_pooled`] on the process-wide [`WorkerPool::global`]
-/// (or, for a fully serial schedule, an inline pool that spawns
-/// nothing).
-pub fn sample_probs_on<B: BayesBackend>(
-    backend: &mut B,
-    x: &Tensor,
-    cfg: BayesConfig,
-    src: &mut dyn MaskSource,
-    parallel: ParallelConfig,
-) -> Vec<Tensor> {
-    sample_probs_pooled(backend, x, cfg, src, parallel, fallback_pool(parallel))
+impl<'p> Engine<'p> {
+    /// An engine executing `parallel` on `pool`. The schedule is
+    /// validated here, once ([`ParallelConfig::normalized`]).
+    pub fn new(pool: &'p WorkerPool, parallel: ParallelConfig) -> Engine<'p> {
+        Engine {
+            pool,
+            parallel: parallel.normalized(),
+        }
+    }
+
+    /// Run a plan: one [`RequestResult`] per group, in group order.
+    ///
+    /// Each group is one [`BayesBackend::prepare`] plus `cfg.s` passes
+    /// whose mask sets are drawn serially, in group order, from the
+    /// plan's mask origin — so the deterministic stream never depends
+    /// on thread timing. With no active Bayesian site a group is
+    /// deterministic: one pass, replicated, and no mask is drawn.
+    ///
+    /// Groups execute in order on the resident `backend`, each one's
+    /// masks drawn and items sliced immediately before it runs. With
+    /// `batch_threads > 1` on a backend that implements
+    /// [`BayesBackend::fork`] they instead execute as contiguous runs
+    /// over forks on the pool (all masks drawn first, still in group
+    /// order), each group's sample chunks nesting on the *same* pool.
+    /// Either way every group goes through the same `run_request`, so
+    /// results are bit-identical at any schedule, chunk size and pool
+    /// size, and a group of a [`Plan::requests`] plan is bit-identical
+    /// to running it alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.s == 0`.
+    pub fn run<B: BayesBackend + Send>(
+        &self,
+        backend: &mut B,
+        plan: Plan<'_>,
+        cfg: BayesConfig,
+    ) -> Vec<RequestResult> {
+        assert!(cfg.s > 0, "at least one Monte Carlo sample required");
+        let Plan { inputs, mut masks } = plan;
+        let groups = inputs.groups();
+        if groups == 0 {
+            return Vec::new();
+        }
+        let (pool, parallel) = (self.pool, self.parallel);
+        let active = active_sites(backend.n_sites(), cfg.l);
+        let mut draw = |backend: &B, g: usize| {
+            let channels = backend.site_channels(inputs.shape(g));
+            masks.draw(g, &active, &channels, cfg)
+        };
+
+        // Batch axis: contiguous runs of `span` groups, one fork per
+        // run. A backend that cannot fork serves sequentially.
+        let span = groups.div_ceil(parallel.batch_threads.min(groups));
+        let forks: Option<Vec<B>> = if span < groups {
+            (0..groups.div_ceil(span)).map(|_| backend.fork()).collect()
+        } else {
+            None
+        };
+        let Some(forks) = forks else {
+            // The resident backend keeps its prefix buffers and pooled
+            // scratches hot across the groups.
+            return (0..groups)
+                .map(|g| {
+                    let masks = draw(backend, g);
+                    let x = inputs.get(g);
+                    run_request(backend, &x, &masks, &active, cfg, parallel, pool)
+                })
+                .collect();
+        };
+        let group_masks: Vec<Vec<MaskSet>> = (0..groups).map(|g| draw(backend, g)).collect();
+        let tasks: Vec<GroupTask<'_>> = forks
+            .into_iter()
+            .zip(group_masks.chunks(span))
+            .enumerate()
+            .map(|(run, (mut fork, run_masks))| {
+                let active = &active;
+                Box::new(move || {
+                    run_masks
+                        .iter()
+                        .enumerate()
+                        .map(|(i, masks)| {
+                            let x = inputs.get(run * span + i);
+                            run_request(&mut fork, &x, masks, active, cfg, parallel, pool)
+                        })
+                        .collect()
+                }) as GroupTask<'_>
+            })
+            .collect();
+        pool.run(tasks).into_iter().flatten().collect()
+    }
 }
 
-/// Serially pre-draw one predictive call's mask sets: `S` sets when
-/// any site is active, none (and no stream consumption) otherwise.
+/// A batch-parallel pool task: a contiguous run of groups executed on
+/// one forked backend.
+type GroupTask<'a> = Box<dyn FnOnce() -> Vec<RequestResult> + Send + 'a>;
+
+/// Serially draw one group's mask sets: `S` sets when any site is
+/// active, none (and no stream consumption) otherwise.
 fn draw_mask_sets(
     active: &[bool],
     channels: &[usize],
@@ -263,10 +338,9 @@ fn draw_mask_sets(
         .collect()
 }
 
-/// Per-sample passes over an already-prepared backend: the shared tail
-/// of [`sample_probs_pooled`] and the batch-parallel schedule. An
-/// empty `mask_sets` is the deterministic short-circuit — one pass,
-/// replicated `s` times.
+/// Per-sample passes over an already-prepared backend: the tail of
+/// every group. An empty `mask_sets` is the deterministic
+/// short-circuit — one pass, replicated `s` times.
 fn run_prepared<B: BayesBackend>(
     backend: &B,
     s: usize,
@@ -338,338 +412,183 @@ fn run_samples<B: BayesBackend>(
     probs
 }
 
-/// Predictive distribution `(n, k)` — the mean of the per-sample
-/// softmax probabilities (the paper's `1/S Σ p(y|x, M_s)`) — plus the
-/// run's cost report.
-///
-/// Routes through the same `run_request` core as the request-serving
-/// path ([`serve_requests_pooled`]), so the two are bit-identical by
-/// construction, not merely by test.
-pub fn predictive_pooled<B: BayesBackend>(
-    backend: &mut B,
-    x: &Tensor,
-    cfg: BayesConfig,
-    src: &mut dyn MaskSource,
-    parallel: ParallelConfig,
-    pool: &WorkerPool,
-) -> (Tensor, CostReport) {
-    assert!(cfg.s > 0, "at least one Monte Carlo sample required");
-    let parallel = parallel.normalized();
-    let active = active_sites(backend.n_sites(), cfg.l);
-    let channels = backend.site_channels(x.shape());
-    let masks = draw_mask_sets(&active, &channels, cfg, src);
-    let out = run_request(backend, x, &masks, &active, cfg, parallel, pool);
-    (out.probs, out.cost)
+/// What one [`Engine::run`] executes: which inputs, as a sequence of
+/// *groups* (one [`BayesBackend::prepare`] each), and where each
+/// group's masks come from.
+pub struct Plan<'a> {
+    inputs: Inputs<'a>,
+    masks: Masks<'a>,
 }
 
-/// [`predictive_pooled`] on the process-wide [`WorkerPool::global`]
-/// (or, for a fully serial schedule, an inline pool that spawns
-/// nothing).
-pub fn predictive_on<B: BayesBackend>(
-    backend: &mut B,
-    x: &Tensor,
-    cfg: BayesConfig,
-    src: &mut dyn MaskSource,
-    parallel: ParallelConfig,
-) -> (Tensor, CostReport) {
-    predictive_pooled(backend, x, cfg, src, parallel, fallback_pool(parallel))
-}
-
-/// Predictive over a dataset in batches of at most `batch` items,
-/// returning an `(n, k)` probability tensor and the accumulated cost.
-///
-/// This is where both schedule axes meet: with
-/// `parallel.batch_threads > 1` (and a backend whose
-/// [`BayesBackend::fork`] is implemented) the batch groups themselves
-/// run as pool tasks, each forked backend preparing its own inputs
-/// while its sample chunks nest on the *same* pool. The mask stream
-/// is pre-drawn serially in group order, every group's samples join
-/// in stream order, and rows are assembled in input order — so the
-/// result is bit-identical to the sequential batch loop (which is
-/// itself bit-identical to per-input [`predictive_pooled`] calls at
-/// `batch = 1`). `wall_ms` sums the per-group wall times, which
-/// overlap under batch parallelism.
-///
-/// # Panics
-///
-/// Panics if `batch == 0`, `cfg.s == 0` or `xs` is empty.
-pub fn predictive_batched_pooled<B: BayesBackend + Send>(
-    backend: &mut B,
-    xs: &Tensor,
-    cfg: BayesConfig,
-    src: &mut dyn MaskSource,
-    parallel: ParallelConfig,
-    batch: usize,
-    pool: &WorkerPool,
-) -> (Tensor, CostReport) {
-    assert!(batch > 0, "batch must be non-zero");
-    // Checked up front (not only inside the per-group predictive) so
-    // the batch-parallel schedule fails the same way the sequential
-    // loop does, before any group executes.
-    assert!(cfg.s > 0, "at least one Monte Carlo sample required");
-    let parallel = parallel.normalized();
-    let s = xs.shape();
-    let groups: Vec<Range<usize>> = (0..s.n)
-        .step_by(batch)
-        .map(|row| row..(row + batch).min(s.n))
-        .collect();
-    let batch_threads = parallel.batch_threads.clamp(1, groups.len().max(1));
-    if batch_threads > 1 {
-        if let Some(result) = predictive_batch_parallel(
-            backend,
-            xs,
-            cfg,
-            src,
-            parallel,
-            &groups,
-            batch_threads,
-            pool,
-        ) {
-            return result;
+impl<'a> Plan<'a> {
+    /// One input batch as a single group, its masks the next `S` sets
+    /// of `src`.
+    pub fn one(x: &'a Tensor, src: &'a mut dyn MaskSource) -> Plan<'a> {
+        Plan {
+            inputs: Inputs::One(x),
+            masks: Masks::Stream(src),
         }
     }
-    // Sequential batch loop (also the fallback for unforkable
-    // backends).
-    let mut out: Option<Tensor> = None;
-    let mut cost = CostReport::default();
-    for group in &groups {
-        let bx = slice_items(xs, group.clone());
-        let (probs, c) = predictive_pooled(backend, &bx, cfg, src, parallel, pool);
-        cost.accumulate(&c);
-        write_rows(&mut out, s.n, group.start, &probs);
+
+    /// A dataset in groups of at most `batch` items, `src` consumed in
+    /// group order (at `batch = 1`, exactly the stream a per-input
+    /// loop of [`Plan::one`] runs would consume).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch == 0`.
+    pub fn batched(xs: &'a Tensor, batch: usize, src: &'a mut dyn MaskSource) -> Plan<'a> {
+        assert!(batch > 0, "batch must be non-zero");
+        Plan {
+            inputs: Inputs::Batched { xs, batch },
+            masks: Masks::Stream(src),
+        }
     }
-    (out.expect("dataset is non-empty"), cost)
-}
 
-/// [`predictive_batched_pooled`] on the process-wide
-/// [`WorkerPool::global`] (or, for a fully serial schedule, an
-/// inline pool that spawns nothing).
-pub fn predictive_batched_on<B: BayesBackend + Send>(
-    backend: &mut B,
-    xs: &Tensor,
-    cfg: BayesConfig,
-    src: &mut dyn MaskSource,
-    parallel: ParallelConfig,
-    batch: usize,
-) -> (Tensor, CostReport) {
-    predictive_batched_pooled(
-        backend,
-        xs,
-        cfg,
-        src,
-        parallel,
-        batch,
-        fallback_pool(parallel),
-    )
-}
-
-/// One batch group's result inside the batch-parallel schedule: the
-/// group's first input row, its predictive distribution and its cost.
-type GroupResult = (usize, Tensor, CostReport);
-
-/// A batch-parallel pool task: a contiguous run of batch groups
-/// executed on one forked backend.
-type GroupTask<'a> = Box<dyn FnOnce() -> Vec<GroupResult> + Send + 'a>;
-
-/// The batch-parallel schedule: contiguous runs of batch groups as
-/// pool tasks over forked backends. Returns `None` when the backend
-/// cannot fork (the caller then runs the sequential loop).
-#[allow(clippy::too_many_arguments)]
-fn predictive_batch_parallel<B: BayesBackend + Send>(
-    backend: &mut B,
-    xs: &Tensor,
-    cfg: BayesConfig,
-    src: &mut dyn MaskSource,
-    parallel: ParallelConfig,
-    groups: &[Range<usize>],
-    batch_threads: usize,
-    pool: &WorkerPool,
-) -> Option<(Tensor, CostReport)> {
-    let span = groups.len().div_ceil(batch_threads);
-    let mut forks = Vec::with_capacity(groups.len().div_ceil(span));
-    for _ in groups.chunks(span) {
-        forks.push(backend.fork()?);
+    /// Independent `(input, seed)` requests (shapes may differ), one
+    /// group each, every group drawing from its *own*
+    /// [`SoftwareMaskSource`] seeded by the request — the
+    /// cross-call-batching plan behind `bnn-serve`.
+    ///
+    /// A request's masks come from its own seed, never from one serial
+    /// stream in batch order, so its prediction cannot depend on which
+    /// neighbors it is coalesced with or on its position among them.
+    /// (Per-request groups are also *required* for that guarantee:
+    /// dropout masks are channel-wise and shared across the items of
+    /// one forward pass, so folding strangers' inputs into one tensor
+    /// would force them to share one mask stream.) What coalescing
+    /// buys is everything around the math: one dispatcher wake-up and
+    /// one pool submission per micro-batch, and one resident backend
+    /// whose prefix buffers and pooled scratches stay hot.
+    pub fn requests(requests: &'a [(&'a Tensor, u64)]) -> Plan<'a> {
+        Plan {
+            inputs: Inputs::Requests(requests),
+            masks: Masks::Seeds(requests),
+        }
     }
-    // Serial mask pre-draw in group order: exactly the stream the
-    // sequential loop would consume (channel counts are independent
-    // of the group's item count).
-    let active = active_sites(backend.n_sites(), cfg.l);
-    let channels = backend.site_channels(xs.shape().with_n(1));
-    let group_masks: Vec<Vec<MaskSet>> = groups
-        .iter()
-        .map(|_| draw_mask_sets(&active, &channels, cfg, src))
-        .collect();
+}
 
-    let n = xs.shape().n;
-    let tasks: Vec<GroupTask<'_>> = forks
-        .into_iter()
-        .zip(groups.chunks(span))
-        .zip(group_masks.chunks(span))
-        .map(|((mut fork, task_groups), task_masks)| {
-            let active = &active;
-            Box::new(move || {
-                task_groups
-                    .iter()
-                    .zip(task_masks)
-                    .map(|(group, masks)| {
-                        // audit:allow(determinism) wall_ms is CostReport telemetry; it never feeds the computation, so replies stay bit-identical.
-                        let t0 = Instant::now();
-                        let bx = slice_items(xs, group.clone());
-                        fork.prepare(&bx, active);
-                        let passes = run_prepared(&fork, cfg.s, masks, parallel, pool);
-                        let probs = mean_probs(&passes, passes.len());
-                        let cost = CostReport {
-                            samples: cfg.s,
-                            batch: bx.shape().n,
-                            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-                            model: fork.model_cost(cfg),
-                        };
-                        (group.start, probs, cost)
-                    })
-                    .collect()
-            }) as GroupTask<'_>
-        })
-        .collect();
+/// The inputs of a [`Plan`], addressable by group.
+#[derive(Clone, Copy)]
+enum Inputs<'a> {
+    One(&'a Tensor),
+    Batched { xs: &'a Tensor, batch: usize },
+    Requests(&'a [(&'a Tensor, u64)]),
+}
 
-    let mut out: Option<Tensor> = None;
-    let mut cost = CostReport::default();
-    for (row, probs, c) in pool.run(tasks).into_iter().flatten() {
-        cost.accumulate(&c);
-        write_rows(&mut out, n, row, &probs);
+impl<'a> Inputs<'a> {
+    fn groups(&self) -> usize {
+        match *self {
+            Inputs::One(_) => 1,
+            Inputs::Batched { xs, batch } => xs.shape().n.div_ceil(batch),
+            Inputs::Requests(requests) => requests.len(),
+        }
     }
-    Some((out.expect("dataset is non-empty"), cost))
+
+    /// Item range of group `g` of a dataset split every `batch` items.
+    fn items(xs: &Tensor, batch: usize, g: usize) -> Range<usize> {
+        g * batch..((g + 1) * batch).min(xs.shape().n)
+    }
+
+    fn shape(&self, g: usize) -> Shape4 {
+        match *self {
+            Inputs::One(x) => x.shape(),
+            Inputs::Batched { xs, batch } => xs.shape().with_n(Self::items(xs, batch, g).len()),
+            Inputs::Requests(requests) => requests[g].0.shape(),
+        }
+    }
+
+    /// Group `g`'s input tensor; a dataset group is copied out here,
+    /// when the group is about to run.
+    fn get(&self, g: usize) -> Cow<'a, Tensor> {
+        match *self {
+            Inputs::One(x) => Cow::Borrowed(x),
+            Inputs::Batched { xs, batch } => Cow::Owned(slice_items(xs, Self::items(xs, batch, g))),
+            Inputs::Requests(requests) => Cow::Borrowed(requests[g].0),
+        }
+    }
 }
 
-/// One coalesced serving request: an input and the request's *private*
-/// mask-stream seed.
-///
-/// This is the engine-side contract behind cross-call batching
-/// (`bnn-serve`): a request's Monte Carlo masks are derived from its
-/// own seed — not pulled from one serial stream in batch order — so
-/// its prediction cannot depend on which neighbors it happens to be
-/// coalesced with, or on its position in the micro-batch.
-#[derive(Debug, Clone, Copy)]
-pub struct SeededRequest<'a> {
-    /// The request's input (single-item for the serving front door;
-    /// the engine accepts any batch size).
-    pub x: &'a Tensor,
-    /// Seed of the request's private software mask stream
-    /// ([`crate::SoftwareMaskSource`]).
-    pub seed: u64,
+/// Where a [`Plan`]'s groups draw their masks from.
+enum Masks<'a> {
+    /// One serial stream, consumed in group order.
+    Stream(&'a mut dyn MaskSource),
+    /// Group `g` draws from a fresh software stream seeded by request
+    /// `g`, exactly as its solo serving would.
+    Seeds(&'a [(&'a Tensor, u64)]),
 }
 
-/// One request's result from [`serve_requests_pooled`].
+impl Masks<'_> {
+    /// Group `g`'s mask sets ([`draw_mask_sets`] on its stream).
+    fn draw(
+        &mut self,
+        g: usize,
+        active: &[bool],
+        channels: &[usize],
+        cfg: BayesConfig,
+    ) -> Vec<MaskSet> {
+        match self {
+            Masks::Stream(src) => draw_mask_sets(active, channels, cfg, &mut **src),
+            Masks::Seeds(requests) => {
+                let mut src = SoftwareMaskSource::new(requests[g].1);
+                draw_mask_sets(active, channels, cfg, &mut src)
+            }
+        }
+    }
+}
+
+/// One group's result from [`Engine::run`].
 #[derive(Debug, Clone)]
 pub struct RequestResult {
-    /// The `S` per-sample softmax probability tensors, in the
-    /// request's own mask-stream order (what an uncertainty
-    /// decomposition consumes).
+    /// The `S` per-sample softmax probability tensors `(n, k)`, in the
+    /// group's mask-stream order (what an uncertainty decomposition
+    /// consumes, and what the paper's `S` sweep averages prefixes of).
     pub passes: Vec<Tensor>,
-    /// The predictive mean `(n, k)` over those passes.
+    /// The predictive mean `(n, k)` over those passes (the paper's
+    /// `1/S Σ p(y|x, M_s)`).
     pub probs: Tensor,
-    /// This request's slice of the run's cost: its own wall time,
+    /// This group's slice of the run's cost: its own wall time,
     /// sample count and model cost.
     pub cost: CostReport,
 }
 
-/// Serve a micro-batch of independently-seeded requests in one engine
-/// pass: the cross-call-batching primitive behind `bnn-serve`.
-///
-/// Each request runs as its own batch group — one
-/// [`BayesBackend::prepare`] plus `S` suffix passes whose masks are
-/// drawn from the request's *own* [`crate::SoftwareMaskSource`] — so
-/// request `i`'s result is **bit-identical** to serving it alone
-/// ([`sample_probs_pooled`] with `SoftwareMaskSource::new(seed_i)`),
-/// whatever its neighbors, its position, the micro-batch size, the
-/// schedule or the pool size. (Per-request groups are also *required*
-/// for that guarantee, not just sufficient: dropout masks are
-/// channel-wise and shared across the items of one forward pass, so
-/// folding strangers' inputs into one tensor would force them to share
-/// one mask stream.) What coalescing buys is everything around the
-/// math: one dispatcher wake-up and one pool submission per
-/// micro-batch, one resident backend whose prefix buffers and pooled
-/// stacked scratches stay hot across requests, and — with
-/// `parallel.batch_threads > 1` on a forkable backend — the requests
-/// of one micro-batch fanning out over the pool.
-///
-/// Requests may differ in input shape; the mask sets are pre-drawn
-/// serially in request order (each from its own seed, so the order is
-/// immaterial to the results).
-///
-/// # Panics
-///
-/// Panics if `cfg.s == 0`.
-pub fn serve_requests_pooled<B: BayesBackend + Send>(
-    backend: &mut B,
-    requests: &[SeededRequest<'_>],
-    cfg: BayesConfig,
-    parallel: ParallelConfig,
-    pool: &WorkerPool,
-) -> Vec<RequestResult> {
-    assert!(cfg.s > 0, "at least one Monte Carlo sample required");
-    let parallel = parallel.normalized();
-    if requests.is_empty() {
-        return Vec::new();
+impl RequestResult {
+    /// The result of a one-group plan ([`Plan::one`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `results` holds exactly one group.
+    pub fn single(mut results: Vec<RequestResult>) -> RequestResult {
+        assert_eq!(results.len(), 1, "expected a one-group plan");
+        results.remove(0)
     }
-    let active = active_sites(backend.n_sites(), cfg.l);
-    // Per-request mask pre-draw: each request's private stream,
-    // consumed exactly as its solo serving would.
-    let request_masks: Vec<Vec<MaskSet>> = requests
-        .iter()
-        .map(|req| {
-            let channels = backend.site_channels(req.x.shape());
-            draw_mask_sets(
-                &active,
-                &channels,
-                cfg,
-                &mut SoftwareMaskSource::new(req.seed),
-            )
-        })
-        .collect();
 
-    let batch_threads = parallel.batch_threads.min(requests.len());
-    if batch_threads > 1 {
-        if let Some(results) = serve_requests_parallel(
-            backend,
-            requests,
-            &request_masks,
-            &active,
-            cfg,
-            parallel,
-            batch_threads,
-            pool,
-        ) {
-            return results;
+    /// All groups' predictive rows stacked in group order into one
+    /// `(n, k)` tensor, with their costs accumulated (`wall_ms` sums
+    /// the per-group wall times, which overlap under batch
+    /// parallelism).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `results` is empty.
+    pub fn stacked(results: &[RequestResult]) -> (Tensor, CostReport) {
+        let first = results.first().expect("dataset is non-empty");
+        let k = first.probs.shape().item_len();
+        let mut rows = Vec::new();
+        let mut cost = CostReport::default();
+        for r in results {
+            cost.accumulate(&r.cost);
+            rows.extend_from_slice(r.probs.as_slice());
         }
+        (Tensor::from_vec(Shape4::vec(rows.len() / k, k), rows), cost)
     }
-    // Sequential request loop (also the fallback for unforkable
-    // backends): the resident backend serves the requests in order,
-    // reusing its prefix buffers and pooled scratches across them.
-    requests
-        .iter()
-        .zip(&request_masks)
-        .map(|(req, masks)| run_request(backend, req.x, masks, &active, cfg, parallel, pool))
-        .collect()
-}
-
-/// [`serve_requests_pooled`] on the process-wide [`WorkerPool::global`]
-/// (or, for a fully serial schedule, an inline pool that spawns
-/// nothing).
-pub fn serve_requests_on<B: BayesBackend + Send>(
-    backend: &mut B,
-    requests: &[SeededRequest<'_>],
-    cfg: BayesConfig,
-    parallel: ParallelConfig,
-) -> Vec<RequestResult> {
-    serve_requests_pooled(backend, requests, cfg, parallel, fallback_pool(parallel))
 }
 
 /// Bind one input and execute its pre-drawn mask sets: timed
 /// prepare, sample passes, predictive mean and cost accounting.
-/// *The* shared serving core — [`predictive_pooled`] and both
-/// request schedules of [`serve_requests_pooled`] all run exactly
-/// this, which is what makes solo and coalesced serving
-/// bit-identical by construction.
+/// *The* per-group core — both schedules of [`Engine::run`] run
+/// exactly this for every group of every plan, which is what makes
+/// solo and coalesced serving bit-identical by construction.
 fn run_request<B: BayesBackend>(
     backend: &mut B,
     x: &Tensor,
@@ -706,48 +625,6 @@ fn run_request<B: BayesBackend>(
     }
 }
 
-/// A batch-parallel serving task: a contiguous run of requests
-/// executed on one forked backend.
-type RequestTask<'a> = Box<dyn FnOnce() -> Vec<RequestResult> + Send + 'a>;
-
-/// The batch-parallel request schedule: contiguous request runs as
-/// pool tasks over forked backends. Returns `None` when the backend
-/// cannot fork (the caller then runs the sequential loop).
-#[allow(clippy::too_many_arguments)]
-fn serve_requests_parallel<B: BayesBackend + Send>(
-    backend: &mut B,
-    requests: &[SeededRequest<'_>],
-    request_masks: &[Vec<MaskSet>],
-    active: &[bool],
-    cfg: BayesConfig,
-    parallel: ParallelConfig,
-    batch_threads: usize,
-    pool: &WorkerPool,
-) -> Option<Vec<RequestResult>> {
-    let span = requests.len().div_ceil(batch_threads);
-    let mut forks = Vec::with_capacity(requests.len().div_ceil(span));
-    for _ in requests.chunks(span) {
-        forks.push(backend.fork()?);
-    }
-    let tasks: Vec<RequestTask<'_>> = forks
-        .into_iter()
-        .zip(requests.chunks(span))
-        .zip(request_masks.chunks(span))
-        .map(|((mut fork, task_requests), task_masks)| {
-            Box::new(move || {
-                task_requests
-                    .iter()
-                    .zip(task_masks)
-                    .map(|(req, masks)| {
-                        run_request(&mut fork, req.x, masks, active, cfg, parallel, pool)
-                    })
-                    .collect()
-            }) as RequestTask<'_>
-        })
-        .collect();
-    Some(pool.run(tasks).into_iter().flatten().collect())
-}
-
 /// Copy an item range of `xs` into a fresh batch tensor.
 fn slice_items(xs: &Tensor, items: Range<usize>) -> Tensor {
     let s = xs.shape();
@@ -758,24 +635,14 @@ fn slice_items(xs: &Tensor, items: Range<usize>) -> Tensor {
     bx
 }
 
-/// Write a batch group's probability rows into the (lazily created)
-/// full output tensor, starting at item `row`.
-fn write_rows(out: &mut Option<Tensor>, n: usize, row: usize, probs: &Tensor) {
-    let k = probs.shape().item_len();
-    let all = out.get_or_insert_with(|| Tensor::zeros(Shape4::vec(n, k)));
-    for i in 0..probs.shape().n {
-        all.item_mut(row + i).copy_from_slice(probs.item(i));
-    }
-}
-
 /// The f32 software backend: wraps the [`Graph`] executor with the
 /// PR-1 performance engine — the deterministic prefix runs once per
 /// input through the scratch-backed prefix pass
 /// ([`Graph::forward_prefix_with`], reusing the previous call's
 /// buffers), and each Monte Carlo pass re-runs only the Bayesian
 /// suffix through a reusable [`ExecScratch`]
-/// ([`Graph::forward_from_with`]). Bit-identical to the legacy
-/// [`crate::McdPredictor`] at any thread count.
+/// ([`Graph::forward_from_with`]). The conformance reference the other
+/// substrates are compared against.
 #[derive(Debug)]
 pub struct FloatBackend<'g> {
     graph: &'g Graph,
@@ -1222,32 +1089,18 @@ impl BayesBackend for FusedBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::SoftwareMaskSource;
     use bnn_nn::models;
 
-    #[test]
-    fn engine_on_float_backend_matches_predictor() {
-        let net = models::lenet5(10, 1, 16, 4);
-        let x = Tensor::full(Shape4::new(2, 1, 16, 16), 0.15);
-        let cfg = BayesConfig::new(2, 5);
-        let legacy = crate::McdPredictor::new(&net)
-            .with_parallelism(ParallelConfig::serial())
-            .predictive(&x, cfg, &mut SoftwareMaskSource::new(11));
-        let mut backend = FloatBackend::new(&net);
-        let (probs, cost) = predictive_on(
-            &mut backend,
-            &x,
-            cfg,
-            &mut SoftwareMaskSource::new(11),
-            ParallelConfig::serial(),
-        );
-        assert_eq!(probs.as_slice(), legacy.as_slice());
-        assert_eq!(cost.samples, 5);
-        assert_eq!(cost.batch, 2);
-        assert!(cost.wall_ms >= 0.0);
-        let model = cost.model.expect("software paths model weight traffic");
-        assert_eq!(model.cycles, 0, "CPU path has no cycle model");
-        assert!(model.mem_bytes > 0, "weight traffic must be reported");
+    /// One-group run on a fresh software stream.
+    fn solo<B: BayesBackend + Send>(
+        engine: Engine<'_>,
+        backend: &mut B,
+        x: &Tensor,
+        cfg: BayesConfig,
+        seed: u64,
+    ) -> RequestResult {
+        let mut src = SoftwareMaskSource::new(seed);
+        RequestResult::single(engine.run(backend, Plan::one(x, &mut src), cfg))
     }
 
     #[test]
@@ -1261,7 +1114,9 @@ mod tests {
         };
         let mut backend = FloatBackend::new(&net);
         let mut src = SoftwareMaskSource::new(3);
-        let passes = sample_probs_on(&mut backend, &x, cfg, &mut src, ParallelConfig::serial());
+        let passes =
+            RequestResult::single(Engine::serial().run(&mut backend, Plan::one(&x, &mut src), cfg))
+                .passes;
         assert_eq!(passes.len(), 3);
         for p in &passes[1..] {
             assert_eq!(p.as_slice(), passes[0].as_slice());
@@ -1283,14 +1138,11 @@ mod tests {
         let cfg = BayesConfig::new(1, 2);
         let mut backend = FloatBackend::new(&net);
         let mut src = SoftwareMaskSource::new(9);
-        let (probs, cost) = predictive_batched_on(
+        let (probs, cost) = RequestResult::stacked(&Engine::serial().run(
             &mut backend,
-            &xs,
+            Plan::batched(&xs, 2, &mut src),
             cfg,
-            &mut src,
-            ParallelConfig::serial(),
-            2,
-        );
+        ));
         assert_eq!(probs.shape(), Shape4::vec(5, 10));
         assert_eq!(cost.batch, 5);
         assert_eq!(cost.samples, 3 * 2, "S per batch, summed over 3 batches");
@@ -1318,28 +1170,18 @@ mod tests {
         for l in [1usize, 3, 5] {
             let cfg = BayesConfig::new(l, 7);
             let mut float = FloatBackend::new(&net);
-            let (want, _) = predictive_on(
-                &mut float,
-                &x,
-                cfg,
-                &mut SoftwareMaskSource::new(42),
-                ParallelConfig::serial(),
-            );
+            let want = solo(Engine::serial(), &mut float, &x, cfg, 42).probs;
+            let pool = WorkerPool::new(3);
             for threads in [1usize, 4] {
                 let mut fused = FusedBackend::new(&net);
-                let (got, cost) = predictive_on(
-                    &mut fused,
-                    &x,
-                    cfg,
-                    &mut SoftwareMaskSource::new(42),
-                    ParallelConfig::with_threads(threads),
-                );
+                let engine = Engine::new(&pool, ParallelConfig::with_threads(threads));
+                let got = solo(engine, &mut fused, &x, cfg, 42);
                 assert_eq!(
-                    got.as_slice(),
+                    got.probs.as_slice(),
                     want.as_slice(),
                     "fused(L={l}, threads={threads}) diverged from float"
                 );
-                assert_eq!(cost.samples, cfg.s);
+                assert_eq!(got.cost.samples, cfg.s);
             }
         }
     }
@@ -1352,20 +1194,8 @@ mod tests {
         let cfg = BayesConfig::new(2, 5);
         let mut float = FloatBackend::new(&net);
         let mut fused = FusedBackend::new(&net);
-        let a = sample_probs_on(
-            &mut float,
-            &x,
-            cfg,
-            &mut SoftwareMaskSource::new(8),
-            ParallelConfig::serial(),
-        );
-        let b = sample_probs_on(
-            &mut fused,
-            &x,
-            cfg,
-            &mut SoftwareMaskSource::new(8),
-            ParallelConfig::serial(),
-        );
+        let a = solo(Engine::serial(), &mut float, &x, cfg, 8).passes;
+        let b = solo(Engine::serial(), &mut fused, &x, cfg, 8).passes;
         assert_eq!(a.len(), b.len());
         for (s, (pa, pb)) in a.iter().zip(&b).enumerate() {
             assert_eq!(pa.as_slice(), pb.as_slice(), "sample {s} diverged");
@@ -1383,20 +1213,8 @@ mod tests {
         };
         let mut float = FloatBackend::new(&net);
         let mut fused = FusedBackend::new(&net);
-        let (want, _) = predictive_on(
-            &mut float,
-            &x,
-            cfg,
-            &mut SoftwareMaskSource::new(1),
-            ParallelConfig::serial(),
-        );
-        let (got, _) = predictive_on(
-            &mut fused,
-            &x,
-            cfg,
-            &mut SoftwareMaskSource::new(1),
-            ParallelConfig::serial(),
-        );
+        let want = solo(Engine::serial(), &mut float, &x, cfg, 1).probs;
+        let got = solo(Engine::serial(), &mut fused, &x, cfg, 1).probs;
         assert_eq!(got.as_slice(), want.as_slice());
     }
 
@@ -1420,29 +1238,19 @@ mod tests {
         let cfg = BayesConfig::new(3, 6);
 
         // Solo reference per request, from a fresh backend each time.
-        let solo: Vec<Tensor> = inputs
+        let alone: Vec<Tensor> = inputs
             .iter()
             .enumerate()
             .map(|(i, x)| {
                 let mut backend = FloatBackend::new(&net);
-                predictive_on(
-                    &mut backend,
-                    x,
-                    cfg,
-                    &mut SoftwareMaskSource::new(100 + i as u64),
-                    ParallelConfig::serial(),
-                )
-                .0
+                solo(Engine::serial(), &mut backend, x, cfg, 100 + i as u64).probs
             })
             .collect();
 
-        let requests: Vec<SeededRequest<'_>> = inputs
+        let requests: Vec<(&Tensor, u64)> = inputs
             .iter()
             .enumerate()
-            .map(|(i, x)| SeededRequest {
-                x,
-                seed: 100 + i as u64,
-            })
+            .map(|(i, x)| (x, 100 + i as u64))
             .collect();
         let pool = WorkerPool::new(4);
         for parallel in [
@@ -1458,30 +1266,35 @@ mod tests {
             // different neighbor sets.
             let mut float = FloatBackend::new(&net);
             let mut fused = FusedBackend::new(&net);
+            let engine = Engine::new(&pool, parallel);
             for subset in [&requests[..], &requests[2..3], &requests[1..4]] {
-                for (req, out) in subset.iter().zip(serve_requests_pooled(
-                    &mut float, subset, cfg, parallel, &pool,
-                )) {
-                    let want = &solo[(req.seed - 100) as usize];
+                for (req, out) in
+                    subset
+                        .iter()
+                        .zip(engine.run(&mut float, Plan::requests(subset), cfg))
+                {
+                    let want = &alone[(req.1 - 100) as usize];
                     assert_eq!(
                         out.probs.as_slice(),
                         want.as_slice(),
                         "float request seed {} diverged under {parallel:?}",
-                        req.seed
+                        req.1
                     );
                     assert_eq!(out.passes.len(), cfg.s);
                     assert_eq!(out.cost.samples, cfg.s);
                     assert_eq!(out.cost.batch, 1);
                 }
-                for (req, out) in subset.iter().zip(serve_requests_pooled(
-                    &mut fused, subset, cfg, parallel, &pool,
-                )) {
-                    let want = &solo[(req.seed - 100) as usize];
+                for (req, out) in
+                    subset
+                        .iter()
+                        .zip(engine.run(&mut fused, Plan::requests(subset), cfg))
+                {
+                    let want = &alone[(req.1 - 100) as usize];
                     assert_eq!(
                         out.probs.as_slice(),
                         want.as_slice(),
                         "fused request seed {} diverged under {parallel:?}",
-                        req.seed
+                        req.1
                     );
                 }
             }
@@ -1497,18 +1310,9 @@ mod tests {
         let other = Tensor::full(Shape4::new(1, 1, 16, 16), -0.4);
         let cfg = BayesConfig::new(2, 5);
         let mut backend = FloatBackend::new(&net);
-        let want = sample_probs_on(
-            &mut backend,
-            &x,
-            cfg,
-            &mut SoftwareMaskSource::new(77),
-            ParallelConfig::serial(),
-        );
-        let requests = [
-            SeededRequest { x: &other, seed: 1 },
-            SeededRequest { x: &x, seed: 77 },
-        ];
-        let out = serve_requests_on(&mut backend, &requests, cfg, ParallelConfig::serial());
+        let want = solo(Engine::serial(), &mut backend, &x, cfg, 77).passes;
+        let requests = [(&other, 1), (&x, 77)];
+        let out = Engine::serial().run(&mut backend, Plan::requests(&requests), cfg);
         assert_eq!(out.len(), 2);
         assert_eq!(out[1].passes.len(), want.len());
         for (s, (a, b)) in want.iter().zip(&out[1].passes).enumerate() {
@@ -1528,18 +1332,11 @@ mod tests {
             p: 0.25,
         };
         let mut backend = FloatBackend::new(&net);
-        let out = serve_requests_on(
-            &mut backend,
-            &[
-                SeededRequest { x: &x, seed: 1 },
-                SeededRequest { x: &x, seed: 2 },
-            ],
-            cfg,
-            ParallelConfig::serial(),
-        );
+        let requests = [(&x, 1), (&x, 2)];
+        let out = Engine::serial().run(&mut backend, Plan::requests(&requests), cfg);
         assert_eq!(out[0].probs.as_slice(), out[1].probs.as_slice());
         // Empty micro-batch: no work, no panic.
-        let none = serve_requests_on(&mut backend, &[], cfg, ParallelConfig::serial());
+        let none = Engine::serial().run(&mut backend, Plan::requests(&[]), cfg);
         assert!(none.is_empty());
     }
 

@@ -207,9 +207,18 @@ impl<B: BayesBackend> BayesBackend for ChaosBackend<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{predictive_on, FloatBackend};
-    use crate::predict::ParallelConfig;
+    use crate::backend::{Engine, FloatBackend, Plan, RequestResult};
     use crate::source::SoftwareMaskSource;
+
+    /// Serial one-group run on the software stream seeded 3.
+    fn predictive<B: BayesBackend + Send>(
+        backend: &mut B,
+        x: &Tensor,
+        cfg: BayesConfig,
+    ) -> RequestResult {
+        let mut src = SoftwareMaskSource::new(3);
+        RequestResult::single(Engine::serial().run(backend, Plan::one(x, &mut src), cfg))
+    }
     use bnn_nn::models;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -236,24 +245,12 @@ mod tests {
         let x = Tensor::full(Shape4::new(1, 1, 16, 16), 0.2);
         let cfg = BayesConfig::new(2, 5);
         let mut bare = FloatBackend::new(&net);
-        let (want, _) = predictive_on(
-            &mut bare,
-            &x,
-            cfg,
-            &mut SoftwareMaskSource::new(3),
-            ParallelConfig::serial(),
-        );
+        let want = predictive(&mut bare, &x, cfg).probs;
         let mut wrapped = ChaosBackend::new(FloatBackend::new(&net), ChaosConfig::disabled(9));
-        let (got, cost) = predictive_on(
-            &mut wrapped,
-            &x,
-            cfg,
-            &mut SoftwareMaskSource::new(3),
-            ParallelConfig::serial(),
-        );
-        assert_eq!(got.as_slice(), want.as_slice());
+        let got = predictive(&mut wrapped, &x, cfg);
+        assert_eq!(got.probs.as_slice(), want.as_slice());
         assert_eq!(wrapped.calls(), 1);
-        assert!(cost.model.is_some(), "cost model must delegate");
+        assert!(got.cost.model.is_some(), "cost model must delegate");
     }
 
     #[test]
@@ -269,24 +266,10 @@ mod tests {
             .find(|c| fault_at(c, 0) == Fault::None && fault_at(c, 1) == Fault::Panic)
             .expect("a seed with schedule [ok, panic] exists");
         let mut wrapped = ChaosBackend::new(FloatBackend::new(&net), chaos);
-        let (first, _) = predictive_on(
-            &mut wrapped,
-            &x,
-            cfg,
-            &mut SoftwareMaskSource::new(3),
-            ParallelConfig::serial(),
-        );
+        let first = predictive(&mut wrapped, &x, cfg).probs;
         assert!(first.as_slice().iter().all(|v| v.is_finite()));
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            predictive_on(
-                &mut wrapped,
-                &x,
-                cfg,
-                &mut SoftwareMaskSource::new(3),
-                ParallelConfig::serial(),
-            )
-        }))
-        .expect_err("call 1 is scheduled to panic");
+        let err = catch_unwind(AssertUnwindSafe(|| predictive(&mut wrapped, &x, cfg)))
+            .expect_err("call 1 is scheduled to panic");
         let msg = err
             .downcast_ref::<String>()
             .cloned()

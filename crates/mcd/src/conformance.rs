@@ -42,10 +42,7 @@
 //! );
 //! ```
 
-use crate::backend::{
-    predictive_batched_on, predictive_batched_pooled, predictive_on, predictive_pooled,
-    serve_requests_pooled, BayesBackend, SeededRequest,
-};
+use crate::backend::{BayesBackend, CostReport, Engine, Plan, RequestResult};
 use crate::chaos::{fault_at, ChaosBackend, ChaosConfig, Fault};
 use crate::pool::WorkerPool;
 use crate::predict::{BayesConfig, ParallelConfig};
@@ -68,6 +65,32 @@ pub enum Tolerance {
 /// bit-identical-at-any-parallelism guarantee is asserted between
 /// them).
 const THREAD_COUNTS: [usize; 2] = [1, 4];
+
+/// Unbatched predictive of `x` on a fresh software stream from `seed`.
+fn predictive<B: BayesBackend + Send>(
+    engine: Engine<'_>,
+    backend: &mut B,
+    x: &Tensor,
+    cfg: BayesConfig,
+    seed: u64,
+) -> (Tensor, CostReport) {
+    let mut src = SoftwareMaskSource::new(seed);
+    let out = RequestResult::single(engine.run(backend, Plan::one(x, &mut src), cfg));
+    (out.probs, out.cost)
+}
+
+/// `x` served one item per group on a fresh software stream from
+/// `seed`, rows stacked.
+fn predictive_by_item<B: BayesBackend + Send>(
+    engine: Engine<'_>,
+    backend: &mut B,
+    x: &Tensor,
+    cfg: BayesConfig,
+    seed: u64,
+) -> Tensor {
+    let mut src = SoftwareMaskSource::new(seed);
+    RequestResult::stacked(&engine.run(backend, Plan::batched(x, 1, &mut src), cfg)).0
+}
 
 fn check_close(want: &Tensor, got: &Tensor, tol: Tolerance, what: &str) {
     assert_eq!(want.shape(), got.shape(), "{what}: shape mismatch");
@@ -103,7 +126,7 @@ fn check_close(want: &Tensor, got: &Tensor, tol: Tolerance, what: &str) {
 /// 2. *Thread invariance* — the candidate's predictions at 1 and 4
 ///    threads are byte-equal regardless of `tol` (the engine contract
 ///    extends to every backend, including fused chunking).
-/// 3. *Batched serving* — `predictive_batched` with `batch = 1` agrees
+/// 3. *Batched serving* — [`Plan::batched`] with `batch = 1` agrees
 ///    across backends within `tol`, is thread-invariant, and — for
 ///    single-item inputs — is byte-equal to the unbatched predictive.
 /// 4. *Cost accounting* — both backends report the configured sample
@@ -114,8 +137,8 @@ fn check_close(want: &Tensor, got: &Tensor, tol: Tolerance, what: &str) {
 ///    (`batch_threads = 4`, `batch = 1`), all byte-equal to the
 ///    candidate's serial predictions.
 /// 6. *Coalescing invariance* — the request-serving path
-///    ([`serve_requests_pooled`], the `bnn-serve` engine hook): a
-///    [`SeededRequest`] carrying the shared seed is byte-equal to the
+///    ([`Plan::requests`], what `bnn-serve` runs): a
+///    request carrying the shared seed is byte-equal to the
 ///    candidate's solo predictive whether served alone or coalesced
 ///    between neighbors with foreign seeds, under both the sequential
 ///    and the batch-parallel request schedule, at pool sizes `{1, 4}`.
@@ -137,13 +160,9 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
 ) {
     let pair = format!("{} vs {}", candidate.name(), reference.name());
 
-    let (r_probs, r_cost) = predictive_on(
-        reference,
-        x,
-        cfg,
-        &mut SoftwareMaskSource::new(seed),
-        ParallelConfig::serial(),
-    );
+    // Pool for the `threads = 4` splits of checks 1-3.
+    let fan_out = WorkerPool::new(ParallelConfig::with_threads(4).pool_workers());
+    let (r_probs, r_cost) = predictive(Engine::serial(), reference, x, cfg, seed);
     assert_eq!(
         r_cost.samples,
         cfg.s,
@@ -153,13 +172,8 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
 
     let mut per_threads = Vec::new();
     for threads in THREAD_COUNTS {
-        let (c_probs, c_cost) = predictive_on(
-            candidate,
-            x,
-            cfg,
-            &mut SoftwareMaskSource::new(seed),
-            ParallelConfig::with_threads(threads),
-        );
+        let engine = Engine::new(&fan_out, ParallelConfig::with_threads(threads));
+        let (c_probs, c_cost) = predictive(engine, candidate, x, cfg, seed);
         check_close(
             &r_probs,
             &c_probs,
@@ -183,24 +197,11 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
 
     // Batched serving, one item at a time — the deployment shape every
     // backend (including the batch-1 accelerator) supports.
-    let (r_batched, _) = predictive_batched_on(
-        reference,
-        x,
-        cfg,
-        &mut SoftwareMaskSource::new(seed),
-        ParallelConfig::serial(),
-        1,
-    );
+    let r_batched = predictive_by_item(Engine::serial(), reference, x, cfg, seed);
     let mut batched = Vec::new();
     for threads in THREAD_COUNTS {
-        let (c_batched, _) = predictive_batched_on(
-            candidate,
-            x,
-            cfg,
-            &mut SoftwareMaskSource::new(seed),
-            ParallelConfig::with_threads(threads),
-            1,
-        );
+        let engine = Engine::new(&fan_out, ParallelConfig::with_threads(threads));
+        let c_batched = predictive_by_item(engine, candidate, x, cfg, seed);
         check_close(
             &r_batched,
             &c_batched,
@@ -231,14 +232,8 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
         let pool = WorkerPool::new(workers);
         let repeats = if workers == 1 { 1 } else { 2 };
         for repeat in 0..repeats {
-            let (p_probs, _) = predictive_pooled(
-                candidate,
-                x,
-                cfg,
-                &mut SoftwareMaskSource::new(seed),
-                ParallelConfig::with_threads(4),
-                &pool,
-            );
+            let engine = Engine::new(&pool, ParallelConfig::with_threads(4));
+            let (p_probs, _) = predictive(engine, candidate, x, cfg, seed);
             assert_eq!(
                 p_probs.as_slice(),
                 per_threads[0].as_slice(),
@@ -247,29 +242,16 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
                 candidate.name()
             );
         }
-        let (chunked, _) = predictive_pooled(
-            candidate,
-            x,
-            cfg,
-            &mut SoftwareMaskSource::new(seed),
-            ParallelConfig::with_threads(2).with_chunk(1),
-            &pool,
-        );
+        let engine = Engine::new(&pool, ParallelConfig::with_threads(2).with_chunk(1));
+        let (chunked, _) = predictive(engine, candidate, x, cfg, seed);
         assert_eq!(
             chunked.as_slice(),
             per_threads[0].as_slice(),
             "{}: pooled chunked split on {workers} worker(s) changed the prediction",
             candidate.name()
         );
-        let (batch_par, _) = predictive_batched_pooled(
-            candidate,
-            x,
-            cfg,
-            &mut SoftwareMaskSource::new(seed),
-            ParallelConfig::serial().with_batch_threads(4),
-            1,
-            &pool,
-        );
+        let engine = Engine::new(&pool, ParallelConfig::serial().with_batch_threads(4));
+        let batch_par = predictive_by_item(engine, candidate, x, cfg, seed);
         assert_eq!(
             batch_par.as_slice(),
             batched[0].as_slice(),
@@ -281,12 +263,10 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
         // must come back byte-equal to the candidate's solo predictive
         // above, alone or sandwiched between foreign-seeded neighbors,
         // on either request schedule.
-        let solo = serve_requests_pooled(
+        let solo = Engine::new(&pool, ParallelConfig::serial()).run(
             candidate,
-            &[SeededRequest { x, seed }],
+            Plan::requests(&[(x, seed)]),
             cfg,
-            ParallelConfig::serial(),
-            &pool,
         );
         assert_eq!(
             solo[0].probs.as_slice(),
@@ -295,22 +275,17 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
             candidate.name()
         );
         let neighbors = [
-            SeededRequest {
-                x,
-                seed: seed.wrapping_add(101),
-            },
-            SeededRequest { x, seed },
-            SeededRequest {
-                x,
-                seed: seed.wrapping_add(202),
-            },
+            (x, seed.wrapping_add(101)),
+            (x, seed),
+            (x, seed.wrapping_add(202)),
         ];
         let mut per_schedule = Vec::new();
         for parallel in [
             ParallelConfig::serial(),
             ParallelConfig::serial().with_batch_threads(4),
         ] {
-            let coalesced = serve_requests_pooled(candidate, &neighbors, cfg, parallel, &pool);
+            let coalesced =
+                Engine::new(&pool, parallel).run(candidate, Plan::requests(&neighbors), cfg);
             assert_eq!(
                 coalesced[1].probs.as_slice(),
                 per_threads[0].as_slice(),
@@ -339,7 +314,7 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
 /// it needs them).
 ///
 /// Three properties are asserted, all on the request-serving path the
-/// `bnn-serve` dispatcher uses ([`serve_requests_pooled`], sequential
+/// `bnn-serve` dispatcher uses ([`Plan::requests`], sequential
 /// schedule — the schedule under which fault indices map 1:1 onto
 /// requests):
 ///
@@ -368,26 +343,22 @@ where
     B: BayesBackend + Send,
     F: FnMut() -> B,
 {
-    let pool = WorkerPool::new(0);
+    let engine = Engine::serial();
     let n_requests = 6u64;
-    let requests: Vec<SeededRequest> = (0..n_requests)
-        .map(|i| SeededRequest {
-            x,
-            seed: seed.wrapping_add(i),
-        })
-        .collect();
+    let requests: Vec<(&Tensor, u64)> =
+        (0..n_requests).map(|i| (x, seed.wrapping_add(i))).collect();
     let mut bare = make();
     let b_name = bare.name();
     // Fault-free reference, bare backend.
-    let want: Vec<Tensor> =
-        serve_requests_pooled(&mut bare, &requests, cfg, ParallelConfig::serial(), &pool)
-            .into_iter()
-            .map(|r| r.probs)
-            .collect();
+    let want: Vec<Tensor> = engine
+        .run(&mut bare, Plan::requests(&requests), cfg)
+        .into_iter()
+        .map(|r| r.probs)
+        .collect();
 
     // 1. Transparency: disabled chaos is byte-equal to bare.
     let mut quiet = ChaosBackend::new(make(), ChaosConfig::disabled(seed));
-    let got = serve_requests_pooled(&mut quiet, &requests, cfg, ParallelConfig::serial(), &pool);
+    let got = engine.run(&mut quiet, Plan::requests(&requests), cfg);
     for (i, (w, g)) in want.iter().zip(&got).enumerate() {
         assert_eq!(
             w.as_slice(),
@@ -418,16 +389,8 @@ where
                 // One request per micro-batch, panics quarantined
                 // exactly like the serving dispatcher does.
                 catch_unwind(AssertUnwindSafe(|| {
-                    serve_requests_pooled(
-                        &mut faulty,
-                        std::slice::from_ref(req),
-                        cfg,
-                        ParallelConfig::serial(),
-                        &pool,
-                    )
-                    .pop()
-                    .expect("one reply per request")
-                    .probs
+                    let solo = Plan::requests(std::slice::from_ref(req));
+                    RequestResult::single(engine.run(&mut faulty, solo, cfg)).probs
                 }))
                 .ok()
             })

@@ -12,10 +12,14 @@
 //! algorithmic experiments can run against the exact bit stream the
 //! accelerator would produce.
 //!
+//! Every prediction is one [`Engine::run`] of a [`Plan`] (one tensor,
+//! a batched dataset, or independently-seeded requests) on a
+//! [`BayesBackend`] substrate; see [`backend`] for the contract.
+//!
 //! # Example
 //!
 //! ```
-//! use bnn_mcd::{BayesConfig, McdPredictor, SoftwareMaskSource};
+//! use bnn_mcd::{BayesConfig, Engine, FloatBackend, Plan, RequestResult, SoftwareMaskSource};
 //! use bnn_nn::models;
 //! use bnn_tensor::{Shape4, Tensor};
 //!
@@ -23,8 +27,11 @@
 //! let x = Tensor::zeros(Shape4::new(2, 1, 28, 28));
 //! let cfg = BayesConfig::new(2, 5); // last 2 layers Bayesian, 5 samples
 //! let mut src = SoftwareMaskSource::new(42);
-//! let probs = McdPredictor::new(&net).predictive(&x, cfg, &mut src);
-//! let row: f32 = probs.item(0).iter().sum();
+//! let mut backend = FloatBackend::new(&net);
+//! let groups = Engine::serial().run(&mut backend, Plan::one(&x, &mut src), cfg);
+//! let out = RequestResult::single(groups);
+//! assert_eq!(out.passes.len(), 5);
+//! let row: f32 = out.probs.item(0).iter().sum();
 //! assert!((row - 1.0).abs() < 1e-4, "predictive rows are distributions");
 //! ```
 
@@ -44,16 +51,13 @@ mod source;
 pub mod uncertainty;
 
 pub use backend::{
-    predictive_batched_on, predictive_batched_pooled, predictive_on, predictive_pooled,
-    sample_probs_on, sample_probs_pooled, serve_requests_on, serve_requests_pooled, BayesBackend,
-    CostReport, FloatBackend, FusedBackend, FusedScratch, ModelCost, RequestResult, SeededRequest,
+    BayesBackend, CostReport, Engine, FloatBackend, FusedBackend, FusedScratch, ModelCost, Plan,
+    RequestResult,
 };
 pub use chaos::{fault_at, ChaosBackend, ChaosConfig, Fault};
 pub use conformance::{assert_backend_agrees, assert_chaos_agrees, Tolerance};
 pub use metrics::{accuracy, avg_predictive_entropy, ece, mutual_information, nll, Calibration};
 pub use pool::WorkerPool;
-pub use predict::{
-    active_sites, mean_probs, predictive_batched, BayesConfig, McdPredictor, ParallelConfig,
-};
+pub use predict::{active_sites, mean_probs, BayesConfig, ParallelConfig};
 pub use source::{draw_site_masks, HardwareMaskSource, MaskSource, SoftwareMaskSource};
 pub use uncertainty::Uncertainty;

@@ -35,8 +35,8 @@ pub fn avg_predictive_entropy(probs: &Tensor) -> f64 {
 
 /// Decomposed epistemic uncertainty: the BALD mutual information
 /// `I[y; M | x] = H[E_M p(y|x,M)] − E_M H[p(y|x,M)]` averaged over a
-/// dataset, computed from the per-sample probability tensors of
-/// [`crate::McdPredictor::sample_probs`].
+/// dataset, computed from the per-sample probability tensors of a run
+/// ([`crate::RequestResult::passes`]).
 ///
 /// Total entropy splits into *aleatoric* (expected per-sample entropy,
 /// noise the model cannot remove) and *epistemic* (the mutual

@@ -31,7 +31,6 @@
 //!   synchronizes nothing.
 
 use std::collections::VecDeque;
-use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
@@ -63,11 +62,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A persistent team of worker threads executing chunked work.
 ///
 /// Create one per serving context ([`crate::ParallelConfig`] sizes the
-/// `Session` default) or share one across sessions via `Arc`; the
-/// engine entry points with a `_pooled` suffix take it explicitly,
-/// and the legacy entry points fall back to [`WorkerPool::global`].
-/// Dropping the pool shuts the workers down (pending jobs are drained
-/// first, so no submitted call is abandoned).
+/// `Session` default) or share one across sessions via `Arc`;
+/// [`crate::Engine::new`] borrows it for each run. Dropping the pool
+/// shuts the workers down (pending jobs are drained first, so no
+/// submitted call is abandoned).
 ///
 /// # Example
 ///
@@ -116,23 +114,8 @@ impl WorkerPool {
         WorkerPool { shared, handles }
     }
 
-    /// The process-wide fallback pool used by the engine entry points
-    /// that do not take an explicit pool: one resident worker per CPU
-    /// beyond the caller's (zero on a single-core host, where inline
-    /// execution beats any fan-out).
-    pub fn global() -> &'static WorkerPool {
-        static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let cpus = std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1);
-            WorkerPool::new(cpus.saturating_sub(1))
-        })
-    }
-
-    /// A process-wide zero-worker pool: every run executes inline.
-    /// The engine hands this to fully serial schedules so they never
-    /// spin up the real [`WorkerPool::global`] threads.
+    /// A process-wide zero-worker pool: every run executes inline and
+    /// nothing is ever spawned ([`crate::Engine::serial`]).
     pub(crate) fn inline() -> &'static WorkerPool {
         static INLINE: OnceLock<WorkerPool> = OnceLock::new();
         INLINE.get_or_init(|| WorkerPool::new(0))

@@ -1,20 +1,18 @@
-//! Monte Carlo predictive inference with software intermediate-layer
-//! caching and a parallel sampling engine.
+//! The configuration types of Monte Carlo predictive inference —
+//! [`BayesConfig`] (`{L, S, p}`) and the [`ParallelConfig`] work
+//! schedule — plus the two pure helpers every front end shares
+//! ([`active_sites`], [`mean_probs`]).
 //!
 //! The `S` Monte Carlo forward passes are embarrassingly parallel —
 //! the insight both the DAC'21 accelerator and VIBNN bank sampler
-//! units around. The software analogue here: all `S` mask sets are
-//! drawn *serially* from the [`MaskSource`] (so the deterministic
-//! stream is identical whatever the thread count), then the
-//! Bayesian-suffix re-runs execute as contiguous chunks on a
-//! persistent [`crate::WorkerPool`], each work unit owning one
-//! reusable [`bnn_nn::ExecScratch`]. The predictive mean is reduced
-//! in sample order, making every [`ParallelConfig`] schedule
-//! bit-identical to the serial one.
+//! units around. The software analogue lives in
+//! [`crate::backend::Engine`]: all mask sets are drawn *serially* from
+//! the mask source (so the deterministic stream is identical whatever
+//! the thread count), then the Bayesian-suffix re-runs execute as
+//! contiguous chunks on a persistent [`crate::WorkerPool`]. The
+//! predictive mean is reduced in sample order, making every
+//! [`ParallelConfig`] schedule bit-identical to the serial one.
 
-use crate::backend::{predictive_batched_on, sample_probs_on, FloatBackend};
-use crate::source::MaskSource;
-use bnn_nn::Graph;
 use bnn_tensor::Tensor;
 use std::num::NonZeroUsize;
 
@@ -67,10 +65,10 @@ impl BayesConfig {
 ///
 /// * [`ParallelConfig::threads`] fans the `S` suffix re-runs of one
 ///   input batch out as contiguous sample chunks (the *sample axis*).
-/// * [`ParallelConfig::batch_threads`] fans the outer loop of
-///   `predictive_batched*` out over batch groups (the *batch axis*);
-///   each group's samples then still use the sample axis, nested on
-///   the same pool.
+/// * [`ParallelConfig::batch_threads`] fans the groups of a plan
+///   (dataset batches, coalesced requests) out over forked backends
+///   (the *batch axis*); each group's samples then still use the
+///   sample axis, nested on the same pool.
 /// * [`ParallelConfig::chunk`] overrides the sample-chunk size
 ///   (default: an even split over `threads`), which also sets how
 ///   many samples a fusing backend stacks per GEMM.
@@ -79,8 +77,8 @@ pub struct ParallelConfig {
     /// Sample-axis fan-out for the per-sample suffix re-runs. `1` is
     /// the fully serial engine.
     pub threads: usize,
-    /// Batch-axis fan-out for `predictive_batched*`'s outer loop over
-    /// batch groups. `1` (the default everywhere) serves groups
+    /// Batch-axis fan-out over a plan's groups (dataset batches,
+    /// coalesced requests). `1` (the default everywhere) serves groups
     /// sequentially; larger values need a backend whose
     /// [`crate::BayesBackend::fork`] is implemented (all four in-tree
     /// substrates) and fall back to sequential otherwise.
@@ -92,8 +90,8 @@ pub struct ParallelConfig {
 }
 
 impl ParallelConfig {
-    /// One sample-axis worker per available CPU (the [`McdPredictor`]
-    /// default); batch axis sequential.
+    /// One sample-axis worker per available CPU; batch axis
+    /// sequential.
     pub fn max_parallel() -> ParallelConfig {
         let threads = std::thread::available_parallelism()
             .map(NonZeroUsize::get)
@@ -149,7 +147,7 @@ impl ParallelConfig {
     /// construction can still produce zero `threads`, `batch_threads`
     /// or `chunk` — meaningless schedules (there is no way to run
     /// samples on zero workers; the calling thread always
-    /// participates). Every engine entry point normalizes through
+    /// participates). [`crate::Engine::new`] normalizes through
     /// here, exactly once, so a zeroed field behaves as the serial
     /// setting of that axis instead of panicking deep in the engine.
     pub fn normalized(mut self) -> ParallelConfig {
@@ -190,65 +188,6 @@ pub fn active_sites(n: usize, l: usize) -> Vec<bool> {
     v
 }
 
-/// Runs MCD predictive inference over a graph.
-///
-/// The predictor implements the *software analogue* of the paper's
-/// intermediate-layer caching: the deterministic prefix (everything
-/// before the first active MCD site) is executed once per input and
-/// only the Bayesian suffix is re-run for each of the `S` samples.
-#[derive(Debug)]
-pub struct McdPredictor<'g> {
-    graph: &'g Graph,
-    parallel: ParallelConfig,
-}
-
-impl<'g> McdPredictor<'g> {
-    /// Create a predictor for a graph, parallel over all CPUs by
-    /// default (see [`ParallelConfig`]; results do not depend on the
-    /// thread count).
-    pub fn new(graph: &'g Graph) -> McdPredictor<'g> {
-        McdPredictor {
-            graph,
-            parallel: ParallelConfig::max_parallel(),
-        }
-    }
-
-    /// Override the sampling-engine parallelism
-    /// ([`ParallelConfig::serial`] restores the old engine).
-    pub fn with_parallelism(mut self, parallel: ParallelConfig) -> McdPredictor<'g> {
-        self.parallel = parallel;
-        self
-    }
-
-    /// Per-sample softmax probabilities: `s` tensors of shape `(n, k)`.
-    ///
-    /// Exposing the individual passes lets callers evaluate *every*
-    /// smaller `S` from one run (the paper's `S` sweep) by averaging
-    /// prefixes of the returned list.
-    ///
-    /// Delegates to the generic engine
-    /// ([`crate::backend::sample_probs_on`]) over a [`FloatBackend`] —
-    /// the sampling logic exists exactly once, shared with the int8
-    /// and accelerator backends.
-    pub fn sample_probs(
-        &self,
-        x: &Tensor,
-        cfg: BayesConfig,
-        src: &mut dyn MaskSource,
-    ) -> Vec<Tensor> {
-        let mut backend = FloatBackend::new(self.graph);
-        sample_probs_on(&mut backend, x, cfg, src, self.parallel)
-    }
-
-    /// Predictive distribution `(n, k)`: the mean of the per-sample
-    /// softmax probabilities (the paper's
-    /// `1/S Σ p(y|x, M_s)`).
-    pub fn predictive(&self, x: &Tensor, cfg: BayesConfig, src: &mut dyn MaskSource) -> Tensor {
-        let passes = self.sample_probs(x, cfg, src);
-        mean_probs(&passes, passes.len())
-    }
-}
-
 /// Average the first `s` per-pass probability tensors.
 ///
 /// # Panics
@@ -266,33 +205,31 @@ pub fn mean_probs(passes: &[Tensor], s: usize) -> Tensor {
     acc
 }
 
-/// Convenience: predictive over a dataset in batches, returning an
-/// `(n, k)` tensor of probabilities.
-pub fn predictive_batched(
-    graph: &Graph,
-    xs: &Tensor,
-    cfg: BayesConfig,
-    src: &mut dyn MaskSource,
-    batch: usize,
-) -> Tensor {
-    let mut backend = FloatBackend::new(graph);
-    predictive_batched_on(
-        &mut backend,
-        xs,
-        cfg,
-        src,
-        ParallelConfig::max_parallel(),
-        batch,
-    )
-    .0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{Engine, FloatBackend, Plan, RequestResult};
+    use crate::pool::WorkerPool;
     use crate::source::{MaskSource, SoftwareMaskSource};
-    use bnn_nn::models;
+    use bnn_nn::{models, Graph};
     use bnn_tensor::{softmax_rows, Shape4};
+
+    /// One-group float-backend run on a pool sized for `parallel`.
+    fn run_float(
+        net: &Graph,
+        parallel: ParallelConfig,
+        x: &Tensor,
+        cfg: BayesConfig,
+        src: &mut dyn MaskSource,
+    ) -> RequestResult {
+        let pool = WorkerPool::new(parallel.pool_workers());
+        let mut backend = FloatBackend::new(net);
+        RequestResult::single(Engine::new(&pool, parallel).run(
+            &mut backend,
+            Plan::one(x, src),
+            cfg,
+        ))
+    }
 
     #[test]
     fn l_domain_matches_paper() {
@@ -312,11 +249,18 @@ mod tests {
         let net = models::lenet5(10, 1, 16, 3);
         let x = Tensor::full(Shape4::new(3, 1, 16, 16), 0.1);
         let mut src = SoftwareMaskSource::new(1);
-        let probs = McdPredictor::new(&net).predictive(&x, BayesConfig::new(3, 4), &mut src);
+        let cfg = BayesConfig::new(3, 4);
+        let out = run_float(&net, ParallelConfig::max_parallel(), &x, cfg, &mut src);
         for i in 0..3 {
-            let s: f32 = probs.item(i).iter().sum();
+            let s: f32 = out.probs.item(i).iter().sum();
             assert!((s - 1.0).abs() < 1e-4);
         }
+        assert_eq!(out.cost.samples, 4);
+        assert_eq!(out.cost.batch, 3);
+        assert!(out.cost.wall_ms >= 0.0);
+        let model = out.cost.model.expect("software paths model weight traffic");
+        assert_eq!(model.cycles, 0, "CPU path has no cycle model");
+        assert!(model.mem_bytes > 0, "weight traffic must be reported");
     }
 
     #[test]
@@ -329,7 +273,7 @@ mod tests {
         let mut src_a = SoftwareMaskSource::new(7);
         let mut src_b = SoftwareMaskSource::new(7);
 
-        let fast = McdPredictor::new(&net).sample_probs(&x, cfg, &mut src_a);
+        let fast = run_float(&net, ParallelConfig::max_parallel(), &x, cfg, &mut src_a).passes;
 
         // Reference: full forward per pass with the same mask stream.
         let active = active_sites(net.n_sites(), cfg.l);
@@ -351,15 +295,12 @@ mod tests {
         let net = models::lenet5(10, 1, 16, 5);
         let x = Tensor::full(Shape4::new(1, 1, 16, 16), 0.3);
         let mut src = SoftwareMaskSource::new(2);
-        let passes = McdPredictor::new(&net).sample_probs(
-            &x,
-            BayesConfig {
-                l: 0,
-                s: 4,
-                p: 0.25,
-            },
-            &mut src,
-        );
+        let cfg = BayesConfig {
+            l: 0,
+            s: 4,
+            p: 0.25,
+        };
+        let passes = run_float(&net, ParallelConfig::max_parallel(), &x, cfg, &mut src).passes;
         for p in &passes[1..] {
             assert_eq!(p.as_slice(), passes[0].as_slice());
         }
@@ -390,13 +331,9 @@ mod tests {
         let x = Tensor::full(Shape4::new(2, 1, 16, 16), 0.1);
         let cfg = BayesConfig::new(2, 3);
         let mut src = SoftwareMaskSource::new(4);
-        let want = McdPredictor::new(&net)
-            .with_parallelism(ParallelConfig::serial())
-            .predictive(&x, cfg, &mut src);
+        let want = run_float(&net, ParallelConfig::serial(), &x, cfg, &mut src).probs;
         let mut src = SoftwareMaskSource::new(4);
-        let got = McdPredictor::new(&net)
-            .with_parallelism(zeroed)
-            .predictive(&x, cfg, &mut src);
+        let got = run_float(&net, zeroed, &x, cfg, &mut src).probs;
         assert_eq!(got.as_slice(), want.as_slice());
     }
 
@@ -415,7 +352,21 @@ mod tests {
         let cfg = BayesConfig::new(1, 2);
         // With batch = n the masks align; just check shape + rows.
         let mut src = SoftwareMaskSource::new(3);
-        let probs = predictive_batched(&net, &xs, cfg, &mut src, 5);
+        let mut backend = FloatBackend::new(&net);
+        let (probs, _) = RequestResult::stacked(&Engine::serial().run(
+            &mut backend,
+            Plan::batched(&xs, 5, &mut src),
+            cfg,
+        ));
         assert_eq!(probs.shape(), Shape4::vec(5, 10));
+        // One group covering the dataset is the unbatched predictive.
+        let single = run_float(
+            &net,
+            ParallelConfig::serial(),
+            &xs,
+            cfg,
+            &mut SoftwareMaskSource::new(3),
+        );
+        assert_eq!(probs.as_slice(), single.probs.as_slice());
     }
 }

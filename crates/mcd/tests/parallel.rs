@@ -6,10 +6,28 @@
 //! every thread count — which trivially satisfies the 1e-6 acceptance
 //! bound.
 
-use bnn_mcd::{BayesConfig, McdPredictor, ParallelConfig, SoftwareMaskSource};
-use bnn_nn::models;
+use bnn_mcd::{
+    BayesConfig, Engine, FloatBackend, MaskSource, ParallelConfig, Plan, RequestResult,
+    SoftwareMaskSource, WorkerPool,
+};
+use bnn_nn::{models, Graph};
 use bnn_tensor::{Shape4, Tensor};
 use proptest::prelude::*;
+
+/// One float-backend run of `x` at `threads` sample-axis workers, on a
+/// pool sized for them, continuing `src`.
+fn run(
+    net: &Graph,
+    threads: usize,
+    x: &Tensor,
+    cfg: BayesConfig,
+    src: &mut dyn MaskSource,
+) -> RequestResult {
+    let parallel = ParallelConfig::with_threads(threads);
+    let pool = WorkerPool::new(parallel.pool_workers());
+    let mut backend = FloatBackend::new(net);
+    RequestResult::single(Engine::new(&pool, parallel).run(&mut backend, Plan::one(x, src), cfg))
+}
 
 fn input(n: usize, hw: usize, seed: u64) -> Tensor {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
@@ -41,12 +59,8 @@ proptest! {
         let x = input(batch, 16, seed);
         let cfg = BayesConfig::new(l, s);
 
-        let serial = McdPredictor::new(&net)
-            .with_parallelism(ParallelConfig::serial())
-            .predictive(&x, cfg, &mut SoftwareMaskSource::new(seed));
-        let parallel = McdPredictor::new(&net)
-            .with_parallelism(ParallelConfig::with_threads(threads))
-            .predictive(&x, cfg, &mut SoftwareMaskSource::new(seed));
+        let serial = run(&net, 1, &x, cfg, &mut SoftwareMaskSource::new(seed)).probs;
+        let parallel = run(&net, threads, &x, cfg, &mut SoftwareMaskSource::new(seed)).probs;
 
         prop_assert_eq!(
             serial.as_slice(),
@@ -67,13 +81,10 @@ proptest! {
 
         let mut src_serial = SoftwareMaskSource::new(seed);
         let mut src_parallel = SoftwareMaskSource::new(seed);
-        let serial_pred = McdPredictor::new(&net).with_parallelism(ParallelConfig::serial());
-        let parallel_pred =
-            McdPredictor::new(&net).with_parallelism(ParallelConfig::with_threads(4));
 
         // Round 1: the per-sample tensors agree element-wise.
-        let a = serial_pred.sample_probs(&x, cfg, &mut src_serial);
-        let b = parallel_pred.sample_probs(&x, cfg, &mut src_parallel);
+        let a = run(&net, 1, &x, cfg, &mut src_serial).passes;
+        let b = run(&net, 4, &x, cfg, &mut src_parallel).passes;
         prop_assert_eq!(a.len(), b.len());
         for (pa, pb) in a.iter().zip(&b) {
             prop_assert!(pa.max_abs_diff(pb) == 0.0, "per-sample probabilities diverged");
@@ -81,8 +92,8 @@ proptest! {
 
         // Round 2: cross over the sources — both engines must have
         // advanced their streams identically.
-        let a2 = serial_pred.predictive(&x, cfg, &mut src_parallel);
-        let b2 = parallel_pred.predictive(&x, cfg, &mut src_serial);
+        let a2 = run(&net, 1, &x, cfg, &mut src_parallel).probs;
+        let b2 = run(&net, 4, &x, cfg, &mut src_serial).probs;
         prop_assert_eq!(a2.as_slice(), b2.as_slice(), "mask streams advanced differently");
     }
 }
@@ -93,12 +104,8 @@ fn oversubscribed_thread_count_is_clamped() {
     let net = models::lenet5(10, 1, 16, 2);
     let x = input(1, 16, 9);
     let cfg = BayesConfig::new(2, 3);
-    let serial = McdPredictor::new(&net)
-        .with_parallelism(ParallelConfig::serial())
-        .predictive(&x, cfg, &mut SoftwareMaskSource::new(5));
-    let wide = McdPredictor::new(&net)
-        .with_parallelism(ParallelConfig::with_threads(64))
-        .predictive(&x, cfg, &mut SoftwareMaskSource::new(5));
+    let serial = run(&net, 1, &x, cfg, &mut SoftwareMaskSource::new(5)).probs;
+    let wide = run(&net, 64, &x, cfg, &mut SoftwareMaskSource::new(5)).probs;
     assert_eq!(serial.as_slice(), wide.as_slice());
 }
 

@@ -5,11 +5,11 @@
 //! schedule. These properties drive the schedule axes through random
 //! input counts, sample counts, thread counts, chunk sizes and pool
 //! sizes and require byte equality against the simplest possible
-//! reference: a serial per-input `predictive_pooled` loop.
+//! reference: a serial per-input loop of one-group runs.
 
 use bnn_mcd::{
-    predictive_batched_pooled, predictive_pooled, BayesConfig, FloatBackend, FusedBackend,
-    ParallelConfig, SoftwareMaskSource, WorkerPool,
+    BayesConfig, Engine, FloatBackend, FusedBackend, ParallelConfig, Plan, RequestResult,
+    SoftwareMaskSource, WorkerPool,
 };
 use bnn_nn::models;
 use bnn_tensor::{Shape4, Tensor};
@@ -29,24 +29,18 @@ fn input(n: usize, hw: usize, seed: u64) -> Tensor {
 }
 
 /// Reference: one serial predictive per input item, continuing the
-/// same mask stream — exactly what `predictive_batched*` at
-/// `batch = 1` promises to reproduce.
+/// same mask stream — exactly what `Plan::batched` at `batch = 1`
+/// promises to reproduce.
 fn per_input_reference(net: &bnn_nn::Graph, xs: &Tensor, cfg: BayesConfig, seed: u64) -> Tensor {
-    let inline = WorkerPool::new(0);
     let mut backend = FloatBackend::new(net);
     let mut src = SoftwareMaskSource::new(seed);
     let n = xs.shape().n;
     let mut out: Option<Tensor> = None;
     for i in 0..n {
         let x = xs.select_item(i);
-        let (probs, _) = predictive_pooled(
-            &mut backend,
-            &x,
-            cfg,
-            &mut src,
-            ParallelConfig::serial(),
-            &inline,
-        );
+        let probs =
+            RequestResult::single(Engine::serial().run(&mut backend, Plan::one(&x, &mut src), cfg))
+                .probs;
         let k = probs.shape().item_len();
         let all = out.get_or_insert_with(|| Tensor::zeros(Shape4::vec(n, k)));
         all.item_mut(i).copy_from_slice(probs.item(0));
@@ -57,7 +51,7 @@ fn per_input_reference(net: &bnn_nn::Graph, xs: &Tensor, cfg: BayesConfig, seed:
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// `predictive_batched_pooled` with batch-axis parallelism (and
+    /// A `Plan::batched` run with batch-axis parallelism (and
     /// any sample-axis split on top) is bit-identical to the
     /// per-input serial loop, on both the per-sample and the fused
     /// float backends, at any pool size.
@@ -83,13 +77,13 @@ proptest! {
             .with_batch_threads(batch_threads)
             .with_chunk(chunk);
         let mut src = SoftwareMaskSource::new(seed);
-        let (got, cost) = if fused {
-            let mut backend = FusedBackend::new(&net);
-            predictive_batched_pooled(&mut backend, &xs, cfg, &mut src, parallel, 1, &pool)
+        let engine = Engine::new(&pool, parallel);
+        let plan = Plan::batched(&xs, 1, &mut src);
+        let (got, cost) = RequestResult::stacked(&if fused {
+            engine.run(&mut FusedBackend::new(&net), plan, cfg)
         } else {
-            let mut backend = FloatBackend::new(&net);
-            predictive_batched_pooled(&mut backend, &xs, cfg, &mut src, parallel, 1, &pool)
-        };
+            engine.run(&mut FloatBackend::new(&net), plan, cfg)
+        });
         prop_assert_eq!(
             got.as_slice(),
             want.as_slice(),
@@ -117,27 +111,24 @@ proptest! {
         let x = input(2, 16, seed);
         let cfg = BayesConfig::new(3, s);
 
-        let inline = WorkerPool::new(0);
         let mut serial = FusedBackend::new(&net);
-        let (want, _) = predictive_pooled(
+        let want = RequestResult::single(Engine::serial().run(
             &mut serial,
-            &x,
+            Plan::one(&x, &mut SoftwareMaskSource::new(seed)),
             cfg,
-            &mut SoftwareMaskSource::new(seed),
-            ParallelConfig::serial(),
-            &inline,
-        );
+        ))
+        .probs;
 
         let pool = WorkerPool::new(workers);
         let mut chunked = FusedBackend::new(&net);
-        let (got, _) = predictive_pooled(
-            &mut chunked,
-            &x,
-            cfg,
-            &mut SoftwareMaskSource::new(seed),
-            ParallelConfig::with_threads(threads).with_chunk(chunk),
-            &pool,
-        );
+        let got = RequestResult::single(
+            Engine::new(&pool, ParallelConfig::with_threads(threads).with_chunk(chunk)).run(
+                &mut chunked,
+                Plan::one(&x, &mut SoftwareMaskSource::new(seed)),
+                cfg,
+            ),
+        )
+        .probs;
         prop_assert_eq!(
             got.as_slice(),
             want.as_slice(),

@@ -14,8 +14,8 @@
 //!   pool's workers keep serving afterwards.
 
 use bnn_mcd::{
-    predictive_batched_pooled, predictive_pooled, BayesBackend, BayesConfig, FloatBackend,
-    ParallelConfig, SoftwareMaskSource, WorkerPool,
+    BayesBackend, BayesConfig, CostReport, Engine, FloatBackend, MaskSource, ParallelConfig, Plan,
+    RequestResult, SoftwareMaskSource, WorkerPool,
 };
 use bnn_nn::{models, Graph, MaskSet};
 use bnn_tensor::{Shape4, Tensor};
@@ -36,6 +36,37 @@ fn with_deadline<F: FnOnce() + Send + 'static>(secs: u64, body: F) {
         Ok(()) => worker.join().expect("stress body panicked"),
         Err(_) => panic!("stress test exceeded {secs}s — engine deadlock?"),
     }
+}
+
+/// Unbatched predictive of `x` under `parallel` on `pool`.
+fn predictive<B: BayesBackend + Send>(
+    backend: &mut B,
+    x: &Tensor,
+    cfg: BayesConfig,
+    src: &mut dyn MaskSource,
+    parallel: ParallelConfig,
+    pool: &WorkerPool,
+) -> (Tensor, CostReport) {
+    let out =
+        RequestResult::single(Engine::new(pool, parallel).run(backend, Plan::one(x, src), cfg));
+    (out.probs, out.cost)
+}
+
+/// `xs` served one item per group under `parallel` on `pool`.
+fn predictive_by_item<B: BayesBackend + Send>(
+    backend: &mut B,
+    xs: &Tensor,
+    cfg: BayesConfig,
+    src: &mut dyn MaskSource,
+    parallel: ParallelConfig,
+    pool: &WorkerPool,
+) -> Tensor {
+    RequestResult::stacked(&Engine::new(pool, parallel).run(
+        backend,
+        Plan::batched(xs, 1, src),
+        cfg,
+    ))
+    .0
 }
 
 fn test_net() -> Graph {
@@ -63,7 +94,7 @@ fn shared_pool_serves_sequential_and_concurrent_calls() {
         let reference = |seed: u64| {
             let inline = WorkerPool::new(0);
             let mut backend = FloatBackend::new(&net);
-            predictive_pooled(
+            predictive(
                 &mut backend,
                 &x,
                 cfg,
@@ -82,7 +113,7 @@ fn shared_pool_serves_sequential_and_concurrent_calls() {
                 1 => ParallelConfig::with_threads(2).with_chunk(1),
                 _ => ParallelConfig::serial(),
             };
-            let (probs, _) = predictive_pooled(
+            let (probs, _) = predictive(
                 &mut backend,
                 &x,
                 cfg,
@@ -110,13 +141,12 @@ fn shared_pool_serves_sequential_and_concurrent_calls() {
                 let mut results = Vec::new();
                 for round in 0..4u64 {
                     let seed = t * 1000 + round;
-                    let (probs, _) = predictive_batched_pooled(
+                    let probs = predictive_by_item(
                         &mut backend,
                         &xs,
                         cfg,
                         &mut SoftwareMaskSource::new(seed),
                         parallel,
-                        1,
                         &pool,
                     );
                     results.push((seed, probs));
@@ -129,13 +159,12 @@ fn shared_pool_serves_sequential_and_concurrent_calls() {
                 let inline = WorkerPool::new(0);
                 let mut serial = FloatBackend::new(&net);
                 let xs = test_input(3);
-                let (want, _) = predictive_batched_pooled(
+                let want = predictive_by_item(
                     &mut serial,
                     &xs,
                     cfg,
                     &mut SoftwareMaskSource::new(seed),
                     ParallelConfig::serial(),
-                    1,
                     &inline,
                 );
                 assert_eq!(
@@ -158,7 +187,7 @@ fn zero_and_single_sample_edges() {
         // S = 0 must panic the call — cleanly, without wedging the pool.
         let err = catch_unwind(AssertUnwindSafe(|| {
             let mut backend = FloatBackend::new(&net);
-            predictive_pooled(
+            predictive(
                 &mut backend,
                 &x,
                 BayesConfig {
@@ -177,7 +206,7 @@ fn zero_and_single_sample_edges() {
         let inline = WorkerPool::new(0);
         let mut serial = FloatBackend::new(&net);
         let cfg = BayesConfig::new(2, 1);
-        let (want, _) = predictive_pooled(
+        let (want, _) = predictive(
             &mut serial,
             &x,
             cfg,
@@ -191,7 +220,7 @@ fn zero_and_single_sample_edges() {
             ParallelConfig::serial().with_batch_threads(4),
         ] {
             let mut backend = FloatBackend::new(&net);
-            let (got, cost) = predictive_pooled(
+            let (got, cost) = predictive(
                 &mut backend,
                 &x,
                 cfg,
@@ -248,7 +277,7 @@ fn worker_panic_poisons_the_call_not_the_process() {
         // call must re-throw on the caller and nothing else.
         let err = catch_unwind(AssertUnwindSafe(|| {
             let mut backend = PanickyBackend;
-            predictive_pooled(
+            predictive(
                 &mut backend,
                 &x,
                 BayesConfig::new(1, 8),
@@ -268,7 +297,7 @@ fn worker_panic_poisons_the_call_not_the_process() {
         let inline = WorkerPool::new(0);
         let cfg = BayesConfig::new(3, 6);
         let mut serial = FloatBackend::new(&net);
-        let (want, _) = predictive_pooled(
+        let (want, _) = predictive(
             &mut serial,
             &x,
             cfg,
@@ -277,7 +306,7 @@ fn worker_panic_poisons_the_call_not_the_process() {
             &inline,
         );
         let mut backend = FloatBackend::new(&net);
-        let (got, _) = predictive_pooled(
+        let (got, _) = predictive(
             &mut backend,
             &x,
             cfg,

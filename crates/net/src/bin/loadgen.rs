@@ -10,8 +10,7 @@
 //! rate, or Poisson). Latencies fold into log2 histograms per class;
 //! the run ends with a `GET /status` poll and an exact cross-check of
 //! client-side response counts against the server's own counters at
-//! quiesce, emitted as machine-readable `BENCH_net.json` next to
-//! `BENCH_serve.json`.
+//! quiesce, emitted as machine-readable `BENCH_net.json`.
 //!
 //! ```text
 //! loadgen [--smoke] [--mode closed|fixed|poisson] [--connections N]

@@ -1,10 +1,10 @@
 //! Rolling-window serving telemetry behind `GET /status` and the
 //! Prometheus-style `GET /metrics` exposition.
 //!
-//! The monitor grows the one-shot `BENCH_serve.json` pass into live
-//! telemetry: a ring buffer of recent request latencies (nearest-rank
-//! p50/p99 answered from log2 bucket counts folded at record time —
-//! no per-snapshot copy or sort), a cumulative [`LogHistogram`] of
+//! Live telemetry for a running server: a ring buffer of recent
+//! request latencies (nearest-rank p50/p99 answered from log2 bucket
+//! counts folded at record time — no per-snapshot copy or sort), a
+//! cumulative [`LogHistogram`] of
 //! every latency ever recorded, a batch-size histogram, aggregated
 //! [`CostReport`]s keyed by substrate, and net-layer counters
 //! (connections, HTTP hits, rate-limited and malformed frames).

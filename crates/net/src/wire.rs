@@ -79,7 +79,7 @@
 //! Every reply carries the request's *effective* mask-stream seed:
 //! the seed the client pinned, or — when none was sent — the
 //! server-derived `request_seed(base_seed, id)`. Feeding that seed to
-//! an offline `Session` (or `predictive_on` with a
+//! an offline `Session` (or a `bnn_mcd::Plan::one` run with a
 //! `SoftwareMaskSource`) over the same input reproduces the reply's
 //! probabilities bit for bit, so any answer that ever crossed the
 //! wire can be re-derived and audited after the fact.

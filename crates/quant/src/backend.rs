@@ -174,7 +174,9 @@ impl BayesBackend for Int8Backend {
 mod tests {
     use super::*;
     use crate::Quantizer;
-    use bnn_mcd::{predictive_on, sample_probs_on, MaskSource, ParallelConfig, SoftwareMaskSource};
+    use bnn_mcd::{
+        Engine, MaskSource, ParallelConfig, Plan, RequestResult, SoftwareMaskSource, WorkerPool,
+    };
     use bnn_nn::models;
     use bnn_rng::SoftRng;
 
@@ -196,7 +198,12 @@ mod tests {
         let cfg = BayesConfig::new(2, 3);
         let mut src_a = SoftwareMaskSource::new(7);
         let mut src_b = SoftwareMaskSource::new(7);
-        let passes = sample_probs_on(&mut backend, &x, cfg, &mut src_a, ParallelConfig::serial());
+        let passes = RequestResult::single(Engine::serial().run(
+            &mut backend,
+            Plan::one(&x, &mut src_a),
+            cfg,
+        ))
+        .passes;
 
         // Reference: the full integer forward with the same masks.
         let active = bnn_mcd::active_sites(backend.n_sites(), cfg.l);
@@ -218,18 +225,17 @@ mod tests {
     fn int8_predictive_rows_are_distributions() {
         let (mut backend, x) = setup();
         let mut src = SoftwareMaskSource::new(1);
-        let (probs, cost) = predictive_on(
+        let pool = WorkerPool::new(1);
+        let out = RequestResult::single(Engine::new(&pool, ParallelConfig::with_threads(2)).run(
             &mut backend,
-            &x,
+            Plan::one(&x, &mut src),
             BayesConfig::new(3, 4),
-            &mut src,
-            ParallelConfig::with_threads(2),
-        );
+        ));
         for i in 0..x.shape().n {
-            let s: f32 = probs.item(i).iter().sum();
+            let s: f32 = out.probs.item(i).iter().sum();
             assert!((s - 1.0).abs() < 1e-4);
         }
-        assert!(cost.model.is_none());
+        assert!(out.cost.model.is_none());
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! cloneable [`Handle`]s, the dispatcher coalesces queued requests
 //! into micro-batches under a [`BatchPolicy`], runs one
 //! request-serving engine pass
-//! ([`bnn_mcd::serve_requests_pooled`]) over the shared
-//! [`WorkerPool`], and hands each caller its own probabilities plus a
+//! ([`bnn_mcd::Engine::run`] of a [`bnn_mcd::Plan::requests`] plan)
+//! over the shared [`WorkerPool`], and hands each caller its own probabilities plus a
 //! per-request [`Uncertainty`] summary and [`CostReport`] slice.
 //!
 //! # Coalescing invariance
@@ -21,7 +21,7 @@
 //! neighbors**, at any pool size, on every backend. Each request
 //! carries its own mask-stream seed (derived from the server seed and
 //! the request id via [`request_seed`], or pinned explicitly with
-//! [`Handle::predict_seeded`]), and the engine derives each request's
+//! [`Submission::seed`]), and the engine derives each request's
 //! Monte Carlo masks from that seed alone — never from one serial
 //! stream in batch order — so timing, queue depth and neighbor
 //! composition cannot move a byte. The conformance harness
@@ -42,8 +42,8 @@
 //! [`ServeError::Rejected`] — so low-priority work absorbs overload
 //! while high-priority latency stays bounded by the queue depth.
 //! Submissions that find no lower-priority victim block
-//! ([`Handle::predict`]) or are themselves rejected with the input
-//! handed back ([`Handle::try_predict`]; pair it with
+//! ([`Submission::submit`]) or are themselves rejected with the input
+//! handed back ([`Submission::try_submit`]; pair it with
 //! [`RetryPolicy`], the jittered-backoff retry helper). A queued
 //! request whose deadline passes before it is taken into a
 //! micro-batch resolves [`ServeError::DeadlineExceeded`] instead of
@@ -86,7 +86,7 @@
 //!     .start();
 //! let handle = server.handle();
 //! let x = Tensor::full(Shape4::new(1, 1, 16, 16), 0.1);
-//! let reply = handle.predict(x).wait().expect("served");
+//! let reply = handle.request(x).submit().wait().expect("served");
 //! let sum: f32 = reply.probs.item(0).iter().sum();
 //! assert!((sum - 1.0).abs() < 1e-4);
 //! assert!(reply.uncertainty.entropy >= 0.0);
@@ -98,8 +98,8 @@
 
 use bnn_accel::{AccelBackend, Accelerator};
 use bnn_mcd::{
-    serve_requests_pooled, BayesBackend, BayesConfig, ChaosBackend, ChaosConfig, CostReport,
-    FloatBackend, FusedBackend, ParallelConfig, SeededRequest, Uncertainty, WorkerPool,
+    BayesBackend, BayesConfig, ChaosBackend, ChaosConfig, CostReport, Engine, FloatBackend,
+    FusedBackend, ParallelConfig, Plan, Uncertainty, WorkerPool,
 };
 use bnn_nn::Graph;
 use bnn_quant::{Int8Backend, QGraph};
@@ -128,8 +128,8 @@ pub struct BatchPolicy {
     /// the cap until the dispatcher drains.
     pub max_wait: Duration,
     /// Bound on queued (accepted, not yet dispatched) requests: the
-    /// backpressure knob. [`Handle::predict`] blocks at the cap,
-    /// [`Handle::try_predict`] rejects — and an arriving submission
+    /// backpressure knob. [`Submission::submit`] blocks at the cap,
+    /// [`Submission::try_submit`] rejects — and an arriving submission
     /// sheds the youngest strictly-lower-priority queued request
     /// first (resolved [`ServeError::Rejected`]). Normalized to at
     /// least 1.
@@ -312,7 +312,7 @@ impl std::error::Error for SubmitError {
 /// # use bnn_tensor::Tensor;
 /// # fn demo(handle: &Handle, x: Tensor) {
 /// let reply = RetryPolicy::default()
-///     .run(|| handle.try_predict(x.clone()))
+///     .run(|| handle.request(x.clone()).try_submit())
 ///     .expect("accepted within the retry budget")
 ///     .wait();
 /// # let _ = reply;
@@ -403,7 +403,7 @@ pub struct ServeStats {
 #[derive(Debug, Clone)]
 pub struct Reply {
     /// The request's id (its seed is `request_seed(server_seed, id)`
-    /// unless it was pinned with [`Handle::predict_seeded`]).
+    /// unless it was pinned with [`Submission::seed`]).
     pub id: u64,
     /// Predictive probabilities `(1, k)` — bit-identical to serving
     /// this request alone.
@@ -626,8 +626,12 @@ impl Handle {
     /// Start building a submission for one single-item input: set
     /// [`Submission::priority`], [`Submission::deadline`] and
     /// [`Submission::seed`], then [`Submission::submit`] (blocking)
-    /// or [`Submission::try_submit`] (non-blocking). The convenience
-    /// methods below are shorthands over this builder.
+    /// or [`Submission::try_submit`] (non-blocking) — the one
+    /// submission path.
+    ///
+    /// Submitting panics if `x` is not single-item (`n != 1`) — the
+    /// front door serves one input per request; batch datasets go
+    /// through `Session::predictive_batched`.
     pub fn request(&self, x: Tensor) -> Submission<'_> {
         Submission {
             handle: self,
@@ -639,70 +643,24 @@ impl Handle {
         }
     }
 
-    /// Submit one single-item input at [`Priority::Normal`], blocking
-    /// while the queue is at capacity. The request's mask seed is
-    /// derived from the server seed and its id ([`request_seed`]).
-    /// Returns the blocking receiver for the outcome; a closed server
-    /// surfaces as [`ServeError::Shutdown`] at [`Pending::wait`], a
-    /// tripped breaker as [`ServeError::BackendFailed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not single-item (`n != 1`) — the front door
-    /// serves one input per request; batch datasets go through
-    /// `Session::predictive_batched`.
-    pub fn predict(&self, x: Tensor) -> Pending {
-        self.request(x).submit()
-    }
-
-    /// [`Handle::predict`] with an explicit mask-stream seed — the
-    /// reproducibility hook (the reply is the bit-identical solo
-    /// prediction for `(x, seed)` regardless of coalescing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not single-item (`n != 1`).
-    pub fn predict_seeded(&self, x: Tensor, seed: u64) -> Pending {
-        self.request(x).seed(seed).submit()
-    }
-
-    /// Non-blocking submission at [`Priority::Normal`]: rejects
-    /// (handing the input back in the [`SubmitError`]) instead of
-    /// blocking when the queue is at capacity with no lower-priority
-    /// victim to shed, or the server is closed or tripped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not single-item (`n != 1`).
-    pub fn try_predict(&self, x: Tensor) -> Result<Pending, SubmitError> {
-        self.request(x).try_submit()
-    }
-
-    /// [`Handle::try_predict`] with an explicit mask-stream seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not single-item (`n != 1`).
-    pub fn try_predict_seeded(&self, x: Tensor, seed: u64) -> Result<Pending, SubmitError> {
-        self.request(x).seed(seed).try_submit()
-    }
-
-    fn submit(
-        &self,
-        x: Tensor,
-        seed: Option<u64>,
-        priority: Priority,
-        deadline: Option<Duration>,
-        trace: u64,
-        block: bool,
-    ) -> Result<Pending, SubmitError> {
+    /// The one admission path behind [`Submission::submit`] (`block`)
+    /// and [`Submission::try_submit`].
+    fn submit(submission: Submission<'_>, block: bool) -> Result<Pending, SubmitError> {
+        let Submission {
+            handle,
+            x,
+            priority,
+            deadline,
+            seed,
+            trace,
+        } = submission;
         assert_eq!(
             x.shape().n,
             1,
             "serving requests are single-input; got a batch of {}",
             x.shape().n
         );
-        let shared = &self.shared;
+        let shared = &handle.shared;
         let mut st = lock(&shared.state);
         loop {
             if st.closed {
@@ -832,14 +790,7 @@ impl Submission<'_> {
     /// to shed. Non-queue rejections (shutdown, tripped breaker)
     /// come back as an immediately-resolved [`Pending`].
     pub fn submit(self) -> Pending {
-        match self.handle.submit(
-            self.x,
-            self.seed,
-            self.priority,
-            self.deadline,
-            self.trace,
-            true,
-        ) {
+        match Handle::submit(self, true) {
             Ok(pending) => pending,
             Err(err) => resolved_pending(err.error),
         }
@@ -849,14 +800,7 @@ impl Submission<'_> {
     /// victim rejects with [`ServeError::Rejected`] and the input
     /// handed back.
     pub fn try_submit(self) -> Result<Pending, SubmitError> {
-        self.handle.submit(
-            self.x,
-            self.seed,
-            self.priority,
-            self.deadline,
-            self.trace,
-            false,
-        )
+        Handle::submit(self, false)
     }
 }
 
@@ -1374,13 +1318,7 @@ fn serve_batch<B: BayesBackend + Send>(
 ) -> bool {
     let coalesced = batch.len();
     let form_start = bnn_trace::start();
-    let requests: Vec<SeededRequest<'_>> = batch
-        .iter()
-        .map(|q| SeededRequest {
-            x: &q.x,
-            seed: q.seed,
-        })
-        .collect();
+    let requests: Vec<(&Tensor, u64)> = batch.iter().map(|q| (&q.x, q.seed)).collect();
     let compute_start = bnn_trace::start();
     if let (Some(f0), Some(c0)) = (form_start, compute_start) {
         // Batch-form spans: dequeue to compute start, one per
@@ -1397,7 +1335,7 @@ fn serve_batch<B: BayesBackend + Send>(
         }
     }
     let served = catch_unwind(AssertUnwindSafe(|| {
-        serve_requests_pooled(backend, &requests, ctx.bayes, ctx.parallel, &ctx.pool)
+        Engine::new(&ctx.pool, ctx.parallel).run(backend, Plan::requests(&requests), ctx.bayes)
     }));
     drop(requests);
     if let Some(c0) = compute_start {
@@ -1450,7 +1388,7 @@ fn serve_batch<B: BayesBackend + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bnn_mcd::{predictive_on, SoftwareMaskSource};
+    use bnn_mcd::{RequestResult, SoftwareMaskSource};
     use bnn_nn::models;
     use bnn_tensor::Shape4;
 
@@ -1465,14 +1403,12 @@ mod tests {
     /// Solo reference: the bit-exact prediction for `(x, seed)`.
     fn solo(net: &Graph, x: &Tensor, cfg: BayesConfig, seed: u64) -> Tensor {
         let mut backend = FloatBackend::new(net);
-        predictive_on(
+        RequestResult::single(Engine::serial().run(
             &mut backend,
-            x,
+            Plan::one(x, &mut SoftwareMaskSource::new(seed)),
             cfg,
-            &mut SoftwareMaskSource::new(seed),
-            ParallelConfig::serial(),
-        )
-        .0
+        ))
+        .probs
     }
 
     #[test]
@@ -1487,7 +1423,9 @@ mod tests {
         let handle = server.handle();
         let x = test_input(0.2);
         let reply = handle
-            .predict_seeded(x.clone(), 1234)
+            .request(x.clone())
+            .seed(1234)
+            .submit()
             .wait()
             .expect("served");
         let want = solo(&net, &x, cfg, 1234);
@@ -1512,7 +1450,7 @@ mod tests {
             .start();
         let handle = server.handle();
         let x = test_input(0.1);
-        let pending = handle.predict(x.clone());
+        let pending = handle.request(x.clone()).submit();
         let id = pending.id().expect("accepted submissions carry an id");
         let reply = pending.wait().expect("served");
         assert_eq!(reply.id, id);
@@ -1542,8 +1480,8 @@ mod tests {
             })
             .start();
         let handle = server.handle();
-        let a = handle.predict_seeded(test_input(0.1), 1);
-        let b = handle.predict_seeded(test_input(0.2), 2);
+        let a = handle.request(test_input(0.1)).seed(1).submit();
+        let b = handle.request(test_input(0.2)).seed(2).submit();
         server.shutdown();
         let ra = a.wait().expect("drained on shutdown");
         let rb = b.wait().expect("drained on shutdown");
@@ -1578,8 +1516,8 @@ mod tests {
             })
             .start();
         let handle = server.handle();
-        let a = handle.predict_seeded(test_input(0.1), 1);
-        let b = handle.predict_seeded(test_input(0.2), 2);
+        let a = handle.request(test_input(0.1)).seed(1).submit();
+        let b = handle.request(test_input(0.2)).seed(2).submit();
         let ra = a.wait().expect("served");
         let rb = b.wait().expect("served");
         assert!(ra.coalesced <= 2 && rb.coalesced <= 2);
@@ -1609,8 +1547,8 @@ mod tests {
             })
             .start();
         let handle = server.handle();
-        let a = handle.predict_seeded(test_input(0.1), 1);
-        let b = handle.predict_seeded(test_input(0.2), 2);
+        let a = handle.request(test_input(0.1)).seed(1).submit();
+        let b = handle.request(test_input(0.2)).seed(2).submit();
         let ra = a.wait().expect("batch filled");
         let rb = b.wait().expect("batch filled");
         assert!(ra.coalesced <= 2 && rb.coalesced <= 2);
@@ -1618,7 +1556,7 @@ mod tests {
             ra.probs.as_slice(),
             solo(&net, &test_input(0.1), cfg, 1).as_slice()
         );
-        let straggler = handle.predict_seeded(test_input(0.3), 3);
+        let straggler = handle.request(test_input(0.3)).seed(3).submit();
         server.shutdown();
         let rc = straggler.wait().expect("drained on shutdown");
         assert_eq!(
@@ -1631,7 +1569,7 @@ mod tests {
     fn backpressure_rejects_while_dispatcher_is_busy() {
         let net = Arc::new(test_net());
         // A slow micro-batch (large S) occupies the dispatcher; the
-        // bounded queue then fills behind it and try_predict must
+        // bounded queue then fills behind it and `try_submit` must
         // reject, handing the input back.
         let cfg = BayesConfig::new(1, 800);
         let server = Server::for_graph(Arc::clone(&net))
@@ -1644,15 +1582,15 @@ mod tests {
             })
             .start();
         let handle = server.handle();
-        let a = handle.predict_seeded(test_input(0.1), 1);
+        let a = handle.request(test_input(0.1)).seed(1).submit();
         // Wait until the dispatcher has taken the first request into
         // its (long-running) batch, then fill the queue behind it.
         while server.queued() > 0 {
             std::thread::yield_now();
         }
-        let b = handle.predict_seeded(test_input(0.2), 2);
-        let c = handle.predict_seeded(test_input(0.3), 3);
-        match handle.try_predict(test_input(0.4)) {
+        let b = handle.request(test_input(0.2)).seed(2).submit();
+        let c = handle.request(test_input(0.3)).seed(3).submit();
+        match handle.request(test_input(0.4)).try_submit() {
             Err(SubmitError {
                 error: ServeError::Rejected,
                 input,
@@ -1678,10 +1616,10 @@ mod tests {
         let handle = server.handle();
         server.shutdown();
         assert_eq!(
-            handle.predict(test_input(0.1)).wait().map(|_| ()),
+            handle.request(test_input(0.1)).submit().wait().map(|_| ()),
             Err(ServeError::Shutdown)
         );
-        match handle.try_predict(test_input(0.1)) {
+        match handle.request(test_input(0.1)).try_submit() {
             Err(SubmitError {
                 error: ServeError::Shutdown,
                 input,
@@ -1921,13 +1859,13 @@ mod tests {
             })
             .start();
         let handle = server.handle();
-        let a = handle.predict_seeded(test_input(0.1), 1);
+        let a = handle.request(test_input(0.1)).seed(1).submit();
         // Wait for the dispatcher to take request `a` in flight.
         while server.stats().in_flight == 0 {
             std::thread::yield_now();
         }
-        let b = handle.predict_seeded(test_input(0.2), 2);
-        let c = handle.predict_seeded(test_input(0.3), 3);
+        let b = handle.request(test_input(0.2)).seed(2).submit();
+        let c = handle.request(test_input(0.3)).seed(3).submit();
         let stats = server.stats();
         assert_eq!(stats.queued, 2, "b and c wait behind the slow batch");
         assert_eq!(stats.in_flight, 1, "a is being served");
@@ -1948,8 +1886,16 @@ mod tests {
         let net = Arc::new(test_net());
         let server = Server::for_graph(net).bayes(BayesConfig::new(1, 2)).start();
         let handle = server.handle();
-        handle.predict(test_input(0.1)).wait().expect("served");
-        handle.predict(test_input(0.2)).wait().expect("served");
+        handle
+            .request(test_input(0.1))
+            .submit()
+            .wait()
+            .expect("served");
+        handle
+            .request(test_input(0.2))
+            .submit()
+            .wait()
+            .expect("served");
         let st = lock(&server.shared.state);
         assert_eq!(
             st.last_arrival, None,
@@ -1966,6 +1912,8 @@ mod tests {
         let net = Arc::new(test_net());
         let server = Server::for_graph(net).start();
         let handle = server.handle();
-        let _ = handle.predict(Tensor::zeros(Shape4::new(2, 1, 16, 16)));
+        let _ = handle
+            .request(Tensor::zeros(Shape4::new(2, 1, 16, 16)))
+            .submit();
     }
 }

@@ -4,7 +4,8 @@
 //! tested inside the crate; these pin the end-to-end behaviour).
 
 use bnn_mcd::{
-    predictive_on, BayesConfig, FloatBackend, ParallelConfig, SoftwareMaskSource, WorkerPool,
+    BayesConfig, Engine, FloatBackend, ParallelConfig, Plan, RequestResult, SoftwareMaskSource,
+    WorkerPool,
 };
 use bnn_nn::{models, Graph};
 use bnn_serve::{
@@ -48,14 +49,12 @@ fn request_input(seed: u64) -> Tensor {
 
 fn solo(net: &Graph, x: &Tensor, cfg: BayesConfig, seed: u64) -> Tensor {
     let mut backend = FloatBackend::new(net);
-    predictive_on(
+    RequestResult::single(Engine::serial().run(
         &mut backend,
-        x,
+        Plan::one(x, &mut SoftwareMaskSource::new(seed)),
         cfg,
-        &mut SoftwareMaskSource::new(seed),
-        ParallelConfig::serial(),
-    )
-    .0
+    ))
+    .probs
 }
 
 /// The deliberately slow per-batch config behind `slow_server`: large
@@ -90,7 +89,7 @@ fn high_priority_sheds_the_youngest_low_request_at_capacity() {
 
         // Occupy the dispatcher, then give it a moment to pop the
         // blocker off the queue so exactly `queue_cap` slots remain.
-        let blocker = handle.predict_seeded(request_input(0), 0);
+        let blocker = handle.request(request_input(0)).seed(0).submit();
         while server.queued() > 0 {
             std::thread::sleep(Duration::from_micros(200));
         }
@@ -160,7 +159,7 @@ fn queued_deadlines_expire_behind_a_busy_dispatcher() {
         let server = slow_server(&net, 8);
         let handle = server.handle();
 
-        let blocker = handle.predict_seeded(request_input(0), 0);
+        let blocker = handle.request(request_input(0)).seed(0).submit();
         while server.queued() > 0 {
             std::thread::sleep(Duration::from_micros(200));
         }
@@ -318,7 +317,9 @@ fn adaptive_window_serves_a_lone_request_without_waiting_out_max_wait() {
         let handle = server.handle();
         let start = Instant::now();
         let reply = handle
-            .predict_seeded(request_input(5), 5)
+            .request(request_input(5))
+            .seed(5)
+            .submit()
             .wait()
             .expect("lone request served");
         let elapsed = start.elapsed();
@@ -339,7 +340,7 @@ fn retry_helper_rides_out_a_transiently_full_queue() {
         let server = slow_server(&net, 2);
         let handle = server.handle();
 
-        let blocker = handle.predict_seeded(request_input(0), 0);
+        let blocker = handle.request(request_input(0)).seed(0).submit();
         while server.queued() > 0 {
             std::thread::sleep(Duration::from_micros(200));
         }
@@ -363,7 +364,7 @@ fn retry_helper_rides_out_a_transiently_full_queue() {
             seed: 99,
         };
         let pending = policy
-            .run(|| handle.try_predict_seeded(request_input(9), 9))
+            .run(|| handle.request(request_input(9)).seed(9).try_submit())
             .expect("retries outlast the transient overload");
         server.shutdown();
 
@@ -380,7 +381,7 @@ fn retry_helper_rides_out_a_transiently_full_queue() {
 }
 
 #[test]
-fn submission_builder_seed_matches_predict_seeded() {
+fn submission_builder_seed_pins_the_solo_prediction() {
     with_deadline(60, || {
         let net = Arc::new(test_net());
         let cfg = BayesConfig::new(2, 3);
@@ -390,19 +391,22 @@ fn submission_builder_seed_matches_predict_seeded() {
             .start();
         let handle = server.handle();
         let seed = 1234u64;
-        let via_builder = handle
+        let blocking = handle
             .request(request_input(seed))
             .seed(seed)
             .submit()
             .wait()
-            .expect("builder submission served");
-        let via_method = handle
-            .predict_seeded(request_input(seed), seed)
+            .expect("blocking submission served");
+        let non_blocking = handle
+            .request(request_input(seed))
+            .seed(seed)
+            .try_submit()
+            .expect("idle queue admits")
             .wait()
-            .expect("method submission served");
+            .expect("non-blocking submission served");
         let want = solo(&net, &request_input(seed), cfg, seed);
-        assert_eq!(via_builder.probs.as_slice(), want.as_slice());
-        assert_eq!(via_method.probs.as_slice(), want.as_slice());
+        assert_eq!(blocking.probs.as_slice(), want.as_slice());
+        assert_eq!(non_blocking.probs.as_slice(), want.as_slice());
         server.shutdown();
     });
 }

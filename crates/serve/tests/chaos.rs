@@ -24,8 +24,8 @@
 
 use bnn_accel::{AccelConfig, Accelerator};
 use bnn_mcd::{
-    fault_at, predictive_on, BayesConfig, ChaosConfig, Fault, FloatBackend, ParallelConfig,
-    SoftwareMaskSource,
+    fault_at, BayesConfig, ChaosConfig, Engine, Fault, FloatBackend, ParallelConfig, Plan,
+    RequestResult, SoftwareMaskSource,
 };
 use bnn_nn::{models, Graph};
 use bnn_quant::Quantizer;
@@ -110,7 +110,9 @@ fn run_sequential(
     let outcomes = (0..N_REQUESTS as u64)
         .map(|i| {
             handle
-                .predict_seeded(request_input(i), 7000 + i)
+                .request(request_input(i))
+                .seed(7000 + i)
+                .submit()
                 .wait()
                 .map(|reply| reply.probs.as_slice().to_vec())
         })
@@ -230,7 +232,11 @@ fn delay_only_chaos_is_bit_transparent_under_coalescing() {
                         let seed = t * 1000 + round;
                         (
                             seed,
-                            handle.predict_seeded(request_input(seed), seed).wait(),
+                            handle
+                                .request(request_input(seed))
+                                .seed(seed)
+                                .submit()
+                                .wait(),
                         )
                     })
                     .collect::<Vec<_>>()
@@ -239,14 +245,12 @@ fn delay_only_chaos_is_bit_transparent_under_coalescing() {
         for client in clients {
             for (seed, outcome) in client.join().expect("client thread survived") {
                 let reply = outcome.expect("delay-only chaos must not fail requests");
-                let want = predictive_on(
+                let want = RequestResult::single(Engine::serial().run(
                     &mut FloatBackend::new(&net),
-                    &request_input(seed),
+                    Plan::one(&request_input(seed), &mut SoftwareMaskSource::new(seed)),
                     cfg,
-                    &mut SoftwareMaskSource::new(seed),
-                    ParallelConfig::serial(),
-                )
-                .0;
+                ))
+                .probs;
                 assert_eq!(
                     reply.probs.as_slice(),
                     want.as_slice(),
@@ -278,7 +282,7 @@ fn persistent_panics_trip_the_breaker_and_fail_fast() {
 
         for i in 0..3u64 {
             assert_eq!(
-                handle.predict(request_input(i)).wait().map(|_| ()),
+                handle.request(request_input(i)).submit().wait().map(|_| ()),
                 Err(ServeError::BackendFailed),
                 "request {i}: a panicking micro-batch fails its own requests"
             );
@@ -290,7 +294,7 @@ fn persistent_panics_trip_the_breaker_and_fail_fast() {
             std::thread::sleep(Duration::from_millis(1));
         }
         // Fail-fast at the door, for both submission flavours.
-        match handle.try_predict(request_input(90)) {
+        match handle.request(request_input(90)).try_submit() {
             Err(SubmitError {
                 error: ServeError::BackendFailed,
                 ..

@@ -13,7 +13,8 @@
 //! bit-identity contract.
 
 use bnn_mcd::{
-    predictive_on, BayesConfig, FloatBackend, ParallelConfig, SoftwareMaskSource, WorkerPool,
+    BayesConfig, Engine, FloatBackend, ParallelConfig, Plan, RequestResult, SoftwareMaskSource,
+    WorkerPool,
 };
 use bnn_nn::{models, Graph};
 use bnn_serve::{BatchPolicy, ServeBackend, Server};
@@ -40,14 +41,12 @@ fn request_input(seed: u64) -> Tensor {
 /// backend, serial schedule, inline pool.
 fn solo(net: &Graph, x: &Tensor, cfg: BayesConfig, seed: u64) -> Tensor {
     let mut backend = FloatBackend::new(net);
-    predictive_on(
+    RequestResult::single(Engine::serial().run(
         &mut backend,
-        x,
+        Plan::one(x, &mut SoftwareMaskSource::new(seed)),
         cfg,
-        &mut SoftwareMaskSource::new(seed),
-        ParallelConfig::serial(),
-    )
-    .0
+    ))
+    .probs
 }
 
 proptest! {
@@ -93,7 +92,7 @@ proptest! {
             let handle = server.handle();
             let seed = case_seed.wrapping_mul(1000).wrapping_add(i as u64);
             clients.push(std::thread::spawn(move || {
-                let pending = handle.predict_seeded(request_input(seed), seed);
+                let pending = handle.request(request_input(seed)).seed(seed).submit();
                 (seed, pending.wait())
             }));
         }

@@ -17,7 +17,8 @@
 //!   later requests are served normally.
 
 use bnn_mcd::{
-    predictive_on, BayesConfig, FloatBackend, ParallelConfig, SoftwareMaskSource, WorkerPool,
+    BayesConfig, Engine, FloatBackend, ParallelConfig, Plan, RequestResult, SoftwareMaskSource,
+    WorkerPool,
 };
 use bnn_nn::{models, Graph};
 use bnn_serve::{BatchPolicy, Priority, ServeBackend, ServeError, Server, SubmitError};
@@ -59,14 +60,12 @@ fn request_input(seed: u64) -> Tensor {
 
 fn solo(net: &Graph, x: &Tensor, cfg: BayesConfig, seed: u64) -> Tensor {
     let mut backend = FloatBackend::new(net);
-    predictive_on(
+    RequestResult::single(Engine::serial().run(
         &mut backend,
-        x,
+        Plan::one(x, &mut SoftwareMaskSource::new(seed)),
         cfg,
-        &mut SoftwareMaskSource::new(seed),
-        ParallelConfig::serial(),
-    )
-    .0
+    ))
+    .probs
 }
 
 #[test]
@@ -89,7 +88,7 @@ fn many_clients_tiny_window_bounded_queue() {
 
         // 8 clients × 12 requests through blocking submission (the
         // bounded queue forces real backpressure stalls), plus
-        // interleaved try_predict traffic that may be rejected.
+        // interleaved `try_submit` traffic that may be rejected.
         let mut clients = Vec::new();
         for t in 0..8u64 {
             let handle = server.handle();
@@ -97,10 +96,14 @@ fn many_clients_tiny_window_bounded_queue() {
                 let mut replies = Vec::new();
                 for round in 0..12u64 {
                     let seed = t * 1000 + round;
-                    let pending = handle.predict_seeded(request_input(seed), seed);
+                    let pending = handle.request(request_input(seed)).seed(seed).submit();
                     if round % 3 == 0 {
                         // Fire-and-maybe-reject traffic on top.
-                        match handle.try_predict_seeded(request_input(seed + 500), seed + 500) {
+                        match handle
+                            .request(request_input(seed + 500))
+                            .seed(seed + 500)
+                            .try_submit()
+                        {
                             Ok(extra) => replies.push((seed + 500, extra.wait())),
                             Err(SubmitError {
                                 error: ServeError::Rejected,
@@ -169,7 +172,7 @@ fn shutdown_under_load_drains_accepted_requests() {
                 loop {
                     let seed = t * 100_000 + round;
                     round += 1;
-                    let pending = handle.predict_seeded(request_input(seed), seed);
+                    let pending = handle.request(request_input(seed)).seed(seed).submit();
                     let outcome = pending.wait();
                     let done = matches!(outcome, Err(ServeError::Shutdown));
                     outcomes.push((seed, outcome));
@@ -235,7 +238,7 @@ fn backend_panic_fails_the_batch_not_the_server() {
         // panics inside the engine (shape inference): the injected
         // fault.
         let poison = Tensor::zeros(Shape4::new(1, 0, 0, 0));
-        let bad = handle.predict(poison);
+        let bad = handle.request(poison).submit();
         assert_eq!(
             bad.wait().map(|_| ()),
             Err(ServeError::BackendFailed),
@@ -245,7 +248,9 @@ fn backend_panic_fails_the_batch_not_the_server() {
         // The dispatcher survives and keeps serving.
         let seed = 42u64;
         let reply = handle
-            .predict_seeded(request_input(seed), seed)
+            .request(request_input(seed))
+            .seed(seed)
+            .submit()
             .wait()
             .expect("server must survive a poisoned batch");
         let want = solo(&net, &request_input(seed), cfg, seed);

@@ -1,7 +1,6 @@
 //! Log2-bucketed latency histograms and the incremental JSON writers
-//! shared by every trajectory snapshot (`BENCH_net.json`,
-//! `BENCH_serve.json`, `BENCH_backends.json`) and export surface
-//! (`GET /metrics`, `GET /trace`).
+//! shared by the `BENCH_net.json` trajectory snapshot and the export
+//! surfaces (`GET /metrics`, `GET /trace`).
 //!
 //! Both lived in `bnn_net::loadgen` until the tracer needed them below
 //! the net crate; `bnn_net::loadgen` re-exports them, so existing
@@ -158,8 +157,8 @@ pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Incremental JSON object writer — the shared dialect for
-/// `BENCH_net.json` and `BENCH_serve.json`: stable key order (fields
+/// Incremental JSON object writer — the dialect of `BENCH_net.json`:
+/// stable key order (fields
 /// appear in call order), floats with three decimals, non-finite
 /// floats rendered as `0.000`, absent optionals as `null`.
 #[derive(Debug, Clone)]

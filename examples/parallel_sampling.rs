@@ -5,9 +5,10 @@
 //!
 //! Run with `cargo run --release --example parallel_sampling`.
 
-use bnn_fpga::mcd::{BayesConfig, McdPredictor, ParallelConfig, SoftwareMaskSource};
+use bnn_fpga::mcd::{BayesConfig, ParallelConfig};
 use bnn_fpga::nn::models;
 use bnn_fpga::tensor::{Shape4, Tensor};
+use bnn_fpga::Session;
 use std::time::Instant;
 
 fn main() {
@@ -16,13 +17,16 @@ fn main() {
     let cfg = BayesConfig::new(3, 100);
 
     let timed = |label: &str, parallel: ParallelConfig| -> Tensor {
-        let pred = McdPredictor::new(&net).with_parallelism(parallel);
-        let mut src = SoftwareMaskSource::new(42);
+        let mut session = Session::for_graph(&net)
+            .bayes(cfg)
+            .parallel(parallel)
+            .seed(42)
+            .build();
         let start = Instant::now();
         let reps = 20;
-        let mut probs = pred.predictive(&x, cfg, &mut src);
+        let mut probs = session.predictive(&x);
         for _ in 1..reps {
-            probs = pred.predictive(&x, cfg, &mut src);
+            probs = session.predictive(&x);
         }
         let ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(reps);
         println!("{label:<28} {ms:8.2} ms / predictive (S = {})", cfg.s);

@@ -136,7 +136,7 @@ fn main() {
             let x = ds.test_x.select_item(client);
             let truth = ds.test_y[client];
             scope.spawn(move || {
-                let reply = handle.predict(x).wait().expect("served");
+                let reply = handle.request(x).submit().wait().expect("served");
                 let u = reply.uncertainty;
                 println!(
                     "client {client}: class {} (truth {truth}, confidence {:.3}), \

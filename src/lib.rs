@@ -52,9 +52,13 @@
 //! Every substrate implements [`mcd::BayesBackend`]; the sampling
 //! engine (mask pre-draw, two-axis batch × sample scheduling over a
 //! persistent [`mcd::WorkerPool`], averaging, cost accounting) exists
-//! once in [`mcd::backend`] and new substrates are drop-in
-//! implementations. Each [`Session`] owns (or shares) its pool, so no
-//! predictive call pays per-call thread spawn. The conformance
+//! once, behind one entry point — [`mcd::Engine::run`] of a
+//! [`mcd::Plan`] (one tensor, a batched dataset, or
+//! independently-seeded requests) — and new substrates are drop-in
+//! implementations. [`Session`]'s four predictive methods and the
+//! [`Server`] dispatcher are thin callers of exactly that. Each
+//! [`Session`] owns (or shares) its pool, so no predictive call pays
+//! per-call thread spawn. The conformance
 //! harness in [`mcd::conformance`] gives any new backend
 //! cross-substrate agreement coverage (shared mask stream, thread and
 //! pool-size invariance, batched-vs-unbatched serving, both schedule
@@ -75,9 +79,9 @@
 //! [`mcd::CostReport`] slice. The load-bearing guarantee is
 //! **coalescing invariance**: each request's masks derive from its own
 //! seed (`serve::request_seed`, or pinned via
-//! `Handle::predict_seeded`), so its reply is bit-identical whether it
-//! is served alone or coalesced with arbitrary neighbors — on every
-//! substrate, at any pool size. See `examples/quickstart.rs` for the
+//! `Handle::request(x).seed(s)`), so its reply is bit-identical
+//! whether it is served alone or coalesced with arbitrary neighbors —
+//! on every substrate, at any pool size. See `examples/quickstart.rs` for the
 //! multi-client tour and [`Session::serve_requests`] for the
 //! synchronous in-thread form.
 //!
@@ -277,8 +281,8 @@
 //! comment, covering its own line (trailing) or the next code line
 //! (standalone). A waiver without a written reason is itself a
 //! finding, so `grep -rn audit:allow` always returns the complete,
-//! justified exception list; `AUDIT.json` tracks the counts as part
-//! of the repo trajectory next to `BENCH_serve.json`.
+//! justified exception list; `AUDIT.json` tracks the counts (and the
+//! per-crate source-line table) as part of the repo trajectory.
 //!
 //! # Workspace map
 //!

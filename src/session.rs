@@ -4,8 +4,8 @@
 //! A [`Session`] binds a graph, a [`Backend`] (float, int8 or the
 //! simulated accelerator), a Bayesian configuration `{L, S, p}`, a
 //! thread fan-out and a seeded mask source, and then serves
-//! predictions through the *one* generic sampling engine in
-//! [`bnn_mcd::backend`]. The same seeded session produces the same
+//! predictions through the *one* generic sampling engine
+//! ([`bnn_mcd::Engine::run`]). The same seeded session produces the same
 //! mask stream on every backend, so cross-substrate comparisons (the
 //! paper's CPU/GPU/FPGA tables) are one-line diffs:
 //!
@@ -29,9 +29,8 @@
 
 use bnn_accel::{AccelBackend, Accelerator};
 use bnn_mcd::{
-    predictive_batched_pooled, predictive_pooled, sample_probs_pooled, serve_requests_pooled,
-    BayesBackend, BayesConfig, CostReport, FloatBackend, FusedBackend, HardwareMaskSource,
-    MaskSource, ParallelConfig, RequestResult, SeededRequest, SoftwareMaskSource, WorkerPool,
+    BayesBackend, BayesConfig, CostReport, Engine, FloatBackend, FusedBackend, HardwareMaskSource,
+    MaskSource, ParallelConfig, Plan, RequestResult, SoftwareMaskSource, WorkerPool,
 };
 use bnn_nn::Graph;
 use bnn_quant::{Int8Backend, QGraph};
@@ -56,7 +55,8 @@ pub enum Backend {
     /// once per layer instead of once per sample. Bit-identical to
     /// [`Backend::Float`] under the same seed at any thread count;
     /// prefer it whenever `S` is large relative to the batch (the
-    /// serving common case — see the `backends` bench at `S = 100`).
+    /// serving common case — compare `mcd.fused.s100_us` with
+    /// `mcd.float.s100_us` in the `benchmark/` layer probes).
     Fused,
     /// int8 integer execution of a quantized graph.
     Int8(QGraph),
@@ -98,7 +98,7 @@ enum BackendImpl<'g> {
     Accel(AccelBackend),
 }
 
-/// Dispatch a generic-engine call to the session's concrete backend.
+/// Dispatch a generic call to the session's concrete backend.
 macro_rules! with_backend {
     ($inner:expr, $b:ident => $body:expr) => {
         match $inner {
@@ -108,6 +108,13 @@ macro_rules! with_backend {
             BackendImpl::Accel($b) => $body,
         }
     };
+}
+
+impl BackendImpl<'_> {
+    /// The one engine call of the session, on its concrete backend.
+    fn run(&mut self, engine: Engine<'_>, plan: Plan<'_>, cfg: BayesConfig) -> Vec<RequestResult> {
+        with_backend!(self, b => engine.run(b, plan, cfg))
+    }
 }
 
 enum SourceChoice {
@@ -276,29 +283,22 @@ impl<'g> Session<'g> {
     /// the accelerator processes one image at a time; feed datasets
     /// through [`Session::predictive_batched`] with `batch = 1`.
     pub fn predictive(&mut self, x: &Tensor) -> Tensor {
-        let (probs, cost) = with_backend!(&mut self.inner, b => predictive_pooled(
-            b,
-            x,
-            self.bayes,
-            self.source.as_mut(),
-            self.parallel,
-            &self.pool,
-        ));
-        self.last_cost = Some(cost);
-        probs
+        self.run_one(x).probs
     }
 
     /// Per-sample softmax probabilities (the paper's `S` sweep reuses
-    /// prefixes of this list).
+    /// prefixes of this list). Updates [`Session::last_cost`].
     pub fn sample_probs(&mut self, x: &Tensor) -> Vec<Tensor> {
-        with_backend!(&mut self.inner, b => sample_probs_pooled(
-            b,
-            x,
-            self.bayes,
-            self.source.as_mut(),
-            self.parallel,
-            &self.pool,
-        ))
+        self.run_one(x).passes
+    }
+
+    /// `x` as a one-group plan on the session's own mask stream.
+    fn run_one(&mut self, x: &Tensor) -> RequestResult {
+        let engine = Engine::new(&self.pool, self.parallel);
+        let plan = Plan::one(x, self.source.as_mut());
+        let out = RequestResult::single(self.inner.run(engine, plan, self.bayes));
+        self.last_cost = Some(out.cost);
+        out
     }
 
     /// Predictive over a dataset in batches of at most `batch` items.
@@ -309,15 +309,9 @@ impl<'g> Session<'g> {
     /// Panics if `batch == 0`, or (on [`Backend::Accel`]) if
     /// `batch != 1`.
     pub fn predictive_batched(&mut self, xs: &Tensor, batch: usize) -> Tensor {
-        let (probs, cost) = with_backend!(&mut self.inner, b => predictive_batched_pooled(
-            b,
-            xs,
-            self.bayes,
-            self.source.as_mut(),
-            self.parallel,
-            batch,
-            &self.pool,
-        ));
+        let engine = Engine::new(&self.pool, self.parallel);
+        let plan = Plan::batched(xs, batch, self.source.as_mut());
+        let (probs, cost) = RequestResult::stacked(&self.inner.run(engine, plan, self.bayes));
         self.last_cost = Some(cost);
         probs
     }
@@ -335,17 +329,8 @@ impl<'g> Session<'g> {
     /// requests'. Each [`RequestResult`] carries the per-sample
     /// passes, the predictive mean and that request's cost slice.
     pub fn serve_requests(&mut self, requests: &[(&Tensor, u64)]) -> Vec<RequestResult> {
-        let reqs: Vec<SeededRequest<'_>> = requests
-            .iter()
-            .map(|&(x, seed)| SeededRequest { x, seed })
-            .collect();
-        with_backend!(&mut self.inner, b => serve_requests_pooled(
-            b,
-            &reqs,
-            self.bayes,
-            self.parallel,
-            &self.pool,
-        ))
+        let engine = Engine::new(&self.pool, self.parallel);
+        self.inner.run(engine, Plan::requests(requests), self.bayes)
     }
 
     /// Cost report of the most recent predictive call.

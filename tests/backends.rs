@@ -1,5 +1,5 @@
 //! Cross-backend agreement: the `Session` API on its four execution
-//! substrates against each other and against the legacy entry points.
+//! substrates against each other and against the bare engine.
 //!
 //! The pairwise contracts run through the reusable conformance
 //! harness (`bnn_fpga::mcd::conformance::assert_backend_agrees`:
@@ -14,9 +14,9 @@
 //!   executor.
 //! * `Int8Backend` stays within quantization tolerance of
 //!   `FloatBackend` on a trained LeNet-5.
-//! * `Session` on `FloatBackend` is *bit-identical* to the legacy
-//!   `McdPredictor::predictive` for the same seed, at any thread
-//!   count — the serving redesign may not move a single ulp.
+//! * `Session` is a thin caller of `Engine::run`: its batched
+//!   predictive is *bit-identical* to a bare `Plan::batched` run over
+//!   a `FloatBackend` for the same seed.
 //! * Every substrate survives deterministic fault injection
 //!   (`assert_chaos_agrees`): disabled chaos is bit-transparent and
 //!   scheduled faults are contained and replayable.
@@ -25,7 +25,7 @@ use bnn_fpga::accel::{AccelBackend, AccelConfig, Accelerator};
 use bnn_fpga::data::synth_mnist;
 use bnn_fpga::mcd::conformance::{assert_backend_agrees, assert_chaos_agrees, Tolerance};
 use bnn_fpga::mcd::{
-    predictive_batched, BayesConfig, FloatBackend, FusedBackend, McdPredictor, ParallelConfig,
+    BayesConfig, Engine, FloatBackend, FusedBackend, ParallelConfig, Plan, RequestResult,
     SoftwareMaskSource, WorkerPool,
 };
 use bnn_fpga::nn::{models, SgdConfig, Trainer};
@@ -129,35 +129,6 @@ fn conformance_int8_within_quantization_tolerance_of_float() {
 }
 
 #[test]
-fn float_session_bit_identical_to_legacy_predictor() {
-    let (net, ds) = trained_lenet();
-    let x = test_batch(&ds, 4);
-    let cfg = BayesConfig::new(2, 9);
-
-    let legacy = McdPredictor::new(&net)
-        .with_parallelism(ParallelConfig::serial())
-        .predictive(&x, cfg, &mut SoftwareMaskSource::new(77));
-
-    for threads in [1usize, 4] {
-        let mut session = Session::for_graph(&net)
-            .bayes(cfg)
-            .parallel(ParallelConfig::with_threads(threads))
-            .seed(77)
-            .build();
-        let probs = session.predictive(&x);
-        assert_eq!(
-            probs.as_slice(),
-            legacy.as_slice(),
-            "Session(float, threads={threads}) diverged from legacy McdPredictor"
-        );
-        let cost = session.last_cost().expect("cost recorded");
-        assert_eq!(cost.samples, cfg.s);
-        let model = cost.model.expect("software paths model weight traffic");
-        assert_eq!(model.cycles, 0, "float path has no cycle model");
-    }
-}
-
-#[test]
 fn fused_session_bit_identical_to_float_session() {
     let (net, ds) = trained_lenet();
     let x = test_batch(&ds, 4);
@@ -229,17 +200,36 @@ fn float_session_batched_matches_legacy_batched() {
     let xs = test_batch(&ds, 6);
     let cfg = BayesConfig::new(2, 4);
 
-    let legacy = predictive_batched(&net, &xs, cfg, &mut SoftwareMaskSource::new(5), 2);
+    // The bare engine over a float backend, serial schedule.
+    let (bare, _) = RequestResult::stacked(&Engine::serial().run(
+        &mut FloatBackend::new(&net),
+        Plan::batched(&xs, 2, &mut SoftwareMaskSource::new(5)),
+        cfg,
+    ));
     let mut session = Session::for_graph(&net)
         .bayes(cfg)
         .parallel(ParallelConfig::max_parallel())
         .seed(5)
         .build();
     let probs = session.predictive_batched(&xs, 2);
-    assert_eq!(probs.as_slice(), legacy.as_slice());
+    assert_eq!(probs.as_slice(), bare.as_slice());
     let cost = session.last_cost().expect("cost recorded");
     assert_eq!(cost.batch, 6);
     assert_eq!(cost.samples, 3 * cfg.s, "S per batch over 3 batches");
+}
+
+#[test]
+fn sample_probs_records_last_cost() {
+    let (net, ds) = trained_lenet();
+    let mut session = Session::for_graph(&net)
+        .bayes(BayesConfig::new(2, 5))
+        .build();
+    let passes = session.sample_probs(&ds.test_x.select_item(0));
+    assert_eq!(
+        session.last_cost().map(|c| c.samples),
+        Some(passes.len()),
+        "sample_probs must record its run's cost like predictive does"
+    );
 }
 
 #[test]
@@ -538,7 +528,7 @@ fn server_front_door_serves_integer_substrates() {
         let pendings: Vec<_> = (0..3u64)
             .map(|i| {
                 let x = ds.test_x.select_item(i as usize);
-                (i, handle.predict_seeded(x, 900 + i))
+                (i, handle.request(x).seed(900 + i).submit())
             })
             .collect();
         for (i, pending) in pendings {

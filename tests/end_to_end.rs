@@ -4,13 +4,12 @@
 
 use bnn_fpga::accel::{AccelConfig, Accelerator};
 use bnn_fpga::data::{gaussian_noise_like, synth_mnist};
-use bnn_fpga::mcd::{
-    accuracy, avg_predictive_entropy, BayesConfig, HardwareMaskSource, McdPredictor,
-};
+use bnn_fpga::mcd::{accuracy, avg_predictive_entropy, BayesConfig};
 use bnn_fpga::nn::{evaluate_accuracy, models, MaskSet, SgdConfig, Trainer};
 use bnn_fpga::quant::Quantizer;
 use bnn_fpga::rng::SoftRng;
 use bnn_fpga::tensor::{Shape4, Tensor};
+use bnn_fpga::Session;
 
 /// Train a small LeNet on a small synthetic MNIST (shared by tests).
 fn trained_lenet() -> (bnn_fpga::nn::Graph, bnn_fpga::data::Dataset) {
@@ -35,8 +34,10 @@ fn bnn_is_more_uncertain_on_noise_than_on_data() {
     let (net, ds) = trained_lenet();
     let noise = gaussian_noise_like(&ds, 48, 9);
     let cfg = BayesConfig::new(net.n_sites(), 20);
-    let pred = McdPredictor::new(&net);
-    let mut src = HardwareMaskSource::paper_default(3);
+    let mut session = Session::for_graph(&net)
+        .bayes(cfg)
+        .hardware_masks(3)
+        .build();
 
     let test_subset = {
         let mut t = Tensor::zeros(Shape4::new(48, 1, 28, 28));
@@ -45,8 +46,8 @@ fn bnn_is_more_uncertain_on_noise_than_on_data() {
         }
         t
     };
-    let p_data = pred.predictive(&test_subset, cfg, &mut src);
-    let p_noise = pred.predictive(&noise, cfg, &mut src);
+    let p_data = session.predictive(&test_subset);
+    let p_noise = session.predictive(&noise);
     let ape_data = avg_predictive_entropy(&p_data);
     let ape_noise = avg_predictive_entropy(&p_noise);
     assert!(
@@ -129,14 +130,16 @@ fn accelerator_predictive_close_to_software_predictive() {
     let accel = Accelerator::new(AccelConfig::paper_default(), &folded, &qg, ds.image_shape());
 
     let cfg = BayesConfig::new(2, 16);
-    let pred = McdPredictor::new(&folded);
     let mut agree = 0;
     let total = 12;
     for i in 0..total {
         let img = ds.test_x.select_item(i);
         let hw = accel.run(&img, cfg, 100 + i as u64);
-        let mut src = HardwareMaskSource::paper_default(200 + i as u64);
-        let sw = pred.predictive(&img, cfg, &mut src);
+        let sw = Session::for_graph(&folded)
+            .bayes(cfg)
+            .hardware_masks(200 + i as u64)
+            .build()
+            .predictive(&img);
         if hw.predictive.argmax_item(0) == sw.argmax_item(0) {
             agree += 1;
         }

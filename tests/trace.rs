@@ -8,6 +8,9 @@
 //!   formation, compute, reply write) all nest under the caller's
 //!   root span id, appear exactly once, are time-ordered, and their
 //!   durations sum to no more than the end-to-end latency;
+//! * the batch-parallel schedule is as visible as the sequential one:
+//!   every group records its `prepare` and `forward` spans whichever
+//!   fork runs it;
 //! * a full per-thread ring evicts oldest events instead of blocking
 //!   the recording thread;
 //! * the front door's `/metrics` and `/trace` endpoints round-trip
@@ -20,11 +23,11 @@
 
 use bnn_fpga::accel::{AccelConfig, Accelerator};
 use bnn_fpga::data::synth_mnist;
-use bnn_fpga::mcd::BayesConfig;
+use bnn_fpga::mcd::{BayesConfig, ParallelConfig};
 use bnn_fpga::quant::Quantizer;
 use bnn_fpga::tensor::Tensor;
 use bnn_fpga::trace::{self, Stage};
-use bnn_fpga::{Backend, Server};
+use bnn_fpga::{Backend, Server, Session};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -200,6 +203,46 @@ fn stage_spans_nest_under_one_request_and_fit_its_latency() {
     assert!(
         sum <= e2e_us + 100,
         "stage durations {sum}us exceed end-to-end {e2e_us}us"
+    );
+    trace::reset();
+}
+
+#[test]
+fn batch_parallel_predictive_records_prepare_and_forward_spans() {
+    let _guard = flag_guard();
+    let (folded, ds) = trained_lenet();
+    let mut xs = Tensor::zeros(ds.image_shape().with_n(4));
+    for i in 0..4 {
+        xs.item_mut(i).copy_from_slice(ds.test_x.item(i));
+    }
+    let session = |parallel: ParallelConfig| {
+        Session::for_graph(&folded)
+            .bayes(BayesConfig::new(2, 4))
+            .parallel(parallel)
+            .pool_workers(2)
+            .seed(31)
+            .build()
+    };
+    let want = session(ParallelConfig::serial()).predictive_batched(&xs, 1);
+
+    trace::set_enabled(true);
+    trace::reset();
+    let mut forked = session(ParallelConfig::serial().with_batch_threads(2));
+    let got = forked.predictive_batched(&xs, 1);
+    trace::set_enabled(false);
+    let events: Vec<trace::Event> = trace::drain().into_iter().flat_map(|t| t.events).collect();
+    for stage in [Stage::Prepare, Stage::Forward] {
+        assert_eq!(
+            events.iter().filter(|e| e.stage == stage).count(),
+            4,
+            "one {} span per group on the batch-parallel schedule",
+            stage.name()
+        );
+    }
+    assert_eq!(
+        got.as_slice(),
+        want.as_slice(),
+        "batch-parallel schedule moved the prediction"
     );
     trace::reset();
 }
