@@ -14,7 +14,7 @@
 //! of the corresponding hardware execution.
 
 use crate::engine::Accelerator;
-use bnn_mcd::{BayesBackend, BayesConfig, ModelCost};
+use bnn_mcd::{BayesBackend, BayesConfig, ModelCost, ModelInfo};
 use bnn_nn::MaskSet;
 use bnn_quant::{IcRunner, QTensor};
 use bnn_tensor::{Shape4, Tensor};
@@ -55,20 +55,13 @@ impl AccelBackend {
 impl BayesBackend for AccelBackend {
     type Scratch = Vec<QTensor>;
 
-    fn name(&self) -> &'static str {
-        "accel"
-    }
-
-    fn n_sites(&self) -> usize {
-        self.accel.qgraph.n_sites()
-    }
-
-    fn site_channels(&self, _input: Shape4) -> Vec<usize> {
-        self.accel.site_channels.clone()
-    }
-
-    fn output_classes(&self, input: Shape4) -> usize {
-        self.accel.qgraph.output_classes(input.with_n(1))
+    fn info(&self, input: Shape4) -> ModelInfo {
+        ModelInfo {
+            name: "accel",
+            n_sites: self.accel.qgraph.n_sites(),
+            site_channels: self.accel.site_channels.clone(),
+            output_classes: self.accel.qgraph.output_classes(input.with_n(1)),
+        }
     }
 
     fn prepare(&mut self, x: &Tensor, active: &[bool]) {
@@ -91,13 +84,19 @@ impl BayesBackend for AccelBackend {
         self.prepared().scratch()
     }
 
-    fn forward(&self, masks: &MaskSet, outs: &mut Vec<QTensor>) -> Tensor {
-        self.prepared().forward(
-            &self.accel.qgraph,
-            masks,
-            outs,
-            |node, outs, input, masks| self.accel.exec_station(node, outs, input, masks),
-        )
+    fn forward_batch(&self, mask_sets: &[MaskSet], outs: &mut Vec<QTensor>) -> Vec<Tensor> {
+        let runner = self.prepared();
+        mask_sets
+            .iter()
+            .map(|masks| {
+                runner.forward(
+                    &self.accel.qgraph,
+                    masks,
+                    outs,
+                    |node, outs, input, masks| self.accel.exec_station(node, outs, input, masks),
+                )
+            })
+            .collect()
     }
 
     fn model_cost(&self, bayes: BayesConfig) -> Option<ModelCost> {
@@ -148,8 +147,9 @@ mod tests {
     fn backend_matches_run_with_masks() {
         let (mut backend, img) = setup();
         let cfg = BayesConfig::new(2, 3);
-        let active = bnn_mcd::active_sites(backend.n_sites(), cfg.l);
-        let channels = backend.site_channels(img.shape());
+        let info = backend.info(img.shape());
+        let active = bnn_mcd::active_sites(info.n_sites, cfg.l);
+        let channels = info.site_channels;
         let mut src = SoftwareMaskSource::new(13);
         let mask_sets: Vec<MaskSet> = (0..cfg.s)
             .map(|_| src.next_masks(&active, &channels, cfg.p))

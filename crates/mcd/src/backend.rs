@@ -6,9 +6,9 @@
 //! be retargeted across execution substrates: f32 software, int8
 //! integer arithmetic, and the FPGA accelerator. This module encodes
 //! that claim in the type system. A substrate implements
-//! [`BayesBackend`] (single-pass execution for a prepared input plus
-//! an optional analytic cost model) and the engine supplies
-//! everything else, through exactly one entry point,
+//! [`BayesBackend`] — six methods: `info`, `prepare`, `make_scratch`,
+//! `forward_batch` and the optional `model_cost` / `fork` — and the
+//! engine supplies everything else, through exactly one entry point,
 //! [`Engine::run`]`(backend, plan, cfg)`:
 //!
 //! * a [`Plan`] names the inputs as a sequence of *groups* — one
@@ -34,21 +34,22 @@
 //! and accumulated cost); `Session` and `bnn-serve` are thin callers
 //! of exactly this.
 //!
-//! [`FloatBackend`] (below) wraps the f32 [`Graph`] executor with the
-//! intermediate-layer-caching suffix re-runs; [`FusedBackend`] layers
-//! batched-sample GEMM fusion on top of it (weights stream once per
-//! layer instead of once per sample, bit-identical results);
-//! `bnn-quant` provides `Int8Backend`, `bnn-accel` provides
-//! `AccelBackend`, and the `bnn-fpga` facade ties them together behind
-//! a `Session` builder. Any future substrate (SIMD kernels, sharded
-//! serving) is a drop-in `impl BayesBackend`, and the conformance
-//! harness in [`crate::conformance`] gives it agreement coverage in
-//! one line.
+//! [`FloatBackend`] (below) is the one f32 substrate: the [`Graph`]
+//! executor's intermediate-layer-caching suffix re-runs, walked once
+//! per sample ([`FloatBackend::new`], the conformance reference) or
+//! once per sample chunk with batched-sample GEMM fusion
+//! ([`FloatBackend::fused`]: weights stream once per layer instead of
+//! once per sample, bit-identical results); `bnn-quant` provides
+//! `Int8Backend`, `bnn-accel` provides `AccelBackend`, and the
+//! `bnn-fpga` facade ties them together behind a `Session` builder.
+//! Any future substrate (SIMD kernels, sharded serving) is a drop-in
+//! `impl BayesBackend`, and the conformance harness in
+//! [`crate::conformance`] gives it agreement coverage in one line.
 
 use crate::pool::WorkerPool;
 use crate::predict::{active_sites, mean_probs, BayesConfig, ParallelConfig};
 use crate::source::{MaskSource, SoftwareMaskSource};
-use bnn_nn::{Activations, ExecScratch, Graph, MaskSet, Node, Op, StackedScratch};
+use bnn_nn::{Activations, ExecScratch, Graph, MaskSet, Node, Op};
 use bnn_tensor::{softmax_rows, Shape4, Tensor};
 use std::borrow::Cow;
 use std::ops::Range;
@@ -111,20 +112,39 @@ impl CostReport {
     }
 }
 
+/// What the engine must know about a backend's compiled network
+/// before it binds an input: who it is and the geometry its masks and
+/// outputs take for one input shape.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ModelInfo {
+    /// Short backend name for logs, benches and cost reports.
+    pub name: &'static str,
+    /// Number of MCD sites in the compiled network (the paper's `N`).
+    pub n_sites: usize,
+    /// Mask length per site (the channel count each site's Bernoulli
+    /// draw must cover).
+    pub site_channels: Vec<usize>,
+    /// Output classes `K`.
+    pub output_classes: usize,
+}
+
 /// One Bayesian execution substrate (float, int8, accelerator, ...).
 ///
-/// A backend executes single Monte Carlo passes for one *prepared*
-/// input; the generic engine ([`Engine::run`]) owns mask pre-draw,
-/// thread fan-out, averaging and cost accounting. The contract:
+/// A backend executes Monte Carlo passes for one *prepared* input; the
+/// generic engine ([`Engine::run`]) owns mask pre-draw, thread
+/// fan-out, averaging and cost accounting. The contract:
 ///
-/// 1. [`BayesBackend::prepare`] binds an input batch and precomputes
+/// 1. [`BayesBackend::info`] answers for any input shape, prepared or
+///    not: a [`Plan::batched`] stream draws every group's masks before
+///    any fork has bound an input.
+/// 2. [`BayesBackend::prepare`] binds an input batch and precomputes
 ///    whatever is shared across samples — typically the deterministic
 ///    prefix under intermediate-layer caching.
-/// 2. [`BayesBackend::forward`] runs one pass over the prepared input
-///    and returns *softmax probabilities* `(n, k)`. It takes `&self`
-///    plus a per-worker [`BayesBackend::Scratch`], so the engine may
-///    fan passes out across threads.
-/// 3. Results must not depend on scratch contents or thread count —
+/// 3. [`BayesBackend::forward_batch`] runs one pass per mask set over
+///    the prepared input and returns *softmax probabilities* `(n, k)`.
+///    It takes `&self` plus a per-worker [`BayesBackend::Scratch`], so
+///    the engine may fan passes out across threads.
+/// 4. Results must not depend on scratch contents or thread count —
 ///    the engine's bit-identical-at-any-parallelism guarantee extends
 ///    to every backend.
 pub trait BayesBackend: Sync {
@@ -132,47 +152,28 @@ pub trait BayesBackend: Sync {
     /// samples one worker executes. Use `()` if none is needed.
     type Scratch: Send;
 
-    /// Short backend name for logs, benches and cost reports.
-    fn name(&self) -> &'static str;
-
-    /// Number of MCD sites in the compiled network (the paper's `N`).
-    fn n_sites(&self) -> usize;
-
-    /// Mask length per site for an input shape (the channel count each
-    /// site's Bernoulli draw must cover).
-    fn site_channels(&self, input: Shape4) -> Vec<usize>;
-
-    /// Output classes `K` for an input shape.
-    fn output_classes(&self, input: Shape4) -> usize;
+    /// Name and geometry of the compiled network for an input shape.
+    fn info(&self, input: Shape4) -> ModelInfo;
 
     /// Bind an input batch and precompute per-input state shared by
     /// all samples. Called exactly once before a group of
-    /// [`BayesBackend::forward`] calls.
+    /// [`BayesBackend::forward_batch`] calls.
     fn prepare(&mut self, x: &Tensor, active: &[bool]);
 
     /// Fresh per-worker scratch for the prepared input.
     fn make_scratch(&self) -> Self::Scratch;
 
-    /// One Monte Carlo pass over the prepared input: softmax
-    /// probabilities of shape `(n, k)`.
-    fn forward(&self, masks: &MaskSet, scratch: &mut Self::Scratch) -> Tensor;
-
     /// A group of Monte Carlo passes over the prepared input: one
     /// `(n, k)` probability tensor per mask set, in mask-set order.
     ///
     /// The engine hands each worker its whole contiguous sample chunk
-    /// through this hook. The default implementation loops
-    /// [`BayesBackend::forward`] — every per-sample backend inherits
-    /// the previous behaviour unchanged. Backends that fuse samples
-    /// ([`FusedBackend`]'s stacked GEMMs) override it; an override
-    /// must return exactly `mask_sets.len()` tensors and must be
-    /// bit-identical to the default for *any* sub-chunking of the
-    /// sample list, because the engine's chunk boundaries move with
-    /// the thread count and the bit-identical-at-any-parallelism
-    /// guarantee extends to every backend.
-    fn forward_batch(&self, mask_sets: &[MaskSet], scratch: &mut Self::Scratch) -> Vec<Tensor> {
-        mask_sets.iter().map(|m| self.forward(m, scratch)).collect()
-    }
+    /// through this hook (and a deterministic group as one empty mask
+    /// set). A backend may fuse the chunk (the f32 backend's stacked
+    /// GEMMs) or loop over it; either way it must return exactly
+    /// `mask_sets.len()` tensors and every sample must be
+    /// bit-identical at *any* sub-chunking of the sample list, because
+    /// the engine's chunk boundaries move with the thread count.
+    fn forward_batch(&self, mask_sets: &[MaskSet], scratch: &mut Self::Scratch) -> Vec<Tensor>;
 
     /// Analytic cost of a full `{L, S}` prediction, if the backend
     /// models one (the accelerator's cycle/traffic models, the
@@ -270,9 +271,9 @@ impl<'p> Engine<'p> {
             return Vec::new();
         }
         let (pool, parallel) = (self.pool, self.parallel);
-        let active = active_sites(backend.n_sites(), cfg.l);
+        let active = active_sites(backend.info(inputs.shape(0)).n_sites, cfg.l);
         let mut draw = |backend: &B, g: usize| {
-            let channels = backend.site_channels(inputs.shape(g));
+            let channels = backend.info(inputs.shape(g)).site_channels;
             masks.draw(g, &active, &channels, cfg)
         };
 
@@ -350,7 +351,10 @@ fn run_prepared<B: BayesBackend>(
 ) -> Vec<Tensor> {
     if mask_sets.is_empty() {
         let mut scratch = backend.make_scratch();
-        let probs = backend.forward(&MaskSet::none(), &mut scratch);
+        let probs = backend
+            .forward_batch(&[MaskSet::none()], &mut scratch)
+            .pop()
+            .expect("one mask set yields one pass");
         return vec![probs; s];
     }
     run_samples(backend, mask_sets, parallel, pool)
@@ -361,8 +365,7 @@ fn run_prepared<B: BayesBackend>(
 ///
 /// Each work unit receives its whole contiguous chunk through
 /// [`BayesBackend::forward_batch`], so fusing backends amortize
-/// weight streaming across the chunk while per-sample backends run
-/// the default forward loop.
+/// weight streaming across the chunk.
 fn run_samples<B: BayesBackend>(
     backend: &B,
     mask_sets: &[MaskSet],
@@ -406,8 +409,7 @@ fn run_samples<B: BayesBackend>(
     assert_eq!(
         probs.len(),
         mask_sets.len(),
-        "{}: forward_batch must return one tensor per mask set",
-        backend.name()
+        "forward_batch must return one tensor per mask set"
     );
     probs
 }
@@ -635,70 +637,88 @@ fn slice_items(xs: &Tensor, items: Range<usize>) -> Tensor {
     bx
 }
 
-/// The f32 software backend: wraps the [`Graph`] executor with the
-/// PR-1 performance engine — the deterministic prefix runs once per
+/// The f32 software backend: the deterministic prefix runs once per
 /// input through the scratch-backed prefix pass
 /// ([`Graph::forward_prefix_with`], reusing the previous call's
-/// buffers), and each Monte Carlo pass re-runs only the Bayesian
-/// suffix through a reusable [`ExecScratch`]
-/// ([`Graph::forward_from_with`]). The conformance reference the other
-/// substrates are compared against.
+/// buffers), and the Monte Carlo passes re-run only the Bayesian
+/// suffix ([`Graph::forward_from_stacked`]) — the software analogue of
+/// the accelerator's intermediate-layer caching.
+///
+/// One type, two cuts of the sample chunk the engine hands over:
+///
+/// * [`FloatBackend::new`] walks the suffix once per sample through
+///   the per-item kernels, paying the weight traffic of every suffix
+///   layer `S` times. It is the conformance reference the other
+///   substrates are compared against.
+/// * [`FloatBackend::fused`] walks it *once per chunk* with the
+///   samples stacked along the batch axis — convolutions through a
+///   sample-stacked im2col buffer and one `(S·Ho·Wo)`-column GEMM,
+///   fully-connected layers through one row-stacked GEMM — so each
+///   weight matrix streams once per layer per chunk: the software
+///   analogue of the accelerator's weight-streaming dataflow.
+///
+/// Because the stacked kernels are bit-identical to the per-item ones
+/// at any chunk size (see `bnn_tensor::gemm_stacked`), both cuts give
+/// **bit-identical** predictions under the same seed and mask stream,
+/// at any thread count; they differ in wall-clock time, in `name`
+/// (`"float"` / `"fused"`) and in the weight-streaming traffic
+/// `model_cost` reports.
 #[derive(Debug)]
 pub struct FloatBackend<'g> {
     graph: &'g Graph,
+    /// Whether a sample chunk is walked stacked (else cut to 1).
+    fused: bool,
     prepared: Option<FloatPrepared>,
     /// im2col workspace of the prefix pass, kept across `prepare`
     /// calls.
     prefix_cols: Vec<f32>,
+    /// Retired suffix workspaces, reused across predictive calls.
+    /// Building one is allocation- and page-fault-heavy (hundreds of
+    /// microseconds at `S = 100`), which would otherwise be paid per
+    /// call per worker.
+    pool: std::sync::Arc<std::sync::Mutex<Vec<ExecScratch>>>,
 }
+
+/// Bound on retired workspaces kept alive (per backend).
+const SCRATCH_POOL_CAP: usize = 8;
 
 #[derive(Debug)]
 struct FloatPrepared {
     /// Shape of the bound input (sizes the suffix scratch).
     shape: Shape4,
-    /// Either the cached prefix activations with the node id of the
-    /// first active MCD site (IC path), or the input itself for the
-    /// deterministic full-forward fallback — never both, so the IC
-    /// path does not clone the input batch.
-    state: FloatState,
+    /// Node outputs of the deterministic prefix `0..=from`.
+    prefix: Activations,
+    /// Suffix boundary: the node feeding the first active MCD site,
+    /// or the output node when the run is fully deterministic (the
+    /// suffix is then empty and the prefix holds the logits).
+    from: usize,
 }
 
+/// Per-worker scratch of [`FloatBackend`]: the suffix workspace,
+/// acquired from the backend's pool (or built) for the worker's chunk
+/// size and returned to the pool on drop.
 #[derive(Debug)]
-enum FloatState {
-    Prefix(Activations, usize),
-    Full(Tensor),
+pub struct FloatScratch {
+    held: Option<ExecScratch>,
+    pool: std::sync::Arc<std::sync::Mutex<Vec<ExecScratch>>>,
 }
 
-/// Bind an input for the float-graph backends ([`FloatBackend`],
-/// [`FusedBackend`] — both resume from the very same cached
-/// activations): cache the deterministic prefix when a site is
-/// active (IC: the scratch-backed prefix pass keeps every node
-/// output up to the suffix boundary so re-runs can resume, reusing
-/// the previous call's buffers through `reuse`/`cols`), else keep
-/// the input for the full-forward fallback.
-fn prepare_float_state(
-    graph: &Graph,
-    x: &Tensor,
-    active: &[bool],
-    reuse: Option<FloatPrepared>,
-    cols: &mut Vec<f32>,
-) -> FloatPrepared {
-    let state = match first_active_site_node(graph, active) {
-        Some(site_node) => {
-            let reuse_acts = reuse.and_then(|p| match p.state {
-                FloatState::Prefix(acts, _) => Some(acts),
-                FloatState::Full(_) => None,
-            });
-            FloatState::Prefix(
-                graph.forward_prefix_with(x, site_node - 1, &MaskSet::none(), reuse_acts, cols),
-                site_node,
-            )
+impl FloatScratch {
+    /// Hand the held workspace back to the backend's pool.
+    fn retire(&mut self) {
+        if let Some(scratch) = self.held.take() {
+            if let Ok(mut pool) = self.pool.lock() {
+                if pool.len() < SCRATCH_POOL_CAP {
+                    pool.push(scratch);
+                }
+            }
         }
-        None => FloatState::Full(x.clone()),
-    };
-    FloatPrepared {
-        shape: x.shape(),
-        state,
+    }
+}
+
+impl Drop for FloatScratch {
+    fn drop(&mut self) {
+        self.retire();
     }
 }
 
@@ -716,13 +736,13 @@ fn first_active_site_node(graph: &Graph, active: &[bool]) -> Option<usize> {
 
 /// Analytic weight-streaming traffic of one `{L, S}` prediction over a
 /// float graph: every weight layer's parameter bytes, counted once for
-/// the deterministic prefix and — per sample for the per-sample engine,
-/// once per layer for the fused engine — for the Bayesian suffix.
+/// the deterministic prefix and — per sample for the per-sample cut,
+/// once per layer for the fused cut — for the Bayesian suffix.
 ///
 /// This is the quantity the paper's accelerator dataflow (and the
 /// software batched-sample fusion) optimizes: with `fused_suffix` the
 /// suffix term loses its factor of `S`. With no active site the whole
-/// network counts once on either engine — the generic engine
+/// network counts once on either cut — the generic engine
 /// short-circuits a deterministic predictive to a single pass and
 /// replicates it, so no weight is streamed `S` times there.
 fn weight_stream_bytes(graph: &Graph, bayes: BayesConfig, fused_suffix: bool) -> u64 {
@@ -752,12 +772,22 @@ fn weight_stream_bytes(graph: &Graph, bayes: BayesConfig, fused_suffix: bool) ->
 }
 
 impl<'g> FloatBackend<'g> {
-    /// Create a backend over a graph.
+    /// The per-sample backend over a graph (`"float"`).
     pub fn new(graph: &'g Graph) -> FloatBackend<'g> {
         FloatBackend {
             graph,
+            fused: false,
             prepared: None,
             prefix_cols: Vec::new(),
+            pool: std::sync::Arc::default(),
+        }
+    }
+
+    /// The batched-sample fusion backend over a graph (`"fused"`).
+    pub fn fused(graph: &'g Graph) -> FloatBackend<'g> {
+        FloatBackend {
+            fused: true,
+            ..FloatBackend::new(graph)
         }
     }
 
@@ -766,323 +796,102 @@ impl<'g> FloatBackend<'g> {
             .as_ref()
             .expect("FloatBackend::prepare not called")
     }
-}
 
-/// Softmax the rows of a logits tensor in place and return it.
-fn softmaxed(mut logits: Tensor) -> Tensor {
-    let s = logits.shape();
-    let (rows, cols) = (s.n, s.item_len());
-    softmax_rows(logits.as_mut_slice(), rows, cols);
-    logits
+    /// Make `scratch` hold a suffix workspace for `samples`-set chunks
+    /// of the prepared input: what it already holds if that fits, else
+    /// one from the pool, else a fresh one. Conv batch splitting is
+    /// disabled because the engine already owns the host's
+    /// parallelism.
+    fn provision<'s>(&self, scratch: &'s mut FloatScratch, samples: usize) -> &'s mut ExecScratch {
+        let p = self.prepared();
+        let fits = |sc: &ExecScratch| sc.built_for(p.shape, p.from, samples);
+        if !scratch.held.as_ref().is_some_and(fits) {
+            scratch.retire();
+            let pooled = self.pool.lock().ok().and_then(|mut pool| {
+                let pos = pool.iter().position(fits)?;
+                Some(pool.swap_remove(pos))
+            });
+            scratch.held = Some(pooled.unwrap_or_else(|| {
+                self.graph
+                    .stacked_scratch_after(p.shape, p.from, samples)
+                    .serial_conv()
+            }));
+        }
+        scratch.held.as_mut().expect("scratch just provisioned")
+    }
 }
 
 impl BayesBackend for FloatBackend<'_> {
-    type Scratch = Option<ExecScratch>;
+    type Scratch = FloatScratch;
 
-    fn name(&self) -> &'static str {
-        "float"
-    }
-
-    fn n_sites(&self) -> usize {
-        self.graph.n_sites()
-    }
-
-    fn site_channels(&self, input: Shape4) -> Vec<usize> {
-        self.graph.site_channels(input)
-    }
-
-    fn output_classes(&self, input: Shape4) -> usize {
-        self.graph.infer_shapes(input)[self.graph.output_id()].item_len()
+    fn info(&self, input: Shape4) -> ModelInfo {
+        ModelInfo {
+            name: if self.fused { "fused" } else { "float" },
+            n_sites: self.graph.n_sites(),
+            site_channels: self.graph.site_channels(input),
+            output_classes: self.graph.infer_shapes(input)[self.graph.output_id()].item_len(),
+        }
     }
 
     fn prepare(&mut self, x: &Tensor, active: &[bool]) {
-        let reuse = self.prepared.take();
-        self.prepared = Some(prepare_float_state(
-            self.graph,
-            x,
-            active,
-            reuse,
-            &mut self.prefix_cols,
-        ));
-    }
-
-    fn make_scratch(&self) -> Option<ExecScratch> {
-        let p = self.prepared();
-        // Suffix-sized scratch; conv batch splitting is disabled
-        // because the engine already owns the host's parallelism.
-        match p.state {
-            FloatState::Prefix(_, site_node) => Some(
-                self.graph
-                    .scratch_after(p.shape, site_node - 1)
-                    .serial_conv(),
+        let from = first_active_site_node(self.graph, active)
+            .map_or(self.graph.output_id(), |site_node| site_node - 1);
+        let reuse = self.prepared.take().map(|p| p.prefix);
+        self.prepared = Some(FloatPrepared {
+            shape: x.shape(),
+            prefix: self.graph.forward_prefix_with(
+                x,
+                from,
+                &MaskSet::none(),
+                reuse,
+                &mut self.prefix_cols,
             ),
-            FloatState::Full(_) => None,
-        }
-    }
-
-    fn forward(&self, masks: &MaskSet, scratch: &mut Option<ExecScratch>) -> Tensor {
-        let logits = match (&self.prepared().state, scratch) {
-            (FloatState::Prefix(prefix, site_node), Some(scratch)) => {
-                self.graph
-                    .forward_from_with(prefix, site_node - 1, masks, scratch)
-            }
-            (FloatState::Full(x), _) => self.graph.forward(x, masks),
-            (FloatState::Prefix(..), None) => {
-                unreachable!("IC-path scratch comes from make_scratch")
-            }
-        };
-        softmaxed(logits)
-    }
-
-    fn model_cost(&self, bayes: BayesConfig) -> Option<ModelCost> {
-        Some(ModelCost {
-            cycles: 0,
-            latency_ms: 0.0,
-            mem_bytes: weight_stream_bytes(self.graph, bayes, false),
-        })
-    }
-
-    fn fork(&self) -> Option<Self> {
-        Some(FloatBackend::new(self.graph))
-    }
-}
-
-/// The fused batched-sample f32 backend: the software analogue of the
-/// accelerator's weight-streaming dataflow.
-///
-/// [`FloatBackend`] re-runs the Bayesian suffix once per Monte Carlo
-/// sample, paying the weight traffic of every suffix layer `S` times.
-/// This backend instead hands each engine worker's whole sample chunk
-/// to [`bnn_nn::Graph::forward_from_stacked`], which walks the suffix
-/// *once* with the samples stacked along the batch axis — convolutions
-/// through a sample-stacked im2col buffer and one `(S·Ho·Wo)`-column
-/// GEMM, fully-connected layers through one row-stacked GEMM — so each
-/// weight matrix streams once per layer per chunk. Per-sample dropout
-/// masks are applied to each sample's stacked item group.
-///
-/// Because the stacked kernels are bit-identical to the per-sample
-/// ones at any chunk size (see `bnn_tensor::gemm_stacked`), the fused
-/// predictions are **bit-identical to [`FloatBackend`]** under the
-/// same seed and mask stream, at any thread count. `model_cost`
-/// reports the reduced weight-streaming traffic: suffix weights once
-/// per layer instead of once per sample.
-#[derive(Debug)]
-pub struct FusedBackend<'g> {
-    graph: &'g Graph,
-    prepared: Option<FloatPrepared>,
-    /// im2col workspace of the prefix pass, kept across `prepare`
-    /// calls.
-    prefix_cols: Vec<f32>,
-    /// Bumped on every [`BayesBackend::prepare`]: pooled scratches
-    /// from an older generation replicate a *previous* prefix and must
-    /// drop their replicas before reuse.
-    generation: u64,
-    /// Retired stacked workspaces, reused across predictive calls.
-    /// Building one is allocation- and page-fault-heavy (hundreds of
-    /// microseconds at `S = 100`), which would otherwise be paid per
-    /// call per worker.
-    pool: std::sync::Arc<std::sync::Mutex<Vec<PooledStacked>>>,
-}
-
-/// Bound on retired workspaces kept alive (per backend).
-const SCRATCH_POOL_CAP: usize = 8;
-
-#[derive(Debug)]
-struct PooledStacked {
-    generation: u64,
-    shape: Shape4,
-    from: usize,
-    scratch: StackedScratch,
-}
-
-/// Per-worker scratch of [`FusedBackend`]: the stacked suffix
-/// workspace, acquired from the backend's pool (or built) for the
-/// worker's chunk size and returned to the pool on drop. The
-/// deterministic fallback path needs no scratch.
-#[derive(Debug)]
-pub struct FusedScratch {
-    stacked: Option<StackedScratch>,
-    /// `(generation, input shape, suffix boundary)` of the held
-    /// scratch, for pool revalidation.
-    meta: Option<(u64, Shape4, usize)>,
-    pool: std::sync::Arc<std::sync::Mutex<Vec<PooledStacked>>>,
-}
-
-impl FusedScratch {
-    /// Hand the held workspace back to the backend's pool.
-    fn retire(&mut self) {
-        if let (Some(scratch), Some((generation, shape, from))) =
-            (self.stacked.take(), self.meta.take())
-        {
-            if let Ok(mut pool) = self.pool.lock() {
-                if pool.len() < SCRATCH_POOL_CAP {
-                    pool.push(PooledStacked {
-                        generation,
-                        shape,
-                        from,
-                        scratch,
-                    });
-                }
-            }
-        }
-    }
-}
-
-impl Drop for FusedScratch {
-    fn drop(&mut self) {
-        self.retire();
-    }
-}
-
-impl<'g> FusedBackend<'g> {
-    /// Create a fused backend over a graph.
-    pub fn new(graph: &'g Graph) -> FusedBackend<'g> {
-        FusedBackend {
-            graph,
-            prepared: None,
-            prefix_cols: Vec::new(),
-            generation: 0,
-            pool: std::sync::Arc::default(),
-        }
-    }
-
-    fn prepared(&self) -> &FloatPrepared {
-        self.prepared
-            .as_ref()
-            .expect("FusedBackend::prepare not called")
-    }
-
-    /// Make `scratch` hold a stacked workspace for `samples` chunks of
-    /// the current prepared input: reuse what it already holds if it
-    /// matches, else acquire from the pool (dropping stale prefix
-    /// replicas), else build fresh.
-    fn provision<'s>(
-        &self,
-        scratch: &'s mut FusedScratch,
-        shape: Shape4,
-        from: usize,
-        samples: usize,
-    ) -> &'s mut StackedScratch {
-        let held_ok = scratch.stacked.as_ref().is_some_and(|sc| {
-            sc.samples() == samples && scratch.meta == Some((self.generation, shape, from))
+            from,
         });
-        if !held_ok {
-            scratch.retire();
-            let pooled = self.pool.lock().ok().and_then(|mut pool| {
-                pool.iter()
-                    .position(|e| {
-                        e.scratch.samples() == samples && e.shape == shape && e.from == from
-                    })
-                    .map(|pos| pool.swap_remove(pos))
-            });
-            let sc = match pooled {
-                Some(mut e) => {
-                    if e.generation != self.generation {
-                        // Replicas belong to a previous prepare.
-                        e.scratch.clear_replicas();
-                    }
-                    e.scratch
-                }
-                None => self.graph.stacked_scratch_after(shape, from, samples),
-            };
-            scratch.stacked = Some(sc);
-            scratch.meta = Some((self.generation, shape, from));
-        }
-        scratch.stacked.as_mut().expect("scratch just provisioned")
-    }
-}
-
-impl BayesBackend for FusedBackend<'_> {
-    type Scratch = FusedScratch;
-
-    fn name(&self) -> &'static str {
-        "fused"
     }
 
-    fn n_sites(&self) -> usize {
-        self.graph.n_sites()
-    }
-
-    fn site_channels(&self, input: Shape4) -> Vec<usize> {
-        self.graph.site_channels(input)
-    }
-
-    fn output_classes(&self, input: Shape4) -> usize {
-        self.graph.infer_shapes(input)[self.graph.output_id()].item_len()
-    }
-
-    fn prepare(&mut self, x: &Tensor, active: &[bool]) {
-        self.generation += 1;
-        let reuse = self.prepared.take();
-        self.prepared = Some(prepare_float_state(
-            self.graph,
-            x,
-            active,
-            reuse,
-            &mut self.prefix_cols,
-        ));
-    }
-
-    fn make_scratch(&self) -> FusedScratch {
-        FusedScratch {
-            stacked: None,
-            meta: None,
+    fn make_scratch(&self) -> FloatScratch {
+        FloatScratch {
+            held: None,
             pool: std::sync::Arc::clone(&self.pool),
         }
     }
 
-    fn forward(&self, masks: &MaskSet, scratch: &mut FusedScratch) -> Tensor {
-        self.forward_batch(std::slice::from_ref(masks), scratch)
-            .pop()
-            .expect("one mask set yields one sample")
-    }
-
-    fn forward_batch(&self, mask_sets: &[MaskSet], scratch: &mut FusedScratch) -> Vec<Tensor> {
+    fn forward_batch(&self, mask_sets: &[MaskSet], scratch: &mut FloatScratch) -> Vec<Tensor> {
         let p = self.prepared();
-        match &p.state {
-            // Deterministic fallback: no suffix to fuse.
-            FloatState::Full(x) => mask_sets
-                .iter()
-                .map(|m| softmaxed(self.graph.forward(x, m)))
-                .collect(),
-            FloatState::Prefix(prefix, site_node) => {
-                let from = site_node - 1;
-                let s = mask_sets.len();
-                let stacked = self.provision(scratch, p.shape, from, s);
-                let mut logits = self
-                    .graph
-                    .forward_from_stacked(prefix, from, mask_sets, stacked);
-                let ls = logits.shape();
-                softmax_rows(logits.as_mut_slice(), ls.n, ls.item_len());
-                // Split the stacked (s·n, k) rows back into per-sample
-                // (n, k) probability tensors.
-                let (base, k) = (ls.n / s, ls.item_len());
-                (0..s)
-                    .map(|si| {
-                        let mut t = Tensor::zeros(Shape4::vec(base, k));
-                        t.as_mut_slice().copy_from_slice(
-                            &logits.as_slice()[si * base * k..(si + 1) * base * k],
-                        );
-                        t
-                    })
-                    .collect()
-            }
+        let cut = if self.fused { mask_sets.len() } else { 1 };
+        let mut passes = Vec::with_capacity(mask_sets.len());
+        for chunk in mask_sets.chunks(cut.max(1)) {
+            let workspace = self.provision(scratch, chunk.len());
+            let mut logits = self
+                .graph
+                .forward_from_stacked(&p.prefix, p.from, chunk, workspace);
+            let (rows, k) = (logits.shape().n, logits.shape().item_len());
+            softmax_rows(logits.as_mut_slice(), rows, k);
+            // Split the stacked (s·n, k) rows back into per-sample
+            // (n, k) probability tensors.
+            let base = rows / chunk.len();
+            passes.extend((0..chunk.len()).map(|si| {
+                let sample = &logits.as_slice()[si * base * k..(si + 1) * base * k];
+                Tensor::from_vec(Shape4::vec(base, k), sample.to_vec())
+            }));
         }
+        passes
     }
 
     fn model_cost(&self, bayes: BayesConfig) -> Option<ModelCost> {
         Some(ModelCost {
             cycles: 0,
             latency_ms: 0.0,
-            mem_bytes: weight_stream_bytes(self.graph, bayes, true),
+            mem_bytes: weight_stream_bytes(self.graph, bayes, self.fused),
         })
     }
 
     fn fork(&self) -> Option<Self> {
-        // A fresh fork gets its own scratch pool: pooled workspaces
-        // are tagged with per-instance generations, which must not
-        // collide across forks.
-        Some(FusedBackend::new(self.graph))
+        Some(FloatBackend {
+            fused: self.fused,
+            ..FloatBackend::new(self.graph)
+        })
     }
 }
 
@@ -1149,16 +958,6 @@ mod tests {
     }
 
     #[test]
-    fn float_backend_reports_graph_geometry() {
-        let net = models::lenet5(10, 1, 16, 1);
-        let backend = FloatBackend::new(&net);
-        let shape = Shape4::new(1, 1, 16, 16);
-        assert_eq!(backend.n_sites(), 5);
-        assert_eq!(backend.output_classes(shape), 10);
-        assert_eq!(backend.site_channels(shape).len(), 5);
-    }
-
-    #[test]
     fn fused_backend_bit_identical_to_float_backend() {
         let net = models::lenet5(10, 1, 16, 13);
         let x = Tensor::from_vec(
@@ -1173,7 +972,7 @@ mod tests {
             let want = solo(Engine::serial(), &mut float, &x, cfg, 42).probs;
             let pool = WorkerPool::new(3);
             for threads in [1usize, 4] {
-                let mut fused = FusedBackend::new(&net);
+                let mut fused = FloatBackend::fused(&net);
                 let engine = Engine::new(&pool, ParallelConfig::with_threads(threads));
                 let got = solo(engine, &mut fused, &x, cfg, 42);
                 assert_eq!(
@@ -1193,7 +992,7 @@ mod tests {
         let x = Tensor::full(Shape4::new(2, 1, 16, 16), 0.3);
         let cfg = BayesConfig::new(2, 5);
         let mut float = FloatBackend::new(&net);
-        let mut fused = FusedBackend::new(&net);
+        let mut fused = FloatBackend::fused(&net);
         let a = solo(Engine::serial(), &mut float, &x, cfg, 8).passes;
         let b = solo(Engine::serial(), &mut fused, &x, cfg, 8).passes;
         assert_eq!(a.len(), b.len());
@@ -1212,7 +1011,7 @@ mod tests {
             p: 0.25,
         };
         let mut float = FloatBackend::new(&net);
-        let mut fused = FusedBackend::new(&net);
+        let mut fused = FloatBackend::fused(&net);
         let want = solo(Engine::serial(), &mut float, &x, cfg, 1).probs;
         let got = solo(Engine::serial(), &mut fused, &x, cfg, 1).probs;
         assert_eq!(got.as_slice(), want.as_slice());
@@ -1265,7 +1064,7 @@ mod tests {
             // and, crucially, the same backend reused across calls with
             // different neighbor sets.
             let mut float = FloatBackend::new(&net);
-            let mut fused = FusedBackend::new(&net);
+            let mut fused = FloatBackend::fused(&net);
             let engine = Engine::new(&pool, parallel);
             for subset in [&requests[..], &requests[2..3], &requests[1..4]] {
                 for (req, out) in
@@ -1344,7 +1143,7 @@ mod tests {
     fn fused_counts_suffix_weight_traffic_once_per_layer() {
         let net = models::lenet5(10, 1, 16, 2);
         let float = FloatBackend::new(&net);
-        let fused = FusedBackend::new(&net);
+        let fused = FloatBackend::fused(&net);
         let float_cost = |cfg: BayesConfig| float.model_cost(cfg).unwrap().mem_bytes;
         let fused_cost = |cfg: BayesConfig| fused.model_cost(cfg).unwrap().mem_bytes;
 

@@ -27,7 +27,7 @@
 //! under the sequential request schedule (`batch_threads = 1`, the
 //! serving dispatcher's default), which is what the chaos suite runs.
 
-use crate::backend::{BayesBackend, ModelCost};
+use crate::backend::{BayesBackend, ModelCost, ModelInfo};
 use crate::predict::BayesConfig;
 use bnn_nn::MaskSet;
 use bnn_rng::SoftRng;
@@ -153,20 +153,11 @@ impl<B> ChaosBackend<B> {
 impl<B: BayesBackend> BayesBackend for ChaosBackend<B> {
     type Scratch = B::Scratch;
 
-    fn name(&self) -> &'static str {
-        "chaos"
-    }
-
-    fn n_sites(&self) -> usize {
-        self.inner.n_sites()
-    }
-
-    fn site_channels(&self, input: Shape4) -> Vec<usize> {
-        self.inner.site_channels(input)
-    }
-
-    fn output_classes(&self, input: Shape4) -> usize {
-        self.inner.output_classes(input)
+    fn info(&self, input: Shape4) -> ModelInfo {
+        ModelInfo {
+            name: "chaos",
+            ..self.inner.info(input)
+        }
     }
 
     fn prepare(&mut self, x: &Tensor, active: &[bool]) {
@@ -181,10 +172,6 @@ impl<B: BayesBackend> BayesBackend for ChaosBackend<B> {
 
     fn make_scratch(&self) -> Self::Scratch {
         self.inner.make_scratch()
-    }
-
-    fn forward(&self, masks: &MaskSet, scratch: &mut Self::Scratch) -> Tensor {
-        self.inner.forward(masks, scratch)
     }
 
     fn forward_batch(&self, mask_sets: &[MaskSet], scratch: &mut Self::Scratch) -> Vec<Tensor> {

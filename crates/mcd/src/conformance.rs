@@ -26,7 +26,7 @@
 //!
 //! ```
 //! use bnn_mcd::conformance::{assert_backend_agrees, Tolerance};
-//! use bnn_mcd::{BayesConfig, FloatBackend, FusedBackend};
+//! use bnn_mcd::{BayesConfig, FloatBackend};
 //! use bnn_nn::models;
 //! use bnn_tensor::{Shape4, Tensor};
 //!
@@ -34,7 +34,7 @@
 //! let x = Tensor::full(Shape4::new(2, 1, 16, 16), 0.1);
 //! assert_backend_agrees(
 //!     &mut FloatBackend::new(&net),
-//!     &mut FusedBackend::new(&net),
+//!     &mut FloatBackend::fused(&net),
 //!     &x,
 //!     BayesConfig::new(2, 6),
 //!     7,
@@ -158,16 +158,17 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
     seed: u64,
     tol: Tolerance,
 ) {
-    let pair = format!("{} vs {}", candidate.name(), reference.name());
+    let c_name = candidate.info(x.shape()).name;
+    let r_name = reference.info(x.shape()).name;
+    let pair = format!("{c_name} vs {r_name}");
 
     // Pool for the `threads = 4` splits of checks 1-3.
     let fan_out = WorkerPool::new(ParallelConfig::with_threads(4).pool_workers());
     let (r_probs, r_cost) = predictive(Engine::serial(), reference, x, cfg, seed);
     assert_eq!(
-        r_cost.samples,
-        cfg.s,
+        r_cost.samples, cfg.s,
         "{}: reference cost lost samples",
-        reference.name()
+        r_name
     );
 
     let mut per_threads = Vec::new();
@@ -181,10 +182,9 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
             &format!("{pair} (threads={threads}, unbatched)"),
         );
         assert_eq!(
-            c_cost.samples,
-            cfg.s,
+            c_cost.samples, cfg.s,
             "{}: candidate cost lost samples",
-            candidate.name()
+            c_name
         );
         per_threads.push(c_probs);
     }
@@ -192,7 +192,7 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
         per_threads[0].as_slice(),
         per_threads[1].as_slice(),
         "{}: thread fan-out changed the prediction",
-        candidate.name()
+        c_name
     );
 
     // Batched serving, one item at a time — the deployment shape every
@@ -214,14 +214,14 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
         batched[0].as_slice(),
         batched[1].as_slice(),
         "{}: thread fan-out changed the batched prediction",
-        candidate.name()
+        c_name
     );
     if x.shape().n == 1 {
         assert_eq!(
             batched[0].as_slice(),
             per_threads[0].as_slice(),
             "{}: batched serving diverged from unbatched",
-            candidate.name()
+            c_name
         );
     }
 
@@ -239,7 +239,7 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
                 per_threads[0].as_slice(),
                 "{}: pooled sample-parallel call {repeat} on {workers} worker(s) \
                  changed the prediction",
-                candidate.name()
+                c_name
             );
         }
         let engine = Engine::new(&pool, ParallelConfig::with_threads(2).with_chunk(1));
@@ -248,7 +248,7 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
             chunked.as_slice(),
             per_threads[0].as_slice(),
             "{}: pooled chunked split on {workers} worker(s) changed the prediction",
-            candidate.name()
+            c_name
         );
         let engine = Engine::new(&pool, ParallelConfig::serial().with_batch_threads(4));
         let batch_par = predictive_by_item(engine, candidate, x, cfg, seed);
@@ -256,7 +256,7 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
             batch_par.as_slice(),
             batched[0].as_slice(),
             "{}: pooled batch-parallel split on {workers} worker(s) changed the prediction",
-            candidate.name()
+            c_name
         );
 
         // Coalescing invariance: the request with this suite's seed
@@ -272,7 +272,7 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
             solo[0].probs.as_slice(),
             per_threads[0].as_slice(),
             "{}: request-path solo serving on {workers} worker(s) diverged from predictive",
-            candidate.name()
+            c_name
         );
         let neighbors = [
             (x, seed.wrapping_add(101)),
@@ -291,7 +291,7 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
                 per_threads[0].as_slice(),
                 "{}: coalescing with neighbors moved the prediction \
                  (batch_threads={}, {workers} worker(s))",
-                candidate.name(),
+                c_name,
                 parallel.batch_threads
             );
             per_schedule.push(coalesced);
@@ -302,7 +302,7 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
                 a.probs.as_slice(),
                 b.probs.as_slice(),
                 "{}: request schedule moved coalesced request {i} ({workers} worker(s))",
-                candidate.name()
+                c_name
             );
         }
     }
@@ -348,7 +348,7 @@ where
     let requests: Vec<(&Tensor, u64)> =
         (0..n_requests).map(|i| (x, seed.wrapping_add(i))).collect();
     let mut bare = make();
-    let b_name = bare.name();
+    let b_name = bare.info(x.shape()).name;
     // Fault-free reference, bare backend.
     let want: Vec<Tensor> = engine
         .run(&mut bare, Plan::requests(&requests), cfg)
@@ -437,7 +437,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{FloatBackend, FusedBackend};
+    use crate::backend::FloatBackend;
     use bnn_nn::models;
     use bnn_tensor::Shape4;
 
@@ -461,7 +461,7 @@ mod tests {
         let x = Tensor::full(Shape4::new(1, 1, 16, 16), 0.15);
         assert_backend_agrees(
             &mut FloatBackend::new(&net),
-            &mut FusedBackend::new(&net),
+            &mut FloatBackend::fused(&net),
             &x,
             BayesConfig::new(3, 9),
             11,

@@ -14,7 +14,10 @@
 //!
 //! Every prediction is one [`Engine::run`] of a [`Plan`] (one tensor,
 //! a batched dataset, or independently-seeded requests) on a
-//! [`BayesBackend`] substrate; see [`backend`] for the contract.
+//! [`BayesBackend`] substrate; see [`backend`] for the six-method
+//! contract. [`FloatBackend`] is the f32 substrate of this crate, in
+//! its per-sample ([`FloatBackend::new`]) and batched-sample fusion
+//! ([`FloatBackend::fused`]) cuts.
 //!
 //! # Example
 //!
@@ -26,13 +29,16 @@
 //! let net = models::lenet5(10, 1, 28, 1);
 //! let x = Tensor::zeros(Shape4::new(2, 1, 28, 28));
 //! let cfg = BayesConfig::new(2, 5); // last 2 layers Bayesian, 5 samples
-//! let mut src = SoftwareMaskSource::new(42);
-//! let mut backend = FloatBackend::new(&net);
-//! let groups = Engine::serial().run(&mut backend, Plan::one(&x, &mut src), cfg);
-//! let out = RequestResult::single(groups);
+//! let predict = |mut backend: FloatBackend| {
+//!     let mut src = SoftwareMaskSource::new(42);
+//!     RequestResult::single(Engine::serial().run(&mut backend, Plan::one(&x, &mut src), cfg))
+//! };
+//! let out = predict(FloatBackend::fused(&net));
 //! assert_eq!(out.passes.len(), 5);
 //! let row: f32 = out.probs.item(0).iter().sum();
 //! assert!((row - 1.0).abs() < 1e-4, "predictive rows are distributions");
+//! // The per-sample reference walk gives the same bits.
+//! assert_eq!(predict(FloatBackend::new(&net)).probs.as_slice(), out.probs.as_slice());
 //! ```
 
 // `deny` rather than `forbid`: the worker pool's lifetime erasure in
@@ -51,7 +57,7 @@ mod source;
 pub mod uncertainty;
 
 pub use backend::{
-    BayesBackend, CostReport, Engine, FloatBackend, FusedBackend, FusedScratch, ModelCost, Plan,
+    BayesBackend, CostReport, Engine, FloatBackend, FloatScratch, ModelCost, ModelInfo, Plan,
     RequestResult,
 };
 pub use chaos::{fault_at, ChaosBackend, ChaosConfig, Fault};

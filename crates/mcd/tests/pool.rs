@@ -8,8 +8,8 @@
 //! reference: a serial per-input loop of one-group runs.
 
 use bnn_mcd::{
-    BayesConfig, Engine, FloatBackend, FusedBackend, ParallelConfig, Plan, RequestResult,
-    SoftwareMaskSource, WorkerPool,
+    BayesConfig, Engine, FloatBackend, ParallelConfig, Plan, RequestResult, SoftwareMaskSource,
+    WorkerPool,
 };
 use bnn_nn::models;
 use bnn_tensor::{Shape4, Tensor};
@@ -80,7 +80,7 @@ proptest! {
         let engine = Engine::new(&pool, parallel);
         let plan = Plan::batched(&xs, 1, &mut src);
         let (got, cost) = RequestResult::stacked(&if fused {
-            engine.run(&mut FusedBackend::new(&net), plan, cfg)
+            engine.run(&mut FloatBackend::fused(&net), plan, cfg)
         } else {
             engine.run(&mut FloatBackend::new(&net), plan, cfg)
         });
@@ -111,7 +111,7 @@ proptest! {
         let x = input(2, 16, seed);
         let cfg = BayesConfig::new(3, s);
 
-        let mut serial = FusedBackend::new(&net);
+        let mut serial = FloatBackend::fused(&net);
         let want = RequestResult::single(Engine::serial().run(
             &mut serial,
             Plan::one(&x, &mut SoftwareMaskSource::new(seed)),
@@ -120,7 +120,7 @@ proptest! {
         .probs;
 
         let pool = WorkerPool::new(workers);
-        let mut chunked = FusedBackend::new(&net);
+        let mut chunked = FloatBackend::fused(&net);
         let got = RequestResult::single(
             Engine::new(&pool, ParallelConfig::with_threads(threads).with_chunk(chunk)).run(
                 &mut chunked,

@@ -14,8 +14,8 @@
 //!   pool's workers keep serving afterwards.
 
 use bnn_mcd::{
-    BayesBackend, BayesConfig, CostReport, Engine, FloatBackend, MaskSource, ParallelConfig, Plan,
-    RequestResult, SoftwareMaskSource, WorkerPool,
+    BayesBackend, BayesConfig, CostReport, Engine, FloatBackend, MaskSource, ModelInfo,
+    ParallelConfig, Plan, RequestResult, SoftwareMaskSource, WorkerPool,
 };
 use bnn_nn::{models, Graph, MaskSet};
 use bnn_tensor::{Shape4, Tensor};
@@ -241,27 +241,20 @@ struct PanickyBackend;
 impl BayesBackend for PanickyBackend {
     type Scratch = ();
 
-    fn name(&self) -> &'static str {
-        "panicky"
-    }
-
-    fn n_sites(&self) -> usize {
-        1
-    }
-
-    fn site_channels(&self, _input: Shape4) -> Vec<usize> {
-        vec![4]
-    }
-
-    fn output_classes(&self, _input: Shape4) -> usize {
-        2
+    fn info(&self, _input: Shape4) -> ModelInfo {
+        ModelInfo {
+            name: "panicky",
+            n_sites: 1,
+            site_channels: vec![4],
+            output_classes: 2,
+        }
     }
 
     fn prepare(&mut self, _x: &Tensor, _active: &[bool]) {}
 
     fn make_scratch(&self) {}
 
-    fn forward(&self, _masks: &MaskSet, _scratch: &mut ()) -> Tensor {
+    fn forward_batch(&self, _mask_sets: &[MaskSet], _scratch: &mut ()) -> Vec<Tensor> {
         panic!("injected backend panic");
     }
 }

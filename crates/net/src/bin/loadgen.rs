@@ -7,15 +7,16 @@
 //! [`bnn_net::loadgen::plan`]: per-slot request classes
 //! (priority/tenant/deadline mixes), per-slot pinned seeds, and
 //! deterministic inter-arrival gaps (closed-loop think time, fixed
-//! rate, or Poisson). Latencies fold into log2 histograms per class;
-//! the run ends with a `GET /status` poll and an exact cross-check of
+//! rate, or Poisson). Latencies fold into one log2 histogram; the run
+//! ends with a `GET /status` poll and an exact cross-check of
 //! client-side response counts against the server's own counters at
-//! quiesce, emitted as machine-readable `BENCH_net.json`.
+//! quiesce, summarized on stdout. (Measurement lives in `benchmark/`;
+//! this binary is a reconciliation gate.)
 //!
 //! ```text
 //! loadgen [--smoke] [--mode closed|fixed|poisson] [--connections N]
 //!         [--requests N] [--depth N] [--think-us N] [--rate R]
-//!         [--seed N] [--addr HOST:PORT] [--out PATH]
+//!         [--seed N] [--addr HOST:PORT]
 //!         [--metrics-check] [--trace-check]
 //! ```
 //!
@@ -32,9 +33,7 @@
 #![forbid(unsafe_code)]
 
 use bnn_mcd::BayesConfig;
-use bnn_net::loadgen::{
-    plan, ArrivalMode, ClassSpec, JsonArr, JsonObj, LogHistogram, Outcomes, PlanConfig, Slot,
-};
+use bnn_net::loadgen::{plan, ArrivalMode, ClassSpec, LogHistogram, Outcomes, PlanConfig, Slot};
 use bnn_net::{
     http_get, http_get_status_with, NetConfig, PipelinedClient, Request, Response, TenantPolicy,
     TenantTable, Timeouts,
@@ -67,7 +66,6 @@ OPTIONS:
     --addr HOST:PORT   drive an external server (skips the /status
                        counter cross-check; default self-hosts a fused
                        LeNet-5 NetServer on an ephemeral port)
-    --out PATH         report path [default: <workspace>/BENCH_net.json]
     --metrics-check    at quiesce, fetch GET /metrics and require the
                        served-latency histogram count to equal the
                        client-side served count (self-hosted runs only)
@@ -108,7 +106,6 @@ struct Options {
     rate: f64,
     seed: u64,
     addr: Option<String>,
-    out: Option<String>,
     metrics_check: bool,
     trace_check: bool,
 }
@@ -124,7 +121,6 @@ impl Default for Options {
             rate: 200.0,
             seed: 45223,
             addr: None,
-            out: None,
             metrics_check: false,
             trace_check: false,
         }
@@ -171,7 +167,6 @@ impl Options {
                 }
                 "--seed" => opts.seed = parse_num(value("--seed")?)?,
                 "--addr" => opts.addr = Some(value("--addr")?.clone()),
-                "--out" => opts.out = Some(value("--out")?.clone()),
                 "--metrics-check" => opts.metrics_check = true,
                 "--trace-check" => opts.trace_check = true,
                 other => return Err(format!("unknown flag `{other}`")),
@@ -259,30 +254,25 @@ fn default_classes() -> Vec<ClassSpec> {
 /// Everything one connection driver reports back.
 struct ConnReport {
     outcomes: Outcomes,
-    class_hist: Vec<LogHistogram>,
     overall: LogHistogram,
     sent: u64,
 }
 
 impl ConnReport {
-    fn new(classes: usize) -> ConnReport {
+    fn new() -> ConnReport {
         ConnReport {
             outcomes: Outcomes::default(),
-            class_hist: vec![LogHistogram::new(); classes],
             overall: LogHistogram::new(),
             sent: 0,
         }
     }
 
-    fn record(&mut self, meta: &[(usize, Instant)], corr: u64, response: &Response) {
+    fn record(&mut self, sent_at: &[Instant], corr: u64, response: &Response) {
         match response {
             Response::Reply(_) => {
                 self.outcomes.record_served();
-                if let Some(&(class, t0)) = meta.get(corr as usize) {
+                if let Some(t0) = sent_at.get(corr as usize) {
                     let us = t0.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                    if let Some(hist) = self.class_hist.get_mut(class) {
-                        hist.record(us);
-                    }
                     self.overall.record(us);
                 }
             }
@@ -303,7 +293,7 @@ fn drive_connection(
     mode: ArrivalMode,
     depth: usize,
 ) -> ConnReport {
-    let mut report = ConnReport::new(classes.len());
+    let mut report = ConnReport::new();
     let mut client = match PipelinedClient::connect_with(addr, depth, Timeouts::default()) {
         Ok(client) => client,
         Err(_) => {
@@ -311,9 +301,9 @@ fn drive_connection(
             return report;
         }
     };
-    // meta[corr] = (class, send instant): submit() hands out corr ids
-    // counting up from 0, so the n-th submission is meta[n].
-    let mut meta: Vec<(usize, Instant)> = Vec::with_capacity(slots.len());
+    // sent_at[corr] = send instant: submit() hands out corr ids
+    // counting up from 0, so the n-th submission is sent_at[n].
+    let mut sent_at: Vec<Instant> = Vec::with_capacity(slots.len());
     let mut target = now();
     for slot in slots {
         let spec = match classes.get(slot.class) {
@@ -326,9 +316,9 @@ fn drive_connection(
                 // send — offered load adapts to the service rate.
                 if client.in_flight() >= depth.max(1) {
                     match client.recv() {
-                        Ok((corr, response)) => report.record(&meta, corr, &response),
+                        Ok((corr, response)) => report.record(&sent_at, corr, &response),
                         Err(_) => {
-                            return abort_transport(report, slots, &meta, client);
+                            return abort_transport(report, slots, &sent_at, client);
                         }
                     }
                 }
@@ -353,17 +343,17 @@ fn drive_connection(
         if let Some(us) = spec.deadline_us {
             request = request.deadline_us(us);
         }
-        let sent_at = now();
+        let t_send = now();
         match client.submit(&request) {
             Ok(submitted) => {
-                meta.push((slot.class, sent_at));
+                sent_at.push(t_send);
                 report.sent += 1;
                 if let Some((corr, response)) = submitted.drained {
-                    report.record(&meta, corr, &response);
+                    report.record(&sent_at, corr, &response);
                 }
             }
             Err(_) => {
-                return abort_transport(report, slots, &meta, client);
+                return abort_transport(report, slots, &sent_at, client);
             }
         }
     }
@@ -371,11 +361,11 @@ fn drive_connection(
     match client.drain() {
         Ok(responses) => {
             for (corr, response) in responses {
-                report.record(&meta, corr, &response);
+                report.record(&sent_at, corr, &response);
             }
             report
         }
-        Err(_) => abort_transport(report, slots, &meta, client),
+        Err(_) => abort_transport(report, slots, &sent_at, client),
     }
 }
 
@@ -383,11 +373,11 @@ fn drive_connection(
 fn abort_transport(
     mut report: ConnReport,
     slots: &[Slot],
-    meta: &[(usize, Instant)],
+    sent_at: &[Instant],
     client: PipelinedClient,
 ) -> ConnReport {
     let unsent = slots.len() as u64 - report.sent;
-    let unanswered = meta.len() as u64 - (report.outcomes.total() - report.outcomes.transport);
+    let unanswered = sent_at.len() as u64 - (report.outcomes.total() - report.outcomes.transport);
     report.outcomes.transport += unsent + unanswered;
     drop(client);
     report
@@ -508,24 +498,7 @@ fn validate_trace(json: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn latency_row(name: &str, hist: &LogHistogram) -> String {
-    let mut row = JsonObj::new();
-    row.field_str("class", name)
-        .field_u64("latency_samples", hist.total())
-        .field_opt_u64("p50_us", hist.percentile_per_mille(500))
-        .field_opt_u64("p99_us", hist.percentile_per_mille(990))
-        .field_opt_u64("p999_us", hist.percentile_per_mille(999))
-        .field_opt_u64("min_us", hist.min_us())
-        .field_opt_u64("max_us", hist.max_us());
-    match hist.mean_us() {
-        Some(mean) => row.field_f64("mean_us", mean),
-        None => row.field_opt_u64("mean_us", None),
-    };
-    row.finish()
-}
-
 struct RunOutcome {
-    report_path: String,
     checked: bool,
     matched: bool,
     transport: u64,
@@ -612,7 +585,7 @@ fn run(opts: &Options) -> Result<RunOutcome, String> {
                 Err(_) => {
                     // A panicked driver answered nothing: account its
                     // whole schedule as transport loss.
-                    let mut report = ConnReport::new(classes.len());
+                    let mut report = ConnReport::new();
                     report.outcomes.transport += opts.requests as u64;
                     report
                 }
@@ -623,25 +596,20 @@ fn run(opts: &Options) -> Result<RunOutcome, String> {
 
     let mut outcomes = Outcomes::default();
     let mut overall = LogHistogram::new();
-    let mut class_hist = vec![LogHistogram::new(); classes.len()];
     for report in &reports {
         outcomes.merge(&report.outcomes);
         overall.merge(&report.overall);
-        for (folded, conn) in class_hist.iter_mut().zip(&report.class_hist) {
-            folded.merge(conn);
-        }
     }
 
     // Quiesce cross-check: every driver has drained and disconnected,
     // so the server's counters are final before we poll them.
-    let (checked, matched, status) = match &hosted {
+    let (checked, matched) = match &hosted {
         Some(_) => {
             let json = http_get_status_with(addr, Timeouts::default())
                 .map_err(|e| format!("GET /status failed: {e}"))?;
-            let status = parse_status(&json)?;
-            (true, counters_match(&outcomes, &status), Some(status))
+            (true, counters_match(&outcomes, &parse_status(&json)?))
         }
-        None => (false, false, None),
+        None => (false, false),
     };
     // Observability cross-checks, still at quiesce: the histogram
     // behind /metrics must account for exactly the replies the
@@ -671,74 +639,7 @@ fn run(opts: &Options) -> Result<RunOutcome, String> {
         net.shutdown();
     }
 
-    let planned: u64 = schedules.iter().map(|s| s.len() as u64).sum();
-    let elapsed_s = elapsed.as_secs_f64().max(1e-9);
-    let offered_rps = match cfg.mode {
-        ArrivalMode::Closed { .. } => None,
-        ArrivalMode::Fixed { .. } | ArrivalMode::Poisson { .. } => {
-            Some(opts.rate * opts.connections as f64)
-        }
-    };
-
-    let mut rows = JsonArr::new();
-    rows.push_raw(&latency_row("all", &overall));
-    for (spec, hist) in classes.iter().zip(&class_hist) {
-        rows.push_raw(&latency_row(&spec.name, hist));
-    }
-    let mut counters = JsonObj::new();
-    counters
-        .field_u64("served", outcomes.served)
-        .field_u64("rejected", outcomes.rejected)
-        .field_u64("expired", outcomes.expired)
-        .field_u64("failed", outcomes.failed)
-        .field_u64("shutdown", outcomes.shutdown)
-        .field_u64("rate_limited", outcomes.rate_limited)
-        .field_u64("malformed", outcomes.malformed)
-        .field_u64("transport", outcomes.transport);
-    let mut doc = JsonObj::new();
-    doc.field_str("bench", "net_loadgen")
-        .field_str("mode", opts.mode_name())
-        .field_u64("seed", opts.seed)
-        .field_u64("connections", opts.connections as u64)
-        .field_u64("requests_per_connection", opts.requests as u64)
-        .field_u64("depth", opts.depth as u64)
-        .field_u64("planned", planned)
-        .field_u64("completed", outcomes.total())
-        .field_f64("elapsed_s", elapsed_s);
-    match offered_rps {
-        Some(rps) => doc.field_f64("offered_rps", rps),
-        None => doc.field_opt_u64("offered_rps", None),
-    };
-    doc.field_f64("achieved_rps", outcomes.total() as f64 / elapsed_s)
-        .field_f64("served_rps", outcomes.served as f64 / elapsed_s)
-        .field_raw("latency", &rows.finish())
-        .field_raw("counters", &counters.finish());
-    if let Some(status) = status {
-        let mut s = JsonObj::new();
-        s.field_u64("served", status.served)
-            .field_u64("shed", status.shed)
-            .field_u64("expired", status.expired)
-            .field_u64("failed", status.failed)
-            .field_u64("rejected", status.rejected)
-            .field_u64("rate_limited", status.rate_limited)
-            .field_u64("malformed", status.malformed)
-            .field_u64("queued", status.queued)
-            .field_u64("in_flight", status.in_flight);
-        doc.field_raw("status", &s.finish());
-    } else {
-        doc.field_raw("status", "null");
-    }
-    doc.field_bool("counters_checked", checked)
-        .field_bool("counters_match", matched);
-    let rendered = format!("{}\n", doc.finish());
-
-    let report_path = match &opts.out {
-        Some(path) => path.clone(),
-        None => concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json").to_string(),
-    };
-    std::fs::write(&report_path, &rendered)
-        .map_err(|e| format!("write {report_path} failed: {e}"))?;
-
+    let elapsed_s = elapsed.as_secs_f64();
     println!(
         "loadgen: {} mode, {} conns x {} reqs (depth {}), {:.2}s: \
          {} served / {} rejected / {} expired / {} rate-limited / {} transport",
@@ -763,7 +664,7 @@ fn run(opts: &Options) -> Result<RunOutcome, String> {
         );
     }
     println!(
-        "loadgen: counters {} ({report_path})",
+        "loadgen: counters {}",
         if !checked {
             "unchecked (external server)"
         } else if matched {
@@ -780,7 +681,6 @@ fn run(opts: &Options) -> Result<RunOutcome, String> {
         }
     }
     Ok(RunOutcome {
-        report_path,
         checked,
         matched,
         transport: outcomes.transport,
@@ -810,8 +710,8 @@ fn main() -> ExitCode {
             if outcome.transport > 0 || (outcome.checked && !outcome.matched) || check_failed {
                 eprintln!(
                     "loadgen: FAILED ({} transport errors, counters_match={}, \
-                     observability checks ok={}); see {}",
-                    outcome.transport, outcome.matched, !check_failed, outcome.report_path
+                     observability checks ok={})",
+                    outcome.transport, outcome.matched, !check_failed
                 );
                 ExitCode::FAILURE
             } else {

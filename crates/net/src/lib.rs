@@ -39,10 +39,10 @@
 //! used to jump the queue.
 //!
 //! For measuring the whole stack under sustained traffic, [`loadgen`]
-//! holds the deterministic planning and reporting layer behind the
+//! holds the deterministic planning and tallying layer behind the
 //! `loadgen` binary: seeded closed- and open-loop arrival schedules,
 //! per-class request mixes, log2-bucketed latency histograms and the
-//! `BENCH_net.json` emission format.
+//! outcome counters it reconciles against `/status`.
 //!
 //! ```no_run
 //! use bnn_net::{NetClient, NetConfig, NetServer, Request};

@@ -1,10 +1,9 @@
-//! Deterministic planning and reporting behind the `loadgen` binary.
+//! Deterministic planning and tallying behind the `loadgen` binary.
 //!
 //! Everything in this module is pure: no clocks, no threads, no I/O,
 //! no ambient state — a schedule is a function of its seed, which is
 //! what lets two runs of the load generator submit byte-identical
-//! request streams and makes `BENCH_net.json` diffs meaningful across
-//! trajectory snapshots. The binary in `src/bin/loadgen.rs` owns the
+//! request streams. The binary in `src/bin/loadgen.rs` owns the
 //! sockets and the wall clock; this module owns the arithmetic:
 //!
 //! * [`plan`] expands a [`PlanConfig`] into per-connection
@@ -17,10 +16,7 @@
 //!   interpolation inside the hit bucket;
 //! * [`Outcomes`] tallies responses by kind, mirroring the server's
 //!   `/status` counters so the binary can cross-check them exactly at
-//!   quiesce;
-//! * [`JsonObj`] / [`JsonArr`] render the `BENCH_net.json` document
-//!   (shared with the `bnn-bench` snapshot writer, so both benches
-//!   emit the same dialect).
+//!   quiesce.
 //!
 //! Seed discipline: connection `c` derives its stream seed as
 //! `request_seed(base, c)`, and slot `s` on that connection pins the
@@ -65,7 +61,7 @@ pub enum ArrivalMode {
 /// tuple picked per slot with probability `weight / Σ weights`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClassSpec {
-    /// Report key (one percentile row per class in `BENCH_net.json`).
+    /// Human-readable class name.
     pub name: String,
     /// Relative pick weight; non-positive weights never get picked.
     pub weight: f64,
@@ -197,10 +193,10 @@ fn exponential_gap(mean_gap_us: u64, u: f64) -> u64 {
     }
 }
 
-// The histogram and JSON-writer types grew up here and moved down
-// into `bnn-trace` once the tracer (below `bnn-net` in the crate DAG)
-// needed them; re-exported so existing callers keep compiling.
-pub use bnn_trace::{JsonArr, JsonObj, LogHistogram, LOG2_BUCKETS};
+// The histogram grew up here and moved down into `bnn-trace` once the
+// tracer (below `bnn-net` in the crate DAG) needed it; re-exported so
+// existing callers keep compiling.
+pub use bnn_trace::{LogHistogram, LOG2_BUCKETS};
 
 /// Client-side response tally, keyed the same way as the server's
 /// `/status` counters so the two can be cross-checked exactly at

@@ -4,9 +4,9 @@ use crate::graph::{node_out_shape, Graph, Node, NodeId, Op};
 use crate::param::ParamStore;
 use bnn_rng::SoftRng;
 use bnn_tensor::{
-    add_inplace, avg_pool, avg_pool_backward, avg_pool_into, col2im, gemm, gemm_at, gemm_bt,
-    gemm_bt_stacked, gemm_stacked, global_avg_pool, global_avg_pool_into, im2col, im2col_into,
-    im2col_stacked_into, max_pool, max_pool_backward, max_pool_into, relu_inplace, Shape4, Tensor,
+    add_inplace, avg_pool_backward, avg_pool_into, col2im, gemm, gemm_at, gemm_bt, gemm_bt_stacked,
+    gemm_stacked, global_avg_pool_into, im2col, im2col_into, im2col_stacked_into, max_pool,
+    max_pool_backward, max_pool_into, relu_inplace, Shape4, Tensor,
 };
 
 /// A channel-wise dropout mask: `keep[c]` keeps channel `c` (scaled by
@@ -125,11 +125,19 @@ impl MaskSet {
 enum Aux {
     None,
     MaxPool(Vec<u32>),
-    Bn { xhat: Tensor, inv_std: Vec<f32> },
+    Bn {
+        xhat: Tensor,
+        inv_std: Vec<f32>,
+        /// Batch statistics, folded into the running ones after the
+        /// walk.
+        mean: Vec<f32>,
+        var: Vec<f32>,
+    },
 }
 
-/// Cached activations of a training-mode forward pass, consumed by
-/// [`Graph::backward`].
+/// Cached node outputs of a forward pass. Only a
+/// [`Graph::forward_train`] pass also records the tape
+/// [`Graph::backward`] consumes.
 #[derive(Debug, Clone)]
 pub struct Activations {
     outs: Vec<Tensor>,
@@ -148,13 +156,12 @@ impl Activations {
     }
 }
 
-/// Apply one channel mask to a contiguous range of batch items (the
-/// sample-stacked walk masks each sample's item group separately).
-fn apply_mask_items(x: &mut Tensor, mask: &Mask, items: std::ops::Range<usize>, name: &str) {
+/// Apply one channel mask to every batch item in place.
+fn apply_mask(x: &mut Tensor, mask: &Mask, name: &str) {
     let s = x.shape();
     assert_eq!(mask.keep.len(), s.c, "{name}: mask length != channels");
     let plane = s.h * s.w;
-    for n in items {
+    for n in 0..s.n {
         let item = x.item_mut(n);
         for (c, &keep) in mask.keep.iter().enumerate() {
             let sl = &mut item[c * plane..(c + 1) * plane];
@@ -167,11 +174,6 @@ fn apply_mask_items(x: &mut Tensor, mask: &Mask, items: std::ops::Range<usize>, 
             }
         }
     }
-}
-
-fn apply_mask(x: &mut Tensor, mask: &Mask, name: &str) {
-    let n = x.shape().n;
-    apply_mask_items(x, mask, 0..n, name);
 }
 
 /// Copy an item range of `src` into `out` with the channel mask folded
@@ -299,21 +301,6 @@ fn conv_forward_into(
     }
 }
 
-fn conv_forward(
-    x: &Tensor,
-    w: &Tensor,
-    b: &Tensor,
-    out_shape: Shape4,
-    k: usize,
-    stride: usize,
-    pad: usize,
-) -> Tensor {
-    let mut y = Tensor::zeros(out_shape);
-    let mut cols = Vec::new();
-    conv_forward_into(x, w, b, k, stride, pad, &mut y, &mut cols, true);
-    y
-}
-
 /// Fused convolution over a sample-stacked batch: every item's im2col
 /// block lands side by side in one `[C·K·K, N·Ho·Wo]` column matrix
 /// and a single [`gemm_stacked`] call covers all of them, so the
@@ -420,12 +407,6 @@ fn linear_forward_into(x: &Tensor, w: &Tensor, b: &Tensor, y: &mut Tensor) {
     }
 }
 
-fn linear_forward(x: &Tensor, w: &Tensor, b: &Tensor, out_f: usize) -> Tensor {
-    let mut y = Tensor::zeros(Shape4::vec(x.shape().n, out_f));
-    linear_forward_into(x, w, b, &mut y);
-    y
-}
-
 /// Per-channel batch statistics over (N, H, W).
 fn bn_batch_stats(x: &Tensor) -> (Vec<f32>, Vec<f32>) {
     let s = x.shape();
@@ -462,19 +443,22 @@ fn bn_batch_stats(x: &Tensor) -> (Vec<f32>, Vec<f32>) {
     )
 }
 
-fn bn_apply(
+/// Training-mode batch norm (batch statistics) into a preallocated
+/// output; returns the `(xhat, inv_std)` cache [`Graph::backward`]
+/// reads.
+fn bn_apply_train_into(
     x: &Tensor,
     mean: &[f32],
     var: &[f32],
     gamma: &[f32],
     beta: &[f32],
     eps: f32,
-) -> (Tensor, Tensor, Vec<f32>) {
+    y: &mut Tensor,
+) -> (Tensor, Vec<f32>) {
     let s = x.shape();
     let plane = s.h * s.w;
     let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + eps).sqrt()).collect();
     let mut xhat = Tensor::zeros(s);
-    let mut y = Tensor::zeros(s);
     for n in 0..s.n {
         let xi = x.item(n);
         let range = n * s.item_len()..(n + 1) * s.item_len();
@@ -489,7 +473,7 @@ fn bn_apply(
             }
         }
     }
-    (y, xhat, inv_std)
+    (xhat, inv_std)
 }
 
 /// Evaluation-mode batch norm (running statistics) into a
@@ -522,82 +506,35 @@ fn bn_apply_eval_into(
     }
 }
 
-/// Reusable per-thread execution workspace: one pre-sized output
-/// tensor per graph node plus a shared im2col column buffer.
+/// Reusable workspace of the suffix walk ([`Graph::forward_from_with`],
+/// [`Graph::forward_from_stacked`]): one output tensor per node after
+/// the suffix boundary, holding `samples · n` stacked batch items,
+/// plus the im2col and fused-GEMM staging buffers and the replicated
+/// prefix outputs a stacked suffix reads. Buffers are sized by the
+/// first walk and reused afterwards, so suffix re-runs allocate
+/// nothing.
 ///
-/// Built once per (graph, input shape) via [`Graph::scratch`] and
-/// reused across forward passes, the scratch removes every per-node
-/// `Tensor::zeros` allocation from the evaluation hot path — the MCD
-/// predictor's per-sample Bayesian-suffix re-runs in particular.
-///
-/// A scratch is tied to the input shape it was built for; running a
-/// differently-shaped input through it panics.
+/// Built by [`Graph::scratch_after`] (`samples = 1`) or
+/// [`Graph::stacked_scratch_after`] for one `(input shape, suffix
+/// boundary, sample count)`; running anything else through it panics.
 #[derive(Debug, Clone)]
 pub struct ExecScratch {
+    /// Node outputs; slots `<= from` stay empty (those nodes are read
+    /// from the prefix, never executed).
     outs: Vec<Tensor>,
-    cols: Vec<f32>,
-    split_conv: bool,
-}
-
-/// Workspace for the sample-stacked suffix walk
-/// ([`Graph::forward_from_stacked`]): per-node output tensors sized
-/// for `samples · n` stacked batch items, the stacked im2col column
-/// buffer, the fused-GEMM staging buffer, and the replicated prefix
-/// outputs the suffix reads.
-///
-/// Built by [`Graph::stacked_scratch_after`] for one `(graph, input
-/// shape, suffix boundary, sample count)` tuple and reused across
-/// fused walks; running a different configuration through it panics.
-#[derive(Debug, Clone)]
-pub struct StackedScratch {
-    /// Stacked node outputs (placeholders for prefix nodes, which are
-    /// read from the replicas below, never executed).
-    outs: Vec<Tensor>,
-    /// Stacked im2col workspace `[C·K·K, samples·n·Ho·Wo]`.
+    /// im2col workspace, `[C·K·K, samples·n·Ho·Wo]` when stacked.
     cols: Vec<f32>,
     /// Fused conv GEMM staging buffer `[F, samples·n·Ho·Wo]`.
     stage: Vec<f32>,
-    /// Prefix outputs replicated `samples` times, filled lazily for
-    /// exactly the prefix nodes the suffix reads.
-    rep: Vec<Option<Tensor>>,
-    /// Sample count this scratch stacks.
-    samples: usize,
-    /// Suffix boundary the scratch was built for.
+    /// The prefix nodes the suffix reads across the boundary (the
+    /// Bayesian-site input, plus any residual shortcut), each with its
+    /// output replicated `samples` times. Refreshed by every stacked
+    /// walk, so a scratch may move between prefixes.
+    crossing: Vec<(NodeId, Tensor)>,
+    input: Shape4,
     from: NodeId,
-}
-
-impl StackedScratch {
-    /// Sample count this scratch stacks.
-    pub fn samples(&self) -> usize {
-        self.samples
-    }
-
-    /// Suffix boundary this scratch was built for.
-    pub fn suffix_from(&self) -> NodeId {
-        self.from
-    }
-
-    /// Drop the cached prefix replicas. A scratch pooled across
-    /// predictive calls must be reset this way whenever the prepared
-    /// prefix changes (new input), or the suffix would read stale
-    /// activations; the buffers themselves stay allocated.
-    pub fn clear_replicas(&mut self) {
-        for slot in &mut self.rep {
-            *slot = None;
-        }
-    }
-}
-
-/// Replicate a whole batch `samples` times along the item axis
-/// (sample-major: sample `s` owns items `s·n .. (s+1)·n`).
-fn stack_items(t: &Tensor, samples: usize) -> Tensor {
-    let s = t.shape();
-    let mut out = Tensor::zeros(s.with_n(samples * s.n));
-    let block = s.len();
-    for si in 0..samples {
-        out.as_mut_slice()[si * block..(si + 1) * block].copy_from_slice(t.as_slice());
-    }
-    out
+    samples: usize,
+    split_conv: bool,
 }
 
 impl ExecScratch {
@@ -611,30 +548,67 @@ impl ExecScratch {
         self.split_conv = false;
         self
     }
+
+    /// Whether this scratch was built for `(input shape, suffix
+    /// boundary, sample count)` — what a pool of retired scratches is
+    /// searched by.
+    pub fn built_for(&self, input: Shape4, from: NodeId, samples: usize) -> bool {
+        (self.input, self.from, self.samples) == (input, from, samples)
+    }
 }
 
-/// Execute one node in evaluation mode into a preallocated output.
+/// An unsized output slot; the walk sizes it on first use.
+fn empty_slot() -> Tensor {
+    Tensor::zeros(Shape4::vec(0, 0))
+}
+
+/// Replicate a whole batch `samples` times along the item axis into
+/// `out` (sample-major: sample `s` owns items `s·n .. (s+1)·n`).
+fn stack_items_into(t: &Tensor, samples: usize, out: &mut Tensor) {
+    let shape = t.shape().with_n(samples * t.shape().n);
+    if out.shape() != shape {
+        *out = Tensor::zeros(shape);
+    }
+    if !t.is_empty() {
+        for block in out.as_mut_slice().chunks_exact_mut(t.len()) {
+            block.copy_from_slice(t.as_slice());
+        }
+    }
+}
+
+/// Execute one node into a preallocated output — the one forward-side
+/// op match, shared by every pass.
 ///
-/// `get` resolves predecessor outputs (from a prefix cache or the
-/// scratch itself); `input` backs the `Op::Input` node; `cols` is the
-/// shared im2col workspace; `split_conv` forwards to
-/// [`conv_forward_into`]'s batch split.
+/// `get` resolves predecessor outputs; `input` backs the `Op::Input`
+/// node; `cols`/`stage` are the shared conv workspaces and
+/// `split_conv` forwards to [`conv_forward_into`]'s batch split.
+///
+/// `masks` holds one set per Monte Carlo sample stacked along the
+/// batch axis. One set runs the per-item kernels; more run the stacked
+/// kernels (one weight stream per layer for all samples, each mask
+/// applied to its sample's item group), which are bit-identical to
+/// the per-item kernels on every sample by the [`gemm_stacked`]
+/// contract. Every other op is item-wise and does not care.
+///
+/// A `tape` slot makes this a training pass: BN normalizes by batch
+/// statistics and max-pool keeps its argmax, both recorded for
+/// [`Graph::backward`].
 #[allow(clippy::too_many_arguments)]
 fn eval_node_into<'a>(
     node: &Node,
     params: &ParamStore,
     get: impl Fn(NodeId) -> &'a Tensor,
     input: &Tensor,
-    masks: &MaskSet,
+    masks: &[MaskSet],
     out: &mut Tensor,
     cols: &mut Vec<f32>,
+    stage: &mut Vec<f32>,
     split_conv: bool,
+    tape: Option<&mut Aux>,
 ) {
+    let samples = masks.len();
     match &node.op {
-        Op::Input => {
-            assert_eq!(out.shape(), input.shape(), "input shape mismatch");
-            out.as_mut_slice().copy_from_slice(input.as_slice());
-        }
+        Op::Input => out.as_mut_slice().copy_from_slice(input.as_slice()),
         Op::Conv {
             w,
             b,
@@ -643,20 +617,20 @@ fn eval_node_into<'a>(
             pad,
             ..
         } => {
-            conv_forward_into(
-                get(node.inputs[0]),
-                params.get(*w),
-                params.get(*b),
-                *k,
-                *stride,
-                *pad,
-                out,
-                cols,
-                split_conv,
-            );
+            let (x, w, b) = (get(node.inputs[0]), params.get(*w), params.get(*b));
+            if samples > 1 {
+                conv_forward_stacked_into(x, w, b, *k, *stride, *pad, out, cols, stage);
+            } else {
+                conv_forward_into(x, w, b, *k, *stride, *pad, out, cols, split_conv);
+            }
         }
         Op::Linear { w, b, .. } => {
-            linear_forward_into(get(node.inputs[0]), params.get(*w), params.get(*b), out);
+            let (x, w, b) = (get(node.inputs[0]), params.get(*w), params.get(*b));
+            if samples > 1 {
+                linear_forward_stacked_into(x, w, b, samples, out);
+            } else {
+                linear_forward_into(x, w, b, out);
+            }
         }
         Op::BatchNorm {
             gamma,
@@ -666,22 +640,39 @@ fn eval_node_into<'a>(
             eps,
             ..
         } => {
-            bn_apply_eval_into(
-                get(node.inputs[0]),
-                params.get(*mean).as_slice(),
-                params.get(*var).as_slice(),
-                params.get(*gamma).as_slice(),
-                params.get(*beta).as_slice(),
-                *eps,
-                out,
-            );
+            let x = get(node.inputs[0]);
+            let (gamma, beta) = (params.get(*gamma).as_slice(), params.get(*beta).as_slice());
+            match tape {
+                Some(aux) => {
+                    let (mean, var) = bn_batch_stats(x);
+                    let (xhat, inv_std) =
+                        bn_apply_train_into(x, &mean, &var, gamma, beta, *eps, out);
+                    *aux = Aux::Bn {
+                        xhat,
+                        inv_std,
+                        mean,
+                        var,
+                    };
+                }
+                None => {
+                    let (mean, var) = (params.get(*mean).as_slice(), params.get(*var).as_slice());
+                    bn_apply_eval_into(x, mean, var, gamma, beta, *eps, out);
+                }
+            }
         }
         Op::Relu => {
             out.as_mut_slice()
                 .copy_from_slice(get(node.inputs[0]).as_slice());
             relu_inplace(out.as_mut_slice());
         }
-        Op::MaxPool { k, stride } => max_pool_into(get(node.inputs[0]), *k, *stride, out),
+        Op::MaxPool { k, stride } => match tape {
+            Some(aux) => {
+                let (y, arg) = max_pool(get(node.inputs[0]), *k, *stride);
+                *out = y;
+                *aux = Aux::MaxPool(arg);
+            }
+            None => max_pool_into(get(node.inputs[0]), *k, *stride, out),
+        },
         Op::AvgPool { k, stride } => avg_pool_into(get(node.inputs[0]), *k, *stride, out),
         Op::GlobalAvgPool => global_avg_pool_into(get(node.inputs[0]), out),
         Op::Flatten => {
@@ -695,78 +686,96 @@ fn eval_node_into<'a>(
             add_inplace(out.as_mut_slice(), get(node.inputs[1]).as_slice());
         }
         Op::McdSite { site, .. } => {
-            out.as_mut_slice()
-                .copy_from_slice(get(node.inputs[0]).as_slice());
-            if let Some(mask) = masks.get(site.0) {
-                apply_mask(out, mask, &node.name);
+            let src = get(node.inputs[0]);
+            if let [only] = masks {
+                out.as_mut_slice().copy_from_slice(src.as_slice());
+                if let Some(mask) = only.get(site.0) {
+                    apply_mask(out, mask, &node.name);
+                }
+            } else {
+                let base = src.shape().n / samples;
+                let item_len = src.shape().item_len();
+                for (si, ms) in masks.iter().enumerate() {
+                    let items = si * base..(si + 1) * base;
+                    match ms.get(site.0) {
+                        // Mask folded into the copy: one pass per
+                        // sample group, same values as copy-then-apply.
+                        Some(mask) => masked_copy_items(src, out, mask, items, &node.name),
+                        None => {
+                            let span = items.start * item_len..items.end * item_len;
+                            out.as_mut_slice()[span.clone()].copy_from_slice(&src.as_slice()[span]);
+                        }
+                    }
+                }
             }
         }
     }
 }
 
-/// Evaluation-mode driver: BN reads running statistics, nothing
-/// mutates. Allocates each node output once (the caller keeps them),
-/// but shares one im2col workspace across the pass.
-fn run_forward_eval(
-    nodes: &[Node],
-    params: &ParamStore,
-    input: &Tensor,
-    masks: &MaskSet,
-) -> Activations {
-    let mut outs: Vec<Tensor> = Vec::with_capacity(nodes.len());
-    let mut aux: Vec<Aux> = Vec::with_capacity(nodes.len());
-    let mut cols: Vec<f32> = Vec::new();
-    for node in nodes {
-        // Max-pool keeps its argmax cache so eval-mode activations of
-        // a BN-free graph remain usable by `Graph::backward`, exactly
-        // as before the scratch executor.
-        if let Op::MaxPool { k, stride } = &node.op {
-            let (y, arg) = max_pool(&outs[node.inputs[0]], *k, *stride);
-            outs.push(y);
-            aux.push(Aux::MaxPool(arg));
-            continue;
-        }
-        let shape = node_out_shape(node, input.shape(), |id| outs[id].shape());
-        let mut y = Tensor::zeros(shape);
-        eval_node_into(
-            node,
-            params,
-            |id| &outs[id],
-            input,
-            masks,
-            &mut y,
-            &mut cols,
-            true,
-        );
-        outs.push(y);
-        aux.push(Aux::None);
-    }
-    Activations { outs, aux }
-}
-
 impl Graph {
+    /// *The* forward walk: execute nodes `range` in order, each through
+    /// [`eval_node_into`] into its slot of `outs` (sized here on first
+    /// use or shape change), reading predecessors below the range from
+    /// `below`. Every public pass is a projection of this.
+    #[allow(clippy::too_many_arguments)]
+    fn walk<'a>(
+        &self,
+        range: std::ops::RangeInclusive<NodeId>,
+        input: &Tensor,
+        below: impl Fn(NodeId) -> &'a Tensor,
+        outs: &mut [Tensor],
+        masks: &[MaskSet],
+        cols: &mut Vec<f32>,
+        stage: &mut Vec<f32>,
+        split_conv: bool,
+        mut tape: Option<&mut [Aux]>,
+    ) {
+        let lo = *range.start();
+        for id in range {
+            let node = &self.nodes[id];
+            let (done, rest) = outs.split_at_mut(id);
+            let get = |j: NodeId| if j < lo { below(j) } else { &done[j] };
+            let shape = node_out_shape(node, input.shape(), |j| get(j).shape());
+            if rest[0].shape() != shape {
+                rest[0] = Tensor::zeros(shape);
+            }
+            let aux = tape.as_deref_mut().map(|tape| &mut tape[id]);
+            eval_node_into(
+                node,
+                &self.params,
+                get,
+                input,
+                masks,
+                &mut rest[0],
+                cols,
+                stage,
+                split_conv,
+                aux,
+            );
+        }
+    }
+
     /// Evaluation-mode forward pass (BN uses running statistics).
     ///
     /// Supplying masks makes the active MCD sites stochastic — this is
     /// exactly "MCD at test time". With [`MaskSet::none`] the network
     /// is the deterministic standard NN.
     pub fn forward(&self, input: &Tensor, masks: &MaskSet) -> Tensor {
-        let acts = run_forward_eval(&self.nodes, &self.params, input, masks);
-        acts.outs
-            .into_iter()
-            .nth(self.output)
-            .expect("output node exists")
+        self.forward_prefix_with(input, self.output, masks, None, &mut Vec::new())
+            .outs
+            .swap_remove(self.output)
     }
 
     /// Evaluation-mode forward pass that keeps every node's output.
     ///
-    /// Used by software intermediate-layer caching (run the prefix once,
-    /// re-run only the Bayesian suffix) and by executor cross-checks.
-    /// Hot serving loops that only need the outputs up to a suffix
+    /// Used by quantizer calibration and by executor cross-checks. Hot
+    /// serving loops that only need the outputs up to a suffix
     /// boundary should prefer [`Graph::forward_prefix_with`], which
     /// stops at the boundary and reuses a previous cache's buffers.
+    /// Like that cache, the result keeps no backward auxiliaries:
+    /// [`Graph::backward`] on it panics ("not a training pass").
     pub fn forward_full(&self, input: &Tensor, masks: &MaskSet) -> Activations {
-        run_forward_eval(&self.nodes, &self.params, input, masks)
+        self.forward_prefix_with(input, self.nodes.len() - 1, masks, None, &mut Vec::new())
     }
 
     /// Evaluation-mode pass over the deterministic prefix only: nodes
@@ -782,7 +791,8 @@ impl Graph {
     /// keeping `cols`, the shared im2col workspace, across calls)
     /// re-executes into the existing buffers: once warm, the prefix
     /// pass allocates nothing. The returned cache keeps no backward
-    /// auxiliaries and must not feed [`Graph::backward`].
+    /// auxiliaries: [`Graph::backward`] on it panics ("not a training
+    /// pass") at the first BN or max-pool node.
     ///
     /// # Panics
     ///
@@ -797,161 +807,87 @@ impl Graph {
         cols: &mut Vec<f32>,
     ) -> Activations {
         assert!(upto < self.nodes.len(), "prefix node {upto} does not exist");
-        let mut acts = match reuse {
-            Some(acts) => {
-                assert_eq!(
-                    acts.outs.len(),
-                    self.nodes.len(),
-                    "prefix cache built for a different graph"
-                );
-                acts
-            }
-            None => Activations {
-                outs: (0..self.nodes.len())
-                    .map(|_| Tensor::zeros(Shape4::vec(0, 0)))
-                    .collect(),
-                aux: vec![Aux::None; self.nodes.len()],
-            },
-        };
-        for (id, node) in self.nodes.iter().take(upto + 1).enumerate() {
-            let (done, rest) = acts.outs.split_at_mut(id);
-            let shape = node_out_shape(node, input.shape(), |j| done[j].shape());
-            if rest[0].shape() != shape {
-                rest[0] = Tensor::zeros(shape);
-            }
-            eval_node_into(
-                node,
-                &self.params,
-                |j| &done[j],
-                input,
-                masks,
-                &mut rest[0],
-                cols,
-                true,
-            );
-            // Reused caches may carry a MaxPool argmax from a
-            // forward_full pass; it no longer matches the fresh
-            // outputs, so drop it.
-            acts.aux[id] = Aux::None;
-        }
+        let mut acts = reuse.unwrap_or_else(|| self.empty_activations());
+        assert_eq!(
+            acts.outs.len(),
+            self.nodes.len(),
+            "prefix cache built for a different graph"
+        );
+        // A recycled training tape must not outlive its outputs.
+        acts.aux.fill(Aux::None);
+        self.walk(
+            0..=upto,
+            input,
+            |_| unreachable!("nothing precedes node 0"),
+            &mut acts.outs,
+            std::slice::from_ref(masks),
+            cols,
+            &mut Vec::new(),
+            true,
+            None,
+        );
         acts
     }
 
-    /// Build an execution scratch for this graph at a given input
-    /// shape: one pre-sized output tensor per node plus an im2col
-    /// workspace sized for the largest convolution.
-    pub fn scratch(&self, input: Shape4) -> ExecScratch {
-        self.scratch_impl(input, 0)
-    }
-
-    /// Scratch for suffix re-runs resuming after node `from` (the
-    /// [`Graph::forward_from_with`] hot path): only nodes `> from` get
-    /// real output buffers — the prefix slots are empty placeholders,
-    /// since those nodes are read from the prefix cache, never
-    /// executed. A suffix scratch must not be passed to
-    /// [`Graph::forward_with`] (its input slot is a placeholder).
-    pub fn scratch_after(&self, input: Shape4, from: NodeId) -> ExecScratch {
-        self.scratch_impl(input, from + 1)
-    }
-
-    fn scratch_impl(&self, input: Shape4, first_live: usize) -> ExecScratch {
-        let shapes = self.infer_shapes(input);
-        let mut cols_len = 0usize;
-        for (id, node) in self.nodes.iter().enumerate().skip(first_live) {
-            if let Op::Conv { in_c, k, .. } = node.op {
-                let so = shapes[id];
-                cols_len = cols_len.max(in_c * k * k * so.h * so.w);
-            }
+    fn empty_activations(&self) -> Activations {
+        Activations {
+            outs: self.nodes.iter().map(|_| empty_slot()).collect(),
+            aux: vec![Aux::None; self.nodes.len()],
         }
-        let outs = shapes
-            .into_iter()
-            .enumerate()
-            .map(|(id, s)| {
-                if id < first_live {
-                    Tensor::zeros(Shape4::vec(0, 0))
-                } else {
-                    Tensor::zeros(s)
-                }
-            })
+    }
+
+    /// Scratch for per-sample suffix re-runs resuming after node
+    /// `from` (the [`Graph::forward_from_with`] hot path).
+    pub fn scratch_after(&self, input: Shape4, from: NodeId) -> ExecScratch {
+        self.stacked_scratch_after(input, from, 1)
+    }
+
+    /// Scratch for [`Graph::forward_from_stacked`] walks of `samples`
+    /// mask sets over the suffix after node `from`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples == 0`.
+    pub fn stacked_scratch_after(
+        &self,
+        input: Shape4,
+        from: NodeId,
+        samples: usize,
+    ) -> ExecScratch {
+        assert!(samples > 0, "at least one stacked sample required");
+        let mut crossing: Vec<NodeId> = self
+            .nodes
+            .iter()
+            .skip(from + 1)
+            .flat_map(|node| node.inputs.iter().copied())
+            .filter(|&j| j <= from)
             .collect();
+        crossing.sort_unstable();
+        crossing.dedup();
         ExecScratch {
-            outs,
-            cols: vec![0.0; cols_len],
+            outs: self.nodes.iter().map(|_| empty_slot()).collect(),
+            cols: Vec::new(),
+            stage: Vec::new(),
+            crossing: crossing.into_iter().map(|j| (j, empty_slot())).collect(),
+            input,
+            from,
+            samples,
             split_conv: true,
         }
     }
 
-    /// Evaluation-mode forward pass writing every node output into a
-    /// reusable [`ExecScratch`] (no per-node allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scratch` was built for a different graph or input
-    /// shape.
-    pub fn forward_with(
-        &self,
-        input: &Tensor,
-        masks: &MaskSet,
-        scratch: &mut ExecScratch,
-    ) -> Tensor {
-        let ExecScratch {
-            outs,
-            cols,
-            split_conv,
-        } = scratch;
-        assert_eq!(
-            outs.len(),
-            self.nodes.len(),
-            "scratch built for a different graph"
-        );
-        assert_eq!(
-            outs[self.input].shape(),
-            input.shape(),
-            "scratch built for a different input shape"
-        );
-        for (id, node) in self.nodes.iter().enumerate() {
-            let (done, rest) = outs.split_at_mut(id);
-            eval_node_into(
-                node,
-                &self.params,
-                |j| &done[j],
-                input,
-                masks,
-                &mut rest[0],
-                cols,
-                *split_conv,
-            );
-        }
-        outs[self.output].clone()
-    }
-
-    /// Resume an evaluation-mode pass from node `from` (exclusive),
-    /// reusing `prefix` outputs for all nodes `<= from`.
+    /// Resume an evaluation-mode pass from node `from` (exclusive) for
+    /// one Monte Carlo sample, reusing `prefix` outputs for all nodes
+    /// `<= from`: [`Graph::forward_from_stacked`] with one mask set,
+    /// which runs the per-item kernels.
     ///
     /// This is the software analogue of the paper's intermediate-layer
     /// caching: the deterministic prefix is computed once and the
-    /// Bayesian suffix re-runs per Monte Carlo sample. Hot loops
-    /// (the MCD sampler) should prefer [`Graph::forward_from_with`],
-    /// which reuses an [`ExecScratch`] instead of allocating per call.
+    /// Bayesian suffix re-runs per Monte Carlo sample.
     ///
     /// # Panics
     ///
-    /// Panics if `prefix` does not cover node `from`.
-    pub fn forward_from(&self, prefix: &Activations, from: NodeId, masks: &MaskSet) -> Tensor {
-        let mut scratch = self.scratch(prefix.outs[self.input].shape());
-        self.forward_from_with(prefix, from, masks, &mut scratch)
-    }
-
-    /// [`Graph::forward_from`] with caller-provided scratch: the
-    /// per-sample suffix re-run allocates nothing.
-    ///
-    /// Only nodes `> from` are executed; their outputs land in
-    /// `scratch`. Nodes `<= from` read from `prefix`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prefix` does not cover node `from`, or if `scratch`
-    /// was built for a different graph or input shape.
+    /// As [`Graph::forward_from_stacked`].
     pub fn forward_from_with(
         &self,
         prefix: &Activations,
@@ -959,238 +895,87 @@ impl Graph {
         masks: &MaskSet,
         scratch: &mut ExecScratch,
     ) -> Tensor {
-        assert!(
-            prefix.outs.len() > from,
-            "prefix does not cover node {from}"
-        );
-        let ExecScratch {
-            outs,
-            cols,
-            split_conv,
-        } = scratch;
-        assert_eq!(
-            outs.len(),
-            self.nodes.len(),
-            "scratch built for a different graph"
-        );
-        if self.output <= from {
-            return prefix.outs[self.output].clone();
-        }
-        let input = &prefix.outs[self.input];
-        for (off, node) in self.nodes[from + 1..].iter().enumerate() {
-            let id = from + 1 + off;
-            let (done, rest) = outs.split_at_mut(id);
-            let get = |j: usize| if j <= from { &prefix.outs[j] } else { &done[j] };
-            eval_node_into(
-                node,
-                &self.params,
-                get,
-                input,
-                masks,
-                &mut rest[0],
-                cols,
-                *split_conv,
-            );
-        }
-        outs[self.output].clone()
-    }
-
-    /// Workspace for [`Graph::forward_from_stacked`]: stacked output
-    /// buffers (batch `samples · input.n`) for every node after `from`,
-    /// plus the stacked im2col and fused-GEMM staging buffers sized for
-    /// the largest suffix convolution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples == 0` or the output node is not after `from`.
-    pub fn stacked_scratch_after(
-        &self,
-        input: Shape4,
-        from: NodeId,
-        samples: usize,
-    ) -> StackedScratch {
-        assert!(samples > 0, "at least one stacked sample required");
-        assert!(
-            self.output > from,
-            "suffix [{from}+1..] must contain the output node"
-        );
-        let shapes = self.infer_shapes(input);
-        let mut cols_len = 0usize;
-        let mut stage_len = 0usize;
-        for (id, node) in self.nodes.iter().enumerate().skip(from + 1) {
-            if let Op::Conv { in_c, k, .. } = node.op {
-                let so = shapes[id];
-                let total_cols = samples * so.n * so.h * so.w;
-                cols_len = cols_len.max(in_c * k * k * total_cols);
-                stage_len = stage_len.max(so.c * total_cols);
-            }
-        }
-        let outs = shapes
-            .into_iter()
-            .enumerate()
-            .map(|(id, s)| {
-                if id <= from {
-                    Tensor::zeros(Shape4::vec(0, 0))
-                } else {
-                    Tensor::zeros(s.with_n(samples * s.n))
-                }
-            })
-            .collect();
-        StackedScratch {
-            outs,
-            cols: vec![0.0; cols_len],
-            stage: vec![0.0; stage_len],
-            rep: vec![None; self.nodes.len()],
-            samples,
-            from,
-        }
+        self.forward_from_stacked(prefix, from, std::slice::from_ref(masks), scratch)
     }
 
     /// The batched-sample fusion walk: resume from node `from`
     /// (exclusive) *once* for all `masks.len()` Monte Carlo samples,
     /// returning the sample-stacked logits `(samples · n, k)` with
-    /// sample `s` owning rows `s·n .. (s+1)·n`.
+    /// sample `s` owning rows `s·n .. (s+1)·n`. Only nodes `> from`
+    /// are executed, into `scratch`; a prefix that already reaches
+    /// the output node (no Bayesian suffix) is returned replicated.
     ///
     /// This is the software analogue of the paper's weight-streaming
-    /// dataflow: where [`Graph::forward_from_with`] re-streams every
-    /// suffix weight matrix once per sample, this walk stacks the
-    /// samples' activations — conv via a sample-stacked im2col buffer
-    /// and one `(S·Ho·Wo)`-column [`gemm_stacked`], fully-connected
-    /// layers via one row-stacked [`gemm_bt_stacked`] — so each weight
-    /// matrix streams once per layer. Per-sample dropout masks are
-    /// applied to each sample's item group, and every element's f32
-    /// operation sequence is identical to the per-sample walk, so the
-    /// stacked logits are *bit-identical* to `masks.len()` independent
+    /// dataflow: where one walk per sample re-streams every suffix
+    /// weight matrix once per sample, this walk stacks the samples'
+    /// activations — conv via a sample-stacked im2col buffer and one
+    /// `(S·Ho·Wo)`-column [`gemm_stacked`], fully-connected layers via
+    /// one row-stacked [`gemm_bt_stacked`] — so each weight matrix
+    /// streams once per layer. Per-sample dropout masks are applied to
+    /// each sample's item group, and every element's f32 operation
+    /// sequence is identical to the per-sample walk, so the stacked
+    /// logits are *bit-identical* to `masks.len()` independent
     /// [`Graph::forward_from_with`] calls (at any sub-chunking of the
     /// sample list).
     ///
     /// # Panics
     ///
     /// Panics if `masks` is empty, if `prefix` does not cover node
-    /// `from`, or if `scratch` was built for a different graph, suffix
-    /// boundary or sample count.
+    /// `from`, or if `scratch` was built for a different graph, input
+    /// shape, suffix boundary or sample count.
     pub fn forward_from_stacked(
         &self,
         prefix: &Activations,
         from: NodeId,
         masks: &[MaskSet],
-        scratch: &mut StackedScratch,
+        scratch: &mut ExecScratch,
     ) -> Tensor {
-        assert!(!masks.is_empty(), "at least one sample required");
+        let samples = masks.len();
+        assert!(samples > 0, "at least one sample required");
         assert!(
             prefix.outs.len() > from,
             "prefix does not cover node {from}"
         );
-        let StackedScratch {
+        let input = &prefix.outs[self.input];
+        assert!(
+            scratch.outs.len() == self.nodes.len()
+                && scratch.built_for(input.shape(), from, samples),
+            "scratch built for a different graph, input shape, suffix boundary or sample count"
+        );
+        if self.output <= from {
+            let mut logits = empty_slot();
+            stack_items_into(&prefix.outs[self.output], samples, &mut logits);
+            return logits;
+        }
+        let ExecScratch {
             outs,
             cols,
             stage,
-            rep,
-            samples,
-            from: built_from,
+            crossing,
+            split_conv,
+            ..
         } = scratch;
-        assert_eq!(
-            outs.len(),
-            self.nodes.len(),
-            "scratch built for a different graph"
-        );
-        assert_eq!(*built_from, from, "scratch built for a different suffix");
-        assert_eq!(
-            *samples,
-            masks.len(),
-            "scratch built for a different sample count"
-        );
-        let base = prefix.outs[self.input].shape().n;
-        // Replicate exactly the prefix outputs the suffix reads (the
-        // Bayesian-site input, plus any residual shortcut reaching
-        // back across the boundary).
-        for node in &self.nodes[from + 1..] {
-            for &j in &node.inputs {
-                if j <= from && rep[j].is_none() {
-                    rep[j] = Some(stack_items(&prefix.outs[j], *samples));
-                }
+        if samples > 1 {
+            for (j, replica) in crossing.iter_mut() {
+                stack_items_into(&prefix.outs[*j], samples, replica);
             }
         }
-        let input = &prefix.outs[self.input];
-        for (off, node) in self.nodes[from + 1..].iter().enumerate() {
-            let id = from + 1 + off;
-            let (done, rest) = outs.split_at_mut(id);
-            let out = &mut rest[0];
-            let get = |j: usize| {
-                if j <= from {
-                    rep[j].as_ref().expect("prefix replica materialized")
-                } else {
-                    &done[j]
-                }
-            };
-            match &node.op {
-                Op::Conv {
-                    w,
-                    b,
-                    k,
-                    stride,
-                    pad,
-                    ..
-                } => {
-                    conv_forward_stacked_into(
-                        get(node.inputs[0]),
-                        self.params.get(*w),
-                        self.params.get(*b),
-                        *k,
-                        *stride,
-                        *pad,
-                        out,
-                        cols,
-                        stage,
-                    );
-                }
-                Op::Linear { w, b, .. } => {
-                    linear_forward_stacked_into(
-                        get(node.inputs[0]),
-                        self.params.get(*w),
-                        self.params.get(*b),
-                        *samples,
-                        out,
-                    );
-                }
-                Op::McdSite { site, .. } => {
-                    let src = get(node.inputs[0]);
-                    let item_len = out.shape().item_len();
-                    for (si, ms) in masks.iter().enumerate() {
-                        let items = si * base..(si + 1) * base;
-                        match ms.get(site.0) {
-                            // Mask folded into the copy: one pass per
-                            // sample group, same values as
-                            // copy-then-apply.
-                            Some(mask) => {
-                                masked_copy_items(src, out, mask, items, &node.name);
-                            }
-                            None => {
-                                let span = items.start * item_len..items.end * item_len;
-                                out.as_mut_slice()[span.clone()]
-                                    .copy_from_slice(&src.as_slice()[span]);
-                            }
-                        }
-                    }
-                }
-                // The remaining ops are item-wise (or channel-wise with
-                // per-item math), so the stacked batch runs through the
-                // ordinary eval kernels unchanged. Masks are handled
-                // above; `Op::Input` cannot appear after the prefix.
-                _ => {
-                    eval_node_into(
-                        node,
-                        &self.params,
-                        get,
-                        input,
-                        &MaskSet::none(),
-                        out,
-                        cols,
-                        false,
-                    );
-                }
-            }
-        }
+        let crossing = &*crossing;
+        let below = |j: NodeId| match crossing.iter().find(|(id, _)| *id == j) {
+            Some((_, replica)) if samples > 1 => replica,
+            _ => &prefix.outs[j],
+        };
+        self.walk(
+            from + 1..=self.output,
+            input,
+            below,
+            outs,
+            masks,
+            cols,
+            stage,
+            *split_conv,
+            None,
+        );
         outs[self.output].clone()
     }
 
@@ -1198,21 +983,44 @@ impl Graph {
     /// running ones; every intermediate needed by [`Graph::backward`]
     /// is cached.
     pub fn forward_train(&mut self, input: &Tensor, masks: &MaskSet) -> Activations {
-        // Split borrows: read-only view for weights, mutable for BN stats.
-        // ParamStore is cloned-free: we pass the same store as both views
-        // by running with the mutable one.
-        let nodes = std::mem::take(&mut self.nodes);
-        let mut params = std::mem::take(&mut self.params);
-        let acts = {
-            let params_ptr = &mut params;
-            // `run_forward` only mutates the BN running-stat tensors,
-            // which are disjoint from the weights it reads, but the
-            // borrow checker cannot see that; give it one mutable view
-            // and re-read weights through it.
-            run_forward_trainmode(&nodes, params_ptr, input, masks)
-        };
-        self.nodes = nodes;
-        self.params = params;
+        let mut acts = self.empty_activations();
+        self.walk(
+            0..=self.nodes.len() - 1,
+            input,
+            |_| unreachable!("nothing precedes node 0"),
+            &mut acts.outs,
+            std::slice::from_ref(masks),
+            &mut Vec::new(),
+            &mut Vec::new(),
+            true,
+            Some(&mut acts.aux),
+        );
+        // Fold the batch statistics the walk recorded into the running
+        // ones (training-mode BN never reads those, so doing it after
+        // the walk changes nothing).
+        for (node, aux) in self.nodes.iter().zip(&acts.aux) {
+            if let (
+                Op::BatchNorm {
+                    mean,
+                    var,
+                    momentum,
+                    ..
+                },
+                Aux::Bn {
+                    mean: batch_mean,
+                    var: batch_var,
+                    ..
+                },
+            ) = (&node.op, aux)
+            {
+                for (running, batch) in [(*mean, batch_mean), (*var, batch_var)] {
+                    let running = self.params.get_mut(running).as_mut_slice();
+                    for (r, &v) in running.iter_mut().zip(batch) {
+                        *r = (1.0 - momentum) * *r + momentum * v;
+                    }
+                }
+            }
+        }
         acts
     }
 
@@ -1223,8 +1031,8 @@ impl Graph {
     ///
     /// # Panics
     ///
-    /// Panics if `acts` was not produced by a matching
-    /// [`Graph::forward_train`] call.
+    /// Panics ("not a training pass", naming the node) if `acts` was
+    /// not produced by a matching [`Graph::forward_train`] call.
     pub fn backward(&mut self, acts: &Activations, masks: &MaskSet, dlogits: Tensor) {
         let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
         grads[self.output] = Some(dlogits);
@@ -1317,8 +1125,8 @@ impl Graph {
                 } => {
                     let (gamma, beta, channels) = (*gamma, *beta, *channels);
                     let xid = node.inputs[0];
-                    let Aux::Bn { xhat, inv_std } = &acts.aux[id] else {
-                        panic!("{}: BN cache missing — not a training pass", node.name)
+                    let Aux::Bn { xhat, inv_std, .. } = &acts.aux[id] else {
+                        not_a_training_pass(node)
                     };
                     let s = g.shape();
                     let plane = s.h * s.w;
@@ -1375,7 +1183,7 @@ impl Graph {
                 Op::MaxPool { .. } => {
                     let xid = node.inputs[0];
                     let Aux::MaxPool(arg) = &acts.aux[id] else {
-                        panic!("{}: maxpool cache missing", node.name)
+                        not_a_training_pass(node)
                     };
                     let dx = max_pool_backward(&g, arg, acts.outs[xid].shape());
                     accumulate(&mut grads, xid, dx);
@@ -1425,146 +1233,20 @@ impl Graph {
     }
 }
 
+/// The one failure of [`Graph::backward`] on activations that carry no
+/// tape (any pass but [`Graph::forward_train`]).
+fn not_a_training_pass(node: &Node) -> ! {
+    panic!(
+        "{}: backward cache missing — not a training pass",
+        node.name
+    )
+}
+
 fn accumulate(grads: &mut [Option<Tensor>], id: usize, g: Tensor) {
     match &mut grads[id] {
         Some(existing) => add_inplace(existing.as_mut_slice(), g.as_slice()),
         slot @ None => *slot = Some(g),
     }
-}
-
-/// Training-mode driver: same walk as `run_forward` but BN reads batch
-/// statistics and writes running ones through the single mutable view.
-fn run_forward_trainmode(
-    nodes: &[Node],
-    params: &mut ParamStore,
-    input: &Tensor,
-    masks: &MaskSet,
-) -> Activations {
-    // Weights are only *read* and BN stats only *written*; doing the
-    // reads before the writes per node keeps this single-pass.
-    let mut outs: Vec<Tensor> = Vec::with_capacity(nodes.len());
-    let mut aux: Vec<Aux> = Vec::with_capacity(nodes.len());
-    for node in nodes {
-        let mut a = Aux::None;
-        let y = match &node.op {
-            Op::BatchNorm {
-                gamma,
-                beta,
-                mean,
-                var,
-                eps,
-                momentum,
-                ..
-            } => {
-                let x = &outs[node.inputs[0]];
-                let (bm, bv) = bn_batch_stats(x);
-                let mom = *momentum;
-                {
-                    let rm = params.get_mut(*mean);
-                    for (r, &v) in rm.as_mut_slice().iter_mut().zip(&bm) {
-                        *r = (1.0 - mom) * *r + mom * v;
-                    }
-                }
-                {
-                    let rv = params.get_mut(*var);
-                    for (r, &v) in rv.as_mut_slice().iter_mut().zip(&bv) {
-                        *r = (1.0 - mom) * *r + mom * v;
-                    }
-                }
-                let (y, xhat, inv_std) = bn_apply(
-                    x,
-                    &bm,
-                    &bv,
-                    params.get(*gamma).as_slice(),
-                    params.get(*beta).as_slice(),
-                    *eps,
-                );
-                a = Aux::Bn { xhat, inv_std };
-                y
-            }
-            _ => {
-                // Delegate the non-BN ops to the shared eval-path logic
-                // by running a single-node forward.
-                let single = std::slice::from_ref(node);
-                let mut sub_outs = run_single(single, params, &outs, input, masks, &mut a);
-                sub_outs.pop().expect("single node produces one output")
-            }
-        };
-        outs.push(y);
-        aux.push(a);
-    }
-    Activations { outs, aux }
-}
-
-/// Execute one non-BN node against already-computed predecessor outputs.
-fn run_single(
-    nodes: &[Node],
-    params: &ParamStore,
-    outs: &[Tensor],
-    input: &Tensor,
-    masks: &MaskSet,
-    aux_out: &mut Aux,
-) -> Vec<Tensor> {
-    let node = &nodes[0];
-    let y = match &node.op {
-        Op::Input => input.clone(),
-        Op::Conv {
-            w,
-            b,
-            k,
-            stride,
-            pad,
-            out_c,
-            ..
-        } => {
-            let x = &outs[node.inputs[0]];
-            let si = x.shape();
-            let so = Shape4::new(
-                si.n,
-                *out_c,
-                bnn_tensor::conv_out_dim(si.h, *k, *stride, *pad),
-                bnn_tensor::conv_out_dim(si.w, *k, *stride, *pad),
-            );
-            conv_forward(x, params.get(*w), params.get(*b), so, *k, *stride, *pad)
-        }
-        Op::Linear { w, b, out_f, .. } => linear_forward(
-            &outs[node.inputs[0]],
-            params.get(*w),
-            params.get(*b),
-            *out_f,
-        ),
-        Op::BatchNorm { .. } => unreachable!("BN handled by the training driver"),
-        Op::Relu => {
-            let mut y = outs[node.inputs[0]].clone();
-            relu_inplace(y.as_mut_slice());
-            y
-        }
-        Op::MaxPool { k, stride } => {
-            let (y, arg) = max_pool(&outs[node.inputs[0]], *k, *stride);
-            *aux_out = Aux::MaxPool(arg);
-            y
-        }
-        Op::AvgPool { k, stride } => avg_pool(&outs[node.inputs[0]], *k, *stride),
-        Op::GlobalAvgPool => global_avg_pool(&outs[node.inputs[0]]),
-        Op::Flatten => {
-            let x = &outs[node.inputs[0]];
-            let s = x.shape();
-            x.clone().reshape(Shape4::vec(s.n, s.item_len()))
-        }
-        Op::Add => {
-            let mut y = outs[node.inputs[0]].clone();
-            add_inplace(y.as_mut_slice(), outs[node.inputs[1]].as_slice());
-            y
-        }
-        Op::McdSite { site, .. } => {
-            let mut y = outs[node.inputs[0]].clone();
-            if let Some(mask) = masks.get(site.0) {
-                apply_mask(&mut y, mask, &node.name);
-            }
-            y
-        }
-    };
-    vec![y]
 }
 
 #[cfg(test)]
@@ -1673,43 +1355,21 @@ mod tests {
     }
 
     #[test]
-    fn forward_with_scratch_matches_allocating_forward() {
-        let net = small_net();
-        let x = Tensor::full(Shape4::new(2, 1, 4, 4), 0.5);
-        let mut scratch = net.scratch(x.shape());
-        let want = net.forward(&x, &MaskSet::none());
-        // Run twice through the same scratch: reuse must not leak
-        // state between passes.
-        for _ in 0..2 {
-            let got = net.forward_with(&x, &MaskSet::none(), &mut scratch);
-            assert_eq!(got.as_slice(), want.as_slice());
-        }
-    }
-
-    #[test]
-    fn forward_from_with_scratch_matches_forward_from() {
-        let net = small_net();
-        let x = Tensor::full(Shape4::new(1, 1, 4, 4), 0.4);
-        let prefix = net.forward_full(&x, &MaskSet::none());
-        let masks = MaskSet::from_masks(vec![Some(Mask {
-            keep: vec![true, false, true, true, false, true, true, true],
-            scale: 4.0 / 3.0,
-        })]);
-        // Resume right before the MCD site (node 6 in small_net).
-        let from = 5;
-        let want = net.forward_from(&prefix, from, &masks);
-        let mut scratch = net.scratch(x.shape());
-        for _ in 0..2 {
-            let got = net.forward_from_with(&prefix, from, &masks, &mut scratch);
-            assert_eq!(got.as_slice(), want.as_slice());
-        }
-        // The suffix-sized scratch (prefix slots are placeholders)
-        // must agree too.
-        let mut suffix = net.scratch_after(x.shape(), from).serial_conv();
-        for _ in 0..2 {
-            let got = net.forward_from_with(&prefix, from, &masks, &mut suffix);
-            assert_eq!(got.as_slice(), want.as_slice());
-        }
+    #[should_panic(expected = "maxpool2: backward cache missing — not a training pass")]
+    fn backward_rejects_eval_activations_of_a_bn_free_graph() {
+        // No BN node to trip over: the max-pool is the first node that
+        // misses its tape.
+        let mut b = GraphBuilder::new("bn-free", 3);
+        let x = b.input();
+        let c = b.conv(x, 1, 2, 3, 1, 1);
+        let p = b.max_pool(c, 2, 2);
+        let f = b.flatten(p);
+        let fc = b.linear(f, 2 * 2 * 2, 3);
+        let mut net = b.finish(fc);
+        let x = Tensor::full(Shape4::new(1, 1, 4, 4), 0.5);
+        let acts = net.forward_full(&x, &MaskSet::none());
+        let dl = Tensor::full(acts.logits(&net).shape(), 1.0);
+        net.backward(&acts, &MaskSet::none(), dl);
     }
 
     #[test]
@@ -1740,6 +1400,13 @@ mod tests {
         }
     }
 
+    /// One per-sample suffix walk through a fresh scratch.
+    fn suffix(net: &Graph, prefix: &Activations, from: NodeId, masks: &MaskSet) -> Tensor {
+        let input = prefix.output(net.input_id()).shape();
+        let mut scratch = net.scratch_after(input, from).serial_conv();
+        net.forward_from_with(prefix, from, masks, &mut scratch)
+    }
+
     #[test]
     fn forward_prefix_cache_resumes_suffix_identically() {
         // The prefix cache must drive forward_from_with exactly like a
@@ -1752,12 +1419,13 @@ mod tests {
         })]);
         let from = 5; // right before the MCD site in small_net
         let full = net.forward_full(&x, &MaskSet::none());
-        let want = net.forward_from(&full, from, &masks);
+        let want = suffix(&net, &full, from, &masks);
         let mut cols = Vec::new();
         let prefix = net.forward_prefix_with(&x, from, &MaskSet::none(), None, &mut cols);
-        let mut scratch = net.scratch_after(x.shape(), from).serial_conv();
-        let got = net.forward_from_with(&prefix, from, &masks, &mut scratch);
-        assert_eq!(got.as_slice(), want.as_slice());
+        assert_eq!(
+            suffix(&net, &prefix, from, &masks).as_slice(),
+            want.as_slice()
+        );
     }
 
     /// Deterministic per-sample masks for the one site of `small_net`.
@@ -1789,7 +1457,7 @@ mod tests {
             let fused = net.forward_from_stacked(&prefix, from, &masks, &mut stacked);
             assert_eq!(fused.shape(), Shape4::vec(3 * 2, 3));
             for (s, ms) in masks.iter().enumerate() {
-                let want = net.forward_from(&prefix, from, ms);
+                let want = suffix(&net, &prefix, from, ms);
                 assert_eq!(
                     &fused.as_slice()[s * want.len()..(s + 1) * want.len()],
                     want.as_slice(),
@@ -1831,7 +1499,7 @@ mod tests {
         let mut stacked = net.stacked_scratch_after(input.shape(), from, masks.len());
         let fused = net.forward_from_stacked(&prefix, from, &masks, &mut stacked);
         for (s, ms) in masks.iter().enumerate() {
-            let want = net.forward_from(&prefix, from, ms);
+            let want = suffix(&net, &prefix, from, ms);
             assert_eq!(
                 &fused.as_slice()[s * want.len()..(s + 1) * want.len()],
                 want.as_slice(),
@@ -1854,12 +1522,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different input shape")]
+    #[should_panic(expected = "different graph, input shape")]
     fn scratch_rejects_mismatched_input_shape() {
         let net = small_net();
-        let mut scratch = net.scratch(Shape4::new(1, 1, 4, 4));
+        let mut scratch = net.scratch_after(Shape4::new(1, 1, 4, 4), 5);
         let x = Tensor::full(Shape4::new(2, 1, 4, 4), 0.5);
-        let _ = net.forward_with(&x, &MaskSet::none(), &mut scratch);
+        let prefix = net.forward_full(&x, &MaskSet::none());
+        let _ = net.forward_from_with(&prefix, 5, &MaskSet::none(), &mut scratch);
     }
 
     #[test]

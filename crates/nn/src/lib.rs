@@ -37,7 +37,7 @@ pub mod models;
 mod param;
 mod train;
 
-pub use exec::{Activations, ExecScratch, Mask, MaskSet, StackedScratch};
+pub use exec::{Activations, ExecScratch, Mask, MaskSet};
 pub use graph::{Graph, GraphBuilder, Node, NodeId, Op, SiteId};
 pub use loss::{cross_entropy, CrossEntropyOutput};
 pub use param::{ParamId, ParamStore};

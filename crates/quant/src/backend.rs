@@ -10,7 +10,7 @@
 //! like float ones.
 
 use crate::qgraph::{exec_qnode, QGraph, QNode, QTensor};
-use bnn_mcd::{BayesBackend, BayesConfig, ModelCost};
+use bnn_mcd::{BayesBackend, BayesConfig, ModelCost, ModelInfo};
 use bnn_nn::MaskSet;
 use bnn_tensor::{softmax_rows, Shape4, Tensor};
 
@@ -125,20 +125,13 @@ impl Int8Backend {
 impl BayesBackend for Int8Backend {
     type Scratch = Vec<QTensor>;
 
-    fn name(&self) -> &'static str {
-        "int8"
-    }
-
-    fn n_sites(&self) -> usize {
-        self.qgraph.n_sites()
-    }
-
-    fn site_channels(&self, input: Shape4) -> Vec<usize> {
-        self.qgraph.site_channels(input)
-    }
-
-    fn output_classes(&self, input: Shape4) -> usize {
-        self.qgraph.output_classes(input)
+    fn info(&self, input: Shape4) -> ModelInfo {
+        ModelInfo {
+            name: "int8",
+            n_sites: self.qgraph.n_sites(),
+            site_channels: self.qgraph.site_channels(input),
+            output_classes: self.qgraph.output_classes(input),
+        }
     }
 
     fn prepare(&mut self, x: &Tensor, active: &[bool]) {
@@ -149,9 +142,12 @@ impl BayesBackend for Int8Backend {
         self.prepared().scratch()
     }
 
-    fn forward(&self, masks: &MaskSet, outs: &mut Vec<QTensor>) -> Tensor {
-        self.prepared()
-            .forward(&self.qgraph, masks, outs, exec_qnode)
+    fn forward_batch(&self, mask_sets: &[MaskSet], outs: &mut Vec<QTensor>) -> Vec<Tensor> {
+        let runner = self.prepared();
+        mask_sets
+            .iter()
+            .map(|masks| runner.forward(&self.qgraph, masks, outs, exec_qnode))
+            .collect()
     }
 
     fn model_cost(&self, _bayes: BayesConfig) -> Option<ModelCost> {
@@ -206,8 +202,9 @@ mod tests {
         .passes;
 
         // Reference: the full integer forward with the same masks.
-        let active = bnn_mcd::active_sites(backend.n_sites(), cfg.l);
-        let channels = backend.site_channels(x.shape());
+        let info = backend.info(x.shape());
+        let active = bnn_mcd::active_sites(info.n_sites, cfg.l);
+        let channels = info.site_channels;
         for pass in &passes {
             let masks = src_b.next_masks(&active, &channels, cfg.p);
             let mut reference = backend.qgraph().forward(&x, &masks);

@@ -99,7 +99,7 @@
 use bnn_accel::{AccelBackend, Accelerator};
 use bnn_mcd::{
     BayesBackend, BayesConfig, ChaosBackend, ChaosConfig, CostReport, Engine, FloatBackend,
-    FusedBackend, ParallelConfig, Plan, Uncertainty, WorkerPool,
+    ParallelConfig, Plan, Uncertainty, WorkerPool,
 };
 use bnn_nn::Graph;
 use bnn_quant::{Int8Backend, QGraph};
@@ -936,7 +936,7 @@ impl ServerBuilder {
             .name("bnn-serve".into())
             .spawn(move || match backend {
                 ServeBackend::Float => launch(FloatBackend::new(&graph), chaos, &ctx),
-                ServeBackend::Fused => launch(FusedBackend::new(&graph), chaos, &ctx),
+                ServeBackend::Fused => launch(FloatBackend::fused(&graph), chaos, &ctx),
                 ServeBackend::Int8(qgraph) => launch(Int8Backend::new(qgraph), chaos, &ctx),
                 ServeBackend::Accel(accel) => launch(AccelBackend::new(accel), chaos, &ctx),
             })

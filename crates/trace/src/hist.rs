@@ -1,10 +1,9 @@
 //! Log2-bucketed latency histograms and the incremental JSON writers
-//! shared by the `BENCH_net.json` trajectory snapshot and the export
-//! surfaces (`GET /metrics`, `GET /trace`).
+//! behind the export surfaces (`GET /metrics`, `GET /trace`).
 //!
-//! Both lived in `bnn_net::loadgen` until the tracer needed them below
-//! the net crate; `bnn_net::loadgen` re-exports them, so existing
-//! callers keep compiling unchanged.
+//! The histogram lived in `bnn_net::loadgen` until the tracer needed
+//! it below the net crate; `bnn_net::loadgen` re-exports it, so
+//! existing callers keep compiling unchanged.
 
 /// Number of log2 latency buckets: bucket 0 holds 0 µs, bucket `i`
 /// (1-based) holds `[2^(i-1), 2^i)` µs, and the last bucket holds
@@ -157,8 +156,7 @@ pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Incremental JSON object writer — the dialect of `BENCH_net.json`:
-/// stable key order (fields
+/// Incremental JSON object writer: stable key order (fields
 /// appear in call order), floats with three decimals, non-finite
 /// floats rendered as `0.000`, absent optionals as `null`.
 #[derive(Debug, Clone)]

@@ -226,9 +226,9 @@
 //! ## Load testing: `bnn-loadgen`
 //!
 //! `cargo run -p bnn-net --bin loadgen --release -- --smoke` drives a
-//! deterministic load test against the front door and writes a
-//! machine-readable `BENCH_net.json` snapshot. The schedule is planned
-//! entirely from `--seed` by [`net::loadgen::plan`] — per-connection
+//! deterministic load test against the front door and prints a
+//! summary (measurement lives in `benchmark/`; this binary is a
+//! reconciliation gate). The schedule is planned entirely from `--seed` by [`net::loadgen::plan`] — per-connection
 //! request classes (priority, tenant, deadline, weighted mix) and
 //! arrival gaps replay bit-identically run to run, and adding
 //! connections never reshuffles existing ones. `--mode closed` (the
@@ -236,9 +236,8 @@
 //! time so offered load tracks service capacity; `--mode fixed` and
 //! `--mode poisson` are open-loop pacers at `--rate` requests/sec per
 //! connection (Poisson gaps drawn from the seeded stream). Latencies
-//! land in log2-bucket histograms ([`net::loadgen::LogHistogram`])
-//! reported as interpolated p50/p99/p999 per class with
-//! `latency_samples` counts, and at quiesce every client-side outcome
+//! land in a log2-bucket histogram ([`net::loadgen::LogHistogram`])
+//! reported as interpolated p50/p99, and at quiesce every client-side outcome
 //! counter is cross-checked against `GET /status` — any mismatch or
 //! transport error fails the run (and the CI smoke step). `--addr`
 //! points the same workload at an external server instead of the
@@ -293,7 +292,7 @@
 //! | [`tensor`] | `bnn-tensor` | NCHW tensors, GEMM, im2col, pooling |
 //! | [`nn`] | `bnn-nn` | layer-graph IR, f32 executor, backprop, SGD, model builders |
 //! | [`data`] | `bnn-data` | synthetic MNIST/SVHN/CIFAR-like datasets, OOD noise |
-//! | [`mcd`] | `bnn-mcd` | the `BayesBackend` trait, generic MC engine, `FloatBackend`/`FusedBackend`, conformance harness, uncertainty metrics |
+//! | [`mcd`] | `bnn-mcd` | the six-method `BayesBackend` trait, the one MC `Engine`, `FloatBackend` (per-sample `new` / batched-sample `fused`), conformance harness, uncertainty metrics |
 //! | [`serve`] | `bnn-serve` | the request-coalescing serving front door: `Server`, `Handle`, `BatchPolicy` |
 //! | [`net`] | `bnn-net` | the TCP front door: binary protocol v1/v2 (pipelining), `GET /status` telemetry, tenant gate, `loadgen` |
 //! | [`trace`] | `bnn-trace` | stage-span recorder: per-thread rings, log2 histograms, Chrome-trace export behind `/trace` + `/metrics` |

@@ -29,8 +29,8 @@
 
 use bnn_accel::{AccelBackend, Accelerator};
 use bnn_mcd::{
-    BayesBackend, BayesConfig, CostReport, Engine, FloatBackend, FusedBackend, HardwareMaskSource,
-    MaskSource, ParallelConfig, Plan, RequestResult, SoftwareMaskSource, WorkerPool,
+    BayesBackend, BayesConfig, CostReport, Engine, FloatBackend, HardwareMaskSource, MaskSource,
+    ModelInfo, ParallelConfig, Plan, RequestResult, SoftwareMaskSource, WorkerPool,
 };
 use bnn_nn::Graph;
 use bnn_quant::{Int8Backend, QGraph};
@@ -92,8 +92,9 @@ impl From<Backend> for bnn_serve::ServeBackend {
 }
 
 enum BackendImpl<'g> {
-    Float(FloatBackend<'g>),
-    Fused(FusedBackend<'g>),
+    /// [`Backend::Float`] and [`Backend::Fused`]: one type, two cuts
+    /// of the sample chunk.
+    F32(FloatBackend<'g>),
     Int8(Int8Backend),
     Accel(AccelBackend),
 }
@@ -102,8 +103,7 @@ enum BackendImpl<'g> {
 macro_rules! with_backend {
     ($inner:expr, $b:ident => $body:expr) => {
         match $inner {
-            BackendImpl::Float($b) => $body,
-            BackendImpl::Fused($b) => $body,
+            BackendImpl::F32($b) => $body,
             BackendImpl::Int8($b) => $body,
             BackendImpl::Accel($b) => $body,
         }
@@ -198,11 +198,11 @@ impl<'g> SessionBuilder<'g> {
 
     /// Finish the builder.
     pub fn build(self) -> Session<'g> {
-        let inner = match self.backend {
-            Backend::Float => BackendImpl::Float(FloatBackend::new(self.graph)),
-            Backend::Fused => BackendImpl::Fused(FusedBackend::new(self.graph)),
-            Backend::Int8(qg) => BackendImpl::Int8(Int8Backend::new(qg)),
-            Backend::Accel(accel) => BackendImpl::Accel(AccelBackend::new(accel)),
+        let (inner, backend_name) = match self.backend {
+            Backend::Float => (BackendImpl::F32(FloatBackend::new(self.graph)), "float"),
+            Backend::Fused => (BackendImpl::F32(FloatBackend::fused(self.graph)), "fused"),
+            Backend::Int8(qg) => (BackendImpl::Int8(Int8Backend::new(qg)), "int8"),
+            Backend::Accel(accel) => (BackendImpl::Accel(AccelBackend::new(accel)), "accel"),
         };
         let source: Box<dyn MaskSource + Send> = match self.source {
             SourceChoice::Software(seed) => Box::new(SoftwareMaskSource::new(seed)),
@@ -214,6 +214,7 @@ impl<'g> SessionBuilder<'g> {
             .unwrap_or_else(|| Arc::new(WorkerPool::new(self.parallel.pool_workers())));
         Session {
             inner,
+            backend_name,
             bayes: self.bayes,
             parallel: self.parallel,
             source,
@@ -249,6 +250,9 @@ impl<'g> SessionBuilder<'g> {
 /// sample-chunk size) only changes wall-clock time.
 pub struct Session<'g> {
     inner: BackendImpl<'g>,
+    /// What the backend's own [`ModelInfo::name`] reads, known here
+    /// without an input shape.
+    backend_name: &'static str,
     bayes: BayesConfig,
     parallel: ParallelConfig,
     source: Box<dyn MaskSource + Send>,
@@ -347,7 +351,7 @@ impl<'g> Session<'g> {
     /// The active backend's name (`"float"`, `"fused"`, `"int8"`,
     /// `"accel"`).
     pub fn backend_name(&self) -> &'static str {
-        with_backend!(&self.inner, b => b.name())
+        self.backend_name
     }
 
     /// The session's Bayesian configuration.
@@ -355,14 +359,10 @@ impl<'g> Session<'g> {
         self.bayes
     }
 
-    /// Number of MCD sites in the served network.
-    pub fn n_sites(&self) -> usize {
-        with_backend!(&self.inner, b => b.n_sites())
-    }
-
-    /// Output classes for an input shape.
-    pub fn output_classes(&self, input: Shape4) -> usize {
-        with_backend!(&self.inner, b => b.output_classes(input))
+    /// The served network's geometry for an input shape: MCD site
+    /// count, per-site mask lengths and output classes.
+    pub fn info(&self, input: Shape4) -> ModelInfo {
+        with_backend!(&self.inner, b => b.info(input))
     }
 }
 

@@ -6,9 +6,9 @@
 //! shared mask stream, threads ∈ {1, 4}, batched vs. unbatched), in
 //! decreasing strictness:
 //!
-//! * `FusedBackend` is *bit-identical* to `FloatBackend`: batched-
-//!   sample GEMM fusion is an exact re-scheduling of the float
-//!   computation.
+//! * `FloatBackend::fused` is *bit-identical* to `FloatBackend::new`:
+//!   batched-sample GEMM fusion (the stacked kernels) is an exact
+//!   re-scheduling of the per-sample walk (the per-item kernels).
 //! * `AccelBackend` is *bit-identical* to `Int8Backend`: the tiled PE
 //!   engine is an exact re-scheduling of the integer reference
 //!   executor.
@@ -17,6 +17,8 @@
 //! * `Session` is a thin caller of `Engine::run`: its batched
 //!   predictive is *bit-identical* to a bare `Plan::batched` run over
 //!   a `FloatBackend` for the same seed.
+//! * All four substrates lowered from one graph answer `info(shape)`
+//!   with the same geometry.
 //! * Every substrate survives deterministic fault injection
 //!   (`assert_chaos_agrees`): disabled chaos is bit-transparent and
 //!   scheduled faults are contained and replayable.
@@ -25,7 +27,7 @@ use bnn_fpga::accel::{AccelBackend, AccelConfig, Accelerator};
 use bnn_fpga::data::synth_mnist;
 use bnn_fpga::mcd::conformance::{assert_backend_agrees, assert_chaos_agrees, Tolerance};
 use bnn_fpga::mcd::{
-    BayesConfig, Engine, FloatBackend, FusedBackend, ParallelConfig, Plan, RequestResult,
+    BayesBackend, BayesConfig, Engine, FloatBackend, ParallelConfig, Plan, RequestResult,
     SoftwareMaskSource, WorkerPool,
 };
 use bnn_fpga::nn::{models, SgdConfig, Trainer};
@@ -68,7 +70,7 @@ fn conformance_fused_bit_identical_to_float() {
     for l in [2usize, 5] {
         assert_backend_agrees(
             &mut FloatBackend::new(&net),
-            &mut FusedBackend::new(&net),
+            &mut FloatBackend::fused(&net),
             &test_batch(&ds, 3),
             BayesConfig::new(l, 9),
             77,
@@ -108,9 +110,47 @@ fn conformance_chaos_containment_on_all_substrates() {
     let x = ds.test_x.select_item(0);
     let cfg = BayesConfig::new(2, 4);
     assert_chaos_agrees(|| FloatBackend::new(&folded), &x, cfg, 0xFA01);
-    assert_chaos_agrees(|| FusedBackend::new(&folded), &x, cfg, 0xFA02);
+    assert_chaos_agrees(|| FloatBackend::fused(&folded), &x, cfg, 0xFA02);
     assert_chaos_agrees(|| Int8Backend::new(qg.clone()), &x, cfg, 0xFA03);
     assert_chaos_agrees(|| AccelBackend::new(accel.clone()), &x, cfg, 0xFA04);
+}
+
+#[test]
+fn geometry_is_one_answer_across_substrates() {
+    let (net, ds) = trained_lenet();
+    let folded = net.fold_batch_norm();
+    let qg = Quantizer::new(&folded).calibrate(&ds.train_x).quantize();
+    let accel = Accelerator::new(AccelConfig::default(), &folded, &qg, ds.image_shape());
+    let shape = ds.image_shape().with_n(1);
+    let float = FloatBackend::new(&folded).info(shape);
+    assert_eq!(
+        (
+            float.n_sites,
+            float.site_channels.len(),
+            float.output_classes
+        ),
+        (5, 5, 10)
+    );
+    let backends = [
+        (Backend::Float, float.clone()),
+        (Backend::Fused, FloatBackend::fused(&folded).info(shape)),
+        (Backend::Int8(qg.clone()), Int8Backend::new(qg).info(shape)),
+        (
+            Backend::Accel(accel.clone()),
+            AccelBackend::new(accel).info(shape),
+        ),
+    ];
+    let names = ["float", "fused", "int8", "accel"];
+    for ((backend, info), name) in backends.into_iter().zip(names) {
+        assert_eq!(info.n_sites, float.n_sites, "{name}: n_sites");
+        assert_eq!(info.site_channels, float.site_channels, "{name}: channels");
+        assert_eq!(info.output_classes, float.output_classes, "{name}: classes");
+        assert_eq!(info.name, name);
+        // The session answers what its backend does.
+        let session = Session::for_graph(&folded).backend(backend).build();
+        assert_eq!(session.backend_name(), name);
+        assert_eq!(session.info(shape), info);
+    }
 }
 
 #[test]
