@@ -1,122 +1,48 @@
-//! The accelerator [`BayesBackend`]: the simulated FPGA as an
-//! execution substrate for the generic Monte Carlo engine.
+//! The accelerator as a [`bnn_mcd::BayesBackend`]: values from the
+//! integer substrate, costs from the analytic model.
 //!
-//! `prepare` quantizes the image and runs the deterministic prefix
-//! once through the tiled PE stations (hardware intermediate-layer
-//! caching); each Monte Carlo pass re-runs only the Bayesian suffix.
-//! Outputs are bit-identical to [`Accelerator::run_with_masks`] given
-//! the same mask stream — the backend is a per-sample view of the
-//! same engine, not a reimplementation.
+//! The paper evaluates its accelerator as two separable things — an
+//! 8-bit datapath whose outputs are exactly the quantized network's,
+//! and an analytic cycle/traffic model. The serving substrate keeps
+//! them separate too: [`Accelerator::into_backend`] is `bnn-quant`'s
+//! [`Int8Backend`] over the compiled [`bnn_quant::QGraph`], renamed
+//! `"accel"`, with this accelerator attached as its
+//! [`HardwareModel`]. Every prediction through a `Session` or
+//! `Server` therefore reports the analytic cycle count, latency at the
+//! configured clock and off-chip traffic of the corresponding hardware
+//! execution, while the bytes come from the same executor as the
+//! `int8` substrate.
 //!
-//! Unlike the CPU backends, [`BayesBackend::model_cost`] is populated:
-//! every predictive run through a `Session` reports the analytic
-//! cycle count, latency at the configured clock, and off-chip traffic
-//! of the corresponding hardware execution.
+//! The tiled PE loop nest ([`Accelerator::run_with_masks`]) computes
+//! the same bytes — the tests below and the facade's conformance suite
+//! assert it, bit for bit — and is the bit-exactness reference, on no
+//! serving path.
 
 use crate::engine::Accelerator;
-use bnn_mcd::{BayesBackend, BayesConfig, ModelCost, ModelInfo};
-use bnn_nn::MaskSet;
-use bnn_quant::{IcRunner, QTensor};
-use bnn_tensor::{Shape4, Tensor};
+use bnn_mcd::{BayesConfig, HardwareModel, ModelCost};
+use bnn_quant::Int8Backend;
+use std::sync::Arc;
 
-/// The simulated accelerator as a Bayesian execution substrate.
-///
-/// The compiled accelerator is held behind an `Arc`: it is read-only
-/// during execution (the PE stations take `&self`), so
-/// [`BayesBackend::fork`] (batch-axis parallelism) and `Clone` are
-/// pointer bumps, not copies of the compiled model.
-#[derive(Debug, Clone)]
-pub struct AccelBackend {
-    accel: std::sync::Arc<Accelerator>,
-    prepared: Option<IcRunner>,
-}
-
-impl AccelBackend {
-    /// Create a backend over a compiled accelerator instance.
-    pub fn new(accel: Accelerator) -> AccelBackend {
-        AccelBackend {
-            accel: std::sync::Arc::new(accel),
-            prepared: None,
-        }
-    }
-
-    /// The wrapped accelerator.
-    pub fn accelerator(&self) -> &Accelerator {
-        &self.accel
-    }
-
-    fn prepared(&self) -> &IcRunner {
-        self.prepared
-            .as_ref()
-            .expect("AccelBackend::prepare not called")
-    }
-}
-
-impl BayesBackend for AccelBackend {
-    type Scratch = Vec<QTensor>;
-
-    fn info(&self, input: Shape4) -> ModelInfo {
-        ModelInfo {
-            name: "accel",
-            n_sites: self.accel.qgraph.n_sites(),
-            site_channels: self.accel.site_channels.clone(),
-            output_classes: self.accel.qgraph.output_classes(input.with_n(1)),
-        }
-    }
-
-    fn prepare(&mut self, x: &Tensor, active: &[bool]) {
-        assert_eq!(
-            x.shape().n,
-            1,
-            "the accelerator processes one image at a time (use batch = 1)"
-        );
-        // The shared IC runner with the tiled PE stations as the node
-        // executor — the only difference from the int8 backend.
-        self.prepared = Some(IcRunner::prepare(
-            &self.accel.qgraph,
-            x,
-            active,
-            |node, outs, input, masks| self.accel.exec_station(node, outs, input, masks),
-        ));
-    }
-
-    fn make_scratch(&self) -> Vec<QTensor> {
-        self.prepared().scratch()
-    }
-
-    fn forward_batch(&self, mask_sets: &[MaskSet], outs: &mut Vec<QTensor>) -> Vec<Tensor> {
-        let runner = self.prepared();
-        mask_sets
-            .iter()
-            .map(|masks| {
-                runner.forward(
-                    &self.accel.qgraph,
-                    masks,
-                    outs,
-                    |node, outs, input, masks| self.accel.exec_station(node, outs, input, masks),
-                )
-            })
-            .collect()
-    }
-
-    fn model_cost(&self, bayes: BayesConfig) -> Option<ModelCost> {
-        let timing = self.accel.timing(bayes);
-        let traffic = self.accel.traffic_model(bayes);
-        Some(ModelCost {
+impl HardwareModel for Accelerator {
+    /// [`Accelerator::timing`] + [`Accelerator::traffic_model`] of one
+    /// image — the same counts [`Accelerator::run`] reports.
+    fn model_cost(&self, bayes: BayesConfig) -> ModelCost {
+        let timing = self.timing(bayes);
+        ModelCost {
             cycles: timing.total_cycles,
-            latency_ms: timing.latency_ms(self.accel.config()),
-            mem_bytes: traffic.total(),
-        })
+            latency_ms: timing.latency_ms(self.config()),
+            mem_bytes: self.traffic_model(bayes).total(),
+        }
     }
+}
 
-    fn fork(&self) -> Option<Self> {
-        // Forks share the compiled instance (an Arc bump) and
-        // simulate bit-identically; batch-axis parallelism in the
-        // generic engine forks one backend per batch worker.
-        Some(AccelBackend {
-            accel: std::sync::Arc::clone(&self.accel),
-            prepared: None,
-        })
+impl Accelerator {
+    /// The accelerator as a Bayesian execution substrate: the integer
+    /// backend over this instance's quantized graph, named `"accel"`,
+    /// reporting this instance's analytic cost model. Like the
+    /// hardware (and the model), it serves one image at a time.
+    pub fn into_backend(self) -> Int8Backend {
+        Int8Backend::with_model(self.qgraph.clone(), "accel", Arc::new(self))
     }
 }
 
@@ -124,13 +50,13 @@ impl BayesBackend for AccelBackend {
 mod tests {
     use super::*;
     use crate::config::AccelConfig;
-    use bnn_mcd::{Engine, MaskSource, Plan, RequestResult, SoftwareMaskSource};
-    use bnn_nn::models;
+    use bnn_mcd::{BayesBackend, Engine, MaskSource, Plan, RequestResult, SoftwareMaskSource};
+    use bnn_nn::{models, MaskSet};
     use bnn_quant::Quantizer;
     use bnn_rng::SoftRng;
-    use bnn_tensor::softmax_rows;
+    use bnn_tensor::{softmax_rows, Shape4, Tensor};
 
-    fn setup() -> (AccelBackend, Tensor) {
+    fn setup() -> (Accelerator, Tensor) {
         let net = models::lenet5(10, 1, 16, 8).fold_batch_norm();
         let mut rng = SoftRng::new(21);
         let shape = Shape4::new(4, 1, 16, 16);
@@ -140,12 +66,13 @@ mod tests {
         );
         let qg = Quantizer::new(&net).calibrate(&calib).quantize();
         let accel = Accelerator::new(AccelConfig::paper_default(), &net, &qg, calib.shape());
-        (AccelBackend::new(accel), calib.select_item(0))
+        (accel, calib.select_item(0))
     }
 
     #[test]
     fn backend_matches_run_with_masks() {
-        let (mut backend, img) = setup();
+        let (accel, img) = setup();
+        let mut backend = accel.clone().into_backend();
         let cfg = BayesConfig::new(2, 3);
         let info = backend.info(img.shape());
         let active = bnn_mcd::active_sites(info.n_sites, cfg.l);
@@ -155,7 +82,7 @@ mod tests {
             .map(|_| src.next_masks(&active, &channels, cfg.p))
             .collect();
 
-        let run = backend.accelerator().run_with_masks(&img, cfg, &mask_sets);
+        let run = accel.run_with_masks(&img, cfg, &mask_sets);
         let mut src2 = SoftwareMaskSource::new(13);
         let passes = RequestResult::single(Engine::serial().run(
             &mut backend,
@@ -170,14 +97,15 @@ mod tests {
             assert_eq!(
                 pass.as_slice(),
                 reference.as_slice(),
-                "backend diverged from the monolithic engine"
+                "backend diverged from the tiled engine"
             );
         }
     }
 
     #[test]
     fn backend_reports_hardware_cost() {
-        let (mut backend, img) = setup();
+        let (accel, img) = setup();
+        let mut backend = accel.clone().into_backend();
         let cfg = BayesConfig::new(2, 4);
         let mut src = SoftwareMaskSource::new(2);
         let RequestResult { probs, cost, .. } = RequestResult::single(Engine::serial().run(
@@ -192,7 +120,7 @@ mod tests {
         assert!(model.latency_ms > 0.0);
         assert!(model.mem_bytes > 0);
         // The reported cost equals the monolithic engine's.
-        let run = backend.accelerator().run(&img, cfg, 1);
+        let run = accel.run(&img, cfg, 1);
         assert_eq!(model.cycles, run.timing.total_cycles);
         assert_eq!(model.mem_bytes, run.traffic.total());
     }
@@ -200,7 +128,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "one image at a time")]
     fn backend_rejects_batches() {
-        let (mut backend, img) = setup();
+        let (accel, img) = setup();
+        let mut backend = accel.into_backend();
         let mut batch = Tensor::zeros(Shape4::new(2, 1, 16, 16));
         batch.item_mut(0).copy_from_slice(img.as_slice());
         batch.item_mut(1).copy_from_slice(img.as_slice());

@@ -8,7 +8,7 @@ use crate::perf::{NetworkTiming, PerfModel};
 use bnn_mcd::{active_sites, BayesConfig};
 use bnn_nn::arch::{extract_layers, LayerDesc};
 use bnn_nn::{Graph, MaskSet};
-use bnn_quant::{exec_qnode, QGraph, QNodeOp, QTensor};
+use bnn_quant::{exec_qnode, QGraph, QNode, QNodeOp, QTensor};
 use bnn_rng::{BernoulliSampler, DropProbability, SamplerStats};
 use bnn_tensor::{conv_out_dim, softmax_rows, Shape4, Tensor};
 
@@ -52,7 +52,7 @@ pub struct Accelerator {
     pub(crate) qgraph: QGraph,
     layers: Vec<LayerDesc>,
     /// Mask length per MCD site.
-    pub(crate) site_channels: Vec<usize>,
+    site_channels: Vec<usize>,
     /// desc index per qgraph node id (weight nodes only).
     desc_of_node: Vec<Option<usize>>,
 }
@@ -162,31 +162,29 @@ impl Accelerator {
             "one mask set per Monte Carlo sample"
         );
         let input = self.qgraph.quantize_input(image);
-        let nodes = self.qgraph.nodes();
-        let active = active_sites(self.qgraph.n_sites(), bayes.l);
-        let split = self.suffix_split(&active);
+        let nodes = self.qgraph.nodes().len();
+        let split = self
+            .qgraph
+            .suffix_split(&active_sites(self.qgraph.n_sites(), bayes.l));
+        let station = |node: &QNode, outs: &[QTensor], input: &QTensor, masks: &MaskSet| {
+            self.exec_station(node, outs, input, masks)
+        };
 
-        // Prefix: executed once, like hardware with IC enabled.
-        let empty = MaskSet::none();
-        let mut prefix_outs: Vec<QTensor> = Vec::with_capacity(split);
-        for node in &nodes[..split] {
-            let y = self.exec_station(node, &prefix_outs, &input, &empty);
-            prefix_outs.push(y);
-        }
-
-        // Suffix: once per Monte Carlo sample with fresh masks.
-        let mut logits_per_sample = Vec::with_capacity(bayes.s);
-        for masks in mask_sets {
-            let mut outs = prefix_outs.clone();
-            for node in &nodes[split..] {
-                let y = self.exec_station(node, &outs, &input, masks);
-                outs.push(y);
-            }
-            let logits = self
-                .qgraph
-                .dequantize_output(&outs[self.qgraph.output_id()]);
-            logits_per_sample.push(logits);
-        }
+        // Prefix: executed once, like hardware with IC enabled. Suffix:
+        // once per Monte Carlo sample with fresh masks, each walk
+        // truncating the same vector back to the cached prefix.
+        let mut outs = Vec::with_capacity(nodes);
+        self.qgraph
+            .walk(0..split, &input, &MaskSet::none(), &mut outs, station);
+        let logits_per_sample: Vec<Tensor> = mask_sets
+            .iter()
+            .map(|masks| {
+                self.qgraph
+                    .walk(split..nodes, &input, masks, &mut outs, station);
+                self.qgraph
+                    .dequantize_output(&outs[self.qgraph.output_id()])
+            })
+            .collect();
 
         // Predictive distribution.
         let k = logits_per_sample[0].shape().item_len();
@@ -219,13 +217,6 @@ impl Accelerator {
         }
     }
 
-    /// First node of the Bayesian suffix for a set of active sites
-    /// (`nodes.len()` when no site is active — fully deterministic).
-    /// Shared with the int8 backend via [`QGraph::suffix_split`].
-    pub(crate) fn suffix_split(&self, active: &[bool]) -> usize {
-        self.qgraph.suffix_split(active)
-    }
-
     /// Cycle-level timing of a `{L, S}` prediction with IC enabled
     /// (the same analytic model [`Accelerator::run`] reports).
     pub fn timing(&self, bayes: BayesConfig) -> NetworkTiming {
@@ -235,14 +226,16 @@ impl Accelerator {
     /// Modelled off-chip traffic of a `{L, S}` prediction with IC.
     pub fn traffic_model(&self, bayes: BayesConfig) -> MemTraffic {
         let active = active_sites(self.qgraph.n_sites(), bayes.l);
-        self.traffic(bayes, self.suffix_split(&active))
+        self.traffic(bayes, self.qgraph.suffix_split(&active))
     }
 
-    /// Execute one station: matrix ops go through the tiled PE path,
-    /// everything else through the shared FU implementations.
-    pub(crate) fn exec_station(
+    /// Execute one station — the tiled node executor
+    /// [`Accelerator::run_with_masks`] hands to [`QGraph::walk`]: matrix
+    /// ops go through the tiled PE path, everything else through the
+    /// shared FU implementations ([`exec_qnode`]).
+    pub fn exec_station(
         &self,
-        node: &bnn_quant::QNode,
+        node: &QNode,
         outs: &[QTensor],
         input: &QTensor,
         masks: &MaskSet,

@@ -21,7 +21,10 @@
 //!   FU chain (BN folded → ReLU → pool → shortcut) and a dropout unit
 //!   driven by the bit-exact LFSR Bernoulli sampler. Its outputs are
 //!   bit-identical to the `bnn-quant` reference executor — tested, not
-//!   assumed.
+//!   assumed — which is what lets the *serving* substrate
+//!   ([`Accelerator::into_backend`]) take its values from that integer
+//!   executor and only its costs from the models above: the tiled
+//!   engine is the bit-exactness reference, not a serving path.
 //! * [`pe_clocked`] — a small clocked model of one processing-unit
 //!   tile that cross-validates the analytic cycle formula.
 //!
@@ -53,7 +56,6 @@ pub mod pe_clocked;
 mod perf;
 mod resource;
 
-pub use backend::AccelBackend;
 pub use config::{AccelConfig, DdrConfig};
 pub use engine::{AccelRun, Accelerator, MemTraffic};
 pub use perf::{LayerTiming, NetworkTiming, PerfModel};

@@ -1,12 +1,14 @@
 //! Property test: the tiled accelerator engine is bit-exact against
 //! the int8 reference executor for *randomly generated* networks, mask
 //! patterns and parallelism configurations — not just the hand-picked
-//! models.
+//! models — and the one integer node-range walk (`QGraph::walk`) is
+//! the same function at every prefix/suffix cut under either node
+//! executor.
 
 use bnn_accel::{AccelConfig, Accelerator};
 use bnn_mcd::BayesConfig;
 use bnn_nn::{Graph, GraphBuilder, MaskSet};
-use bnn_quant::Quantizer;
+use bnn_quant::{exec_qnode, QNode, QTensor, Quantizer};
 use bnn_rng::SoftRng;
 use bnn_tensor::{Shape4, Tensor};
 use proptest::prelude::*;
@@ -137,6 +139,55 @@ proptest! {
         for (i, masks) in mask_sets.iter().enumerate() {
             let full = qg.forward(&img, masks);
             prop_assert_eq!(run.logits_per_sample[i].as_slice(), full.as_slice());
+        }
+    }
+
+    #[test]
+    fn walk_projections_equal_forward_trace_at_every_split(
+        seed in 0u64..10_000,
+        residual in any::<bool>(),
+        use_pool in any::<bool>(),
+    ) {
+        // Prefix + suffix projections of `QGraph::walk` — with the
+        // integer executor and with the tiled PE stations — against
+        // `forward_trace`, node by node, at every split point. One
+        // output vector serves every walk, and each suffix is first
+        // run under other masks, so a walk that failed to truncate
+        // back to its boundary (stale suffix outputs, which a residual
+        // `Add` would read across the cut) cannot pass.
+        let (net, input_shape) = random_net(seed, 2, &[3, 3], 3, use_pool, residual);
+        let folded = net.fold_batch_norm();
+        let mut rng = SoftRng::new(seed ^ 0x3A1C);
+        let calib_shape = input_shape.with_n(2);
+        let calib = Tensor::from_vec(
+            calib_shape,
+            (0..calib_shape.len()).map(|_| rng.normal_f32(0.0, 1.0)).collect(),
+        );
+        let qg = Quantizer::new(&folded).calibrate(&calib).quantize();
+        let accel = Accelerator::new(AccelConfig::with_parallelism(4, 4, 8), &folded, &qg, input_shape);
+        let station = |node: &QNode, outs: &[QTensor], input: &QTensor, masks: &MaskSet| {
+            accel.exec_station(node, outs, input, masks)
+        };
+
+        let channels = folded.site_channels(input_shape);
+        let active = vec![true; folded.n_sites()];
+        let masks = MaskSet::sample_software(&active, &channels, 0.25, &mut rng);
+        let other = MaskSet::sample_software(&active, &channels, 0.25, &mut rng);
+        let input = qg.quantize_input(&calib.select_item(0));
+        let trace = qg.forward_trace(&input, &masks);
+        let n = qg.nodes().len();
+        prop_assert_eq!(trace.len(), n);
+
+        let mut outs = Vec::new();
+        for split in 0..=n {
+            qg.walk(0..split, &input, &masks, &mut outs, exec_qnode);
+            qg.walk(split..n, &input, &other, &mut outs, exec_qnode);
+            qg.walk(split..n, &input, &masks, &mut outs, exec_qnode);
+            prop_assert_eq!(&outs, &trace, "exec_qnode walk diverged at split {}", split);
+            qg.walk(0..split, &input, &masks, &mut outs, station);
+            qg.walk(split..n, &input, &other, &mut outs, station);
+            qg.walk(split..n, &input, &masks, &mut outs, station);
+            prop_assert_eq!(&outs, &trace, "tiled walk diverged at split {}", split);
         }
     }
 }

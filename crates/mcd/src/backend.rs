@@ -40,7 +40,9 @@
 //! once per sample chunk with batched-sample GEMM fusion
 //! ([`FloatBackend::fused`]: weights stream once per layer instead of
 //! once per sample, bit-identical results); `bnn-quant` provides
-//! `Int8Backend`, `bnn-accel` provides `AccelBackend`, and the
+//! `Int8Backend`, the one integer substrate, which `bnn-accel` turns
+//! into the accelerator substrate by attaching its analytic
+//! [`HardwareModel`] (`Accelerator::into_backend`), and the
 //! `bnn-fpga` facade ties them together behind a `Session` builder.
 //! Any future substrate (SIMD kernels, sharded serving) is a drop-in
 //! `impl BayesBackend`, and the conformance harness in
@@ -73,6 +75,15 @@ pub struct ModelCost {
     /// Modelled memory traffic in bytes: off-chip traffic on the
     /// accelerator, weight-streaming traffic on the software backends.
     pub mem_bytes: u64,
+}
+
+/// An analytic hardware model a backend can carry beside its
+/// arithmetic: `bnn-accel`'s `Accelerator` implements it, and
+/// `bnn-quant`'s `Int8Backend` — which sits below that crate — holds
+/// one as a value and reports it from [`BayesBackend::model_cost`].
+pub trait HardwareModel: std::fmt::Debug + Send + Sync {
+    /// Modelled cost of one complete `{L, S}` prediction of one image.
+    fn model_cost(&self, bayes: BayesConfig) -> ModelCost;
 }
 
 /// Cost report of one predictive run through the generic engine.

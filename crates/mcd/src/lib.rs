@@ -57,8 +57,8 @@ mod source;
 pub mod uncertainty;
 
 pub use backend::{
-    BayesBackend, CostReport, Engine, FloatBackend, FloatScratch, ModelCost, ModelInfo, Plan,
-    RequestResult,
+    BayesBackend, CostReport, Engine, FloatBackend, FloatScratch, HardwareModel, ModelCost,
+    ModelInfo, Plan, RequestResult,
 };
 pub use chaos::{fault_at, ChaosBackend, ChaosConfig, Fault};
 pub use conformance::{assert_backend_agrees, assert_chaos_agrees, Tolerance};

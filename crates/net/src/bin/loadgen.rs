@@ -39,7 +39,7 @@ use bnn_net::{
     TenantTable, Timeouts,
 };
 use bnn_nn::models;
-use bnn_serve::{BatchPolicy, Priority, ServeBackend, Server};
+use bnn_serve::{Backend, BatchPolicy, Priority, Server};
 use bnn_tensor::{Shape4, Tensor};
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -526,7 +526,7 @@ fn run(opts: &Options) -> Result<RunOutcome, String> {
         None => {
             let graph = Arc::new(models::lenet5(10, 1, 28, 3).fold_batch_norm());
             let server = Server::for_graph(graph)
-                .backend(ServeBackend::Fused)
+                .backend(Backend::Fused)
                 .bayes(BayesConfig::new(3, 10))
                 .policy(BatchPolicy {
                     max_batch: 8,

@@ -15,7 +15,7 @@
 use crate::lock;
 use bnn_mcd::CostReport;
 use bnn_serve::ServeStats;
-use bnn_trace::{bucket_bounds, bucket_of, LogHistogram, LOG2_BUCKETS};
+use bnn_trace::{bucket_of, percentile_in_buckets, JsonObj, LogHistogram, LOG2_BUCKETS};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -165,7 +165,9 @@ impl Monitor {
     /// Consistent copy of everything the monitor knows.
     ///
     /// Percentiles are answered from the window bucket counts folded
-    /// at record time — no ring copy and no sort, just an O(window)
+    /// at record time ([`percentile_in_buckets`], the same nearest-rank
+    /// walk as [`LogHistogram::percentile_per_mille`], here over the
+    /// rolling window) — no ring copy and no sort, just an O(window)
     /// min/max scan plus an O(buckets) walk, all allocation-free — so
     /// a `/status` poll holds the lock for a bounded, tiny interval
     /// regardless of window size or polling rate.
@@ -181,8 +183,8 @@ impl Monitor {
             substrate: self.substrate,
             window: self.window,
             latency_samples: st.ring.len(),
-            p50_us: window_percentile(&st.window_buckets, total, min_us, max_us, 50),
-            p99_us: window_percentile(&st.window_buckets, total, min_us, max_us, 99),
+            p50_us: percentile_in_buckets(&st.window_buckets, total, min_us, max_us, 500),
+            p99_us: percentile_in_buckets(&st.window_buckets, total, min_us, max_us, 990),
             recorded: st.recorded,
             batch_hist: st.batch_hist,
             cost: st.cost,
@@ -278,41 +280,6 @@ impl Monitor {
     }
 }
 
-/// Nearest-rank percentile over the window's log2 bucket counts:
-/// find the bucket holding rank `ceil(pct/100 * total)`, interpolate
-/// linearly within it by rank position, and clamp to the window's
-/// exact `[min, max]` — same semantics as
-/// [`LogHistogram::percentile_per_mille`], but over the rolling
-/// window rather than the cumulative record.
-fn window_percentile(
-    buckets: &[u64; LOG2_BUCKETS],
-    total: u64,
-    min_us: u64,
-    max_us: u64,
-    pct: u64,
-) -> Option<u64> {
-    if total == 0 {
-        return None;
-    }
-    // ceil(pct/100 * total), clamped to [1, total], 1-indexed.
-    let rank = (pct * total).div_ceil(100).clamp(1, total);
-    let mut cum = 0u64;
-    for (i, &count) in buckets.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        if cum + count >= rank {
-            let (lo, hi) = bucket_bounds(i);
-            let within = (rank - cum - 1) as f64 / count as f64;
-            let value = lo.saturating_add(((hi - lo) as f64 * within) as u64);
-            return Some(value.clamp(min_us, max_us));
-        }
-        cum += count;
-    }
-    // Unreachable while counts sum to `total`; fall back to max.
-    Some(max_us)
-}
-
 /// Point-in-time copy of the monitor state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorSnapshot {
@@ -345,93 +312,55 @@ pub struct MonitorSnapshot {
     pub http_requests: u64,
 }
 
-/// Append a JSON string value. Tenant-free in practice (substrate
-/// names and bucket labels are static), but escape anyway so the
-/// writer is safe for any input.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Append a float with three decimals — always a valid JSON number
-/// (never NaN/inf: callers only feed accumulated finite values).
-fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v:.3}"));
-    } else {
-        out.push_str("0.000");
-    }
-}
-
 impl MonitorSnapshot {
     /// Render the `/status` JSON document, merging the admission
-    /// layer's counters and gauges.
+    /// layer's counters and gauges. Rendered through the stack's one
+    /// JSON writer ([`JsonObj`]: call-order keys, three-decimal
+    /// floats, `null` for an empty window's percentiles).
     pub fn to_json(&self, stats: &ServeStats) -> String {
-        let mut s = String::with_capacity(768);
+        let mut admission = JsonObj::new();
+        admission
+            .field_u64("served", stats.served)
+            .field_u64("shed", stats.shed)
+            .field_u64("expired", stats.expired)
+            .field_u64("failed", stats.failed)
+            .field_u64("rejected", stats.rejected)
+            .field_u64("queued", stats.queued)
+            .field_u64("in_flight", stats.in_flight);
+        let mut latency = JsonObj::new();
+        latency
+            .field_u64("window", self.window as u64)
+            .field_u64("samples", self.latency_samples as u64)
+            .field_u64("recorded", self.recorded)
+            .field_opt_u64("p50_us", self.p50_us)
+            .field_opt_u64("p99_us", self.p99_us);
+        let mut batches = JsonObj::new();
+        for (label, count) in BATCH_LABELS.iter().zip(self.batch_hist) {
+            batches.field_u64(label, count);
+        }
+        let mut cost = JsonObj::new();
+        cost.field_u64("requests", self.cost.requests)
+            .field_u64("samples", self.cost.samples)
+            .field_f64("wall_ms", self.cost.wall_ms)
+            .field_u64("cycles", self.cost.cycles)
+            .field_u64("mem_bytes", self.cost.mem_bytes)
+            .field_f64("modelled_latency_ms", self.cost.modelled_latency_ms);
+        let mut net = JsonObj::new();
+        net.field_u64("connections", self.connections)
+            .field_u64("http_requests", self.http_requests)
+            .field_u64("rate_limited", self.rate_limited)
+            .field_u64("malformed", self.malformed);
+        let mut doc = JsonObj::new();
         // Advertises the newest protocol this build speaks; v1 peers
         // are still accepted (the version is negotiated per frame).
-        s.push_str("{\"protocol_version\":2,\"substrate\":");
-        push_json_str(&mut s, self.substrate);
-        s.push_str(&format!(
-            ",\"admission\":{{\"served\":{},\"shed\":{},\"expired\":{},\"failed\":{},\"rejected\":{},\"queued\":{},\"in_flight\":{}}}",
-            stats.served,
-            stats.shed,
-            stats.expired,
-            stats.failed,
-            stats.rejected,
-            stats.queued,
-            stats.in_flight
-        ));
-        s.push_str(&format!(
-            ",\"latency\":{{\"window\":{},\"samples\":{},\"recorded\":{},\"p50_us\":{},\"p99_us\":{}}}",
-            self.window,
-            self.latency_samples,
-            self.recorded,
-            json_opt(self.p50_us),
-            json_opt(self.p99_us)
-        ));
-        s.push_str(",\"batch_histogram\":{");
-        for (i, (label, count)) in BATCH_LABELS.iter().zip(self.batch_hist).enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            push_json_str(&mut s, label);
-            s.push_str(&format!(":{count}"));
-        }
-        s.push('}');
-        s.push_str(&format!(
-            ",\"cost\":{{\"requests\":{},\"samples\":{},\"wall_ms\":",
-            self.cost.requests, self.cost.samples
-        ));
-        push_json_f64(&mut s, self.cost.wall_ms);
-        s.push_str(&format!(
-            ",\"cycles\":{},\"mem_bytes\":{},\"modelled_latency_ms\":",
-            self.cost.cycles, self.cost.mem_bytes
-        ));
-        push_json_f64(&mut s, self.cost.modelled_latency_ms);
-        s.push('}');
-        s.push_str(&format!(
-            ",\"net\":{{\"connections\":{},\"http_requests\":{},\"rate_limited\":{},\"malformed\":{}}}}}",
-            self.connections, self.http_requests, self.rate_limited, self.malformed
-        ));
-        s
-    }
-}
-
-fn json_opt(v: Option<u64>) -> String {
-    match v {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
+        doc.field_u64("protocol_version", 2)
+            .field_str("substrate", self.substrate)
+            .field_raw("admission", &admission.finish())
+            .field_raw("latency", &latency.finish())
+            .field_raw("batch_histogram", &batches.finish())
+            .field_raw("cost", &cost.finish())
+            .field_raw("net", &net.finish());
+        doc.finish()
     }
 }
 
@@ -466,18 +395,21 @@ mod tests {
 
     #[test]
     fn percentiles_use_nearest_rank() {
-        let zero = [0u64; LOG2_BUCKETS];
-        assert_eq!(window_percentile(&zero, 0, u64::MAX, 0, 50), None);
+        // An empty window answers `None`.
+        let snap = Monitor::new(8, "float").snapshot();
+        assert_eq!((snap.p50_us, snap.p99_us), (None, None));
         // One sample pins every percentile via the min/max clamp.
-        let mut one = [0u64; LOG2_BUCKETS];
-        one[bucket_of(7)] = 1;
-        assert_eq!(window_percentile(&one, 1, 7, 7, 50), Some(7));
-        assert_eq!(window_percentile(&one, 1, 7, 7, 99), Some(7));
+        let m = Monitor::new(8, "float");
+        m.record_reply(Duration::from_micros(7), 1, &report(1, 0.0, None));
+        let snap = m.snapshot();
+        assert_eq!((snap.p50_us, snap.p99_us), (Some(7), Some(7)));
         // Uniform values collapse to that value regardless of rank.
-        let mut uniform = [0u64; LOG2_BUCKETS];
-        uniform[bucket_of(777)] = 64;
-        assert_eq!(window_percentile(&uniform, 64, 777, 777, 50), Some(777));
-        assert_eq!(window_percentile(&uniform, 64, 777, 777, 99), Some(777));
+        let m = Monitor::new(64, "float");
+        for _ in 0..64 {
+            m.record_reply(Duration::from_micros(777), 1, &report(1, 0.0, None));
+        }
+        let snap = m.snapshot();
+        assert_eq!((snap.p50_us, snap.p99_us), (Some(777), Some(777)));
     }
 
     #[test]
@@ -565,20 +497,25 @@ mod tests {
             served: 1,
             ..Default::default()
         };
-        let json = m.status_json(&stats);
+        // The exact bytes: the benchmark parses `admission.*` and
+        // `net.*` out of this document, so it must not drift.
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces in {json}"
+            m.status_json(&stats),
+            "{\"protocol_version\":2,\"substrate\":\"int8\",\
+             \"admission\":{\"served\":1,\"shed\":0,\"expired\":0,\"failed\":0,\
+             \"rejected\":0,\"queued\":0,\"in_flight\":0},\
+             \"latency\":{\"window\":8,\"samples\":1,\"recorded\":1,\
+             \"p50_us\":123,\"p99_us\":123},\
+             \"batch_histogram\":{\"1\":1,\"2\":0,\"3-4\":0,\"5-8\":0,\
+             \"9-16\":0,\"17-32\":0,\"33+\":0},\
+             \"cost\":{\"requests\":1,\"samples\":4,\"wall_ms\":0.100,\"cycles\":0,\
+             \"mem_bytes\":0,\"modelled_latency_ms\":0.000},\
+             \"net\":{\"connections\":1,\"http_requests\":1,\"rate_limited\":1,\
+             \"malformed\":1}}"
         );
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"substrate\":\"int8\""));
-        assert!(json.contains("\"served\":1"));
-        assert!(json.contains("\"rate_limited\":1"));
-        assert!(json.contains("\"malformed\":1"));
-        assert!(json.contains("\"connections\":1"));
-        assert!(json.contains("\"http_requests\":1"));
-        assert!(json.contains("\"p50_us\":123"));
+        // An empty window renders its percentiles as `null`.
+        let empty = Monitor::new(8, "int8").status_json(&stats);
+        assert!(empty.contains("\"p50_us\":null,\"p99_us\":null"), "{empty}");
     }
 
     #[test]

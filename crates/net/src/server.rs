@@ -22,7 +22,7 @@ use std::net::{
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Front-door configuration.
 #[derive(Debug, Clone)]
@@ -379,11 +379,11 @@ fn next_frame(stream: &mut TcpStream, shared: &NetShared) -> NextFrame {
     }
 }
 
-/// The binary request → reply loop. Lock-step (read → submit → wait →
-/// write) until the peer sends a correlation id; the first
-/// corr-carrying frame upgrades the connection to the pipelined
-/// reader/writer pair, gated on protocol v2 so v1 peers never pay for
-/// the second thread.
+/// The binary request → reply loop. Lock-step ([`answer`] of
+/// [`admit`], on this thread) until the peer sends a correlation id;
+/// the first corr-carrying frame upgrades the connection to the
+/// pipelined reader/writer pair, gated on protocol v2 so v1 peers
+/// never pay for the second thread.
 fn serve_binary(mut stream: TcpStream, shared: &NetShared) {
     let mut out = Vec::new();
     loop {
@@ -400,25 +400,31 @@ fn serve_binary(mut stream: TcpStream, shared: &NetShared) {
             serve_pipelined(stream, shared, request, root);
             return;
         }
-        if !serve_request(&mut stream, shared, request, root, &mut out) {
+        let step = admit(shared, request, root);
+        if !answer(&mut stream, shared, step, &mut out) {
             return;
         }
     }
 }
 
-/// One unit of work handed from the pipelined reader to its writer.
+/// One request between [`admit`] and [`answer`] — on a pipelined
+/// connection, the unit of work handed from the reader to its writer.
 enum PipeStep {
-    /// Admitted: the writer waits on the pending and answers.
+    /// Admitted: `answer` waits on the pending and replies.
     Submitted {
         pending: bnn_serve::Pending,
         corr: Option<u64>,
         seed: Option<u64>,
-        t0: Instant,
+        /// Trace-clock µs stamped before the tenant gate: `/status`
+        /// latency and the `request` root span both run from here
+        /// through the reply write, so no stage span nested under the
+        /// root can start before it.
+        t0_us: u64,
         /// Root trace span id (0 when tracing is disabled).
         root: u64,
     },
     /// Refused before admission (gate refusal or malformed frame):
-    /// the writer emits the typed error in submission order.
+    /// `answer` emits the typed error, in submission order.
     Refused {
         code: ErrorCode,
         corr: Option<u64>,
@@ -461,8 +467,8 @@ fn serve_pipelined(reader: TcpStream, shared: &NetShared, first: Request, first_
     });
 }
 
-/// The pipelined reader: read → decode → admit → hand to the writer.
-/// Never writes to the socket itself.
+/// The pipelined reader: read → decode → [`admit`] → hand to the
+/// writer. Never writes to the socket itself.
 fn pipeline_read_loop(
     mut stream: TcpStream,
     shared: &NetShared,
@@ -490,44 +496,7 @@ fn pipeline_read_loop(
                 }
             },
         };
-        let corr = request.corr;
-        let admit_span = bnn_trace::start();
-        let admitted = shared.gate.admit(&request.tenant, request.priority);
-        bnn_trace::finish(admit_span, bnn_trace::Stage::Admission, root, 0);
-        let step = match admitted {
-            Err(_) => {
-                shared.monitor.record_rate_limited();
-                PipeStep::Refused {
-                    code: ErrorCode::RateLimited,
-                    corr,
-                    seed: request.seed,
-                }
-            }
-            Ok(granted) => {
-                let t0 = Instant::now();
-                let mut submission = shared
-                    .handle
-                    .request(request.input)
-                    .priority(granted)
-                    .trace(root);
-                if let Some(us) = request.deadline_us {
-                    submission = submission.deadline(Duration::from_micros(us));
-                }
-                if let Some(seed) = request.seed {
-                    submission = submission.seed(seed);
-                }
-                let submit_span = bnn_trace::start();
-                let pending = submission.submit();
-                bnn_trace::finish(submit_span, bnn_trace::Stage::Submit, root, 0);
-                PipeStep::Submitted {
-                    pending,
-                    corr,
-                    seed: request.seed,
-                    t0,
-                    root,
-                }
-            }
-        };
+        let step = admit(shared, request, root);
         // A full channel blocks here — the backpressure path — until
         // the writer frees a slot; a dead writer (write failure) tears
         // the pair down via the send error instead.
@@ -537,92 +506,34 @@ fn pipeline_read_loop(
     }
 }
 
-/// The pipelined writer: wait on each step in submission order and
-/// write its reply or typed error frame. A failed or stalled write
-/// ends the loop; dropping the receiver then unblocks the reader.
+/// The pipelined writer: [`answer`] each step in submission order. A
+/// failed or stalled write ends the loop; dropping the receiver then
+/// unblocks the reader.
 fn pipeline_write_loop(mut stream: TcpStream, shared: &NetShared, rx: mpsc::Receiver<PipeStep>) {
     let mut out = Vec::new();
     while let Ok(step) = rx.recv() {
-        let wrote = match step {
-            PipeStep::Refused { code, corr, seed } => {
-                wire::encode_error(code, None, seed, corr, &mut out);
-                wire::write_frame(&mut stream, &out).is_ok()
-            }
-            PipeStep::Submitted {
-                pending,
-                corr,
-                seed,
-                t0,
-                root,
-            } => {
-                let id = pending.id();
-                let wait_span = bnn_trace::start();
-                let waited = pending.wait();
-                bnn_trace::finish(wait_span, bnn_trace::Stage::WriterWait, root, 0);
-                let wrote = match waited {
-                    Ok(reply) => {
-                        let seed = seed.unwrap_or_else(|| request_seed(shared.base_seed, reply.id));
-                        shared
-                            .monitor
-                            .record_reply(t0.elapsed(), reply.coalesced, &reply.cost);
-                        wire::encode_reply(&reply, seed, corr, &mut out);
-                        wire::write_frame(&mut stream, &out).is_ok()
-                    }
-                    Err(err) => {
-                        let seed = seed.or_else(|| id.map(|id| request_seed(shared.base_seed, id)));
-                        wire::encode_error(ErrorCode::from(err), id, seed, corr, &mut out);
-                        wire::write_frame(&mut stream, &out).is_ok()
-                    }
-                };
-                record_request_span(root, t0);
-                wrote
-            }
-        };
-        if !wrote {
+        if !answer(&mut stream, shared, step, &mut out) {
             return;
         }
     }
 }
 
-/// Record the request's root span — the whole server-side residency,
-/// admission through reply write — so every stage span recorded with
-/// `parent == root` nests under one top-level bar in the trace view.
-fn record_request_span(root: u64, t0: Instant) {
-    if !bnn_trace::enabled() {
-        return;
-    }
-    let dur = t0.elapsed().as_micros() as u64;
-    let now = bnn_trace::clock::now_us();
-    bnn_trace::record(
-        bnn_trace::Stage::Request,
-        root,
-        0,
-        now.saturating_sub(dur),
-        dur,
-        0,
-    );
-}
-
-/// Admit, submit and answer one decoded request. Returns `false`
-/// when the connection should close (a write failed).
-fn serve_request(
-    stream: &mut TcpStream,
-    shared: &NetShared,
-    request: Request,
-    root: u64,
-    out: &mut Vec<u8>,
-) -> bool {
-    let t0 = Instant::now();
+/// Gate and submit one decoded request — the first half of serving
+/// it, identical on lock-step and pipelined connections. Never
+/// touches the socket.
+fn admit(shared: &NetShared, request: Request, root: u64) -> PipeStep {
+    let t0_us = bnn_trace::clock::now_us();
+    let (corr, seed) = (request.corr, request.seed);
     let admit_span = bnn_trace::start();
     let admitted = shared.gate.admit(&request.tenant, request.priority);
     bnn_trace::finish(admit_span, bnn_trace::Stage::Admission, root, 0);
-    let granted = match admitted {
-        Ok(granted) => granted,
-        Err(_) => {
-            shared.monitor.record_rate_limited();
-            wire::encode_error(ErrorCode::RateLimited, None, request.seed, None, out);
-            return wire::write_frame(stream, out).is_ok();
-        }
+    let Ok(granted) = admitted else {
+        shared.monitor.record_rate_limited();
+        return PipeStep::Refused {
+            code: ErrorCode::RateLimited,
+            corr,
+            seed,
+        };
     };
     let mut submission = shared
         .handle
@@ -632,40 +543,72 @@ fn serve_request(
     if let Some(us) = request.deadline_us {
         submission = submission.deadline(Duration::from_micros(us));
     }
-    if let Some(seed) = request.seed {
+    if let Some(seed) = seed {
         submission = submission.seed(seed);
     }
     let submit_span = bnn_trace::start();
     let pending = submission.submit();
     bnn_trace::finish(submit_span, bnn_trace::Stage::Submit, root, 0);
-    let id = pending.id();
-    let wait_span = bnn_trace::start();
-    let waited = pending.wait();
-    bnn_trace::finish(wait_span, bnn_trace::Stage::WriterWait, root, 0);
-    let wrote = match waited {
-        Ok(reply) => {
-            // Seed echo: the client's pinned seed, or the derived
-            // per-request seed — either way the reply is offline-
-            // reproducible from (input, seed) alone.
-            let seed = request
-                .seed
-                .unwrap_or_else(|| request_seed(shared.base_seed, reply.id));
-            shared
-                .monitor
-                .record_reply(t0.elapsed(), reply.coalesced, &reply.cost);
-            wire::encode_reply(&reply, seed, None, out);
+    PipeStep::Submitted {
+        pending,
+        corr,
+        seed,
+        t0_us,
+        root,
+    }
+}
+
+/// Wait for one admitted request and write its reply or typed error
+/// frame — the second half of serving it. Returns `false` when the
+/// connection should close (a write failed).
+fn answer(stream: &mut TcpStream, shared: &NetShared, step: PipeStep, out: &mut Vec<u8>) -> bool {
+    match step {
+        PipeStep::Refused { code, corr, seed } => {
+            wire::encode_error(code, None, seed, corr, out);
             wire::write_frame(stream, out).is_ok()
         }
-        Err(err) => {
-            let seed = request
-                .seed
-                .or_else(|| id.map(|id| request_seed(shared.base_seed, id)));
-            wire::encode_error(ErrorCode::from(err), id, seed, None, out);
-            wire::write_frame(stream, out).is_ok()
+        PipeStep::Submitted {
+            pending,
+            corr,
+            seed,
+            t0_us,
+            root,
+        } => {
+            let id = pending.id();
+            let wait_span = bnn_trace::start();
+            let waited = pending.wait();
+            bnn_trace::finish(wait_span, bnn_trace::Stage::WriterWait, root, 0);
+            match waited {
+                Ok(reply) => {
+                    // Seed echo: the client's pinned seed, or the
+                    // derived per-request seed — either way the reply
+                    // is offline-reproducible from (input, seed) alone.
+                    let seed = seed.unwrap_or_else(|| request_seed(shared.base_seed, reply.id));
+                    let latency = bnn_trace::clock::now_us().saturating_sub(t0_us);
+                    shared.monitor.record_reply(
+                        Duration::from_micros(latency),
+                        reply.coalesced,
+                        &reply.cost,
+                    );
+                    wire::encode_reply(&reply, seed, corr, out);
+                }
+                Err(err) => {
+                    let seed = seed.or_else(|| id.map(|id| request_seed(shared.base_seed, id)));
+                    wire::encode_error(ErrorCode::from(err), id, seed, corr, out);
+                }
+            }
+            let wrote = wire::write_frame(stream, out).is_ok();
+            // The request's root span — the whole server-side
+            // residency, admission through reply write — so every
+            // stage span recorded with `parent == root` nests under
+            // one top-level bar in the trace view.
+            if bnn_trace::enabled() {
+                let dur = bnn_trace::clock::now_us().saturating_sub(t0_us);
+                bnn_trace::record(bnn_trace::Stage::Request, root, 0, t0_us, dur, 0);
+            }
+            wrote
         }
-    };
-    record_request_span(root, t0);
-    wrote
+    }
 }
 
 /// Largest HTTP request head we accept before answering 431.

@@ -1,112 +1,77 @@
-//! The int8 [`BayesBackend`]: integer execution of a [`QGraph`] with
-//! quantize/dequantize at the boundary.
+//! The integer [`BayesBackend`]: int8 execution of a [`QGraph`] with
+//! quantize/dequantize at the boundary — the one substrate behind
+//! both the `int8` and the `accel` names.
 //!
 //! `prepare` quantizes the input once and runs the deterministic
 //! prefix (every node before the first active MCD site) through the
-//! integer reference executor — the same intermediate-layer caching
-//! the accelerator applies. Each Monte Carlo pass then re-runs only
-//! the Bayesian suffix, dequantizes the logits and softmaxes them, so
-//! the generic engine in `bnn-mcd` can average int8 samples exactly
-//! like float ones.
+//! integer executor [`exec_qnode`] — the same intermediate-layer
+//! caching the accelerator applies. Each Monte Carlo pass then
+//! re-runs only the Bayesian suffix, dequantizes the logits and
+//! softmaxes them, so the generic engine in `bnn-mcd` can average int8
+//! samples exactly like float ones. Both passes are projections of
+//! [`QGraph::walk`].
+//!
+//! The accelerator substrate is this backend with the simulator's
+//! analytic [`HardwareModel`] attached ([`Int8Backend::with_model`],
+//! called by `bnn_accel::Accelerator::into_backend`): its *values* are
+//! exactly the quantized network's, its *costs* are the model's. The
+//! simulator's tiled PE loop nest computes the same bytes and stays
+//! the bit-exactness reference in tests, off the serving path.
 
-use crate::qgraph::{exec_qnode, QGraph, QNode, QTensor};
-use bnn_mcd::{BayesBackend, BayesConfig, ModelCost, ModelInfo};
+use crate::qgraph::{exec_qnode, QGraph, QTensor};
+use bnn_mcd::{BayesBackend, BayesConfig, HardwareModel, ModelCost, ModelInfo};
 use bnn_nn::MaskSet;
 use bnn_tensor::{softmax_rows, Shape4, Tensor};
+use std::sync::Arc;
 
-/// Intermediate-layer-caching runner over a [`QGraph`], parameterized
-/// by the per-node executor.
-///
-/// Both integer substrates — the reference int8 backend here (via
-/// [`exec_qnode`]) and the accelerator backend in `bnn-accel` (via
-/// its tiled PE stations) — share this one implementation of the IC
-/// protocol: quantize the input once, run the deterministic prefix
-/// once, then per Monte Carlo pass truncate a per-worker scratch back
-/// to the suffix boundary and re-run only the suffix, dequantizing
-/// and softmaxing the logits. Keeping the protocol in one place is
-/// what makes "accel is bit-identical to int8 under the same masks" a
-/// property of the node executors alone.
+/// What `prepare` binds: the quantized input batch and the node
+/// outputs of the deterministic prefix (its length is the suffix
+/// boundary; `nodes.len()` when the run is fully deterministic).
 #[derive(Debug, Clone)]
-pub struct IcRunner {
-    /// Quantized input batch.
+struct Prepared {
     input: QTensor,
-    /// Node outputs of the deterministic prefix (`nodes[..split]`).
     prefix: Vec<QTensor>,
-    /// First node of the Bayesian suffix (`nodes.len()` when the run
-    /// is fully deterministic).
-    split: usize,
-}
-
-impl IcRunner {
-    /// Quantize `x` and execute the deterministic prefix with `exec`.
-    pub fn prepare(
-        qgraph: &QGraph,
-        x: &Tensor,
-        active: &[bool],
-        mut exec: impl FnMut(&QNode, &[QTensor], &QTensor, &MaskSet) -> QTensor,
-    ) -> IcRunner {
-        let input = qgraph.quantize_input(x);
-        let split = qgraph.suffix_split(active);
-        let empty = MaskSet::none();
-        let mut prefix: Vec<QTensor> = Vec::with_capacity(split);
-        for node in &qgraph.nodes()[..split] {
-            let y = exec(node, &prefix, &input, &empty);
-            prefix.push(y);
-        }
-        IcRunner {
-            input,
-            prefix,
-            split,
-        }
-    }
-
-    /// A per-worker scratch: the prefix is cloned once per worker, not
-    /// once per sample.
-    pub fn scratch(&self) -> Vec<QTensor> {
-        self.prefix.clone()
-    }
-
-    /// One Monte Carlo pass: truncate `outs` back to the suffix
-    /// boundary (suffix execution never mutates prefix entries),
-    /// re-run the suffix with `exec`, and return softmaxed
-    /// dequantized probabilities.
-    pub fn forward(
-        &self,
-        qgraph: &QGraph,
-        masks: &MaskSet,
-        outs: &mut Vec<QTensor>,
-        mut exec: impl FnMut(&QNode, &[QTensor], &QTensor, &MaskSet) -> QTensor,
-    ) -> Tensor {
-        outs.truncate(self.split);
-        for node in &qgraph.nodes()[self.split..] {
-            let y = exec(node, outs, &self.input, masks);
-            outs.push(y);
-        }
-        let mut logits = qgraph.dequantize_output(&outs[qgraph.output_id()]);
-        let s = logits.shape();
-        let (rows, cols) = (s.n, s.item_len());
-        softmax_rows(logits.as_mut_slice(), rows, cols);
-        logits
-    }
 }
 
 /// Int8 execution substrate over a quantized graph.
 ///
-/// The graph is held behind an `Arc`: it is immutable at serving
-/// time, so [`BayesBackend::fork`] (batch-axis parallelism) and
-/// `Clone` are pointer bumps, not weight copies.
+/// The graph (and the hardware model, when one is attached) is held
+/// behind an `Arc`: both are immutable at serving time, so
+/// [`BayesBackend::fork`] (batch-axis parallelism) and `Clone` are
+/// pointer bumps, not weight copies.
 #[derive(Debug, Clone)]
 pub struct Int8Backend {
-    qgraph: std::sync::Arc<QGraph>,
-    prepared: Option<IcRunner>,
+    qgraph: Arc<QGraph>,
+    name: &'static str,
+    model: Option<Arc<dyn HardwareModel>>,
+    prepared: Option<Prepared>,
 }
 
 impl Int8Backend {
-    /// Create a backend owning a quantized graph.
+    /// Create a backend owning a quantized graph (`"int8"`, no
+    /// hardware model).
     pub fn new(qgraph: QGraph) -> Int8Backend {
         Int8Backend {
-            qgraph: std::sync::Arc::new(qgraph),
+            qgraph: Arc::new(qgraph),
+            name: "int8",
+            model: None,
             prepared: None,
+        }
+    }
+
+    /// The same backend serving under `name` with an analytic hardware
+    /// model attached: every prediction reports `model`'s cost. The
+    /// model describes one image per prediction, so a backend carrying
+    /// one rejects multi-item inputs.
+    pub fn with_model(
+        qgraph: QGraph,
+        name: &'static str,
+        model: Arc<dyn HardwareModel>,
+    ) -> Int8Backend {
+        Int8Backend {
+            name,
+            model: Some(model),
+            ..Int8Backend::new(qgraph)
         }
     }
 
@@ -115,7 +80,7 @@ impl Int8Backend {
         &self.qgraph
     }
 
-    fn prepared(&self) -> &IcRunner {
+    fn prepared(&self) -> &Prepared {
         self.prepared
             .as_ref()
             .expect("Int8Backend::prepare not called")
@@ -127,7 +92,7 @@ impl BayesBackend for Int8Backend {
 
     fn info(&self, input: Shape4) -> ModelInfo {
         ModelInfo {
-            name: "int8",
+            name: self.name,
             n_sites: self.qgraph.n_sites(),
             site_channels: self.qgraph.site_channels(input),
             output_classes: self.qgraph.output_classes(input),
@@ -135,32 +100,59 @@ impl BayesBackend for Int8Backend {
     }
 
     fn prepare(&mut self, x: &Tensor, active: &[bool]) {
-        self.prepared = Some(IcRunner::prepare(&self.qgraph, x, active, exec_qnode));
+        assert!(
+            self.model.is_none() || x.shape().n == 1,
+            "{}: the hardware model costs one image at a time (use batch = 1)",
+            self.name
+        );
+        let input = self.qgraph.quantize_input(x);
+        let split = self.qgraph.suffix_split(active);
+        let mut prefix = Vec::with_capacity(split);
+        self.qgraph
+            .walk(0..split, &input, &MaskSet::none(), &mut prefix, exec_qnode);
+        self.prepared = Some(Prepared { input, prefix });
     }
 
+    /// A per-worker scratch: the prefix is cloned once per worker, not
+    /// once per sample.
     fn make_scratch(&self) -> Vec<QTensor> {
-        self.prepared().scratch()
+        self.prepared().prefix.clone()
     }
 
+    /// One suffix walk per mask set over the worker's scratch (each
+    /// walk truncates it back to the prefix boundary first), then
+    /// dequantize and softmax the logits.
     fn forward_batch(&self, mask_sets: &[MaskSet], outs: &mut Vec<QTensor>) -> Vec<Tensor> {
-        let runner = self.prepared();
+        let Prepared { input, prefix } = self.prepared();
+        let suffix = prefix.len()..self.qgraph.nodes().len();
         mask_sets
             .iter()
-            .map(|masks| runner.forward(&self.qgraph, masks, outs, exec_qnode))
+            .map(|masks| {
+                self.qgraph
+                    .walk(suffix.clone(), input, masks, outs, exec_qnode);
+                let mut probs = self
+                    .qgraph
+                    .dequantize_output(&outs[self.qgraph.output_id()]);
+                let s = probs.shape();
+                softmax_rows(probs.as_mut_slice(), s.n, s.item_len());
+                probs
+            })
             .collect()
     }
 
-    fn model_cost(&self, _bayes: BayesConfig) -> Option<ModelCost> {
-        None
+    fn model_cost(&self, bayes: BayesConfig) -> Option<ModelCost> {
+        self.model.as_ref().map(|model| model.model_cost(bayes))
     }
 
     fn fork(&self) -> Option<Self> {
-        // The quantized graph is immutable at serving time, so a fork
-        // shares it (an Arc bump, no weight copy) and computes
+        // Graph and model are immutable at serving time, so a fork
+        // shares them (Arc bumps, no weight copy) and computes
         // bit-identically — which is what batch-axis parallelism in
         // the generic engine requires.
         Some(Int8Backend {
-            qgraph: std::sync::Arc::clone(&self.qgraph),
+            qgraph: Arc::clone(&self.qgraph),
+            name: self.name,
+            model: self.model.clone(),
             prepared: None,
         })
     }

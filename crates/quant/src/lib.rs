@@ -16,7 +16,12 @@
 //!
 //! The accelerator simulator (`bnn-accel`) executes the *same*
 //! [`QGraph`], so "simulator output == reference output" is a
-//! bit-exactness test, not an approximation check.
+//! bit-exactness test, not an approximation check. Every integer pass
+//! in the stack is a projection of one node-range walk,
+//! [`QGraph::walk`], parameterized by the node executor:
+//! [`QGraph::forward`] and the [`Int8Backend`] that serves both the
+//! `int8` and the `accel` substrate run it with [`exec_qnode`], the
+//! simulator's tiled reference run with its PE stations.
 //!
 //! # Example
 //!
@@ -40,7 +45,7 @@ mod fixed;
 mod qgraph;
 mod quantizer;
 
-pub use backend::{IcRunner, Int8Backend};
+pub use backend::Int8Backend;
 pub use fixed::{quantize_multiplier, FixedMul};
 pub use qgraph::{apply_qmask, exec_qnode, QGraph, QNode, QNodeOp, QParams, QTensor};
 pub use quantizer::Quantizer;

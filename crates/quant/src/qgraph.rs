@@ -3,6 +3,7 @@
 use crate::fixed::FixedMul;
 use bnn_nn::MaskSet;
 use bnn_tensor::{conv_out_dim, Shape4, Tensor};
+use std::ops::Range;
 
 /// Affine quantization parameters of an activation tensor:
 /// `real = scale · (q − zero)`, `q ∈ [0, 255]`.
@@ -297,12 +298,48 @@ impl QGraph {
     /// Integer forward pass returning every node's u8 output
     /// (the accelerator simulator cross-checks against this trace).
     pub fn forward_trace(&self, input: &QTensor, masks: &MaskSet) -> Vec<QTensor> {
-        let mut outs: Vec<QTensor> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let y = exec_qnode(node, &outs, input, masks);
+        let mut outs = Vec::with_capacity(self.nodes.len());
+        self.walk(0..self.nodes.len(), input, masks, &mut outs, exec_qnode);
+        outs
+    }
+
+    /// The one integer node-range walk: execute nodes `range` in order
+    /// with `exec`, each reading its predecessors from `outs` and
+    /// appending its own output.
+    ///
+    /// `outs` must hold the outputs of every node below `range.start`
+    /// (more is fine: it is truncated back to that boundary first, and
+    /// a walk never writes below it), so one vector serves any number
+    /// of suffix re-runs over a cached prefix. On return it holds
+    /// nodes `..range.end`. [`QGraph::forward_trace`], the int8
+    /// backend's prefix and suffix passes and the accelerator
+    /// simulator's tiled reference run are projections of this loop;
+    /// they differ only in the range and in the node executor
+    /// ([`exec_qnode`], or the simulator's tiled PE stations).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `outs` is shorter than `range.start` or the range
+    /// runs past the last node.
+    pub fn walk(
+        &self,
+        range: Range<usize>,
+        input: &QTensor,
+        masks: &MaskSet,
+        outs: &mut Vec<QTensor>,
+        exec: impl Fn(&QNode, &[QTensor], &QTensor, &MaskSet) -> QTensor,
+    ) {
+        assert!(
+            outs.len() >= range.start,
+            "walk from node {} needs every output below it, got {}",
+            range.start,
+            outs.len()
+        );
+        outs.truncate(range.start);
+        for node in &self.nodes[range] {
+            let y = exec(node, outs, input, masks);
             outs.push(y);
         }
-        outs
     }
 }
 
@@ -348,11 +385,12 @@ fn qnode_out_shape(node: &QNode, input: Shape4, get: impl Fn(usize) -> Shape4) -
     }
 }
 
-/// Execute one quantized node against its predecessors' outputs.
+/// Execute one quantized node against its predecessors' outputs: the
+/// node executor every serving path hands to [`QGraph::walk`].
 ///
-/// Exposed so the accelerator simulator can reuse the functional-unit
-/// ops (ReLU/pool/add/dropout) while supplying its own tiled matrix
-/// kernels.
+/// The accelerator simulator's tiled executor reuses it for the
+/// functional-unit ops (ReLU/pool/add/dropout) while supplying its own
+/// tiled matrix kernels.
 pub fn exec_qnode(node: &QNode, outs: &[QTensor], input: &QTensor, masks: &MaskSet) -> QTensor {
     match &node.op {
         QNodeOp::Input => input.clone(),

@@ -72,7 +72,7 @@
 //! # Example
 //!
 //! ```
-//! use bnn_serve::{BatchPolicy, ServeBackend, Server};
+//! use bnn_serve::{BatchPolicy, Backend, Server};
 //! use bnn_mcd::BayesConfig;
 //! use bnn_nn::models;
 //! use bnn_tensor::{Shape4, Tensor};
@@ -80,7 +80,7 @@
 //!
 //! let net = Arc::new(models::lenet5(10, 1, 16, 1));
 //! let server = Server::for_graph(net)
-//!     .backend(ServeBackend::Fused)
+//!     .backend(Backend::Fused)
 //!     .bayes(BayesConfig::new(2, 5))
 //!     .seed(42)
 //!     .start();
@@ -96,7 +96,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use bnn_accel::{AccelBackend, Accelerator};
+use bnn_accel::Accelerator;
 use bnn_mcd::{
     BayesBackend, BayesConfig, ChaosBackend, ChaosConfig, CostReport, Engine, FloatBackend,
     ParallelConfig, Plan, Uncertainty, WorkerPool,
@@ -167,29 +167,56 @@ impl BatchPolicy {
     }
 }
 
-/// Which execution substrate the server's resident backend runs on
-/// (mirrors the session-level `Backend` choice).
-pub enum ServeBackend {
-    /// f32 software execution (per-sample suffix re-runs).
+/// Which execution substrate a `Session` or a [`Server`] runs on: the
+/// stack's one substrate choice, so deployment code picks once and
+/// serves both batch jobs and concurrent single-input traffic from it
+/// (the `bnn-fpga` facade re-exports it as `Backend` and, because
+/// `benchmark/` imports that name too, as `ServeBackend`).
+///
+/// `Float` and `Fused` execute the f32 graph directly (per-sample
+/// suffix re-runs vs. batched-sample GEMM fusion, with bit-identical
+/// results); `Int8` and `Accel` carry their own compiled artefacts (a
+/// quantized graph, an accelerator instance) produced by the
+/// deployment pipeline, and run on the one integer backend.
+#[derive(Clone)]
+pub enum Backend {
+    /// f32 software execution, one suffix re-run per sample (the
+    /// conformance reference).
     Float,
-    /// f32 software execution with batched-sample GEMM fusion —
-    /// bit-identical to [`ServeBackend::Float`], the fastest software
-    /// path at large `S` and the serving default.
+    /// f32 software execution with batched-sample GEMM fusion: each
+    /// worker's Monte Carlo samples walk the Bayesian suffix *once*
+    /// with sample-stacked activations, so every weight matrix streams
+    /// once per layer instead of once per sample. Bit-identical to
+    /// [`Backend::Float`] under the same seed at any thread count;
+    /// prefer it whenever `S` is large relative to the batch (the
+    /// serving common case — compare `mcd.fused.s100_us` with
+    /// `mcd.float.s100_us` in the `benchmark/` layer probes).
     Fused,
     /// int8 integer execution of a quantized graph.
     Int8(QGraph),
-    /// The simulated FPGA accelerator.
+    /// The simulated FPGA accelerator (batch-1 inputs): int8 execution
+    /// of its quantized graph, every prediction costed by its analytic
+    /// cycle/latency/traffic model.
     Accel(Accelerator),
 }
 
-impl std::fmt::Debug for ServeBackend {
+impl Backend {
+    /// The substrate's name — `"float"`, `"fused"`, `"int8"` or
+    /// `"accel"` — as the built backend's own `ModelInfo::name` and
+    /// `backend_name()` on `Session` and [`Server`] report it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Backend::Float => "float",
+            Backend::Fused => "fused",
+            Backend::Int8(_) => "int8",
+            Backend::Accel(_) => "accel",
+        }
+    }
+}
+
+impl std::fmt::Debug for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ServeBackend::Float => "ServeBackend::Float",
-            ServeBackend::Fused => "ServeBackend::Fused",
-            ServeBackend::Int8(_) => "ServeBackend::Int8(..)",
-            ServeBackend::Accel(_) => "ServeBackend::Accel(..)",
-        })
+        write!(f, "Backend({})", self.name())
     }
 }
 
@@ -815,7 +842,7 @@ fn resolved_pending(error: ServeError) -> Pending {
 /// Builder for a [`Server`]; see [`Server::for_graph`].
 pub struct ServerBuilder {
     graph: Arc<Graph>,
-    backend: ServeBackend,
+    backend: Backend,
     bayes: BayesConfig,
     parallel: ParallelConfig,
     policy: BatchPolicy,
@@ -827,9 +854,9 @@ pub struct ServerBuilder {
 
 impl ServerBuilder {
     /// Select the resident execution substrate (default:
-    /// [`ServeBackend::Fused`], the fastest software path for the
+    /// [`Backend::Fused`], the fastest software path for the
     /// serving common case of large `S` over single inputs).
-    pub fn backend(mut self, backend: ServeBackend) -> ServerBuilder {
+    pub fn backend(mut self, backend: Backend) -> ServerBuilder {
         self.backend = backend;
         self
     }
@@ -924,21 +951,16 @@ impl ServerBuilder {
         };
         let graph = self.graph;
         let backend = self.backend;
-        let backend_name = match &backend {
-            ServeBackend::Float => "float",
-            ServeBackend::Fused => "fused",
-            ServeBackend::Int8(_) => "int8",
-            ServeBackend::Accel(_) => "accel",
-        };
+        let backend_name = backend.name();
         let chaos = self.chaos;
         // audit:allow(concurrency) one resident dispatcher thread per Server — an owner loop, not data-parallel fan-out (which routes through WorkerPool).
         let dispatcher = std::thread::Builder::new()
             .name("bnn-serve".into())
             .spawn(move || match backend {
-                ServeBackend::Float => launch(FloatBackend::new(&graph), chaos, &ctx),
-                ServeBackend::Fused => launch(FloatBackend::fused(&graph), chaos, &ctx),
-                ServeBackend::Int8(qgraph) => launch(Int8Backend::new(qgraph), chaos, &ctx),
-                ServeBackend::Accel(accel) => launch(AccelBackend::new(accel), chaos, &ctx),
+                Backend::Float => launch(FloatBackend::new(&graph), chaos, &ctx),
+                Backend::Fused => launch(FloatBackend::fused(&graph), chaos, &ctx),
+                Backend::Int8(qgraph) => launch(Int8Backend::new(qgraph), chaos, &ctx),
+                Backend::Accel(accel) => launch(accel.into_backend(), chaos, &ctx),
             })
             // audit:allow(panic) OS thread creation at Server construction: no dispatcher exists yet to field requests, so there is no typed reply path — failing the build loudly is the only option.
             .expect("spawn serve dispatcher");
@@ -986,12 +1008,12 @@ pub struct Server {
 
 impl Server {
     /// Start building a server over a graph (the f32 source of truth;
-    /// [`ServeBackend::Int8`] / [`ServeBackend::Accel`] carry their
+    /// [`Backend::Int8`] / [`Backend::Accel`] carry their
     /// own compiled artefacts lowered from it).
     pub fn for_graph(graph: Arc<Graph>) -> ServerBuilder {
         ServerBuilder {
             graph,
-            backend: ServeBackend::Fused,
+            backend: Backend::Fused,
             bayes: BayesConfig::new(1, 10),
             parallel: ParallelConfig::default(),
             policy: BatchPolicy::default(),
@@ -1416,7 +1438,7 @@ mod tests {
         let net = Arc::new(test_net());
         let cfg = BayesConfig::new(2, 6);
         let server = Server::for_graph(Arc::clone(&net))
-            .backend(ServeBackend::Fused)
+            .backend(Backend::Fused)
             .bayes(cfg)
             .seed(9)
             .start();

@@ -8,9 +8,7 @@ use bnn_mcd::{
     WorkerPool,
 };
 use bnn_nn::{models, Graph};
-use bnn_serve::{
-    BatchPolicy, Priority, RetryPolicy, ServeBackend, ServeError, Server, SubmitError,
-};
+use bnn_serve::{Backend, BatchPolicy, Priority, RetryPolicy, ServeError, Server, SubmitError};
 use bnn_tensor::{Shape4, Tensor};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -386,7 +384,7 @@ fn submission_builder_seed_pins_the_solo_prediction() {
         let net = Arc::new(test_net());
         let cfg = BayesConfig::new(2, 3);
         let server = Server::for_graph(Arc::clone(&net))
-            .backend(ServeBackend::Fused)
+            .backend(Backend::Fused)
             .bayes(cfg)
             .start();
         let handle = server.handle();

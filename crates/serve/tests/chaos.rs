@@ -29,7 +29,7 @@ use bnn_mcd::{
 };
 use bnn_nn::{models, Graph};
 use bnn_quant::Quantizer;
-use bnn_serve::{BatchPolicy, ServeBackend, ServeError, Server, SubmitError};
+use bnn_serve::{Backend, BatchPolicy, ServeError, Server, SubmitError};
 use bnn_tensor::{Shape4, Tensor};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -87,7 +87,7 @@ fn mixed_chaos(base: u64) -> ChaosConfig {
 /// to their probability bytes.
 fn run_sequential(
     net: &Arc<Graph>,
-    backend: ServeBackend,
+    backend: Backend,
     cfg: BayesConfig,
     chaos: Option<ChaosConfig>,
 ) -> Vec<Result<Vec<f32>, ServeError>> {
@@ -124,11 +124,7 @@ fn run_sequential(
 /// The containment contract on one substrate: outcomes follow the
 /// pure fault schedule, survivors are bit-identical to the fault-free
 /// run, and the same chaos seed replays the same outcome vector.
-fn assert_chaos_contained(
-    net: &Arc<Graph>,
-    make_backend: &dyn Fn() -> ServeBackend,
-    chaos_base: u64,
-) {
+fn assert_chaos_contained(net: &Arc<Graph>, make_backend: &dyn Fn() -> Backend, chaos_base: u64) {
     let cfg = BayesConfig::new(2, 3);
     let chaos = mixed_chaos(chaos_base);
 
@@ -163,8 +159,8 @@ fn assert_chaos_contained(
 fn chaos_containment_on_software_substrates() {
     with_deadline(120, || {
         let net = Arc::new(models::lenet5(10, 1, 16, 3));
-        assert_chaos_contained(&net, &|| ServeBackend::Float, 0xC0A5_0001);
-        assert_chaos_contained(&net, &|| ServeBackend::Fused, 0xC0A5_0002);
+        assert_chaos_contained(&net, &|| Backend::Float, 0xC0A5_0001);
+        assert_chaos_contained(&net, &|| Backend::Fused, 0xC0A5_0002);
     });
 }
 
@@ -191,12 +187,8 @@ fn chaos_containment_on_integer_substrates() {
         let net = Arc::new(folded);
         let qg_ref = &qg;
         let accel_ref = &accel;
-        assert_chaos_contained(&net, &|| ServeBackend::Int8(qg_ref.clone()), 0xC0A5_0003);
-        assert_chaos_contained(
-            &net,
-            &|| ServeBackend::Accel(accel_ref.clone()),
-            0xC0A5_0004,
-        );
+        assert_chaos_contained(&net, &|| Backend::Int8(qg_ref.clone()), 0xC0A5_0003);
+        assert_chaos_contained(&net, &|| Backend::Accel(accel_ref.clone()), 0xC0A5_0004);
     });
 }
 

@@ -17,7 +17,7 @@ use bnn_mcd::{
     WorkerPool,
 };
 use bnn_nn::{models, Graph};
-use bnn_serve::{BatchPolicy, ServeBackend, Server};
+use bnn_serve::{Backend, BatchPolicy, Server};
 use bnn_tensor::{Shape4, Tensor};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -70,7 +70,7 @@ proptest! {
         // The ISSUE's pool sizes {1, 4}.
         let workers = if pool_large { 4 } else { 1 };
         let server = Server::for_graph(Arc::clone(&net))
-            .backend(if fused { ServeBackend::Fused } else { ServeBackend::Float })
+            .backend(if fused { Backend::Fused } else { Backend::Float })
             .bayes(cfg)
             .parallel(
                 ParallelConfig::with_threads(threads).with_batch_threads(batch_threads),

@@ -21,7 +21,7 @@ use bnn_mcd::{
     WorkerPool,
 };
 use bnn_nn::{models, Graph};
-use bnn_serve::{BatchPolicy, Priority, ServeBackend, ServeError, Server, SubmitError};
+use bnn_serve::{Backend, BatchPolicy, Priority, ServeError, Server, SubmitError};
 use bnn_tensor::{Shape4, Tensor};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -74,7 +74,7 @@ fn many_clients_tiny_window_bounded_queue() {
         let net = Arc::new(test_net());
         let cfg = BayesConfig::new(2, 3);
         let server = Server::for_graph(Arc::clone(&net))
-            .backend(ServeBackend::Fused)
+            .backend(Backend::Fused)
             .bayes(cfg)
             .parallel(ParallelConfig::with_threads(2).with_batch_threads(2))
             .policy(BatchPolicy {

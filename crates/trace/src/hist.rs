@@ -115,29 +115,46 @@ impl LogHistogram {
     /// p99.9 → 999), linearly interpolated inside the hit bucket and
     /// clamped to the observed [min, max]. `None` when empty.
     pub fn percentile_per_mille(&self, pm: u32) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let pm = u64::from(pm.min(1000));
-        // ceil(pm/1000 * total), clamped to [1, total], 1-indexed.
-        let rank = (pm * self.total).div_ceil(1000).clamp(1, self.total);
-        let mut cum = 0u64;
-        for (i, &count) in self.buckets.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            if cum + count >= rank {
-                let (lo, hi) = bucket_bounds(i);
-                let within = (rank - cum - 1) as f64 / count as f64;
-                let span = (hi - lo) as f64;
-                let value = lo.saturating_add((span * within) as u64);
-                return Some(value.clamp(self.min_us, self.max_us));
-            }
-            cum += count;
-        }
-        // Unreachable while counts sum to `total`; fall back to max.
-        Some(self.max_us)
+        percentile_in_buckets(&self.buckets, self.total, self.min_us, self.max_us, pm)
     }
+}
+
+/// The one rank-in-buckets percentile: over log2 `buckets` summing to
+/// `total` observations inside `[min_us, max_us]`, find the bucket
+/// holding rank `ceil(pm/1000 · total)`, interpolate linearly within it
+/// by rank position, and clamp to the exact bounds. `None` when empty.
+/// [`LogHistogram::percentile_per_mille`] answers from its cumulative
+/// counts through this; `bnn-net`'s monitor answers from its rolling
+/// window's.
+pub fn percentile_in_buckets(
+    buckets: &[u64; LOG2_BUCKETS],
+    total: u64,
+    min_us: u64,
+    max_us: u64,
+    pm: u32,
+) -> Option<u64> {
+    if total == 0 {
+        return None;
+    }
+    let pm = u64::from(pm.min(1000));
+    // ceil(pm/1000 * total), clamped to [1, total], 1-indexed.
+    let rank = (pm * total).div_ceil(1000).clamp(1, total);
+    let mut cum = 0u64;
+    for (i, &count) in buckets.iter().enumerate() {
+        if count == 0 {
+            continue;
+        }
+        if cum + count >= rank {
+            let (lo, hi) = bucket_bounds(i);
+            let within = (rank - cum - 1) as f64 / count as f64;
+            let span = (hi - lo) as f64;
+            let value = lo.saturating_add((span * within) as u64);
+            return Some(value.clamp(min_us, max_us));
+        }
+        cum += count;
+    }
+    // Unreachable while counts sum to `total`; fall back to max.
+    Some(max_us)
 }
 
 /// Append a JSON-escaped string literal (with quotes) to `out`.

@@ -52,7 +52,8 @@ mod hist;
 pub mod metrics;
 
 pub use hist::{
-    bucket_bounds, bucket_of, push_json_str, JsonArr, JsonObj, LogHistogram, LOG2_BUCKETS,
+    bucket_bounds, bucket_of, percentile_in_buckets, push_json_str, JsonArr, JsonObj, LogHistogram,
+    LOG2_BUCKETS,
 };
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};

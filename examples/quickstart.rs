@@ -25,7 +25,7 @@ use bnn_fpga::net::{NetClient, NetConfig, NetServer, Request, Response};
 use bnn_fpga::nn::{arch::extract_layers, models, SgdConfig, Trainer};
 use bnn_fpga::platforms::PlatformModel;
 use bnn_fpga::quant::Quantizer;
-use bnn_fpga::{Backend, BatchPolicy, Priority, ServeBackend, ServeError, Server, Session};
+use bnn_fpga::{Backend, BatchPolicy, Priority, ServeError, Server, Session};
 
 fn main() {
     // 1. Data + model. LeNet-5 has N = 5 weight layers, each guarded
@@ -119,7 +119,7 @@ fn main() {
     //    from its own seed, so a reply is bit-identical whether the
     //    request was served alone or coalesced with strangers.
     let server = Server::for_graph(std::sync::Arc::new(folded.clone()))
-        .backend(ServeBackend::Fused)
+        .backend(Backend::Fused)
         .bayes(bayes)
         .policy(BatchPolicy {
             max_batch: 8,

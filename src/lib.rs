@@ -8,12 +8,18 @@
 //! across execution substrates. This crate's [`Session`] API makes
 //! that the front door: train → quantize → serve is one fluent
 //! pipeline, and swapping the substrate is one builder call. The
-//! substrates: f32 software (`Backend::Float`), f32 with
-//! batched-sample GEMM fusion (`Backend::Fused` — weights stream once
-//! per layer instead of once per sample, bit-identical results, the
-//! fastest software path at large `S`), int8 integer
-//! (`Backend::Int8`) and the simulated accelerator
-//! (`Backend::Accel`).
+//! four substrate names are two executors: the f32 graph walk, once
+//! per sample (`Backend::Float`, the conformance reference) or once
+//! per sample chunk with batched-sample GEMM fusion (`Backend::Fused`
+//! — weights stream once per layer instead of once per sample,
+//! bit-identical results, the fastest software path at large `S`);
+//! and the int8 integer walk over a quantized graph, bare
+//! (`Backend::Int8`) or as the simulated accelerator
+//! (`Backend::Accel` — the same integer arithmetic, which is exactly
+//! the 8-bit datapath's, with every prediction costed by the
+//! accelerator's analytic cycle/traffic model; the simulator's tiled
+//! PE loop nest computes the same bytes and stays the bit-exactness
+//! reference in tests, off the serving path).
 //!
 //! ```no_run
 //! use bnn_fpga::accel::{AccelConfig, Accelerator};
@@ -287,7 +293,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`accel`] | `bnn-accel` | the accelerator simulator: NNE, cycle model, resource model, IC, `AccelBackend` |
+//! | [`accel`] | `bnn-accel` | the accelerator simulator: tiled NNE (the bit-exactness reference), cycle model, resource model, IC; `Accelerator::into_backend` attaches its cost model to the integer backend |
 //! | [`rng`] | `bnn-rng` | LFSRs, Bernoulli sampler, fixed-point Gaussian samplers |
 //! | [`tensor`] | `bnn-tensor` | NCHW tensors, GEMM, im2col, pooling |
 //! | [`nn`] | `bnn-nn` | layer-graph IR, f32 executor, backprop, SGD, model builders |
@@ -296,7 +302,7 @@
 //! | [`serve`] | `bnn-serve` | the request-coalescing serving front door: `Server`, `Handle`, `BatchPolicy` |
 //! | [`net`] | `bnn-net` | the TCP front door: binary protocol v1/v2 (pipelining), `GET /status` telemetry, tenant gate, `loadgen` |
 //! | [`trace`] | `bnn-trace` | stage-span recorder: per-thread rings, log2 histograms, Chrome-trace export behind `/trace` + `/metrics` |
-//! | [`quant`] | `bnn-quant` | 8-bit linear quantization, int8 executor, `Int8Backend` |
+//! | [`quant`] | `bnn-quant` | 8-bit linear quantization, the int8 executor and its one node-range walk, `Int8Backend` (the `int8` and `accel` substrates) |
 //! | [`platforms`] | `bnn-platforms` | CPU/GPU latency models, VIBNN and BYNQNet baselines |
 //! | [`framework`] | `bnn-framework` | the automatic hardware/algorithm optimization framework |
 //!
@@ -320,10 +326,13 @@ pub use bnn_platforms as platforms;
 pub use bnn_quant as quant;
 pub use bnn_rng as rng;
 pub use bnn_serve as serve;
+// One substrate enum; the second name exists because `benchmark/`
+// imports both.
+pub use bnn_serve::Backend as ServeBackend;
 pub use bnn_serve::{
-    request_seed, BatchPolicy, Handle, Pending, Priority, Reply, RetryPolicy, ServeBackend,
-    ServeError, ServeStats, Server, Submission, SubmitError,
+    request_seed, Backend, BatchPolicy, Handle, Pending, Priority, Reply, RetryPolicy, ServeError,
+    ServeStats, Server, Submission, SubmitError,
 };
 pub use bnn_tensor as tensor;
 pub use bnn_trace as trace;
-pub use session::{Backend, Session, SessionBuilder};
+pub use session::{Session, SessionBuilder};

@@ -27,76 +27,23 @@
 //! assert!(session.last_cost().is_some());
 //! ```
 
-use bnn_accel::{AccelBackend, Accelerator};
 use bnn_mcd::{
     BayesBackend, BayesConfig, CostReport, Engine, FloatBackend, HardwareMaskSource, MaskSource,
     ModelInfo, ParallelConfig, Plan, RequestResult, SoftwareMaskSource, WorkerPool,
 };
 use bnn_nn::Graph;
-use bnn_quant::{Int8Backend, QGraph};
+use bnn_quant::Int8Backend;
+use bnn_serve::Backend;
 use bnn_tensor::{Shape4, Tensor};
 use std::sync::Arc;
-
-/// Which execution substrate a [`Session`] serves from.
-///
-/// `Float` and `Fused` execute the session's f32 graph directly
-/// (per-sample suffix re-runs vs. batched-sample GEMM fusion, with
-/// bit-identical results); `Int8` and `Accel` carry their own compiled
-/// artefacts (a quantized graph, an accelerator instance) produced by
-/// the deployment pipeline.
-#[derive(Clone)]
-pub enum Backend {
-    /// f32 software execution of the session graph (the PR-1
-    /// suffix-reuse engine).
-    Float,
-    /// f32 software execution with batched-sample GEMM fusion: each
-    /// worker's Monte Carlo samples walk the Bayesian suffix *once*
-    /// with sample-stacked activations, so every weight matrix streams
-    /// once per layer instead of once per sample. Bit-identical to
-    /// [`Backend::Float`] under the same seed at any thread count;
-    /// prefer it whenever `S` is large relative to the batch (the
-    /// serving common case — compare `mcd.fused.s100_us` with
-    /// `mcd.float.s100_us` in the `benchmark/` layer probes).
-    Fused,
-    /// int8 integer execution of a quantized graph.
-    Int8(QGraph),
-    /// The simulated FPGA accelerator (batch-1 inputs; predictions
-    /// come with a cycle/latency/traffic cost model).
-    Accel(Accelerator),
-}
-
-impl std::fmt::Debug for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Backend::Float => "Backend::Float",
-            Backend::Fused => "Backend::Fused",
-            Backend::Int8(_) => "Backend::Int8(..)",
-            Backend::Accel(_) => "Backend::Accel(..)",
-        })
-    }
-}
-
-impl From<Backend> for bnn_serve::ServeBackend {
-    /// A session-level substrate choice maps one-to-one onto the
-    /// serving front door's (`bnn_serve::Server`), so deployment code
-    /// can pick once and both serve batch jobs (`Session`) and
-    /// concurrent single-input traffic (`Server`) from it.
-    fn from(backend: Backend) -> bnn_serve::ServeBackend {
-        match backend {
-            Backend::Float => bnn_serve::ServeBackend::Float,
-            Backend::Fused => bnn_serve::ServeBackend::Fused,
-            Backend::Int8(qgraph) => bnn_serve::ServeBackend::Int8(qgraph),
-            Backend::Accel(accel) => bnn_serve::ServeBackend::Accel(accel),
-        }
-    }
-}
 
 enum BackendImpl<'g> {
     /// [`Backend::Float`] and [`Backend::Fused`]: one type, two cuts
     /// of the sample chunk.
     F32(FloatBackend<'g>),
+    /// [`Backend::Int8`] and [`Backend::Accel`]: one type, without and
+    /// with the accelerator's analytic cost model attached.
     Int8(Int8Backend),
-    Accel(AccelBackend),
 }
 
 /// Dispatch a generic call to the session's concrete backend.
@@ -105,7 +52,6 @@ macro_rules! with_backend {
         match $inner {
             BackendImpl::F32($b) => $body,
             BackendImpl::Int8($b) => $body,
-            BackendImpl::Accel($b) => $body,
         }
     };
 }
@@ -198,11 +144,12 @@ impl<'g> SessionBuilder<'g> {
 
     /// Finish the builder.
     pub fn build(self) -> Session<'g> {
-        let (inner, backend_name) = match self.backend {
-            Backend::Float => (BackendImpl::F32(FloatBackend::new(self.graph)), "float"),
-            Backend::Fused => (BackendImpl::F32(FloatBackend::fused(self.graph)), "fused"),
-            Backend::Int8(qg) => (BackendImpl::Int8(Int8Backend::new(qg)), "int8"),
-            Backend::Accel(accel) => (BackendImpl::Accel(AccelBackend::new(accel)), "accel"),
+        let backend_name = self.backend.name();
+        let inner = match self.backend {
+            Backend::Float => BackendImpl::F32(FloatBackend::new(self.graph)),
+            Backend::Fused => BackendImpl::F32(FloatBackend::fused(self.graph)),
+            Backend::Int8(qg) => BackendImpl::Int8(Int8Backend::new(qg)),
+            Backend::Accel(accel) => BackendImpl::Int8(accel.into_backend()),
         };
         let source: Box<dyn MaskSource + Send> = match self.source {
             SourceChoice::Software(seed) => Box::new(SoftwareMaskSource::new(seed)),

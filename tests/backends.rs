@@ -9,31 +9,34 @@
 //! * `FloatBackend::fused` is *bit-identical* to `FloatBackend::new`:
 //!   batched-sample GEMM fusion (the stacked kernels) is an exact
 //!   re-scheduling of the per-sample walk (the per-item kernels).
-//! * `AccelBackend` is *bit-identical* to `Int8Backend`: the tiled PE
-//!   engine is an exact re-scheduling of the integer reference
-//!   executor.
+//! * The `accel` substrate (`Accelerator::into_backend`) is the `int8`
+//!   substrate with the analytic cost model attached, and both are
+//!   *bit-identical* to the simulator's tiled PE engine
+//!   (`Accelerator::run_with_masks`): the tiled loop nest is an exact
+//!   re-scheduling of the integer executor, kept as the reference.
 //! * `Int8Backend` stays within quantization tolerance of
 //!   `FloatBackend` on a trained LeNet-5.
 //! * `Session` is a thin caller of `Engine::run`: its batched
 //!   predictive is *bit-identical* to a bare `Plan::batched` run over
 //!   a `FloatBackend` for the same seed.
 //! * All four substrates lowered from one graph answer `info(shape)`
-//!   with the same geometry.
+//!   with the same geometry, and `Backend` / `ServeBackend` are one
+//!   type with one name table.
 //! * Every substrate survives deterministic fault injection
 //!   (`assert_chaos_agrees`): disabled chaos is bit-transparent and
 //!   scheduled faults are contained and replayable.
 
-use bnn_fpga::accel::{AccelBackend, AccelConfig, Accelerator};
+use bnn_fpga::accel::{AccelConfig, Accelerator};
 use bnn_fpga::data::synth_mnist;
 use bnn_fpga::mcd::conformance::{assert_backend_agrees, assert_chaos_agrees, Tolerance};
 use bnn_fpga::mcd::{
-    BayesBackend, BayesConfig, Engine, FloatBackend, ParallelConfig, Plan, RequestResult,
-    SoftwareMaskSource, WorkerPool,
+    active_sites, BayesBackend, BayesConfig, Engine, FloatBackend, MaskSource, ParallelConfig,
+    Plan, RequestResult, SoftwareMaskSource, WorkerPool,
 };
-use bnn_fpga::nn::{models, SgdConfig, Trainer};
+use bnn_fpga::nn::{models, MaskSet, SgdConfig, Trainer};
 use bnn_fpga::quant::{Int8Backend, Quantizer};
-use bnn_fpga::tensor::{Shape4, Tensor};
-use bnn_fpga::{Backend, Session};
+use bnn_fpga::tensor::{softmax_rows, Shape4, Tensor};
+use bnn_fpga::{Backend, ServeBackend, Session};
 
 /// A briefly-trained LeNet-5 with its dataset, trained once and
 /// shared by the whole suite.
@@ -86,14 +89,47 @@ fn conformance_accel_bit_identical_to_int8() {
     let qg = Quantizer::new(&folded).calibrate(&ds.train_x).quantize();
     let accel = Accelerator::new(AccelConfig::default(), &folded, &qg, ds.image_shape());
     // Single-item input: the accelerator processes one image at a time.
+    let x = ds.test_x.select_item(0);
+    let (cfg, seed) = (BayesConfig::new(3, 8), 123);
+    let mut backend = accel.clone().into_backend();
+    // Checks 1–6 on the accel name: the attached model moves no byte.
     assert_backend_agrees(
         &mut Int8Backend::new(qg),
-        &mut AccelBackend::new(accel),
-        &ds.test_x.select_item(0),
-        BayesConfig::new(3, 8),
-        123,
+        &mut backend,
+        &x,
+        cfg,
+        seed,
         Tolerance::BitExact,
     );
+
+    // Both names run `exec_qnode`, so the pair above cannot see the
+    // simulator. The tiled PE loop nest (`tiled_conv` / `tiled_linear`
+    // via `run_with_masks`) is the independent reference: the engine's
+    // passes must equal its softmaxed logits under the same masks.
+    let info = backend.info(x.shape());
+    let active = active_sites(info.n_sites, cfg.l);
+    let mut src = SoftwareMaskSource::new(seed);
+    let mask_sets: Vec<MaskSet> = (0..cfg.s)
+        .map(|_| src.next_masks(&active, &info.site_channels, cfg.p))
+        .collect();
+    let tiled = accel.run_with_masks(&x, cfg, &mask_sets);
+    let passes = RequestResult::single(Engine::serial().run(
+        &mut backend,
+        Plan::one(&x, &mut SoftwareMaskSource::new(seed)),
+        cfg,
+    ))
+    .passes;
+    assert_eq!(passes.len(), cfg.s);
+    for (s, (pass, logits)) in passes.iter().zip(&tiled.logits_per_sample).enumerate() {
+        let mut reference = logits.clone();
+        let shape = reference.shape();
+        softmax_rows(reference.as_mut_slice(), shape.n, shape.item_len());
+        assert_eq!(
+            pass.as_slice(),
+            reference.as_slice(),
+            "sample {s}: the accel substrate diverged from the tiled engine"
+        );
+    }
 }
 
 #[test]
@@ -112,7 +148,7 @@ fn conformance_chaos_containment_on_all_substrates() {
     assert_chaos_agrees(|| FloatBackend::new(&folded), &x, cfg, 0xFA01);
     assert_chaos_agrees(|| FloatBackend::fused(&folded), &x, cfg, 0xFA02);
     assert_chaos_agrees(|| Int8Backend::new(qg.clone()), &x, cfg, 0xFA03);
-    assert_chaos_agrees(|| AccelBackend::new(accel.clone()), &x, cfg, 0xFA04);
+    assert_chaos_agrees(|| accel.clone().into_backend(), &x, cfg, 0xFA04);
 }
 
 #[test]
@@ -137,11 +173,15 @@ fn geometry_is_one_answer_across_substrates() {
         (Backend::Int8(qg.clone()), Int8Backend::new(qg).info(shape)),
         (
             Backend::Accel(accel.clone()),
-            AccelBackend::new(accel).info(shape),
+            accel.into_backend().info(shape),
         ),
     ];
     let names = ["float", "fused", "int8", "accel"];
     for ((backend, info), name) in backends.into_iter().zip(names) {
+        // One enum under two names (`benchmark/` imports both), one
+        // name table.
+        let backend: ServeBackend = backend;
+        assert_eq!(backend.name(), name);
         assert_eq!(info.n_sites, float.n_sites, "{name}: n_sites");
         assert_eq!(info.site_channels, float.site_channels, "{name}: channels");
         assert_eq!(info.output_classes, float.output_classes, "{name}: classes");
@@ -540,9 +580,9 @@ fn session_serve_requests_bit_identical_on_all_substrates() {
 #[test]
 fn server_front_door_serves_integer_substrates() {
     // The threaded Server over the substrates the serve crate's own
-    // tests don't cover (int8, accelerator), reached through the
-    // facade's Backend -> ServeBackend conversion: replies must be
-    // byte-equal to solo sessions with the same seeds.
+    // tests don't cover (int8, accelerator), from the same `Backend`
+    // value a `Session` takes: replies must be byte-equal to solo
+    // sessions with the same seeds.
     let (net, ds) = trained_lenet();
     let folded = net.fold_batch_norm();
     let qg = Quantizer::new(&folded).calibrate(&ds.train_x).quantize();
@@ -551,7 +591,7 @@ fn server_front_door_serves_integer_substrates() {
     let graph = std::sync::Arc::new(folded.clone());
 
     for backend in [Backend::Int8(qg.clone()), Backend::Accel(accel.clone())] {
-        let name = format!("{backend:?}");
+        let name = backend.name();
         let solo = |x: &Tensor, seed: u64, backend: Backend| {
             Session::for_graph(&folded)
                 .backend(backend)
@@ -561,7 +601,7 @@ fn server_front_door_serves_integer_substrates() {
                 .predictive(x)
         };
         let server = bnn_fpga::Server::for_graph(std::sync::Arc::clone(&graph))
-            .backend(backend.into())
+            .backend(backend)
             .bayes(cfg)
             .start();
         let handle = server.handle();
@@ -574,7 +614,7 @@ fn server_front_door_serves_integer_substrates() {
         for (i, pending) in pendings {
             let reply = pending.wait().expect("served");
             let x = ds.test_x.select_item(i as usize);
-            let rebuilt = if name.contains("Int8") {
+            let rebuilt = if name == "int8" {
                 Backend::Int8(qg.clone())
             } else {
                 Backend::Accel(accel.clone())

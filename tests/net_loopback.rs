@@ -84,7 +84,7 @@ fn tcp_replies_bit_identical_to_in_process_session_on_all_substrates() {
 
     for (name, backend) in substrates(&folded, &ds) {
         let server = Server::for_graph(Arc::clone(&graph))
-            .backend(backend.clone().into())
+            .backend(backend.clone())
             .bayes(cfg)
             .seed(0xD0C0 + name.len() as u64)
             .start();

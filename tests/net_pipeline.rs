@@ -91,7 +91,7 @@ fn pipelined_replies_bit_identical_to_lock_step_on_all_substrates() {
 
     for (name, backend) in substrates(&folded, &ds) {
         let server = Server::for_graph(Arc::clone(&graph))
-            .backend(backend.clone().into())
+            .backend(backend.clone())
             .bayes(cfg)
             .seed(0x91 + name.len() as u64)
             .start();
@@ -188,7 +188,7 @@ proptest! {
         let graph = Arc::new(folded.clone());
         for (name, backend) in substrates(&folded, &ds) {
             let server = Server::for_graph(Arc::clone(&graph))
-                .backend(backend.clone().into())
+                .backend(backend.clone())
                 .bayes(cfg)
                 .seed(seed_base ^ name.len() as u64)
                 .start();

@@ -8,6 +8,9 @@
 //!   formation, compute, reply write) all nest under the caller's
 //!   root span id, appear exactly once, are time-ordered, and their
 //!   durations sum to no more than the end-to-end latency;
+//! * on the wire, lock-step and pipelined alike, a request's
+//!   `admission` / `submit` / `writer_wait` spans start no earlier
+//!   than the `request` root they nest under;
 //! * the batch-parallel schedule is as visible as the sequential one:
 //!   every group records its `prepare` and `forward` spans whichever
 //!   fork runs it;
@@ -90,7 +93,7 @@ fn served_bits(
     x: &Tensor,
 ) -> Vec<u32> {
     let server = Server::for_graph(Arc::clone(graph))
-        .backend(backend.into())
+        .backend(backend)
         .bayes(cfg)
         .seed(0xBEEF)
         .start();
@@ -204,6 +207,72 @@ fn stage_spans_nest_under_one_request_and_fit_its_latency() {
         sum <= e2e_us + 100,
         "stage durations {sum}us exceed end-to-end {e2e_us}us"
     );
+    trace::reset();
+}
+
+#[test]
+fn wire_stage_spans_start_inside_their_request_root() {
+    use bnn_fpga::net::{Request, Response};
+    use bnn_fpga::{NetClient, NetConfig, NetServer, PipelinedClient};
+
+    let _guard = flag_guard();
+    let (folded, ds) = trained_lenet();
+    let server = Server::for_graph(Arc::new(folded))
+        .bayes(BayesConfig::new(2, 4))
+        .seed(91)
+        .start();
+    let front = NetServer::bind("127.0.0.1:0", server, NetConfig::default()).expect("bind");
+    let addr = front.local_addr();
+    trace::set_enabled(true);
+    trace::reset();
+
+    const SENT: usize = 4;
+    let request = |i: usize| Request::new(ds.test_x.select_item(i)).seed(700 + i as u64);
+    // Lock-step (protocol v1): admitted and answered on one thread.
+    let mut lock_step = NetClient::connect(addr).expect("connect lock-step");
+    for i in 0..SENT {
+        let response = lock_step.send(&request(i)).expect("send");
+        assert!(matches!(response, Response::Reply(_)), "{response:?}");
+    }
+    drop(lock_step);
+    // Pipelined (protocol v2): admitted on the connection's reader,
+    // answered on its writer.
+    let mut pipelined = PipelinedClient::connect(addr, 2).expect("connect pipelined");
+    let mut replies = 0;
+    for i in 0..SENT {
+        let submitted = pipelined.submit(&request(i)).expect("submit");
+        replies += usize::from(submitted.drained.is_some());
+    }
+    replies += pipelined.drain().expect("drain").len();
+    assert_eq!(replies, SENT);
+    drop(pipelined);
+    // A root span is recorded after its reply is written; joining the
+    // connection workers guarantees every one is in a ring.
+    front.shutdown();
+    trace::set_enabled(false);
+
+    let events: Vec<trace::Event> = trace::drain().into_iter().flat_map(|t| t.events).collect();
+    let roots: Vec<&trace::Event> = events
+        .iter()
+        .filter(|e| e.stage == Stage::Request)
+        .collect();
+    assert_eq!(roots.len(), 2 * SENT, "one request root per served frame");
+    for root in roots {
+        for stage in [Stage::Admission, Stage::Submit, Stage::WriterWait] {
+            let nested: Vec<&trace::Event> = events
+                .iter()
+                .filter(|e| e.parent == root.span_id && e.stage == stage)
+                .collect();
+            assert_eq!(nested.len(), 1, "{}: {nested:?}", stage.name());
+            assert!(
+                nested[0].t_start_us >= root.t_start_us,
+                "{} starts at {} us, before its request root at {} us",
+                stage.name(),
+                nested[0].t_start_us,
+                root.t_start_us
+            );
+        }
+    }
     trace::reset();
 }
 
