@@ -136,22 +136,16 @@ impl Rule for UnsafeAudit {
     }
 }
 
-/// Crates whose `src/` must stay free of nondeterminism sources. The
-/// load-generator planning module and the `bnn-net` binaries are held
-/// to the same bar: a loadgen schedule must replay bit-identically
-/// from its seed, so any clock or env read there needs an explicit
-/// `audit:allow` waiver at its single intake point. `bnn-trace` is in
-/// scope too — the span recorder rides inside every deterministic
-/// layer, so its one wall-clock intake (the `clock` module) carries
-/// the same single-site waiver discipline.
-pub const DETERMINISTIC_CRATES: [&str; 8] = [
+/// Crates whose `src/` must stay free of nondeterminism sources.
+/// `bnn-trace` is in scope because the span recorder rides inside
+/// every deterministic layer: its one wall-clock intake (the `clock`
+/// module) needs an explicit `audit:allow` waiver at that single site.
+pub const DETERMINISTIC_CRATES: [&str; 6] = [
     "crates/tensor/src/",
     "crates/nn/src/",
     "crates/rng/src/",
     "crates/quant/src/",
     "crates/mcd/src/",
-    "crates/net/src/loadgen.rs",
-    "crates/net/src/bin/",
     "crates/trace/src/",
 ];
 

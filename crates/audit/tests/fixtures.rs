@@ -309,61 +309,6 @@ fn waived() { std::thread::spawn(|| {}); }
 }
 
 #[test]
-fn determinism_rule_covers_loadgen_module_and_net_binaries() {
-    // The load generator's schedule must replay from its seed alone:
-    // both the planning module and anything under crates/net/src/bin/
-    // sit inside the determinism scope, while the rest of the net
-    // crate (socket plumbing) stays outside it.
-    let report = run(&[
-        (
-            "crates/net/src/loadgen.rs",
-            r#"fn f() { let m: std::collections::HashMap<u32, u32> = Default::default(); let _ = m; }
-"#,
-        ),
-        (
-            "crates/net/src/bin/loadgen.rs",
-            r#"fn f() { let _ = std::time::Instant::now(); }
-fn g() -> Vec<String> { std::env::args().collect() }
-"#,
-        ),
-        (
-            "crates/net/src/server.rs",
-            r#"fn f() { let _ = std::time::Instant::now(); }
-"#,
-        ),
-    ]);
-    let mut hits: Vec<(String, usize)> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == "determinism")
-        .map(|f| (f.path.clone(), f.line))
-        .collect();
-    hits.sort();
-    assert_eq!(
-        hits,
-        vec![
-            ("crates/net/src/bin/loadgen.rs".to_string(), 1),
-            ("crates/net/src/bin/loadgen.rs".to_string(), 2),
-            ("crates/net/src/loadgen.rs".to_string(), 1),
-        ]
-    );
-}
-
-#[test]
-fn loadgen_binary_clock_intake_is_waivable() {
-    let report = run(&[(
-        "crates/net/src/bin/loadgen.rs",
-        r#"fn now() {
-    // audit:allow(determinism) the one clock intake; never feeds the seeded schedule.
-    let _ = std::time::Instant::now();
-}
-"#,
-    )]);
-    assert!(report.is_clean(), "{}", report.render_text());
-    assert_eq!(report.waived_count("determinism"), 1);
-}
-
-#[test]
 fn determinism_rule_covers_the_trace_crate() {
     // The span recorder rides inside every deterministic layer, so
     // its sources sit in the determinism scope: a clock read outside
@@ -402,9 +347,8 @@ fn stamp() -> u64 { let _ = std::time::Instant::now(); 0 }
 
 #[test]
 fn trace_clock_module_intake_is_waivable() {
-    // The tracer's single wall-clock intake mirrors the loadgen
-    // binary's discipline: one waived site in one module, clean
-    // everywhere else.
+    // The tracer's single wall-clock intake: one waived site in one
+    // module, clean everywhere else.
     let report = run(&[(
         "crates/trace/src/clock.rs",
         r#"fn epoch() {
@@ -419,11 +363,11 @@ fn trace_clock_module_intake_is_waivable() {
 
 #[test]
 fn panic_rule_covers_net_binaries() {
-    // crates/net/src/bin/ sits inside PANIC_SCOPE by prefix: the load
-    // generator must report failures through its exit code, not
-    // unwind mid-run with counters half-merged.
+    // crates/net/src/bin/ sits inside PANIC_SCOPE by prefix: a binary
+    // added to the front-door crate must report failures through its
+    // exit code, not unwind mid-run.
     let report = run(&[(
-        "crates/net/src/bin/loadgen.rs",
+        "crates/net/src/bin/tool.rs",
         r#"fn f(x: Option<u32>) -> u32 { x.unwrap() }
 "#,
     )]);

@@ -1,7 +1,5 @@
 //! Accelerator configuration: parallelism, clock, memory interface.
 
-use serde::{Deserialize, Serialize};
-
 /// Off-chip DDR interface model.
 ///
 /// Transfers are modelled as `setup + bytes / bytes_per_cycle`:
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// DDR4-2400 channel (19.2 GB/s peak) at 75% sequential-burst
 /// efficiency when clocked against the 225 MHz fabric — 64 bytes per
 /// fabric cycle (weight streaming is long sequential bursts).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DdrConfig {
     /// Effective bytes transferred per fabric cycle.
     pub bytes_per_cycle: f64,
@@ -38,7 +36,7 @@ impl DdrConfig {
 }
 
 /// Full accelerator configuration (paper Section III/V-A).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccelConfig {
     /// Channel parallelism `P_C` (multipliers per MAC module).
     pub pc: usize,

@@ -22,10 +22,9 @@
 use crate::config::AccelConfig;
 use bnn_mcd::BayesConfig;
 use bnn_nn::arch::LayerDesc;
-use serde::{Deserialize, Serialize};
 
 /// Which resource bounds a layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bound {
     /// Matrix-engine limited.
     Compute,
@@ -34,7 +33,7 @@ pub enum Bound {
 }
 
 /// Timing of one fused layer for one invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerTiming {
     /// Matrix-engine cycles.
     pub compute_cycles: u64,
@@ -49,7 +48,7 @@ pub struct LayerTiming {
 }
 
 /// Latency decomposition of a full `{L, S}` network run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkTiming {
     /// Per-layer, single-invocation timings.
     pub layers: Vec<LayerTiming>,

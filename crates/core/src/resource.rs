@@ -17,10 +17,9 @@
 
 use crate::config::AccelConfig;
 use bnn_nn::arch::LayerDesc;
-use serde::{Deserialize, Serialize};
 
 /// An FPGA resource budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FpgaDevice {
     /// Device name.
     pub name: String,
@@ -82,7 +81,7 @@ impl FpgaDevice {
 }
 
 /// Estimated resource usage of a configuration for a set of networks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceUsage {
     /// DSP blocks consumed.
     pub dsps: u64,

@@ -6,10 +6,9 @@ use bnn_accel::{AccelConfig, PerfModel};
 use bnn_mcd::BayesConfig;
 use bnn_nn::arch::LayerDesc;
 use bnn_platforms::PlatformModel;
-use serde::{Deserialize, Serialize};
 
 /// One evaluated `{L, S}` candidate (a point in Figure 6).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidatePoint {
     /// Trailing Bayesian layers.
     pub l: usize,
@@ -52,7 +51,7 @@ impl CandidatePoint {
 }
 
 /// Result of an exploration: all candidates plus the selected point.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExplorationResult {
     /// Hardware configuration the sweep assumed.
     pub config: AccelConfig,

@@ -1,9 +1,7 @@
 //! Optimization modes and user requirements.
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's four optimization modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OptMode {
     /// Minimise prediction latency (`Opt-Latency`).
     Latency,
@@ -40,7 +38,7 @@ impl OptMode {
 
 /// Minimal metric requirements (the paper's constraint box in Fig. 6).
 /// `None` disables a constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Requirements {
     /// Upper bound on latency in milliseconds.
     pub max_latency_ms: Option<f64>,

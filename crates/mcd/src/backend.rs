@@ -227,8 +227,8 @@ pub struct Engine<'p> {
 
 impl Engine<'static> {
     /// The fully serial engine ([`ParallelConfig::serial`]) on a
-    /// process-wide zero-worker pool: everything runs inline on the
-    /// caller and no thread is ever spawned.
+    /// process-wide zero-worker pool: every sample and batch group
+    /// runs inline on the caller.
     pub fn serial() -> Engine<'static> {
         Engine {
             pool: WorkerPool::inline(),

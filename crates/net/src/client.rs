@@ -8,7 +8,7 @@
 //! Every connection is time-bounded: [`Timeouts`] (default bounded)
 //! covers connect, read and write, and a stalled or half-dead server
 //! surfaces as a typed `TimedOut` I/O error instead of hanging the
-//! caller forever — the load generator's closed loop depends on it.
+//! caller forever — a closed-loop driver depends on it.
 
 use crate::wire::{self, Request, Response};
 use std::collections::BTreeSet;
@@ -257,18 +257,6 @@ impl PipelinedClient {
         }
         Ok(out)
     }
-}
-
-/// Fetch `GET /status` from a front door with [`Timeouts::default`]
-/// and return the JSON body (status line and headers stripped).
-pub fn http_get_status<A: ToSocketAddrs>(addr: A) -> io::Result<String> {
-    http_get_status_with(addr, Timeouts::default())
-}
-
-/// [`http_get_status`] with explicit time bounds: a server that
-/// accepts and never replies surfaces as a typed `TimedOut` error.
-pub fn http_get_status_with<A: ToSocketAddrs>(addr: A, timeouts: Timeouts) -> io::Result<String> {
-    http_get(addr, "/status", timeouts)
 }
 
 /// Fetch any front-door GET endpoint (`/status`, `/metrics`,

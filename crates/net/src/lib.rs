@@ -38,19 +38,19 @@
 //! serve layer's priority scheduler, so the wire boundary cannot be
 //! used to jump the queue.
 //!
-//! For measuring the whole stack under sustained traffic, [`loadgen`]
-//! holds the deterministic planning and tallying layer behind the
-//! `loadgen` binary: seeded closed- and open-loop arrival schedules,
-//! per-class request mixes, log2-bucketed latency histograms and the
-//! outcome counters it reconciles against `/status`.
+//! This crate is the front door and nothing else: load is driven and
+//! measured by the repo benchmark (`benchmark/`), and the quiesce
+//! contract — client tallies by [`ErrorCode`] equal `/status`, the
+//! `/metrics` latency count equals served, `/trace` carries every
+//! pipeline stage — is gated by `tests/reconcile.rs`.
 //!
 //! ```no_run
-//! use bnn_net::{NetClient, NetConfig, NetServer, Request};
+//! use bnn_net::{http_get, NetClient, NetConfig, NetServer, Request, Timeouts};
 //! # fn demo(server: bnn_serve::Server, x: bnn_tensor::Tensor) -> std::io::Result<()> {
 //! let front = NetServer::bind("127.0.0.1:0", server, NetConfig::default())?;
 //! let mut client = NetClient::connect(front.local_addr())?;
 //! let response = client.send(&Request::new(x).seed(42))?;
-//! let status_json = bnn_net::http_get_status(front.local_addr())?;
+//! let status_json = http_get(front.local_addr(), "/status", Timeouts::default())?;
 //! # let _ = (response, status_json);
 //! # Ok(())
 //! # }
@@ -60,16 +60,12 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod loadgen;
 pub mod monitor;
 pub mod server;
 pub mod tenant;
 pub mod wire;
 
-pub use client::{
-    http_get, http_get_status, http_get_status_with, NetClient, PipelinedClient, Submitted,
-    Timeouts,
-};
+pub use client::{http_get, NetClient, PipelinedClient, Submitted, Timeouts};
 pub use monitor::{CostAgg, Monitor, MonitorSnapshot};
 pub use server::{NetConfig, NetServer};
 pub use tenant::{RateLimited, TenantGate, TenantPolicy, TenantTable};

@@ -204,9 +204,9 @@ impl Monitor {
     /// Render the Prometheus-style text exposition behind
     /// `GET /metrics`: the always-on cumulative served-latency
     /// histogram (its `_count` equals the admission layer's `served`
-    /// at quiesce — the reconciliation `bnn-loadgen --metrics-check`
-    /// relies on), admission and front-door counters, and — when
-    /// tracing is enabled — the per-stage span-duration histograms.
+    /// at quiesce, which `tests/reconcile.rs` gates), admission and
+    /// front-door counters, and — when tracing is enabled — the
+    /// per-stage span-duration histograms.
     pub fn metrics_text(&self, stats: &ServeStats) -> String {
         use bnn_trace::metrics::{push_header, push_histogram, push_sample};
         let (latency, rate_limited, malformed, connections, http_requests) = {

@@ -12,7 +12,7 @@
 use crate::lock;
 use crate::monitor::Monitor;
 use crate::tenant::{TenantGate, TenantTable};
-use crate::wire::{self, ErrorCode, Request, MAX_FRAME};
+use crate::wire::{self, ErrorCode, Request, MAX_FRAME, MAX_FRAME_STALLS};
 use bnn_serve::{request_seed, Handle, ServeStats, Server};
 use std::io::{self, Read, Write};
 use std::net::{
@@ -29,10 +29,10 @@ use std::time::Duration;
 pub struct NetConfig {
     /// Per-tenant admission policy.
     pub tenants: TenantTable,
-    /// Latency ring size behind `/status` p50/p99.
-    pub latency_window: usize,
     /// Socket read timeout — the poll granularity at which idle
-    /// connection workers re-check the shutdown flag.
+    /// connection workers re-check the shutdown flag. A peer that
+    /// starts a length prefix, a frame or an HTTP head and then goes
+    /// silent is dropped after 100 of these (~5 s at the default).
     pub read_timeout: Duration,
     /// Maximum simultaneously-open connections; excess accepts are
     /// closed immediately.
@@ -48,7 +48,6 @@ impl Default for NetConfig {
     fn default() -> NetConfig {
         NetConfig {
             tenants: TenantTable::default(),
-            latency_window: 1024,
             read_timeout: Duration::from_millis(50),
             max_connections: 256,
             max_pipeline: 64,
@@ -95,7 +94,7 @@ impl NetServer {
         let shared = Arc::new(NetShared {
             handle: server.handle(),
             base_seed: server.base_seed(),
-            monitor: Monitor::new(cfg.latency_window, server.backend_name()),
+            monitor: Monitor::new(LATENCY_WINDOW, server.backend_name()),
             gate: TenantGate::new(cfg.tenants),
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
@@ -279,32 +278,37 @@ enum Framing {
     Gone,
 }
 
+/// How often [`sniff`] re-peeks a prefix that has started arriving.
+const SNIFF_TICK: Duration = Duration::from_millis(1);
+
 /// Peek the first four bytes without consuming them. `b"GET "` means
-/// HTTP; anything else is a binary length prefix.
+/// HTTP; anything else is a binary length prefix. A peer that starts
+/// a prefix and stalls cannot pin a connection slot: the rest is
+/// waited for only as long as `wire::read_frame` lets a started frame
+/// stay silent ([`MAX_FRAME_STALLS`] read timeouts).
 fn sniff(stream: &TcpStream, shared: &NetShared) -> Framing {
     let mut first = [0u8; 4];
+    let mut waited = Duration::ZERO;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return Framing::Gone;
         }
         match stream.peek(&mut first) {
-            Ok(0) => return Framing::Gone,
-            Ok(n) if n >= 4 => {
-                return if &first == b"GET " {
-                    Framing::Http
-                } else {
-                    Framing::Binary
-                };
-            }
+            Ok(4) if &first == b"GET " => return Framing::Http,
+            Ok(4) => return Framing::Binary,
             // A partial peek returns immediately; yield briefly so
             // the loop is not a busy spin while the rest of the
             // prefix is in flight.
-            Ok(_) => thread::sleep(Duration::from_millis(1)),
+            Ok(1..=3) if waited < shared.read_timeout * MAX_FRAME_STALLS => {
+                thread::sleep(SNIFF_TICK);
+                waited += SNIFF_TICK;
+            }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut
                     || e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return Framing::Gone,
+            // Closed, failed, or stalled mid-prefix.
+            _ => return Framing::Gone,
         }
     }
 }
@@ -435,6 +439,9 @@ enum PipeStep {
 /// Longest one pipelined reply write may stall before the writer
 /// declares the peer dead and tears the connection down.
 const PIPELINE_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Latency ring size behind `/status` p50/p99.
+const LATENCY_WINDOW: usize = 1024;
 
 /// A pipelined (protocol v2) connection: the reader half keeps
 /// admitting frames while the writer half answers completions, so up
@@ -614,11 +621,15 @@ fn answer(stream: &mut TcpStream, shared: &NetShared, step: PipeStep, out: &mut 
 /// Largest HTTP request head we accept before answering 431.
 const MAX_HTTP_HEAD: usize = 8 * 1024;
 
-/// Minimal HTTP/1.1: answer one request and close.
+/// Minimal HTTP/1.1: answer one request and close. A head still
+/// incomplete after [`MAX_FRAME_STALLS`] silent read timeouts (the
+/// stalled-frame bound) or at shutdown is answered 408: the server
+/// is done waiting on this connection.
 fn serve_http(mut stream: TcpStream, shared: &NetShared) {
     shared.monitor.record_http();
     let mut head = Vec::new();
     let mut chunk = [0u8; 512];
+    let mut stalls = 0;
     loop {
         if head.windows(4).any(|w| w == b"\r\n\r\n") {
             break;
@@ -641,7 +652,9 @@ fn serve_http(mut stream: TcpStream, shared: &NetShared) {
                     || e.kind() == io::ErrorKind::TimedOut
                     || e.kind() == io::ErrorKind::Interrupted =>
             {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                stalls += 1;
+                if stalls >= MAX_FRAME_STALLS || shared.shutdown.load(Ordering::SeqCst) {
+                    let _ = write_http(&mut stream, 408, "Request Timeout", JSON, "");
                     return;
                 }
             }

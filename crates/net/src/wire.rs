@@ -852,8 +852,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 /// tolerates before declaring the frame stalled. With the serving
 /// default 50 ms read timeout this is ~5 s of silence in the middle
 /// of a frame — an idle connection (no frame started) times out on
-/// the *first* read instead, so polling loops stay responsive.
-const MAX_FRAME_STALLS: usize = 100;
+/// the *first* read instead, so polling loops stay responsive. The
+/// server holds a started length prefix and a started HTTP head to
+/// the same bound.
+pub(crate) const MAX_FRAME_STALLS: u32 = 100;
 
 /// Read one length-prefixed frame from `r`.
 ///

@@ -15,7 +15,7 @@ use bnn_net::wire::{
     decode_request, encode_error, encode_reply, read_frame, write_frame, ErrorCode, Request,
     Response,
 };
-use bnn_net::{http_get_status_with, NetClient, PipelinedClient, Timeouts};
+use bnn_net::{http_get, NetClient, PipelinedClient, Timeouts};
 use bnn_serve::Reply;
 use bnn_tensor::{Shape4, Tensor};
 use std::io;
@@ -268,7 +268,7 @@ fn silent_server_times_out_typed_everywhere() {
     let err = pipelined.recv().expect_err("no reply is coming");
     assert_eq!(err.kind(), io::ErrorKind::TimedOut);
 
-    let err = http_get_status_with(addr, short_timeouts()).expect_err("no reply is coming");
+    let err = http_get(addr, "/status", short_timeouts()).expect_err("no reply is coming");
     assert_eq!(err.kind(), io::ErrorKind::TimedOut);
     drop(listener);
 }

@@ -43,11 +43,11 @@
 //! while high-priority latency stays bounded by the queue depth.
 //! Submissions that find no lower-priority victim block
 //! ([`Submission::submit`]) or are themselves rejected with the input
-//! handed back ([`Submission::try_submit`]; pair it with
-//! [`RetryPolicy`], the jittered-backoff retry helper). A queued
-//! request whose deadline passes before it is taken into a
-//! micro-batch resolves [`ServeError::DeadlineExceeded`] instead of
-//! silently aging in place.
+//! handed back ([`Submission::try_submit`]; overload is transient,
+//! so the caller may simply submit it again). A queued request whose
+//! deadline passes before it is taken into a micro-batch resolves
+//! [`ServeError::DeadlineExceeded`] instead of silently aging in
+//! place.
 //!
 //! # Failure containment
 //!
@@ -267,8 +267,8 @@ impl Priority {
 pub enum ServeError {
     /// Shed by admission control: the queue was at
     /// [`BatchPolicy::queue_cap`] and this request was (or would have
-    /// been) the lowest-priority work. Retryable — see
-    /// [`RetryPolicy`].
+    /// been) the lowest-priority work. Retryable: overload is
+    /// transient.
     Rejected,
     /// The request's deadline passed while it was still queued; it
     /// was resolved at batch-formation time instead of silently
@@ -323,74 +323,6 @@ impl std::fmt::Display for SubmitError {
 impl std::error::Error for SubmitError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         Some(&self.error)
-    }
-}
-
-/// Client-side jittered exponential backoff for
-/// [`ServeError::Rejected`] submissions.
-///
-/// Deterministic (the jitter stream derives from
-/// [`RetryPolicy::seed`]): the same policy replays the same backoff
-/// schedule. Only `Rejected` is retried — `Shutdown` and
-/// `BackendFailed` are not transient and surface immediately.
-///
-/// ```no_run
-/// # use bnn_serve::{RetryPolicy, Handle};
-/// # use bnn_tensor::Tensor;
-/// # fn demo(handle: &Handle, x: Tensor) {
-/// let reply = RetryPolicy::default()
-///     .run(|| handle.request(x.clone()).try_submit())
-///     .expect("accepted within the retry budget")
-///     .wait();
-/// # let _ = reply;
-/// # }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (including the first; normalized to at least 1).
-    pub attempts: usize,
-    /// Backoff before the first retry; doubles per retry.
-    pub base: Duration,
-    /// Upper bound on any single backoff sleep.
-    pub cap: Duration,
-    /// Seed of the jitter stream (each sleep is scaled by a uniform
-    /// factor in `[0.5, 1.5)`).
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    /// 4 attempts, 200 µs base, 20 ms cap.
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 4,
-            base: Duration::from_micros(200),
-            cap: Duration::from_millis(20),
-            seed: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Run `attempt` until it succeeds, fails with a non-retryable
-    /// error, or the attempt budget is spent (the last
-    /// [`SubmitError`] is returned).
-    pub fn run<T>(
-        &self,
-        mut attempt: impl FnMut() -> Result<T, SubmitError>,
-    ) -> Result<T, SubmitError> {
-        let mut rng = SoftRng::new(self.seed);
-        let mut backoff = self.base.min(self.cap);
-        for _ in 1..self.attempts.max(1) {
-            match attempt() {
-                Err(e) if e.error == ServeError::Rejected => {
-                    let jitter = 0.5 + rng.next_f64();
-                    std::thread::sleep(backoff.mul_f64(jitter).min(self.cap));
-                    backoff = backoff.saturating_mul(2).min(self.cap);
-                }
-                other => return other,
-            }
-        }
-        attempt()
     }
 }
 
@@ -1715,53 +1647,6 @@ mod tests {
         // Dequeue order: High, then Normal, then the remaining Low.
         let order: Vec<u64> = std::iter::from_fn(|| st.pop_highest().map(|q| q.id)).collect();
         assert_eq!(order, vec![3, 2, 0]);
-    }
-
-    #[test]
-    fn retry_policy_retries_rejected_only() {
-        let policy = RetryPolicy {
-            attempts: 4,
-            base: Duration::from_micros(10),
-            cap: Duration::from_micros(50),
-            seed: 7,
-        };
-        // Rejected twice, then accepted: three attempts total.
-        let mut calls = 0;
-        let out = policy.run(|| {
-            calls += 1;
-            if calls < 3 {
-                Err(SubmitError {
-                    error: ServeError::Rejected,
-                    input: Tensor::zeros(bnn_tensor::Shape4::new(1, 1, 1, 1)),
-                })
-            } else {
-                Ok(calls)
-            }
-        });
-        assert_eq!(out.unwrap(), 3);
-        // Rejected forever: the budget is spent, the last error
-        // surfaces.
-        let mut calls = 0;
-        let out: Result<(), _> = policy.run(|| {
-            calls += 1;
-            Err(SubmitError {
-                error: ServeError::Rejected,
-                input: Tensor::zeros(bnn_tensor::Shape4::new(1, 1, 1, 1)),
-            })
-        });
-        assert_eq!(calls, 4);
-        assert_eq!(out.unwrap_err().error, ServeError::Rejected);
-        // Non-retryable errors surface immediately.
-        let mut calls = 0;
-        let out: Result<(), _> = policy.run(|| {
-            calls += 1;
-            Err(SubmitError {
-                error: ServeError::Shutdown,
-                input: Tensor::zeros(bnn_tensor::Shape4::new(1, 1, 1, 1)),
-            })
-        });
-        assert_eq!(calls, 1);
-        assert_eq!(out.unwrap_err().error, ServeError::Shutdown);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Admission-control integration tests: priorities, load shedding,
-//! deadlines, the adaptive coalescing window and the retry helper,
-//! all against a live server (the pure queue mechanics are unit
-//! tested inside the crate; these pin the end-to-end behaviour).
+//! deadlines, the adaptive coalescing window and retry after a
+//! rejection, all against a live server (the pure queue mechanics are
+//! unit tested inside the crate; these pin the end-to-end behaviour).
 
 use bnn_mcd::{
     BayesConfig, Engine, FloatBackend, ParallelConfig, Plan, RequestResult, SoftwareMaskSource,
     WorkerPool,
 };
 use bnn_nn::{models, Graph};
-use bnn_serve::{Backend, BatchPolicy, Priority, RetryPolicy, ServeError, Server, SubmitError};
+use bnn_serve::{Backend, BatchPolicy, Priority, ServeError, Server, SubmitError};
 use bnn_tensor::{Shape4, Tensor};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -353,17 +353,22 @@ fn retry_helper_rides_out_a_transiently_full_queue() {
             .collect();
 
         // The queue is full now, but the dispatcher keeps draining it:
-        // a patient retry loop must get through without any manual
-        // backoff logic in the client.
-        let policy = RetryPolicy {
-            attempts: 200,
-            base: Duration::from_millis(1),
-            cap: Duration::from_millis(20),
-            seed: 99,
+        // a rejected `try_submit` hands its input back, and
+        // resubmitting it must get through once a slot frees.
+        let mut input = request_input(9);
+        let mut attempts = 0;
+        let pending = loop {
+            match handle.request(input).seed(9).try_submit() {
+                Ok(pending) => break pending,
+                Err(e) => {
+                    assert_eq!(e.error, ServeError::Rejected, "only overload is transient");
+                    attempts += 1;
+                    assert!(attempts < 5000, "the overload never cleared");
+                    input = e.into_input();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
         };
-        let pending = policy
-            .run(|| handle.request(request_input(9)).seed(9).try_submit())
-            .expect("retries outlast the transient overload");
         server.shutdown();
 
         let reply = pending.wait().expect("retried request served");

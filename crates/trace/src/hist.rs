@@ -1,9 +1,5 @@
 //! Log2-bucketed latency histograms and the incremental JSON writers
 //! behind the export surfaces (`GET /metrics`, `GET /trace`).
-//!
-//! The histogram lived in `bnn_net::loadgen` until the tracer needed
-//! it below the net crate; `bnn_net::loadgen` re-exports it, so
-//! existing callers keep compiling unchanged.
 
 /// Number of log2 latency buckets: bucket 0 holds 0 µs, bucket `i`
 /// (1-based) holds `[2^(i-1), 2^i)` µs, and the last bucket holds

@@ -21,7 +21,7 @@
 use bnn_fpga::accel::{AccelConfig, Accelerator};
 use bnn_fpga::data::synth_mnist;
 use bnn_fpga::mcd::{BayesConfig, ParallelConfig};
-use bnn_fpga::net::{NetClient, NetConfig, NetServer, Request, Response};
+use bnn_fpga::net::{http_get, NetClient, NetConfig, NetServer, Request, Response, Timeouts};
 use bnn_fpga::nn::{arch::extract_layers, models, SgdConfig, Trainer};
 use bnn_fpga::platforms::PlatformModel;
 use bnn_fpga::quant::Quantizer;
@@ -209,7 +209,7 @@ fn main() {
         ),
         Response::Error(err) => println!("wire client: typed error {:?}", err.code),
     }
-    let status = bnn_fpga::net::http_get_status(addr).expect("GET /status");
+    let status = http_get(addr, "/status", Timeouts::default()).expect("GET /status");
     println!("GET /status -> {status}");
     front.shutdown();
 }

@@ -101,8 +101,7 @@
 //! * **Overload** — the queue is bounded (`queue_cap`). A
 //!   non-blocking submission against a full queue is handed back as
 //!   [`ServeError::Rejected`] *with its input*
-//!   ([`SubmitError::into_input`]), so the caller can retry —
-//!   [`RetryPolicy`] packages the jittered-backoff loop. Requests
+//!   ([`SubmitError::into_input`]), so the caller can retry. Requests
 //!   carry a [`Priority`]; when a higher-priority request arrives at
 //!   capacity it sheds the youngest strictly-lower-priority entry
 //!   instead of being turned away, and micro-batches always drain the
@@ -229,25 +228,8 @@
 //! The one wall-clock intake is `trace::clock`, a single audited
 //! waiver site; everything downstream of it is display-only.
 //!
-//! ## Load testing: `bnn-loadgen`
-//!
-//! `cargo run -p bnn-net --bin loadgen --release -- --smoke` drives a
-//! deterministic load test against the front door and prints a
-//! summary (measurement lives in `benchmark/`; this binary is a
-//! reconciliation gate). The schedule is planned entirely from `--seed` by [`net::loadgen::plan`] — per-connection
-//! request classes (priority, tenant, deadline, weighted mix) and
-//! arrival gaps replay bit-identically run to run, and adding
-//! connections never reshuffles existing ones. `--mode closed` (the
-//! default) submits through a [`PipelinedClient`] with bounded think
-//! time so offered load tracks service capacity; `--mode fixed` and
-//! `--mode poisson` are open-loop pacers at `--rate` requests/sec per
-//! connection (Poisson gaps drawn from the seeded stream). Latencies
-//! land in a log2-bucket histogram ([`net::loadgen::LogHistogram`])
-//! reported as interpolated p50/p99, and at quiesce every client-side outcome
-//! counter is cross-checked against `GET /status` — any mismatch or
-//! transport error fails the run (and the CI smoke step). `--addr`
-//! points the same workload at an external server instead of the
-//! self-hosted fused LeNet-5.
+//! Load is driven and measured by `benchmark/` (the `wire_*` workloads);
+//! the counters-at-quiesce gate is `crates/net/tests/reconcile.rs`.
 //!
 //! # Invariants (statically enforced by `bnn-audit`)
 //!
@@ -262,8 +244,7 @@
 //!   crate roof carries `#![deny(unsafe_code)]` or stricter. One
 //!   audited lifetime-erasure must not quietly become two.
 //! * **`determinism`** — the engine/kernel crates (`tensor`, `nn`,
-//!   `rng`, `quant`, the deterministic modules of `mcd`, the
-//!   load-generator planner and the `bnn-net` binaries, plus the
+//!   `rng`, `quant`, the deterministic modules of `mcd`, plus the
 //!   `trace` recorder — whose only wall-clock intake is the
 //!   single waived `trace::clock` module) may
 //!   consume only seed-derived state: no `HashMap`/`HashSet`
@@ -300,7 +281,7 @@
 //! | [`data`] | `bnn-data` | synthetic MNIST/SVHN/CIFAR-like datasets, OOD noise |
 //! | [`mcd`] | `bnn-mcd` | the six-method `BayesBackend` trait, the one MC `Engine`, `FloatBackend` (per-sample `new` / batched-sample `fused`), conformance harness, uncertainty metrics |
 //! | [`serve`] | `bnn-serve` | the request-coalescing serving front door: `Server`, `Handle`, `BatchPolicy` |
-//! | [`net`] | `bnn-net` | the TCP front door: binary protocol v1/v2 (pipelining), `GET /status` telemetry, tenant gate, `loadgen` |
+//! | [`net`] | `bnn-net` | the TCP front door: binary protocol v1/v2 (pipelining), `GET /status` / `/metrics` / `/trace` telemetry, tenant gate, blocking clients |
 //! | [`trace`] | `bnn-trace` | stage-span recorder: per-thread rings, log2 histograms, Chrome-trace export behind `/trace` + `/metrics` |
 //! | [`quant`] | `bnn-quant` | 8-bit linear quantization, the int8 executor and its one node-range walk, `Int8Backend` (the `int8` and `accel` substrates) |
 //! | [`platforms`] | `bnn-platforms` | CPU/GPU latency models, VIBNN and BYNQNet baselines |
@@ -330,8 +311,8 @@ pub use bnn_serve as serve;
 // imports both.
 pub use bnn_serve::Backend as ServeBackend;
 pub use bnn_serve::{
-    request_seed, Backend, BatchPolicy, Handle, Pending, Priority, Reply, RetryPolicy, ServeError,
-    ServeStats, Server, Submission, SubmitError,
+    request_seed, Backend, BatchPolicy, Handle, Pending, Priority, Reply, ServeError, ServeStats,
+    Server, Submission, SubmitError,
 };
 pub use bnn_tensor as tensor;
 pub use bnn_trace as trace;

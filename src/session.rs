@@ -69,8 +69,6 @@ enum SourceChoice {
     /// Bit-exact hardware LFSR Bernoulli masks from a seed
     /// (`p` must be 0.25, the paper's configuration).
     Hardware(u64),
-    /// Caller-supplied source.
-    Custom(Box<dyn MaskSource + Send>),
 }
 
 /// Builder for a [`Session`]; see [`Session::for_graph`].
@@ -136,12 +134,6 @@ impl<'g> SessionBuilder<'g> {
         self
     }
 
-    /// Supply a custom mask source.
-    pub fn mask_source(mut self, src: Box<dyn MaskSource + Send>) -> SessionBuilder<'g> {
-        self.source = SourceChoice::Custom(src);
-        self
-    }
-
     /// Finish the builder.
     pub fn build(self) -> Session<'g> {
         let backend_name = self.backend.name();
@@ -154,7 +146,6 @@ impl<'g> SessionBuilder<'g> {
         let source: Box<dyn MaskSource + Send> = match self.source {
             SourceChoice::Software(seed) => Box::new(SoftwareMaskSource::new(seed)),
             SourceChoice::Hardware(seed) => Box::new(HardwareMaskSource::paper_default(seed)),
-            SourceChoice::Custom(src) => src,
         };
         let pool = self
             .pool

@@ -14,8 +14,8 @@ use bnn_fpga::accel::{AccelConfig, Accelerator};
 use bnn_fpga::data::synth_mnist;
 use bnn_fpga::mcd::BayesConfig;
 use bnn_fpga::net::{
-    http_get_status, ErrorCode, NetClient, NetConfig, NetServer, Request, Response, TenantPolicy,
-    TenantTable,
+    http_get, ErrorCode, NetClient, NetConfig, NetServer, Request, Response, TenantPolicy,
+    TenantTable, Timeouts,
 };
 use bnn_fpga::nn::{models, SgdConfig, Trainer};
 use bnn_fpga::quant::Quantizer;
@@ -197,7 +197,7 @@ fn status_json_is_well_formed_and_matches_stats_at_quiesce() {
         }
     }
 
-    let body = http_get_status(addr).expect("GET /status");
+    let body = http_get(addr, "/status", Timeouts::default()).expect("GET /status");
     assert!(body.starts_with('{') && body.trim_end().ends_with('}'));
     assert_eq!(
         body.matches('{').count(),
@@ -227,7 +227,10 @@ fn status_json_is_well_formed_and_matches_stats_at_quiesce() {
     assert_eq!(direct, body);
 
     // Unknown paths and methods get proper HTTP errors, not hangs.
-    assert!(http_get_status(addr).is_ok(), "status stays up");
+    assert!(
+        http_get(addr, "/status", Timeouts::default()).is_ok(),
+        "status stays up"
+    );
     front.shutdown();
 }
 
@@ -322,7 +325,7 @@ fn malformed_frames_get_typed_errors_never_a_dead_socket() {
     assert!(rest.is_empty());
 
     // …but the front door itself survives and serves new connections.
-    assert!(http_get_status(front.local_addr()).is_ok());
+    assert!(http_get(front.local_addr(), "/status", Timeouts::default()).is_ok());
     assert!(front.status_json().contains("\"malformed\":1"));
     front.shutdown();
 }
