@@ -8,6 +8,7 @@
 //! after its filesystem walk. Every banned token below lives inside a
 //! raw string, so the auditor scanning *this* file sees only blanks.
 
+use bnn_audit::rules::{DETERMINISTIC_CRATES, SPAWN_ALLOWLIST};
 use bnn_audit::{audit_sources, AuditReport};
 
 fn run(files: &[(&str, &str)]) -> AuditReport {
@@ -549,9 +550,20 @@ fn live_workspace_passes_clean() {
     let report = bnn_audit::audit(&root).expect("workspace scan");
     assert!(report.files_scanned > 50, "walk found the workspace");
     assert!(report.is_clean(), "{}", report.render_text());
-    // Every waiver in the tree suppresses something and says why.
+    // Every waiver in the tree suppresses something and says why, and
+    // none lets an engine/kernel crate create a thread outside the pool:
+    // fan-out below `WorkerPool` would make `ParallelConfig::serial()` a
+    // lie.
     for w in &report.waivers {
         assert!(w.used, "stale waiver: {}:{}", w.path, w.waiver.line);
         assert!(!w.waiver.reason.is_empty());
+        assert!(
+            w.waiver.rule != "concurrency"
+                || SPAWN_ALLOWLIST.contains(&w.path.as_str())
+                || !DETERMINISTIC_CRATES.iter().any(|c| w.path.starts_with(c)),
+            "concurrency waiver in an engine crate: {}:{}",
+            w.path,
+            w.waiver.line
+        );
     }
 }

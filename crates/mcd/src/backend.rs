@@ -227,8 +227,8 @@ pub struct Engine<'p> {
 
 impl Engine<'static> {
     /// The fully serial engine ([`ParallelConfig::serial`]) on a
-    /// process-wide zero-worker pool: every sample and batch group
-    /// runs inline on the caller.
+    /// process-wide zero-worker pool: everything runs inline on the
+    /// caller and no thread is ever spawned.
     pub fn serial() -> Engine<'static> {
         Engine {
             pool: WorkerPool::inline(),
@@ -657,31 +657,34 @@ fn slice_items(xs: &Tensor, items: Range<usize>) -> Tensor {
 ///
 /// One type, two cuts of the sample chunk the engine hands over:
 ///
-/// * [`FloatBackend::new`] walks the suffix once per sample through
-///   the per-item kernels, paying the weight traffic of every suffix
-///   layer `S` times. It is the conformance reference the other
-///   substrates are compared against.
+/// * [`FloatBackend::new`] walks the suffix with one sample per walk,
+///   paying the weight traffic of every suffix layer `S` times. It is
+///   the conformance reference the other substrates are compared
+///   against.
 /// * [`FloatBackend::fused`] walks it *once per chunk* with the
-///   samples stacked along the batch axis — convolutions through a
-///   sample-stacked im2col buffer and one `(S·Ho·Wo)`-column GEMM,
-///   fully-connected layers through one row-stacked GEMM — so each
-///   weight matrix streams once per layer per chunk: the software
+///   samples stacked along the batch axis — fully-connected layers
+///   through one row-stacked GEMM, convolutions through side-by-side
+///   im2col blocks and one GEMM per cache-sized block of samples — so
+///   each weight matrix streams once per layer per chunk (a
+///   convolution's stays cache-resident between its blocks, so
+///   `weight_stream_bytes` still counts it once): the software
 ///   analogue of the accelerator's weight-streaming dataflow.
 ///
-/// Because the stacked kernels are bit-identical to the per-item ones
-/// at any chunk size (see `bnn_tensor::gemm_stacked`), both cuts give
-/// **bit-identical** predictions under the same seed and mask stream,
-/// at any thread count; they differ in wall-clock time, in `name`
-/// (`"float"` / `"fused"`) and in the weight-streaming traffic
-/// `model_cost` reports.
+/// Both cuts run the same kernels and differ only in how many mask
+/// sets share a walk. The kernels give every element the same f32
+/// operation sequence at any stacking (see `bnn_tensor::gemm_stacked`),
+/// so both give **bit-identical** predictions under the same seed and
+/// mask stream, at any thread count; they differ in wall-clock time,
+/// in `name` (`"float"` / `"fused"`) and in the weight-streaming
+/// traffic `model_cost` reports.
 #[derive(Debug)]
 pub struct FloatBackend<'g> {
     graph: &'g Graph,
     /// Whether a sample chunk is walked stacked (else cut to 1).
     fused: bool,
     prepared: Option<FloatPrepared>,
-    /// im2col workspace of the prefix pass, kept across `prepare`
-    /// calls.
+    /// Convolution workspace of the prefix pass, kept across
+    /// `prepare` calls.
     prefix_cols: Vec<f32>,
     /// Retired suffix workspaces, reused across predictive calls.
     /// Building one is allocation- and page-fault-heavy (hundreds of
@@ -810,9 +813,7 @@ impl<'g> FloatBackend<'g> {
 
     /// Make `scratch` hold a suffix workspace for `samples`-set chunks
     /// of the prepared input: what it already holds if that fits, else
-    /// one from the pool, else a fresh one. Conv batch splitting is
-    /// disabled because the engine already owns the host's
-    /// parallelism.
+    /// one from the pool, else a fresh one.
     fn provision<'s>(&self, scratch: &'s mut FloatScratch, samples: usize) -> &'s mut ExecScratch {
         let p = self.prepared();
         let fits = |sc: &ExecScratch| sc.built_for(p.shape, p.from, samples);
@@ -822,11 +823,10 @@ impl<'g> FloatBackend<'g> {
                 let pos = pool.iter().position(fits)?;
                 Some(pool.swap_remove(pos))
             });
-            scratch.held = Some(pooled.unwrap_or_else(|| {
-                self.graph
-                    .stacked_scratch_after(p.shape, p.from, samples)
-                    .serial_conv()
-            }));
+            scratch.held = Some(
+                pooled
+                    .unwrap_or_else(|| self.graph.stacked_scratch_after(p.shape, p.from, samples)),
+            );
         }
         scratch.held.as_mut().expect("scratch just provisioned")
     }

@@ -103,13 +103,9 @@ impl ParallelConfig {
         }
     }
 
-    /// Serial sampling: no sample- or batch-level workers, and the
-    /// per-sample suffix re-runs spawn no threads (convolution batch
-    /// splitting is disabled there too). The deterministic prefix
-    /// pass of a batch of at least four items still splits each
-    /// convolution over one scoped thread (`bnn-nn`'s split-batch
-    /// conv, bit-identical to the serial walk; ROADMAP 1b moves it
-    /// into the pool).
+    /// Serial sampling: no sample- or batch-level workers, and no
+    /// kernel below the engine creates a thread, so the whole pass
+    /// runs on the caller.
     pub fn serial() -> ParallelConfig {
         ParallelConfig {
             threads: 1,
@@ -170,9 +166,7 @@ impl ParallelConfig {
 }
 
 impl Default for ParallelConfig {
-    /// [`ParallelConfig::serial`] — deterministic, no sample- or
-    /// batch-axis workers (see there for the one scoped thread the
-    /// prefix pass of a batch of four or more still uses).
+    /// [`ParallelConfig::serial`] — deterministic, spawns nothing.
     /// Builder APIs (`Session`) compose from this predictable default;
     /// opt into threads with [`ParallelConfig::max_parallel`] or
     /// [`ParallelConfig::with_threads`]. (Results are bit-identical

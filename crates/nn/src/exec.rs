@@ -4,9 +4,9 @@ use crate::graph::{node_out_shape, Graph, Node, NodeId, Op};
 use crate::param::ParamStore;
 use bnn_rng::SoftRng;
 use bnn_tensor::{
-    add_inplace, avg_pool_backward, avg_pool_into, col2im, gemm, gemm_at, gemm_bt, gemm_bt_stacked,
-    gemm_stacked, global_avg_pool_into, im2col, im2col_into, im2col_stacked_into, max_pool,
-    max_pool_backward, max_pool_into, relu_inplace, Shape4, Tensor,
+    add_inplace, avg_pool_backward, avg_pool_into, col2im, gemm, gemm_at, gemm_bt, gemm_stacked,
+    global_avg_pool_into, im2col, im2col_stacked_into, max_pool, max_pool_backward, max_pool_into,
+    relu_inplace, Shape4, Tensor,
 };
 
 /// A channel-wise dropout mask: `keep[c]` keeps channel `c` (scaled by
@@ -226,13 +226,29 @@ fn masked_copy_items(
     }
 }
 
-/// Convolution forward into a preallocated output, reusing `cols` as
-/// the im2col workspace (grown on demand, never shrunk).
+/// `f32`s a convolution block may hold in the workspace: the column
+/// matrix plus the staged GEMM output of one block (256 KiB) stay
+/// L2-resident between the im2col, the GEMM and the gather. Stacking a
+/// whole batch in one block instead puts megabytes of column matrix on
+/// the heap for a 16-image calibration batch, which reads as +27–30 %
+/// `peak_rss_mib` on the benchmark's integer workloads.
+const CONV_BLOCK_F32: usize = 64 * 1024;
+
+/// *The* convolution: the batch is walked in blocks of as many items
+/// as fit [`CONV_BLOCK_F32`] (at least one). Each block's im2col
+/// matrices land side by side in one `[C·K·K, nb·Ho·Wo]` column
+/// matrix, a single [`gemm_stacked`] call covers them — the weight
+/// matrix is read once per block and stays cache-resident between
+/// blocks — and the staged `[F, nb·Ho·Wo]` product is gathered back
+/// into per-item NCHW layout with the bias added. Column matrix and
+/// staged product are the two halves of `work`, grown on demand and
+/// never shrunk.
 ///
-/// With `split_batch` set and a batch of at least four items, the
-/// items are divided across two scoped workers (each on its own half
-/// of `cols`); callers that already run inside a worker team — the
-/// MCD sampler — pass `false` to avoid oversubscribing the host.
+/// Every block size gives the same bytes: the blocked GEMM's
+/// per-element accumulation sequence depends only on the element's
+/// row and the depth panels, never on the column tiling (the
+/// [`gemm_stacked`] contract). So a batch item, a Monte Carlo sample
+/// of a fused suffix and a whole small batch are one code path.
 #[allow(clippy::too_many_arguments)]
 fn conv_forward_into(
     x: &Tensor,
@@ -242,153 +258,53 @@ fn conv_forward_into(
     stride: usize,
     pad: usize,
     y: &mut Tensor,
-    cols: &mut Vec<f32>,
-    split_batch: bool,
+    work: &mut Vec<f32>,
 ) {
     let si = x.shape();
     let so = y.shape();
     let (f, ckk, howo) = (so.c, si.c * k * k, so.h * so.w);
-    let item_len = so.item_len();
-    let cols_len = ckk * howo;
-    let one_item = |n: usize, yi: &mut [f32], cols: &mut [f32]| {
-        im2col_into(x.item(n), si.c, si.h, si.w, k, stride, pad, cols);
-        yi.fill(0.0);
-        gemm(f, ckk, howo, w.as_slice(), cols, yi);
-        for (c, &bias) in b.as_slice().iter().enumerate() {
-            for v in &mut yi[c * howo..(c + 1) * howo] {
-                *v += bias;
-            }
-        }
-    };
-    if split_batch && si.n >= 4 {
-        // Batch items are independent; split across two workers, each
-        // owning one half of the (persistent) im2col buffer. The item
-        // computations are untouched, so the outputs are identical to
-        // the serial walk.
-        let mid = si.n / 2;
-        let (lo, hi) = y.as_mut_slice().split_at_mut(mid * item_len);
-        if cols.len() < 2 * cols_len {
-            cols.resize(2 * cols_len, 0.0);
-        }
-        let (cols_a, cols_b) = cols.split_at_mut(cols_len);
-        // audit:allow(concurrency) bnn-nn sits below bnn-mcd, so it cannot route through WorkerPool without a dependency cycle; the halves write disjoint output slices and the result is bit-identical to the serial walk.
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for n in 0..mid {
-                    one_item(n, &mut lo[n * item_len..(n + 1) * item_len], cols_a);
-                }
-            });
-            for n in mid..si.n {
-                one_item(
-                    n,
-                    &mut hi[(n - mid) * item_len..(n - mid + 1) * item_len],
-                    &mut cols_b[..cols_len],
-                );
-            }
-        });
-    } else {
-        if cols.len() < cols_len {
-            cols.resize(cols_len, 0.0);
-        }
-        let data = y.as_mut_slice();
-        for n in 0..si.n {
-            one_item(
-                n,
-                &mut data[n * item_len..(n + 1) * item_len],
-                &mut cols[..cols_len],
+    let per_item = (ckk + f) * howo;
+    let nb = (CONV_BLOCK_F32 / per_item).clamp(1, si.n.max(1));
+    if work.len() < nb * per_item {
+        work.resize(nb * per_item, 0.0);
+    }
+    for n0 in (0..si.n).step_by(nb) {
+        let items = nb.min(si.n - n0);
+        let total_cols = items * howo;
+        let (cols, stage) = work[..items * per_item].split_at_mut(ckk * total_cols);
+        for i in 0..items {
+            im2col_stacked_into(
+                x.item(n0 + i),
+                si.c,
+                si.h,
+                si.w,
+                k,
+                stride,
+                pad,
+                cols,
+                total_cols,
+                i * howo,
             );
         }
-    }
-}
-
-/// Fused convolution over a sample-stacked batch: every item's im2col
-/// block lands side by side in one `[C·K·K, N·Ho·Wo]` column matrix
-/// and a single [`gemm_stacked`] call covers all of them, so the
-/// weight matrix streams once per *layer* instead of once per item.
-/// The staged `[F, N·Ho·Wo]` GEMM output is then gathered back into
-/// per-item NCHW layout with the bias added — one add per element,
-/// exactly like the per-item path — so the result is bit-identical to
-/// [`conv_forward_into`] on each item.
-#[allow(clippy::too_many_arguments)]
-fn conv_forward_stacked_into(
-    x: &Tensor,
-    w: &Tensor,
-    b: &Tensor,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    y: &mut Tensor,
-    cols: &mut Vec<f32>,
-    stage: &mut Vec<f32>,
-) {
-    let si = x.shape();
-    let so = y.shape();
-    let (f, ckk, howo) = (so.c, si.c * k * k, so.h * so.w);
-    let total_cols = si.n * howo;
-    let cols_len = ckk * total_cols;
-    let stage_len = f * total_cols;
-    if cols.len() < cols_len {
-        cols.resize(cols_len, 0.0);
-    }
-    if stage.len() < stage_len {
-        stage.resize(stage_len, 0.0);
-    }
-    let cols = &mut cols[..cols_len];
-    let stage = &mut stage[..stage_len];
-    for n in 0..si.n {
-        im2col_stacked_into(
-            x.item(n),
-            si.c,
-            si.h,
-            si.w,
-            k,
-            stride,
-            pad,
-            cols,
-            total_cols,
-            n * howo,
-        );
-    }
-    stage.fill(0.0);
-    gemm_stacked(f, ckk, howo, si.n, w.as_slice(), cols, stage);
-    let bias = b.as_slice();
-    for n in 0..si.n {
-        let yi = y.item_mut(n);
-        for (c, &bv) in bias.iter().enumerate() {
-            let src = &stage[c * total_cols + n * howo..c * total_cols + (n + 1) * howo];
-            let dst = &mut yi[c * howo..(c + 1) * howo];
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d = s + bv;
+        stage.fill(0.0);
+        gemm_stacked(f, ckk, howo, items, w.as_slice(), cols, stage);
+        for i in 0..items {
+            let yi = y.item_mut(n0 + i);
+            for (c, &bv) in b.as_slice().iter().enumerate() {
+                let src = &stage[c * total_cols + i * howo..c * total_cols + (i + 1) * howo];
+                for (d, &s) in yi[c * howo..(c + 1) * howo].iter_mut().zip(src) {
+                    *d = s + bv;
+                }
             }
         }
     }
 }
 
-/// Fused fully-connected forward over a sample-stacked activation
-/// matrix: the `samples` row blocks go through one [`gemm_bt_stacked`]
-/// call, sharing the streamed weight matrix across stacked rows.
-/// Bit-identical to [`linear_forward_into`] on each block.
-fn linear_forward_stacked_into(x: &Tensor, w: &Tensor, b: &Tensor, samples: usize, y: &mut Tensor) {
-    let si = x.shape();
-    let in_f = si.item_len();
-    let out_f = y.shape().item_len();
-    debug_assert_eq!(si.n % samples, 0, "stacked batch must cover all samples");
-    y.as_mut_slice().fill(0.0);
-    gemm_bt_stacked(
-        si.n / samples,
-        in_f,
-        out_f,
-        samples,
-        x.as_slice(),
-        w.as_slice(),
-        y.as_mut_slice(),
-    );
-    for n in 0..si.n {
-        add_inplace(y.item_mut(n), b.as_slice());
-    }
-}
-
-/// Fully-connected forward into a preallocated output.
+/// *The* fully-connected forward, into a preallocated output: one
+/// [`gemm_bt`] over every row of the batch, so the weight matrix
+/// streams once however many items or stacked Monte Carlo samples the
+/// rows are. Each output is a dot product along the shared dimension
+/// only, hence bit-identical at any row grouping.
 fn linear_forward_into(x: &Tensor, w: &Tensor, b: &Tensor, y: &mut Tensor) {
     let si = x.shape();
     let in_f = si.item_len();
@@ -509,10 +425,9 @@ fn bn_apply_eval_into(
 /// Reusable workspace of the suffix walk ([`Graph::forward_from_with`],
 /// [`Graph::forward_from_stacked`]): one output tensor per node after
 /// the suffix boundary, holding `samples · n` stacked batch items,
-/// plus the im2col and fused-GEMM staging buffers and the replicated
-/// prefix outputs a stacked suffix reads. Buffers are sized by the
-/// first walk and reused afterwards, so suffix re-runs allocate
-/// nothing.
+/// plus the convolution workspace and the replicated prefix outputs a
+/// stacked suffix reads. Buffers are sized by the first walk and
+/// reused afterwards, so suffix re-runs allocate nothing.
 ///
 /// Built by [`Graph::scratch_after`] (`samples = 1`) or
 /// [`Graph::stacked_scratch_after`] for one `(input shape, suffix
@@ -522,10 +437,9 @@ pub struct ExecScratch {
     /// Node outputs; slots `<= from` stay empty (those nodes are read
     /// from the prefix, never executed).
     outs: Vec<Tensor>,
-    /// im2col workspace, `[C·K·K, samples·n·Ho·Wo]` when stacked.
-    cols: Vec<f32>,
-    /// Fused conv GEMM staging buffer `[F, samples·n·Ho·Wo]`.
-    stage: Vec<f32>,
+    /// Convolution workspace: one block's column matrix and staged
+    /// GEMM output.
+    work: Vec<f32>,
     /// The prefix nodes the suffix reads across the boundary (the
     /// Bayesian-site input, plus any residual shortcut), each with its
     /// output replicated `samples` times. Refreshed by every stacked
@@ -534,18 +448,12 @@ pub struct ExecScratch {
     input: Shape4,
     from: NodeId,
     samples: usize,
-    split_conv: bool,
 }
 
 impl ExecScratch {
-    /// Disable the convolution batch split for passes run through
-    /// this scratch. The split spreads a batch of ≥ 4 items over two
-    /// scoped workers; callers that already parallelize at a higher
-    /// level (one scratch per sampler worker, as the MCD engine does)
-    /// should opt out so convs do not oversubscribe the host. Results
-    /// are identical either way.
-    pub fn serial_conv(mut self) -> ExecScratch {
-        self.split_conv = false;
+    /// The identity (no convolution spawns a thread), kept only because
+    /// `benchmark/`, which engine PRs may not edit, still calls it.
+    pub fn serial_conv(self) -> ExecScratch {
         self
     }
 
@@ -580,15 +488,13 @@ fn stack_items_into(t: &Tensor, samples: usize, out: &mut Tensor) {
 /// op match, shared by every pass.
 ///
 /// `get` resolves predecessor outputs; `input` backs the `Op::Input`
-/// node; `cols`/`stage` are the shared conv workspaces and
-/// `split_conv` forwards to [`conv_forward_into`]'s batch split.
+/// node; `work` is the shared convolution workspace.
 ///
 /// `masks` holds one set per Monte Carlo sample stacked along the
-/// batch axis. One set runs the per-item kernels; more run the stacked
-/// kernels (one weight stream per layer for all samples, each mask
-/// applied to its sample's item group), which are bit-identical to
-/// the per-item kernels on every sample by the [`gemm_stacked`]
-/// contract. Every other op is item-wise and does not care.
+/// batch axis: at an MCD site each mask is applied to its sample's
+/// item group. Every other op — the one convolution and the one
+/// fully-connected kernel included — sees a batch of items and does
+/// not care which sample an item belongs to.
 ///
 /// A `tape` slot makes this a training pass: BN normalizes by batch
 /// statistics and max-pool keeps its argmax, both recorded for
@@ -601,12 +507,9 @@ fn eval_node_into<'a>(
     input: &Tensor,
     masks: &[MaskSet],
     out: &mut Tensor,
-    cols: &mut Vec<f32>,
-    stage: &mut Vec<f32>,
-    split_conv: bool,
+    work: &mut Vec<f32>,
     tape: Option<&mut Aux>,
 ) {
-    let samples = masks.len();
     match &node.op {
         Op::Input => out.as_mut_slice().copy_from_slice(input.as_slice()),
         Op::Conv {
@@ -618,19 +521,11 @@ fn eval_node_into<'a>(
             ..
         } => {
             let (x, w, b) = (get(node.inputs[0]), params.get(*w), params.get(*b));
-            if samples > 1 {
-                conv_forward_stacked_into(x, w, b, *k, *stride, *pad, out, cols, stage);
-            } else {
-                conv_forward_into(x, w, b, *k, *stride, *pad, out, cols, split_conv);
-            }
+            conv_forward_into(x, w, b, *k, *stride, *pad, out, work);
         }
         Op::Linear { w, b, .. } => {
             let (x, w, b) = (get(node.inputs[0]), params.get(*w), params.get(*b));
-            if samples > 1 {
-                linear_forward_stacked_into(x, w, b, samples, out);
-            } else {
-                linear_forward_into(x, w, b, out);
-            }
+            linear_forward_into(x, w, b, out);
         }
         Op::BatchNorm {
             gamma,
@@ -687,24 +582,17 @@ fn eval_node_into<'a>(
         }
         Op::McdSite { site, .. } => {
             let src = get(node.inputs[0]);
-            if let [only] = masks {
-                out.as_mut_slice().copy_from_slice(src.as_slice());
-                if let Some(mask) = only.get(site.0) {
-                    apply_mask(out, mask, &node.name);
-                }
-            } else {
-                let base = src.shape().n / samples;
-                let item_len = src.shape().item_len();
-                for (si, ms) in masks.iter().enumerate() {
-                    let items = si * base..(si + 1) * base;
-                    match ms.get(site.0) {
-                        // Mask folded into the copy: one pass per
-                        // sample group, same values as copy-then-apply.
-                        Some(mask) => masked_copy_items(src, out, mask, items, &node.name),
-                        None => {
-                            let span = items.start * item_len..items.end * item_len;
-                            out.as_mut_slice()[span.clone()].copy_from_slice(&src.as_slice()[span]);
-                        }
+            let base = src.shape().n / masks.len();
+            let item_len = src.shape().item_len();
+            for (si, ms) in masks.iter().enumerate() {
+                let items = si * base..(si + 1) * base;
+                match ms.get(site.0) {
+                    // Mask folded into the copy: one pass per sample
+                    // group, same values as copy-then-apply.
+                    Some(mask) => masked_copy_items(src, out, mask, items, &node.name),
+                    None => {
+                        let span = items.start * item_len..items.end * item_len;
+                        out.as_mut_slice()[span.clone()].copy_from_slice(&src.as_slice()[span]);
                     }
                 }
             }
@@ -725,9 +613,7 @@ impl Graph {
         below: impl Fn(NodeId) -> &'a Tensor,
         outs: &mut [Tensor],
         masks: &[MaskSet],
-        cols: &mut Vec<f32>,
-        stage: &mut Vec<f32>,
-        split_conv: bool,
+        work: &mut Vec<f32>,
         mut tape: Option<&mut [Aux]>,
     ) {
         let lo = *range.start();
@@ -747,9 +633,7 @@ impl Graph {
                 input,
                 masks,
                 &mut rest[0],
-                cols,
-                stage,
-                split_conv,
+                work,
                 aux,
             );
         }
@@ -768,10 +652,11 @@ impl Graph {
 
     /// Evaluation-mode forward pass that keeps every node's output.
     ///
-    /// Used by quantizer calibration and by executor cross-checks. Hot
-    /// serving loops that only need the outputs up to a suffix
-    /// boundary should prefer [`Graph::forward_prefix_with`], which
-    /// stops at the boundary and reuses a previous cache's buffers.
+    /// Used by executor cross-checks. Repeated passes (quantizer
+    /// calibration) and hot serving loops that only need the outputs
+    /// up to a suffix boundary should prefer
+    /// [`Graph::forward_prefix_with`], which stops at the boundary and
+    /// reuses a previous cache's buffers.
     /// Like that cache, the result keeps no backward auxiliaries:
     /// [`Graph::backward`] on it panics ("not a training pass").
     pub fn forward_full(&self, input: &Tensor, masks: &MaskSet) -> Activations {
@@ -788,7 +673,7 @@ impl Graph {
     /// for the prefix instead of the whole network.
     ///
     /// Passing a previously returned cache back through `reuse` (and
-    /// keeping `cols`, the shared im2col workspace, across calls)
+    /// keeping `cols`, the shared convolution workspace, across calls)
     /// re-executes into the existing buffers: once warm, the prefix
     /// pass allocates nothing. The returned cache keeps no backward
     /// auxiliaries: [`Graph::backward`] on it panics ("not a training
@@ -822,8 +707,6 @@ impl Graph {
             &mut acts.outs,
             std::slice::from_ref(masks),
             cols,
-            &mut Vec::new(),
-            true,
             None,
         );
         acts
@@ -866,20 +749,18 @@ impl Graph {
         crossing.dedup();
         ExecScratch {
             outs: self.nodes.iter().map(|_| empty_slot()).collect(),
-            cols: Vec::new(),
-            stage: Vec::new(),
+            work: Vec::new(),
             crossing: crossing.into_iter().map(|j| (j, empty_slot())).collect(),
             input,
             from,
             samples,
-            split_conv: true,
         }
     }
 
     /// Resume an evaluation-mode pass from node `from` (exclusive) for
     /// one Monte Carlo sample, reusing `prefix` outputs for all nodes
-    /// `<= from`: [`Graph::forward_from_stacked`] with one mask set,
-    /// which runs the per-item kernels.
+    /// `<= from`: [`Graph::forward_from_stacked`] with one mask set —
+    /// one sample per walk, through the same kernels.
     ///
     /// This is the software analogue of the paper's intermediate-layer
     /// caching: the deterministic prefix is computed once and the
@@ -908,13 +789,16 @@ impl Graph {
     /// This is the software analogue of the paper's weight-streaming
     /// dataflow: where one walk per sample re-streams every suffix
     /// weight matrix once per sample, this walk stacks the samples'
-    /// activations — conv via a sample-stacked im2col buffer and one
-    /// `(S·Ho·Wo)`-column [`gemm_stacked`], fully-connected layers via
-    /// one row-stacked [`gemm_bt_stacked`] — so each weight matrix
-    /// streams once per layer. Per-sample dropout masks are applied to
-    /// each sample's item group, and every element's f32 operation
-    /// sequence is identical to the per-sample walk, so the stacked
-    /// logits are *bit-identical* to `masks.len()` independent
+    /// activations along the batch axis, so a fully-connected layer is
+    /// one row-stacked GEMM (its weights stream once per layer) and a
+    /// convolution runs per cache-sized block of samples — side-by-side
+    /// im2col blocks through one [`gemm_stacked`] — its weights read
+    /// from memory once per layer and cache-resident between blocks,
+    /// which is why the modelled `weight_stream_bytes` counts them once.
+    /// Per-sample dropout masks are applied to each sample's item
+    /// group, and the kernels give every element the same f32 operation
+    /// sequence however many items share a walk, so the stacked logits
+    /// are *bit-identical* to `masks.len()` independent
     /// [`Graph::forward_from_with`] calls (at any sub-chunking of the
     /// sample list).
     ///
@@ -949,10 +833,8 @@ impl Graph {
         }
         let ExecScratch {
             outs,
-            cols,
-            stage,
+            work,
             crossing,
-            split_conv,
             ..
         } = scratch;
         if samples > 1 {
@@ -971,9 +853,7 @@ impl Graph {
             below,
             outs,
             masks,
-            cols,
-            stage,
-            *split_conv,
+            work,
             None,
         );
         outs[self.output].clone()
@@ -991,8 +871,6 @@ impl Graph {
             &mut acts.outs,
             std::slice::from_ref(masks),
             &mut Vec::new(),
-            &mut Vec::new(),
-            true,
             Some(&mut acts.aux),
         );
         // Fold the batch statistics the walk recorded into the running
@@ -1403,7 +1281,7 @@ mod tests {
     /// One per-sample suffix walk through a fresh scratch.
     fn suffix(net: &Graph, prefix: &Activations, from: NodeId, masks: &MaskSet) -> Tensor {
         let input = prefix.output(net.input_id()).shape();
-        let mut scratch = net.scratch_after(input, from).serial_conv();
+        let mut scratch = net.scratch_after(input, from);
         net.forward_from_with(prefix, from, masks, &mut scratch)
     }
 

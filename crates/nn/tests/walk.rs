@@ -73,8 +73,7 @@ fn check_every_cut(net: &Graph, shape: Shape4) {
                         .iter()
                         .position(|s| s.built_for(shape, from, ms.len()))
                         .unwrap_or_else(|| {
-                            let fresh = net.stacked_scratch_after(shape, from, ms.len());
-                            scratches.push(fresh.serial_conv());
+                            scratches.push(net.stacked_scratch_after(shape, from, ms.len()));
                             scratches.len() - 1
                         });
                     let scratch = &mut scratches[held];

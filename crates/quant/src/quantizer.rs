@@ -47,27 +47,30 @@ impl<'g> Quantizer<'g> {
     /// inside every calibrated range. Can be called repeatedly with
     /// more batches.
     pub fn calibrate(&mut self, xs: &Tensor) -> &mut Self {
-        let clean = MaskSet::none();
-        self.record(xs, &clean);
-        let n = self.graph.n_sites();
         let channels = self.graph.site_channels(xs.shape());
         let mut rng = SoftRng::new(0xCA11_B8A7E);
-        let all_active = vec![true; n];
-        for _ in 0..2 {
-            let masks = MaskSet::sample_software(&all_active, &channels, 0.25, &mut rng);
-            self.record(xs, &masks);
+        let all_active = vec![true; self.graph.n_sites()];
+        let last = self.graph.nodes().len() - 1;
+        // The passes re-execute into one set of node outputs and one
+        // convolution workspace, released when calibration returns.
+        let (mut acts, mut cols) = (None, Vec::new());
+        for pass in 0..3 {
+            let masks = match pass {
+                0 => MaskSet::none(),
+                _ => MaskSet::sample_software(&all_active, &channels, 0.25, &mut rng),
+            };
+            let outs = self
+                .graph
+                .forward_prefix_with(xs, last, &masks, acts.take(), &mut cols);
+            for (id, range) in self.ranges.iter_mut().enumerate() {
+                let out = outs.output(id);
+                range.0 = range.0.min(out.min());
+                range.1 = range.1.max(out.max());
+            }
+            acts = Some(outs);
         }
         self.calibrated = true;
         self
-    }
-
-    fn record(&mut self, xs: &Tensor, masks: &MaskSet) {
-        let acts = self.graph.forward_full(xs, masks);
-        for (id, range) in self.ranges.iter_mut().enumerate() {
-            let out = acts.output(id);
-            range.0 = range.0.min(out.min());
-            range.1 = range.1.max(out.max());
-        }
     }
 
     /// Lower to a quantized graph.

@@ -173,14 +173,14 @@ impl BatchPolicy {
 /// (the `bnn-fpga` facade re-exports it as `Backend` and, because
 /// `benchmark/` imports that name too, as `ServeBackend`).
 ///
-/// `Float` and `Fused` execute the f32 graph directly (per-sample
-/// suffix re-runs vs. batched-sample GEMM fusion, with bit-identical
-/// results); `Int8` and `Accel` carry their own compiled artefacts (a
-/// quantized graph, an accelerator instance) produced by the
-/// deployment pipeline, and run on the one integer backend.
+/// `Float` and `Fused` execute the f32 graph directly (one sample per
+/// suffix walk vs. batched-sample GEMM fusion — the same kernels, with
+/// bit-identical results); `Int8` and `Accel` carry their own compiled
+/// artefacts (a quantized graph, an accelerator instance) produced by
+/// the deployment pipeline, and run on the one integer backend.
 #[derive(Clone)]
 pub enum Backend {
-    /// f32 software execution, one suffix re-run per sample (the
+    /// f32 software execution, one sample per suffix walk (the
     /// conformance reference).
     Float,
     /// f32 software execution with batched-sample GEMM fusion: each

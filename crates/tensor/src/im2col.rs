@@ -37,38 +37,15 @@ pub fn im2col(
     let ho = conv_out_dim(h, k, stride, pad);
     let wo = conv_out_dim(w, k, stride, pad);
     let mut cols = vec![0.0f32; c * k * k * ho * wo];
-    im2col_into(image, c, h, w, k, stride, pad, &mut cols);
+    im2col_stacked_into(image, c, h, w, k, stride, pad, &mut cols, ho * wo, 0);
     cols
 }
 
-/// [`im2col`] into a caller-provided buffer (scratch-reuse hot path).
-///
-/// The buffer is fully overwritten, including the zero padding taps,
-/// so it can be reused across calls without clearing.
-///
-/// # Panics
-///
-/// Panics if `image.len() != c*h*w` or `cols` is not exactly
-/// `c*k*k*ho*wo` long.
-#[allow(clippy::too_many_arguments)]
-pub fn im2col_into(
-    image: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    cols: &mut [f32],
-) {
-    let ho = conv_out_dim(h, k, stride, pad);
-    let wo = conv_out_dim(w, k, stride, pad);
-    im2col_stacked_into(image, c, h, w, k, stride, pad, cols, ho * wo, 0);
-}
-
-/// [`im2col_into`] targeting one column block of a *sample-stacked*
-/// column matrix `[C·K·K, total_cols]` (row-major): the image's
-/// `[C·K·K, Ho·Wo]` columns land at column offset `col0` of every row.
+/// [`im2col`] into a caller-provided buffer, targeting one column
+/// block of a *sample-stacked* column matrix `[C·K·K, total_cols]`
+/// (row-major): the image's `[C·K·K, Ho·Wo]` columns land at column
+/// offset `col0` of every row (`total_cols = Ho·Wo`, `col0 = 0` is
+/// the plain single-image layout).
 ///
 /// This is the buffer builder for batched-sample GEMM fusion: each
 /// Monte Carlo sample's (or batch item's) im2col block is written side

@@ -21,13 +21,6 @@ pub fn add_inplace(ys: &mut [f32], xs: &[f32]) {
     }
 }
 
-/// Scale a buffer in place (used for the MCD `1/(1-p)` rescale).
-pub fn scale_inplace(xs: &mut [f32], s: f32) {
-    for x in xs {
-        *x *= s;
-    }
-}
-
 /// Numerically-stable softmax applied to each row of a `rows × cols`
 /// row-major matrix.
 ///
@@ -84,13 +77,6 @@ mod tests {
         let mut ys = vec![1.0, 2.0];
         add_inplace(&mut ys, &[10.0, 20.0]);
         assert_eq!(ys, vec![11.0, 22.0]);
-    }
-
-    #[test]
-    fn scale_scales() {
-        let mut xs = vec![3.0, -6.0];
-        scale_inplace(&mut xs, 1.0 / 3.0);
-        assert_eq!(xs, vec![1.0, -2.0]);
     }
 
     #[test]

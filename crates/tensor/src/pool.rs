@@ -97,25 +97,13 @@ pub fn max_pool_backward(dy: &Tensor, arg: &[u32], input_shape: Shape4) -> Tenso
     dx
 }
 
-/// Average-pool over `k×k` windows with the given stride.
+/// Average-pool over `k×k` windows with the given stride, into a
+/// caller-provided output tensor.
 ///
 /// # Panics
 ///
-/// Panics if the geometry is invalid.
-pub fn avg_pool(x: &Tensor, k: usize, stride: usize) -> Tensor {
-    let s = x.shape();
-    let ho = conv_out_dim(s.h, k, stride, 0);
-    let wo = conv_out_dim(s.w, k, stride, 0);
-    let mut out = Tensor::zeros(Shape4::new(s.n, s.c, ho, wo));
-    avg_pool_into(x, k, stride, &mut out);
-    out
-}
-
-/// Average-pool into a caller-provided output tensor.
-///
-/// # Panics
-///
-/// Panics if `out` does not have the pooled output shape.
+/// Panics if the geometry is invalid or `out` does not have the
+/// pooled output shape.
 pub fn avg_pool_into(x: &Tensor, k: usize, stride: usize, out: &mut Tensor) {
     let s = x.shape();
     let ho = conv_out_dim(s.h, k, stride, 0);
@@ -143,7 +131,7 @@ pub fn avg_pool_into(x: &Tensor, k: usize, stride: usize, out: &mut Tensor) {
     }
 }
 
-/// Backward of [`avg_pool`]: spreads each output gradient uniformly
+/// Backward of [`avg_pool_into`]: spreads each output gradient uniformly
 /// over its `k×k` window.
 pub fn avg_pool_backward(dy: &Tensor, k: usize, stride: usize, input_shape: Shape4) -> Tensor {
     let mut dx = Tensor::zeros(input_shape);
@@ -166,15 +154,8 @@ pub fn avg_pool_backward(dy: &Tensor, k: usize, stride: usize, input_shape: Shap
     dx
 }
 
-/// Global average pool: `(n, c, h, w) → (n, c, 1, 1)`.
-pub fn global_avg_pool(x: &Tensor) -> Tensor {
-    let s = x.shape();
-    let mut out = Tensor::zeros(Shape4::new(s.n, s.c, 1, 1));
-    global_avg_pool_into(x, &mut out);
-    out
-}
-
-/// Global average pool into a caller-provided `(n, c, 1, 1)` tensor.
+/// Global average pool `(n, c, h, w) → (n, c, 1, 1)` into a
+/// caller-provided tensor.
 ///
 /// # Panics
 ///
@@ -218,16 +199,6 @@ mod tests {
         let mut got = Tensor::zeros(want_max.shape());
         max_pool_into(&x, 2, 2, &mut got);
         assert_eq!(got.as_slice(), want_max.as_slice());
-
-        let want_avg = avg_pool(&x, 2, 2);
-        let mut got = Tensor::zeros(want_avg.shape());
-        avg_pool_into(&x, 2, 2, &mut got);
-        assert_eq!(got.as_slice(), want_avg.as_slice());
-
-        let want_gap = global_avg_pool(&x);
-        let mut got = Tensor::zeros(want_gap.shape());
-        global_avg_pool_into(&x, &mut got);
-        assert_eq!(got.as_slice(), want_gap.as_slice());
     }
 
     #[test]
@@ -250,7 +221,8 @@ mod tests {
     #[test]
     fn avg_pool_2x2() {
         let x = t(1, 1, 2, 2, vec![1., 5., 3., 3.]);
-        let y = avg_pool(&x, 2, 2);
+        let mut y = Tensor::zeros(Shape4::new(1, 1, 1, 1));
+        avg_pool_into(&x, 2, 2, &mut y);
         assert_eq!(y.as_slice(), &[3.0]);
     }
 
@@ -264,8 +236,8 @@ mod tests {
     #[test]
     fn global_avg_pool_reduces_spatial() {
         let x = t(1, 2, 2, 2, vec![1., 2., 3., 4., 10., 10., 10., 10.]);
-        let y = global_avg_pool(&x);
-        assert_eq!(y.shape(), Shape4::new(1, 2, 1, 1));
+        let mut y = Tensor::zeros(Shape4::new(1, 2, 1, 1));
+        global_avg_pool_into(&x, &mut y);
         assert_eq!(y.as_slice(), &[2.5, 10.0]);
     }
 

@@ -94,11 +94,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume into the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Iterator over elements in layout order.
     pub fn iter(&self) -> std::slice::Iter<'_, f32> {
         self.data.iter()

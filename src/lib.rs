@@ -253,8 +253,10 @@
 //!   This is what makes "same seed, same reply" provable.
 //! * **`concurrency`** — all data-parallel fan-out routes through
 //!   [`mcd::WorkerPool`] (the one audited spawn site —
-//!   order-preserving, caller-helps, panic-poisoning), and every
-//!   `Mutex` unwrap in `serve`/`pool` states its poisoning policy.
+//!   order-preserving, caller-helps, panic-poisoning; no other file
+//!   of the engine/kernel crates creates a thread, waiver or not), and
+//!   every `Mutex` unwrap in `serve`/`pool` states its poisoning
+//!   policy.
 //! * **`panic`** — no `unwrap`/`expect`/`panic!` on `bnn-serve`
 //!   dispatcher paths outside `#[cfg(test)]`: a dispatcher panic
 //!   kills the thread every `Handle` depends on, so any failure there
@@ -279,7 +281,7 @@
 //! | [`tensor`] | `bnn-tensor` | NCHW tensors, GEMM, im2col, pooling |
 //! | [`nn`] | `bnn-nn` | layer-graph IR, f32 executor, backprop, SGD, model builders |
 //! | [`data`] | `bnn-data` | synthetic MNIST/SVHN/CIFAR-like datasets, OOD noise |
-//! | [`mcd`] | `bnn-mcd` | the six-method `BayesBackend` trait, the one MC `Engine`, `FloatBackend` (per-sample `new` / batched-sample `fused`), conformance harness, uncertainty metrics |
+//! | [`mcd`] | `bnn-mcd` | the six-method `BayesBackend` trait, the one MC `Engine`, `FloatBackend` (one sample per walk `new` / batched-sample `fused`, same kernels), conformance harness, uncertainty metrics |
 //! | [`serve`] | `bnn-serve` | the request-coalescing serving front door: `Server`, `Handle`, `BatchPolicy` |
 //! | [`net`] | `bnn-net` | the TCP front door: binary protocol v1/v2 (pipelining), `GET /status` / `/metrics` / `/trace` telemetry, tenant gate, blocking clients |
 //! | [`trace`] | `bnn-trace` | stage-span recorder: per-thread rings, log2 histograms, Chrome-trace export behind `/trace` + `/metrics` |

@@ -7,8 +7,9 @@
 //! decreasing strictness:
 //!
 //! * `FloatBackend::fused` is *bit-identical* to `FloatBackend::new`:
-//!   batched-sample GEMM fusion (the stacked kernels) is an exact
-//!   re-scheduling of the per-sample walk (the per-item kernels).
+//!   batched-sample GEMM fusion (every sample of a chunk in one walk)
+//!   is an exact re-scheduling of one sample per walk — the two run
+//!   the same kernels and differ in how many mask sets share a walk.
 //! * The `accel` substrate (`Accelerator::into_backend`) is the `int8`
 //!   substrate with the analytic cost model attached, and both are
 //!   *bit-identical* to the simulator's tiled PE engine
