@@ -14,6 +14,12 @@
 //! over the shared [`WorkerPool`], and hands each caller its own probabilities plus a
 //! per-request [`Uncertainty`] summary and [`CostReport`] slice.
 //!
+//! The dispatcher is work-conserving: it never sleeps while a request
+//! is queued. A micro-batch is whatever arrived while the previous
+//! batch was computing, so a lone request waits for nothing and a
+//! loaded server coalesces for free; holding an under-full batch open
+//! for late arrivals is an explicit opt-in ([`BatchPolicy::max_wait`]).
+//!
 //! # Coalescing invariance
 //!
 //! The load-bearing guarantee: **a request's reply is bit-identical
@@ -119,13 +125,15 @@ pub struct BatchPolicy {
     /// Most requests coalesced into one engine pass. `1` disables
     /// coalescing (pure FIFO serving). Normalized to at least 1.
     pub max_batch: usize,
-    /// How long the dispatcher holds an under-full batch open for
-    /// late arrivals, measured from the *oldest* queued request's
-    /// submission — the bound on coalescing-added latency. Zero
-    /// serves immediately (batches then form only under backlog).
-    /// The window also closes early when the queue reaches
-    /// [`BatchPolicy::queue_cap`], since no request can arrive past
-    /// the cap until the dispatcher drains.
+    /// Opt-in hold: how long the dispatcher keeps an under-full batch
+    /// open for late arrivals, measured from the *oldest* queued
+    /// request's submission — latency traded for fuller batches. Zero
+    /// (the default) never holds: a queued request is taken as soon
+    /// as the dispatcher is free, and batches form from whatever
+    /// queued up while the previous batch was computing.
+    /// `Duration::MAX` holds until the batch fills. A hold also closes
+    /// early when the queue reaches [`BatchPolicy::queue_cap`], since
+    /// no request can arrive past the cap until the dispatcher drains.
     pub max_wait: Duration,
     /// Bound on queued (accepted, not yet dispatched) requests: the
     /// backpressure knob. [`Submission::submit`] blocks at the cap,
@@ -134,27 +142,25 @@ pub struct BatchPolicy {
     /// first (resolved [`ServeError::Rejected`]). Normalized to at
     /// least 1.
     pub queue_cap: usize,
-    /// Opt-in adaptive coalescing window: the dispatcher tracks an
-    /// EMA of request inter-arrival gaps and *collapses the window to
-    /// zero when traffic is sparse* (estimated gap longer than
-    /// [`BatchPolicy::max_wait`], or no history yet), so a lone
-    /// request is served immediately instead of waiting out the full
-    /// fixed window. Dense traffic (gap within the window) keeps the
-    /// configured `max_wait` and coalesces as usual. Off by default:
-    /// the fixed window is the deterministic choice (and some
-    /// workloads rely on "hold until full" semantics).
-    pub adaptive_window: bool,
 }
 
 impl Default for BatchPolicy {
-    /// Micro-batches of up to 16, a fixed 200 µs coalescing window, a
-    /// 256-request queue.
+    /// Micro-batches of up to 16, a 256-request queue and no hold: a
+    /// queued request is dispatched as soon as the dispatcher is
+    /// free; batches form from backlog; set `max_wait` to trade
+    /// latency for fuller batches.
+    ///
+    /// Why no hold: the engine runs a micro-batch as independent
+    /// requests (`mcd.coalesce_gain` ≤ 1 in the `benchmark/` layer
+    /// probes), so holding a batch open is pure latency until
+    /// cross-request stacking lands (ROADMAP item 2) — and after it,
+    /// the batches that form on their own under load already capture
+    /// the gain.
     fn default() -> BatchPolicy {
         BatchPolicy {
             max_batch: 16,
-            max_wait: Duration::from_micros(200),
+            max_wait: Duration::ZERO,
             queue_cap: 256,
-            adaptive_window: false,
         }
     }
 }
@@ -394,24 +400,19 @@ struct Queued {
     trace: u64,
 }
 
-/// EMA smoothing factor for the arrival-gap tracker (the adaptive
-/// window's traffic estimate): each new gap contributes a quarter.
-const GAP_EMA: f64 = 0.25;
-
-/// Cap on any *single* dispatcher condvar sleep while a batch window
-/// is held open — an hour, far beyond any sane coalescing window.
+/// Cap on any *single* dispatcher condvar sleep while a batch is held
+/// open ([`BatchPolicy::max_wait`] non-zero) — an hour, far beyond any
+/// sane hold.
 ///
 /// The cap exists only to keep the OS timed-wait away from
 /// astronomical durations like `Duration::MAX` ("hold until full"),
 /// which platforms may reject or saturate unpredictably. It is safe
-/// because the window-wait loop **re-derives the remaining window
-/// from scratch after every wake** — from `oldest.elapsed()` and the
-/// current adaptive arrival estimate — and every event that should
-/// close the window early (a new submission, shutdown, a breaker
-/// trip) notifies the `work` condvar. A capped timeout therefore just
-/// re-checks and sleeps again; a collapsed adaptive window or a
-/// filled batch is observed at the very next wake, never after a
-/// stale remainder.
+/// because the hold loop **re-derives the remaining hold from scratch
+/// after every wake** — from `oldest.elapsed()` — and every event that
+/// should close it early (a new submission, shutdown, a breaker trip)
+/// notifies the `work` condvar. A capped timeout therefore just
+/// re-checks and sleeps again; a filled batch is observed at the very
+/// next wake, never after a stale remainder.
 const WINDOW_WAIT_STEP_CAP: Duration = Duration::from_secs(3600);
 
 struct QState {
@@ -423,11 +424,6 @@ struct QState {
     /// fast and new submissions are rejected at the door.
     tripped: bool,
     next_id: u64,
-    /// When the most recent submission arrived.
-    last_arrival: Option<Instant>,
-    /// EMA of submission inter-arrival gaps, in seconds (`None` until
-    /// two submissions have arrived). Feeds [`effective_wait`].
-    arrival_gap: Option<f64>,
 }
 
 impl QState {
@@ -440,7 +436,7 @@ impl QState {
     }
 
     /// Submission instant of the oldest queued request (across all
-    /// classes) — the coalescing window is measured from it.
+    /// classes) — an opt-in hold is measured from it.
     fn oldest(&self) -> Option<Instant> {
         self.queues
             .iter()
@@ -520,11 +516,6 @@ struct SharedQ {
     space: Condvar,
     queue_cap: usize,
     base_seed: u64,
-    /// Mirror of [`BatchPolicy::adaptive_window`]: when off, the
-    /// submission path skips the arrival-gap EMA bookkeeping entirely
-    /// (nothing reads the estimate), so fixed-window serving pays no
-    /// tracker cost.
-    adaptive_window: bool,
     counters: Counters,
 }
 
@@ -660,22 +651,8 @@ impl Handle {
                 }
             }
             // One wall-clock read per submission, shared by the
-            // arrival tracker, the enqueue timestamp and the deadline
-            // derivation below.
+            // enqueue timestamp and the deadline derivation below.
             let now = Instant::now();
-            if shared.adaptive_window {
-                // The EMA only feeds `effective_wait`, which ignores
-                // it under a fixed window — don't pay the bookkeeping
-                // unless the policy actually reads the estimate.
-                if let Some(prev) = st.last_arrival {
-                    let gap = now.duration_since(prev).as_secs_f64();
-                    st.arrival_gap = Some(match st.arrival_gap {
-                        Some(ema) => ema + GAP_EMA * (gap - ema),
-                        None => gap,
-                    });
-                }
-                st.last_arrival = Some(now);
-            }
             let id = st.next_id;
             st.next_id += 1;
             let seed = seed.unwrap_or_else(|| request_seed(shared.base_seed, id));
@@ -809,7 +786,8 @@ impl ServerBuilder {
         self
     }
 
-    /// The micro-batching policy (default: [`BatchPolicy::default`]).
+    /// The micro-batching policy (default: [`BatchPolicy::default`] —
+    /// no hold; batches form from backlog).
     pub fn policy(mut self, policy: BatchPolicy) -> ServerBuilder {
         self.policy = policy;
         self
@@ -863,14 +841,11 @@ impl ServerBuilder {
                 closed: false,
                 tripped: false,
                 next_id: 0,
-                last_arrival: None,
-                arrival_gap: None,
             }),
             work: Condvar::new(),
             space: Condvar::new(),
             queue_cap: policy.queue_cap,
             base_seed: self.seed,
-            adaptive_window: policy.adaptive_window,
             counters: Counters::default(),
         });
         let ctx = DispatchCtx {
@@ -1133,34 +1108,21 @@ fn fail_queued(st: &mut QState, shared: &SharedQ) {
     }
 }
 
-/// The coalescing window the dispatcher holds this batch open for:
-/// the fixed [`BatchPolicy::max_wait`], unless the adaptive window is
-/// enabled and traffic is sparse — estimated inter-arrival gap longer
-/// than the window itself (or no estimate yet, the cold-start case) —
-/// in which case holding the batch open cannot plausibly attract a
-/// coalescing partner and the window collapses to zero.
-fn effective_wait(policy: &BatchPolicy, arrival_gap: Option<f64>) -> Duration {
-    if !policy.adaptive_window {
-        return policy.max_wait;
-    }
-    match arrival_gap {
-        Some(gap) if gap <= policy.max_wait.as_secs_f64() => policy.max_wait,
-        _ => Duration::ZERO,
-    }
-}
-
 /// Pop the next micro-batch: block for work, expire overdue requests,
-/// then hold the batch open for late arrivals up to the effective
-/// window from the oldest request (unless the batch fills, the server
-/// is draining or tripped, or the queue reaches its cap — at the cap
-/// no producer can enqueue until we drain, so further waiting would
-/// be pure dead time for every queued request *and* every
+/// then take everything queued (up to `max_batch`) — the batch is
+/// whatever arrived while the previous one was computing. Only under
+/// an opt-in hold ([`BatchPolicy::max_wait`] non-zero) is an
+/// under-full batch kept open for late arrivals, up to `max_wait`
+/// from the oldest request (unless the batch fills, the server is
+/// draining or tripped, or the queue reaches its cap — at the cap no
+/// producer can enqueue until we drain, so further waiting would be
+/// pure dead time for every queued request *and* every
 /// backpressure-blocked producer). Requests are dequeued highest
 /// priority first, FIFO within a class. Returns `None` when the queue
 /// is closed and empty.
 fn next_batch(shared: &SharedQ, policy: &BatchPolicy) -> Option<Vec<Queued>> {
-    // The size past which this batch cannot grow while we hold the
-    // window open.
+    // The size past which this batch cannot grow while we hold it
+    // open.
     let full = policy.max_batch.min(shared.queue_cap);
     let mut st = lock(&shared.state);
     'accept: loop {
@@ -1184,19 +1146,16 @@ fn next_batch(shared: &SharedQ, policy: &BatchPolicy) -> Option<Vec<Queued>> {
         }
         if !policy.max_wait.is_zero() {
             while !st.closed && !st.tripped && st.len() < full {
-                // Remaining window, derived from elapsed time instead
-                // of a materialized deadline `Instant`: `enqueued +
-                // max_wait` would overflow (and panic the dispatcher)
-                // for huge `max_wait` values like `Duration::MAX`
-                // ("hold until full"). Re-evaluated each iteration so
-                // a fresh arrival-rate estimate can collapse an
-                // adaptive window mid-hold.
-                let window = effective_wait(policy, st.arrival_gap);
                 // The loop guard keeps the queue non-empty here, but a
                 // dispatcher panic is never the right failure mode:
                 // treat an empty queue as a closed window.
                 let Some(oldest) = st.oldest() else { break };
-                let remaining = window.saturating_sub(oldest.elapsed());
+                // Remaining hold, derived from elapsed time instead
+                // of a materialized deadline `Instant`: `enqueued +
+                // max_wait` would overflow (and panic the dispatcher)
+                // for huge `max_wait` values like `Duration::MAX`
+                // ("hold until full").
+                let remaining = policy.max_wait.saturating_sub(oldest.elapsed());
                 if remaining.is_zero() {
                     break;
                 }
@@ -1223,7 +1182,8 @@ fn next_batch(shared: &SharedQ, policy: &BatchPolicy) -> Option<Vec<Queued>> {
                 continue 'accept;
             }
         }
-        let take = st.len().min(policy.max_batch);
+        let depth = st.len();
+        let take = depth.min(policy.max_batch);
         let mut batch = Vec::with_capacity(take);
         while batch.len() < take {
             // `take` is bounded by `len`, so the queue can't run dry
@@ -1242,7 +1202,9 @@ fn next_batch(shared: &SharedQ, policy: &BatchPolicy) -> Option<Vec<Queued>> {
         shared.space.notify_all();
         if bnn_trace::enabled() {
             // Queue-wait spans, recorded outside the queue lock: one
-            // per dequeued request, spanning enqueue to dequeue.
+            // per dequeued request, spanning enqueue to dequeue and
+            // carrying the queue depth the batch was taken from —
+            // backlog is the only reason a request waits.
             let now = bnn_trace::clock::now_us();
             for q in &batch {
                 let dur = q.enqueued.elapsed().as_micros() as u64;
@@ -1252,7 +1214,7 @@ fn next_batch(shared: &SharedQ, policy: &BatchPolicy) -> Option<Vec<Queued>> {
                     q.trace,
                     now.saturating_sub(dur),
                     dur,
-                    0,
+                    depth as u64,
                 );
             }
         }
@@ -1430,7 +1392,6 @@ mod tests {
                 max_batch: 3,
                 max_wait: Duration::from_secs(30),
                 queue_cap: 8,
-                ..BatchPolicy::default()
             })
             .start();
         let handle = server.handle();
@@ -1466,7 +1427,6 @@ mod tests {
                 max_batch: 3,
                 max_wait: Duration::from_secs(3600),
                 queue_cap: 2,
-                ..BatchPolicy::default()
             })
             .start();
         let handle = server.handle();
@@ -1497,7 +1457,6 @@ mod tests {
                 max_batch: 2,
                 max_wait: Duration::MAX,
                 queue_cap: 8,
-                ..BatchPolicy::default()
             })
             .start();
         let handle = server.handle();
@@ -1532,7 +1491,6 @@ mod tests {
                 max_batch: 2,
                 max_wait: Duration::ZERO,
                 queue_cap: 2,
-                ..BatchPolicy::default()
             })
             .start();
         let handle = server.handle();
@@ -1583,36 +1541,6 @@ mod tests {
     }
 
     #[test]
-    fn effective_wait_gates_on_the_arrival_estimate() {
-        let fixed = BatchPolicy {
-            max_wait: Duration::from_millis(5),
-            ..BatchPolicy::default()
-        };
-        // Adaptive off: the estimate is ignored.
-        assert_eq!(effective_wait(&fixed, None), fixed.max_wait);
-        assert_eq!(effective_wait(&fixed, Some(100.0)), fixed.max_wait);
-        let adaptive = BatchPolicy {
-            adaptive_window: true,
-            ..fixed
-        };
-        // Cold start and sparse traffic collapse the window; dense
-        // traffic keeps it.
-        assert_eq!(effective_wait(&adaptive, None), Duration::ZERO);
-        assert_eq!(effective_wait(&adaptive, Some(10.0)), Duration::ZERO);
-        assert_eq!(effective_wait(&adaptive, Some(0.000_1)), adaptive.max_wait);
-        // `Duration::MAX` as the window must not panic the gate.
-        let hold_until_full = BatchPolicy {
-            adaptive_window: true,
-            max_wait: Duration::MAX,
-            ..BatchPolicy::default()
-        };
-        assert_eq!(
-            effective_wait(&hold_until_full, Some(3600.0)),
-            Duration::MAX
-        );
-    }
-
-    #[test]
     fn priority_orders_and_sheds_below() {
         assert!(Priority::Low < Priority::Normal && Priority::Normal < Priority::High);
         assert_eq!(Priority::default(), Priority::Normal);
@@ -1621,8 +1549,6 @@ mod tests {
             closed: false,
             tripped: false,
             next_id: 0,
-            last_arrival: None,
-            arrival_gap: None,
         };
         let queued = |id: u64| {
             let (tx, _rx) = mpsc::channel();
@@ -1672,84 +1598,6 @@ mod tests {
         }
     }
 
-    /// Regression for the window-wait step cap: with the adaptive
-    /// window enabled, a collapse of the arrival estimate *mid-hold*
-    /// must wake the dispatcher promptly — the loop re-derives the
-    /// effective window on every condvar wake rather than sleeping
-    /// out the remainder it computed before the collapse. Drives
-    /// `next_batch` directly so the collapse is injected
-    /// deterministically (in live serving the estimate only moves on
-    /// a submission, which also notifies `work`).
-    #[test]
-    fn adaptive_collapse_mid_hold_wakes_dispatcher() {
-        let policy = BatchPolicy {
-            max_batch: 8,
-            // Far longer than the test watchdog: if the dispatcher
-            // sleeps out the pre-collapse remainder, the recv below
-            // times out and the test fails.
-            max_wait: Duration::from_secs(600),
-            queue_cap: 64,
-            adaptive_window: true,
-        }
-        .normalized();
-        let shared = Arc::new(SharedQ {
-            state: Mutex::new(QState {
-                queues: Default::default(),
-                closed: false,
-                tripped: false,
-                next_id: 0,
-                last_arrival: None,
-                // Dense-traffic estimate: the window starts held open.
-                arrival_gap: Some(1e-6),
-            }),
-            work: Condvar::new(),
-            space: Condvar::new(),
-            queue_cap: policy.queue_cap,
-            base_seed: 0,
-            adaptive_window: true,
-            counters: Counters::default(),
-        });
-        let (reply_tx, _reply_rx) = mpsc::channel();
-        {
-            let mut st = lock(&shared.state);
-            st.queues[Priority::Normal.index()].push_back(Queued {
-                x: Tensor::zeros(Shape4::new(1, 1, 1, 1)),
-                seed: 0,
-                id: 0,
-                enqueued: Instant::now(),
-                deadline: None,
-                reply: reply_tx,
-                trace: 0,
-            });
-        }
-        let dispatcher_shared = Arc::clone(&shared);
-        let (batch_tx, batch_rx) = mpsc::channel();
-        let dispatcher = std::thread::spawn(move || {
-            let batch = next_batch(&dispatcher_shared, &policy);
-            let _ = batch_tx.send(batch.map(|b| b.len()));
-        });
-        // The dispatcher is holding the window open: no batch yet.
-        assert_eq!(
-            batch_rx.recv_timeout(Duration::from_millis(200)),
-            Err(mpsc::RecvTimeoutError::Timeout),
-            "window should be held open under a dense arrival estimate"
-        );
-        // Collapse the estimate mid-hold (sparse traffic) and wake
-        // the dispatcher, exactly as a submission would.
-        {
-            let mut st = lock(&shared.state);
-            st.arrival_gap = Some(1e9);
-        }
-        shared.work.notify_all();
-        assert_eq!(
-            batch_rx
-                .recv_timeout(Duration::from_secs(10))
-                .expect("dispatcher must wake promptly on collapse, not sleep out the remainder"),
-            Some(1)
-        );
-        dispatcher.join().expect("dispatcher thread");
-    }
-
     #[test]
     fn stats_gauges_track_queue_and_flight() {
         let net = Arc::new(test_net());
@@ -1762,7 +1610,6 @@ mod tests {
                 max_batch: 1,
                 max_wait: Duration::ZERO,
                 queue_cap: 8,
-                ..BatchPolicy::default()
             })
             .start();
         let handle = server.handle();
@@ -1785,31 +1632,6 @@ mod tests {
         assert_eq!(quiesced.served, 3);
         assert_eq!(quiesced.queued, 0, "gauges return to zero at quiesce");
         assert_eq!(quiesced.in_flight, 0);
-        server.shutdown();
-    }
-
-    #[test]
-    fn fixed_window_skips_arrival_tracking() {
-        let net = Arc::new(test_net());
-        let server = Server::for_graph(net).bayes(BayesConfig::new(1, 2)).start();
-        let handle = server.handle();
-        handle
-            .request(test_input(0.1))
-            .submit()
-            .wait()
-            .expect("served");
-        handle
-            .request(test_input(0.2))
-            .submit()
-            .wait()
-            .expect("served");
-        let st = lock(&server.shared.state);
-        assert_eq!(
-            st.last_arrival, None,
-            "fixed-window servers must not pay the arrival tracker"
-        );
-        assert_eq!(st.arrival_gap, None);
-        drop(st);
         server.shutdown();
     }
 

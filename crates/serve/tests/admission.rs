@@ -1,11 +1,12 @@
 //! Admission-control integration tests: priorities, load shedding,
-//! deadlines, the adaptive coalescing window and retry after a
-//! rejection, all against a live server (the pure queue mechanics are
-//! unit tested inside the crate; these pin the end-to-end behaviour).
+//! deadlines, the work-conserving default (no hold; batches form from
+//! backlog) and retry after a rejection, all against a live server
+//! (the pure queue mechanics and the opt-in hold are unit tested
+//! inside the crate; these pin the end-to-end behaviour).
 
 use bnn_mcd::{
-    BayesConfig, Engine, FloatBackend, ParallelConfig, Plan, RequestResult, SoftwareMaskSource,
-    WorkerPool,
+    BayesConfig, ChaosConfig, Engine, FloatBackend, ParallelConfig, Plan, RequestResult,
+    SoftwareMaskSource, WorkerPool,
 };
 use bnn_nn::{models, Graph};
 use bnn_serve::{Backend, BatchPolicy, Priority, ServeError, Server, SubmitError};
@@ -73,7 +74,6 @@ fn slow_server(net: &Arc<Graph>, queue_cap: usize) -> Server {
             max_batch: 1,
             max_wait: Duration::ZERO,
             queue_cap,
-            ..BatchPolicy::default()
         })
         .start()
 }
@@ -194,7 +194,6 @@ fn closed_loop_overload_serves_every_high_priority_request() {
                 max_batch: 4,
                 max_wait: Duration::from_micros(100),
                 queue_cap: 8,
-                ..BatchPolicy::default()
             })
             .start();
 
@@ -297,36 +296,63 @@ fn closed_loop_overload_serves_every_high_priority_request() {
 }
 
 #[test]
-fn adaptive_window_serves_a_lone_request_without_waiting_out_max_wait() {
-    with_deadline(60, || {
+fn default_policy_is_work_conserving() {
+    assert!(
+        BatchPolicy::default().max_wait.is_zero(),
+        "the library default must not hold a queued request: the engine runs a micro-batch \
+         as independent requests, so a hold buys latency and nothing else"
+    );
+}
+
+#[test]
+fn backlog_coalesces_without_a_window() {
+    with_deadline(120, || {
         let net = Arc::new(test_net());
-        let cfg = BayesConfig::new(1, 2);
+        let cfg = BayesConfig::new(2, 3);
+        assert!(BatchPolicy::default().max_batch >= 5);
+        // Every request's `prepare` sleeps 20 ms, so the dispatcher is
+        // provably busy with the blocker while the five queue up.
         let server = Server::for_graph(Arc::clone(&net))
             .bayes(cfg)
-            .policy(BatchPolicy {
-                max_batch: 8,
-                // Pathological hold-open window: a fixed-window server
-                // would sit on a lone request for half a minute.
-                max_wait: Duration::from_secs(30),
-                queue_cap: 8,
-                adaptive_window: true,
+            .chaos(ChaosConfig {
+                delay_prob: 1.0,
+                delay: Duration::from_millis(20),
+                ..ChaosConfig::disabled(3)
             })
             .start();
         let handle = server.handle();
-        let start = Instant::now();
-        let reply = handle
-            .request(request_input(5))
-            .seed(5)
-            .submit()
-            .wait()
-            .expect("lone request served");
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed < Duration::from_secs(5),
-            "adaptive window held a lone request for {elapsed:?}"
+
+        let blocker = handle.request(request_input(0)).seed(0).submit();
+        while server.queued() > 0 {
+            std::thread::yield_now();
+        }
+        let backlog: Vec<_> = (1..=5u64)
+            .map(|i| (i, handle.request(request_input(i)).seed(i).submit()))
+            .collect();
+
+        // No hold: the lone blocker was taken alone, at once…
+        let reply = blocker.wait().expect("blocker served");
+        assert_eq!(
+            reply.coalesced, 1,
+            "a lone request must not wait for company"
         );
-        let want = solo(&net, &request_input(5), cfg, 5);
-        assert_eq!(reply.probs.as_slice(), want.as_slice());
+        assert_eq!(
+            reply.probs.as_slice(),
+            solo(&net, &request_input(0), cfg, 0).as_slice()
+        );
+        // …and what queued up behind it is one batch, for free.
+        for (seed, pending) in backlog {
+            let reply = pending.wait().expect("backlog served");
+            assert_eq!(
+                reply.coalesced, 5,
+                "seed {seed}: backlog must form one batch"
+            );
+            assert_eq!(
+                reply.probs.as_slice(),
+                solo(&net, &request_input(seed), cfg, seed).as_slice(),
+                "seed {seed}"
+            );
+        }
         server.shutdown();
     });
 }

@@ -99,7 +99,6 @@ fn run_sequential(
             max_batch: 1,
             max_wait: Duration::ZERO,
             queue_cap: 16,
-            ..BatchPolicy::default()
         })
         .breaker_after(usize::MAX);
     if let Some(chaos) = chaos {
@@ -211,7 +210,6 @@ fn delay_only_chaos_is_bit_transparent_under_coalescing() {
                 max_batch: 4,
                 max_wait: Duration::from_millis(2),
                 queue_cap: 32,
-                ..BatchPolicy::default()
             })
             .chaos(chaos)
             .start();
@@ -264,7 +262,6 @@ fn persistent_panics_trip_the_breaker_and_fail_fast() {
                 max_batch: 1,
                 max_wait: Duration::ZERO,
                 queue_cap: 8,
-                ..BatchPolicy::default()
             })
             // Every single call panics; three strikes trip the breaker.
             .chaos(ChaosConfig::new(7, 1.0, 0.0))

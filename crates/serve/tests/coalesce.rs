@@ -79,7 +79,6 @@ proptest! {
                 max_batch,
                 max_wait: Duration::from_micros(max_wait_us),
                 queue_cap: 64,
-                ..BatchPolicy::default()
             })
             .pool(Arc::new(WorkerPool::new(workers)))
             .start();

@@ -81,7 +81,6 @@ fn many_clients_tiny_window_bounded_queue() {
                 max_batch: 4,
                 max_wait: Duration::from_micros(50),
                 queue_cap: 8,
-                ..BatchPolicy::default()
             })
             .pool(Arc::new(WorkerPool::new(4)))
             .start();
@@ -155,7 +154,6 @@ fn shutdown_under_load_drains_accepted_requests() {
                 max_batch: 4,
                 max_wait: Duration::from_micros(50),
                 queue_cap: 16,
-                ..BatchPolicy::default()
             })
             .start();
 
@@ -229,7 +227,6 @@ fn backend_panic_fails_the_batch_not_the_server() {
                 max_batch: 2,
                 max_wait: Duration::from_micros(50),
                 queue_cap: 8,
-                ..BatchPolicy::default()
             })
             .start();
         let handle = server.handle();
@@ -272,7 +269,6 @@ fn shutdown_races_expiring_deadlines_without_hanging() {
                 max_batch: 1,
                 max_wait: Duration::ZERO,
                 queue_cap: 64,
-                ..BatchPolicy::default()
             })
             .start();
 

@@ -80,7 +80,8 @@ pub enum Stage {
     Admission,
     /// Queue submission, including any blocking backpressure wait.
     Submit,
-    /// Enqueue to dequeue: time spent waiting in the serve queue.
+    /// Enqueue to dequeue: time spent waiting in the serve queue
+    /// (payload: the queue depth its batch was taken from).
     QueueWait,
     /// Dequeue to compute start: micro-batch assembly overhead.
     BatchForm,

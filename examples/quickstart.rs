@@ -117,7 +117,10 @@ fn main() {
     //    hands each caller its probabilities plus an uncertainty
     //    summary and its own cost slice. Each request's masks derive
     //    from its own seed, so a reply is bit-identical whether the
-    //    request was served alone or coalesced with strangers.
+    //    request was served alone or coalesced with strangers. The
+    //    default policy never holds a queued request (batches form
+    //    from backlog); the 1 ms `max_wait` here is an opt-in hold so
+    //    four clients sending one request each visibly coalesce.
     let server = Server::for_graph(std::sync::Arc::new(folded.clone()))
         .backend(Backend::Fused)
         .bayes(bayes)
@@ -125,7 +128,6 @@ fn main() {
             max_batch: 8,
             max_wait: std::time::Duration::from_millis(1),
             queue_cap: 64,
-            ..BatchPolicy::default()
         })
         .seed(2024)
         .start();

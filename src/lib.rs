@@ -78,8 +78,11 @@
 //! goes through [`Server`] (crate `bnn-serve`, re-exported as
 //! [`serve`]): callers submit through cheap cloneable [`Handle`]s, a
 //! resident dispatcher coalesces queued requests into micro-batches
-//! under a [`BatchPolicy`] (`max_batch` / `max_wait` / `queue_cap`
-//! backpressure), and every caller gets back its probabilities plus a
+//! under a [`BatchPolicy`] (`max_batch`, `queue_cap` backpressure, and
+//! an opt-in `max_wait` hold — by default the dispatcher never sleeps
+//! on a queued request, and a batch is whatever arrived while the
+//! previous one was computing), and every caller gets back its
+//! probabilities plus a
 //! per-request [`mcd::Uncertainty`] summary (max-prob confidence,
 //! predictive entropy, mutual information) and its own
 //! [`mcd::CostReport`] slice. The load-bearing guarantee is

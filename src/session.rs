@@ -82,7 +82,9 @@ pub struct SessionBuilder<'g> {
 }
 
 impl<'g> SessionBuilder<'g> {
-    /// Select the execution substrate (default: [`Backend::Float`]).
+    /// Select the execution substrate (default: [`Backend::Fused`],
+    /// as for a [`crate::Server`] — bit-identical to the per-sample
+    /// reference [`Backend::Float`], and faster).
     pub fn backend(mut self, backend: Backend) -> SessionBuilder<'g> {
         self.backend = backend;
         self
@@ -207,7 +209,7 @@ impl<'g> Session<'g> {
     pub fn for_graph(graph: &'g Graph) -> SessionBuilder<'g> {
         SessionBuilder {
             graph,
-            backend: Backend::Float,
+            backend: Backend::Fused,
             bayes: BayesConfig::new(1, 10),
             parallel: ParallelConfig::default(),
             source: SourceChoice::Software(0),

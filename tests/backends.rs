@@ -216,6 +216,7 @@ fn fused_session_bit_identical_to_float_session() {
     let cfg = BayesConfig::new(3, 12);
 
     let mut float = Session::for_graph(&net)
+        .backend(Backend::Float)
         .bayes(cfg)
         .parallel(ParallelConfig::serial())
         .seed(55)
@@ -414,7 +415,11 @@ fn int8_argmax_agrees_with_float_on_trained_model() {
     let x = test_batch(&ds, 8);
     let cfg = BayesConfig::new(2, 16);
 
-    let mut float = Session::for_graph(&folded).bayes(cfg).seed(31).build();
+    let mut float = Session::for_graph(&folded)
+        .backend(Backend::Float)
+        .bayes(cfg)
+        .seed(31)
+        .build();
     let mut int8 = Session::for_graph(&folded)
         .backend(Backend::Int8(qg))
         .bayes(cfg)

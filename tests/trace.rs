@@ -8,6 +8,10 @@
 //!   formation, compute, reply write) all nest under the caller's
 //!   root span id, appear exactly once, are time-ordered, and their
 //!   durations sum to no more than the end-to-end latency;
+//! * on library defaults a lone request's median queue wait is no
+//!   longer than its median compute (the dispatcher never holds a
+//!   queued request), and its `queue_wait` span carries the queue
+//!   depth its batch was taken from;
 //! * on the wire, lock-step and pipelined alike, a request's
 //!   `admission` / `submit` / `writer_wait` spans start no earlier
 //!   than the `request` root they nest under;
@@ -207,6 +211,59 @@ fn stage_spans_nest_under_one_request_and_fit_its_latency() {
         sum <= e2e_us + 100,
         "stage durations {sum}us exceed end-to-end {e2e_us}us"
     );
+    trace::reset();
+}
+
+#[test]
+fn lone_requests_wait_less_than_they_compute_on_library_defaults() {
+    let _guard = flag_guard();
+    let (folded, ds) = trained_lenet();
+    // Library defaults throughout: fused substrate, default policy.
+    let server = Server::for_graph(Arc::new(folded)).seed(13).start();
+    let handle = server.handle();
+    trace::set_enabled(true);
+    trace::reset();
+
+    const SENT: usize = 40;
+    for i in 0..SENT {
+        handle
+            .request(ds.test_x.select_item(i % 8))
+            .submit()
+            .wait()
+            .expect("served");
+    }
+    // Queue-wait and compute spans are recorded before the reply is
+    // delivered, so all of them are in the dispatcher's ring by now.
+    trace::set_enabled(false);
+    let events: Vec<trace::Event> = trace::drain().into_iter().flat_map(|t| t.events).collect();
+    server.shutdown();
+
+    let of = |stage: Stage| -> Vec<&trace::Event> {
+        events.iter().filter(|e| e.stage == stage).collect()
+    };
+    let median = |spans: &[&trace::Event]| -> u64 {
+        let mut durs: Vec<u64> = spans.iter().map(|e| e.dur_us).collect();
+        durs.sort_unstable();
+        durs[durs.len() / 2]
+    };
+    let (waits, computes) = (of(Stage::QueueWait), of(Stage::Compute));
+    assert_eq!(waits.len(), SENT);
+    assert_eq!(computes.len(), SENT);
+    // A ratio, not a time: with no hold, a lone request's queue wait
+    // is the hand-off to the dispatcher — a small fraction of the
+    // engine pass it waits for, on any machine.
+    let (wait_us, compute_us) = (median(&waits), median(&computes));
+    assert!(
+        wait_us <= compute_us,
+        "a lone request waited {wait_us} us (median) for {compute_us} us of compute"
+    );
+    // The queue-wait payload is the depth the batch was taken from:
+    // a lone request was the whole queue.
+    assert!(
+        waits.iter().all(|e| e.meta == 1),
+        "lone requests must record a queue depth of 1: {waits:?}"
+    );
+    assert!(computes.iter().all(|e| e.meta == 1), "nothing coalesced");
     trace::reset();
 }
 
