@@ -1601,15 +1601,20 @@ mod tests {
     #[test]
     fn stats_gauges_track_queue_and_flight() {
         let net = Arc::new(test_net());
-        // A slow micro-batch (large S) pins the dispatcher while we
-        // inspect the gauges behind it.
-        let cfg = BayesConfig::new(1, 800);
+        // An injected 50 ms delay in every `prepare` pins the dispatcher
+        // while we inspect the gauges behind it: compute alone is too
+        // short in release, and missing it spins on `in_flight` forever.
         let server = Server::for_graph(Arc::clone(&net))
-            .bayes(cfg)
+            .bayes(BayesConfig::new(1, 4))
             .policy(BatchPolicy {
                 max_batch: 1,
                 max_wait: Duration::ZERO,
                 queue_cap: 8,
+            })
+            .chaos(ChaosConfig {
+                delay_prob: 1.0,
+                delay: Duration::from_millis(50),
+                ..ChaosConfig::disabled(0)
             })
             .start();
         let handle = server.handle();

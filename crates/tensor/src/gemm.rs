@@ -7,17 +7,21 @@
 //! The kernels are cache-blocked and register-tiled:
 //!
 //! * [`gemm`] / [`gemm_at`] split the shared dimension into `KC`
-//!   panels and run a `MR×NR` (2×16) micro-kernel whose accumulators
+//!   panels and run one generic `R×W` register tile whose accumulators
 //!   live in registers for the whole panel, with the depth loop
-//!   innermost — each loaded `b` vector feeds `MR` multiply-add
-//!   streams and the 16-wide accumulator rows autovectorize.
+//!   innermost — each loaded `b` vector feeds `R` multiply-add streams
+//!   and the `W`-wide accumulator rows autovectorize. Rows go in bands
+//!   of 4, then 2; columns in tiles of 32, narrowing through 16, 8, 4
+//!   and 1 over the remainder.
 //! * [`gemm_bt`] computes dot products along `k`, so its micro-kernel
 //!   keeps 8 partial-sum lanes per output and shares every streamed
 //!   `b` chunk between two rows of `a`.
 //!
 //! Accumulation order therefore differs from the textbook triple
-//! loop; callers comparing against a reference should allow the usual
-//! f32 tolerance.
+//! loop, but it is fixed per element and is a contract, stated once on
+//! [`gemm`]: two calls into these kernels agree bit for bit however
+//! their operands are tiled or stacked, and only a comparison against
+//! a *different* order needs a tolerance.
 //!
 //! The previous generation of these kernels skipped zero `a` elements.
 //! That branch is gone: on the dense matrices the NN stack produces it
@@ -25,15 +29,30 @@
 //! vectorization. Sparsity is exploited at the tensor level (MCD
 //! zeroes whole channels), never inside the GEMM.
 
-/// Rows of `c` per register tile.
-const MR: usize = 2;
-/// Columns of `c` per register tile (two 8-wide SIMD lanes).
-const NR: usize = 16;
 /// Depth of the shared dimension per cache panel: `KC` elements of a
 /// `b` column stay resident while a register tile accumulates.
 const KC: usize = 256;
 
 /// `c[m×n] += a[m×k] · b[k×n]` (all row-major).
+///
+/// # The accumulation contract
+///
+/// Every bit-identity guarantee of the stack (stacked ≡ per-block,
+/// fused ≡ float, solo ≡ coalesced, the benchmark's output digests)
+/// rests on the order in which an element of `c` is accumulated. For
+/// `gemm` and [`gemm_at`], per `KC = 256` panel of the shared dimension
+/// in ascending order:
+///
+/// * a row `i < m − (m mod 2)` computes `acc = 0.0; for p in panel
+///   { acc += a[i,p] * b[p,j] }` — a multiply and an add, two
+///   roundings, never a fused `mul_add` — then `c[i,j] += acc`;
+/// * an odd last row adds each product directly: `c[i,j] += a[i,p] *
+///   b[p,j]`.
+///
+/// Nothing else enters an element's value: not its column, not the
+/// register tile covering it or how many rows share a `b` load, not
+/// stacking, not the vector width of the build. `tests/properties.rs`
+/// checks this bit for bit against a scalar transcription.
 ///
 /// # Panics
 ///
@@ -47,7 +66,8 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
 
 /// `c[m×n] += aᵀ · b` where `a` is stored `k×m` row-major.
 ///
-/// Used for weight gradients: `dW = dYᵀ · X` style products.
+/// Used for weight gradients: `dW = dYᵀ · X` style products. Same
+/// driver and same accumulation contract as [`gemm`].
 ///
 /// # Panics
 ///
@@ -70,64 +90,86 @@ fn gemm_tiled<F: Fn(usize, usize) -> f32>(
     c: &mut [f32],
     a_at: F,
 ) {
+    let m_even = m - m % 2;
     for pb in (0..k).step_by(KC) {
-        let pe = (pb + KC).min(k);
+        let panel = pb..(pb + KC).min(k);
         let mut i = 0;
-        while i + MR <= m {
-            let mut j = 0;
-            while j + NR <= n {
-                // The register tile: MR×NR accumulators updated across
-                // the whole depth panel before touching c.
-                let mut acc = [[0.0f32; NR]; MR];
-                for p in pb..pe {
-                    let bq: &[f32; NR] = b[p * n + j..p * n + j + NR]
-                        .try_into()
-                        .expect("NR-sized chunk");
-                    for (r, row) in acc.iter_mut().enumerate() {
-                        let ar = a_at(i + r, p);
-                        for (av, &bv) in row.iter_mut().zip(bq) {
-                            *av += ar * bv;
-                        }
-                    }
-                }
-                for (r, row) in acc.iter().enumerate() {
-                    let crow = &mut c[(i + r) * n + j..(i + r) * n + j + NR];
-                    for (cv, &av) in crow.iter_mut().zip(row) {
-                        *cv += av;
-                    }
-                }
-                j += NR;
-            }
-            // Column remainder: scalar columns, still register-resident
-            // along the depth panel.
-            while j < n {
-                let mut acc = [0.0f32; MR];
-                for p in pb..pe {
-                    let bv = b[p * n + j];
-                    for (r, av) in acc.iter_mut().enumerate() {
-                        *av += a_at(i + r, p) * bv;
-                    }
-                }
-                for (r, &av) in acc.iter().enumerate() {
-                    c[(i + r) * n + j] += av;
-                }
-                j += 1;
-            }
-            i += MR;
+        while i + 4 <= m_even {
+            row_band::<4, F>(i, panel.clone(), n, b, c, &a_at);
+            i += 4;
         }
-        // Row remainder: one row, streaming b.
-        while i < m {
-            let crow = &mut c[i * n..(i + 1) * n];
-            for p in pb..pe {
-                let av = a_at(i, p);
+        if i < m_even {
+            row_band::<2, F>(i, panel.clone(), n, b, c, &a_at);
+        }
+        // The odd last row streams b and adds each product straight
+        // into c: a different rounding sequence from the tiles', and
+        // part of the contract.
+        if m_even < m {
+            let crow = &mut c[m_even * n..m * n];
+            for p in panel {
+                let av = a_at(m_even, p);
                 let brow = &b[p * n..(p + 1) * n];
                 for (cv, &bv) in crow.iter_mut().zip(brow) {
                     *cv += av * bv;
                 }
             }
-            i += 1;
         }
     }
+}
+
+/// Rows `i..i + R` of `c` across all `n` columns for one depth panel:
+/// 32-wide tiles, then the one tile of each narrower width that still
+/// fits, then single columns.
+fn row_band<const R: usize, F: Fn(usize, usize) -> f32>(
+    i: usize,
+    panel: std::ops::Range<usize>,
+    n: usize,
+    b: &[f32],
+    c: &mut [f32],
+    a_at: &F,
+) {
+    let j = col_tiles::<R, 32, F>(i, 0, panel.clone(), n, b, c, a_at);
+    let j = col_tiles::<R, 16, F>(i, j, panel.clone(), n, b, c, a_at);
+    let j = col_tiles::<R, 8, F>(i, j, panel.clone(), n, b, c, a_at);
+    let j = col_tiles::<R, 4, F>(i, j, panel.clone(), n, b, c, a_at);
+    col_tiles::<R, 1, F>(i, j, panel, n, b, c, a_at);
+}
+
+/// The register tile, over as many `W`-wide column tiles as fit from
+/// column `j` on: `R×W` accumulators updated across the whole depth
+/// panel before touching `c`. Returns the first column not covered.
+#[inline(always)]
+fn col_tiles<const R: usize, const W: usize, F: Fn(usize, usize) -> f32>(
+    i: usize,
+    mut j: usize,
+    panel: std::ops::Range<usize>,
+    n: usize,
+    b: &[f32],
+    c: &mut [f32],
+    a_at: &F,
+) -> usize {
+    while j + W <= n {
+        let mut acc = [[0.0f32; W]; R];
+        for p in panel.clone() {
+            let bq: &[f32; W] = b[p * n + j..p * n + j + W]
+                .try_into()
+                .expect("W-sized chunk");
+            for (r, row) in acc.iter_mut().enumerate() {
+                let ar = a_at(i + r, p);
+                for (av, &bv) in row.iter_mut().zip(bq) {
+                    *av += ar * bv;
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            let crow = &mut c[(i + r) * n + j..(i + r) * n + j + W];
+            for (cv, &av) in crow.iter_mut().zip(row) {
+                *cv += av;
+            }
+        }
+        j += W;
+    }
+    j
 }
 
 /// Sample-stacked [`gemm`]: `c[m × s·n] += a[m×k] · b[k × s·n]`, where
@@ -137,13 +179,13 @@ fn gemm_tiled<F: Fn(usize, usize) -> f32>(
 /// Operationally this is `gemm(m, k, s·n, ..)`; the entry point exists
 /// to *name the contract* the batched-sample fusion relies on: the
 /// result is **bit-identical** to `s` independent [`gemm`] calls, one
-/// per block. The blocked kernel's per-element accumulation sequence
-/// depends only on the element's row (`MR` main block vs. row
-/// remainder) and the `KC` depth panels — never on the column tiling —
-/// so stacking Monte Carlo samples along the column axis cannot move a
-/// single ulp while the `a` operand (the weights) streams once for all
-/// `s` blocks instead of once per block. Property-tested against the
-/// per-block reference in `tests/properties.rs`.
+/// per block. By [`gemm`]'s accumulation contract an element's
+/// sequence depends only on its row (even part vs. odd last row) and
+/// the depth panels — never on its column or the tile covering it —
+/// so stacking Monte Carlo samples along the column axis cannot move
+/// a single ulp while the `a` operand (the weights) streams once for
+/// all `s` blocks instead of once per block. Property-tested against
+/// the per-block reference in `tests/properties.rs`.
 ///
 /// # Panics
 ///
@@ -363,8 +405,8 @@ mod tests {
 
     #[test]
     fn blocked_kernels_cross_tile_boundaries() {
-        // Shapes straddling the MR/NR/KC/LANES edges: odd sizes, exact
-        // multiples, and one-past-a-boundary.
+        // Shapes straddling the row-band/tile/KC/LANES edges: odd sizes,
+        // exact multiples, and one-past-a-boundary.
         for &(m, k, n) in &[
             (1, 1, 1),
             (2, 8, 16),
@@ -417,8 +459,8 @@ mod tests {
 
     #[test]
     fn gemm_stacked_matches_per_block_calls() {
-        // Ragged everywhere: odd rows (row-remainder path), columns
-        // past the NR tile, depth crossing the KC panel.
+        // Ragged everywhere: odd rows (odd-last-row path), columns
+        // past the 16-wide tile, depth crossing the KC panel.
         let (m, k, n, s) = (3, 300, 19, 4);
         let a = fill(m * k, 11);
         let b = fill(k * s * n, 12);

@@ -90,18 +90,30 @@ pub fn im2col_stacked_into(
             for kx in 0..k {
                 let row = (ch * k + ky) * k + kx;
                 let out_row = &mut cols[row * total_cols + col0..row * total_cols + col0 + row_len];
-                out_row.fill(0.0);
-                for oy in 0..ho {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
+                // Output columns whose tap lands on a pixel,
+                // `pad ≤ ox·stride + kx < w + pad`: one interval per
+                // tap, empty when the tap lies wholly in the padding.
+                let ox_lo = pad.saturating_sub(kx).div_ceil(stride).min(wo);
+                let ox_hi = (w + pad)
+                    .saturating_sub(kx)
+                    .div_ceil(stride)
+                    .clamp(ox_lo, wo);
+                for (oy, dst) in out_row.chunks_exact_mut(wo).enumerate() {
+                    let iy = oy * stride + ky;
+                    if iy < pad || iy >= h + pad || ox_lo == ox_hi {
+                        dst.fill(0.0);
                         continue;
                     }
-                    for ox in 0..wo {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
+                    dst[..ox_lo].fill(0.0);
+                    dst[ox_hi..].fill(0.0);
+                    let src = &image[(ch * h + iy - pad) * w + ox_lo * stride + kx - pad..];
+                    let dst = &mut dst[ox_lo..ox_hi];
+                    if stride == 1 {
+                        dst.copy_from_slice(&src[..dst.len()]);
+                    } else {
+                        for (d, &s) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                            *d = s;
                         }
-                        out_row[oy * wo + ox] = image[(ch * h + iy as usize) * w + ix as usize];
                     }
                 }
             }

@@ -25,7 +25,10 @@ pub fn max_pool(x: &Tensor, k: usize, stride: usize) -> (Tensor, Vec<u32>) {
             for oy in 0..ho {
                 for ox in 0..wo {
                     let mut best = f32::NEG_INFINITY;
-                    let mut best_i = 0usize;
+                    // A window of all `-inf`/NaN never updates: its
+                    // argmax must still lie inside it, not at flat
+                    // index 0 (another item's pixel).
+                    let mut best_i = s.index(n, c, oy * stride, ox * stride);
                     for ky in 0..k {
                         for kx in 0..k {
                             let iy = oy * stride + ky;
@@ -57,26 +60,41 @@ pub fn max_pool(x: &Tensor, k: usize, stride: usize) -> (Tensor, Vec<u32>) {
 ///
 /// Panics if `out` does not have the pooled output shape.
 pub fn max_pool_into(x: &Tensor, k: usize, stride: usize, out: &mut Tensor) {
+    fold_windows_into(x, k, stride, out, f32::NEG_INFINITY, f32::max);
+}
+
+/// Shared walk of the `_into` pooling kernels: every output row starts
+/// at `init` and folds its windows' taps in `(ky, kx)`-ascending order,
+/// one input row slice per `ky` — the per-element sequence of the
+/// indexed `for ky { for kx { acc = fold(acc, x[..]) } }` loop, so
+/// signed zeros and NaNs come out as they do there.
+fn fold_windows_into(
+    x: &Tensor,
+    k: usize,
+    stride: usize,
+    out: &mut Tensor,
+    init: f32,
+    fold: impl Fn(f32, f32) -> f32,
+) {
     let s = x.shape();
     let ho = conv_out_dim(s.h, k, stride, 0);
     let wo = conv_out_dim(s.w, k, stride, 0);
-    let out_shape = Shape4::new(s.n, s.c, ho, wo);
-    assert_eq!(out.shape(), out_shape, "max_pool_into: bad output shape");
-    for n in 0..s.n {
-        for c in 0..s.c {
-            for oy in 0..ho {
-                for ox in 0..wo {
-                    let mut best = f32::NEG_INFINITY;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let iy = oy * stride + ky;
-                            let ix = ox * stride + kx;
-                            if iy < s.h && ix < s.w {
-                                best = best.max(x.at(n, c, iy, ix));
-                            }
-                        }
-                    }
-                    *out.at_mut(n, c, oy, ox) = best;
+    assert_eq!(
+        out.shape(),
+        Shape4::new(s.n, s.c, ho, wo),
+        "pooling: bad output shape"
+    );
+    // No padding and a floored output size: no window leaves the input.
+    assert!((ho - 1) * stride + k <= s.h && (wo - 1) * stride + k <= s.w);
+    let (xs, os) = (x.as_slice(), out.as_mut_slice());
+    for (row, out_row) in os.chunks_exact_mut(wo).enumerate() {
+        let (plane, oy) = (row / ho, row % ho);
+        out_row.fill(init);
+        for ky in 0..k {
+            let in_row = &xs[(plane * s.h + oy * stride + ky) * s.w..][..s.w];
+            for kx in 0..k {
+                for (o, &v) in out_row.iter_mut().zip(in_row[kx..].iter().step_by(stride)) {
+                    *o = fold(*o, v);
                 }
             }
         }
@@ -105,29 +123,10 @@ pub fn max_pool_backward(dy: &Tensor, arg: &[u32], input_shape: Shape4) -> Tenso
 /// Panics if the geometry is invalid or `out` does not have the
 /// pooled output shape.
 pub fn avg_pool_into(x: &Tensor, k: usize, stride: usize, out: &mut Tensor) {
-    let s = x.shape();
-    let ho = conv_out_dim(s.h, k, stride, 0);
-    let wo = conv_out_dim(s.w, k, stride, 0);
-    assert_eq!(
-        out.shape(),
-        Shape4::new(s.n, s.c, ho, wo),
-        "avg_pool_into: bad output shape"
-    );
+    fold_windows_into(x, k, stride, out, 0.0, |acc, v| acc + v);
     let inv = 1.0 / (k * k) as f32;
-    for n in 0..s.n {
-        for c in 0..s.c {
-            for oy in 0..ho {
-                for ox in 0..wo {
-                    let mut acc = 0.0f32;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            acc += x.at(n, c, oy * stride + ky, ox * stride + kx);
-                        }
-                    }
-                    *out.at_mut(n, c, oy, ox) = acc * inv;
-                }
-            }
-        }
+    for o in out.as_mut_slice() {
+        *o *= inv;
     }
 }
 
@@ -216,6 +215,20 @@ mod tests {
         let dy = t(1, 1, 1, 1, vec![10.0]);
         let dx = max_pool_backward(&dy, &arg, x.shape());
         assert_eq!(dx.as_slice(), &[0., 10., 0., 0.]);
+    }
+
+    #[test]
+    fn max_pool_argmax_stays_inside_a_window_that_never_updates() {
+        // Item 1 is all NaN: its windows must route their gradient to
+        // their own first tap, leaving item 0's gradient untouched.
+        let mut v = vec![1., 5., 3., 2.];
+        v.extend([f32::NAN; 4]);
+        let x = t(2, 1, 2, 2, v);
+        let (_, arg) = max_pool(&x, 2, 2);
+        assert_eq!(arg, vec![1, 4]);
+        let dy = t(2, 1, 1, 1, vec![10.0, 7.0]);
+        let dx = max_pool_backward(&dy, &arg, x.shape());
+        assert_eq!(dx.as_slice(), &[0., 10., 0., 0., 7., 0., 0., 0.]);
     }
 
     #[test]

@@ -134,6 +134,48 @@ fn conformance_accel_bit_identical_to_int8() {
 }
 
 #[test]
+fn golden_bytes_are_pinned_on_all_substrates() {
+    // Every other test here compares two substrates with each other, so
+    // a kernel change that moves one ulp on both sides alike passes
+    // them all. These two constants pin the bytes themselves: the
+    // trained weights (the training kernels), one served request's
+    // predictive mean and its S per-sample rows. They must not depend
+    // on the build profile or the vector ISA (CI runs this under
+    // `-C target-cpu=x86-64` too); a PR that means to move them says
+    // so and re-baselines the benchmark's `output_digest`s with them.
+    const FLOAT_FUSED: u64 = 0x57f1_6d5b_3c48_9dcc;
+    const INT8_ACCEL: u64 = 0xbe19_c2c2_b8a0_cb91;
+
+    let (net, ds) = trained_lenet();
+    let folded = net.fold_batch_norm();
+    let qg = Quantizer::new(&folded).calibrate(&ds.train_x).quantize();
+    let accel = Accelerator::new(AccelConfig::default(), &folded, &qg, ds.image_shape());
+    let x = ds.test_x.select_item(0);
+    for (backend, want) in [
+        (Backend::Float, FLOAT_FUSED),
+        (Backend::Fused, FLOAT_FUSED),
+        (Backend::Int8(qg), INT8_ACCEL),
+        (Backend::Accel(accel), INT8_ACCEL),
+    ] {
+        let name = backend.name();
+        let mut session = Session::for_graph(&folded)
+            .backend(backend)
+            .bayes(BayesConfig::new(3, 10))
+            .build();
+        let out = RequestResult::single(session.serve_requests(&[(&x, 0x60_1d)]));
+        // FNV-1a-64 over the little-endian bytes of every f32.
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let tensors = std::iter::once(&out.probs).chain(&out.passes);
+        for v in tensors.flat_map(Tensor::iter) {
+            for byte in v.to_bits().to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(hash, want, "{name}: output bytes moved (got {hash:#018x})");
+    }
+}
+
+#[test]
 fn conformance_chaos_containment_on_all_substrates() {
     // Conformance check 7: deterministic fault injection. On every
     // substrate, disabled chaos is bit-transparent, a scheduled panic
