@@ -10,7 +10,7 @@ use bnn_nn::arch::{extract_layers, LayerDesc};
 use bnn_nn::{Graph, MaskSet};
 use bnn_quant::{exec_qnode, QGraph, QNode, QNodeOp, QTensor};
 use bnn_rng::{BernoulliSampler, DropProbability, SamplerStats};
-use bnn_tensor::{conv_out_dim, softmax_rows, Shape4, Tensor};
+use bnn_tensor::{softmax_rows, Shape4, Tensor};
 
 /// Off-chip traffic of one complete `{L, S}` prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -166,14 +166,15 @@ impl Accelerator {
         let split = self
             .qgraph
             .suffix_split(&active_sites(self.qgraph.n_sites(), bayes.l));
-        let station = |node: &QNode, outs: &[QTensor], input: &QTensor, masks: &MaskSet| {
-            self.exec_station(node, outs, input, masks)
-        };
+        let station =
+            |node: &QNode, outs: &[QTensor], input: &QTensor, masks: &MaskSet, y: &mut QTensor| {
+                self.exec_station(node, outs, input, masks, y)
+            };
 
         // Prefix: executed once, like hardware with IC enabled. Suffix:
         // once per Monte Carlo sample with fresh masks, each walk
-        // truncating the same vector back to the cached prefix.
-        let mut outs = Vec::with_capacity(nodes);
+        // overwriting the same suffix slots over the cached prefix.
+        let mut outs = self.qgraph.slots();
         self.qgraph
             .walk(0..split, &input, &MaskSet::none(), &mut outs, station);
         let logits_per_sample: Vec<Tensor> = mask_sets
@@ -229,21 +230,21 @@ impl Accelerator {
         self.traffic(bayes, self.qgraph.suffix_split(&active))
     }
 
-    /// Execute one station — the tiled node executor
-    /// [`Accelerator::run_with_masks`] hands to [`QGraph::walk`]: matrix
-    /// ops go through the tiled PE path, everything else through the
-    /// shared FU implementations ([`exec_qnode`]).
+    /// Execute one station into its slot `y` — the tiled write-into
+    /// node executor [`Accelerator::run_with_masks`] hands to
+    /// [`QGraph::walk`]: matrix ops go through the tiled PE path,
+    /// everything else through the shared FU implementations
+    /// ([`exec_qnode`]).
     pub fn exec_station(
         &self,
         node: &QNode,
         outs: &[QTensor],
         input: &QTensor,
         masks: &MaskSet,
-    ) -> QTensor {
+        y: &mut QTensor,
+    ) {
         match &node.op {
             QNodeOp::Conv {
-                in_c,
-                out_c,
                 k,
                 stride,
                 pad,
@@ -252,11 +253,10 @@ impl Accelerator {
                 requant,
                 zx,
                 zy,
+                ..
             } => tiled_conv(
                 &self.cfg,
                 &outs[node.inputs[0]],
-                *in_c,
-                *out_c,
                 *k,
                 *stride,
                 *pad,
@@ -265,27 +265,26 @@ impl Accelerator {
                 requant,
                 *zx,
                 *zy,
+                y,
             ),
             QNodeOp::Linear {
-                in_f,
-                out_f,
                 w,
                 bias,
                 requant,
                 zx,
                 zy,
+                ..
             } => tiled_linear(
                 &self.cfg,
                 &outs[node.inputs[0]],
-                *in_f,
-                *out_f,
                 w,
                 bias,
                 requant,
                 *zx,
                 *zy,
+                y,
             ),
-            _ => exec_qnode(node, outs, input, masks),
+            _ => exec_qnode(node, outs, input, masks, y),
         }
     }
 
@@ -316,17 +315,16 @@ impl Accelerator {
     }
 }
 
-/// Tiled integer convolution: the PE loop nest
-/// (filter tiles of `P_F`) × (pixel tiles of `P_V`) × (reduction tiles
-/// of `P_C` over `C·K²`). Integer accumulation is associative, so the
-/// result is bit-exact against the reference executor while the loop
-/// structure mirrors the RTL schedule.
+/// Tiled integer convolution into `y` (whose shape fixes the output
+/// channels and extent): the PE loop nest (filter tiles of `P_F`) ×
+/// (pixel tiles of `P_V`) × (reduction tiles of `P_C` over `C·K²`).
+/// Integer accumulation is associative, so the result is bit-exact
+/// against the reference executor while the loop structure mirrors the
+/// RTL schedule.
 #[allow(clippy::too_many_arguments)]
 fn tiled_conv(
     cfg: &AccelConfig,
     x: &QTensor,
-    in_c: usize,
-    out_c: usize,
     k: usize,
     stride: usize,
     pad: usize,
@@ -335,12 +333,16 @@ fn tiled_conv(
     requant: &[bnn_quant::FixedMul],
     zx: i32,
     zy: i32,
-) -> QTensor {
+    y: &mut QTensor,
+) {
     let s = x.shape;
-    let ho = conv_out_dim(s.h, k, stride, pad);
-    let wo = conv_out_dim(s.w, k, stride, pad);
-    let mut y = QTensor::zeros(Shape4::new(s.n, out_c, ho, wo));
-    let red = in_c * k * k;
+    let Shape4 {
+        c: out_c,
+        h: ho,
+        w: wo,
+        ..
+    } = y.shape;
+    let red = s.c * k * k;
     let (pf, pv, pc) = (cfg.pf, cfg.pv, cfg.pc);
     let pixels = ho * wo;
 
@@ -385,27 +387,24 @@ fn tiled_conv(
             }
         }
     }
-    y
 }
 
-/// Tiled integer FC layer (a 1×1 convolution on a 1×1 feature map).
+/// Tiled integer FC layer into `y` (a 1×1 convolution on a 1×1
+/// feature map; `y`'s item length is the output width).
 #[allow(clippy::too_many_arguments)]
 fn tiled_linear(
     cfg: &AccelConfig,
     x: &QTensor,
-    in_f: usize,
-    out_f: usize,
     w: &[i8],
     bias: &[i32],
     requant: &[bnn_quant::FixedMul],
     zx: i32,
     zy: i32,
-) -> QTensor {
-    let s = x.shape;
-    debug_assert_eq!(s.item_len(), in_f, "feature mismatch");
-    let mut y = QTensor::zeros(Shape4::vec(s.n, out_f));
+    y: &mut QTensor,
+) {
+    let (in_f, out_f) = (x.shape.item_len(), y.shape.item_len());
     let (pf, pc) = (cfg.pf, cfg.pc);
-    for n in 0..s.n {
+    for n in 0..x.shape.n {
         let xi = x.item(n);
         let yi = y.item_mut(n);
         for f0 in (0..out_f).step_by(pf) {
@@ -423,7 +422,6 @@ fn tiled_linear(
             }
         }
     }
-    y
 }
 
 #[cfg(test)]

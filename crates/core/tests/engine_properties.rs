@@ -150,11 +150,11 @@ proptest! {
     ) {
         // Prefix + suffix projections of `QGraph::walk` — with the
         // integer executor and with the tiled PE stations — against
-        // `forward_trace`, node by node, at every split point. One
-        // output vector serves every walk, and each suffix is first
-        // run under other masks, so a walk that failed to truncate
-        // back to its boundary (stale suffix outputs, which a residual
-        // `Add` would read across the cut) cannot pass.
+        // `forward_trace`, node by node, at every split point. One slot
+        // vector serves every walk, and each suffix is first run under
+        // other masks, so an executor that failed to overwrite its
+        // whole slot (a stale suffix output, which a residual `Add`
+        // would read across the cut) cannot pass.
         let (net, input_shape) = random_net(seed, 2, &[3, 3], 3, use_pool, residual);
         let folded = net.fold_batch_norm();
         let mut rng = SoftRng::new(seed ^ 0x3A1C);
@@ -165,9 +165,10 @@ proptest! {
         );
         let qg = Quantizer::new(&folded).calibrate(&calib).quantize();
         let accel = Accelerator::new(AccelConfig::with_parallelism(4, 4, 8), &folded, &qg, input_shape);
-        let station = |node: &QNode, outs: &[QTensor], input: &QTensor, masks: &MaskSet| {
-            accel.exec_station(node, outs, input, masks)
-        };
+        let station =
+            |node: &QNode, outs: &[QTensor], input: &QTensor, masks: &MaskSet, y: &mut QTensor| {
+                accel.exec_station(node, outs, input, masks, y)
+            };
 
         let channels = folded.site_channels(input_shape);
         let active = vec![true; folded.n_sites()];
@@ -178,7 +179,7 @@ proptest! {
         let n = qg.nodes().len();
         prop_assert_eq!(trace.len(), n);
 
-        let mut outs = Vec::new();
+        let mut outs = qg.slots();
         for split in 0..=n {
             qg.walk(0..split, &input, &masks, &mut outs, exec_qnode);
             qg.walk(split..n, &input, &other, &mut outs, exec_qnode);

@@ -62,7 +62,7 @@
 //! | field | type | notes |
 //! |---|---|---|
 //! | version, kind | `u8, u8` | kind `3` |
-//! | code | `u8` | see [`ErrorCode`] |
+//! | code | `u8` | see [`ErrorCode`]: `1` Rejected, `2` DeadlineExceeded, `3` BackendFailed, `4` Shutdown, `5` RateLimited, `6` Malformed, `7` BadInput |
 //! | flags | `u8` | bit 0: id present, bit 1: seed present, bit 2 (v2 only): corr present |
 //! | id | `u64` | request id, if one was assigned |
 //! | seed | `u64` | seed echo, if one is known |
@@ -73,6 +73,9 @@
 //! mid-pipeline fails exactly its own request and no other. The one
 //! exception is `Malformed`: the offending frame never decoded, so
 //! there is no id to echo and the connection closes after the frame.
+//! A frame that decodes but whose input shape the served graph refuses
+//! (`BadInput`, code 7) is answered like any other typed error, and
+//! the connection stays open.
 //!
 //! # Seed echo
 //!
@@ -233,6 +236,10 @@ pub enum ErrorCode {
     /// The request frame could not be decoded; the server closes the
     /// connection after sending this.
     Malformed,
+    /// The request decoded, but its input shape does not fit the served
+    /// graph ([`ServeError::BadInput`]); not retryable. The connection
+    /// stays open.
+    BadInput,
 }
 
 impl ErrorCode {
@@ -245,6 +252,7 @@ impl ErrorCode {
             ErrorCode::Shutdown => 4,
             ErrorCode::RateLimited => 5,
             ErrorCode::Malformed => 6,
+            ErrorCode::BadInput => 7,
         }
     }
 
@@ -257,6 +265,7 @@ impl ErrorCode {
             4 => Some(ErrorCode::Shutdown),
             5 => Some(ErrorCode::RateLimited),
             6 => Some(ErrorCode::Malformed),
+            7 => Some(ErrorCode::BadInput),
             _ => None,
         }
     }
@@ -269,6 +278,7 @@ impl From<ServeError> for ErrorCode {
             ServeError::DeadlineExceeded => ErrorCode::DeadlineExceeded,
             ServeError::BackendFailed => ErrorCode::BackendFailed,
             ServeError::Shutdown => ErrorCode::Shutdown,
+            ServeError::BadInput => ErrorCode::BadInput,
         }
     }
 }
@@ -282,6 +292,7 @@ impl std::fmt::Display for ErrorCode {
             ErrorCode::Shutdown => "server shut down",
             ErrorCode::RateLimited => "tenant rate limit exceeded",
             ErrorCode::Malformed => "malformed request frame",
+            ErrorCode::BadInput => "input shape does not fit the served graph",
         })
     }
 }

@@ -182,6 +182,7 @@ proptest! {
             Just(ErrorCode::Shutdown),
             Just(ErrorCode::RateLimited),
             Just(ErrorCode::Malformed),
+            Just(ErrorCode::BadInput),
         ],
         has_id in any::<bool>(),
         id_raw in any::<u64>(),

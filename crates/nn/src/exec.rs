@@ -1,6 +1,6 @@
 //! Forward and backward execution of a [`Graph`] in f32.
 
-use crate::graph::{node_out_shape, Graph, Node, NodeId, Op};
+use crate::graph::{out_shape, Graph, Node, NodeId, Op};
 use crate::param::ParamStore;
 use bnn_rng::SoftRng;
 use bnn_tensor::{
@@ -621,7 +621,10 @@ impl Graph {
             let node = &self.nodes[id];
             let (done, rest) = outs.split_at_mut(id);
             let get = |j: NodeId| if j < lo { below(j) } else { &done[j] };
-            let shape = node_out_shape(node, input.shape(), |j| get(j).shape());
+            let shape = out_shape(node.op.geometry(), &node.name, input.shape(), |i| {
+                get(node.inputs[i]).shape()
+            })
+            .unwrap_or_else(|e| panic!("{e}"));
             if rest[0].shape() != shape {
                 rest[0] = Tensor::zeros(shape);
             }

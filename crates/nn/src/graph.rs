@@ -161,15 +161,25 @@ impl Graph {
     ///
     /// # Panics
     ///
-    /// Panics if the graph is malformed (shape mismatch), which is a
-    /// construction bug rather than a runtime condition.
+    /// Panics with [`Graph::try_infer_shapes`]'s message if the input
+    /// does not fit the graph.
     pub fn infer_shapes(&self, input: Shape4) -> Vec<Shape4> {
+        self.try_infer_shapes(input)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Every node's output shape for `input` by [`out_shape`], or the
+    /// first node that refuses it — the non-panicking form a server
+    /// checks a request against before queueing it.
+    pub fn try_infer_shapes(&self, input: Shape4) -> Result<Vec<Shape4>, String> {
         let mut shapes: Vec<Shape4> = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
-            let s = node_out_shape(node, input, |id| shapes[id]);
+            let s = out_shape(node.op.geometry(), &node.name, input, |i| {
+                shapes[node.inputs[i]]
+            })?;
             shapes.push(s);
         }
-        shapes
+        Ok(shapes)
     }
 
     /// Channel count seen by each MCD site for a given input shape
@@ -287,68 +297,100 @@ impl Graph {
     }
 }
 
-/// Output shape of a single node given its predecessors' shapes
-/// (`get(id)`), used by [`Graph::infer_shapes`] and by the executor's
-/// scratch-buffer planner.
-///
-/// # Panics
-///
-/// Panics on a malformed graph (shape mismatch), which is a
-/// construction bug rather than a runtime condition.
-pub(crate) fn node_out_shape(node: &Node, input: Shape4, get: impl Fn(NodeId) -> Shape4) -> Shape4 {
-    match &node.op {
-        Op::Input => input,
-        Op::Conv {
-            in_c,
-            out_c,
-            k,
-            stride,
-            pad,
-            ..
-        } => {
-            let si = get(node.inputs[0]);
-            assert_eq!(si.c, *in_c, "{}: channel mismatch", node.name);
-            Shape4::new(
-                si.n,
-                *out_c,
-                conv_out_dim(si.h, *k, *stride, *pad),
-                conv_out_dim(si.w, *k, *stride, *pad),
-            )
+impl Op {
+    /// The shape-relevant view of this op ([`out_shape`] reads it).
+    pub(crate) fn geometry(&self) -> Geometry {
+        match *self {
+            Op::Input => Geometry::Input,
+            Op::Conv {
+                in_c,
+                out_c,
+                k,
+                stride,
+                pad,
+                ..
+            } => Geometry::Conv(in_c, out_c, k, stride, pad),
+            Op::Linear { in_f, out_f, .. } => Geometry::Linear(in_f, out_f),
+            Op::BatchNorm { channels, .. } => Geometry::BatchNorm(channels),
+            Op::Relu | Op::McdSite { .. } => Geometry::Same,
+            Op::MaxPool { k, stride } | Op::AvgPool { k, stride } => Geometry::Pool(k, stride),
+            Op::GlobalAvgPool => Geometry::GlobalAvgPool,
+            Op::Flatten => Geometry::Flatten,
+            Op::Add => Geometry::Add,
         }
-        Op::Linear { in_f, out_f, .. } => {
-            let si = get(node.inputs[0]);
-            assert_eq!(si.item_len(), *in_f, "{}: feature mismatch", node.name);
-            Shape4::vec(si.n, *out_f)
+    }
+}
+
+/// The shape-relevant view of one op: everything [`out_shape`] reads.
+/// Both op enums project onto it (`Op::geometry`, and
+/// `bnn_quant::QNodeOp::geometry` for the integer graph), so the f32
+/// and the integer graph share one shape rule and refuse the same
+/// inputs with the same message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Geometry {
+    /// The graph input: its shape is the input shape.
+    Input,
+    /// 2-D convolution `(in_c, out_c, k, stride, pad)` (NCHW, square
+    /// kernel).
+    Conv(usize, usize, usize, usize, usize),
+    /// Fully-connected layer `(in_f, out_f)`.
+    Linear(usize, usize),
+    /// Batch normalization over `channels`.
+    BatchNorm(usize),
+    /// Max or average pooling `(k, stride)`, no padding.
+    Pool(usize, usize),
+    /// Global average pooling to `1×1`.
+    GlobalAvgPool,
+    /// Flatten `(n,c,h,w)` to `(n, c·h·w, 1, 1)`.
+    Flatten,
+    /// Shape-preserving unary op (ReLU, MCD site).
+    Same,
+    /// Elementwise addition of two equally-shaped inputs.
+    Add,
+}
+
+/// *The* output-shape rule: the output shape of node `name` with
+/// `geometry`, given the graph input shape and its operands' shapes
+/// (`operand(i)` is the shape of its `i`-th input), or
+/// `"{name}: {failed check}"` — the message every substrate panics
+/// with and a server refuses a request for. [`Graph::infer_shapes`],
+/// the integer graph's `infer_shapes` and both walks' slot sizing all
+/// call it.
+pub fn out_shape(
+    geometry: Geometry,
+    name: &str,
+    input: Shape4,
+    operand: impl Fn(usize) -> Shape4,
+) -> Result<Shape4, String> {
+    // The input node's one operand is the graph input.
+    let si = if geometry == Geometry::Input {
+        input
+    } else {
+        operand(0)
+    };
+    let refuse = |check: &str| Err(format!("{name}: {check}"));
+    // A sliding window (convolution or pooling) with `c` output channels.
+    let window = |c, k, stride, pad| {
+        if si.h + 2 * pad < k || si.w + 2 * pad < k {
+            return refuse("kernel larger than padded input");
         }
-        Op::BatchNorm { channels, .. } => {
-            let si = get(node.inputs[0]);
-            assert_eq!(si.c, *channels, "{}: BN channel mismatch", node.name);
-            si
-        }
-        Op::Relu | Op::McdSite { .. } => get(node.inputs[0]),
-        Op::MaxPool { k, stride } | Op::AvgPool { k, stride } => {
-            let si = get(node.inputs[0]);
-            Shape4::new(
-                si.n,
-                si.c,
-                conv_out_dim(si.h, *k, *stride, 0),
-                conv_out_dim(si.w, *k, *stride, 0),
-            )
-        }
-        Op::GlobalAvgPool => {
-            let si = get(node.inputs[0]);
-            Shape4::new(si.n, si.c, 1, 1)
-        }
-        Op::Flatten => {
-            let si = get(node.inputs[0]);
-            Shape4::vec(si.n, si.item_len())
-        }
-        Op::Add => {
-            let a = get(node.inputs[0]);
-            let b = get(node.inputs[1]);
-            assert_eq!(a, b, "{}: add shape mismatch", node.name);
-            a
-        }
+        let (h, w) = (
+            conv_out_dim(si.h, k, stride, pad),
+            conv_out_dim(si.w, k, stride, pad),
+        );
+        Ok(Shape4::new(si.n, c, h, w))
+    };
+    match geometry {
+        Geometry::Conv(in_c, ..) if si.c != in_c => refuse("channel mismatch"),
+        Geometry::Conv(_, out_c, k, stride, pad) => window(out_c, k, stride, pad),
+        Geometry::Linear(in_f, _) if si.item_len() != in_f => refuse("feature mismatch"),
+        Geometry::Linear(_, out_f) => Ok(Shape4::vec(si.n, out_f)),
+        Geometry::BatchNorm(channels) if si.c != channels => refuse("BN channel mismatch"),
+        Geometry::Add if si != operand(1) => refuse("add shape mismatch"),
+        Geometry::Input | Geometry::BatchNorm(_) | Geometry::Same | Geometry::Add => Ok(si),
+        Geometry::Pool(k, stride) => window(si.c, k, stride, 0),
+        Geometry::GlobalAvgPool => Ok(Shape4::new(si.n, si.c, 1, 1)),
+        Geometry::Flatten => Ok(Shape4::vec(si.n, si.item_len())),
     }
 }
 

@@ -38,7 +38,7 @@ mod param;
 mod train;
 
 pub use exec::{Activations, ExecScratch, Mask, MaskSet};
-pub use graph::{Graph, GraphBuilder, Node, NodeId, Op, SiteId};
+pub use graph::{out_shape, Geometry, Graph, GraphBuilder, Node, NodeId, Op, SiteId};
 pub use loss::{cross_entropy, CrossEntropyOutput};
 pub use param::{ParamId, ParamStore};
 pub use train::{evaluate_accuracy, Batcher, SgdConfig, Trainer};

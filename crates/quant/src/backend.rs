@@ -9,7 +9,9 @@
 //! re-runs only the Bayesian suffix, dequantizes the logits and
 //! softmaxes them, so the generic engine in `bnn-mcd` can average int8
 //! samples exactly like float ones. Both passes are projections of
-//! [`QGraph::walk`].
+//! [`QGraph::walk`] over one output slot per node: the slots are sized
+//! once and then overwritten in place, so a warm suffix walk
+//! allocates nothing.
 //!
 //! The accelerator substrate is this backend with the simulator's
 //! analytic [`HardwareModel`] attached ([`Int8Backend::with_model`],
@@ -24,13 +26,15 @@ use bnn_nn::MaskSet;
 use bnn_tensor::{softmax_rows, Shape4, Tensor};
 use std::sync::Arc;
 
-/// What `prepare` binds: the quantized input batch and the node
-/// outputs of the deterministic prefix (its length is the suffix
-/// boundary; `nodes.len()` when the run is fully deterministic).
+/// What `prepare` binds: the quantized input batch, the suffix
+/// boundary (`nodes.len()` when the run is fully deterministic) and one
+/// output slot per node, the prefix slots filled. Kept across `prepare`
+/// calls, so a warm backend re-sizes nothing.
 #[derive(Debug, Clone)]
 struct Prepared {
     input: QTensor,
-    prefix: Vec<QTensor>,
+    split: usize,
+    slots: Vec<QTensor>,
 }
 
 /// Int8 execution substrate over a quantized graph.
@@ -107,24 +111,31 @@ impl BayesBackend for Int8Backend {
         );
         let input = self.qgraph.quantize_input(x);
         let split = self.qgraph.suffix_split(active);
-        let mut prefix = Vec::with_capacity(split);
+        let mut slots = match self.prepared.take() {
+            Some(prepared) => prepared.slots,
+            None => self.qgraph.slots(),
+        };
         self.qgraph
-            .walk(0..split, &input, &MaskSet::none(), &mut prefix, exec_qnode);
-        self.prepared = Some(Prepared { input, prefix });
+            .walk(0..split, &input, &MaskSet::none(), &mut slots, exec_qnode);
+        self.prepared = Some(Prepared {
+            input,
+            split,
+            slots,
+        });
     }
 
-    /// A per-worker scratch: the prefix is cloned once per worker, not
-    /// once per sample.
+    /// A per-worker scratch: the slots (prefix outputs included) are
+    /// cloned once per worker, not once per sample.
     fn make_scratch(&self) -> Vec<QTensor> {
-        self.prepared().prefix.clone()
+        self.prepared().slots.clone()
     }
 
-    /// One suffix walk per mask set over the worker's scratch (each
-    /// walk truncates it back to the prefix boundary first), then
-    /// dequantize and softmax the logits.
+    /// One suffix walk per mask set over the worker's slots (each walk
+    /// overwrites the suffix slots in place), then dequantize and
+    /// softmax the logits.
     fn forward_batch(&self, mask_sets: &[MaskSet], outs: &mut Vec<QTensor>) -> Vec<Tensor> {
-        let Prepared { input, prefix } = self.prepared();
-        let suffix = prefix.len()..self.qgraph.nodes().len();
+        let Prepared { input, split, .. } = self.prepared();
+        let suffix = *split..self.qgraph.nodes().len();
         mask_sets
             .iter()
             .map(|masks| {

@@ -18,10 +18,14 @@
 //! [`QGraph`], so "simulator output == reference output" is a
 //! bit-exactness test, not an approximation check. Every integer pass
 //! in the stack is a projection of one node-range walk,
-//! [`QGraph::walk`], parameterized by the node executor:
+//! [`QGraph::walk`], parameterized by a write-into node executor:
 //! [`QGraph::forward`] and the [`Int8Backend`] that serves both the
 //! `int8` and the `accel` substrate run it with [`exec_qnode`], the
-//! simulator's tiled reference run with its PE stations.
+//! simulator's tiled reference run with its PE stations. Like the f32
+//! walk, it writes each node's output into that node's slot, sized by
+//! the one shape rule `bnn_nn::out_shape` and overwritten in place by
+//! every later pass, so a mis-shaped input is refused with the f32
+//! graph's message.
 //!
 //! # Example
 //!

@@ -1,8 +1,8 @@
 //! The quantized graph and its integer reference executor.
 
 use crate::fixed::FixedMul;
-use bnn_nn::MaskSet;
-use bnn_tensor::{conv_out_dim, Shape4, Tensor};
+use bnn_nn::{out_shape, Geometry, MaskSet};
+use bnn_tensor::{Shape4, Tensor};
 use std::ops::Range;
 
 /// Affine quantization parameters of an activation tensor:
@@ -220,16 +220,17 @@ impl QGraph {
         &self.name
     }
 
-    /// Output shape of every node for an input shape (the integer
-    /// mirror of `bnn_nn::Graph::infer_shapes`).
+    /// Output shape of every node for an input shape, by the same rule
+    /// as `bnn_nn::Graph::infer_shapes` ([`out_shape`]).
     ///
     /// # Panics
     ///
-    /// Panics if the graph is malformed (construction bug).
+    /// Panics with the f32 graph's message (`"{node}: {failed check}"`)
+    /// if the input does not fit the graph.
     pub fn infer_shapes(&self, input: Shape4) -> Vec<Shape4> {
         let mut shapes: Vec<Shape4> = Vec::with_capacity(self.nodes.len());
         for node in &self.nodes {
-            let s = qnode_out_shape(node, input, |id| shapes[id]);
+            let s = node.out_shape(input, |id| shapes[id]);
             shapes.push(s);
         }
         shapes
@@ -298,105 +299,116 @@ impl QGraph {
     /// Integer forward pass returning every node's u8 output
     /// (the accelerator simulator cross-checks against this trace).
     pub fn forward_trace(&self, input: &QTensor, masks: &MaskSet) -> Vec<QTensor> {
-        let mut outs = Vec::with_capacity(self.nodes.len());
+        let mut outs = self.slots();
         self.walk(0..self.nodes.len(), input, masks, &mut outs, exec_qnode);
         outs
     }
 
-    /// The one integer node-range walk: execute nodes `range` in order
-    /// with `exec`, each reading its predecessors from `outs` and
-    /// appending its own output.
+    /// One unsized output slot per node: what [`QGraph::walk`] writes
+    /// into, sizing each slot on first use.
+    pub fn slots(&self) -> Vec<QTensor> {
+        vec![QTensor::zeros(Shape4::vec(0, 0)); self.nodes.len()]
+    }
+
+    /// The one integer node-range walk: execute nodes `range` in order,
+    /// each through `exec` into its own slot of `outs` (sized here by
+    /// the shared shape rule, [`out_shape`], on first use or on a shape
+    /// change), reading its predecessors from the slots below it — the
+    /// f32 walk's convention.
     ///
-    /// `outs` must hold the outputs of every node below `range.start`
-    /// (more is fine: it is truncated back to that boundary first, and
-    /// a walk never writes below it), so one vector serves any number
-    /// of suffix re-runs over a cached prefix. On return it holds
-    /// nodes `..range.end`. [`QGraph::forward_trace`], the int8
+    /// Slots below `range.start` must hold those nodes' outputs; slots
+    /// from `range.start` on may hold anything, because every executor
+    /// overwrites its whole slot. So one slot vector serves any number
+    /// of suffix re-runs over a cached prefix, and once warm a re-run
+    /// allocates nothing. [`QGraph::forward_trace`], the int8
     /// backend's prefix and suffix passes and the accelerator
     /// simulator's tiled reference run are projections of this loop;
-    /// they differ only in the range and in the node executor
-    /// ([`exec_qnode`], or the simulator's tiled PE stations).
+    /// they differ only in the range and in the write-into node
+    /// executor ([`exec_qnode`], or the simulator's tiled PE stations).
     ///
     /// # Panics
     ///
-    /// Panics if `outs` is shorter than `range.start` or the range
-    /// runs past the last node.
+    /// Panics if `outs` does not hold one slot per node, if the range
+    /// runs past the last node, or with the shape rule's message if the
+    /// input does not fit the graph.
     pub fn walk(
         &self,
         range: Range<usize>,
         input: &QTensor,
         masks: &MaskSet,
-        outs: &mut Vec<QTensor>,
-        exec: impl Fn(&QNode, &[QTensor], &QTensor, &MaskSet) -> QTensor,
+        outs: &mut [QTensor],
+        exec: impl Fn(&QNode, &[QTensor], &QTensor, &MaskSet, &mut QTensor),
     ) {
-        assert!(
-            outs.len() >= range.start,
-            "walk from node {} needs every output below it, got {}",
-            range.start,
-            outs.len()
-        );
-        outs.truncate(range.start);
-        for node in &self.nodes[range] {
-            let y = exec(node, outs, input, masks);
-            outs.push(y);
+        assert_eq!(outs.len(), self.nodes.len(), "walk needs one slot per node");
+        for id in range {
+            let node = &self.nodes[id];
+            let (done, rest) = outs.split_at_mut(id);
+            let shape = node.out_shape(input.shape, |j| done[j].shape);
+            if rest[0].shape != shape {
+                rest[0] = QTensor::zeros(shape);
+            }
+            exec(node, done, input, masks, &mut rest[0]);
         }
     }
 }
 
-/// Output shape of one quantized node given its predecessors' shapes.
-fn qnode_out_shape(node: &QNode, input: Shape4, get: impl Fn(usize) -> Shape4) -> Shape4 {
-    let of = |i: usize| get(node.inputs[i]);
-    match &node.op {
-        QNodeOp::Input => input,
-        QNodeOp::Conv {
-            out_c,
-            k,
-            stride,
-            pad,
-            ..
-        } => {
-            let s = of(0);
-            Shape4::new(
-                s.n,
-                *out_c,
-                conv_out_dim(s.h, *k, *stride, *pad),
-                conv_out_dim(s.w, *k, *stride, *pad),
-            )
-        }
-        QNodeOp::Linear { out_f, .. } => Shape4::vec(of(0).n, *out_f),
-        QNodeOp::Relu { .. } | QNodeOp::McdSite { .. } | QNodeOp::Add { .. } => of(0),
-        QNodeOp::MaxPool { k, stride } | QNodeOp::AvgPool { k, stride } => {
-            let s = of(0);
-            Shape4::new(
-                s.n,
-                s.c,
-                conv_out_dim(s.h, *k, *stride, 0),
-                conv_out_dim(s.w, *k, *stride, 0),
-            )
-        }
-        QNodeOp::GlobalAvgPool => {
-            let s = of(0);
-            Shape4::new(s.n, s.c, 1, 1)
-        }
-        QNodeOp::Flatten => {
-            let s = of(0);
-            Shape4::vec(s.n, s.item_len())
+impl QNodeOp {
+    /// The shape-relevant view of this op: the integer graph sizes its
+    /// outputs through the f32 graph's rule ([`out_shape`]).
+    pub(crate) fn geometry(&self) -> Geometry {
+        match *self {
+            QNodeOp::Input => Geometry::Input,
+            QNodeOp::Conv {
+                in_c,
+                out_c,
+                k,
+                stride,
+                pad,
+                ..
+            } => Geometry::Conv(in_c, out_c, k, stride, pad),
+            QNodeOp::Linear { in_f, out_f, .. } => Geometry::Linear(in_f, out_f),
+            QNodeOp::Relu { .. } | QNodeOp::McdSite { .. } => Geometry::Same,
+            QNodeOp::MaxPool { k, stride } | QNodeOp::AvgPool { k, stride } => {
+                Geometry::Pool(k, stride)
+            }
+            QNodeOp::GlobalAvgPool => Geometry::GlobalAvgPool,
+            QNodeOp::Flatten => Geometry::Flatten,
+            QNodeOp::Add { .. } => Geometry::Add,
         }
     }
 }
 
-/// Execute one quantized node against its predecessors' outputs: the
-/// node executor every serving path hands to [`QGraph::walk`].
+impl QNode {
+    /// This node's output shape given its predecessors' shapes
+    /// (`get(id)`), panicking with the shape rule's message for an
+    /// input that does not fit.
+    fn out_shape(&self, input: Shape4, get: impl Fn(usize) -> Shape4) -> Shape4 {
+        out_shape(self.op.geometry(), &self.name, input, |i| {
+            get(self.inputs[i])
+        })
+        .unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// Execute one quantized node against its predecessors' outputs into
+/// its slot `y` (already sized by [`QGraph::walk`]; every element is
+/// overwritten): the node executor every serving path hands to the
+/// walk.
 ///
 /// The accelerator simulator's tiled executor reuses it for the
 /// functional-unit ops (ReLU/pool/add/dropout) while supplying its own
 /// tiled matrix kernels.
-pub fn exec_qnode(node: &QNode, outs: &[QTensor], input: &QTensor, masks: &MaskSet) -> QTensor {
+pub fn exec_qnode(
+    node: &QNode,
+    outs: &[QTensor],
+    input: &QTensor,
+    masks: &MaskSet,
+    y: &mut QTensor,
+) {
+    let x = |i: usize| &outs[node.inputs[i]];
     match &node.op {
-        QNodeOp::Input => input.clone(),
+        QNodeOp::Input => y.data.copy_from_slice(&input.data),
         QNodeOp::Conv {
-            in_c,
-            out_c,
             k,
             stride,
             pad,
@@ -405,67 +417,39 @@ pub fn exec_qnode(node: &QNode, outs: &[QTensor], input: &QTensor, masks: &MaskS
             requant,
             zx,
             zy,
-        } => {
-            let x = &outs[node.inputs[0]];
-            qconv(
-                x, *in_c, *out_c, *k, *stride, *pad, w, bias, requant, *zx, *zy,
-            )
-        }
+            ..
+        } => qconv(x(0), *k, *stride, *pad, w, bias, requant, *zx, *zy, y),
         QNodeOp::Linear {
-            in_f,
-            out_f,
             w,
             bias,
             requant,
             zx,
             zy,
-        } => {
-            let x = &outs[node.inputs[0]];
-            qlinear(x, *in_f, *out_f, w, bias, requant, *zx, *zy)
-        }
+            ..
+        } => qlinear(x(0), w, bias, requant, *zx, *zy, y),
         QNodeOp::Relu { z } => {
-            let x = &outs[node.inputs[0]];
             let z8 = (*z).clamp(0, 255) as u8;
-            QTensor {
-                data: x.data.iter().map(|&v| v.max(z8)).collect(),
-                shape: x.shape,
+            for (d, &v) in y.data.iter_mut().zip(&x(0).data) {
+                *d = v.max(z8);
             }
         }
-        QNodeOp::MaxPool { k, stride } => qmaxpool(&outs[node.inputs[0]], *k, *stride),
-        QNodeOp::AvgPool { k, stride } => qavgpool(&outs[node.inputs[0]], *k, *stride),
-        QNodeOp::GlobalAvgPool => qgap(&outs[node.inputs[0]]),
-        QNodeOp::Flatten => {
-            let x = &outs[node.inputs[0]];
-            QTensor {
-                data: x.data.clone(),
-                shape: Shape4::vec(x.shape.n, x.shape.item_len()),
-            }
-        }
+        QNodeOp::MaxPool { k, stride } => qmaxpool(x(0), *k, *stride, y),
+        QNodeOp::AvgPool { k, stride } => qavgpool(x(0), *k, *stride, y),
+        QNodeOp::GlobalAvgPool => qgap(x(0), y),
+        // NCHW flatten is a relabeling; the buffer layout is identical.
+        QNodeOp::Flatten => y.data.copy_from_slice(&x(0).data),
         QNodeOp::Add { ma, mb, za, zb, zy } => {
-            let a = &outs[node.inputs[0]];
-            let b = &outs[node.inputs[1]];
-            let data = a
-                .data
-                .iter()
-                .zip(&b.data)
-                .map(|(&qa, &qb)| {
-                    let va = ma.apply(i32::from(qa) - za);
-                    let vb = mb.apply(i32::from(qb) - zb);
-                    (va + vb + zy).clamp(0, 255) as u8
-                })
-                .collect();
-            QTensor {
-                data,
-                shape: a.shape,
+            for ((d, &qa), &qb) in y.data.iter_mut().zip(&x(0).data).zip(&x(1).data) {
+                let va = ma.apply(i32::from(qa) - za);
+                let vb = mb.apply(i32::from(qb) - zb);
+                *d = (va + vb + zy).clamp(0, 255) as u8;
             }
         }
         QNodeOp::McdSite { site, mul, z } => {
-            let x = &outs[node.inputs[0]];
-            let mut y = x.clone();
+            y.data.copy_from_slice(&x(0).data);
             if let Some(mask) = masks.get(*site) {
-                apply_qmask(&mut y, &mask.keep, *mul, *z, &node.name);
+                apply_qmask(y, &mask.keep, *mul, *z, &node.name);
             }
-            y
         }
     }
 }
@@ -492,11 +476,11 @@ pub fn apply_qmask(x: &mut QTensor, keep: &[bool], mul: FixedMul, z: i32, name: 
     }
 }
 
+/// Integer convolution into `y`, whose shape fixes the output
+/// channels and spatial extent (the walk sized it).
 #[allow(clippy::too_many_arguments)]
 fn qconv(
     x: &QTensor,
-    in_c: usize,
-    out_c: usize,
     k: usize,
     stride: usize,
     pad: usize,
@@ -505,13 +489,16 @@ fn qconv(
     requant: &[FixedMul],
     zx: i32,
     zy: i32,
-) -> QTensor {
+    y: &mut QTensor,
+) {
     let s = x.shape;
-    debug_assert_eq!(s.c, in_c, "channel mismatch");
-    let ho = conv_out_dim(s.h, k, stride, pad);
-    let wo = conv_out_dim(s.w, k, stride, pad);
-    let mut y = QTensor::zeros(Shape4::new(s.n, out_c, ho, wo));
-    let ckk = in_c * k * k;
+    let Shape4 {
+        c: out_c,
+        h: ho,
+        w: wo,
+        ..
+    } = y.shape;
+    let ckk = s.c * k * k;
     for n in 0..s.n {
         let xi = x.item(n);
         let yi = y.item_mut(n);
@@ -520,7 +507,7 @@ fn qconv(
             for oy in 0..ho {
                 for ox in 0..wo {
                     let mut acc = bias[f];
-                    for c in 0..in_c {
+                    for c in 0..s.c {
                         for ky in 0..k {
                             let iy = (oy * stride + ky) as isize - pad as isize;
                             if iy < 0 || iy >= s.h as isize {
@@ -545,24 +532,21 @@ fn qconv(
             }
         }
     }
-    y
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Integer fully-connected layer into `y` (`y`'s item length is the
+/// output width).
 fn qlinear(
     x: &QTensor,
-    in_f: usize,
-    out_f: usize,
     w: &[i8],
     bias: &[i32],
     requant: &[FixedMul],
     zx: i32,
     zy: i32,
-) -> QTensor {
-    let s = x.shape;
-    debug_assert_eq!(s.item_len(), in_f, "feature mismatch");
-    let mut y = QTensor::zeros(Shape4::vec(s.n, out_f));
-    for n in 0..s.n {
+    y: &mut QTensor,
+) {
+    let (in_f, out_f) = (x.shape.item_len(), y.shape.item_len());
+    for n in 0..x.shape.n {
         let xi = x.item(n);
         let yi = y.item_mut(n);
         for f in 0..out_f {
@@ -574,14 +558,12 @@ fn qlinear(
             yi[f] = (zy + requant[f].apply(acc)).clamp(0, 255) as u8;
         }
     }
-    y
 }
 
-fn qmaxpool(x: &QTensor, k: usize, stride: usize) -> QTensor {
+/// Max pooling into `y` (its shape fixes the output extent).
+fn qmaxpool(x: &QTensor, k: usize, stride: usize, y: &mut QTensor) {
     let s = x.shape;
-    let ho = conv_out_dim(s.h, k, stride, 0);
-    let wo = conv_out_dim(s.w, k, stride, 0);
-    let mut y = QTensor::zeros(Shape4::new(s.n, s.c, ho, wo));
+    let (ho, wo) = (y.shape.h, y.shape.w);
     for n in 0..s.n {
         let xi = x.item(n);
         let yi = y.item_mut(n);
@@ -600,14 +582,12 @@ fn qmaxpool(x: &QTensor, k: usize, stride: usize) -> QTensor {
             }
         }
     }
-    y
 }
 
-fn qavgpool(x: &QTensor, k: usize, stride: usize) -> QTensor {
+/// Average pooling into `y` (its shape fixes the output extent).
+fn qavgpool(x: &QTensor, k: usize, stride: usize, y: &mut QTensor) {
     let s = x.shape;
-    let ho = conv_out_dim(s.h, k, stride, 0);
-    let wo = conv_out_dim(s.w, k, stride, 0);
-    let mut y = QTensor::zeros(Shape4::new(s.n, s.c, ho, wo));
+    let (ho, wo) = (y.shape.h, y.shape.w);
     let div = (k * k) as u32;
     for n in 0..s.n {
         let xi = x.item(n);
@@ -628,12 +608,11 @@ fn qavgpool(x: &QTensor, k: usize, stride: usize) -> QTensor {
             }
         }
     }
-    y
 }
 
-fn qgap(x: &QTensor) -> QTensor {
+/// Global average pooling into `y`.
+fn qgap(x: &QTensor, y: &mut QTensor) {
     let s = x.shape;
-    let mut y = QTensor::zeros(Shape4::new(s.n, s.c, 1, 1));
     let div = (s.h * s.w) as u32;
     for n in 0..s.n {
         let xi = x.item(n);
@@ -646,7 +625,6 @@ fn qgap(x: &QTensor) -> QTensor {
             yi[c] = ((sum + div / 2) / div) as u8;
         }
     }
-    y
 }
 
 #[cfg(test)]
@@ -698,7 +676,8 @@ mod tests {
             data: vec![1, 9, 3, 4],
             shape: Shape4::new(1, 1, 2, 2),
         };
-        let y = qmaxpool(&t, 2, 2);
+        let mut y = QTensor::zeros(Shape4::new(1, 1, 1, 1));
+        qmaxpool(&t, 2, 2, &mut y);
         assert_eq!(y.data, vec![9]);
     }
 
@@ -708,7 +687,8 @@ mod tests {
             data: vec![1, 2, 3, 5],
             shape: Shape4::new(1, 1, 2, 2),
         };
-        let y = qavgpool(&t, 2, 2);
+        let mut y = QTensor::zeros(Shape4::new(1, 1, 1, 1));
+        qavgpool(&t, 2, 2, &mut y);
         assert_eq!(y.data, vec![3], "11/4 = 2.75 -> 3");
     }
 
@@ -723,7 +703,8 @@ mod tests {
         let w = vec![1i8; 9];
         let bias = vec![0i32];
         let requant = vec![FixedMul::one()];
-        let y = qconv(&x, 1, 1, 3, 1, 1, &w, &bias, &requant, 128, 0);
+        let mut y = QTensor::zeros(Shape4::new(1, 1, 1, 1));
+        qconv(&x, 3, 1, 1, &w, &bias, &requant, 128, 0, &mut y);
         // acc = (130-128)*1 = 2 (centre tap only), zy=0 -> q=2.
         assert_eq!(y.data, vec![2]);
     }

@@ -53,7 +53,10 @@
 //! so the caller may simply submit it again). A queued request whose
 //! deadline passes before it is taken into a micro-batch resolves
 //! [`ServeError::DeadlineExceeded`] instead of silently aging in
-//! place.
+//! place. An input the served graph cannot execute (not one item, or a
+//! shape the graph's shape rule refuses) is turned away at the door
+//! with [`ServeError::BadInput`]: it never reaches the backend, so it
+//! cannot fail its coalesced neighbours or count towards the breaker.
 //!
 //! # Failure containment
 //!
@@ -286,6 +289,13 @@ pub enum ServeError {
     BackendFailed,
     /// The server was shut down before this request could be served.
     Shutdown,
+    /// Refused at the door: the input is not one item
+    /// (`n != 1`) or its shape does not fit the served graph
+    /// (`bnn_nn::Graph::try_infer_shapes`). Not retryable — the same
+    /// input is refused again — and it never reaches the backend, so a
+    /// mis-shaped request can neither fail its coalesced neighbours
+    /// nor count towards the circuit breaker.
+    BadInput,
 }
 
 impl std::fmt::Display for ServeError {
@@ -295,6 +305,7 @@ impl std::fmt::Display for ServeError {
             ServeError::DeadlineExceeded => "request deadline passed while queued",
             ServeError::BackendFailed => "backend failed while serving the request",
             ServeError::Shutdown => "server shut down before the request was served",
+            ServeError::BadInput => "input shape does not fit the served graph",
         })
     }
 }
@@ -306,8 +317,8 @@ impl std::error::Error for ServeError {}
 #[derive(Debug)]
 pub struct SubmitError {
     /// Why the submission was not accepted ([`ServeError::Rejected`],
-    /// [`ServeError::Shutdown`], or — breaker tripped —
-    /// [`ServeError::BackendFailed`]).
+    /// [`ServeError::BadInput`], [`ServeError::Shutdown`], or —
+    /// breaker tripped — [`ServeError::BackendFailed`]).
     pub error: ServeError,
     /// The input, returned to the caller.
     pub input: Tensor,
@@ -348,7 +359,8 @@ pub struct ServeStats {
     /// (resolved [`ServeError::BackendFailed`]).
     pub failed: u64,
     /// Submissions rejected at the door (non-blocking submit at
-    /// capacity, or any submit after the breaker tripped).
+    /// capacity, a mis-shaped input ([`ServeError::BadInput`]), or any
+    /// submit after the breaker tripped).
     pub rejected: u64,
     /// **Gauge** (not monotonic): requests accepted into the queue
     /// but not yet taken into a micro-batch. Updated under the same
@@ -510,6 +522,9 @@ impl Counters {
 
 struct SharedQ {
     state: Mutex<QState>,
+    /// The served graph: every submission's shape is checked against
+    /// it before it is queued.
+    graph: Arc<Graph>,
     /// Signals the dispatcher: work arrived, or the server closed.
     work: Condvar,
     /// Signals blocked producers: queue space freed, or closed.
@@ -579,9 +594,9 @@ impl Handle {
     /// or [`Submission::try_submit`] (non-blocking) — the one
     /// submission path.
     ///
-    /// Submitting panics if `x` is not single-item (`n != 1`) — the
-    /// front door serves one input per request; batch datasets go
-    /// through `Session::predictive_batched`.
+    /// An input that is not single-item (`n != 1`; batch datasets go
+    /// through `Session::predictive_batched`) or does not fit the
+    /// graph is refused with [`ServeError::BadInput`].
     pub fn request(&self, x: Tensor) -> Submission<'_> {
         Submission {
             handle: self,
@@ -604,13 +619,14 @@ impl Handle {
             seed,
             trace,
         } = submission;
-        assert_eq!(
-            x.shape().n,
-            1,
-            "serving requests are single-input; got a batch of {}",
-            x.shape().n
-        );
         let shared = &handle.shared;
+        if x.shape().n != 1 || shared.graph.try_infer_shapes(x.shape()).is_err() {
+            Counters::bump(&shared.counters.rejected, 1);
+            return Err(SubmitError {
+                error: ServeError::BadInput,
+                input: x,
+            });
+        }
         let mut st = lock(&shared.state);
         loop {
             if st.closed {
@@ -842,6 +858,7 @@ impl ServerBuilder {
                 tripped: false,
                 next_id: 0,
             }),
+            graph: Arc::clone(&self.graph),
             work: Condvar::new(),
             space: Condvar::new(),
             queue_cap: policy.queue_cap,
@@ -1593,6 +1610,7 @@ mod tests {
             ServeError::DeadlineExceeded,
             ServeError::BackendFailed,
             ServeError::Shutdown,
+            ServeError::BadInput,
         ] {
             assert!(!err.to_string().is_empty());
         }
@@ -1641,13 +1659,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "single-input")]
     fn multi_item_submissions_are_rejected() {
         let net = Arc::new(test_net());
         let server = Server::for_graph(net).start();
         let handle = server.handle();
-        let _ = handle
-            .request(Tensor::zeros(Shape4::new(2, 1, 16, 16)))
-            .submit();
+        let batch = Tensor::zeros(Shape4::new(2, 1, 16, 16));
+        match handle.request(batch).try_submit() {
+            Err(SubmitError {
+                error: ServeError::BadInput,
+                input,
+            }) => assert_eq!(input.shape().n, 2),
+            other => panic!("expected BadInput, got {other:?}"),
+        }
+        assert_eq!(server.stats().rejected, 1);
     }
 }

@@ -4,11 +4,13 @@
 //! (the pure queue mechanics and the opt-in hold are unit tested
 //! inside the crate; these pin the end-to-end behaviour).
 
+use bnn_accel::{AccelConfig, Accelerator};
 use bnn_mcd::{
-    BayesConfig, ChaosConfig, Engine, FloatBackend, ParallelConfig, Plan, RequestResult,
-    SoftwareMaskSource, WorkerPool,
+    BayesBackend, BayesConfig, ChaosConfig, Engine, FloatBackend, ParallelConfig, Plan,
+    RequestResult, SoftwareMaskSource, WorkerPool,
 };
 use bnn_nn::{models, Graph};
+use bnn_quant::{Int8Backend, Quantizer};
 use bnn_serve::{Backend, BatchPolicy, Priority, ServeError, Server, SubmitError};
 use bnn_tensor::{Shape4, Tensor};
 use std::sync::mpsc;
@@ -47,7 +49,15 @@ fn request_input(seed: u64) -> Tensor {
 }
 
 fn solo(net: &Graph, x: &Tensor, cfg: BayesConfig, seed: u64) -> Tensor {
-    let mut backend = FloatBackend::new(net);
+    solo_with(FloatBackend::new(net), x, cfg, seed)
+}
+
+fn solo_with(
+    mut backend: impl BayesBackend + Send,
+    x: &Tensor,
+    cfg: BayesConfig,
+    seed: u64,
+) -> Tensor {
     RequestResult::single(Engine::serial().run(
         &mut backend,
         Plan::one(x, &mut SoftwareMaskSource::new(seed)),
@@ -437,5 +447,78 @@ fn submission_builder_seed_pins_the_solo_prediction() {
         assert_eq!(blocking.probs.as_slice(), want.as_slice());
         assert_eq!(non_blocking.probs.as_slice(), want.as_slice());
         server.shutdown();
+    });
+}
+
+#[test]
+fn mis_shaped_requests_are_refused_at_the_door_on_every_substrate() {
+    with_deadline(120, || {
+        let folded = test_net().fold_batch_norm();
+        let calib: Vec<f32> = (100..104u64)
+            .flat_map(|i| request_input(i).as_slice().to_vec())
+            .collect();
+        let calib = Tensor::from_vec(Shape4::new(4, 1, 16, 16), calib);
+        let qg = Quantizer::new(&folded).calibrate(&calib).quantize();
+        let accel = Accelerator::new(
+            AccelConfig::default(),
+            &folded,
+            &qg,
+            Shape4::new(1, 1, 16, 16),
+        );
+        let net = Arc::new(folded);
+        let cfg = BayesConfig::new(2, 4);
+        let bad = [
+            Shape4::new(1, 1, 32, 32),
+            Shape4::new(1, 3, 16, 16),
+            Shape4::new(1, 1, 20, 20),
+        ];
+        for backend in [
+            Backend::Float,
+            Backend::Fused,
+            Backend::Int8(qg),
+            Backend::Accel(accel),
+        ] {
+            let name = backend.name();
+            let server = Server::for_graph(Arc::clone(&net))
+                .backend(backend.clone())
+                .bayes(cfg)
+                .start();
+            let handle = server.handle();
+            // Nine: one more than the breaker's default run of eight
+            // consecutive failures, had any of them reached the backend.
+            for i in 0..9 {
+                let x = Tensor::full(bad[i % bad.len()], 0.1);
+                assert_eq!(
+                    handle.request(x).submit().wait().map(|_| ()),
+                    Err(ServeError::BadInput),
+                    "{name}: mis-shaped request {i}"
+                );
+            }
+            assert!(
+                !server.breaker_tripped(),
+                "{name}: refusals tripped the breaker"
+            );
+            let x = request_input(5);
+            let reply = handle
+                .request(x.clone())
+                .seed(5)
+                .submit()
+                .wait()
+                .expect("a well-formed request is served after the refusals");
+            let want = match backend {
+                Backend::Float => solo_with(FloatBackend::new(&net), &x, cfg, 5),
+                Backend::Fused => solo_with(FloatBackend::fused(&net), &x, cfg, 5),
+                Backend::Int8(qg) => solo_with(Int8Backend::new(qg), &x, cfg, 5),
+                Backend::Accel(accel) => solo_with(accel.into_backend(), &x, cfg, 5),
+            };
+            assert_eq!(reply.probs.as_slice(), want.as_slice(), "{name}");
+            let stats = server.stats();
+            assert_eq!(
+                (stats.rejected, stats.failed, stats.served),
+                (9, 0, 1),
+                "{name}: refusals count as rejected, never failed"
+            );
+            server.shutdown();
+        }
     });
 }

@@ -17,8 +17,8 @@
 //!   later requests are served normally.
 
 use bnn_mcd::{
-    BayesConfig, Engine, FloatBackend, ParallelConfig, Plan, RequestResult, SoftwareMaskSource,
-    WorkerPool,
+    BayesConfig, ChaosConfig, Engine, Fault, FloatBackend, ParallelConfig, Plan, RequestResult,
+    SoftwareMaskSource, WorkerPool,
 };
 use bnn_nn::{models, Graph};
 use bnn_serve::{Backend, BatchPolicy, Priority, ServeError, Server, SubmitError};
@@ -221,6 +221,13 @@ fn backend_panic_fails_the_batch_not_the_server() {
     with_deadline(60, || {
         let net = Arc::new(test_net());
         let cfg = BayesConfig::new(2, 2);
+        // The injected fault: a schedule whose first `prepare` panics
+        // and whose second is clean (a mis-shaped input can no longer
+        // be the fault — it is refused before it is queued).
+        let chaos = (0..10_000u64)
+            .map(|seed| ChaosConfig::new(seed, 0.5, 0.0))
+            .find(|c| c.schedule(2) == [Fault::Panic, Fault::None])
+            .expect("a panic-then-clean schedule within 10k seeds");
         let server = Server::for_graph(Arc::clone(&net))
             .bayes(cfg)
             .policy(BatchPolicy {
@@ -228,14 +235,11 @@ fn backend_panic_fails_the_batch_not_the_server() {
                 max_wait: Duration::from_micros(50),
                 queue_cap: 8,
             })
+            .chaos(chaos)
             .start();
         let handle = server.handle();
 
-        // A zero-element input slips past the single-item check but
-        // panics inside the engine (shape inference): the injected
-        // fault.
-        let poison = Tensor::zeros(Shape4::new(1, 0, 0, 0));
-        let bad = handle.request(poison).submit();
+        let bad = handle.request(request_input(7)).seed(7).submit();
         assert_eq!(
             bad.wait().map(|_| ()),
             Err(ServeError::BackendFailed),
@@ -330,8 +334,8 @@ fn shutdown_races_expiring_deadlines_without_hanging() {
                         expired += 1;
                     }
                     Err(ServeError::Shutdown) => other += 1,
-                    Err(ServeError::BackendFailed) => {
-                        panic!("healthy backend reported BackendFailed (seed {seed})")
+                    Err(e @ (ServeError::BackendFailed | ServeError::BadInput)) => {
+                        panic!("healthy backend, well-formed input reported {e:?} (seed {seed})")
                     }
                 }
             }

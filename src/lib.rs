@@ -125,6 +125,13 @@
 //!   (bit-identically) and resolves late arrivals to
 //!   [`ServeError::Shutdown`]; deadlines keep expiring during the
 //!   drain.
+//! * **Mis-shaped input** — a submission that is not one item, or
+//!   whose shape the served graph's one shape rule refuses
+//!   (`nn::Graph::try_infer_shapes`), is refused at the door with
+//!   [`ServeError::BadInput`] (not retryable; counted as `rejected`).
+//!   It never reaches the backend, so it cannot fail its coalesced
+//!   neighbours or trip the breaker, and the same input panics with
+//!   the same message on all four substrates when run in-process.
 //!
 //! Observability: [`Server::stats`] counts served / shed / expired /
 //! failed / rejected requests, plus live `queued` / `in_flight`
@@ -157,9 +164,10 @@
 //! | error (kind 3) | `ver, kind, code u8, flags u8, [id u64], [seed u64]` |
 //!
 //! Error codes: `1` Rejected, `2` DeadlineExceeded, `3`
-//! BackendFailed, `4` Shutdown (the four [`ServeError`]s), plus
-//! wire-only `5` RateLimited (the tenant's token bucket was empty)
-//! and `6` Malformed (undecodable frame; the server closes the
+//! BackendFailed, `4` Shutdown and `7` BadInput (the five
+//! [`ServeError`]s; a mis-shaped request leaves the connection open),
+//! plus wire-only `5` RateLimited (the tenant's token bucket was
+//! empty) and `6` Malformed (undecodable frame; the server closes the
 //! connection after sending it). Malformed input of any kind —
 //! truncated frame, oversized length prefix, bad version byte,
 //! non-UTF-8 tenant id — resolves to a typed

@@ -103,8 +103,9 @@ fn conformance_accel_bit_identical_to_int8() {
         Tolerance::BitExact,
     );
 
-    // Both names run `exec_qnode`, so the pair above cannot see the
-    // simulator. The tiled PE loop nest (`tiled_conv` / `tiled_linear`
+    // Both names run `exec_qnode` through the one slot walk, so the
+    // pair above cannot see the simulator. The tiled PE loop nest
+    // (`tiled_conv` / `tiled_linear` writing into the same walk's slots
     // via `run_with_masks`) is the independent reference: the engine's
     // passes must equal its softmaxed logits under the same masks.
     let info = backend.info(x.shape());
@@ -172,6 +173,58 @@ fn golden_bytes_are_pinned_on_all_substrates() {
             }
         }
         assert_eq!(hash, want, "{name}: output bytes moved (got {hash:#018x})");
+    }
+}
+
+#[test]
+fn mis_shaped_inputs_are_refused_alike_on_all_substrates() {
+    // One shape rule behind both graphs (`bnn_nn::out_shape`): a
+    // LeNet-5 built for 28×28 refuses an input it cannot execute with
+    // the same message on every substrate — the integer walk does not
+    // answer it with ten "probabilities".
+    let (net, ds) = trained_lenet();
+    let folded = net.fold_batch_norm();
+    let qg = Quantizer::new(&folded).calibrate(&ds.train_x).quantize();
+    let accel = Accelerator::new(AccelConfig::default(), &folded, &qg, ds.image_shape());
+    let substrates = [
+        Backend::Float,
+        Backend::Fused,
+        Backend::Int8(qg),
+        Backend::Accel(accel),
+    ];
+    for (shape, check) in [
+        (Shape4::new(1, 1, 32, 32), "feature mismatch"),
+        (Shape4::new(1, 3, 28, 28), "channel mismatch"),
+        (Shape4::new(1, 1, 6, 6), "kernel larger than padded input"),
+    ] {
+        let x = Tensor::full(shape, 0.1);
+        let messages: Vec<String> = substrates
+            .iter()
+            .map(|backend| {
+                let mut session = Session::for_graph(&folded)
+                    .backend(backend.clone())
+                    .bayes(BayesConfig::new(2, 3))
+                    .build();
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    session.predictive(&x)
+                }));
+                let Err(payload) = run else {
+                    panic!("{}: {shape:?} was served, not refused", backend.name())
+                };
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default()
+            })
+            .collect();
+        assert!(
+            messages[0].ends_with(check),
+            "{shape:?}: float refused with {:?}, want {check:?}",
+            messages[0]
+        );
+        for (backend, message) in substrates.iter().zip(&messages) {
+            assert_eq!(message, &messages[0], "{}: {shape:?}", backend.name());
+        }
     }
 }
 

@@ -7,8 +7,8 @@
 //!   including server-derived seeds the client never chose;
 //! * `GET /status` returns well-formed JSON whose served/shed/expired
 //!   counters match `Server::stats()` at quiesce;
-//! * the tenant gate and the malformed-frame path answer with typed
-//!   error frames over the wire.
+//! * the tenant gate, the malformed-frame path and a mis-shaped input
+//!   answer with typed error frames over the wire.
 
 use bnn_fpga::accel::{AccelConfig, Accelerator};
 use bnn_fpga::data::synth_mnist;
@@ -19,7 +19,7 @@ use bnn_fpga::net::{
 };
 use bnn_fpga::nn::{models, SgdConfig, Trainer};
 use bnn_fpga::quant::Quantizer;
-use bnn_fpga::tensor::Tensor;
+use bnn_fpga::tensor::{Shape4, Tensor};
 use bnn_fpga::{request_seed, Backend, Priority, Server, Session};
 use std::sync::Arc;
 
@@ -327,5 +327,42 @@ fn malformed_frames_get_typed_errors_never_a_dead_socket() {
     // …but the front door itself survives and serves new connections.
     assert!(http_get(front.local_addr(), "/status", Timeouts::default()).is_ok());
     assert!(front.status_json().contains("\"malformed\":1"));
+    front.shutdown();
+}
+
+#[test]
+fn mis_shaped_input_gets_bad_input_and_the_connection_stays_open() {
+    let (net, ds) = trained_lenet();
+    let folded = net.fold_batch_norm();
+    let cfg = BayesConfig::new(1, 2);
+    let server = Server::for_graph(Arc::new(folded.clone()))
+        .bayes(cfg)
+        .seed(3)
+        .start();
+    let front = NetServer::bind("127.0.0.1:0", server, NetConfig::default()).expect("bind");
+    let mut client = NetClient::connect(front.local_addr()).expect("connect");
+
+    // A 32×32 image for a 28×28 LeNet-5: the frame decodes, the graph
+    // refuses the shape at admission.
+    let bad = Tensor::full(Shape4::new(1, 1, 32, 32), 0.1);
+    match client.send(&Request::new(bad).seed(5)).expect("send") {
+        Response::Error(e) => {
+            assert_eq!((e.code, e.code.as_u8()), (ErrorCode::BadInput, 7));
+            assert_eq!(e.seed, Some(5), "a refusal still echoes the seed");
+        }
+        other => panic!("expected a BadInput error frame, got {other:?}"),
+    }
+    // The same connection then serves a well-formed request.
+    let x = ds.test_x.select_item(0);
+    let reply = match client.send(&Request::new(x.clone()).seed(6)).expect("send") {
+        Response::Reply(reply) => reply,
+        Response::Error(e) => panic!("unexpected error frame: {e:?}"),
+    };
+    let want = solo_probs(&folded, Backend::Fused, cfg, 6, &x);
+    let got: Vec<u32> = reply.probs.iter().map(|p| p.to_bits()).collect();
+    let want: Vec<u32> = want.iter().map(|p| p.to_bits()).collect();
+    assert_eq!(got, want);
+    let stats = front.stats();
+    assert_eq!((stats.rejected, stats.served), (1, 1));
     front.shutdown();
 }
