@@ -39,8 +39,10 @@
 //!
 //! `AUDIT.json` also carries `lines`: per source directory (each
 //! `crates/<name>/src`, the facade's `src`, `benchmark/src`) the
-//! number of lines carrying code after the lexer has blanked comments
-//! — so "lines removed" by a simplification is a CI-diffed number.
+//! number of library lines carrying code after the lexer has blanked
+//! comments and outside `#[cfg(test)]` / `#[test]` items — so "lines
+//! removed" by a simplification is a CI-diffed number, and adding or
+//! deleting a unit test does not move it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -234,11 +236,11 @@ pub struct AuditReport {
     pub waivers: Vec<ResolvedWaiver>,
     /// Names of all rules that ran (stable order).
     pub rule_names: Vec<&'static str>,
-    /// Source lines (carrying code: not blank, not comment-only) per
-    /// source directory — each `crates/<name>/src`, the facade's `src`
-    /// and `benchmark/src` — sorted by directory. The tracked "how
-    /// much code is there" number: a simplification shows up here as
-    /// a CI-diffed decrease.
+    /// Library source lines (carrying code: not blank, not
+    /// comment-only, not in a test item) per source directory — each
+    /// `crates/<name>/src`, the facade's `src` and `benchmark/src` —
+    /// sorted by directory. The tracked "how much code is there"
+    /// number: a simplification shows up here as a CI-diffed decrease.
     pub lines: Vec<(String, usize)>,
 }
 
@@ -503,10 +505,12 @@ pub fn audit_sources(sources: &[(String, String)]) -> AuditReport {
         .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
     waivers.sort_by(|a, b| (a.path.as_str(), a.waiver.line).cmp(&(b.path.as_str(), b.waiver.line)));
 
-    let mut lines: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut lines: BTreeMap<String, usize> = BTreeMap::new();
     for file in &files {
         if let Some(dir) = source_dir(&file.rel_path) {
-            *lines.entry(dir).or_default() += file.lines.iter().filter(|l| l.has_code()).count();
+            let library = |&(idx, l): &(usize, &LineView)| l.has_code() && !file.in_test(idx);
+            let count = file.lines.iter().enumerate().filter(library).count();
+            *lines.entry(dir.to_string()).or_default() += count;
         }
     }
 
@@ -515,9 +519,6 @@ pub fn audit_sources(sources: &[(String, String)]) -> AuditReport {
         findings,
         waivers,
         rule_names,
-        lines: lines
-            .into_iter()
-            .map(|(dir, count)| (dir.to_string(), count))
-            .collect(),
+        lines: lines.into_iter().collect(),
     }
 }

@@ -534,12 +534,25 @@ fn line_table_counts_code_lines_per_source_directory() {
         vec![
             ("benchmark/src".to_string(), 1),
             ("crates/mcd/src".to_string(), 6),
-            ("src".to_string(), 3),
+            ("src".to_string(), 1),
         ]
     );
     assert!(report.to_json().contains(
-        "\"lines\": {\n    \"benchmark/src\": 1,\n    \"crates/mcd/src\": 6,\n    \"src\": 3\n  },"
+        "\"lines\": {\n    \"benchmark/src\": 1,\n    \"crates/mcd/src\": 6,\n    \"src\": 1\n  },"
     ));
+}
+
+#[test]
+fn line_table_counts_library_code_only() {
+    // Unit tests inside a source file are not library code: deleting
+    // one must not read as a simplification, nor adding one as growth.
+    let library = "pub fn f() -> u32 {\n    1\n}\n";
+    let with_tests = format!(
+        "{library}\n#[cfg(test)]\nmod tests {{\n    #[test]\n    fn t() {{\n        \
+         assert_eq!(super::f(), 1);\n    }}\n}}\n\n#[test]\nfn loose() {{}}\n\nfn g() {{}}\n"
+    );
+    let report = run(&[("crates/mcd/src/a.rs", with_tests.as_str())]);
+    assert_eq!(report.lines, vec![("crates/mcd/src".to_string(), 4)]);
 }
 
 // ---------------------------------------------------------------- self-check

@@ -6,9 +6,9 @@
 //! be retargeted across execution substrates: f32 software, int8
 //! integer arithmetic, and the FPGA accelerator. This module encodes
 //! that claim in the type system. A substrate implements
-//! [`BayesBackend`] — six methods: `info`, `prepare`, `make_scratch`,
-//! `forward_batch` and the optional `model_cost` / `fork` — and the
-//! engine supplies everything else, through exactly one entry point,
+//! [`BayesBackend`] — five methods: `info`, `prepare`, `make_scratch`,
+//! `forward_batch` and the optional `model_cost` — and the engine
+//! supplies everything else, through exactly one entry point,
 //! [`Engine::run`]`(backend, plan, cfg)`:
 //!
 //! * a [`Plan`] names the inputs as a sequence of *groups* — one
@@ -17,16 +17,15 @@
 //!   ([`Plan::requests`]) — and where each group's masks come from
 //!   (one serial [`MaskSource`] consumed in group order, or one
 //!   private [`SoftwareMaskSource`] seed per group);
-//! * the engine computes the active sites (`last L of N`), draws each
-//!   group's masks serially (so the deterministic stream never
-//!   depends on thread timing), and executes the groups in order on
-//!   the resident backend or — [`ParallelConfig::batch_threads`] — as
-//!   contiguous runs over forked backends on its [`WorkerPool`];
-//! * every group, on either schedule, is one timed `prepare` plus its
-//!   sample chunks fanned over [`ParallelConfig::threads`], averaged
-//!   ([`mean_probs`]) and costed ([`CostReport`]), returned as a
-//!   [`RequestResult`]. That single per-group core is what makes solo
-//!   and coalesced, sequential and batch-parallel serving
+//! * the engine computes the active sites (`last L of N`) and
+//!   executes the groups in order on the resident backend, drawing
+//!   each group's masks serially right before it runs (so the
+//!   deterministic stream never depends on thread timing);
+//! * every group is one timed `prepare` plus its sample chunks fanned
+//!   over [`ParallelConfig::threads`] on the engine's [`WorkerPool`]
+//!   — the engine's one fan-out — averaged ([`mean_probs`]) and
+//!   costed ([`CostReport`]), returned as a [`RequestResult`]. That
+//!   single per-group core is what makes solo and coalesced serving
 //!   bit-identical by construction, not merely by test.
 //!
 //! Callers project the result vector with [`RequestResult::single`]
@@ -146,8 +145,8 @@ pub struct ModelInfo {
 /// fan-out, averaging and cost accounting. The contract:
 ///
 /// 1. [`BayesBackend::info`] answers for any input shape, prepared or
-///    not: a [`Plan::batched`] stream draws every group's masks before
-///    any fork has bound an input.
+///    not: the engine reads a group's mask geometry before that group
+///    is bound.
 /// 2. [`BayesBackend::prepare`] binds an input batch and precomputes
 ///    whatever is shared across samples — typically the deterministic
 ///    prefix under intermediate-layer caching.
@@ -191,23 +190,6 @@ pub trait BayesBackend: Sync {
     /// software backends' weight-streaming traffic).
     fn model_cost(&self, bayes: BayesConfig) -> Option<ModelCost> {
         let _ = bayes;
-        None
-    }
-
-    /// A fresh, *unprepared* duplicate of this backend.
-    ///
-    /// Batch-axis parallelism ([`ParallelConfig::batch_threads`])
-    /// needs one backend per batch worker, because
-    /// [`BayesBackend::prepare`] binds a single input batch. A fork
-    /// must compute bit-identically to the original (same graph, same
-    /// parameters); prepared state and pooled scratches need not (and
-    /// should not) be carried over. The default `None` opts the
-    /// substrate out — [`Engine::run`] then serves the groups
-    /// sequentially, which stays bit-identical.
-    fn fork(&self) -> Option<Self>
-    where
-        Self: Sized,
-    {
         None
     }
 }
@@ -256,20 +238,17 @@ impl<'p> Engine<'p> {
     /// deterministic: one pass, replicated, and no mask is drawn.
     ///
     /// Groups execute in order on the resident `backend`, each one's
-    /// masks drawn and items sliced immediately before it runs. With
-    /// `batch_threads > 1` on a backend that implements
-    /// [`BayesBackend::fork`] they instead execute as contiguous runs
-    /// over forks on the pool (all masks drawn first, still in group
-    /// order), each group's sample chunks nesting on the *same* pool.
-    /// Either way every group goes through the same `run_request`, so
-    /// results are bit-identical at any schedule, chunk size and pool
-    /// size, and a group of a [`Plan::requests`] plan is bit-identical
-    /// to running it alone.
+    /// masks drawn and items sliced immediately before it runs, and
+    /// each one's samples split over [`ParallelConfig::threads`] on the
+    /// pool. Every group goes through the same `run_request`, so
+    /// results are bit-identical at any thread count and pool size,
+    /// and a group of a [`Plan::requests`] plan is bit-identical to
+    /// running it alone.
     ///
     /// # Panics
     ///
     /// Panics if `cfg.s == 0`.
-    pub fn run<B: BayesBackend + Send>(
+    pub fn run<B: BayesBackend>(
         &self,
         backend: &mut B,
         plan: Plan<'_>,
@@ -281,58 +260,19 @@ impl<'p> Engine<'p> {
         if groups == 0 {
             return Vec::new();
         }
-        let (pool, parallel) = (self.pool, self.parallel);
         let active = active_sites(backend.info(inputs.shape(0)).n_sites, cfg.l);
-        let mut draw = |backend: &B, g: usize| {
-            let channels = backend.info(inputs.shape(g)).site_channels;
-            masks.draw(g, &active, &channels, cfg)
-        };
-
-        // Batch axis: contiguous runs of `span` groups, one fork per
-        // run. A backend that cannot fork serves sequentially.
-        let span = groups.div_ceil(parallel.batch_threads.min(groups));
-        let forks: Option<Vec<B>> = if span < groups {
-            (0..groups.div_ceil(span)).map(|_| backend.fork()).collect()
-        } else {
-            None
-        };
-        let Some(forks) = forks else {
-            // The resident backend keeps its prefix buffers and pooled
-            // scratches hot across the groups.
-            return (0..groups)
-                .map(|g| {
-                    let masks = draw(backend, g);
-                    let x = inputs.get(g);
-                    run_request(backend, &x, &masks, &active, cfg, parallel, pool)
-                })
-                .collect();
-        };
-        let group_masks: Vec<Vec<MaskSet>> = (0..groups).map(|g| draw(backend, g)).collect();
-        let tasks: Vec<GroupTask<'_>> = forks
-            .into_iter()
-            .zip(group_masks.chunks(span))
-            .enumerate()
-            .map(|(run, (mut fork, run_masks))| {
-                let active = &active;
-                Box::new(move || {
-                    run_masks
-                        .iter()
-                        .enumerate()
-                        .map(|(i, masks)| {
-                            let x = inputs.get(run * span + i);
-                            run_request(&mut fork, &x, masks, active, cfg, parallel, pool)
-                        })
-                        .collect()
-                }) as GroupTask<'_>
+        // The resident backend keeps its prefix buffers and pooled
+        // scratches hot across the groups.
+        (0..groups)
+            .map(|g| {
+                let channels = backend.info(inputs.shape(g)).site_channels;
+                let masks = masks.draw(g, &active, &channels, cfg);
+                let x = inputs.get(g);
+                run_request(backend, &x, &masks, &active, cfg, self.parallel, self.pool)
             })
-            .collect();
-        pool.run(tasks).into_iter().flatten().collect()
+            .collect()
     }
 }
-
-/// A batch-parallel pool task: a contiguous run of groups executed on
-/// one forked backend.
-type GroupTask<'a> = Box<dyn FnOnce() -> Vec<RequestResult> + Send + 'a>;
 
 /// Serially draw one group's mask sets: `S` sets when any site is
 /// active, none (and no stream consumption) otherwise.
@@ -371,8 +311,9 @@ fn run_prepared<B: BayesBackend>(
     run_samples(backend, mask_sets, parallel, pool)
 }
 
-/// Execute pre-drawn mask sets on a prepared backend with the
-/// configured fan-out. Samples are returned in mask-set order.
+/// Execute pre-drawn mask sets on a prepared backend, split into
+/// `ceil(S / threads)`-sample chunks. Samples are returned in
+/// mask-set order.
 ///
 /// Each work unit receives its whole contiguous chunk through
 /// [`BayesBackend::forward_batch`], so fusing backends amortize
@@ -384,21 +325,15 @@ fn run_samples<B: BayesBackend>(
     pool: &WorkerPool,
 ) -> Vec<Tensor> {
     let threads = parallel.threads.clamp(1, mask_sets.len());
-    let chunk = parallel
-        .chunk
-        .unwrap_or_else(|| mask_sets.len().div_ceil(threads))
-        .clamp(1, mask_sets.len());
+    let chunk = mask_sets.len().div_ceil(threads);
     let probs: Vec<Tensor> = if threads == 1 {
-        // Strictly serial: one scratch, nothing queued on the pool.
-        // Without a chunk override this is one chunk spanning all
-        // samples — the fullest possible fusion.
+        // Strictly serial: one scratch, nothing queued on the pool,
+        // and one chunk spanning all samples — the fullest possible
+        // fusion.
         let mut scratch = backend.make_scratch();
-        let mut out = Vec::with_capacity(mask_sets.len());
-        for ms in mask_sets.chunks(chunk) {
-            let span = bnn_trace::start();
-            out.extend(backend.forward_batch(ms, &mut scratch));
-            bnn_trace::finish(span, bnn_trace::Stage::Chunk, 0, ms.len() as u64);
-        }
+        let span = bnn_trace::start();
+        let out = backend.forward_batch(mask_sets, &mut scratch);
+        bnn_trace::finish(span, bnn_trace::Stage::Chunk, 0, mask_sets.len() as u64);
         out
     } else {
         // Contiguous sample chunks as pool tasks; results join in
@@ -482,7 +417,6 @@ impl<'a> Plan<'a> {
 }
 
 /// The inputs of a [`Plan`], addressable by group.
-#[derive(Clone, Copy)]
 enum Inputs<'a> {
     One(&'a Tensor),
     Batched { xs: &'a Tensor, batch: usize },
@@ -578,8 +512,7 @@ impl RequestResult {
 
     /// All groups' predictive rows stacked in group order into one
     /// `(n, k)` tensor, with their costs accumulated (`wall_ms` sums
-    /// the per-group wall times, which overlap under batch
-    /// parallelism).
+    /// the per-group wall times).
     ///
     /// # Panics
     ///
@@ -599,9 +532,9 @@ impl RequestResult {
 
 /// Bind one input and execute its pre-drawn mask sets: timed
 /// prepare, sample passes, predictive mean and cost accounting.
-/// *The* per-group core — both schedules of [`Engine::run`] run
-/// exactly this for every group of every plan, which is what makes
-/// solo and coalesced serving bit-identical by construction.
+/// *The* per-group core — [`Engine::run`] runs exactly this for every
+/// group of every plan, which is what makes solo and coalesced
+/// serving bit-identical by construction.
 fn run_request<B: BayesBackend>(
     backend: &mut B,
     x: &Tensor,
@@ -897,13 +830,6 @@ impl BayesBackend for FloatBackend<'_> {
             mem_bytes: weight_stream_bytes(self.graph, bayes, self.fused),
         })
     }
-
-    fn fork(&self) -> Option<Self> {
-        Some(FloatBackend {
-            fused: self.fused,
-            ..FloatBackend::new(self.graph)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -912,7 +838,7 @@ mod tests {
     use bnn_nn::models;
 
     /// One-group run on a fresh software stream.
-    fn solo<B: BayesBackend + Send>(
+    fn solo<B: BayesBackend>(
         engine: Engine<'_>,
         backend: &mut B,
         x: &Tensor,
@@ -1066,10 +992,7 @@ mod tests {
         for parallel in [
             ParallelConfig::serial(),
             ParallelConfig::with_threads(3),
-            ParallelConfig::serial().with_batch_threads(3),
-            ParallelConfig::with_threads(2)
-                .with_batch_threads(2)
-                .with_chunk(1),
+            ParallelConfig::with_threads(6),
         ] {
             // One resident backend serving the coalesced micro-batch —
             // and, crucially, the same backend reused across calls with

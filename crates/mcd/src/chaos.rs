@@ -21,19 +21,15 @@
 //! under active injection every *non-faulted* call's result is
 //! bit-identical to the fault-free run.
 //!
-//! The call counter is shared across [`BayesBackend::fork`]s (an
-//! atomic), so the total fault budget is honoured under any schedule;
-//! the *assignment* of fault indices to requests is deterministic
-//! under the sequential request schedule (`batch_threads = 1`, the
-//! serving dispatcher's default), which is what the chaos suite runs.
+//! The engine runs a plan's groups in order on the one resident
+//! backend, so fault index `i` is always the `i`-th request the
+//! wrapper prepares.
 
 use crate::backend::{BayesBackend, ModelCost, ModelInfo};
 use crate::predict::BayesConfig;
 use bnn_nn::MaskSet;
 use bnn_rng::SoftRng;
 use bnn_tensor::{Shape4, Tensor};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Per-call fault probabilities and the seed their schedule derives
@@ -118,9 +114,8 @@ pub fn fault_at(cfg: &ChaosConfig, index: u64) -> Fault {
 pub struct ChaosBackend<B> {
     inner: B,
     cfg: ChaosConfig,
-    /// Calls made so far, shared across forks so the schedule is one
-    /// global sequence.
-    calls: Arc<AtomicU64>,
+    /// Prepare calls made so far.
+    calls: u64,
 }
 
 impl<B> ChaosBackend<B> {
@@ -129,14 +124,14 @@ impl<B> ChaosBackend<B> {
         ChaosBackend {
             inner,
             cfg,
-            calls: Arc::new(AtomicU64::new(0)),
+            calls: 0,
         }
     }
 
-    /// Prepare calls made so far (across all forks) — the next call
-    /// takes fault index `calls()`.
+    /// Prepare calls made so far — the next call takes fault index
+    /// `calls()`.
     pub fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
+        self.calls
     }
 
     /// The wrapped backend.
@@ -161,7 +156,8 @@ impl<B: BayesBackend> BayesBackend for ChaosBackend<B> {
     }
 
     fn prepare(&mut self, x: &Tensor, active: &[bool]) {
-        let index = self.calls.fetch_add(1, Ordering::Relaxed);
+        let index = self.calls;
+        self.calls += 1;
         match fault_at(&self.cfg, index) {
             Fault::Panic => panic!("chaos: injected panic at call {index}"),
             Fault::Delay => std::thread::sleep(self.cfg.delay),
@@ -181,14 +177,6 @@ impl<B: BayesBackend> BayesBackend for ChaosBackend<B> {
     fn model_cost(&self, bayes: BayesConfig) -> Option<ModelCost> {
         self.inner.model_cost(bayes)
     }
-
-    fn fork(&self) -> Option<Self> {
-        Some(ChaosBackend {
-            inner: self.inner.fork()?,
-            cfg: self.cfg,
-            calls: Arc::clone(&self.calls),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -198,11 +186,7 @@ mod tests {
     use crate::source::SoftwareMaskSource;
 
     /// Serial one-group run on the software stream seeded 3.
-    fn predictive<B: BayesBackend + Send>(
-        backend: &mut B,
-        x: &Tensor,
-        cfg: BayesConfig,
-    ) -> RequestResult {
+    fn predictive<B: BayesBackend>(backend: &mut B, x: &Tensor, cfg: BayesConfig) -> RequestResult {
         let mut src = SoftwareMaskSource::new(3);
         RequestResult::single(Engine::serial().run(backend, Plan::one(x, &mut src), cfg))
     }
@@ -262,20 +246,5 @@ mod tests {
             .cloned()
             .unwrap_or_else(|| "<non-string payload>".into());
         assert!(msg.contains("chaos: injected panic at call 1"), "{msg}");
-    }
-
-    #[test]
-    fn forks_share_the_fault_budget() {
-        let net = models::lenet5(10, 1, 16, 4);
-        let wrapped = ChaosBackend::new(FloatBackend::new(&net), ChaosConfig::disabled(1));
-        let fork = wrapped.fork().expect("float forks");
-        let x = Tensor::full(Shape4::new(1, 1, 16, 16), 0.2);
-        let mut fork = fork;
-        fork.prepare(&x, &[false; 5]);
-        assert_eq!(
-            wrapped.calls(),
-            1,
-            "fork calls must count against the shared schedule"
-        );
     }
 }

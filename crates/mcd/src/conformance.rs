@@ -67,7 +67,7 @@ pub enum Tolerance {
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 
 /// Unbatched predictive of `x` on a fresh software stream from `seed`.
-fn predictive<B: BayesBackend + Send>(
+fn predictive<B: BayesBackend>(
     engine: Engine<'_>,
     backend: &mut B,
     x: &Tensor,
@@ -81,7 +81,7 @@ fn predictive<B: BayesBackend + Send>(
 
 /// `x` served one item per group on a fresh software stream from
 /// `seed`, rows stacked.
-fn predictive_by_item<B: BayesBackend + Send>(
+fn predictive_by_item<B: BayesBackend>(
     engine: Engine<'_>,
     backend: &mut B,
     x: &Tensor,
@@ -132,16 +132,15 @@ fn check_close(want: &Tensor, got: &Tensor, tol: Tolerance, what: &str) {
 /// 4. *Cost accounting* — both backends report the configured sample
 ///    count.
 /// 5. *Pooled engine* — one long-lived [`WorkerPool`] per pool size in
-///    `{1, 4}` serves repeated predictive calls, a sample-parallel
-///    split, an explicitly chunked split and a batch-parallel split
-///    (`batch_threads = 4`, `batch = 1`), all byte-equal to the
+///    `{1, 4}` serves repeated sample-parallel predictive calls and an
+///    uneven three-chunk split (`threads = 3`), all byte-equal to the
 ///    candidate's serial predictions.
 /// 6. *Coalescing invariance* — the request-serving path
 ///    ([`Plan::requests`], what `bnn-serve` runs): a
 ///    request carrying the shared seed is byte-equal to the
-///    candidate's solo predictive whether served alone or coalesced
-///    between neighbors with foreign seeds, under both the sequential
-///    and the batch-parallel request schedule, at pool sizes `{1, 4}`.
+///    candidate's solo predictive whether served alone (serially) or
+///    coalesced between neighbors with foreign seeds (at four
+///    sample-axis threads), at pool sizes `{1, 4}`.
 ///
 /// The input's batch size must satisfy both backends' constraints
 /// (pass a single-item `x` when the accelerator is involved).
@@ -150,7 +149,7 @@ fn check_close(want: &Tensor, got: &Tensor, tol: Tolerance, what: &str) {
 ///
 /// Panics (with a message naming the backends and the failing check)
 /// on any disagreement.
-pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
+pub fn assert_backend_agrees<R: BayesBackend, C: BayesBackend>(
     reference: &mut R,
     candidate: &mut C,
     x: &Tensor,
@@ -226,7 +225,7 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
     }
 
     // Pooled engine: one long-lived pool per size, serving repeated
-    // calls and both schedule axes — every prediction must be
+    // calls at several sample splits — every prediction must be
     // byte-equal to the candidate's own serial results above.
     for workers in [1usize, 4] {
         let pool = WorkerPool::new(workers);
@@ -242,27 +241,18 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
                 c_name
             );
         }
-        let engine = Engine::new(&pool, ParallelConfig::with_threads(2).with_chunk(1));
+        let engine = Engine::new(&pool, ParallelConfig::with_threads(3));
         let (chunked, _) = predictive(engine, candidate, x, cfg, seed);
         assert_eq!(
             chunked.as_slice(),
             per_threads[0].as_slice(),
-            "{}: pooled chunked split on {workers} worker(s) changed the prediction",
-            c_name
-        );
-        let engine = Engine::new(&pool, ParallelConfig::serial().with_batch_threads(4));
-        let batch_par = predictive_by_item(engine, candidate, x, cfg, seed);
-        assert_eq!(
-            batch_par.as_slice(),
-            batched[0].as_slice(),
-            "{}: pooled batch-parallel split on {workers} worker(s) changed the prediction",
+            "{}: pooled three-chunk split on {workers} worker(s) changed the prediction",
             c_name
         );
 
         // Coalescing invariance: the request with this suite's seed
         // must come back byte-equal to the candidate's solo predictive
-        // above, alone or sandwiched between foreign-seeded neighbors,
-        // on either request schedule.
+        // above, alone or sandwiched between foreign-seeded neighbors.
         let solo = Engine::new(&pool, ParallelConfig::serial()).run(
             candidate,
             Plan::requests(&[(x, seed)]),
@@ -279,32 +269,17 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
             (x, seed),
             (x, seed.wrapping_add(202)),
         ];
-        let mut per_schedule = Vec::new();
-        for parallel in [
-            ParallelConfig::serial(),
-            ParallelConfig::serial().with_batch_threads(4),
-        ] {
-            let coalesced =
-                Engine::new(&pool, parallel).run(candidate, Plan::requests(&neighbors), cfg);
-            assert_eq!(
-                coalesced[1].probs.as_slice(),
-                per_threads[0].as_slice(),
-                "{}: coalescing with neighbors moved the prediction \
-                 (batch_threads={}, {workers} worker(s))",
-                c_name,
-                parallel.batch_threads
-            );
-            per_schedule.push(coalesced);
-        }
-        // The neighbors themselves are schedule-invariant too.
-        for (i, (a, b)) in per_schedule[0].iter().zip(&per_schedule[1]).enumerate() {
-            assert_eq!(
-                a.probs.as_slice(),
-                b.probs.as_slice(),
-                "{}: request schedule moved coalesced request {i} ({workers} worker(s))",
-                c_name
-            );
-        }
+        let coalesced = Engine::new(&pool, ParallelConfig::with_threads(4)).run(
+            candidate,
+            Plan::requests(&neighbors),
+            cfg,
+        );
+        assert_eq!(
+            coalesced[1].probs.as_slice(),
+            per_threads[0].as_slice(),
+            "{}: coalescing with neighbors moved the prediction ({workers} worker(s))",
+            c_name
+        );
     }
 }
 
@@ -314,9 +289,8 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
 /// it needs them).
 ///
 /// Three properties are asserted, all on the request-serving path the
-/// `bnn-serve` dispatcher uses ([`Plan::requests`], sequential
-/// schedule — the schedule under which fault indices map 1:1 onto
-/// requests):
+/// `bnn-serve` dispatcher uses ([`Plan::requests`], whose groups run
+/// in order, so fault indices map 1:1 onto requests):
 ///
 /// 1. *Transparency* — a [`ChaosBackend`] with faults disabled
 ///    ([`ChaosConfig::disabled`]) is **byte-equal** to the bare
@@ -340,7 +314,7 @@ pub fn assert_backend_agrees<R: BayesBackend + Send, C: BayesBackend + Send>(
 /// Panics (naming the failing property) on any violation.
 pub fn assert_chaos_agrees<B, F>(mut make: F, x: &Tensor, cfg: BayesConfig, seed: u64)
 where
-    B: BayesBackend + Send,
+    B: BayesBackend,
     F: FnMut() -> B,
 {
     let engine = Engine::serial();

@@ -14,7 +14,7 @@
 //!
 //! Every prediction is one [`Engine::run`] of a [`Plan`] (one tensor,
 //! a batched dataset, or independently-seeded requests) on a
-//! [`BayesBackend`] substrate; see [`backend`] for the six-method
+//! [`BayesBackend`] substrate; see [`backend`] for the five-method
 //! contract. [`FloatBackend`] is the f32 substrate of this crate, in
 //! its per-sample ([`FloatBackend::new`]) and batched-sample fusion
 //! ([`FloatBackend::fused`]) cuts.

@@ -8,7 +8,7 @@
 //! creation and teardown on every request — the dominant fixed cost
 //! at small `S`. A [`WorkerPool`] is created once (typically owned by
 //! a `Session`), its threads block on a chunked work queue, and every
-//! predictive call simply enqueues its sample/batch chunks.
+//! predictive call simply enqueues its sample chunks.
 //!
 //! Properties the engine relies on:
 //!
@@ -17,10 +17,11 @@
 //!   so the engine's bit-identical-at-any-parallelism guarantee
 //!   holds at any pool size.
 //! * **Nesting without deadlock** — a task may itself call
-//!   [`WorkerPool::run`] on the same pool (the two-axis batch ×
-//!   sample schedule does exactly that). Waiting callers *help*: they
-//!   execute queued work instead of blocking idle, so progress never
-//!   depends on a free worker existing.
+//!   [`WorkerPool::run`] on the same pool, and several callers (the
+//!   sessions and servers sharing one pool) may wait on it at once.
+//!   Waiting callers *help*: they execute queued work instead of
+//!   blocking idle, so progress never depends on a free worker
+//!   existing.
 //! * **Panic isolation** — a panicking task poisons *its call*, not
 //!   the process: the payload is captured on the worker and re-thrown
 //!   from [`WorkerPool::run`] on the calling thread, and the worker
@@ -132,8 +133,8 @@ impl WorkerPool {
     ///
     /// The calling thread participates: after enqueueing, it executes
     /// queued work (its own or other calls') until its tasks are done,
-    /// which is what makes nested `run` calls on one pool — the batch
-    /// × sample schedule — deadlock-free. With zero workers or a
+    /// which is what makes nested `run` calls on one pool
+    /// deadlock-free. With zero workers or a
     /// single task everything runs inline on the caller.
     ///
     /// # Panics

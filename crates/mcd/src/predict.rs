@@ -56,112 +56,69 @@ impl BayesConfig {
     }
 }
 
-/// The engine's two-axis work schedule: how Monte Carlo samples and
-/// input batches spread over a [`crate::WorkerPool`].
+/// The engine's work schedule: how the `S` Monte Carlo samples of one
+/// group spread over a [`crate::WorkerPool`] — the engine's one
+/// fan-out, as the paper's accelerator spreads them over its PEs.
 ///
-/// The mask stream is always drawn serially and chunk results join in
-/// task order, so the prediction is bit-identical for every setting
-/// of every field; this only selects how the work is executed.
-///
-/// * [`ParallelConfig::threads`] fans the `S` suffix re-runs of one
-///   input batch out as contiguous sample chunks (the *sample axis*).
-/// * [`ParallelConfig::batch_threads`] fans the groups of a plan
-///   (dataset batches, coalesced requests) out over forked backends
-///   (the *batch axis*); each group's samples then still use the
-///   sample axis, nested on the same pool.
-/// * [`ParallelConfig::chunk`] overrides the sample-chunk size
-///   (default: an even split over `threads`), which also sets how
-///   many samples a fusing backend stacks per GEMM.
+/// [`ParallelConfig::threads`] splits a group's suffix re-runs into
+/// `threads` contiguous sample chunks of `ceil(S / threads)` samples
+/// each (the last one shorter), and a fusing backend stacks one chunk
+/// per GEMM. The groups of a plan (dataset batches, coalesced
+/// requests) always run in order on the one resident backend. The
+/// mask stream is drawn serially and chunk results join in task
+/// order, so the prediction is bit-identical at every thread count;
+/// this only selects how the work is executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Sample-axis fan-out for the per-sample suffix re-runs. `1` is
-    /// the fully serial engine.
+    /// Sample-axis fan-out for the suffix re-runs. `1` is the fully
+    /// serial engine.
     pub threads: usize,
-    /// Batch-axis fan-out over a plan's groups (dataset batches,
-    /// coalesced requests). `1` (the default everywhere) serves groups
-    /// sequentially; larger values need a backend whose
-    /// [`crate::BayesBackend::fork`] is implemented (all four in-tree
-    /// substrates) and fall back to sequential otherwise.
-    pub batch_threads: usize,
-    /// Override for the number of samples per engine work unit.
-    /// `None` splits the samples evenly over `threads`; `Some(c)`
-    /// forces chunks of at most `c` samples (clamped to at least 1).
-    pub chunk: Option<usize>,
 }
 
 impl ParallelConfig {
-    /// One sample-axis worker per available CPU; batch axis
-    /// sequential.
+    /// One sample-axis worker per available CPU.
     pub fn max_parallel() -> ParallelConfig {
         let threads = std::thread::available_parallelism()
             .map(NonZeroUsize::get)
             .unwrap_or(1);
-        ParallelConfig {
-            threads,
-            batch_threads: 1,
-            chunk: None,
-        }
+        ParallelConfig { threads }
     }
 
-    /// Serial sampling: no sample- or batch-level workers, and no
-    /// kernel below the engine creates a thread, so the whole pass
-    /// runs on the caller.
+    /// Serial sampling: no sample-level workers, and no kernel below
+    /// the engine creates a thread, so the whole pass runs on the
+    /// caller.
     pub fn serial() -> ParallelConfig {
-        ParallelConfig {
-            threads: 1,
-            batch_threads: 1,
-            chunk: None,
-        }
+        ParallelConfig { threads: 1 }
     }
 
     /// Exactly `threads` sample-axis workers (clamped to at least
-    /// one); batch axis sequential.
+    /// one).
     pub fn with_threads(threads: usize) -> ParallelConfig {
         ParallelConfig {
             threads: threads.max(1),
-            batch_threads: 1,
-            chunk: None,
         }
     }
 
-    /// Set the batch-axis fan-out (clamped to at least one).
-    pub fn with_batch_threads(mut self, batch_threads: usize) -> ParallelConfig {
-        self.batch_threads = batch_threads.max(1);
-        self
-    }
-
-    /// Force sample chunks of at most `chunk` samples (clamped to at
-    /// least one).
-    pub fn with_chunk(mut self, chunk: usize) -> ParallelConfig {
-        self.chunk = Some(chunk.max(1));
-        self
-    }
-
-    /// The validated form of this schedule: every axis at least one.
+    /// The validated form of this schedule: at least one thread.
     ///
-    /// The builder methods ([`ParallelConfig::with_threads`],
-    /// [`ParallelConfig::with_batch_threads`],
-    /// [`ParallelConfig::with_chunk`]) already clamp, but plain struct
-    /// construction can still produce zero `threads`, `batch_threads`
-    /// or `chunk` — meaningless schedules (there is no way to run
-    /// samples on zero workers; the calling thread always
-    /// participates). [`crate::Engine::new`] normalizes through
-    /// here, exactly once, so a zeroed field behaves as the serial
-    /// setting of that axis instead of panicking deep in the engine.
+    /// [`ParallelConfig::with_threads`] already clamps, but plain
+    /// struct construction can still produce zero `threads` — a
+    /// meaningless schedule (there is no way to run samples on zero
+    /// workers; the calling thread always participates).
+    /// [`crate::Engine::new`] normalizes through here, exactly once,
+    /// so a zero behaves as the serial setting instead of panicking
+    /// deep in the engine.
     pub fn normalized(mut self) -> ParallelConfig {
         self.threads = self.threads.max(1);
-        self.batch_threads = self.batch_threads.max(1);
-        self.chunk = self.chunk.map(|c| c.max(1));
         self
     }
 
     /// Resident workers a dedicated [`crate::WorkerPool`] needs so
-    /// this schedule never waits on a busy worker: full two-axis
-    /// concurrency minus the calling thread (which always helps). The
+    /// this schedule never waits on a busy worker: one per sample
+    /// chunk minus the calling thread (which always helps). The
     /// serial default wants zero — a pool that executes inline.
     pub fn pool_workers(&self) -> usize {
-        let n = self.normalized();
-        (n.threads * n.batch_threads).saturating_sub(1)
+        self.normalized().threads - 1
     }
 }
 
@@ -306,18 +263,11 @@ mod tests {
 
     #[test]
     fn zeroed_schedule_axes_normalize_to_serial() {
-        // Plain struct construction bypasses the clamping builders;
+        // Plain struct construction bypasses the clamping builder;
         // `normalized` is the one place that fixes it up.
-        let zeroed = ParallelConfig {
-            threads: 0,
-            batch_threads: 0,
-            chunk: Some(0),
-        };
-        let n = zeroed.normalized();
-        assert_eq!(n.threads, 1);
-        assert_eq!(n.batch_threads, 1);
-        assert_eq!(n.chunk, Some(1));
-        assert_eq!(zeroed.pool_workers(), 0, "zeroed axes want no workers");
+        let zeroed = ParallelConfig { threads: 0 };
+        assert_eq!(zeroed.normalized().threads, 1);
+        assert_eq!(zeroed.pool_workers(), 0, "zero threads want no workers");
         assert_eq!(
             ParallelConfig::serial().normalized(),
             ParallelConfig::serial()

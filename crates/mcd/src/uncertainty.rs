@@ -73,7 +73,7 @@ pub fn predictive_entropies(probs: &Tensor) -> Vec<f64> {
 /// # Panics
 ///
 /// Panics if `passes` is empty or `item` is out of range.
-pub fn item_mutual_information(passes: &[Tensor], item: usize) -> f64 {
+fn item_mutual_information(passes: &[Tensor], item: usize) -> f64 {
     assert!(!passes.is_empty(), "at least one Monte Carlo pass required");
     let k = passes[0].shape().item_len();
     let mut mean = vec![0.0f64; k];

@@ -1,11 +1,12 @@
-//! Property tests for the pooled two-axis engine schedule.
+//! Property tests for the pooled engine schedule.
 //!
 //! The engine contract: predictions are a pure function of the graph,
 //! the Bayesian config and the mask-source seed — *never* of the
-//! schedule. These properties drive the schedule axes through random
-//! input counts, sample counts, thread counts, chunk sizes and pool
-//! sizes and require byte equality against the simplest possible
-//! reference: a serial per-input loop of one-group runs.
+//! schedule. These properties drive the sample axis through random
+//! input counts, sample counts, thread counts (and with them uneven
+//! `ceil(S / threads)` chunks) and pool sizes and require byte
+//! equality against the simplest possible references: a serial
+//! per-input loop of one-group runs, and the serial engine.
 
 use bnn_mcd::{
     BayesConfig, Engine, FloatBackend, ParallelConfig, Plan, RequestResult, SoftwareMaskSource,
@@ -51,19 +52,16 @@ fn per_input_reference(net: &bnn_nn::Graph, xs: &Tensor, cfg: BayesConfig, seed:
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// A `Plan::batched` run with batch-axis parallelism (and
-    /// any sample-axis split on top) is bit-identical to the
-    /// per-input serial loop, on both the per-sample and the fused
-    /// float backends, at any pool size.
+    /// A `Plan::batched` run at `batch = 1` with any sample-axis split
+    /// is bit-identical to the per-input serial loop, on both the
+    /// per-sample and the fused float backends, at any pool size.
     #[test]
     fn batch_parallel_matches_per_input_loop(
         seed in 0u64..1000,
         n in 1usize..7,
         l in 1usize..4,
         s in 1usize..8,
-        threads in 1usize..5,
-        batch_threads in 2usize..5,
-        chunk in 1usize..5,
+        threads in 1usize..9,
         workers in 0usize..5,
         fused in any::<bool>(),
     ) {
@@ -73,11 +71,8 @@ proptest! {
         let want = per_input_reference(&net, &xs, cfg, seed);
 
         let pool = WorkerPool::new(workers);
-        let parallel = ParallelConfig::with_threads(threads)
-            .with_batch_threads(batch_threads)
-            .with_chunk(chunk);
         let mut src = SoftwareMaskSource::new(seed);
-        let engine = Engine::new(&pool, parallel);
+        let engine = Engine::new(&pool, ParallelConfig::with_threads(threads));
         let plan = Plan::batched(&xs, 1, &mut src);
         let (got, cost) = RequestResult::stacked(&if fused {
             engine.run(&mut FloatBackend::fused(&net), plan, cfg)
@@ -87,24 +82,23 @@ proptest! {
         prop_assert_eq!(
             got.as_slice(),
             want.as_slice(),
-            "two-axis schedule changed the prediction (fused={}, workers={}, \
-             threads={}, batch_threads={}, chunk={})",
-            fused, workers, threads, batch_threads, chunk
+            "sample split changed the prediction (fused={}, workers={}, threads={})",
+            fused, workers, threads
         );
         prop_assert_eq!(cost.samples, n * s, "S per input item");
         prop_assert_eq!(cost.batch, n);
     }
 
-    /// Chunk-size overrides on the sample axis never move a byte, at
-    /// any thread count and pool size (the fused backend stacks
-    /// exactly `chunk` samples per GEMM, so this also pins the
-    /// stacked kernels' any-sub-chunking contract).
+    /// The sample chunks `threads` cuts never move a byte, at any pool
+    /// size (the fused backend stacks one `ceil(S / threads)`-sample
+    /// chunk per GEMM, and the last chunk is shorter whenever `threads`
+    /// does not divide `S`, so this also pins the stacked kernels'
+    /// any-sub-chunking contract).
     #[test]
     fn sample_chunking_is_bit_identical(
         seed in 0u64..1000,
         s in 1usize..10,
-        threads in 1usize..5,
-        chunk in 1usize..11,
+        threads in 1usize..11,
         workers in 0usize..4,
     ) {
         let net = models::lenet5(10, 1, 16, 5);
@@ -122,7 +116,7 @@ proptest! {
         let pool = WorkerPool::new(workers);
         let mut chunked = FloatBackend::fused(&net);
         let got = RequestResult::single(
-            Engine::new(&pool, ParallelConfig::with_threads(threads).with_chunk(chunk)).run(
+            Engine::new(&pool, ParallelConfig::with_threads(threads)).run(
                 &mut chunked,
                 Plan::one(&x, &mut SoftwareMaskSource::new(seed)),
                 cfg,
@@ -132,8 +126,8 @@ proptest! {
         prop_assert_eq!(
             got.as_slice(),
             want.as_slice(),
-            "chunk={} threads={} workers={} changed the prediction",
-            chunk, threads, workers
+            "threads={} workers={} changed the prediction",
+            threads, workers
         );
     }
 }

@@ -4,9 +4,9 @@
 //! What these pin down, beyond the bit-identity properties:
 //!
 //! * one shared [`WorkerPool`] survives many sequential *and*
-//!   concurrent predictive calls (nested batch × sample scheduling
-//!   included) without deadlock — every test body runs under a hard
-//!   watchdog deadline, so a wedged queue fails loudly instead of
+//!   concurrent predictive calls (several callers' sample chunks
+//!   queued at once) without deadlock — every test body runs under a
+//!   hard watchdog deadline, so a wedged queue fails loudly instead of
 //!   hanging CI;
 //! * the zero-sample and single-sample edges behave: `S = 0` panics
 //!   the *call* (cleanly, pool intact), `S = 1` serves;
@@ -39,7 +39,7 @@ fn with_deadline<F: FnOnce() + Send + 'static>(secs: u64, body: F) {
 }
 
 /// Unbatched predictive of `x` under `parallel` on `pool`.
-fn predictive<B: BayesBackend + Send>(
+fn predictive<B: BayesBackend>(
     backend: &mut B,
     x: &Tensor,
     cfg: BayesConfig,
@@ -53,7 +53,7 @@ fn predictive<B: BayesBackend + Send>(
 }
 
 /// `xs` served one item per group under `parallel` on `pool`.
-fn predictive_by_item<B: BayesBackend + Send>(
+fn predictive_by_item<B: BayesBackend>(
     backend: &mut B,
     xs: &Tensor,
     cfg: BayesConfig,
@@ -110,7 +110,7 @@ fn shared_pool_serves_sequential_and_concurrent_calls() {
         for round in 0..12u64 {
             let parallel = match round % 3 {
                 0 => ParallelConfig::with_threads(4),
-                1 => ParallelConfig::with_threads(2).with_chunk(1),
+                1 => ParallelConfig::with_threads(6),
                 _ => ParallelConfig::serial(),
             };
             let (probs, _) = predictive(
@@ -129,7 +129,7 @@ fn shared_pool_serves_sequential_and_concurrent_calls() {
         }
 
         // Concurrent callers (each its own backend + seed) sharing the
-        // pool, including nested batch × sample schedules.
+        // pool, each fanning its samples out over it.
         let mut joins = Vec::new();
         for t in 0..4u64 {
             let net = Arc::clone(&net);
@@ -137,7 +137,7 @@ fn shared_pool_serves_sequential_and_concurrent_calls() {
             joins.push(std::thread::spawn(move || {
                 let xs = test_input(3);
                 let mut backend = FloatBackend::new(&net);
-                let parallel = ParallelConfig::with_threads(2).with_batch_threads(2);
+                let parallel = ParallelConfig::with_threads(4);
                 let mut results = Vec::new();
                 for round in 0..4u64 {
                     let seed = t * 1000 + round;
@@ -216,8 +216,7 @@ fn zero_and_single_sample_edges() {
         );
         for parallel in [
             ParallelConfig::with_threads(4),
-            ParallelConfig::with_threads(1).with_chunk(3),
-            ParallelConfig::serial().with_batch_threads(4),
+            ParallelConfig::with_threads(1),
         ] {
             let mut backend = FloatBackend::new(&net);
             let (got, cost) = predictive(

@@ -31,8 +31,9 @@ pub struct NetConfig {
     pub tenants: TenantTable,
     /// Socket read timeout — the poll granularity at which idle
     /// connection workers re-check the shutdown flag. A peer that
-    /// starts a length prefix, a frame or an HTTP head and then goes
-    /// silent is dropped after 100 of these (~5 s at the default).
+    /// connects and never speaks, or starts a length prefix, a frame
+    /// or an HTTP head and then goes silent, is dropped after 100 of
+    /// these (~5 s at the default).
     pub read_timeout: Duration,
     /// Maximum simultaneously-open connections; excess accepts are
     /// closed immediately.
@@ -282,12 +283,14 @@ enum Framing {
 const SNIFF_TICK: Duration = Duration::from_millis(1);
 
 /// Peek the first four bytes without consuming them. `b"GET "` means
-/// HTTP; anything else is a binary length prefix. A peer that starts
-/// a prefix and stalls cannot pin a connection slot: the rest is
-/// waited for only as long as `wire::read_frame` lets a started frame
-/// stay silent ([`MAX_FRAME_STALLS`] read timeouts).
+/// HTTP; anything else is a binary length prefix. A peer that stays
+/// silent, or starts a prefix and stalls, cannot pin a connection
+/// slot: the four bytes are waited for only as long as
+/// `wire::read_frame` lets a started frame stay silent
+/// ([`MAX_FRAME_STALLS`] read timeouts).
 fn sniff(stream: &TcpStream, shared: &NetShared) -> Framing {
     let mut first = [0u8; 4];
+    let budget = shared.read_timeout * MAX_FRAME_STALLS;
     let mut waited = Duration::ZERO;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -299,18 +302,24 @@ fn sniff(stream: &TcpStream, shared: &NetShared) -> Framing {
             // A partial peek returns immediately; yield briefly so
             // the loop is not a busy spin while the rest of the
             // prefix is in flight.
-            Ok(1..=3) if waited < shared.read_timeout * MAX_FRAME_STALLS => {
+            Ok(1..=3) if waited < budget => {
                 thread::sleep(SNIFF_TICK);
                 waited += SNIFF_TICK;
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted => {}
-            // Closed, failed, or stalled mid-prefix.
+            // An empty peek waited out one read timeout.
+            Err(e) if waited < budget && read_stalled(&e) => waited += shared.read_timeout,
+            // Closed, failed, or silent past the budget.
             _ => return Framing::Gone,
         }
     }
+}
+
+/// Whether a read came back empty only because the socket's read
+/// timeout fired (or a signal interrupted it): the peer is silent, not
+/// gone.
+fn read_stalled(e: &io::Error) -> bool {
+    use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    matches!(e.kind(), WouldBlock | TimedOut | Interrupted)
 }
 
 /// One connection, start to finish.
@@ -647,11 +656,7 @@ fn serve_http(mut stream: TcpStream, shared: &NetShared) {
         match stream.read(&mut chunk) {
             Ok(0) => return,
             Ok(n) => head.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
+            Err(e) if read_stalled(&e) => {
                 stalls += 1;
                 if stalls >= MAX_FRAME_STALLS || shared.shutdown.load(Ordering::SeqCst) {
                     let _ = write_http(&mut stream, 408, "Request Timeout", JSON, "");

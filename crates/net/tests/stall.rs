@@ -1,7 +1,7 @@
-//! A peer that starts a length prefix or an HTTP head and then goes
-//! silent must not pin a connection slot: the front door holds both
-//! to the bound it puts on a stalled frame (100 read timeouts of
-//! silence) and then closes the connection.
+//! A peer that never speaks, or starts a length prefix or an HTTP head
+//! and then goes silent, must not pin a connection slot: the front
+//! door holds all three to the bound it puts on a stalled frame (100
+//! read timeouts of silence) and then closes the connection.
 
 use bnn_net::{NetClient, NetConfig, NetServer, Request, Response};
 use bnn_nn::models;
@@ -46,6 +46,11 @@ fn stall_with(partial: &[u8]) -> TcpStream {
 
     net.shutdown();
     stalled
+}
+
+#[test]
+fn a_silent_peer_frees_its_connection_slot() {
+    stall_with(&[]);
 }
 
 #[test]

@@ -30,22 +30,18 @@ use std::sync::Arc;
 /// boundary (`nodes.len()` when the run is fully deterministic) and one
 /// output slot per node, the prefix slots filled. Kept across `prepare`
 /// calls, so a warm backend re-sizes nothing.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Prepared {
     input: QTensor,
     split: usize,
     slots: Vec<QTensor>,
 }
 
-/// Int8 execution substrate over a quantized graph.
-///
-/// The graph (and the hardware model, when one is attached) is held
-/// behind an `Arc`: both are immutable at serving time, so
-/// [`BayesBackend::fork`] (batch-axis parallelism) and `Clone` are
-/// pointer bumps, not weight copies.
-#[derive(Debug, Clone)]
+/// Int8 execution substrate over a quantized graph it owns, with an
+/// optional hardware model attached.
+#[derive(Debug)]
 pub struct Int8Backend {
-    qgraph: Arc<QGraph>,
+    qgraph: QGraph,
     name: &'static str,
     model: Option<Arc<dyn HardwareModel>>,
     prepared: Option<Prepared>,
@@ -56,7 +52,7 @@ impl Int8Backend {
     /// hardware model).
     pub fn new(qgraph: QGraph) -> Int8Backend {
         Int8Backend {
-            qgraph: Arc::new(qgraph),
+            qgraph,
             name: "int8",
             model: None,
             prepared: None,
@@ -153,19 +149,6 @@ impl BayesBackend for Int8Backend {
 
     fn model_cost(&self, bayes: BayesConfig) -> Option<ModelCost> {
         self.model.as_ref().map(|model| model.model_cost(bayes))
-    }
-
-    fn fork(&self) -> Option<Self> {
-        // Graph and model are immutable at serving time, so a fork
-        // shares them (Arc bumps, no weight copy) and computes
-        // bit-identically — which is what batch-axis parallelism in
-        // the generic engine requires.
-        Some(Int8Backend {
-            qgraph: Arc::clone(&self.qgraph),
-            name: self.name,
-            model: self.model.clone(),
-            prepared: None,
-        })
     }
 }
 

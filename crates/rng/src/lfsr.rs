@@ -5,8 +5,6 @@
 //! form for widths up to 128 bits, with the tap tables used by the
 //! paper (Xilinx XAPP052 maximal-length polynomials).
 
-use crate::BitStream;
-
 /// Tap positions of a maximal-length LFSR polynomial.
 ///
 /// Positions are 1-indexed from the register input, matching the usual
@@ -68,10 +66,10 @@ impl TapSpec {
 /// # Example
 ///
 /// ```
-/// use bnn_rng::{Lfsr, BitStream};
+/// use bnn_rng::Lfsr;
 ///
 /// let mut lfsr = Lfsr::paper_128(1);
-/// let first: Vec<bool> = (0..8).map(|_| lfsr.next_bit()).collect();
+/// let first: Vec<bool> = (0..8).map(|_| lfsr.step()).collect();
 /// assert_eq!(first.len(), 8);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,88 +175,6 @@ impl Lfsr {
             w = (w << 1) | u64::from(self.step());
         }
         w
-    }
-}
-
-impl BitStream for Lfsr {
-    fn next_bit(&mut self) -> bool {
-        self.step()
-    }
-}
-
-/// A Galois (internal-XOR) LFSR over the same polynomial family.
-///
-/// Functionally equivalent to the Fibonacci form (same maximal period,
-/// decimated sequence) but with the XOR gates *inside* the shift chain,
-/// which is what synthesis tools typically infer for high clock rates —
-/// each register has at most one XOR in front of it. Provided so the
-/// sampler can be studied in either topology.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GaloisLfsr {
-    state: u128,
-    taps_mask: u128,
-    width: u32,
-    mask: u128,
-}
-
-impl GaloisLfsr {
-    /// Create a Galois LFSR from the same tap specification used by the
-    /// Fibonacci form.
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid width/taps (programming errors).
-    pub fn new(spec: TapSpec, seed: u128) -> GaloisLfsr {
-        assert!(spec.width >= 1 && spec.width <= 128, "width out of range");
-        let mask = if spec.width == 128 {
-            u128::MAX
-        } else {
-            (1u128 << spec.width) - 1
-        };
-        // Feedback mask = the polynomial minus its leading term: the
-        // coefficient of x^e lands on bit e, plus the constant term x^0.
-        let mut taps_mask = 1u128;
-        for &t in &spec.taps {
-            if t != 0 && t != spec.width {
-                taps_mask |= 1u128 << t;
-            }
-        }
-        let mut state = seed & mask;
-        if state == 0 {
-            state = 1;
-        }
-        GaloisLfsr {
-            state,
-            taps_mask,
-            width: spec.width,
-            mask,
-        }
-    }
-
-    /// Maximal-length Galois LFSR of a given width.
-    pub fn maximal(width: u32, seed: u64) -> Option<GaloisLfsr> {
-        TapSpec::maximal(width).map(|s| GaloisLfsr::new(s, seed as u128))
-    }
-
-    /// Current state.
-    pub fn state(&self) -> u128 {
-        self.state
-    }
-
-    /// Step one cycle, returning the output bit (the MSB shifted out).
-    pub fn step(&mut self) -> bool {
-        let out = (self.state >> (self.width - 1)) & 1 == 1;
-        self.state = (self.state << 1) & self.mask;
-        if out {
-            self.state ^= self.taps_mask;
-        }
-        out
-    }
-}
-
-impl BitStream for GaloisLfsr {
-    fn next_bit(&mut self) -> bool {
-        self.step()
     }
 }
 
@@ -425,47 +341,6 @@ mod tests {
         for i in 0..4 {
             assert_eq!(bank.reg_mut(i).cycles(), 1);
         }
-    }
-
-    #[test]
-    fn galois_period_is_maximal_8bit() {
-        let mut l = GaloisLfsr::maximal(8, 0x5A).expect("entry");
-        let start = l.state();
-        let mut period = 0u64;
-        loop {
-            l.step();
-            period += 1;
-            if l.state() == start {
-                break;
-            }
-            assert!(period <= 1 << 9, "period exceeded 2^9");
-        }
-        assert_eq!(period, 255, "Galois form shares the maximal period");
-    }
-
-    #[test]
-    fn galois_period_is_maximal_16bit() {
-        let mut l = GaloisLfsr::maximal(16, 0xACE1).expect("entry");
-        let start = l.state();
-        let mut period = 0u64;
-        loop {
-            l.step();
-            period += 1;
-            if l.state() == start {
-                break;
-            }
-            assert!(period <= 1 << 17);
-        }
-        assert_eq!(period, 65_535);
-    }
-
-    #[test]
-    fn galois_is_balanced() {
-        let mut l = GaloisLfsr::maximal(64, 0xDEAD_BEEF).expect("entry");
-        let n = 50_000;
-        let ones: u32 = (0..n).map(|_| u32::from(l.step())).sum();
-        let frac = f64::from(ones) / f64::from(n);
-        assert!((frac - 0.5).abs() < 0.02, "bit bias {frac}");
     }
 
     #[test]

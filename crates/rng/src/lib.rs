@@ -44,15 +44,5 @@ mod soft;
 pub use bernoulli::{BernoulliSampler, DropProbability, GateNetwork, SamplerStats, Sipo};
 pub use fifo::{Fifo, FifoFullError};
 pub use gaussian::{BoxMullerFixedSampler, CltGaussianSampler, GaussianSampler};
-pub use lfsr::{GaloisLfsr, Lfsr, LfsrBank, TapSpec};
+pub use lfsr::{Lfsr, LfsrBank, TapSpec};
 pub use soft::SoftRng;
-
-/// A source of single pseudo-random bits, one per hardware cycle.
-///
-/// Implemented by [`Lfsr`] and by gate combinations of several LFSRs.
-/// The trait is object-safe so heterogeneous bit sources can be mixed
-/// in a [`GateNetwork`].
-pub trait BitStream {
-    /// Advance one cycle and return the produced bit.
-    fn next_bit(&mut self) -> bool;
-}

@@ -2,7 +2,7 @@
 //!
 //! The paper's accelerator earns its throughput by batching Monte
 //! Carlo work so weights stream once per layer; the software engine
-//! mirrors that (fused chunks, the two-axis pooled schedule). This
+//! mirrors that (fused chunks, samples pooled over threads). This
 //! crate closes the remaining gap for *serving*: concurrent callers
 //! each submitting one input no longer own a whole session and pay
 //! the dispatch cost alone. A [`Server`] runs one resident dispatcher
@@ -793,10 +793,10 @@ impl ServerBuilder {
         self
     }
 
-    /// The engine schedule each micro-batch runs under:
-    /// `batch_threads` fans the coalesced requests out over forked
-    /// backends, `threads` splits each request's samples (default:
-    /// serial; replies are bit-identical at any setting).
+    /// The engine schedule each micro-batch runs under: the coalesced
+    /// requests run in order on the resident backend, and `threads`
+    /// splits each request's samples (default: serial; replies are
+    /// bit-identical at any setting).
     pub fn parallel(mut self, parallel: ParallelConfig) -> ServerBuilder {
         self.parallel = parallel;
         self

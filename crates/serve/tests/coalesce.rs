@@ -58,8 +58,7 @@ proptest! {
         n_requests in 1usize..9,
         max_batch in 1usize..6,
         max_wait_us in 0u64..3000,
-        threads in 1usize..4,
-        batch_threads in 1usize..4,
+        threads in 1usize..7,
         pool_large in any::<bool>(),
         fused in any::<bool>(),
         l in 1usize..4,
@@ -72,9 +71,7 @@ proptest! {
         let server = Server::for_graph(Arc::clone(&net))
             .backend(if fused { Backend::Fused } else { Backend::Float })
             .bayes(cfg)
-            .parallel(
-                ParallelConfig::with_threads(threads).with_batch_threads(batch_threads),
-            )
+            .parallel(ParallelConfig::with_threads(threads))
             .policy(BatchPolicy {
                 max_batch,
                 max_wait: Duration::from_micros(max_wait_us),
@@ -109,9 +106,8 @@ proptest! {
                 want.as_slice(),
                 "request (seed {}) diverged from solo serving \
                  (fused={}, max_batch={}, coalesced={}, workers={}, \
-                  threads={}, batch_threads={})",
-                seed, fused, max_batch, reply.coalesced, workers,
-                threads, batch_threads
+                  threads={})",
+                seed, fused, max_batch, reply.coalesced, workers, threads
             );
             prop_assert!(reply.coalesced >= 1 && reply.coalesced <= max_batch.max(1));
             prop_assert_eq!(reply.cost.samples, cfg.s);

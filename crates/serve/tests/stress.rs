@@ -76,7 +76,7 @@ fn many_clients_tiny_window_bounded_queue() {
         let server = Server::for_graph(Arc::clone(&net))
             .backend(Backend::Fused)
             .bayes(cfg)
-            .parallel(ParallelConfig::with_threads(2).with_batch_threads(2))
+            .parallel(ParallelConfig::with_threads(4))
             .policy(BatchPolicy {
                 max_batch: 4,
                 max_wait: Duration::from_micros(50),

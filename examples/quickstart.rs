@@ -51,10 +51,10 @@ fn main() {
     //    same seed -> same mask stream everywhere. Each session owns a
     //    persistent WorkerPool sized by its ParallelConfig (serial ->
     //    zero resident workers, inline execution); on a multi-core
-    //    host, opt into the two-axis schedule with e.g.
-    //    `.parallel(ParallelConfig::with_threads(4).with_batch_threads(2))`
-    //    or share one pool across sessions via `.pool(..)` — the
-    //    predictions are bit-identical under every schedule.
+    //    host, split the Monte Carlo samples over threads with e.g.
+    //    `.parallel(ParallelConfig::with_threads(4))` or share one
+    //    pool across sessions via `.pool(..)` — the predictions are
+    //    bit-identical under every schedule.
     let image = ds.test_x.select_item(0);
     let build = |backend: Backend| {
         Session::for_graph(&folded)

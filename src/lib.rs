@@ -56,7 +56,7 @@
 //! ```
 //!
 //! Every substrate implements [`mcd::BayesBackend`]; the sampling
-//! engine (mask pre-draw, two-axis batch × sample scheduling over a
+//! engine (mask pre-draw, Monte Carlo samples fanned over a
 //! persistent [`mcd::WorkerPool`], averaging, cost accounting) exists
 //! once, behind one entry point — [`mcd::Engine::run`] of a
 //! [`mcd::Plan`] (one tensor, a batched dataset, or
@@ -67,8 +67,8 @@
 //! per-call thread spawn. The conformance
 //! harness in [`mcd::conformance`] gives any new backend
 //! cross-substrate agreement coverage (shared mask stream, thread and
-//! pool-size invariance, batched-vs-unbatched serving, both schedule
-//! axes, coalescing invariance) in one `assert_backend_agrees` call —
+//! pool-size invariance, batched-vs-unbatched serving, coalescing
+//! invariance) in one `assert_backend_agrees` call —
 //! see `tests/backends.rs`.
 //!
 //! # Serving concurrent traffic: the `bnn-serve` front door

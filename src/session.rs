@@ -97,29 +97,22 @@ impl<'g> SessionBuilder<'g> {
         self
     }
 
-    /// The two-axis work schedule — sample-axis `threads`, batch-axis
-    /// `batch_threads`, optional sample `chunk` — for the Monte Carlo
-    /// passes (default: [`ParallelConfig::serial`]; results are
-    /// bit-identical at any setting).
+    /// The work schedule — how many `threads` the Monte Carlo passes
+    /// of each input batch are split over (default:
+    /// [`ParallelConfig::serial`]; results are bit-identical at any
+    /// setting).
     pub fn parallel(mut self, parallel: ParallelConfig) -> SessionBuilder<'g> {
         self.parallel = parallel;
         self
     }
 
-    /// Share an existing [`WorkerPool`] instead of letting the session
-    /// create its own (several sessions serving from one resident
-    /// thread team).
+    /// Use this [`WorkerPool`] instead of the session's own (default:
+    /// one sized by [`ParallelConfig::pool_workers`] — zero resident
+    /// workers, i.e. inline execution, for the serial default). Pass a
+    /// shared pool to serve several sessions from one resident thread
+    /// team.
     pub fn pool(mut self, pool: Arc<WorkerPool>) -> SessionBuilder<'g> {
         self.pool = Some(pool);
-        self
-    }
-
-    /// Size the session's own [`WorkerPool`] explicitly (default:
-    /// [`ParallelConfig::pool_workers`] for the configured schedule —
-    /// zero resident workers, i.e. inline execution, for the serial
-    /// default).
-    pub fn pool_workers(mut self, workers: usize) -> SessionBuilder<'g> {
-        self.pool = Some(Arc::new(WorkerPool::new(workers)));
         self
     }
 
@@ -178,16 +171,15 @@ impl<'g> SessionBuilder<'g> {
 ///
 /// Every session owns (or shares) a persistent [`WorkerPool`]: its
 /// worker threads are created once at `build` and every predictive
-/// call executes its batch/sample chunks on them, so no call pays
-/// per-call thread spawn. The pool is sized by the configured
+/// call executes its sample chunks on them, so no call pays per-call
+/// thread spawn. The pool is sized by the configured
 /// [`ParallelConfig`] — the serial default gets a zero-worker pool
-/// that runs inline — and can be overridden with
-/// [`SessionBuilder::pool_workers`] or shared across sessions with
-/// [`SessionBuilder::pool`]. Predictions are bit-identical at *any*
-/// pool size and any [`ParallelConfig`]: the two-axis schedule
-/// (`threads` over Monte Carlo samples, `batch_threads` over the
-/// batch groups of [`Session::predictive_batched`], `chunk` over the
-/// sample-chunk size) only changes wall-clock time.
+/// that runs inline — and can be replaced or shared across sessions
+/// with [`SessionBuilder::pool`]. Predictions are bit-identical at
+/// *any* pool size and any [`ParallelConfig`]: the schedule (`threads`
+/// over each batch's Monte Carlo samples; the batch groups of
+/// [`Session::predictive_batched`] run in order) only changes
+/// wall-clock time.
 pub struct Session<'g> {
     inner: BackendImpl<'g>,
     /// What the backend's own [`ModelInfo::name`] reads, known here

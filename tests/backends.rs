@@ -412,8 +412,8 @@ fn sample_probs_records_last_cost() {
 #[test]
 fn sessions_sharing_one_pool_serve_identically() {
     // One resident worker team behind several sessions (the serving
-    // deployment shape): every schedule — serial, sample-parallel,
-    // two-axis batched — must produce the session's canonical bytes.
+    // deployment shape): serial and sample-parallel, single and
+    // batched — every call must produce the session's canonical bytes.
     let (net, ds) = trained_lenet();
     let xs = test_batch(&ds, 4);
     let cfg = BayesConfig::new(2, 6);
@@ -435,7 +435,7 @@ fn sessions_sharing_one_pool_serve_identically() {
                     Backend::Float
                 })
                 .bayes(cfg)
-                .parallel(ParallelConfig::with_threads(4).with_batch_threads(2))
+                .parallel(ParallelConfig::with_threads(4))
                 .pool(std::sync::Arc::clone(&pool))
                 .seed(21)
                 .build()
@@ -454,50 +454,8 @@ fn sessions_sharing_one_pool_serve_identically() {
         assert_eq!(
             got.as_slice(),
             want_batched.as_slice(),
-            "{}: shared-pool two-axis batched serving diverged",
+            "{}: shared-pool batched serving diverged",
             session.backend_name()
-        );
-    }
-}
-
-#[test]
-fn int8_and_accel_batch_parallel_serving_is_bit_identical() {
-    // The batch axis on the integer substrates: three single-item
-    // groups fanned over forked backends (Arc-shared model, fresh
-    // prepared state per group) must reproduce the sequential loop
-    // byte for byte — the accelerator's batch-1 constraint is exactly
-    // why batch_threads is its only parallel axis.
-    let (net, ds) = trained_lenet();
-    let folded = net.fold_batch_norm();
-    let qg = Quantizer::new(&folded).calibrate(&ds.train_x).quantize();
-    let accel = Accelerator::new(AccelConfig::default(), &folded, &qg, ds.image_shape());
-    let xs = test_batch(&ds, 3);
-    let cfg = BayesConfig::new(2, 4);
-
-    for fpga in [false, true] {
-        let build = |parallel: ParallelConfig| {
-            let backend = if fpga {
-                Backend::Accel(accel.clone())
-            } else {
-                Backend::Int8(qg.clone())
-            };
-            Session::for_graph(&folded)
-                .backend(backend)
-                .bayes(cfg)
-                .parallel(parallel)
-                .seed(13)
-                .build()
-        };
-        let mut serial = build(ParallelConfig::serial());
-        let want = serial.predictive_batched(&xs, 1);
-        let mut parallel = build(ParallelConfig::serial().with_batch_threads(2));
-        assert!(parallel.pool().workers() > 0, "batch axis must get a pool");
-        let got = parallel.predictive_batched(&xs, 1);
-        assert_eq!(
-            got.as_slice(),
-            want.as_slice(),
-            "{}: batch-parallel serving diverged from sequential",
-            parallel.backend_name()
         );
     }
 }
@@ -651,10 +609,7 @@ fn session_serve_requests_bit_identical_on_all_substrates() {
                     .predictive(x)
             })
             .collect();
-        for parallel in [
-            ParallelConfig::serial(),
-            ParallelConfig::serial().with_batch_threads(3),
-        ] {
+        for parallel in [ParallelConfig::serial(), ParallelConfig::with_threads(3)] {
             let mut session = Session::for_graph(&folded)
                 .backend(make())
                 .bayes(cfg)
@@ -668,8 +623,8 @@ fn session_serve_requests_bit_identical_on_all_substrates() {
                     out.probs.as_slice(),
                     want.as_slice(),
                     "{label}: coalesced request {i} diverged from solo serving \
-                     (batch_threads={})",
-                    parallel.batch_threads
+                     (threads={})",
+                    parallel.threads
                 );
                 assert_eq!(out.passes.len(), cfg.s);
                 assert_eq!(out.cost.samples, cfg.s);

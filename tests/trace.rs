@@ -15,9 +15,9 @@
 //! * on the wire, lock-step and pipelined alike, a request's
 //!   `admission` / `submit` / `writer_wait` spans start no earlier
 //!   than the `request` root they nest under;
-//! * the batch-parallel schedule is as visible as the sequential one:
-//!   every group records its `prepare` and `forward` spans whichever
-//!   fork runs it;
+//! * a batched predictive on a shared pool is as visible as a lone
+//!   one: every group records its `prepare` and `forward` spans, and
+//!   every sample chunk its `chunk` span whichever worker runs it;
 //! * a full per-thread ring evicts oldest events instead of blocking
 //!   the recording thread;
 //! * the front door's `/metrics` and `/trace` endpoints round-trip
@@ -30,7 +30,7 @@
 
 use bnn_fpga::accel::{AccelConfig, Accelerator};
 use bnn_fpga::data::synth_mnist;
-use bnn_fpga::mcd::{BayesConfig, ParallelConfig};
+use bnn_fpga::mcd::{BayesConfig, ParallelConfig, WorkerPool};
 use bnn_fpga::quant::Quantizer;
 use bnn_fpga::tensor::Tensor;
 use bnn_fpga::trace::{self, Stage};
@@ -341,11 +341,12 @@ fn batch_parallel_predictive_records_prepare_and_forward_spans() {
     for i in 0..4 {
         xs.item_mut(i).copy_from_slice(ds.test_x.item(i));
     }
+    let pool = Arc::new(WorkerPool::new(2));
     let session = |parallel: ParallelConfig| {
         Session::for_graph(&folded)
             .bayes(BayesConfig::new(2, 4))
             .parallel(parallel)
-            .pool_workers(2)
+            .pool(Arc::clone(&pool))
             .seed(31)
             .build()
     };
@@ -353,22 +354,22 @@ fn batch_parallel_predictive_records_prepare_and_forward_spans() {
 
     trace::set_enabled(true);
     trace::reset();
-    let mut forked = session(ParallelConfig::serial().with_batch_threads(2));
-    let got = forked.predictive_batched(&xs, 1);
+    let mut split = session(ParallelConfig::with_threads(2));
+    let got = split.predictive_batched(&xs, 1);
     trace::set_enabled(false);
     let events: Vec<trace::Event> = trace::drain().into_iter().flat_map(|t| t.events).collect();
-    for stage in [Stage::Prepare, Stage::Forward] {
+    for (stage, per_group) in [(Stage::Prepare, 1), (Stage::Forward, 1), (Stage::Chunk, 2)] {
         assert_eq!(
             events.iter().filter(|e| e.stage == stage).count(),
-            4,
-            "one {} span per group on the batch-parallel schedule",
+            4 * per_group,
+            "{per_group} {} span(s) per group at two sample-axis threads",
             stage.name()
         );
     }
     assert_eq!(
         got.as_slice(),
         want.as_slice(),
-        "batch-parallel schedule moved the prediction"
+        "the sample split moved the prediction"
     );
     trace::reset();
 }
