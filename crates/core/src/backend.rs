@@ -13,10 +13,11 @@
 //! execution, while the bytes come from the same executor as the
 //! `int8` substrate.
 //!
-//! The tiled PE loop nest ([`Accelerator::run_with_masks`]) computes
-//! the same bytes — the tests below and the facade's conformance suite
-//! assert it, bit for bit — and is the bit-exactness reference, on no
-//! serving path.
+//! The simulator's own run ([`Accelerator::run_with_masks`]) is the
+//! same integer kernel at the PE array's tile instead of the serving
+//! tile, so it computes the same bytes — the tests below and the
+//! facade's conformance suite assert it, bit for bit, and both sides
+//! are checked against `bnn-quant`'s direct reference loops.
 
 use crate::engine::Accelerator;
 use bnn_mcd::{BayesConfig, HardwareModel, ModelCost};
@@ -97,7 +98,7 @@ mod tests {
             assert_eq!(
                 pass.as_slice(),
                 reference.as_slice(),
-                "backend diverged from the tiled engine"
+                "backend diverged from the simulator's run"
             );
         }
     }

@@ -1,5 +1,7 @@
 //! Accelerator configuration: parallelism, clock, memory interface.
 
+use bnn_quant::Tile;
+
 /// Off-chip DDR interface model.
 ///
 /// Transfers are modelled as `setup + bytes / bytes_per_cycle`:
@@ -109,6 +111,16 @@ impl AccelConfig {
             }
         }
         out
+    }
+
+    /// The PE array as the integer kernel's tile: `P_F` filters × `P_V`
+    /// pixels × `P_C` reduction taps.
+    pub fn tile(&self) -> Tile {
+        Tile {
+            pf: self.pf,
+            pv: self.pv,
+            pc: self.pc,
+        }
     }
 
     /// Total multipliers in the PE array.

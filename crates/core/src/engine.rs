@@ -1,16 +1,17 @@
 //! The functional neural network engine: executes a quantized graph
-//! exactly as the hardware would — tiled matrix arithmetic, the FU
-//! chain, a dropout unit fed by the LFSR Bernoulli sampler, and
-//! intermediate-layer caching across Monte Carlo samples.
+//! exactly as the hardware would — the integer kernel in the PE array's
+//! tile order, the FU chain, a dropout unit fed by the LFSR Bernoulli
+//! sampler, and intermediate-layer caching across Monte Carlo samples.
 
 use crate::config::AccelConfig;
 use crate::perf::{NetworkTiming, PerfModel};
 use bnn_mcd::{active_sites, BayesConfig};
 use bnn_nn::arch::{extract_layers, LayerDesc};
 use bnn_nn::{Graph, MaskSet};
-use bnn_quant::{exec_qnode, QGraph, QNode, QNodeOp, QTensor};
+use bnn_quant::{exec_qnode_tiled, QGraph, QNodeOp, QTensor};
 use bnn_rng::{BernoulliSampler, DropProbability, SamplerStats};
 use bnn_tensor::{softmax_rows, Shape4, Tensor};
+use std::ops::Range;
 
 /// Off-chip traffic of one complete `{L, S}` prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -39,6 +40,11 @@ pub struct AccelRun {
     pub predictive: Tensor,
     /// Cycle-level timing (from the performance model).
     pub timing: NetworkTiming,
+    /// PE-array tiles the kernel ran per fused layer (execution order),
+    /// summed over the run: once per prefix layer, `S` times per suffix
+    /// layer — what [`PerfModel::tiles`] charges, counted by the code
+    /// that computed the bytes.
+    pub tiles: Vec<u64>,
     /// Off-chip traffic.
     pub traffic: MemTraffic,
     /// Bernoulli-sampler statistics after the run.
@@ -166,22 +172,36 @@ impl Accelerator {
         let split = self
             .qgraph
             .suffix_split(&active_sites(self.qgraph.n_sites(), bayes.l));
-        let station =
-            |node: &QNode, outs: &[QTensor], input: &QTensor, masks: &MaskSet, y: &mut QTensor| {
-                self.exec_station(node, outs, input, masks, y)
-            };
+        let tile = self.cfg.tile();
+        let (mut outs, mut ops) = (self.qgraph.slots(), Vec::new());
+        let mut tiles = vec![0u64; self.layers.len()];
+        // One node per walk, so each kernel call's tile count lands on
+        // its layer.
+        let mut walk = |range: Range<usize>, masks: &MaskSet, outs: &mut [QTensor]| {
+            for id in range {
+                self.qgraph.walk(
+                    id..id + 1,
+                    &input,
+                    masks,
+                    outs,
+                    |node, done, input, masks, y| {
+                        let ran = exec_qnode_tiled(tile, &mut ops, node, done, input, masks, y);
+                        if let Some(layer) = self.desc_of_node[id] {
+                            tiles[layer] += ran;
+                        }
+                    },
+                );
+            }
+        };
 
         // Prefix: executed once, like hardware with IC enabled. Suffix:
         // once per Monte Carlo sample with fresh masks, each walk
         // overwriting the same suffix slots over the cached prefix.
-        let mut outs = self.qgraph.slots();
-        self.qgraph
-            .walk(0..split, &input, &MaskSet::none(), &mut outs, station);
+        walk(0..split, &MaskSet::none(), &mut outs);
         let logits_per_sample: Vec<Tensor> = mask_sets
             .iter()
             .map(|masks| {
-                self.qgraph
-                    .walk(split..nodes, &input, masks, &mut outs, station);
+                walk(split..nodes, masks, &mut outs);
                 self.qgraph
                     .dequantize_output(&outs[self.qgraph.output_id()])
             })
@@ -206,6 +226,7 @@ impl Accelerator {
             logits_per_sample,
             predictive: acc,
             timing,
+            tiles,
             traffic,
             sampler: SamplerStats {
                 cycles: 0,
@@ -228,64 +249,6 @@ impl Accelerator {
     pub fn traffic_model(&self, bayes: BayesConfig) -> MemTraffic {
         let active = active_sites(self.qgraph.n_sites(), bayes.l);
         self.traffic(bayes, self.qgraph.suffix_split(&active))
-    }
-
-    /// Execute one station into its slot `y` — the tiled write-into
-    /// node executor [`Accelerator::run_with_masks`] hands to
-    /// [`QGraph::walk`]: matrix ops go through the tiled PE path,
-    /// everything else through the shared FU implementations
-    /// ([`exec_qnode`]).
-    pub fn exec_station(
-        &self,
-        node: &QNode,
-        outs: &[QTensor],
-        input: &QTensor,
-        masks: &MaskSet,
-        y: &mut QTensor,
-    ) {
-        match &node.op {
-            QNodeOp::Conv {
-                k,
-                stride,
-                pad,
-                w,
-                bias,
-                requant,
-                zx,
-                zy,
-                ..
-            } => tiled_conv(
-                &self.cfg,
-                &outs[node.inputs[0]],
-                *k,
-                *stride,
-                *pad,
-                w,
-                bias,
-                requant,
-                *zx,
-                *zy,
-                y,
-            ),
-            QNodeOp::Linear {
-                w,
-                bias,
-                requant,
-                zx,
-                zy,
-                ..
-            } => tiled_linear(
-                &self.cfg,
-                &outs[node.inputs[0]],
-                w,
-                bias,
-                requant,
-                *zx,
-                *zy,
-                y,
-            ),
-            _ => exec_qnode(node, outs, input, masks, y),
-        }
     }
 
     /// Off-chip traffic for a `{L,S}` run with IC, split at node id
@@ -312,115 +275,6 @@ impl Accelerator {
             t.output_bytes += d.output_bytes(dw) * invocations;
         }
         t
-    }
-}
-
-/// Tiled integer convolution into `y` (whose shape fixes the output
-/// channels and extent): the PE loop nest (filter tiles of `P_F`) ×
-/// (pixel tiles of `P_V`) × (reduction tiles of `P_C` over `C·K²`).
-/// Integer accumulation is associative, so the result is bit-exact
-/// against the reference executor while the loop structure mirrors the
-/// RTL schedule.
-#[allow(clippy::too_many_arguments)]
-fn tiled_conv(
-    cfg: &AccelConfig,
-    x: &QTensor,
-    k: usize,
-    stride: usize,
-    pad: usize,
-    w: &[i8],
-    bias: &[i32],
-    requant: &[bnn_quant::FixedMul],
-    zx: i32,
-    zy: i32,
-    y: &mut QTensor,
-) {
-    let s = x.shape;
-    let Shape4 {
-        c: out_c,
-        h: ho,
-        w: wo,
-        ..
-    } = y.shape;
-    let red = s.c * k * k;
-    let (pf, pv, pc) = (cfg.pf, cfg.pv, cfg.pc);
-    let pixels = ho * wo;
-
-    // Gather the im2col reduction vector for one output pixel lazily.
-    let tap = |xi: &[u8], r: usize, oy: usize, ox: usize| -> i32 {
-        let c = r / (k * k);
-        let ky = (r / k) % k;
-        let kx = r % k;
-        let iy = (oy * stride + ky) as isize - pad as isize;
-        let ix = (ox * stride + kx) as isize - pad as isize;
-        if iy < 0 || iy >= s.h as isize || ix < 0 || ix >= s.w as isize {
-            zx // padding reads the zero point: (zx - zx) * w = 0
-        } else {
-            i32::from(xi[(c * s.h + iy as usize) * s.w + ix as usize])
-        }
-    };
-
-    for n in 0..s.n {
-        let xi = x.item(n);
-        let yi = y.item_mut(n);
-        for f0 in (0..out_c).step_by(pf) {
-            for px0 in (0..pixels).step_by(pv) {
-                // One PE invocation: PF × PV accumulators.
-                for f in f0..(f0 + pf).min(out_c) {
-                    let wrow = &w[f * red..(f + 1) * red];
-                    for px in px0..(px0 + pv).min(pixels) {
-                        let (oy, ox) = (px / wo, px % wo);
-                        let mut acc = bias[f];
-                        // Reduction streamed through PC-wide tiles.
-                        for r0 in (0..red).step_by(pc) {
-                            let mut tree = 0i32; // adder-tree partial
-                            let re = (r0 + pc).min(red);
-                            for (r, &wv) in wrow.iter().enumerate().take(re).skip(r0) {
-                                tree += (tap(xi, r, oy, ox) - zx) * i32::from(wv);
-                            }
-                            acc += tree;
-                        }
-                        yi[(f * ho + oy) * wo + ox] =
-                            (zy + requant[f].apply(acc)).clamp(0, 255) as u8;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Tiled integer FC layer into `y` (a 1×1 convolution on a 1×1
-/// feature map; `y`'s item length is the output width).
-#[allow(clippy::too_many_arguments)]
-fn tiled_linear(
-    cfg: &AccelConfig,
-    x: &QTensor,
-    w: &[i8],
-    bias: &[i32],
-    requant: &[bnn_quant::FixedMul],
-    zx: i32,
-    zy: i32,
-    y: &mut QTensor,
-) {
-    let (in_f, out_f) = (x.shape.item_len(), y.shape.item_len());
-    let (pf, pc) = (cfg.pf, cfg.pc);
-    for n in 0..x.shape.n {
-        let xi = x.item(n);
-        let yi = y.item_mut(n);
-        for f0 in (0..out_f).step_by(pf) {
-            for f in f0..(f0 + pf).min(out_f) {
-                let wrow = &w[f * in_f..(f + 1) * in_f];
-                let mut acc = bias[f];
-                for r0 in (0..in_f).step_by(pc) {
-                    let mut tree = 0i32;
-                    for r in r0..(r0 + pc).min(in_f) {
-                        tree += (i32::from(xi[r]) - zx) * i32::from(wrow[r]);
-                    }
-                    acc += tree;
-                }
-                yi[f] = (zy + requant[f].apply(acc)).clamp(0, 255) as u8;
-            }
-        }
     }
 }
 
@@ -461,7 +315,7 @@ mod tests {
         assert_eq!(
             run.logits_per_sample[0].as_slice(),
             reference.as_slice(),
-            "tiled engine must be bit-exact against the reference executor"
+            "the simulator must be bit-exact against the reference executor"
         );
     }
 

@@ -17,14 +17,16 @@
 //!   control overhead, intermediate-layer caching (IC) → Tables I/III,
 //!   throughput for Table IV.
 //! * [`Accelerator`] — the functional neural network engine: executes
-//!   a quantized [`bnn_quant::QGraph`] with hardware loop tiling, the
-//!   FU chain (BN folded → ReLU → pool → shortcut) and a dropout unit
+//!   a quantized [`bnn_quant::QGraph`] through `bnn-quant`'s integer
+//!   kernel in the PE array's `(P_F, P_V, P_C)` tile order, the FU
+//!   chain (BN folded → ReLU → pool → shortcut) and a dropout unit
 //!   driven by the bit-exact LFSR Bernoulli sampler. Its outputs are
 //!   bit-identical to the `bnn-quant` reference executor — tested, not
-//!   assumed — which is what lets the *serving* substrate
-//!   ([`Accelerator::into_backend`]) take its values from that integer
-//!   executor and only its costs from the models above: the tiled
-//!   engine is the bit-exactness reference, not a serving path.
+//!   assumed — and the tiles its kernel runs are the tiles
+//!   [`PerfModel`] charges, also tested. The *serving* substrate
+//!   ([`Accelerator::into_backend`]) is the int8 backend, the same
+//!   kernel at a register-sized tile, with the models above attached
+//!   for its costs.
 //! * [`pe_clocked`] — a small clocked model of one processing-unit
 //!   tile that cross-validates the analytic cycle formula.
 //!

@@ -88,6 +88,17 @@ impl PerfModel {
         &self.cfg
     }
 
+    /// PE-array tiles of one layer invocation:
+    /// `ceil(F / P_F) · ceil(Ho·Wo / P_V) · ceil(C·K² / P_C)`, one per
+    /// compute cycle.
+    pub fn tiles(&self, l: &LayerDesc) -> u64 {
+        let c = &self.cfg;
+        let f_tiles = l.out_c.div_ceil(c.pf);
+        let v_tiles = (l.out_h * l.out_w).div_ceil(c.pv);
+        let red_tiles = (l.in_c * l.k * l.k).div_ceil(c.pc);
+        (f_tiles * v_tiles * red_tiles) as u64
+    }
+
     /// Timing of one layer invocation.
     ///
     /// `input_offchip` — whether the input feature map must be fetched
@@ -100,12 +111,8 @@ impl PerfModel {
         output_offchip: bool,
     ) -> LayerTiming {
         let c = &self.cfg;
-        let red = (l.in_c * l.k * l.k) as u64; // C·K² reduction length
-        let f_tiles = (l.out_c as u64).div_ceil(c.pf as u64);
-        let v_tiles = ((l.out_h * l.out_w) as u64).div_ceil(c.pv as u64);
-        let red_tiles = red.div_ceil(c.pc as u64);
         let fill = (c.pc.ilog2() as u64) + 4; // adder tree + FU pipeline
-        let compute = f_tiles * v_tiles * red_tiles + fill;
+        let compute = self.tiles(l) + fill;
 
         let dw = c.dw_bytes;
         let mut bytes = l.weight_bytes(dw);

@@ -1,14 +1,16 @@
-//! Property test: the tiled accelerator engine is bit-exact against
-//! the int8 reference executor for *randomly generated* networks, mask
-//! patterns and parallelism configurations — not just the hand-picked
-//! models — and the one integer node-range walk (`QGraph::walk`) is
-//! the same function at every prefix/suffix cut under either node
-//! executor.
+//! Property test: the accelerator engine (the integer kernel in the PE
+//! array's tile order) is bit-exact against the int8 reference
+//! executor for *randomly generated* networks, mask patterns and
+//! parallelism configurations — not just the hand-picked models — the
+//! one integer node-range walk (`QGraph::walk`) is the same function at
+//! every prefix/suffix cut under either node executor, and the tiles
+//! the kernel runs are the tiles the cycle model charges.
 
-use bnn_accel::{AccelConfig, Accelerator};
-use bnn_mcd::BayesConfig;
-use bnn_nn::{Graph, GraphBuilder, MaskSet};
-use bnn_quant::{exec_qnode, QNode, QTensor, Quantizer};
+use bnn_accel::{AccelConfig, Accelerator, PerfModel};
+use bnn_mcd::{active_sites, BayesConfig};
+use bnn_nn::arch::first_bayesian_layer;
+use bnn_nn::{models, Graph, GraphBuilder, MaskSet};
+use bnn_quant::{exec_qnode, exec_qnode_tiled, QNode, QTensor, Quantizer};
 use bnn_rng::SoftRng;
 use bnn_tensor::{Shape4, Tensor};
 use proptest::prelude::*;
@@ -149,7 +151,7 @@ proptest! {
         use_pool in any::<bool>(),
     ) {
         // Prefix + suffix projections of `QGraph::walk` — with the
-        // integer executor and with the tiled PE stations — against
+        // reference executor and with the tiled kernel — against
         // `forward_trace`, node by node, at every split point. One slot
         // vector serves every walk, and each suffix is first run under
         // other masks, so an executor that failed to overwrite its
@@ -164,10 +166,11 @@ proptest! {
             (0..calib_shape.len()).map(|_| rng.normal_f32(0.0, 1.0)).collect(),
         );
         let qg = Quantizer::new(&folded).calibrate(&calib).quantize();
-        let accel = Accelerator::new(AccelConfig::with_parallelism(4, 4, 8), &folded, &qg, input_shape);
-        let station =
+        let tile = AccelConfig::with_parallelism(4, 4, 8).tile();
+        let mut ops = Vec::new();
+        let mut station =
             |node: &QNode, outs: &[QTensor], input: &QTensor, masks: &MaskSet, y: &mut QTensor| {
-                accel.exec_station(node, outs, input, masks, y)
+                exec_qnode_tiled(tile, &mut ops, node, outs, input, masks, y);
             };
 
         let channels = folded.site_channels(input_shape);
@@ -185,10 +188,73 @@ proptest! {
             qg.walk(split..n, &input, &other, &mut outs, exec_qnode);
             qg.walk(split..n, &input, &masks, &mut outs, exec_qnode);
             prop_assert_eq!(&outs, &trace, "exec_qnode walk diverged at split {}", split);
-            qg.walk(0..split, &input, &masks, &mut outs, station);
-            qg.walk(split..n, &input, &other, &mut outs, station);
-            qg.walk(split..n, &input, &masks, &mut outs, station);
+            qg.walk(0..split, &input, &masks, &mut outs, &mut station);
+            qg.walk(split..n, &input, &other, &mut outs, &mut station);
+            qg.walk(split..n, &input, &masks, &mut outs, &mut station);
             prop_assert_eq!(&outs, &trace, "tiled walk diverged at split {}", split);
+        }
+    }
+}
+
+/// Random calibration data and its quantization of a BN-folded graph.
+fn quantize(folded: &Graph, input: Shape4, seed: u64) -> (bnn_quant::QGraph, Tensor) {
+    let mut rng = SoftRng::new(seed);
+    let shape = input.with_n(2);
+    let calib = Tensor::from_vec(
+        shape,
+        (0..shape.len()).map(|_| rng.normal_f32(0.0, 1.0)).collect(),
+    );
+    (Quantizer::new(folded).calibrate(&calib).quantize(), calib)
+}
+
+#[test]
+fn kernel_tile_counts_equal_the_cycle_models() {
+    // The cycle model charges `PerfModel::tiles` compute cycles per
+    // layer invocation; the kernel that computes the bytes counts the
+    // tiles it runs. Over one `run_with_masks` the two must agree layer
+    // by layer: once per prefix layer, S times per suffix layer. The
+    // last tile, (pc, pf, pv) = (3, 7, 5), leaves a partial tile on
+    // most filter, pixel and reduction extents of both nets.
+    let (lenet, lenet_shape) = (
+        models::lenet5(10, 1, 16, 3).fold_batch_norm(),
+        Shape4::new(1, 1, 16, 16),
+    );
+    let (random, random_shape) = random_net(11, 3, &[3, 5], 3, true, true);
+    let s = 3;
+    for (net, input) in [
+        (lenet, lenet_shape),
+        (random.fold_batch_norm(), random_shape),
+    ] {
+        let (qg, calib) = quantize(&net, input, 5);
+        let img = calib.select_item(0);
+        for (pc, pf, pv) in [(64, 64, 1), (8, 8, 1), (16, 32, 4), (3, 7, 5)] {
+            let cfg = AccelConfig::with_parallelism(pc, pf, pv);
+            let accel = Accelerator::new(cfg, &net, &qg, input);
+            for l in [1, net.n_sites()] {
+                let active = active_sites(net.n_sites(), l);
+                let channels = net.site_channels(input);
+                let mut rng = SoftRng::new(l as u64);
+                let mask_sets: Vec<MaskSet> = (0..s)
+                    .map(|_| MaskSet::sample_software(&active, &channels, 0.25, &mut rng))
+                    .collect();
+                let run = accel.run_with_masks(&img, BayesConfig { l, s, p: 0.25 }, &mask_sets);
+                let split = first_bayesian_layer(accel.layers(), l);
+                let want: Vec<u64> = accel
+                    .layers()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, layer)| {
+                        let runs = if i < split { 1 } else { s as u64 };
+                        PerfModel::new(cfg).tiles(layer) * runs
+                    })
+                    .collect();
+                assert_eq!(
+                    run.tiles,
+                    want,
+                    "{}: tiles at (pc, pf, pv) = ({pc}, {pf}, {pv}), L = {l}",
+                    net.name()
+                );
+            }
         }
     }
 }

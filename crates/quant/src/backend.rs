@@ -3,38 +3,43 @@
 //! both the `int8` and the `accel` names.
 //!
 //! `prepare` quantizes the input once and runs the deterministic
-//! prefix (every node before the first active MCD site) through the
-//! integer executor [`exec_qnode`] — the same intermediate-layer
-//! caching the accelerator applies. Each Monte Carlo pass then
-//! re-runs only the Bayesian suffix, dequantizes the logits and
-//! softmaxes them, so the generic engine in `bnn-mcd` can average int8
-//! samples exactly like float ones. Both passes are projections of
-//! [`QGraph::walk`] over one output slot per node: the slots are sized
-//! once and then overwritten in place, so a warm suffix walk
+//! prefix (every node before the first active MCD site) — the same
+//! intermediate-layer caching the accelerator applies. Each Monte Carlo
+//! pass then re-runs only the Bayesian suffix, dequantizes the logits
+//! and softmaxes them, so the generic engine in `bnn-mcd` can average
+//! int8 samples exactly like float ones. Both passes are projections of
+//! [`QGraph::walk`] over one output slot per node, with the tiled
+//! integer kernel ([`exec_qnode_tiled`]) at its register-sized serving
+//! tile as the node executor. The slots and the kernel's operand buffer
+//! are sized once and then overwritten in place, so a warm suffix walk
 //! allocates nothing.
 //!
 //! The accelerator substrate is this backend with the simulator's
 //! analytic [`HardwareModel`] attached ([`Int8Backend::with_model`],
 //! called by `bnn_accel::Accelerator::into_backend`): its *values* are
 //! exactly the quantized network's, its *costs* are the model's. The
-//! simulator's tiled PE loop nest computes the same bytes and stays
-//! the bit-exactness reference in tests, off the serving path.
+//! simulator runs the same kernel at its PE array's tile, and
+//! [`QGraph::forward`]'s direct loops ([`crate::exec_qnode`]) stay the
+//! independent reference both are tested against.
 
-use crate::qgraph::{exec_qnode, QGraph, QTensor};
+use crate::kernel::{exec_qnode_tiled, Tile};
+use crate::qgraph::{QGraph, QNode, QTensor};
 use bnn_mcd::{BayesBackend, BayesConfig, HardwareModel, ModelCost, ModelInfo};
 use bnn_nn::MaskSet;
 use bnn_tensor::{softmax_rows, Shape4, Tensor};
 use std::sync::Arc;
 
 /// What `prepare` binds: the quantized input batch, the suffix
-/// boundary (`nodes.len()` when the run is fully deterministic) and one
-/// output slot per node, the prefix slots filled. Kept across `prepare`
-/// calls, so a warm backend re-sizes nothing.
+/// boundary (`nodes.len()` when the run is fully deterministic), one
+/// output slot per node, the prefix slots filled, and the kernel's
+/// operand buffer. Kept across `prepare` calls, so a warm backend
+/// re-sizes nothing.
 #[derive(Debug)]
 struct Prepared {
     input: QTensor,
     split: usize,
     slots: Vec<QTensor>,
+    ops: Vec<i16>,
 }
 
 /// Int8 execution substrate over a quantized graph it owns, with an
@@ -87,8 +92,19 @@ impl Int8Backend {
     }
 }
 
+/// The serving node executor [`QGraph::walk`] takes: the tiled kernel
+/// at its serving tile over the operand buffer `ops`.
+fn serve(
+    ops: &mut Vec<i16>,
+) -> impl FnMut(&QNode, &[QTensor], &QTensor, &MaskSet, &mut QTensor) + '_ {
+    move |node, outs, input, masks, y| {
+        exec_qnode_tiled(Tile::SERVE, ops, node, outs, input, masks, y);
+    }
+}
+
 impl BayesBackend for Int8Backend {
-    type Scratch = Vec<QTensor>;
+    /// One worker's node slots and kernel operand buffer.
+    type Scratch = (Vec<QTensor>, Vec<i16>);
 
     fn info(&self, input: Shape4) -> ModelInfo {
         ModelInfo {
@@ -107,36 +123,46 @@ impl BayesBackend for Int8Backend {
         );
         let input = self.qgraph.quantize_input(x);
         let split = self.qgraph.suffix_split(active);
-        let mut slots = match self.prepared.take() {
-            Some(prepared) => prepared.slots,
-            None => self.qgraph.slots(),
+        let (mut slots, mut ops) = match self.prepared.take() {
+            Some(prepared) => (prepared.slots, prepared.ops),
+            None => (self.qgraph.slots(), Vec::new()),
         };
-        self.qgraph
-            .walk(0..split, &input, &MaskSet::none(), &mut slots, exec_qnode);
+        self.qgraph.walk(
+            0..split,
+            &input,
+            &MaskSet::none(),
+            &mut slots,
+            serve(&mut ops),
+        );
         self.prepared = Some(Prepared {
             input,
             split,
             slots,
+            ops,
         });
     }
 
     /// A per-worker scratch: the slots (prefix outputs included) are
     /// cloned once per worker, not once per sample.
-    fn make_scratch(&self) -> Vec<QTensor> {
-        self.prepared().slots.clone()
+    fn make_scratch(&self) -> (Vec<QTensor>, Vec<i16>) {
+        (self.prepared().slots.clone(), Vec::new())
     }
 
     /// One suffix walk per mask set over the worker's slots (each walk
     /// overwrites the suffix slots in place), then dequantize and
     /// softmax the logits.
-    fn forward_batch(&self, mask_sets: &[MaskSet], outs: &mut Vec<QTensor>) -> Vec<Tensor> {
+    fn forward_batch(
+        &self,
+        mask_sets: &[MaskSet],
+        (outs, ops): &mut (Vec<QTensor>, Vec<i16>),
+    ) -> Vec<Tensor> {
         let Prepared { input, split, .. } = self.prepared();
         let suffix = *split..self.qgraph.nodes().len();
         mask_sets
             .iter()
             .map(|masks| {
                 self.qgraph
-                    .walk(suffix.clone(), input, masks, outs, exec_qnode);
+                    .walk(suffix.clone(), input, masks, outs, serve(ops));
                 let mut probs = self
                     .qgraph
                     .dequantize_output(&outs[self.qgraph.output_id()]);

@@ -1,0 +1,322 @@
+//! The integer matrix kernel and the tiled node executor built on it.
+//!
+//! A quantized convolution or linear layer is one matrix product per
+//! batch item,
+//!
+//! ```text
+//! y[f, v] = zy + requant_f(bias_f + Σ_r w[f, r] · (x[r, v] − zx))
+//! ```
+//!
+//! over `F` output channels, `V` output pixels (1 for a linear layer)
+//! and a reduction of `R = C·K²` taps (the input width for a linear
+//! layer). The kernel materialises the operand `x − zx` once per item,
+//! as `i16`: for a convolution it is the im2col matrix, one row per tap
+//! across the output pixels, with a padding tap written as 0 so the
+//! zero point drops out of the padding; for a linear layer it is the
+//! item's row. The `i8` weights are read where the quantizer left them,
+//! products accumulate in `i32`, and the per-channel [`FixedMul`]
+//! requantizes.
+//!
+//! The loop nest is the accelerator's PE array ([`Tile`]): filter tiles
+//! of `P_F` × pixel tiles of `P_V`, each streaming its reduction through
+//! `P_C`-wide adder trees. Integer accumulation is exact, so every tile
+//! gives the bytes of the direct reference loops behind [`exec_qnode`].
+//! The tile decides only the order, and how many tiles the kernel runs:
+//! the count the accelerator's cycle model charges.
+
+use crate::fixed::FixedMul;
+use crate::qgraph::{exec_qnode, QNode, QNodeOp, QTensor};
+use bnn_nn::MaskSet;
+use bnn_tensor::Shape4;
+
+/// The extents of one matrix-kernel tile: the accelerator's PE array
+/// of `P_F` processing units × `P_V` MAC modules × `P_C` multipliers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tile {
+    /// Output channels per tile (`P_F`).
+    pub pf: usize,
+    /// Output pixels per tile (`P_V`).
+    pub pv: usize,
+    /// Reduction terms per tile (`P_C`).
+    pub pc: usize,
+}
+
+impl Tile {
+    /// The software serving tile: one register block of [`FILTERS`] ×
+    /// [`LANES`] outputs, each reduced in one pass (an adder tree as
+    /// wide as the reduction, so a dot product vectorises end to end).
+    pub(crate) const SERVE: Tile = Tile {
+        pf: FILTERS,
+        pv: LANES,
+        pc: usize::MAX,
+    };
+}
+
+/// Execute one quantized node into its slot `y` like [`exec_qnode`],
+/// with Conv and Linear through the tiled integer kernel at `tile` and
+/// every other op through [`exec_qnode`] itself: the node executor of
+/// the int8 backend (at a register-sized tile) and of the accelerator
+/// simulator (at its `(P_F, P_V, P_C)`).
+///
+/// `ops` is the kernel's `i16` operand buffer. It grows to the largest
+/// operand it has held and is then reused, so a warm executor
+/// allocates nothing. Returns the number of tiles the kernel ran (0 for
+/// an op without one).
+///
+/// # Panics
+///
+/// Panics if a tile extent is 0, or if a layer's input zero point is
+/// not a `u8` code (the quantizer only makes those).
+pub fn exec_qnode_tiled(
+    tile: Tile,
+    ops: &mut Vec<i16>,
+    node: &QNode,
+    outs: &[QTensor],
+    input: &QTensor,
+    masks: &MaskSet,
+    y: &mut QTensor,
+) -> u64 {
+    assert!(
+        tile.pf > 0 && tile.pv > 0 && tile.pc > 0,
+        "tile extents must be non-zero: {tile:?}"
+    );
+    let x = || &outs[node.inputs[0]];
+    match &node.op {
+        QNodeOp::Conv {
+            k,
+            stride,
+            pad,
+            w,
+            bias,
+            requant,
+            zx,
+            zy,
+            ..
+        } => {
+            let (x, zx) = (x(), zero_point(*zx));
+            let v = y.shape.h * y.shape.w;
+            let cols = operand(ops, x.shape.c * k * k * row_stride(v));
+            (0..x.shape.n)
+                .map(|n| {
+                    im2col(x, n, *k, *stride, *pad, zx, y.shape, cols);
+                    qgemm(tile, w, cols, v, bias, requant, *zy, y.item_mut(n))
+                })
+                .sum()
+        }
+        QNodeOp::Linear {
+            w,
+            bias,
+            requant,
+            zx,
+            zy,
+            ..
+        } => {
+            let (x, zx) = (x(), zero_point(*zx));
+            let row = operand(ops, x.shape.item_len());
+            (0..x.shape.n)
+                .map(|n| {
+                    for (d, &q) in row.iter_mut().zip(x.item(n)) {
+                        *d = i16::from(q) - zx;
+                    }
+                    qgemm(tile, w, row, 1, bias, requant, *zy, y.item_mut(n))
+                })
+                .sum()
+        }
+        _ => {
+            exec_qnode(node, outs, input, masks, y);
+            0
+        }
+    }
+}
+
+/// Output pixels per register block: one vector of `i32` accumulators
+/// per filter.
+const LANES: usize = 16;
+
+/// Filters per register block.
+const FILTERS: usize = 4;
+
+/// The operand's row stride for `v` output pixels. A lone pixel's
+/// reduction is one contiguous row (a linear layer's shape); a wider
+/// row carries `LANES − 1` zero columns, so a register block may start
+/// at any pixel of its tile.
+fn row_stride(v: usize) -> usize {
+    if v == 1 {
+        1
+    } else {
+        v + LANES - 1
+    }
+}
+
+/// A zero point as the operand's `i16`: with `q` and `zx` both `u8`
+/// codes, `q − zx` fits.
+fn zero_point(zx: i32) -> i16 {
+    assert!(
+        (0..=255).contains(&zx),
+        "input zero point {zx} is not a u8 code"
+    );
+    zx as i16
+}
+
+/// The first `len` elements of the operand buffer, grown (never
+/// shrunk) to fit. The caller overwrites all of them.
+fn operand(ops: &mut Vec<i16>, len: usize) -> &mut [i16] {
+    if ops.len() < len {
+        ops.resize(len, 0);
+    }
+    &mut ops[..len]
+}
+
+/// Item `n`'s im2col matrix as `x − zx`: row `r = (c, ky, kx)` holds
+/// that tap for every output pixel, a padding tap written as 0, then
+/// the row's zero columns up to [`row_stride`]. Every element of `cols`
+/// is written.
+#[allow(clippy::too_many_arguments)]
+fn im2col(
+    x: &QTensor,
+    n: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+    zx: i16,
+    y: Shape4,
+    cols: &mut [i16],
+) {
+    let (s, xi) = (x.shape, x.item(n));
+    let (wo, v) = (y.w, y.h * y.w);
+    let vp = row_stride(v);
+    // Integer division is slow next to a span copy: none per span.
+    let ceil = |a: usize| if stride == 1 { a } else { a.div_ceil(stride) };
+    for kx in 0..k {
+        // Output columns whose tap lands on a pixel,
+        // `pad ≤ ox·stride + kx < w + pad`: one interval per tap, empty
+        // when the tap lies wholly in the padding.
+        let ox_lo = ceil(pad.saturating_sub(kx)).min(wo);
+        let ox_hi = ceil((s.w + pad).saturating_sub(kx)).clamp(ox_lo, wo);
+        for c in 0..s.c {
+            for ky in 0..k {
+                let row = &mut cols[((c * k + ky) * k + kx) * vp..][..vp];
+                let (pixels, zeros) = row.split_at_mut(v);
+                zeros.fill(0);
+                for (oy, dst) in pixels.chunks_exact_mut(wo).enumerate() {
+                    let iy = oy * stride + ky;
+                    let (lo, hi) = if (pad..s.h + pad).contains(&iy) {
+                        (ox_lo, ox_hi)
+                    } else {
+                        (0, 0)
+                    };
+                    // Most spans have no padding tap: skip the empty fills.
+                    if lo > 0 {
+                        dst[..lo].fill(0);
+                    }
+                    if hi < wo {
+                        dst[hi..].fill(0);
+                    }
+                    if lo == hi {
+                        continue;
+                    }
+                    let src = &xi[(c * s.h + iy - pad) * s.w + lo * stride + kx - pad..];
+                    let dst = &mut dst[lo..hi];
+                    if stride == 1 {
+                        let src = &src[..dst.len()];
+                        for (d, &q) in dst.iter_mut().zip(src) {
+                            *d = i16::from(q) - zx;
+                        }
+                    } else {
+                        for (d, &q) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                            *d = i16::from(q) - zx;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One item's `y[f·V + v] = zy + requant_f(bias_f + Σ_r w[f, r] ·
+/// ops[r, v])` over `F = bias.len()` filters, `V = v_n` pixels and the
+/// reduction `R = w.len() / F`, in `tile`'s loop nest: filter tiles ×
+/// pixel tiles, each output's reduction streamed through `pc`-wide
+/// adder trees. Returns the tiles run.
+///
+/// Within a tile, outputs go in register blocks of [`FILTERS`] filters ×
+/// [`LANES`] pixels: each operand column is loaded once and multiplied
+/// by every filter's broadcast weight, as one input vector feeds all of
+/// the PE array's processing units. A lone pixel (a linear layer) has
+/// no columns to broadcast over, so its reduction itself is the vector
+/// axis: a dot product of the weight row and the operand row.
+#[allow(clippy::too_many_arguments)]
+fn qgemm(
+    tile: Tile,
+    w: &[i8],
+    ops: &[i16],
+    v_n: usize,
+    bias: &[i32],
+    requant: &[FixedMul],
+    zy: i32,
+    y: &mut [u8],
+) -> u64 {
+    let (f_n, vp) = (bias.len(), row_stride(v_n));
+    let r = w.len() / f_n;
+    assert_eq!(ops.len(), r * vp, "kernel operand does not fit its layer");
+    assert_eq!(y.len(), f_n * v_n, "kernel output does not fit its slot");
+    let out = |f: usize, acc: i32| (zy + requant[f].apply(acc)).clamp(0, 255) as u8;
+    // The reduction's `pc`-wide tiles, counted once: integer division
+    // is slow next to a short dot product.
+    let red_tiles = r.div_ceil(tile.pc);
+    let reduction_tiles =
+        || (0..red_tiles).map(|t| t * tile.pc..(t * tile.pc).saturating_add(tile.pc).min(r));
+    let mut tiles = 0;
+    for f0 in (0..f_n).step_by(tile.pf) {
+        let f1 = (f0 + tile.pf).min(f_n);
+        for v0 in (0..v_n).step_by(tile.pv) {
+            let v1 = (v0 + tile.pv).min(v_n);
+            tiles += red_tiles as u64;
+            if v_n == 1 {
+                for f in f0..f1 {
+                    let wrow = &w[f * r..(f + 1) * r];
+                    let acc = reduction_tiles()
+                        .fold(bias[f], |acc, rt| acc + dot(&wrow[rt.clone()], &ops[rt]));
+                    y[f] = out(f, acc);
+                }
+                continue;
+            }
+            for g0 in (f0..f1).step_by(FILTERS) {
+                // A short last block repeats its last filter; the
+                // repeats' sums are dropped.
+                let block: [usize; FILTERS] = std::array::from_fn(|j| (g0 + j).min(f1 - 1));
+                let wrows = block.map(|f| &w[f * r..(f + 1) * r]);
+                for b0 in (v0..v1).step_by(LANES) {
+                    let mut acc = block.map(|f| [bias[f]; LANES]);
+                    for ri in reduction_tiles().flatten() {
+                        let col: &[i16; LANES] = ops[ri * vp + b0..][..LANES]
+                            .try_into()
+                            .expect("a register block is LANES wide");
+                        for (acc, wrow) in acc.iter_mut().zip(&wrows) {
+                            let wv = i32::from(wrow[ri]);
+                            for (a, &x) in acc.iter_mut().zip(col) {
+                                *a += wv * i32::from(x);
+                            }
+                        }
+                    }
+                    let b1 = v1.min(b0 + LANES);
+                    for (f, acc) in (g0..f1.min(g0 + FILTERS)).zip(&acc) {
+                        for (o, &a) in y[f * v_n + b0..f * v_n + b1].iter_mut().zip(acc) {
+                            *o = out(f, a);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    tiles
+}
+
+/// One reduction tile of a lone pixel: a row of multipliers into one
+/// adder tree.
+fn dot(w: &[i8], x: &[i16]) -> i32 {
+    w.iter()
+        .zip(x)
+        .map(|(&w, &x)| i32::from(w) * i32::from(x))
+        .sum()
+}

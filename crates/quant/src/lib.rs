@@ -1,5 +1,5 @@
-//! 8-bit linear quantization (Jacob et al., CVPR'18) and an int8
-//! reference executor.
+//! 8-bit linear quantization (Jacob et al., CVPR'18), the tiled int8
+//! kernel and its reference executor.
 //!
 //! The paper's accelerator computes in 8-bit precision ("the 8-bit
 //! linear quantization (ref. 21) is applied on the trained models", two
@@ -18,14 +18,17 @@
 //! [`QGraph`], so "simulator output == reference output" is a
 //! bit-exactness test, not an approximation check. Every integer pass
 //! in the stack is a projection of one node-range walk,
-//! [`QGraph::walk`], parameterized by a write-into node executor:
-//! [`QGraph::forward`] and the [`Int8Backend`] that serves both the
-//! `int8` and the `accel` substrate run it with [`exec_qnode`], the
-//! simulator's tiled reference run with its PE stations. Like the f32
-//! walk, it writes each node's output into that node's slot, sized by
-//! the one shape rule `bnn_nn::out_shape` and overwritten in place by
-//! every later pass, so a mis-shaped input is refused with the f32
-//! graph's message.
+//! [`QGraph::walk`], parameterized by a write-into node executor: two
+//! executors share it. [`exec_qnode_tiled`] runs convolutions and
+//! linear layers through one integer matrix kernel, parametrised by its
+//! [`Tile`]: the [`Int8Backend`] that serves both the `int8` and the
+//! `accel` substrate runs it at a register-sized tile, the simulator at
+//! its PE array's. [`exec_qnode`]'s direct loops are the reference
+//! behind [`QGraph::forward`] that both are tested against. Like the
+//! f32 walk, the walk writes each node's output into that node's slot,
+//! sized by the one shape rule `bnn_nn::out_shape` and overwritten in
+//! place by every later pass, so a mis-shaped input is refused with the
+//! f32 graph's message.
 //!
 //! # Example
 //!
@@ -46,10 +49,12 @@
 
 mod backend;
 mod fixed;
+mod kernel;
 mod qgraph;
 mod quantizer;
 
 pub use backend::Int8Backend;
 pub use fixed::{quantize_multiplier, FixedMul};
+pub use kernel::{exec_qnode_tiled, Tile};
 pub use qgraph::{apply_qmask, exec_qnode, QGraph, QNode, QNodeOp, QParams, QTensor};
 pub use quantizer::Quantizer;

@@ -322,9 +322,9 @@ impl QGraph {
     /// of suffix re-runs over a cached prefix, and once warm a re-run
     /// allocates nothing. [`QGraph::forward_trace`], the int8
     /// backend's prefix and suffix passes and the accelerator
-    /// simulator's tiled reference run are projections of this loop;
-    /// they differ only in the range and in the write-into node
-    /// executor ([`exec_qnode`], or the simulator's tiled PE stations).
+    /// simulator's run are projections of this loop; they differ only
+    /// in the range and in the write-into node executor ([`exec_qnode`],
+    /// or [`crate::exec_qnode_tiled`] at a tile).
     ///
     /// # Panics
     ///
@@ -337,7 +337,7 @@ impl QGraph {
         input: &QTensor,
         masks: &MaskSet,
         outs: &mut [QTensor],
-        exec: impl Fn(&QNode, &[QTensor], &QTensor, &MaskSet, &mut QTensor),
+        mut exec: impl FnMut(&QNode, &[QTensor], &QTensor, &MaskSet, &mut QTensor),
     ) {
         assert_eq!(outs.len(), self.nodes.len(), "walk needs one slot per node");
         for id in range {
@@ -392,12 +392,12 @@ impl QNode {
 
 /// Execute one quantized node against its predecessors' outputs into
 /// its slot `y` (already sized by [`QGraph::walk`]; every element is
-/// overwritten): the node executor every serving path hands to the
-/// walk.
+/// overwritten): the reference executor behind [`QGraph::forward`],
+/// whose convolution and linear layers are direct loops.
 ///
-/// The accelerator simulator's tiled executor reuses it for the
-/// functional-unit ops (ReLU/pool/add/dropout) while supplying its own
-/// tiled matrix kernels.
+/// The tiled executor ([`crate::exec_qnode_tiled`]) reuses it for the
+/// functional-unit ops (ReLU/pool/add/dropout) and runs the matrix ops
+/// through its kernel instead.
 pub fn exec_qnode(
     node: &QNode,
     outs: &[QTensor],
@@ -562,50 +562,49 @@ fn qlinear(
 
 /// Max pooling into `y` (its shape fixes the output extent).
 fn qmaxpool(x: &QTensor, k: usize, stride: usize, y: &mut QTensor) {
-    let s = x.shape;
-    let (ho, wo) = (y.shape.h, y.shape.w);
-    for n in 0..s.n {
-        let xi = x.item(n);
-        let yi = y.item_mut(n);
-        for c in 0..s.c {
-            for oy in 0..ho {
-                for ox in 0..wo {
-                    let mut best = 0u8;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let v = xi[(c * s.h + oy * stride + ky) * s.w + ox * stride + kx];
-                            best = best.max(v);
-                        }
-                    }
-                    yi[(c * ho + oy) * wo + ox] = best;
+    for_each_window_row(x, k, stride, y, |out, rows| {
+        out.fill(0);
+        for row in rows {
+            for kx in 0..k {
+                for (o, &v) in out.iter_mut().zip(row[kx..].iter().step_by(stride)) {
+                    *o = (*o).max(v);
                 }
             }
         }
-    }
+    });
 }
 
 /// Average pooling into `y` (its shape fixes the output extent).
 fn qavgpool(x: &QTensor, k: usize, stride: usize, y: &mut QTensor) {
-    let s = x.shape;
-    let (ho, wo) = (y.shape.h, y.shape.w);
     let div = (k * k) as u32;
-    for n in 0..s.n {
-        let xi = x.item(n);
-        let yi = y.item_mut(n);
-        for c in 0..s.c {
-            for oy in 0..ho {
-                for ox in 0..wo {
-                    let mut sum = 0u32;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            sum += u32::from(
-                                xi[(c * s.h + oy * stride + ky) * s.w + ox * stride + kx],
-                            );
-                        }
-                    }
-                    yi[(c * ho + oy) * wo + ox] = ((sum + div / 2) / div) as u8;
-                }
-            }
+    for_each_window_row(x, k, stride, y, |out, rows| {
+        for (ox, o) in out.iter_mut().enumerate() {
+            let sum: u32 = rows
+                .clone()
+                .flat_map(|row| &row[ox * stride..ox * stride + k])
+                .map(|&v| u32::from(v))
+                .sum();
+            *o = ((sum + div / 2) / div) as u8;
+        }
+    });
+}
+
+/// The u8 pools' shared walk: hand every output row `(n, c, oy)` of
+/// `y` to `fold` with the `k` input rows its windows cover (`oy·stride`
+/// and down). No padding and a floored output size, so no window
+/// leaves the input.
+fn for_each_window_row<'x>(
+    x: &'x QTensor,
+    k: usize,
+    stride: usize,
+    y: &mut QTensor,
+    mut fold: impl FnMut(&mut [u8], std::slice::ChunksExact<'x, u8>),
+) {
+    let (s, Shape4 { h: ho, w: wo, .. }) = (x.shape, y.shape);
+    for (plane, out_plane) in y.data.chunks_exact_mut(ho * wo).enumerate() {
+        for (oy, out) in out_plane.chunks_exact_mut(wo).enumerate() {
+            let top = (plane * s.h + oy * stride) * s.w;
+            fold(out, x.data[top..top + k * s.w].chunks_exact(s.w));
         }
     }
 }

@@ -221,8 +221,18 @@ fn quantize_weights(
         let row = &w[c * per_ch..(c + 1) * per_ch];
         let absmax = row.iter().fold(1e-8f32, |m, &v| m.max(v.abs()));
         let sw = absmax / 127.0;
-        for (dst, &src) in wq[c * per_ch..(c + 1) * per_ch].iter_mut().zip(row) {
+        let qrow = &mut wq[c * per_ch..(c + 1) * per_ch];
+        for (dst, &src) in qrow.iter_mut().zip(row) {
             *dst = (src / sw).round().clamp(-127.0, 127.0) as i8;
+        }
+        if qrow.iter().all(|&q| q == 0) {
+            // A pruned channel is its bias alone. The floored `absmax`
+            // would give it a multiplier far below what fixed point
+            // represents; a weight scale of `s_y / s_x` makes it exactly
+            // 1, and the channel's output `zy + round(b / s_y)`.
+            bq[c] = (b[c] / y_q.scale).round() as i32;
+            rq.push(FixedMul::one());
+            continue;
         }
         bq[c] = (b[c] / (x_q.scale * sw)).round() as i32;
         rq.push(quantize_multiplier(f64::from(x_q.scale * sw / y_q.scale)));
@@ -244,21 +254,47 @@ mod tests {
         )
     }
 
-    #[test]
-    fn quantized_forward_tracks_f32() {
-        let net = models::lenet5(10, 1, 16, 3).fold_batch_norm();
+    /// Quantize `net` over random calibration data and check the
+    /// integer forward against f32 in logit space: max error well under
+    /// the logit spread.
+    fn assert_tracks_f32(net: &Graph) {
         let xs = calib_input(Shape4::new(8, 1, 16, 16), 1);
-        let q = Quantizer::new(&net).calibrate(&xs).quantize();
+        let q = Quantizer::new(net).calibrate(&xs).quantize();
         let probe = calib_input(Shape4::new(4, 1, 16, 16), 2);
         let yf = net.forward(&probe, &MaskSet::none());
         let yq = q.forward(&probe, &MaskSet::none());
-        // Logit-space agreement: max error well under the logit spread.
         let spread = yf.max() - yf.min();
         let err = yf.max_abs_diff(&yq);
         assert!(
             err < 0.15 * spread.max(1.0),
             "int8 error {err} vs spread {spread}"
         );
+    }
+
+    #[test]
+    fn quantized_forward_tracks_f32() {
+        assert_tracks_f32(&models::lenet5(10, 1, 16, 3).fold_batch_norm());
+    }
+
+    #[test]
+    fn a_pruned_channel_quantizes_and_tracks_f32() {
+        // An all-zero conv filter and an all-zero linear row used to
+        // panic in `quantize_multiplier` (multiplier ~1e-11).
+        let mut net = models::lenet5(10, 1, 16, 3).fold_batch_norm();
+        let rows: Vec<_> = net
+            .nodes()
+            .iter()
+            .filter_map(|n| match n.op {
+                Op::Conv { w, in_c, k, .. } => Some((w, in_c * k * k)),
+                Op::Linear { w, in_f, .. } => Some((w, in_f)),
+                _ => None,
+            })
+            .collect();
+        let (conv, linear) = (rows[0], rows[2]);
+        for (w, len) in [conv, linear] {
+            net.params_mut().get_mut(w).as_mut_slice()[..len].fill(0.0);
+        }
+        assert_tracks_f32(&net);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Slot reuse on the integer path: the walk writes into one slot per
 //! node, sized once and overwritten in place — the integer mirror of
-//! the f32 walk's `forward_prefix_matches_forward_full_and_reuses_buffers`.
+//! the f32 walk's `forward_prefix_matches_forward_full_and_reuses_buffers`
+//! — and the tiled kernel's operand buffer is sized once beside them.
 
 use bnn_mcd::{active_sites, BayesBackend, MaskSource, SoftwareMaskSource};
 use bnn_nn::{models, MaskSet};
@@ -30,15 +31,25 @@ fn integer_suffix_reruns_reuse_every_slot() {
         .collect();
 
     // Through the backend: the first suffix pass sizes the worker's
-    // slots, every later one only overwrites them.
+    // slots and operand buffer, every later one only overwrites them.
     backend.prepare(&x, &active);
-    let mut slots = backend.make_scratch();
-    let warm = backend.forward_batch(&masks, &mut slots);
-    let sized = ptrs(&slots);
+    let mut scratch = backend.make_scratch();
+    let warm = backend.forward_batch(&masks, &mut scratch);
+    let (sized, operand) = (ptrs(&scratch.0), scratch.1.as_ptr());
+    assert!(!scratch.1.is_empty(), "the suffix ran no kernel");
     for _ in 0..2 {
-        let again = backend.forward_batch(&masks, &mut slots);
+        let again = backend.forward_batch(&masks, &mut scratch);
         assert_eq!(again, warm, "a suffix re-run changed the bytes");
-        assert_eq!(ptrs(&slots), sized, "a suffix re-run reallocated a slot");
+        assert_eq!(
+            ptrs(&scratch.0),
+            sized,
+            "a suffix re-run reallocated a slot"
+        );
+        assert_eq!(
+            scratch.1.as_ptr(),
+            operand,
+            "a suffix re-run reallocated the kernel's operand buffer"
+        );
     }
 
     // Through the walk itself: suffix re-runs over a full pass keep

@@ -12,9 +12,9 @@
 //!   the same kernels and differ in how many mask sets share a walk.
 //! * The `accel` substrate (`Accelerator::into_backend`) is the `int8`
 //!   substrate with the analytic cost model attached, and both are
-//!   *bit-identical* to the simulator's tiled PE engine
-//!   (`Accelerator::run_with_masks`): the tiled loop nest is an exact
-//!   re-scheduling of the integer executor, kept as the reference.
+//!   *bit-identical* to the simulator's run
+//!   (`Accelerator::run_with_masks`): the one integer kernel at the PE
+//!   array's tile instead of the serving tile, an exact re-scheduling.
 //! * `Int8Backend` stays within quantization tolerance of
 //!   `FloatBackend` on a trained LeNet-5.
 //! * `Session` is a thin caller of `Engine::run`: its batched
@@ -103,11 +103,12 @@ fn conformance_accel_bit_identical_to_int8() {
         Tolerance::BitExact,
     );
 
-    // Both names run `exec_qnode` through the one slot walk, so the
-    // pair above cannot see the simulator. The tiled PE loop nest
-    // (`tiled_conv` / `tiled_linear` writing into the same walk's slots
-    // via `run_with_masks`) is the independent reference: the engine's
-    // passes must equal its softmaxed logits under the same masks.
+    // Both names run the kernel at the serving tile through the one
+    // slot walk, so the pair above cannot see the simulator. Its run
+    // (`run_with_masks`: the kernel at the PE array's tile) must equal
+    // the engine's passes, softmaxed, under the same masks; the golden
+    // constants below and `bnn-quant`'s kernel proptest pin both to the
+    // direct reference loops.
     let info = backend.info(x.shape());
     let active = active_sites(info.n_sites, cfg.l);
     let mut src = SoftwareMaskSource::new(seed);
@@ -129,7 +130,7 @@ fn conformance_accel_bit_identical_to_int8() {
         assert_eq!(
             pass.as_slice(),
             reference.as_slice(),
-            "sample {s}: the accel substrate diverged from the tiled engine"
+            "sample {s}: the accel substrate diverged from the simulator's run"
         );
     }
 }

@@ -58,7 +58,7 @@ fn bnn_is_more_uncertain_on_noise_than_on_data() {
 
 #[test]
 fn accelerator_matches_reference_on_trained_resnet() {
-    // The residual/projection path through the tiled engine, end to end.
+    // The residual/projection path through the simulator, end to end.
     let mut net = models::resnet18(10, 3, 4, 11);
     let mut rng = SoftRng::new(2);
     let shape = Shape4::new(4, 3, 16, 16);
