@@ -182,7 +182,7 @@ impl Accelerator {
                 self.qgraph.walk(
                     id..id + 1,
                     &input,
-                    masks,
+                    std::slice::from_ref(masks),
                     outs,
                     |node, done, input, masks, y| {
                         let ran = exec_qnode_tiled(tile, &mut ops, node, done, input, masks, y);
@@ -195,7 +195,8 @@ impl Accelerator {
         };
 
         // Prefix: executed once, like hardware with IC enabled. Suffix:
-        // once per Monte Carlo sample with fresh masks, each walk
+        // once per Monte Carlo sample with fresh masks (a one-set walk:
+        // the PE array runs one sample at a time), each walk
         // overwriting the same suffix slots over the cached prefix.
         walk(0..split, &MaskSet::none(), &mut outs);
         let logits_per_sample: Vec<Tensor> = mask_sets

@@ -169,16 +169,16 @@ proptest! {
         let tile = AccelConfig::with_parallelism(4, 4, 8).tile();
         let mut ops = Vec::new();
         let mut station =
-            |node: &QNode, outs: &[QTensor], input: &QTensor, masks: &MaskSet, y: &mut QTensor| {
+            |node: &QNode, outs: &[QTensor], input: &QTensor, masks: &[MaskSet], y: &mut QTensor| {
                 exec_qnode_tiled(tile, &mut ops, node, outs, input, masks, y);
             };
 
         let channels = folded.site_channels(input_shape);
         let active = vec![true; folded.n_sites()];
-        let masks = MaskSet::sample_software(&active, &channels, 0.25, &mut rng);
-        let other = MaskSet::sample_software(&active, &channels, 0.25, &mut rng);
+        let masks = [MaskSet::sample_software(&active, &channels, 0.25, &mut rng)];
+        let other = [MaskSet::sample_software(&active, &channels, 0.25, &mut rng)];
         let input = qg.quantize_input(&calib.select_item(0));
-        let trace = qg.forward_trace(&input, &masks);
+        let trace = qg.forward_trace(&input, &masks[0]);
         let n = qg.nodes().len();
         prop_assert_eq!(trace.len(), n);
 

@@ -39,7 +39,8 @@
 //! once per sample chunk with batched-sample GEMM fusion
 //! ([`FloatBackend::fused`]: weights stream once per layer instead of
 //! once per sample, bit-identical results); `bnn-quant` provides
-//! `Int8Backend`, the one integer substrate, which `bnn-accel` turns
+//! `Int8Backend`, the one integer substrate (its suffix likewise walked
+//! once per sample chunk, samples stacked), which `bnn-accel` turns
 //! into the accelerator substrate by attaching its analytic
 //! [`HardwareModel`] (`Accelerator::into_backend`), and the
 //! `bnn-fpga` facade ties them together behind a `Session` builder.
@@ -178,8 +179,9 @@ pub trait BayesBackend: Sync {
     ///
     /// The engine hands each worker its whole contiguous sample chunk
     /// through this hook (and a deterministic group as one empty mask
-    /// set). A backend may fuse the chunk (the f32 backend's stacked
-    /// GEMMs) or loop over it; either way it must return exactly
+    /// set). A backend may fuse the chunk (one suffix walk with the
+    /// samples stacked on the item axis: the fused f32 cut and the
+    /// integer backend) or loop over it; either way it must return exactly
     /// `mask_sets.len()` tensors and every sample must be
     /// bit-identical at *any* sub-chunking of the sample list, because
     /// the engine's chunk boundaries move with the thread count.

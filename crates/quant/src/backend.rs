@@ -4,15 +4,22 @@
 //!
 //! `prepare` quantizes the input once and runs the deterministic
 //! prefix (every node before the first active MCD site) — the same
-//! intermediate-layer caching the accelerator applies. Each Monte Carlo
-//! pass then re-runs only the Bayesian suffix, dequantizes the logits
-//! and softmaxes them, so the generic engine in `bnn-mcd` can average
+//! intermediate-layer caching the accelerator applies. A Monte Carlo
+//! chunk then re-runs only the Bayesian suffix, *once* for all its
+//! samples: the chunk's mask sets go to one [`QGraph::walk`] with the
+//! samples stacked along the item axis, exactly as the f32 backend's
+//! fused walk does, so every suffix weight streams once per chunk. The
+//! logits are dequantized and softmaxed once and split back into one
+//! tensor per sample, so the generic engine in `bnn-mcd` can average
 //! int8 samples exactly like float ones. Both passes are projections of
 //! [`QGraph::walk`] over one output slot per node, with the tiled
 //! integer kernel ([`exec_qnode_tiled`]) at its register-sized serving
-//! tile as the node executor. The slots and the kernel's operand buffer
-//! are sized once and then overwritten in place, so a warm suffix walk
-//! allocates nothing.
+//! tile as the node executor. A worker's slots hold the suffix outputs
+//! and, replicated once per sample, the prefix outputs the suffix reads;
+//! they and the kernel's operand buffer are sized by the first chunk
+//! and then overwritten in place, so a warm chunk of the same size
+//! allocates nothing but its results. Integer arithmetic is exact, so
+//! every sample's bytes equal a walk of its mask set alone.
 //!
 //! The accelerator substrate is this backend with the simulator's
 //! analytic [`HardwareModel`] attached ([`Int8Backend::with_model`],
@@ -90,20 +97,41 @@ impl Int8Backend {
             .as_ref()
             .expect("Int8Backend::prepare not called")
     }
+
+    /// Softmax probabilities of quantized logits.
+    fn probs(&self, logits: &QTensor) -> Tensor {
+        let mut probs = self.qgraph.dequantize_output(logits);
+        let s = probs.shape();
+        softmax_rows(probs.as_mut_slice(), s.n, s.item_len());
+        probs
+    }
 }
 
 /// The serving node executor [`QGraph::walk`] takes: the tiled kernel
 /// at its serving tile over the operand buffer `ops`.
 fn serve(
     ops: &mut Vec<i16>,
-) -> impl FnMut(&QNode, &[QTensor], &QTensor, &MaskSet, &mut QTensor) + '_ {
+) -> impl FnMut(&QNode, &[QTensor], &QTensor, &[MaskSet], &mut QTensor) + '_ {
     move |node, outs, input, masks, y| {
         exec_qnode_tiled(Tile::SERVE, ops, node, outs, input, masks, y);
     }
 }
 
+/// Replicate `t` `samples` times along the item axis into `out`
+/// (sample-major), re-sizing `out` only on a shape change.
+fn stack_items_into(t: &QTensor, samples: usize, out: &mut QTensor) {
+    let shape = t.shape.with_n(samples * t.shape.n);
+    if out.shape != shape {
+        *out = QTensor::zeros(shape);
+    }
+    for block in out.data.chunks_exact_mut(t.data.len()) {
+        block.copy_from_slice(&t.data);
+    }
+}
+
 impl BayesBackend for Int8Backend {
-    /// One worker's node slots and kernel operand buffer.
+    /// One worker's node slots (the suffix outputs and the replicated
+    /// crossing prefix outputs) and kernel operand buffer.
     type Scratch = (Vec<QTensor>, Vec<i16>);
 
     fn info(&self, input: Shape4) -> ModelInfo {
@@ -130,7 +158,7 @@ impl BayesBackend for Int8Backend {
         self.qgraph.walk(
             0..split,
             &input,
-            &MaskSet::none(),
+            &[MaskSet::none()],
             &mut slots,
             serve(&mut ops),
         );
@@ -142,34 +170,47 @@ impl BayesBackend for Int8Backend {
         });
     }
 
-    /// A per-worker scratch: the slots (prefix outputs included) are
-    /// cloned once per worker, not once per sample.
+    /// A per-worker scratch: unsized slots, filled by the worker's
+    /// first chunk (the prefix is read from the prepared slots, and only
+    /// what crosses into the suffix is copied).
     fn make_scratch(&self) -> (Vec<QTensor>, Vec<i16>) {
-        (self.prepared().slots.clone(), Vec::new())
+        (self.qgraph.slots(), Vec::new())
     }
 
-    /// One suffix walk per mask set over the worker's slots (each walk
-    /// overwrites the suffix slots in place), then dequantize and
-    /// softmax the logits.
+    /// One suffix walk for the whole chunk, its samples stacked along
+    /// the item axis over the crossing prefix outputs replicated once
+    /// per sample; then dequantize and softmax the stacked logits once
+    /// and split them by sample.
     fn forward_batch(
         &self,
         mask_sets: &[MaskSet],
         (outs, ops): &mut (Vec<QTensor>, Vec<i16>),
     ) -> Vec<Tensor> {
-        let Prepared { input, split, .. } = self.prepared();
-        let suffix = *split..self.qgraph.nodes().len();
-        mask_sets
-            .iter()
-            .map(|masks| {
-                self.qgraph
-                    .walk(suffix.clone(), input, masks, outs, serve(ops));
-                let mut probs = self
-                    .qgraph
-                    .dequantize_output(&outs[self.qgraph.output_id()]);
-                let s = probs.shape();
-                softmax_rows(probs.as_mut_slice(), s.n, s.item_len());
-                probs
-            })
+        let Prepared {
+            input,
+            split,
+            slots,
+            ..
+        } = self.prepared();
+        let (nodes, samples) = (self.qgraph.nodes().len(), mask_sets.len());
+        if *split == nodes {
+            // No active site: the prefix holds the logits.
+            return vec![self.probs(&slots[self.qgraph.output_id()]); samples];
+        }
+        // The prefix outputs the suffix reads across the boundary.
+        for node in &self.qgraph.nodes()[*split..] {
+            for &j in node.inputs.iter().filter(|&&j| j < *split) {
+                stack_items_into(&slots[j], samples, &mut outs[j]);
+            }
+        }
+        self.qgraph
+            .walk(*split..nodes, input, mask_sets, outs, serve(ops));
+        let probs = self.probs(&outs[self.qgraph.output_id()]);
+        let rows = probs.shape().with_n(input.shape.n);
+        probs
+            .as_slice()
+            .chunks_exact(rows.len())
+            .map(|sample| Tensor::from_vec(rows, sample.to_vec()))
             .collect()
     }
 

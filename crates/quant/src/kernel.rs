@@ -22,7 +22,10 @@
 //! `P_C`-wide adder trees. Integer accumulation is exact, so every tile
 //! gives the bytes of the direct reference loops behind [`exec_qnode`].
 //! The tile decides only the order, and how many tiles the kernel runs:
-//! the count the accelerator's cycle model charges.
+//! the count the accelerator's cycle model charges. A linear layer over
+//! several items — the Monte Carlo samples a stacked suffix walk puts on
+//! the item axis — runs them in blocks of [`SAMPLES`] that share each
+//! weight row, still counting its tiles per item.
 
 use crate::fixed::FixedMul;
 use crate::qgraph::{exec_qnode, QNode, QNodeOp, QTensor};
@@ -73,7 +76,7 @@ pub fn exec_qnode_tiled(
     node: &QNode,
     outs: &[QTensor],
     input: &QTensor,
-    masks: &MaskSet,
+    masks: &[MaskSet],
     y: &mut QTensor,
 ) -> u64 {
     assert!(
@@ -112,13 +115,18 @@ pub fn exec_qnode_tiled(
             ..
         } => {
             let (x, zx) = (x(), zero_point(*zx));
-            let row = operand(ops, x.shape.item_len());
-            (0..x.shape.n)
-                .map(|n| {
-                    for (d, &q) in row.iter_mut().zip(x.item(n)) {
+            let (n, r, f_n) = (x.shape.n, x.shape.item_len(), bias.len());
+            let rows = operand(ops, SAMPLES.min(n) * r);
+            (0..n)
+                .step_by(SAMPLES)
+                .map(|i0| {
+                    let items = i0..(i0 + SAMPLES).min(n);
+                    let rows = &mut rows[..items.len() * r];
+                    for (d, &q) in rows.iter_mut().zip(&x.data[items.start * r..]) {
                         *d = i16::from(q) - zx;
                     }
-                    qgemm(tile, w, row, 1, bias, requant, *zy, y.item_mut(n))
+                    let y = &mut y.data[items.start * f_n..items.end * f_n];
+                    qlinear(tile, w, rows, bias, requant, *zy, y)
                 })
                 .sum()
         }
@@ -135,6 +143,10 @@ const LANES: usize = 16;
 
 /// Filters per register block.
 const FILTERS: usize = 4;
+
+/// Items of a linear layer (stacked Monte Carlo samples) per block:
+/// they share each weight row while it is in cache.
+const SAMPLES: usize = 4;
 
 /// The operand's row stride for `v` output pixels. A lone pixel's
 /// reduction is one contiguous row (a linear layer's shape); a wider
@@ -242,10 +254,12 @@ fn im2col(
 /// Within a tile, outputs go in register blocks of [`FILTERS`] filters ×
 /// [`LANES`] pixels: each operand column is loaded once and multiplied
 /// by every filter's broadcast weight, as one input vector feeds all of
-/// the PE array's processing units. A lone pixel (a linear layer) has
-/// no columns to broadcast over, so its reduction itself is the vector
-/// axis: a dot product of the weight row and the operand row.
+/// the PE array's processing units. A lone pixel has no columns to
+/// broadcast over: it is [`qlinear`]'s one-item case.
 #[allow(clippy::too_many_arguments)]
+// Inlined into the executor, the register block below ran at a third
+// of its speed.
+#[inline(never)]
 fn qgemm(
     tile: Tile,
     w: &[i8],
@@ -260,6 +274,9 @@ fn qgemm(
     let r = w.len() / f_n;
     assert_eq!(ops.len(), r * vp, "kernel operand does not fit its layer");
     assert_eq!(y.len(), f_n * v_n, "kernel output does not fit its slot");
+    if v_n == 1 {
+        return qlinear(tile, w, ops, bias, requant, zy, y);
+    }
     let out = |f: usize, acc: i32| (zy + requant[f].apply(acc)).clamp(0, 255) as u8;
     // The reduction's `pc`-wide tiles, counted once: integer division
     // is slow next to a short dot product.
@@ -272,20 +289,14 @@ fn qgemm(
         for v0 in (0..v_n).step_by(tile.pv) {
             let v1 = (v0 + tile.pv).min(v_n);
             tiles += red_tiles as u64;
-            if v_n == 1 {
-                for f in f0..f1 {
-                    let wrow = &w[f * r..(f + 1) * r];
-                    let acc = reduction_tiles()
-                        .fold(bias[f], |acc, rt| acc + dot(&wrow[rt.clone()], &ops[rt]));
-                    y[f] = out(f, acc);
-                }
-                continue;
-            }
             for g0 in (f0..f1).step_by(FILTERS) {
                 // A short last block repeats its last filter; the
                 // repeats' sums are dropped.
                 let block: [usize; FILTERS] = std::array::from_fn(|j| (g0 + j).min(f1 - 1));
-                let wrows = block.map(|f| &w[f * r..(f + 1) * r]);
+                // Indexed, not `block.map`: an out-of-line `map` hides
+                // the rows' common length and leaves a bounds check per
+                // filter in the loop below.
+                let wrows: [&[i8]; FILTERS] = std::array::from_fn(|j| &w[block[j] * r..][..r]);
                 for b0 in (v0..v1).step_by(LANES) {
                     let mut acc = block.map(|f| [bias[f]; LANES]);
                     for ri in reduction_tiles().flatten() {
@@ -319,4 +330,54 @@ fn dot(w: &[i8], x: &[i16]) -> i32 {
         .zip(x)
         .map(|(&w, &x)| i32::from(w) * i32::from(x))
         .sum()
+}
+
+/// A lone pixel per item — a block of at most [`SAMPLES`] items of a
+/// linear layer, or a convolution with one output pixel: `y[i·F + f] =
+/// zy + requant_f(bias_f + Σ_r w[f, r] · rows[i, r])` for the `I =
+/// y.len() / F` operand rows of `rows`, in `tile`'s loop nest of filter
+/// tiles, each output's reduction streamed through `pc`-wide adder
+/// trees. There are no columns to broadcast over, so the reduction
+/// itself is the vector axis: one dot product per output. The items
+/// share each weight row, read from memory once and from cache by the
+/// rest. Returns the tiles run: per item, filter tiles × reduction
+/// tiles, as one item at a time would run them.
+fn qlinear(
+    tile: Tile,
+    w: &[i8],
+    rows: &[i16],
+    bias: &[i32],
+    requant: &[FixedMul],
+    zy: i32,
+    y: &mut [u8],
+) -> u64 {
+    let f_n = bias.len();
+    let (r, items) = (w.len() / f_n, y.len() / f_n);
+    assert!(
+        items <= SAMPLES && rows.len() == items * r,
+        "kernel operand does not fit its layer"
+    );
+    // The reduction's `pc`-wide tiles, counted once: integer division
+    // is slow next to a short dot product.
+    let red_tiles = r.div_ceil(tile.pc);
+    let reduction_tiles =
+        || (0..red_tiles).map(|t| t * tile.pc..(t * tile.pc).saturating_add(tile.pc).min(r));
+    let mut tiles = 0;
+    for f0 in (0..f_n).step_by(tile.pf) {
+        tiles += (items * red_tiles) as u64;
+        for f in f0..(f0 + tile.pf).min(f_n) {
+            let wrow = &w[f * r..(f + 1) * r];
+            let mut acc = [bias[f]; SAMPLES];
+            for rt in reduction_tiles() {
+                let wt = &wrow[rt.clone()];
+                for (a, x) in acc.iter_mut().zip(rows.chunks_exact(r)) {
+                    *a += dot(wt, &x[rt.clone()]);
+                }
+            }
+            for (o, &a) in y[f..].iter_mut().step_by(f_n).zip(&acc) {
+                *o = (zy + requant[f].apply(a)).clamp(0, 255) as u8;
+            }
+        }
+    }
+    tiles
 }

@@ -12,7 +12,8 @@
 //!    activations, i8 symmetric per-output-channel weights, i32 bias
 //!    and accumulators, fixed-point requantization multipliers,
 //! 3. [`QGraph::forward`] — bit-exact integer execution, including the
-//!    dropout unit's fixed-point `1/(1-p)` multiplier.
+//!    dropout unit's fixed-point rescale by the mask's `1/(1-p)`, applied
+//!    through a 256-entry table of the kept codes.
 //!
 //! The accelerator simulator (`bnn-accel`) executes the *same*
 //! [`QGraph`], so "simulator output == reference output" is a
@@ -28,7 +29,9 @@
 //! f32 walk, the walk writes each node's output into that node's slot,
 //! sized by the one shape rule `bnn_nn::out_shape` and overwritten in
 //! place by every later pass, so a mis-shaped input is refused with the
-//! f32 graph's message.
+//! f32 graph's message; and like it, one walk can carry many Monte
+//! Carlo samples stacked along the item axis, which is how the backend
+//! runs a sample chunk's suffix.
 //!
 //! # Example
 //!
@@ -56,5 +59,5 @@ mod quantizer;
 pub use backend::Int8Backend;
 pub use fixed::{quantize_multiplier, FixedMul};
 pub use kernel::{exec_qnode_tiled, Tile};
-pub use qgraph::{apply_qmask, exec_qnode, QGraph, QNode, QNodeOp, QParams, QTensor};
+pub use qgraph::{exec_qnode, QGraph, QNode, QNodeOp, QParams, QTensor};
 pub use quantizer::Quantizer;

@@ -1,6 +1,6 @@
 //! The quantized graph and its integer reference executor.
 
-use crate::fixed::FixedMul;
+use crate::fixed::{quantize_multiplier, FixedMul};
 use bnn_nn::{out_shape, Geometry, MaskSet};
 use bnn_tensor::{Shape4, Tensor};
 use std::ops::Range;
@@ -154,7 +154,9 @@ pub enum QNodeOp {
     McdSite {
         /// Site index (mask selector).
         site: usize,
-        /// Fixed-point `1/(1-p)`.
+        /// Fixed-point `1/(1-p)` at the graph's own `p`: the rescale of a
+        /// mask carrying that scale (a mask drawn at another `p` is
+        /// rescaled by its own `Mask::scale`).
         mul: FixedMul,
         /// Zero point (dropped channels are set to it).
         z: i32,
@@ -300,7 +302,13 @@ impl QGraph {
     /// (the accelerator simulator cross-checks against this trace).
     pub fn forward_trace(&self, input: &QTensor, masks: &MaskSet) -> Vec<QTensor> {
         let mut outs = self.slots();
-        self.walk(0..self.nodes.len(), input, masks, &mut outs, exec_qnode);
+        self.walk(
+            0..self.nodes.len(),
+            input,
+            std::slice::from_ref(masks),
+            &mut outs,
+            exec_qnode,
+        );
         outs
     }
 
@@ -316,29 +324,40 @@ impl QGraph {
     /// change), reading its predecessors from the slots below it — the
     /// f32 walk's convention.
     ///
-    /// Slots below `range.start` must hold those nodes' outputs; slots
-    /// from `range.start` on may hold anything, because every executor
-    /// overwrites its whole slot. So one slot vector serves any number
-    /// of suffix re-runs over a cached prefix, and once warm a re-run
-    /// allocates nothing. [`QGraph::forward_trace`], the int8
-    /// backend's prefix and suffix passes and the accelerator
+    /// `masks` holds one set per Monte Carlo sample, the samples
+    /// stacked along the item axis sample-major (sample `s` owns items
+    /// `s·n .. (s+1)·n` of every slot the range touches), as in the f32
+    /// walk: a dropout site applies each set to its sample's item group,
+    /// and every other op sees a batch of items. One walk over `S` sets
+    /// therefore streams each suffix weight once for all `S` samples.
+    /// Integer arithmetic is exact, so every sample's bytes equal a walk
+    /// of its set alone.
+    ///
+    /// Slots below `range.start` must hold those nodes' outputs (for a
+    /// stacked walk, the ones the range reads replicated per sample);
+    /// slots from `range.start` on may hold anything, because every
+    /// executor overwrites its whole slot. So one slot vector serves any
+    /// number of suffix re-runs over a cached prefix, and once warm a
+    /// re-run allocates nothing. [`QGraph::forward_trace`], the int8
+    /// backend's prefix and stacked suffix passes and the accelerator
     /// simulator's run are projections of this loop; they differ only
-    /// in the range and in the write-into node executor ([`exec_qnode`],
-    /// or [`crate::exec_qnode_tiled`] at a tile).
+    /// in the range, the mask sets and the write-into node executor
+    /// ([`exec_qnode`], or [`crate::exec_qnode_tiled`] at a tile).
     ///
     /// # Panics
     ///
-    /// Panics if `outs` does not hold one slot per node, if the range
-    /// runs past the last node, or with the shape rule's message if the
-    /// input does not fit the graph.
+    /// Panics if `masks` is empty, if `outs` does not hold one slot per
+    /// node, if the range runs past the last node, or with the shape
+    /// rule's message if the input does not fit the graph.
     pub fn walk(
         &self,
         range: Range<usize>,
         input: &QTensor,
-        masks: &MaskSet,
+        masks: &[MaskSet],
         outs: &mut [QTensor],
-        mut exec: impl FnMut(&QNode, &[QTensor], &QTensor, &MaskSet, &mut QTensor),
+        mut exec: impl FnMut(&QNode, &[QTensor], &QTensor, &[MaskSet], &mut QTensor),
     ) {
+        assert!(!masks.is_empty(), "walk needs at least one mask set");
         assert_eq!(outs.len(), self.nodes.len(), "walk needs one slot per node");
         for id in range {
             let node = &self.nodes[id];
@@ -402,7 +421,7 @@ pub fn exec_qnode(
     node: &QNode,
     outs: &[QTensor],
     input: &QTensor,
-    masks: &MaskSet,
+    masks: &[MaskSet],
     y: &mut QTensor,
 ) {
     let x = |i: usize| &outs[node.inputs[i]];
@@ -446,34 +465,104 @@ pub fn exec_qnode(
             }
         }
         QNodeOp::McdSite { site, mul, z } => {
-            y.data.copy_from_slice(&x(0).data);
-            if let Some(mask) = masks.get(*site) {
-                apply_qmask(y, &mask.keep, *mul, *z, &node.name);
+            apply_qmask(x(0), masks, *site, *mul, *z, &node.name, y);
+        }
+    }
+}
+
+/// The dropout unit over one walk: one masked copy of `x` into `y` per
+/// sample group (`masks[s]` on items `s·n .. (s+1)·n`; a set without
+/// this site copies its group unchanged). A dropped channel is written
+/// as the zero point `z`, a kept one through the 256-entry table
+/// [`kept_codes`] of its mask's rescale — built once per walk, and
+/// again only for a set with another scale — so an element costs one
+/// byte lookup rather than a fixed-point multiply.
+fn apply_qmask(
+    x: &QTensor,
+    masks: &[MaskSet],
+    site: usize,
+    mul: FixedMul,
+    z: i32,
+    name: &str,
+    y: &mut QTensor,
+) {
+    let s = x.shape;
+    let (plane, item) = (s.h * s.w, s.item_len());
+    let z8 = z.clamp(0, 255) as u8;
+    let group = s.n / masks.len() * item;
+    let groups = x
+        .data
+        .chunks_exact(group)
+        .zip(y.data.chunks_exact_mut(group));
+    let mut table: Option<(f32, [u8; 256])> = None;
+    for (set, (src, dst)) in masks.iter().zip(groups) {
+        let Some(mask) = set.get(site) else {
+            dst.copy_from_slice(src);
+            continue;
+        };
+        assert_eq!(mask.keep.len(), s.c, "{name}: mask length != channels");
+        let t = match &mut table {
+            Some((scale, t)) if *scale == mask.scale => t,
+            slot => {
+                let kept = site_multiplier(mul, mask.scale, name);
+                &mut slot.insert((mask.scale, kept_codes(kept, z))).1
+            }
+        };
+        for (src, dst) in src.chunks_exact(item).zip(dst.chunks_exact_mut(item)) {
+            if plane == 1 {
+                // One element per channel (every fully-connected site):
+                // a branch per channel would mispredict on random keep
+                // bits, so the lookup and the zero point are selected
+                // by a byte mask instead.
+                for ((d, &v), &kept) in dst.iter_mut().zip(src).zip(&mask.keep) {
+                    let m = u8::from(kept).wrapping_neg();
+                    *d = (t[usize::from(v)] & m) | (z8 & !m);
+                }
+                continue;
+            }
+            let planes = src.chunks_exact(plane).zip(dst.chunks_exact_mut(plane));
+            for ((src, dst), &kept) in planes.zip(&mask.keep) {
+                if kept {
+                    for (d, &v) in dst.iter_mut().zip(src) {
+                        *d = t[usize::from(v)];
+                    }
+                } else {
+                    dst.fill(z8);
+                }
             }
         }
     }
 }
 
-/// The dropout unit's integer behaviour: dropped channels are set to
-/// the zero point; kept channels are rescaled by the fixed-point
-/// `1/(1-p)` multiplier around the zero point.
-pub fn apply_qmask(x: &mut QTensor, keep: &[bool], mul: FixedMul, z: i32, name: &str) {
-    let s = x.shape;
-    assert_eq!(keep.len(), s.c, "{name}: mask length != channels");
-    let plane = s.h * s.w;
-    for n in 0..s.n {
-        let item = x.item_mut(n);
-        for (c, &kept) in keep.iter().enumerate() {
-            let sl = &mut item[c * plane..(c + 1) * plane];
-            if kept {
-                for v in sl {
-                    *v = (z + mul.apply(i32::from(*v) - z)).clamp(0, 255) as u8;
-                }
-            } else {
-                sl.fill(z.clamp(0, 255) as u8);
-            }
-        }
+/// The dropout unit's kept-channel rescale around the zero point `z`,
+/// tabulated for every u8 code: `t[v] = clamp(z + mul·(v − z))`.
+fn kept_codes(mul: FixedMul, z: i32) -> [u8; 256] {
+    std::array::from_fn(|v| (z + mul.apply(v as i32 - z)).clamp(0, 255) as u8)
+}
+
+/// The fixed-point rescale of a mask's kept channels at a site whose
+/// quantizer baked `baked` (its graph's `1/(1-p)`): `baked` itself when
+/// the mask's `f32` scale is that multiplier up to the two `f32`
+/// roundings of `1/(1-p)`, so a mask drawn at the graph's `p` moves no
+/// byte; else the mask's scale, quantized — the f32 walk rescales by
+/// the mask too.
+///
+/// # Panics
+///
+/// Panics, naming `p`, if the scale is beyond the fixed-point range
+/// (`p ≥ 63/64`).
+fn site_multiplier(baked: FixedMul, scale: f32, name: &str) -> FixedMul {
+    let s = f64::from(scale);
+    if (baked.value() - s).abs() <= 2.0 * s * f64::from(f32::EPSILON) {
+        return baked;
     }
+    assert!(
+        s < 64.0,
+        "{name}: drop probability p = {} rescales kept channels by {scale}, \
+         beyond the integer dropout unit's range (p < 63/64)",
+        1.0 - 1.0 / s
+    );
+    quantize_multiplier(s)
 }
 
 /// Integer convolution into `y`, whose shape fixes the output
@@ -629,7 +718,6 @@ fn qgap(x: &QTensor, y: &mut QTensor) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixed::quantize_multiplier;
 
     #[test]
     fn qparams_cover_zero() {
@@ -653,20 +741,27 @@ mod tests {
 
     #[test]
     fn qmask_sets_dropped_channels_to_zero_point() {
-        let mut t = QTensor {
+        let x = QTensor {
             data: vec![200, 200, 10, 10],
             shape: Shape4::new(1, 2, 1, 2),
         };
+        let mut y = QTensor::zeros(x.shape);
+        let masks = [MaskSet::from_masks(vec![Some(bnn_nn::Mask {
+            keep: vec![false, true],
+            scale: 4.0 / 3.0,
+        })])];
         apply_qmask(
-            &mut t,
-            &[false, true],
+            &x,
+            &masks,
+            0,
             quantize_multiplier(4.0 / 3.0),
             128,
             "t",
+            &mut y,
         );
-        assert_eq!(&t.data[0..2], &[128, 128], "dropped -> zero point");
+        assert_eq!(&y.data[0..2], &[128, 128], "dropped -> zero point");
         // kept: 128 + (10-128)*4/3 = 128 - 157.33 -> clamp 0.
-        assert_eq!(&t.data[2..4], &[0, 0]);
+        assert_eq!(&y.data[2..4], &[0, 0]);
     }
 
     #[test]

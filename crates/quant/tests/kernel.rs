@@ -66,13 +66,13 @@ fn requant(
 fn both(node: &QNode, x: &QTensor, out: Shape4, tile: Tile) -> u64 {
     let outs = vec![x.clone()];
     let mut want = QTensor::zeros(out);
-    exec_qnode(node, &outs, x, &MaskSet::none(), &mut want);
+    exec_qnode(node, &outs, x, &[MaskSet::none()], &mut want);
     let mut got = QTensor {
         data: vec![0xA5; out.len()],
         shape: out,
     };
     let mut ops = vec![i16::MIN; 37];
-    let ran = exec_qnode_tiled(tile, &mut ops, node, &outs, x, &MaskSet::none(), &mut got);
+    let ran = exec_qnode_tiled(tile, &mut ops, node, &outs, x, &[MaskSet::none()], &mut got);
     assert_eq!(
         got, want,
         "{}: tiled kernel at {tile:?} diverged",
@@ -163,7 +163,8 @@ proptest! {
     #[test]
     fn tiled_linear_matches_the_reference_loops(
         seed in 0u64..1_000_000,
-        n in 1usize..4,
+        // A lone item, and stacked items in full and short blocks of four.
+        n in 1usize..11,
         in_f in 1usize..300,
         out_f in 1usize..40,
         zx in prop_oneof![Just(0i32), Just(128), Just(255)],
@@ -211,7 +212,7 @@ proptest! {
             name: format!("pool k{k} s{stride}"),
         };
         let mut got = QTensor { data: vec![0xA5; want.shape.len()], shape: want.shape };
-        exec_qnode(&node, std::slice::from_ref(&x), &x, &MaskSet::none(), &mut got);
+        exec_qnode(&node, std::slice::from_ref(&x), &x, &[MaskSet::none()], &mut got);
         prop_assert_eq!(got, want);
     }
 }

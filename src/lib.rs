@@ -17,10 +17,12 @@
 //! (`Backend::Int8`) or as the simulated accelerator
 //! (`Backend::Accel` — the same integer arithmetic, which is exactly
 //! the 8-bit datapath's, with every prediction costed by the
-//! accelerator's analytic cycle/traffic model). Both run one integer
-//! kernel; the simulator runs it in its PE array's tile order, with
-//! the same bytes, and the quantized graph's direct loops stay the
-//! reference in tests.
+//! accelerator's analytic cycle/traffic model). Both walk their
+//! Bayesian suffix once per sample chunk, the samples stacked along the
+//! item axis as in the fused f32 walk, and both run one integer kernel;
+//! the simulator runs it one sample at a time in its PE array's tile
+//! order, with the same bytes, and the quantized graph's direct loops
+//! stay the reference in tests.
 //!
 //! ```no_run
 //! use bnn_fpga::accel::{AccelConfig, Accelerator};
@@ -288,7 +290,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`accel`] | `bnn-accel` | the accelerator simulator: the integer kernel at the PE array's tile (its tile counts checked against the cycle model), cycle model, resource model, IC; `Accelerator::into_backend` attaches its cost model to the integer backend |
+//! | [`accel`] | `bnn-accel` | the accelerator simulator: the integer kernel at the PE array's tile, one sample per suffix walk (its tile counts checked against the cycle model), cycle model, resource model, IC; `Accelerator::into_backend` attaches its cost model to the integer backend, which serves the `accel` substrate with stacked samples |
 //! | [`rng`] | `bnn-rng` | LFSRs, Bernoulli sampler, fixed-point Gaussian samplers |
 //! | [`tensor`] | `bnn-tensor` | NCHW tensors, GEMM, im2col, pooling |
 //! | [`nn`] | `bnn-nn` | layer-graph IR, f32 executor, backprop, SGD, model builders |
@@ -297,7 +299,7 @@
 //! | [`serve`] | `bnn-serve` | the request-coalescing serving front door: `Server`, `Handle`, `BatchPolicy` |
 //! | [`net`] | `bnn-net` | the TCP front door: binary protocol v1/v2 (pipelining), `GET /status` / `/metrics` / `/trace` telemetry, tenant gate, blocking clients |
 //! | [`trace`] | `bnn-trace` | stage-span recorder: per-thread rings, log2 histograms, Chrome-trace export behind `/trace` + `/metrics` |
-//! | [`quant`] | `bnn-quant` | 8-bit linear quantization, the one tiled integer kernel and its reference executor over one node-range walk, `Int8Backend` (the `int8` and `accel` substrates) |
+//! | [`quant`] | `bnn-quant` | 8-bit linear quantization, the one tiled integer kernel and its reference executor over one node-range walk (Monte Carlo samples stacked on its item axis, a table-driven dropout site), `Int8Backend` (the `int8` and `accel` substrates: one suffix walk per sample chunk) |
 //! | [`platforms`] | `bnn-platforms` | CPU/GPU latency models, VIBNN and BYNQNet baselines |
 //! | [`framework`] | `bnn-framework` | the automatic hardware/algorithm optimization framework |
 //!
