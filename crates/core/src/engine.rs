@@ -139,7 +139,7 @@ impl Accelerator {
         // on-chip sampler cannot disagree on which sites are Bayesian.
         let mask_sets: Vec<MaskSet> = (0..bayes.s)
             .map(|_| {
-                bnn_mcd::draw_site_masks(&active, &self.site_channels, bayes.p, |ch| {
+                MaskSet::draw(&active, &self.site_channels, bayes.p, |ch| {
                     sampler.generate_mask(ch)
                 })
             })
@@ -229,14 +229,7 @@ impl Accelerator {
             timing,
             tiles,
             traffic,
-            sampler: SamplerStats {
-                cycles: 0,
-                bits_produced: 0,
-                bits_dropped: 0,
-                fifo_occupancy: 0,
-                fifo_high_water: 0,
-                stall_cycles: 0,
-            },
+            sampler: SamplerStats::default(),
         }
     }
 
@@ -257,19 +250,15 @@ impl Accelerator {
     fn traffic(&self, bayes: BayesConfig, split: usize) -> MemTraffic {
         let dw = self.cfg.dw_bytes;
         let mut t = MemTraffic::default();
+        // The pinned IC boundary input is the first suffix layer's
+        // input: loaded once, reused S times.
+        let first_suffix_layer =
+            (split..self.desc_of_node.len()).find(|&id| self.desc_of_node[id].is_some());
         for (id, desc_idx) in self.desc_of_node.iter().enumerate() {
             let Some(di) = *desc_idx else { continue };
             let d = &self.layers[di];
             let invocations = if id < split { 1 } else { bayes.s as u64 };
             t.weight_bytes += d.weight_bytes(dw) * invocations;
-            // The pinned IC boundary input is the first suffix layer's
-            // input: loaded once, reused S times.
-            let first_suffix_layer = self
-                .desc_of_node
-                .iter()
-                .enumerate()
-                .find(|(nid, d)| *nid >= split && d.is_some())
-                .map(|(nid, _)| nid);
             let pinned = Some(id) == first_suffix_layer;
             let input_loads = if pinned { 1 } else { invocations };
             t.input_bytes += d.input_bytes(dw) * input_loads;

@@ -6,7 +6,7 @@
 //! be retargeted across execution substrates: f32 software, int8
 //! integer arithmetic, and the FPGA accelerator. This module encodes
 //! that claim in the type system. A substrate implements
-//! [`BayesBackend`] — five methods: `info`, `prepare`, `make_scratch`,
+//! [`BayesBackend`] — five methods: `info`, `prepare`, `scratches`,
 //! `forward_batch` and the optional `model_cost` — and the engine
 //! supplies everything else, through exactly one entry point,
 //! [`Engine::run`]`(backend, plan, cfg)`:
@@ -26,7 +26,11 @@
 //!   — the engine's one fan-out — averaged ([`mean_probs`]) and
 //!   costed ([`CostReport`]), returned as a [`RequestResult`]. That
 //!   single per-group core is what makes solo and coalesced serving
-//!   bit-identical by construction, not merely by test.
+//!   bit-identical by construction, not merely by test;
+//! * the backend owns one scratch per sample chunk
+//!   ([`BayesBackend::scratches`]) and the engine lends chunk `i`
+//!   scratch `i`, so the workspaces a chunk sizes stay warm across
+//!   groups and calls and nothing else in the stack keeps one.
 //!
 //! Callers project the result vector with [`RequestResult::single`]
 //! (a one-group plan) or [`RequestResult::stacked`] (a dataset's rows
@@ -153,15 +157,23 @@ pub struct ModelInfo {
 ///    prefix under intermediate-layer caching.
 /// 3. [`BayesBackend::forward_batch`] runs one pass per mask set over
 ///    the prepared input and returns *softmax probabilities* `(n, k)`.
-///    It takes `&self` plus a per-worker [`BayesBackend::Scratch`], so
-///    the engine may fan passes out across threads.
-/// 4. Results must not depend on scratch contents or thread count —
+///    It takes `&self` plus one sample chunk's
+///    [`BayesBackend::Scratch`], so the engine may fan chunks out
+///    across threads.
+/// 4. The backend keeps the scratches ([`BayesBackend::scratches`]):
+///    one per sample chunk, lent by the engine for the duration of a
+///    group and handed back after it, so they stay warm across groups
+///    and calls. A scratch lost to a panicking pass is rebuilt from
+///    `Default`.
+/// 5. Results must not depend on scratch contents or thread count —
 ///    the engine's bit-identical-at-any-parallelism guarantee extends
 ///    to every backend.
 pub trait BayesBackend: Sync {
-    /// Per-worker mutable state (scratch buffers) reused across the
-    /// samples one worker executes. Use `()` if none is needed.
-    type Scratch: Send;
+    /// One sample chunk's mutable state (scratch buffers), reused by
+    /// every group's chunk at the same position. `Default` is the
+    /// empty scratch the chunk's first pass sizes. Use `()` if none
+    /// is needed.
+    type Scratch: Default + Send;
 
     /// Name and geometry of the compiled network for an input shape.
     fn info(&self, input: Shape4) -> ModelInfo;
@@ -171,8 +183,10 @@ pub trait BayesBackend: Sync {
     /// [`BayesBackend::forward_batch`] calls.
     fn prepare(&mut self, x: &Tensor, active: &[bool]);
 
-    /// Fresh per-worker scratch for the prepared input.
-    fn make_scratch(&self) -> Self::Scratch;
+    /// The resident scratches, one per sample chunk: the engine takes
+    /// the vector for a group, grows it with `Default` to the group's
+    /// chunk count and puts it back.
+    fn scratches(&mut self) -> &mut Vec<Self::Scratch>;
 
     /// A group of Monte Carlo passes over the prepared input: one
     /// `(n, k)` probability tensor per mask set, in mask-set order.
@@ -263,7 +277,7 @@ impl<'p> Engine<'p> {
             return Vec::new();
         }
         let active = active_sites(backend.info(inputs.shape(0)).n_sites, cfg.l);
-        // The resident backend keeps its prefix buffers and pooled
+        // The resident backend keeps its prefix buffers and chunk
         // scratches hot across the groups.
         (0..groups)
             .map(|g| {
@@ -292,73 +306,57 @@ fn draw_mask_sets(
         .collect()
 }
 
-/// Per-sample passes over an already-prepared backend: the tail of
-/// every group. An empty `mask_sets` is the deterministic
-/// short-circuit — one pass, replicated `s` times.
-fn run_prepared<B: BayesBackend>(
+/// The passes of a prepared group: its mask sets split into
+/// `ceil(S / threads)`-sample chunks, chunk `i` run on the pool with
+/// scratch `i` (`scratches` grown with `Default` to the chunk count).
+/// Samples are returned in mask-set order. An empty `mask_sets` is the
+/// deterministic short-circuit — one pass, replicated `s` times.
+///
+/// Each task receives its whole contiguous chunk through
+/// [`BayesBackend::forward_batch`], so fusing backends amortize weight
+/// streaming across the chunk; a single chunk runs inline on the
+/// caller ([`WorkerPool::run`]).
+fn run_samples<B: BayesBackend>(
     backend: &B,
     s: usize,
     mask_sets: &[MaskSet],
+    scratches: &mut Vec<B::Scratch>,
     parallel: ParallelConfig,
     pool: &WorkerPool,
 ) -> Vec<Tensor> {
-    if mask_sets.is_empty() {
-        let mut scratch = backend.make_scratch();
-        let probs = backend
-            .forward_batch(&[MaskSet::none()], &mut scratch)
-            .pop()
-            .expect("one mask set yields one pass");
-        return vec![probs; s];
-    }
-    run_samples(backend, mask_sets, parallel, pool)
-}
-
-/// Execute pre-drawn mask sets on a prepared backend, split into
-/// `ceil(S / threads)`-sample chunks. Samples are returned in
-/// mask-set order.
-///
-/// Each work unit receives its whole contiguous chunk through
-/// [`BayesBackend::forward_batch`], so fusing backends amortize
-/// weight streaming across the chunk.
-fn run_samples<B: BayesBackend>(
-    backend: &B,
-    mask_sets: &[MaskSet],
-    parallel: ParallelConfig,
-    pool: &WorkerPool,
-) -> Vec<Tensor> {
-    let threads = parallel.threads.clamp(1, mask_sets.len());
-    let chunk = mask_sets.len().div_ceil(threads);
-    let probs: Vec<Tensor> = if threads == 1 {
-        // Strictly serial: one scratch, nothing queued on the pool,
-        // and one chunk spanning all samples — the fullest possible
-        // fusion.
-        let mut scratch = backend.make_scratch();
-        let span = bnn_trace::start();
-        let out = backend.forward_batch(mask_sets, &mut scratch);
-        bnn_trace::finish(span, bnn_trace::Stage::Chunk, 0, mask_sets.len() as u64);
-        out
+    let none = [MaskSet::none()];
+    let sets = if mask_sets.is_empty() {
+        &none[..]
     } else {
-        // Contiguous sample chunks as pool tasks; results join in
-        // chunk order, which keeps the samples in stream order.
-        let tasks: Vec<Box<dyn FnOnce() -> Vec<Tensor> + Send + '_>> = mask_sets
-            .chunks(chunk)
-            .map(|ms| {
-                Box::new(move || {
-                    let span = bnn_trace::start();
-                    let mut scratch = backend.make_scratch();
-                    let probs = backend.forward_batch(ms, &mut scratch);
-                    bnn_trace::finish(span, bnn_trace::Stage::Chunk, 0, ms.len() as u64);
-                    probs
-                }) as Box<dyn FnOnce() -> Vec<Tensor> + Send + '_>
-            })
-            .collect();
-        pool.run(tasks).into_iter().flatten().collect()
+        mask_sets
     };
+    let chunk = sets.len().div_ceil(parallel.threads.clamp(1, sets.len()));
+    let chunks = sets.chunks(chunk);
+    if scratches.len() < chunks.len() {
+        scratches.resize_with(chunks.len(), B::Scratch::default);
+    }
+    // Results join in chunk order, which keeps the samples in stream
+    // order.
+    let tasks: Vec<Box<dyn FnOnce() -> Vec<Tensor> + Send + '_>> = chunks
+        .zip(scratches.iter_mut())
+        .map(|(ms, scratch)| {
+            Box::new(move || {
+                let span = bnn_trace::start();
+                let probs = backend.forward_batch(ms, scratch);
+                bnn_trace::finish(span, bnn_trace::Stage::Chunk, 0, ms.len() as u64);
+                probs
+            }) as Box<dyn FnOnce() -> Vec<Tensor> + Send + '_>
+        })
+        .collect();
+    let mut probs: Vec<Tensor> = pool.run(tasks).into_iter().flatten().collect();
     assert_eq!(
         probs.len(),
-        mask_sets.len(),
+        sets.len(),
         "forward_batch must return one tensor per mask set"
     );
+    if mask_sets.is_empty() {
+        probs = vec![probs.remove(0); s];
+    }
     probs
 }
 
@@ -409,7 +407,7 @@ impl<'a> Plan<'a> {
     /// would force them to share one mask stream.) What coalescing
     /// buys is everything around the math: one dispatcher wake-up and
     /// one pool submission per micro-batch, and one resident backend
-    /// whose prefix buffers and pooled scratches stay hot.
+    /// whose prefix buffers and chunk scratches stay hot.
     pub fn requests(requests: &'a [(&'a Tensor, u64)]) -> Plan<'a> {
         Plan {
             inputs: Inputs::Requests(requests),
@@ -557,7 +555,11 @@ fn run_request<B: BayesBackend>(
         x.shape().n as u64,
     );
     let forward_span = bnn_trace::start();
-    let passes = run_prepared(backend, cfg.s, masks, parallel, pool);
+    // Lent for the group and handed back; a panicking pass drops them,
+    // and the next group rebuilds them from `Default`.
+    let mut scratches = std::mem::take(backend.scratches());
+    let passes = run_samples(&*backend, cfg.s, masks, &mut scratches, parallel, pool);
+    *backend.scratches() = scratches;
     bnn_trace::finish(forward_span, bnn_trace::Stage::Forward, 0, cfg.s as u64);
     let probs = mean_probs(&passes, passes.len());
     let cost = CostReport {
@@ -621,15 +623,11 @@ pub struct FloatBackend<'g> {
     /// Convolution workspace of the prefix pass, kept across
     /// `prepare` calls.
     prefix_cols: Vec<f32>,
-    /// Retired suffix workspaces, reused across predictive calls.
-    /// Building one is allocation- and page-fault-heavy (hundreds of
-    /// microseconds at `S = 100`), which would otherwise be paid per
-    /// call per worker.
-    pool: std::sync::Arc<std::sync::Mutex<Vec<ExecScratch>>>,
+    /// One suffix workspace per sample chunk, kept across calls:
+    /// building one is allocation- and page-fault-heavy (hundreds of
+    /// microseconds at `S = 100`).
+    scratches: Vec<Option<ExecScratch>>,
 }
-
-/// Bound on retired workspaces kept alive (per backend).
-const SCRATCH_POOL_CAP: usize = 8;
 
 #[derive(Debug)]
 struct FloatPrepared {
@@ -641,34 +639,6 @@ struct FloatPrepared {
     /// or the output node when the run is fully deterministic (the
     /// suffix is then empty and the prefix holds the logits).
     from: usize,
-}
-
-/// Per-worker scratch of [`FloatBackend`]: the suffix workspace,
-/// acquired from the backend's pool (or built) for the worker's chunk
-/// size and returned to the pool on drop.
-#[derive(Debug)]
-pub struct FloatScratch {
-    held: Option<ExecScratch>,
-    pool: std::sync::Arc<std::sync::Mutex<Vec<ExecScratch>>>,
-}
-
-impl FloatScratch {
-    /// Hand the held workspace back to the backend's pool.
-    fn retire(&mut self) {
-        if let Some(scratch) = self.held.take() {
-            if let Ok(mut pool) = self.pool.lock() {
-                if pool.len() < SCRATCH_POOL_CAP {
-                    pool.push(scratch);
-                }
-            }
-        }
-    }
-}
-
-impl Drop for FloatScratch {
-    fn drop(&mut self) {
-        self.retire();
-    }
 }
 
 /// Node id of the first active MCD site in a graph, if any.
@@ -728,7 +698,7 @@ impl<'g> FloatBackend<'g> {
             fused: false,
             prepared: None,
             prefix_cols: Vec::new(),
-            pool: std::sync::Arc::default(),
+            scratches: Vec::new(),
         }
     }
 
@@ -745,30 +715,12 @@ impl<'g> FloatBackend<'g> {
             .as_ref()
             .expect("FloatBackend::prepare not called")
     }
-
-    /// Make `scratch` hold a suffix workspace for `samples`-set chunks
-    /// of the prepared input: what it already holds if that fits, else
-    /// one from the pool, else a fresh one.
-    fn provision<'s>(&self, scratch: &'s mut FloatScratch, samples: usize) -> &'s mut ExecScratch {
-        let p = self.prepared();
-        let fits = |sc: &ExecScratch| sc.built_for(p.shape, p.from, samples);
-        if !scratch.held.as_ref().is_some_and(fits) {
-            scratch.retire();
-            let pooled = self.pool.lock().ok().and_then(|mut pool| {
-                let pos = pool.iter().position(fits)?;
-                Some(pool.swap_remove(pos))
-            });
-            scratch.held = Some(
-                pooled
-                    .unwrap_or_else(|| self.graph.stacked_scratch_after(p.shape, p.from, samples)),
-            );
-        }
-        scratch.held.as_mut().expect("scratch just provisioned")
-    }
 }
 
 impl BayesBackend for FloatBackend<'_> {
-    type Scratch = FloatScratch;
+    /// One chunk's suffix workspace, rebuilt only when it was not
+    /// built for the prepared input, boundary and walk size.
+    type Scratch = Option<ExecScratch>;
 
     fn info(&self, input: Shape4) -> ModelInfo {
         ModelInfo {
@@ -796,19 +748,26 @@ impl BayesBackend for FloatBackend<'_> {
         });
     }
 
-    fn make_scratch(&self) -> FloatScratch {
-        FloatScratch {
-            held: None,
-            pool: std::sync::Arc::clone(&self.pool),
-        }
+    fn scratches(&mut self) -> &mut Vec<Option<ExecScratch>> {
+        &mut self.scratches
     }
 
-    fn forward_batch(&self, mask_sets: &[MaskSet], scratch: &mut FloatScratch) -> Vec<Tensor> {
+    fn forward_batch(
+        &self,
+        mask_sets: &[MaskSet],
+        scratch: &mut Option<ExecScratch>,
+    ) -> Vec<Tensor> {
         let p = self.prepared();
         let cut = if self.fused { mask_sets.len() } else { 1 };
         let mut passes = Vec::with_capacity(mask_sets.len());
         for chunk in mask_sets.chunks(cut.max(1)) {
-            let workspace = self.provision(scratch, chunk.len());
+            let workspace = match scratch {
+                Some(sc) if sc.built_for(p.shape, p.from, chunk.len()) => sc,
+                _ => scratch.insert(
+                    self.graph
+                        .stacked_scratch_after(p.shape, p.from, chunk.len()),
+                ),
+            };
             let mut logits = self
                 .graph
                 .forward_from_stacked(&p.prefix, p.from, chunk, workspace);

@@ -166,8 +166,8 @@ impl<B: BayesBackend> BayesBackend for ChaosBackend<B> {
         self.inner.prepare(x, active);
     }
 
-    fn make_scratch(&self) -> Self::Scratch {
-        self.inner.make_scratch()
+    fn scratches(&mut self) -> &mut Vec<Self::Scratch> {
+        self.inner.scratches()
     }
 
     fn forward_batch(&self, mask_sets: &[MaskSet], scratch: &mut Self::Scratch) -> Vec<Tensor> {

@@ -57,13 +57,13 @@ mod source;
 pub mod uncertainty;
 
 pub use backend::{
-    BayesBackend, CostReport, Engine, FloatBackend, FloatScratch, HardwareModel, ModelCost,
-    ModelInfo, Plan, RequestResult,
+    BayesBackend, CostReport, Engine, FloatBackend, HardwareModel, ModelCost, ModelInfo, Plan,
+    RequestResult,
 };
 pub use chaos::{fault_at, ChaosBackend, ChaosConfig, Fault};
 pub use conformance::{assert_backend_agrees, assert_chaos_agrees, Tolerance};
 pub use metrics::{accuracy, avg_predictive_entropy, ece, mutual_information, nll, Calibration};
 pub use pool::WorkerPool;
 pub use predict::{active_sites, mean_probs, BayesConfig, ParallelConfig};
-pub use source::{draw_site_masks, HardwareMaskSource, MaskSource, SoftwareMaskSource};
+pub use source::{HardwareMaskSource, MaskSource, SoftwareMaskSource};
 pub use uncertainty::Uncertainty;

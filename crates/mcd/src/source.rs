@@ -11,24 +11,6 @@ pub trait MaskSource {
     fn next_masks(&mut self, active: &[bool], channels: &[usize], p: f32) -> MaskSet;
 }
 
-/// Build a [`MaskSet`] for the active sites, pulling each active
-/// site's keep bits from `keep_bits`.
-///
-/// Every mask producer — [`SoftwareMaskSource`], [`HardwareMaskSource`]
-/// and the accelerator simulator's on-chip sampler — draws through
-/// this one helper (which delegates to [`MaskSet::draw`]), so backends
-/// cannot disagree on which sites are Bayesian: `keep_bits` is invoked
-/// once per *active* site, in site order, and inactive sites consume
-/// nothing from the underlying bit stream.
-pub fn draw_site_masks(
-    active: &[bool],
-    channels: &[usize],
-    p: f32,
-    keep_bits: impl FnMut(usize) -> Vec<bool>,
-) -> MaskSet {
-    MaskSet::draw(active, channels, p, keep_bits)
-}
-
 /// Software mask source: SplitMix64-driven Bernoulli draws.
 #[derive(Debug)]
 pub struct SoftwareMaskSource {
@@ -47,7 +29,7 @@ impl SoftwareMaskSource {
 impl MaskSource for SoftwareMaskSource {
     fn next_masks(&mut self, active: &[bool], channels: &[usize], p: f32) -> MaskSet {
         // `sample_software` itself routes through `MaskSet::draw`, the
-        // same helper `draw_site_masks` wraps for the hardware paths.
+        // same helper the hardware paths call.
         MaskSet::sample_software(active, channels, p, &mut self.rng)
     }
 }
@@ -104,7 +86,7 @@ impl MaskSource for HardwareMaskSource {
             self.p.value()
         );
         let sampler = &mut self.sampler;
-        draw_site_masks(active, channels, p, |c| sampler.generate_mask(c))
+        MaskSet::draw(active, channels, p, |c| sampler.generate_mask(c))
     }
 }
 

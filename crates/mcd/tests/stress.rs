@@ -11,7 +11,8 @@
 //! * the zero-sample and single-sample edges behave: `S = 0` panics
 //!   the *call* (cleanly, pool intact), `S = 1` serves;
 //! * a panicking backend poisons its own call, not the process — the
-//!   pool's workers keep serving afterwards.
+//!   pool's workers keep serving afterwards, and so does the resident
+//!   backend, its lent scratches rebuilt from `Default`.
 
 use bnn_mcd::{
     BayesBackend, BayesConfig, CostReport, Engine, FloatBackend, MaskSource, ModelInfo,
@@ -20,6 +21,7 @@ use bnn_mcd::{
 use bnn_nn::{models, Graph, MaskSet};
 use bnn_tensor::{Shape4, Tensor};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -233,48 +235,81 @@ fn zero_and_single_sample_edges() {
     });
 }
 
-/// A backend whose forward passes panic: the injected fault for the
-/// poisoning test. Geometry is nominal; no pass ever completes.
-struct PanickyBackend;
+/// A toy backend whose first pass panics. Its scratch owns heap memory
+/// that every pass writes through, so the lent `&mut` crosses the
+/// pool's lifetime-erasing `unsafe` as a real borrow (what the Miri job
+/// over this file checks).
+#[derive(Default)]
+struct FlakyBackend {
+    /// Set once the injected panic has fired.
+    fired: AtomicBool,
+    input: Vec<f32>,
+    scratches: Vec<Vec<f32>>,
+}
 
-impl BayesBackend for PanickyBackend {
-    type Scratch = ();
+impl BayesBackend for FlakyBackend {
+    type Scratch = Vec<f32>;
 
-    fn info(&self, _input: Shape4) -> ModelInfo {
+    fn info(&self, input: Shape4) -> ModelInfo {
         ModelInfo {
-            name: "panicky",
+            name: "flaky",
             n_sites: 1,
-            site_channels: vec![4],
+            site_channels: vec![input.item_len()],
             output_classes: 2,
         }
     }
 
-    fn prepare(&mut self, _x: &Tensor, _active: &[bool]) {}
+    fn prepare(&mut self, x: &Tensor, _active: &[bool]) {
+        self.input = x.as_slice().to_vec();
+    }
 
-    fn make_scratch(&self) {}
+    fn scratches(&mut self) -> &mut Vec<Vec<f32>> {
+        &mut self.scratches
+    }
 
-    fn forward_batch(&self, _mask_sets: &[MaskSet], _scratch: &mut ()) -> Vec<Tensor> {
-        panic!("injected backend panic");
+    /// Per sample: the masked, rescaled input staged in the scratch,
+    /// its sum squashed into a two-class distribution.
+    fn forward_batch(&self, mask_sets: &[MaskSet], scratch: &mut Vec<f32>) -> Vec<Tensor> {
+        if !self.fired.swap(true, Ordering::SeqCst) {
+            panic!("injected backend panic");
+        }
+        mask_sets
+            .iter()
+            .map(|masks| {
+                let mask = masks.get(0).expect("the one site is active");
+                scratch.clear();
+                scratch.extend(self.input.iter().zip(&mask.keep).map(|(&v, &keep)| {
+                    if keep {
+                        v * mask.scale
+                    } else {
+                        0.0
+                    }
+                }));
+                let p = 1.0 / (1.0 + (-scratch.iter().sum::<f32>()).exp());
+                Tensor::from_vec(Shape4::vec(1, 2), vec![p, 1.0 - p])
+            })
+            .collect()
     }
 }
 
 #[test]
 fn worker_panic_poisons_the_call_not_the_process() {
     with_deadline(60, || {
-        let net = test_net();
         let pool = WorkerPool::new(4);
         let x = test_input(1);
+        let cfg = BayesConfig::new(1, 8);
+        let four = ParallelConfig::with_threads(4);
 
-        // Every sample chunk of this call panics on a pool worker; the
+        // One of this call's four sample chunks panics on the pool; the
         // call must re-throw on the caller and nothing else.
+        let mut backend = FlakyBackend::default();
         let err = catch_unwind(AssertUnwindSafe(|| {
-            let mut backend = PanickyBackend;
             predictive(
                 &mut backend,
                 &x,
-                BayesConfig::new(1, 8),
+                cfg,
                 &mut SoftwareMaskSource::new(3),
-                ParallelConfig::with_threads(4),
+                four,
                 &pool,
             )
         }))
@@ -284,32 +319,40 @@ fn worker_panic_poisons_the_call_not_the_process() {
             .copied()
             .unwrap_or("<non-str payload>");
         assert_eq!(msg, "injected backend panic");
+        assert!(
+            backend.scratches().is_empty(),
+            "the unwind dropped the lent scratches"
+        );
 
-        // The same pool keeps serving healthy calls afterwards.
+        // The same pool and the same resident backend keep serving: its
+        // scratches are rebuilt from `Default`, bit-identical to a fresh
+        // backend's.
+        let fresh = || FlakyBackend {
+            fired: AtomicBool::new(true),
+            ..FlakyBackend::default()
+        };
         let inline = WorkerPool::new(0);
-        let cfg = BayesConfig::new(3, 6);
-        let mut serial = FloatBackend::new(&net);
         let (want, _) = predictive(
-            &mut serial,
+            &mut fresh(),
             &x,
             cfg,
             &mut SoftwareMaskSource::new(9),
             ParallelConfig::serial(),
             &inline,
         );
-        let mut backend = FloatBackend::new(&net);
         let (got, _) = predictive(
             &mut backend,
             &x,
             cfg,
             &mut SoftwareMaskSource::new(9),
-            ParallelConfig::with_threads(4),
+            four,
             &pool,
         );
         assert_eq!(
             got.as_slice(),
             want.as_slice(),
-            "pool must survive a poisoned call"
+            "the resident backend must survive a poisoned call"
         );
+        assert_eq!(backend.scratches().len(), 4, "one scratch per chunk");
     });
 }

@@ -66,7 +66,7 @@ pub mod tenant;
 pub mod wire;
 
 pub use client::{http_get, NetClient, PipelinedClient, Submitted, Timeouts};
-pub use monitor::{CostAgg, Monitor, MonitorSnapshot};
+pub use monitor::{Monitor, MonitorSnapshot};
 pub use server::{NetConfig, NetServer};
 pub use tenant::{RateLimited, TenantGate, TenantPolicy, TenantTable};
 pub use wire::{

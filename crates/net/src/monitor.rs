@@ -36,36 +36,6 @@ fn batch_bucket(size: usize) -> usize {
     }
 }
 
-/// Aggregated engine cost for one substrate.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CostAgg {
-    /// Replies folded into this aggregate.
-    pub requests: u64,
-    /// Total Monte Carlo samples served.
-    pub samples: u64,
-    /// Total measured engine wall time (ms).
-    pub wall_ms: f64,
-    /// Total modelled cycles (0 when the substrate has no model).
-    pub cycles: u64,
-    /// Total modelled memory traffic in bytes.
-    pub mem_bytes: u64,
-    /// Total modelled latency (ms).
-    pub modelled_latency_ms: f64,
-}
-
-impl CostAgg {
-    fn fold(&mut self, cost: &CostReport) {
-        self.requests += 1;
-        self.samples += cost.samples as u64;
-        self.wall_ms += cost.wall_ms;
-        if let Some(model) = cost.model {
-            self.cycles += model.cycles;
-            self.mem_bytes += model.mem_bytes;
-            self.modelled_latency_ms += model.latency_ms;
-        }
-    }
-}
-
 /// Mutable monitor state; one lock, touched once per reply.
 struct State {
     /// Latency ring, microseconds; `next` is the overwrite cursor.
@@ -81,7 +51,7 @@ struct State {
     /// Total replies recorded (ring may hold only the tail).
     recorded: u64,
     batch_hist: [u64; BATCH_BUCKETS],
-    cost: CostAgg,
+    cost: CostReport,
     rate_limited: u64,
     malformed: u64,
     connections: u64,
@@ -109,7 +79,7 @@ impl Monitor {
                 cumulative: LogHistogram::new(),
                 recorded: 0,
                 batch_hist: [0; BATCH_BUCKETS],
-                cost: CostAgg::default(),
+                cost: CostReport::default(),
                 rate_limited: 0,
                 malformed: 0,
                 connections: 0,
@@ -139,7 +109,7 @@ impl Monitor {
         st.next = (st.next + 1) % self.window;
         st.recorded += 1;
         st.batch_hist[batch_bucket(coalesced.max(1))] += 1;
-        st.cost.fold(cost);
+        st.cost.accumulate(cost);
     }
 
     /// Count a frame the tenant gate refused.
@@ -300,8 +270,9 @@ pub struct MonitorSnapshot {
     pub recorded: u64,
     /// Batch-size histogram, buckets per [`BATCH_LABELS`].
     pub batch_hist: [u64; BATCH_BUCKETS],
-    /// Aggregated engine cost for this substrate.
-    pub cost: CostAgg,
+    /// Every recorded reply's engine cost, accumulated (one reply per
+    /// `recorded`).
+    pub cost: CostReport,
     /// Frames refused by the tenant gate.
     pub rate_limited: u64,
     /// Frames the decoder refused.
@@ -338,13 +309,14 @@ impl MonitorSnapshot {
         for (label, count) in BATCH_LABELS.iter().zip(self.batch_hist) {
             batches.field_u64(label, count);
         }
+        let model = self.cost.model.unwrap_or_default();
         let mut cost = JsonObj::new();
-        cost.field_u64("requests", self.cost.requests)
-            .field_u64("samples", self.cost.samples)
+        cost.field_u64("requests", self.recorded)
+            .field_u64("samples", self.cost.samples as u64)
             .field_f64("wall_ms", self.cost.wall_ms)
-            .field_u64("cycles", self.cost.cycles)
-            .field_u64("mem_bytes", self.cost.mem_bytes)
-            .field_f64("modelled_latency_ms", self.cost.modelled_latency_ms);
+            .field_u64("cycles", model.cycles)
+            .field_u64("mem_bytes", model.mem_bytes)
+            .field_f64("modelled_latency_ms", model.latency_ms);
         let mut net = JsonObj::new();
         net.field_u64("connections", self.connections)
             .field_u64("http_requests", self.http_requests)
@@ -427,7 +399,6 @@ mod tests {
         // answers are the bucket floors, not the exact samples.
         assert_eq!(snap.p50_us, Some(32));
         assert_eq!(snap.p99_us, Some(1024));
-        assert_eq!(snap.cost.requests, 6);
         assert_eq!(snap.cost.samples, 48);
     }
 
@@ -442,9 +413,10 @@ mod tests {
         m.record_reply(Duration::from_micros(5), 3, &report(8, 1.0, Some(model)));
         m.record_reply(Duration::from_micros(5), 3, &report(8, 1.0, Some(model)));
         let snap = m.snapshot();
-        assert_eq!(snap.cost.cycles, 200);
-        assert_eq!(snap.cost.mem_bytes, 8192);
-        assert!((snap.cost.modelled_latency_ms - 0.5).abs() < 1e-9);
+        let folded = snap.cost.model.expect("model fields folded");
+        assert_eq!(folded.cycles, 200);
+        assert_eq!(folded.mem_bytes, 8192);
+        assert!((folded.latency_ms - 0.5).abs() < 1e-9);
         assert_eq!(snap.batch_hist[2], 2); // both coalesced=3 → "3-4"
     }
 
@@ -479,7 +451,7 @@ mod tests {
                     assert_eq!(snap.p50_us, Some(777), "torn ring: {:?}", snap.p50_us);
                     assert_eq!(snap.p99_us, Some(777), "torn ring: {:?}", snap.p99_us);
                 }
-                assert_eq!(snap.cost.requests, snap.recorded);
+                assert_eq!(snap.cost.samples as u64, 4 * snap.recorded);
             }
             stop.store(true, Ordering::Relaxed);
         });

@@ -904,9 +904,10 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
 }
 
 /// Read exactly `buf.len()` bytes. With `allow_idle`, a clean EOF or
-/// a timeout *before the first byte* is surfaced to the caller
-/// (EOF via a zero-filled... see below); once any byte has arrived,
-/// timeouts retry (up to [`MAX_FRAME_STALLS`]) and EOF is an error.
+/// a timeout *before the first byte* is surfaced to the caller: a
+/// clean close as `NotFound`, which [`read_frame`] maps to `Ok(None)`.
+/// Once any byte has arrived, timeouts retry (up to
+/// [`MAX_FRAME_STALLS`]) and EOF is an error.
 fn fill<R: Read>(r: &mut R, buf: &mut [u8], allow_idle: bool) -> io::Result<()> {
     let mut got = 0;
     let mut stalls = 0;

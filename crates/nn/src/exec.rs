@@ -458,8 +458,8 @@ impl ExecScratch {
     }
 
     /// Whether this scratch was built for `(input shape, suffix
-    /// boundary, sample count)` — what a pool of retired scratches is
-    /// searched by.
+    /// boundary, sample count)` — what a resident scratch is checked
+    /// against before reuse.
     pub fn built_for(&self, input: Shape4, from: NodeId, samples: usize) -> bool {
         (self.input, self.from, self.samples) == (input, from, samples)
     }

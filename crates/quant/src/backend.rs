@@ -14,12 +14,15 @@
 //! int8 samples exactly like float ones. Both passes are projections of
 //! [`QGraph::walk`] over one output slot per node, with the tiled
 //! integer kernel ([`exec_qnode_tiled`]) at its register-sized serving
-//! tile as the node executor. A worker's slots hold the suffix outputs
-//! and, replicated once per sample, the prefix outputs the suffix reads;
-//! they and the kernel's operand buffer are sized by the first chunk
-//! and then overwritten in place, so a warm chunk of the same size
-//! allocates nothing but its results. Integer arithmetic is exact, so
-//! every sample's bytes equal a walk of its mask set alone.
+//! tile as the node executor. A chunk's scratch holds the suffix
+//! outputs and, replicated once per sample, the prefix outputs the
+//! suffix reads; it and the kernel's operand buffer are sized by the
+//! first chunk at its position and then overwritten in place. The
+//! backend keeps one such scratch per sample chunk and the quantized
+//! input and prefix slots beside them, so reuse spans requests: a warm
+//! request of the same shape allocates nothing but its results.
+//! Integer arithmetic is exact, so every sample's bytes equal a walk of
+//! its mask set alone.
 //!
 //! The accelerator substrate is this backend with the simulator's
 //! analytic [`HardwareModel`] attached ([`Int8Backend::with_model`],
@@ -40,7 +43,7 @@ use std::sync::Arc;
 /// boundary (`nodes.len()` when the run is fully deterministic), one
 /// output slot per node, the prefix slots filled, and the kernel's
 /// operand buffer. Kept across `prepare` calls, so a warm backend
-/// re-sizes nothing.
+/// re-sizes nothing and quantizes into the held input.
 #[derive(Debug)]
 struct Prepared {
     input: QTensor,
@@ -57,7 +60,13 @@ pub struct Int8Backend {
     name: &'static str,
     model: Option<Arc<dyn HardwareModel>>,
     prepared: Option<Prepared>,
+    /// One scratch per sample chunk, kept across calls.
+    scratches: Vec<ChunkScratch>,
 }
+
+/// One sample chunk's node slots (the suffix outputs and the replicated
+/// crossing prefix outputs) and kernel operand buffer.
+type ChunkScratch = (Vec<QTensor>, Vec<i16>);
 
 impl Int8Backend {
     /// Create a backend owning a quantized graph (`"int8"`, no
@@ -68,6 +77,7 @@ impl Int8Backend {
             name: "int8",
             model: None,
             prepared: None,
+            scratches: Vec::new(),
         }
     }
 
@@ -90,6 +100,11 @@ impl Int8Backend {
     /// The wrapped quantized graph.
     pub fn qgraph(&self) -> &QGraph {
         &self.qgraph
+    }
+
+    /// The quantized input the last `prepare` bound, if any.
+    pub fn prepared_input(&self) -> Option<&QTensor> {
+        self.prepared.as_ref().map(|p| &p.input)
     }
 
     fn prepared(&self) -> &Prepared {
@@ -130,9 +145,7 @@ fn stack_items_into(t: &QTensor, samples: usize, out: &mut QTensor) {
 }
 
 impl BayesBackend for Int8Backend {
-    /// One worker's node slots (the suffix outputs and the replicated
-    /// crossing prefix outputs) and kernel operand buffer.
-    type Scratch = (Vec<QTensor>, Vec<i16>);
+    type Scratch = ChunkScratch;
 
     fn info(&self, input: Shape4) -> ModelInfo {
         ModelInfo {
@@ -149,12 +162,12 @@ impl BayesBackend for Int8Backend {
             "{}: the hardware model costs one image at a time (use batch = 1)",
             self.name
         );
-        let input = self.qgraph.quantize_input(x);
         let split = self.qgraph.suffix_split(active);
-        let (mut slots, mut ops) = match self.prepared.take() {
-            Some(prepared) => (prepared.slots, prepared.ops),
-            None => (self.qgraph.slots(), Vec::new()),
+        let (mut input, mut slots, mut ops) = match self.prepared.take() {
+            Some(prepared) => (prepared.input, prepared.slots, prepared.ops),
+            None => (QTensor::zeros(x.shape()), self.qgraph.slots(), Vec::new()),
         };
+        self.qgraph.quantize_input_into(x, &mut input);
         self.qgraph.walk(
             0..split,
             &input,
@@ -170,22 +183,17 @@ impl BayesBackend for Int8Backend {
         });
     }
 
-    /// A per-worker scratch: unsized slots, filled by the worker's
-    /// first chunk (the prefix is read from the prepared slots, and only
-    /// what crosses into the suffix is copied).
-    fn make_scratch(&self) -> (Vec<QTensor>, Vec<i16>) {
-        (self.qgraph.slots(), Vec::new())
+    fn scratches(&mut self) -> &mut Vec<ChunkScratch> {
+        &mut self.scratches
     }
 
     /// One suffix walk for the whole chunk, its samples stacked along
     /// the item axis over the crossing prefix outputs replicated once
     /// per sample; then dequantize and softmax the stacked logits once
-    /// and split them by sample.
-    fn forward_batch(
-        &self,
-        mask_sets: &[MaskSet],
-        (outs, ops): &mut (Vec<QTensor>, Vec<i16>),
-    ) -> Vec<Tensor> {
+    /// and split them by sample. An empty scratch gets unsized slots
+    /// here (the prefix is read from the prepared slots, and only what
+    /// crosses into the suffix is copied).
+    fn forward_batch(&self, mask_sets: &[MaskSet], (outs, ops): &mut ChunkScratch) -> Vec<Tensor> {
         let Prepared {
             input,
             split,
@@ -196,6 +204,9 @@ impl BayesBackend for Int8Backend {
         if *split == nodes {
             // No active site: the prefix holds the logits.
             return vec![self.probs(&slots[self.qgraph.output_id()]); samples];
+        }
+        if outs.is_empty() {
+            *outs = self.qgraph.slots();
         }
         // The prefix outputs the suffix reads across the boundary.
         for node in &self.qgraph.nodes()[*split..] {

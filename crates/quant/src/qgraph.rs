@@ -276,10 +276,19 @@ impl QGraph {
     /// Quantize a real-valued input batch.
     pub fn quantize_input(&self, x: &Tensor) -> QTensor {
         let mut q = QTensor::zeros(x.shape());
+        self.quantize_input_into(x, &mut q);
+        q
+    }
+
+    /// Quantize a real-valued input batch into `q`, re-sizing it only
+    /// on a shape change.
+    pub fn quantize_input_into(&self, x: &Tensor, q: &mut QTensor) {
+        if q.shape != x.shape() {
+            *q = QTensor::zeros(x.shape());
+        }
         for (qv, &xv) in q.data.iter_mut().zip(x.iter()) {
             *qv = self.input_q.quantize(xv);
         }
-        q
     }
 
     /// Dequantize logits.

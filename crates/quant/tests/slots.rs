@@ -2,7 +2,7 @@
 //! node, sized once and overwritten in place — the integer mirror of
 //! the f32 walk's `forward_prefix_matches_forward_full_and_reuses_buffers`
 //! — and the tiled kernel's operand buffer is sized once beside them.
-//! A worker's scratch holds only what its stacked suffix walk writes or
+//! A chunk's scratch holds only what its stacked suffix walk writes or
 //! reads: the suffix slots and the crossing prefix outputs, replicated
 //! once per sample.
 
@@ -37,7 +37,7 @@ fn integer_suffix_reruns_reuse_every_slot() {
         .map(|_| src.next_masks(&active, &info.site_channels, 0.25))
         .collect();
 
-    // Through the backend: the first stacked chunk sizes the worker's
+    // Through the backend: the first stacked chunk sizes the chunk's
     // slots, crossing replicas and operand buffer; every later chunk of
     // the same size only overwrites them.
     backend.prepare(&x, &active);
@@ -49,7 +49,7 @@ fn integer_suffix_reruns_reuse_every_slot() {
         [crossing],
         "the first suffix node reads the node before it"
     );
-    let mut scratch = backend.make_scratch();
+    let mut scratch = (Vec::new(), Vec::new());
     let warm = backend.forward_batch(&masks, &mut scratch);
     assert_eq!(warm.len(), samples);
     let (sized, operand) = (ptrs(&scratch.0), scratch.1.as_ptr());

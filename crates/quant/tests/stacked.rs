@@ -62,7 +62,7 @@ fn assert_stacked_equals_per_sample(net: &Graph, x: &Tensor, seed: u64) {
             .collect();
 
         backend.prepare(x, &active);
-        let mut scratch = backend.make_scratch();
+        let mut scratch = Default::default();
         for chunk in [1, 3, S] {
             let got: Vec<Tensor> = masks
                 .chunks(chunk)

@@ -174,7 +174,7 @@ impl Sipo {
 }
 
 /// Occupancy and throughput statistics of a [`BernoulliSampler`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SamplerStats {
     /// Cycles the sampler has been ticked.
     pub cycles: u64,

@@ -295,7 +295,7 @@
 //! | [`tensor`] | `bnn-tensor` | NCHW tensors, GEMM, im2col, pooling |
 //! | [`nn`] | `bnn-nn` | layer-graph IR, f32 executor, backprop, SGD, model builders |
 //! | [`data`] | `bnn-data` | synthetic MNIST/SVHN/CIFAR-like datasets, OOD noise |
-//! | [`mcd`] | `bnn-mcd` | the six-method `BayesBackend` trait, the one MC `Engine`, `FloatBackend` (one sample per walk `new` / batched-sample `fused`, same kernels), conformance harness, uncertainty metrics |
+//! | [`mcd`] | `bnn-mcd` | the `BayesBackend` trait (`info`, `prepare`, `scratches`, `forward_batch`, `model_cost`), the one MC `Engine`, `FloatBackend` (one sample per walk `new` / batched-sample `fused`, same kernels), conformance harness, uncertainty metrics |
 //! | [`serve`] | `bnn-serve` | the request-coalescing serving front door: `Server`, `Handle`, `BatchPolicy` |
 //! | [`net`] | `bnn-net` | the TCP front door: binary protocol v1/v2 (pipelining), `GET /status` / `/metrics` / `/trace` telemetry, tenant gate, blocking clients |
 //! | [`trace`] | `bnn-trace` | stage-span recorder: per-thread rings, log2 histograms, Chrome-trace export behind `/trace` + `/metrics` |

@@ -26,6 +26,9 @@
 //! * Every substrate survives deterministic fault injection
 //!   (`assert_chaos_agrees`): disabled chaos is bit-transparent and
 //!   scheduled faults are contained and replayable.
+//! * Every resident backend keeps one scratch per sample chunk warm
+//!   across requests: a second request of the same shape reallocates
+//!   nothing the first one sized.
 
 use bnn_fpga::accel::{AccelConfig, Accelerator};
 use bnn_fpga::data::synth_mnist;
@@ -34,7 +37,7 @@ use bnn_fpga::mcd::{
     active_sites, BayesBackend, BayesConfig, Engine, FloatBackend, MaskSource, ParallelConfig,
     Plan, RequestResult, SoftwareMaskSource, WorkerPool,
 };
-use bnn_fpga::nn::{models, MaskSet, SgdConfig, Trainer};
+use bnn_fpga::nn::{models, MaskSet, Op, SgdConfig, Trainer};
 use bnn_fpga::quant::{Int8Backend, Quantizer};
 use bnn_fpga::tensor::{softmax_rows, Shape4, Tensor};
 use bnn_fpga::{Backend, ServeBackend, Session};
@@ -685,5 +688,93 @@ fn server_front_door_serves_integer_substrates() {
             assert_eq!(reply.uncertainty.predicted, reply.probs.argmax_item(0));
         }
         server.shutdown();
+    }
+}
+
+#[test]
+fn resident_backends_keep_one_warm_scratch_per_chunk() {
+    // The backend owns one scratch per sample chunk and the engine
+    // lends them, so a second request of the same shape reuses every
+    // buffer the first one sized. S = 8 over 3 threads is chunks of 3,
+    // 3 and 2. At L = 4 the suffix holds a convolution and the pooled
+    // output before its site crosses the boundary.
+    fn serve<B: BayesBackend>(engine: Engine<'_>, backend: &mut B, x: &Tensor, seed: u64) {
+        let mut src = SoftwareMaskSource::new(seed);
+        let _ = engine.run(backend, Plan::one(x, &mut src), BayesConfig::new(4, 8));
+    }
+    /// Every suffix slot and crossing replica, the operand buffer of
+    /// each chunk's scratch, and the prepared input.
+    type Addresses = (Vec<Vec<*const u8>>, Vec<*const i16>, *const u8);
+    fn addresses(backend: &mut Int8Backend) -> Addresses {
+        let input = backend.prepared_input().expect("prepared").data.as_ptr();
+        let scratches = backend.scratches();
+        let slots = scratches
+            .iter()
+            .map(|(slots, _)| slots.iter().map(|t| t.data.as_ptr()).collect())
+            .collect();
+        (
+            slots,
+            scratches.iter().map(|(_, ops)| ops.as_ptr()).collect(),
+            input,
+        )
+    }
+
+    let (net, ds) = trained_lenet();
+    let folded = net.fold_batch_norm();
+    let qg = Quantizer::new(&folded).calibrate(&ds.train_x).quantize();
+    let accel = Accelerator::new(AccelConfig::default(), &folded, &qg, ds.image_shape());
+    let (x, next) = (ds.test_x.select_item(0), ds.test_x.select_item(1));
+    let chunks = [3usize, 3, 2];
+    let pool = WorkerPool::new(2);
+    let engine = Engine::new(&pool, ParallelConfig::with_threads(3));
+    let active = active_sites(folded.n_sites(), 4);
+    let crossing = qg.nodes()[qg.suffix_split(&active)].inputs[0];
+
+    for mut backend in [Int8Backend::new(qg.clone()), accel.into_backend()] {
+        let name = backend.info(x.shape()).name;
+        serve(engine, &mut backend, &x, 1);
+        let warm = addresses(&mut backend);
+        let scratches = backend.scratches();
+        assert_eq!(
+            scratches.len(),
+            chunks.len(),
+            "{name}: one scratch per chunk"
+        );
+        for ((slots, ops), samples) in scratches.iter().zip(chunks) {
+            assert_eq!(slots[crossing].shape.n, samples, "{name}: crossing replica");
+            assert!(!ops.is_empty(), "{name}: the suffix ran no kernel");
+        }
+        serve(engine, &mut backend, &next, 2);
+        assert_eq!(
+            addresses(&mut backend),
+            warm,
+            "{name}: a warm request reallocated a slot, a crossing replica, \
+             an operand buffer or the prepared input"
+        );
+    }
+
+    let from = folded
+        .nodes()
+        .iter()
+        .position(|node| matches!(node.op, Op::McdSite { site, .. } if active[site.0]))
+        .expect("an active site")
+        - 1;
+    for (mut backend, fused) in [
+        (FloatBackend::new(&folded), false),
+        (FloatBackend::fused(&folded), true),
+    ] {
+        serve(engine, &mut backend, &x, 1);
+        serve(engine, &mut backend, &next, 2);
+        let scratches = backend.scratches();
+        assert_eq!(scratches.len(), chunks.len(), "one scratch per chunk");
+        for (scratch, samples) in scratches.iter().zip(chunks) {
+            let walk = if fused { samples } else { 1 };
+            assert!(
+                scratch
+                    .as_ref()
+                    .is_some_and(|sc| sc.built_for(x.shape(), from, walk)),
+                "fused = {fused}: chunk of {samples} holds no fitting workspace"
+            );
+        }
     }
 }
