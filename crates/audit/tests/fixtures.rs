@@ -72,6 +72,28 @@ fn unsafe_in_pool_without_safety_comment_is_flagged() {
 }
 
 #[test]
+fn unsafe_in_the_simd_kernel_needs_a_safety_comment() {
+    let argued = run(&[(
+        "crates/tensor/src/simd.rs",
+        r#"fn load8(x: &[f32; 8]) -> __m256 {
+    // SAFETY: `x` is 8 initialised f32s, exactly what the load reads.
+    unsafe { _mm256_loadu_ps(x.as_ptr()) }
+}
+"#,
+    )]);
+    assert_eq!(rule_hits(&argued, "unsafe-audit"), Vec::<usize>::new());
+
+    let bare = run(&[(
+        "crates/tensor/src/simd.rs",
+        r#"fn load8(x: &[f32; 8]) -> __m256 {
+    unsafe { _mm256_loadu_ps(x.as_ptr()) }
+}
+"#,
+    )]);
+    assert_eq!(rule_hits(&bare, "unsafe-audit"), vec![2]);
+}
+
+#[test]
 fn safety_comment_may_sit_above_attributes() {
     let report = run(&[(
         "crates/mcd/src/pool.rs",

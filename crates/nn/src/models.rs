@@ -24,7 +24,7 @@ pub const MCD_P: f32 = 0.25;
 /// Panics if the image geometry does not fit the LeNet-5 pipeline.
 pub fn lenet5(classes: usize, in_c: usize, img: usize, seed: u64) -> Graph {
     assert!(
-        img >= 12 && img % 2 == 0,
+        img >= 12 && img.is_multiple_of(2),
         "lenet5 needs an even image size >= 12"
     );
     let mut b = GraphBuilder::new("lenet5", seed);
@@ -65,7 +65,7 @@ pub fn lenet5(classes: usize, in_c: usize, img: usize, seed: u64) -> Graph {
 ///
 /// Panics unless `img` is divisible by 32 (five 2× pools).
 pub fn vgg11(classes: usize, in_c: usize, img: usize, width_div: usize, seed: u64) -> Graph {
-    assert!(img % 32 == 0, "vgg11 needs img divisible by 32");
+    assert!(img.is_multiple_of(32), "vgg11 needs img divisible by 32");
     assert!(width_div >= 1, "width divisor must be >= 1");
     let ch = |c: usize| (c / width_div).max(2);
     let mut b = GraphBuilder::new("vgg11", seed);

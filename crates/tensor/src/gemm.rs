@@ -15,13 +15,18 @@
 //!   and 1 over the remainder.
 //! * [`gemm_bt`] computes dot products along `k`, so its micro-kernel
 //!   keeps 8 partial-sum lanes per output and shares every streamed
-//!   `b` chunk between two rows of `a`.
+//!   `b` chunk between two rows of `a`. On a CPU with AVX-512F and
+//!   AVX-512DQ, detected at run time, it runs at 512-bit width instead
+//!   (`simd.rs`: two rows' lanes per zmm, 8 rows × 4 `b` rows per
+//!   register block); the safe kernel here is the fallback everywhere
+//!   else and the reference that path is tested against.
 //!
 //! Accumulation order therefore differs from the textbook triple
-//! loop, but it is fixed per element and is a contract, stated once on
-//! [`gemm`]: two calls into these kernels agree bit for bit however
-//! their operands are tiled or stacked, and only a comparison against
-//! a *different* order needs a tolerance.
+//! loop, but it is fixed per element and is a contract, stated on
+//! [`gemm`] and on [`gemm_bt`]: two calls into these kernels agree bit
+//! for bit however their operands are tiled or stacked and whichever
+//! ISA runs them, and only a comparison against a *different* order
+//! needs a tolerance.
 //!
 //! The previous generation of these kernels skipped zero `a` elements.
 //! That branch is gone: on the dense matrices the NN stack produces it
@@ -227,7 +232,7 @@ pub fn gemm_bt_stacked(
 }
 
 /// Partial-sum lanes per dot product in [`gemm_bt`].
-const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 /// `b` rows per [`gemm_bt`] register tile.
 const JR: usize = 4;
 
@@ -239,6 +244,23 @@ const JR: usize = 4;
 /// (vectorized, no loop-carried f32 dependency) and shares each
 /// streamed `b` chunk between two rows of `a`.
 ///
+/// # The accumulation contract
+///
+/// Every element `c[i,j]` is the dot product of row `i` of `a` and row
+/// `j` of `b`, accumulated in one fixed order:
+///
+/// * 8 lane partial sums, each from `+0.0`, over the `k / 8` chunks in
+///   ascending order: `lane[l] += a[i, 8ch + l] * b[j, 8ch + l]` — a
+///   multiply and an add, two roundings, never a fused `mul_add`;
+/// * `s = 0.0`, then `s += lane[l]` for `l` in `0..8`;
+/// * then the `k mod 8` tail in order: `s += a[i,p] * b[j,p]`;
+/// * then `c[i,j] += s`.
+///
+/// Nothing else enters an element's value: not the register tile or
+/// row band covering it, not stacking, not the ISA that runs it (the
+/// AVX-512 kernel and the safe fallback agree bit for bit).
+/// `tests/properties.rs` checks this against a scalar transcription.
+///
 /// # Panics
 ///
 /// Panics if the slice lengths do not match the given dimensions.
@@ -246,6 +268,16 @@ pub fn gemm_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
     assert_eq!(a.len(), m * k, "a must be m*k");
     assert_eq!(b.len(), n * k, "b must be n*k (transposed)");
     assert_eq!(c.len(), m * n, "c must be m*n");
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if crate::simd::gemm_bt(m, k, n, a, b, c) {
+        return;
+    }
+    gemm_bt_portable(m, k, n, a, b, c);
+}
+
+/// The safe [`gemm_bt`] kernel: the fallback on every other CPU and the
+/// reference the AVX-512 kernel is tested against.
+pub(crate) fn gemm_bt_portable(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     let chunks = k / LANES;
     let mut i = 0;
     while i + 2 <= m {
@@ -305,7 +337,7 @@ pub fn gemm_bt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
 
 /// Lane-parallel dot product (the single-row [`gemm_bt`] path).
 #[inline]
-fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
+pub(crate) fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
     debug_assert_eq!(x.len(), y.len());
     let mut lanes = [0.0f32; LANES];
     let xc = x.chunks_exact(LANES);
@@ -316,7 +348,7 @@ fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
             *lane += xs[l] * ys[l];
         }
     }
-    let mut s: f32 = lanes.iter().sum();
+    let mut s = lanes.iter().fold(0.0f32, |s, &l| s + l);
     for (&xv, &yv) in xr.iter().zip(yr) {
         s += xv * yv;
     }

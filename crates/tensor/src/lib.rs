@@ -14,7 +14,7 @@
 //! assert_eq!(x.len(), 3 * 64);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod gemm;
@@ -22,6 +22,9 @@ mod im2col;
 mod ops;
 mod pool;
 mod shape;
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+#[allow(unsafe_code)]
+mod simd;
 mod tensor;
 
 pub use gemm::{gemm, gemm_at, gemm_bt, gemm_bt_stacked, gemm_stacked};

@@ -351,6 +351,62 @@ fn gemm_and_gemm_at_follow_the_tile_contract_bit_for_bit() {
     }
 }
 
+/// The accumulation contract stated on `gemm_bt`, transcribed: 8 lane
+/// partial sums over the `k / 8` chunks in order, the lanes summed
+/// 0..8 from +0.0, then the `k mod 8` tail in order, then `c += s`.
+fn gemm_bt_contract(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let chunks = k / 8;
+    for i in 0..m {
+        for j in 0..n {
+            let (arow, brow) = (&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+            let mut lanes = [0.0f32; 8];
+            for ch in 0..chunks {
+                for (l, lane) in lanes.iter_mut().enumerate() {
+                    *lane += arow[ch * 8 + l] * brow[ch * 8 + l];
+                }
+            }
+            let mut s = 0.0f32;
+            for lane in lanes {
+                s += lane;
+            }
+            for p in chunks * 8..k {
+                s += arow[p] * brow[p];
+            }
+            c[i * n + j] += s;
+        }
+    }
+}
+
+#[test]
+fn gemm_bt_follows_the_lane_contract_bit_for_bit() {
+    // Every row block (8, 4, 2 rows, odd last row) × every `b`-row tile
+    // remainder × depths around the 8-lane chunk, into a `c` that
+    // starts non-zero. On an AVX-512 host this pins the 512-bit kernel;
+    // elsewhere, the safe one.
+    for n in (1..=13).chain([84, 120]) {
+        for k in [0, 1, 7, 8, 9, 84, 120, 400] {
+            for m in 1..=19 {
+                let mut rng = bnn_rng_stub((m * 1000 + n) as u64 ^ (k as u64) << 20);
+                let a = rng.dense(m * k);
+                let b = rng.dense(n * k);
+                let c0 = rng.dense(m * n);
+                let mut want = c0.clone();
+                gemm_bt_contract(m, k, n, &a, &b, &mut want);
+                let mut got = c0;
+                gemm_bt(m, k, n, &a, &b, &mut got);
+                for idx in 0..m * n {
+                    let (i, j) = (idx / n, idx % n);
+                    assert_eq!(
+                        got[idx].to_bits(),
+                        want[idx].to_bits(),
+                        "gemm_bt {m}x{k}x{n}: element ({i},{j}) left the contract"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// The per-element im2col the span-copy kernel replaced, kept as its
 /// reference: one bounds-tested load per tap.
 #[allow(clippy::too_many_arguments)]

@@ -253,10 +253,13 @@
 //! samples. `cargo run -p bnn-audit --release` (a CI gate) proves the
 //! code *can't* reach for nondeterminism, via five named rules:
 //!
-//! * **`unsafe-audit`** — `unsafe` only in `crates/mcd/src/pool.rs`,
-//!   each use immediately preceded by a `SAFETY:` argument, and every
-//!   crate roof carries `#![deny(unsafe_code)]` or stricter. One
-//!   audited lifetime-erasure must not quietly become two.
+//! * **`unsafe-audit`** — `unsafe` only in `crates/mcd/src/pool.rs`
+//!   (the worker pool's lifetime erasure) and
+//!   `crates/tensor/src/simd.rs` (the AVX-512 `gemm_bt` kernel's
+//!   dispatch call and loads), each use immediately preceded by a
+//!   `SAFETY:` argument, and every crate roof carries
+//!   `#![deny(unsafe_code)]` or stricter. Two audited modules must not
+//!   quietly become three.
 //! * **`determinism`** — the engine/kernel crates (`tensor`, `nn`,
 //!   `rng`, `quant`, the deterministic modules of `mcd`, plus the
 //!   `trace` recorder — whose only wall-clock intake is the
