@@ -1,4 +1,4 @@
-//! The integer matrix kernel and the tiled node executor built on it.
+//! The tiled node executor over the integer matrix kernels.
 //!
 //! A quantized convolution or linear layer is one matrix product per
 //! batch item,
@@ -9,28 +9,33 @@
 //!
 //! over `F` output channels, `V` output pixels (1 for a linear layer)
 //! and a reduction of `R = C·K²` taps (the input width for a linear
-//! layer). The kernel materialises the operand `x − zx` once per item,
-//! as `i16`: for a convolution it is the im2col matrix, one row per tap
-//! across the output pixels, with a padding tap written as 0 so the
-//! zero point drops out of the padding; for a linear layer it is the
-//! item's row. The `i8` weights are read where the quantizer left them,
+//! layer). The `i8` weights are read where the quantizer left them,
 //! products accumulate in `i32`, and the per-channel [`FixedMul`]
 //! requantizes.
+//!
+//! A convolution materialises its operand `x − zx` once per item, as
+//! `i16`: the im2col matrix, one row per tap across the output pixels,
+//! with a padding tap written as 0 so the zero point drops out of the
+//! padding. A linear layer materialises nothing. It hoists the zero
+//! point, `Σ_r w · (x − zx) = Σ_r w · x − zx · Σ_r w`, so
+//! [`bnn_tensor::gemm_bt_u8i8`] multiplies the raw `u8` codes of its
+//! items — the Monte Carlo samples a stacked suffix walk puts on the
+//! item axis — by the weight rows where both sit.
 //!
 //! The loop nest is the accelerator's PE array ([`Tile`]): filter tiles
 //! of `P_F` × pixel tiles of `P_V`, each streaming its reduction through
 //! `P_C`-wide adder trees. Integer accumulation is exact, so every tile
 //! gives the bytes of the direct reference loops behind [`exec_qnode`].
 //! The tile decides only the order, and how many tiles the kernel runs:
-//! the count the accelerator's cycle model charges. A linear layer over
-//! several items — the Monte Carlo samples a stacked suffix walk puts on
-//! the item axis — runs them in blocks of [`SAMPLES`] that share each
-//! weight row, still counting its tiles per item.
+//! the count the accelerator's cycle model charges. A linear layer
+//! calls its matrix kernel once per filter tile × reduction tile, and
+//! counts the tiles per item.
 
 use crate::fixed::FixedMul;
 use crate::qgraph::{exec_qnode, QNode, QNodeOp, QTensor};
 use bnn_nn::MaskSet;
-use bnn_tensor::Shape4;
+use bnn_tensor::{gemm_bt_u8i8, Shape4};
+use std::ops::Range;
 
 /// The extents of one matrix-kernel tile: the accelerator's PE array
 /// of `P_F` processing units × `P_V` MAC modules × `P_C` multipliers.
@@ -61,10 +66,11 @@ impl Tile {
 /// the int8 backend (at a register-sized tile) and of the accelerator
 /// simulator (at its `(P_F, P_V, P_C)`).
 ///
-/// `ops` is the kernel's `i16` operand buffer. It grows to the largest
-/// operand it has held and is then reused, so a warm executor
-/// allocates nothing. Returns the number of tiles the kernel ran (0 for
-/// an op without one).
+/// `ops` is a convolution's `i16` operand buffer. It grows to the
+/// largest operand it has held and is then reused; a linear layer
+/// reads its input codes in place and keeps its sums on the stack, so
+/// a warm executor allocates nothing. Returns the number of tiles the
+/// kernel ran (0 for an op without one).
 ///
 /// # Panics
 ///
@@ -96,7 +102,7 @@ pub fn exec_qnode_tiled(
             zy,
             ..
         } => {
-            let (x, zx) = (x(), zero_point(*zx));
+            let (x, zx) = (x(), i16::from(zero_point(*zx)));
             let v = y.shape.h * y.shape.w;
             let cols = operand(ops, x.shape.c * k * k * row_stride(v));
             (0..x.shape.n)
@@ -116,19 +122,36 @@ pub fn exec_qnode_tiled(
         } => {
             let (x, zx) = (x(), zero_point(*zx));
             let (n, r, f_n) = (x.shape.n, x.shape.item_len(), bias.len());
-            let rows = operand(ops, SAMPLES.min(n) * r);
-            (0..n)
-                .step_by(SAMPLES)
-                .map(|i0| {
-                    let items = i0..(i0 + SAMPLES).min(n);
-                    let rows = &mut rows[..items.len() * r];
-                    for (d, &q) in rows.iter_mut().zip(&x.data[items.start * r..]) {
-                        *d = i16::from(q) - zx;
+            let red_tiles = r.div_ceil(tile.pc);
+            let mut tiles = 0;
+            let mut acc = [0i32; ITEMS * FILTERS];
+            for i0 in (0..n).step_by(ITEMS) {
+                let m = ITEMS.min(n - i0);
+                let (xs, ys) = (&x.data[i0 * r..], &mut y.data[i0 * f_n..]);
+                for f0 in (0..f_n).step_by(tile.pf) {
+                    let f1 = (f0 + tile.pf).min(f_n);
+                    tiles += (m * red_tiles) as u64;
+                    for g0 in (f0..f1).step_by(FILTERS) {
+                        let g = FILTERS.min(f1 - g0);
+                        // Item `i`'s sums are `acc[i·g..(i + 1)·g]`, from
+                        // the block's biases.
+                        let acc = &mut acc[..m * g];
+                        for (c, &b) in acc.iter_mut().zip(bias[g0..g0 + g].iter().cycle()) {
+                            *c = b;
+                        }
+                        for rt in reduction_tiles(r, tile.pc, red_tiles) {
+                            let (a, b) = (&xs[rt.start..], &w[g0 * r + rt.start..]);
+                            gemm_bt_u8i8(m, rt.len(), g, a, r, zx, b, r, acc);
+                        }
+                        for (yrow, crow) in ys.chunks_mut(f_n).zip(acc.chunks_exact(g)) {
+                            for (f, (o, &c)) in (g0..).zip(yrow[g0..].iter_mut().zip(crow)) {
+                                *o = (*zy + requant[f].apply(c)).clamp(0, 255) as u8;
+                            }
+                        }
                     }
-                    let y = &mut y.data[items.start * f_n..items.end * f_n];
-                    qlinear(tile, w, rows, bias, requant, *zy, y)
-                })
-                .sum()
+                }
+            }
+            tiles
         }
         _ => {
             exec_qnode(node, outs, input, masks, y);
@@ -144,30 +167,37 @@ const LANES: usize = 16;
 /// Filters per register block.
 const FILTERS: usize = 4;
 
-/// Items of a linear layer (stacked Monte Carlo samples) per block:
-/// they share each weight row while it is in cache.
-const SAMPLES: usize = 4;
+/// Items of a linear layer (stacked Monte Carlo samples) per
+/// accumulator block: the block's `ITEMS × FILTERS` `i32` sums live on
+/// the stack, and its input rows stay in cache while the weight rows
+/// stream past.
+const ITEMS: usize = 64;
 
-/// The operand's row stride for `v` output pixels. A lone pixel's
-/// reduction is one contiguous row (a linear layer's shape); a wider
-/// row carries `LANES − 1` zero columns, so a register block may start
-/// at any pixel of its tile.
+/// The operand's row stride for `v` output pixels: each row carries
+/// `LANES − 1` zero columns, so a register block may start at any
+/// pixel of its tile.
 fn row_stride(v: usize) -> usize {
-    if v == 1 {
-        1
-    } else {
-        v + LANES - 1
-    }
+    v + LANES - 1
 }
 
-/// A zero point as the operand's `i16`: with `q` and `zx` both `u8`
-/// codes, `q − zx` fits.
-fn zero_point(zx: i32) -> i16 {
+/// A zero point as the `u8` code the quantizer makes.
+fn zero_point(zx: i32) -> u8 {
     assert!(
         (0..=255).contains(&zx),
         "input zero point {zx} is not a u8 code"
     );
-    zx as i16
+    zx as u8
+}
+
+/// The `pc`-wide tiles of an `r`-term reduction, given their count
+/// `r.div_ceil(pc)`: integer division is slow next to a short dot
+/// product, so the caller divides once.
+fn reduction_tiles(
+    r: usize,
+    pc: usize,
+    count: usize,
+) -> impl Iterator<Item = Range<usize>> + Clone {
+    (0..count).map(move |t| t * pc..(t * pc).saturating_add(pc).min(r))
 }
 
 /// The first `len` elements of the operand buffer, grown (never
@@ -254,8 +284,8 @@ fn im2col(
 /// Within a tile, outputs go in register blocks of [`FILTERS`] filters ×
 /// [`LANES`] pixels: each operand column is loaded once and multiplied
 /// by every filter's broadcast weight, as one input vector feeds all of
-/// the PE array's processing units. A lone pixel has no columns to
-/// broadcast over: it is [`qlinear`]'s one-item case.
+/// the PE array's processing units. A lone pixel runs the same block,
+/// its other lanes the row's zero columns.
 #[allow(clippy::too_many_arguments)]
 // Inlined into the executor, the register block below ran at a third
 // of its speed.
@@ -274,15 +304,8 @@ fn qgemm(
     let r = w.len() / f_n;
     assert_eq!(ops.len(), r * vp, "kernel operand does not fit its layer");
     assert_eq!(y.len(), f_n * v_n, "kernel output does not fit its slot");
-    if v_n == 1 {
-        return qlinear(tile, w, ops, bias, requant, zy, y);
-    }
     let out = |f: usize, acc: i32| (zy + requant[f].apply(acc)).clamp(0, 255) as u8;
-    // The reduction's `pc`-wide tiles, counted once: integer division
-    // is slow next to a short dot product.
     let red_tiles = r.div_ceil(tile.pc);
-    let reduction_tiles =
-        || (0..red_tiles).map(|t| t * tile.pc..(t * tile.pc).saturating_add(tile.pc).min(r));
     let mut tiles = 0;
     for f0 in (0..f_n).step_by(tile.pf) {
         let f1 = (f0 + tile.pf).min(f_n);
@@ -299,7 +322,7 @@ fn qgemm(
                 let wrows: [&[i8]; FILTERS] = std::array::from_fn(|j| &w[block[j] * r..][..r]);
                 for b0 in (v0..v1).step_by(LANES) {
                     let mut acc = block.map(|f| [bias[f]; LANES]);
-                    for ri in reduction_tiles().flatten() {
+                    for ri in reduction_tiles(r, tile.pc, red_tiles).flatten() {
                         let col: &[i16; LANES] = ops[ri * vp + b0..][..LANES]
                             .try_into()
                             .expect("a register block is LANES wide");
@@ -317,65 +340,6 @@ fn qgemm(
                         }
                     }
                 }
-            }
-        }
-    }
-    tiles
-}
-
-/// One reduction tile of a lone pixel: a row of multipliers into one
-/// adder tree.
-fn dot(w: &[i8], x: &[i16]) -> i32 {
-    w.iter()
-        .zip(x)
-        .map(|(&w, &x)| i32::from(w) * i32::from(x))
-        .sum()
-}
-
-/// A lone pixel per item — a block of at most [`SAMPLES`] items of a
-/// linear layer, or a convolution with one output pixel: `y[i·F + f] =
-/// zy + requant_f(bias_f + Σ_r w[f, r] · rows[i, r])` for the `I =
-/// y.len() / F` operand rows of `rows`, in `tile`'s loop nest of filter
-/// tiles, each output's reduction streamed through `pc`-wide adder
-/// trees. There are no columns to broadcast over, so the reduction
-/// itself is the vector axis: one dot product per output. The items
-/// share each weight row, read from memory once and from cache by the
-/// rest. Returns the tiles run: per item, filter tiles × reduction
-/// tiles, as one item at a time would run them.
-fn qlinear(
-    tile: Tile,
-    w: &[i8],
-    rows: &[i16],
-    bias: &[i32],
-    requant: &[FixedMul],
-    zy: i32,
-    y: &mut [u8],
-) -> u64 {
-    let f_n = bias.len();
-    let (r, items) = (w.len() / f_n, y.len() / f_n);
-    assert!(
-        items <= SAMPLES && rows.len() == items * r,
-        "kernel operand does not fit its layer"
-    );
-    // The reduction's `pc`-wide tiles, counted once: integer division
-    // is slow next to a short dot product.
-    let red_tiles = r.div_ceil(tile.pc);
-    let reduction_tiles =
-        || (0..red_tiles).map(|t| t * tile.pc..(t * tile.pc).saturating_add(tile.pc).min(r));
-    let mut tiles = 0;
-    for f0 in (0..f_n).step_by(tile.pf) {
-        tiles += (items * red_tiles) as u64;
-        for f in f0..(f0 + tile.pf).min(f_n) {
-            let wrow = &w[f * r..(f + 1) * r];
-            let mut acc = [bias[f]; SAMPLES];
-            for rt in reduction_tiles() {
-                let wt = &wrow[rt.clone()];
-                for (a, x) in acc.iter_mut().zip(rows.chunks_exact(r)) {
-                    *a += dot(wt, &x[rt.clone()]);
-                }
-            }
-            for (o, &a) in y[f..].iter_mut().step_by(f_n).zip(&acc) {
-                *o = (zy + requant[f].apply(a)).clamp(0, 255) as u8;
             }
         }
     }

@@ -21,8 +21,9 @@
 //! in the stack is a projection of one node-range walk,
 //! [`QGraph::walk`], parameterized by a write-into node executor: two
 //! executors share it. [`exec_qnode_tiled`] runs convolutions and
-//! linear layers through one integer matrix kernel, parametrised by its
-//! [`Tile`]: the [`Int8Backend`] that serves both the `int8` and the
+//! linear layers through one integer matrix kernel each (a linear
+//! layer's is `bnn_tensor::gemm_bt_u8i8`, on the raw codes), in the
+//! loop nest of its [`Tile`]: the [`Int8Backend`] that serves both the `int8` and the
 //! `accel` substrate runs it at a register-sized tile, the simulator at
 //! its PE array's. [`exec_qnode`]'s direct loops are the reference
 //! behind [`QGraph::forward`] that both are tested against. Like the

@@ -163,9 +163,11 @@ proptest! {
     #[test]
     fn tiled_linear_matches_the_reference_loops(
         seed in 0u64..1_000_000,
-        // A lone item, and stacked items in full and short blocks of four.
-        n in 1usize..11,
-        in_f in 1usize..300,
+        // A lone item, stacked items in full and short register blocks
+        // of four rows, and one item past a 64-item accumulator block.
+        n in prop_oneof![1usize..11, Just(65)],
+        // Reductions around the kernel's 64-byte operand, and fc1's 400.
+        in_f in prop_oneof![1usize..300, Just(63), Just(64), Just(65), Just(128), Just(400)],
         out_f in 1usize..40,
         zx in prop_oneof![Just(0i32), Just(128), Just(255)],
         pf in tile_extent(),

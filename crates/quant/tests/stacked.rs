@@ -7,8 +7,9 @@
 //! convolutions are in the suffix), a residual net whose shortcut
 //! crosses the boundary beside the dropout site's input, sample chunks
 //! of 1, 3 and `S` through one reused scratch, and the engine at 1 and
-//! 2 threads. The four-sample linear block vectorises differently per
-//! ISA, so CI also runs this under the baseline `x86-64` target.
+//! 2 threads. The convolution's register block vectorises differently
+//! per ISA, and a linear layer's kernel is chosen at run time (VNNI or
+//! portable), so CI also runs this under the baseline `x86-64` target.
 
 use bnn_mcd::{
     active_sites, BayesBackend, BayesConfig, Engine, MaskSource, ParallelConfig, Plan,

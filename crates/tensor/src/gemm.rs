@@ -1,10 +1,18 @@
-//! Row-major single-precision GEMM kernels.
+//! Row-major GEMM kernels: three single-precision variants and one
+//! integer one.
 //!
-//! The training path lowers convolutions to GEMM via im2col, so these
-//! three variants (plain, A-transposed, B-transposed) are the entire
-//! BLAS surface the stack requires.
+//! The training path lowers convolutions to GEMM via im2col, so the
+//! three f32 variants (plain, A-transposed, B-transposed) are the
+//! entire floating-point BLAS surface the stack requires.
+//! [`gemm_bt_u8i8`] is `gemm_bt`'s integer twin for a quantized linear
+//! layer: `u8` codes against `i8` weights into `i32`, the input zero
+//! point hoisted out of the loop, strided so a tile of a larger matrix
+//! needs no copy. Its sums are exact, so it has no order contract; on
+//! a CPU with AVX-512 VNNI, detected at run time, it runs `vpdpbusd`
+//! (`simd.rs`), and the safe kernel here is the fallback and the
+//! reference.
 //!
-//! The kernels are cache-blocked and register-tiled:
+//! The f32 kernels are cache-blocked and register-tiled:
 //!
 //! * [`gemm`] / [`gemm_at`] split the shared dimension into `KC`
 //!   panels and run one generic `R×W` register tile whose accumulators
@@ -353,6 +361,80 @@ pub(crate) fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
         s += xv * yv;
     }
     s
+}
+
+/// `c[m×n] += (a − za) · bᵀ` on 8-bit codes: the integer twin of
+/// [`gemm_bt`], for a quantized linear layer.
+///
+/// `a` holds `m` rows of `u8` codes `lda` apart, `b` holds `n` rows of
+/// `i8` weights `ldb` apart, and each output is a dot product over the
+/// first `k` elements of its two rows, so a tile of a larger matrix is
+/// a sub-slice and its strides, with no copy. `c` is `m×n` row-major.
+///
+/// The zero point is hoisted out of the loop, `Σ_p (a[i,p] − za) ·
+/// b[j,p] = Σ_p a[i,p] · b[j,p] − za · Σ_p b[j,p]`, so the products run
+/// on the raw codes. Arithmetic is `i32` and wraps, and integer
+/// addition is associative: every element is exact whenever its true
+/// value fits in an `i32`, whatever order or ISA computes it. On a CPU
+/// with AVX-512F, AVX-512BW and AVX-512 VNNI, detected at run time, the
+/// products run on `vpdpbusd` (`simd.rs`); the safe kernel here is the
+/// fallback everywhere else and the reference that path is tested
+/// against.
+///
+/// # Panics
+///
+/// Panics if `a` or `b` is shorter than its rows need (`(rows − 1) ·
+/// ld + k` elements), or `c` is not `m×n`.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_bt_u8i8(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[u8],
+    lda: usize,
+    za: u8,
+    b: &[i8],
+    ldb: usize,
+    c: &mut [i32],
+) {
+    let fits = |rows: usize, ld: usize, len: usize| rows == 0 || (rows - 1) * ld + k <= len;
+    assert!(fits(m, lda, a.len()), "a must hold m rows of k, lda apart");
+    assert!(fits(n, ldb, b.len()), "b must hold n rows of k, ldb apart");
+    assert_eq!(c.len(), m * n, "c must be m*n");
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if crate::simd::gemm_bt_u8i8(m, k, n, a, lda, za, b, ldb, c) {
+        return;
+    }
+    gemm_bt_u8i8_portable(m, k, n, a, lda, za, b, ldb, c);
+}
+
+/// The safe [`gemm_bt_u8i8`] kernel: the fallback on every other CPU
+/// and the reference the VNNI kernel is tested against.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_bt_u8i8_portable(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[u8],
+    lda: usize,
+    za: u8,
+    b: &[i8],
+    ldb: usize,
+    c: &mut [i32],
+) {
+    for j in 0..n {
+        let brow = &b[j * ldb..][..k];
+        let sw = brow.iter().fold(0i32, |s, &w| s.wrapping_add(i32::from(w)));
+        let zsw = i32::from(za).wrapping_mul(sw);
+        for i in 0..m {
+            let arow = &a[i * lda..][..k];
+            let dot = arow.iter().zip(brow).fold(0i32, |s, (&q, &w)| {
+                s.wrapping_add(i32::from(q) * i32::from(w))
+            });
+            let cij = &mut c[i * n + j];
+            *cij = cij.wrapping_add(dot).wrapping_sub(zsw);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,23 +1,41 @@
-//! [`gemm_bt`](crate::gemm_bt) at AVX-512 width, selected at run time.
+//! The kernels that run at AVX-512 width, each selected at run time:
+//! [`gemm_bt`](crate::gemm_bt) and [`gemm_bt_u8i8`](crate::gemm_bt_u8i8).
 //!
-//! The portable kernel keeps `LANES = 8` partial sums per output, so a
-//! 512-bit register can only be filled by holding *two* outputs: each
-//! zmm carries the 8-lane chunks of two `a` rows, `[a_i | a_{i+1}]`,
-//! and the matching `b` chunk is broadcast to both halves straight from
-//! the row-major weights. A register block is 8 rows × 4 `b` rows — 16
-//! accumulators. Multiply and add stay two instructions, never a fused
-//! multiply-add, so every output keeps `gemm_bt`'s per-element contract
-//! and the bytes equal the portable kernel's on every input.
+//! **`gemm_bt`.** The portable kernel keeps `LANES = 8` partial sums
+//! per output, so a 512-bit register can only be filled by holding
+//! *two* outputs: each zmm carries the 8-lane chunks of two `a` rows,
+//! `[a_i | a_{i+1}]`, and the matching `b` chunk is broadcast to both
+//! halves straight from the row-major weights. A register block is 8
+//! rows × 4 `b` rows — 16 accumulators. Multiply and add stay two
+//! instructions, never a fused multiply-add, so every output keeps
+//! `gemm_bt`'s per-element contract and the bytes equal the portable
+//! kernel's on every input. The odd last row and the `n mod 4` columns
+//! go through the portable lane dot product.
 //!
-//! The odd last row and the `n mod 4` columns go through the portable
-//! lane dot product. `unsafe` is confined to the dispatch call, which
-//! rests on the runtime feature check, and to the raw-pointer loads and
-//! stores, which read and write fixed-size arrays.
+//! **`gemm_bt_u8i8`.** One `vpdpbusd` multiplies 64 `u8` codes by 64
+//! `i8` weights and adds each group of four products into one of 16
+//! `i32` lanes. A register block is 4 `a` rows × 4 `b` rows — 16
+//! accumulators — plus 4 more that sum each `b` row against a ones
+//! vector for the hoisted zero point. The non-saturating `vpdpbusd`
+//! wraps like the portable kernel's `i32` arithmetic, and integer sums
+//! do not depend on order, so the lanes may be reduced in any order
+//! and the bytes still equal the portable kernel's. The `k mod 64`
+//! tail is a masked load, its missing bytes read as 0.
+//!
+//! `unsafe` is confined to the dispatch calls, which rest on the
+//! runtime feature checks, and to the raw-pointer loads and stores,
+//! which read and write fixed-size arrays or, masked, the bytes of a
+//! slice.
 
 use std::arch::x86_64::{
-    __m256, __m512, _mm256_loadu_ps, _mm512_add_ps, _mm512_broadcast_f32x8, _mm512_castps256_ps512,
-    _mm512_insertf32x8, _mm512_mul_ps, _mm512_setzero_ps, _mm512_shuffle_f32x4, _mm512_shuffle_ps,
-    _mm512_storeu_ps, _mm512_unpackhi_ps, _mm512_unpacklo_ps,
+    __m256, __m512, __m512i, _mm256_add_epi32, _mm256_castsi256_si128, _mm256_extracti128_si256,
+    _mm256_loadu_ps, _mm512_add_epi32, _mm512_add_ps, _mm512_broadcast_f32x8,
+    _mm512_castps256_ps512, _mm512_castsi512_si256, _mm512_dpbusd_epi32, _mm512_extracti64x4_epi64,
+    _mm512_insertf32x8, _mm512_maskz_loadu_epi8, _mm512_mul_ps, _mm512_set1_epi8,
+    _mm512_setzero_ps, _mm512_setzero_si512, _mm512_shuffle_f32x4, _mm512_shuffle_ps,
+    _mm512_storeu_ps, _mm512_unpackhi_epi32, _mm512_unpackhi_epi64, _mm512_unpackhi_ps,
+    _mm512_unpacklo_epi32, _mm512_unpacklo_epi64, _mm512_unpacklo_ps, _mm_add_epi32,
+    _mm_storeu_si128,
 };
 
 use crate::gemm::{dot_lanes, LANES};
@@ -176,9 +194,168 @@ fn store16(v: __m512) -> [f32; 16] {
     out
 }
 
+/// `a` rows per [`gemm_bt_u8i8`] register block.
+const MR: usize = 4;
+
+/// Bytes per `vpdpbusd` operand.
+const BYTES: usize = 64;
+
+/// `c[m×n] += (a − za) · bᵀ` on `vpdpbusd`, for
+/// [`crate::gemm_bt_u8i8`] once it has checked the slice lengths.
+/// Returns `false`, leaving `c` untouched, on a CPU without avx512f,
+/// avx512bw and avx512vnni.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_bt_u8i8(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[u8],
+    lda: usize,
+    za: u8,
+    b: &[i8],
+    ldb: usize,
+    c: &mut [i32],
+) -> bool {
+    if !(is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512bw")
+        && is_x86_feature_detected!("avx512vnni"))
+    {
+        return false;
+    }
+    // SAFETY: `gemm_bt_u8i8_zmm` needs avx512f, avx512bw and
+    // avx512vnni, and all three were detected on this CPU just above.
+    unsafe { gemm_bt_u8i8_zmm(m, k, n, a, lda, za, b, ldb, c) };
+    true
+}
+
+/// Rows in blocks of [`MR`], then the last `m mod MR` as one block.
+#[allow(clippy::too_many_arguments)]
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+fn gemm_bt_u8i8_zmm(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[u8],
+    lda: usize,
+    za: u8,
+    b: &[i8],
+    ldb: usize,
+    c: &mut [i32],
+) {
+    let row = |i: usize| &a[i * lda..][..k];
+    let mut i = 0;
+    while i + MR <= m {
+        let rows = [row(i), row(i + 1), row(i + 2), row(i + 3)];
+        dp_rows(rows, za, b, ldb, &mut c[i * n..(i + MR) * n]);
+        i += MR;
+    }
+    let c = &mut c[i * n..];
+    match m - i {
+        3 => dp_rows([row(i), row(i + 1), row(i + 2)], za, b, ldb, c),
+        2 => dp_rows([row(i), row(i + 1)], za, b, ldb, c),
+        1 => dp_rows([row(i)], za, b, ldb, c),
+        _ => {}
+    }
+}
+
+/// The `R` rows `rows` of `a` against every row of `b`, into the `R`
+/// rows of `c`: [`JR`] `b` rows per register block, each `b` chunk
+/// loaded once for all `R` rows and once more into its `Σ b` sum.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+fn dp_rows<const R: usize>(rows: [&[u8]; R], za: u8, b: &[i8], ldb: usize, c: &mut [i32]) {
+    let (k, n) = (rows[0].len(), c.len() / R);
+    let ones = _mm512_set1_epi8(1);
+    for j in (0..n).step_by(JR) {
+        // A short last block repeats its last `b` row; the repeats'
+        // sums are dropped.
+        let mut cols: [&[i8]; JR] = [&[]; JR];
+        for (q, col) in cols.iter_mut().enumerate() {
+            *col = &b[(j + q).min(n - 1) * ldb..][..k];
+        }
+        let mut acc = [[_mm512_setzero_si512(); JR]; R];
+        let mut sums = [_mm512_setzero_si512(); JR];
+        for p in (0..k).step_by(BYTES) {
+            let mut bv = [_mm512_setzero_si512(); JR];
+            for ((v, col), sum) in bv.iter_mut().zip(&cols).zip(&mut sums) {
+                *v = load_i8(&col[p..]);
+                *sum = _mm512_dpbusd_epi32(*sum, ones, *v);
+            }
+            for (accs, row) in acc.iter_mut().zip(&rows) {
+                let av = load_u8(&row[p..]);
+                for (s, &bq) in accs.iter_mut().zip(&bv) {
+                    *s = _mm512_dpbusd_epi32(*s, av, bq);
+                }
+            }
+        }
+        let zsums = sum4(sums).map(|s| i32::from(za).wrapping_mul(s));
+        for (h, accs) in acc.iter().enumerate() {
+            let dots = sum4(*accs);
+            let crow = &mut c[h * n + j..h * n + (j + JR).min(n)];
+            for ((cij, &dot), &zsum) in crow.iter_mut().zip(&dots).zip(&zsums) {
+                *cij = cij.wrapping_add(dot).wrapping_sub(zsum);
+            }
+        }
+    }
+}
+
+/// The lane sums of four `i32` accumulators: one transpose-and-add
+/// tree, so the four share its shuffles.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn sum4(v: [__m512i; JR]) -> [i32; JR] {
+    // Pairwise within each 128-bit block: lane `q` of block `B` then
+    // holds accumulator `q`'s four lanes of block `B`, summed.
+    let t0 = _mm512_add_epi32(
+        _mm512_unpacklo_epi32(v[0], v[1]),
+        _mm512_unpackhi_epi32(v[0], v[1]),
+    );
+    let t1 = _mm512_add_epi32(
+        _mm512_unpacklo_epi32(v[2], v[3]),
+        _mm512_unpackhi_epi32(v[2], v[3]),
+    );
+    let t = _mm512_add_epi32(_mm512_unpacklo_epi64(t0, t1), _mm512_unpackhi_epi64(t0, t1));
+    // Then the four blocks.
+    let y = _mm256_add_epi32(_mm512_castsi512_si256(t), _mm512_extracti64x4_epi64::<1>(t));
+    let x = _mm_add_epi32(_mm256_castsi256_si128(y), _mm256_extracti128_si256::<1>(y));
+    let mut out = [0i32; JR];
+    // SAFETY: `out` is 4 writable i32s, exactly what the unaligned
+    // store writes.
+    unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), x) };
+    out
+}
+
+/// The mask of a slice's first `min(len, 64)` bytes.
+#[inline]
+fn byte_mask(len: usize) -> u64 {
+    if len >= BYTES {
+        u64::MAX
+    } else {
+        (1u64 << len) - 1
+    }
+}
+
+/// Up to 64 leading codes of `x` as a zmm, the bytes past its end 0.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn load_u8(x: &[u8]) -> __m512i {
+    // SAFETY: the mask selects only the first `min(x.len(), 64)` bytes,
+    // all inside `x`; a masked load reads nothing it does not select.
+    unsafe { _mm512_maskz_loadu_epi8(byte_mask(x.len()), x.as_ptr().cast()) }
+}
+
+/// Up to 64 leading weights of `x` as a zmm, the bytes past its end 0.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw")]
+fn load_i8(x: &[i8]) -> __m512i {
+    // SAFETY: the mask selects only the first `min(x.len(), 64)` bytes,
+    // all inside `x`; a masked load reads nothing it does not select.
+    unsafe { _mm512_maskz_loadu_epi8(byte_mask(x.len()), x.as_ptr()) }
+}
+
 #[cfg(test)]
 mod tests {
-    use crate::gemm::gemm_bt_portable;
+    use crate::gemm::{gemm_bt_portable, gemm_bt_u8i8_portable};
 
     fn fill(len: usize, seed: u64) -> Vec<f32> {
         // Full 24-bit mantissas, so products and sums round and a
@@ -242,6 +419,63 @@ mod tests {
                     "{m}x{k}x{n} s={s}: row block {blk} moved"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn vnni_kernel_matches_the_portable_kernel_bit_for_bit() {
+        let mut c = [0];
+        if !super::gemm_bt_u8i8(1, 1, 1, &[1], 1, 0, &[1], 1, &mut c) {
+            eprintln!(
+                "skipped: this CPU lacks avx512f + avx512bw + avx512vnni, so gemm_bt_u8i8 runs the portable kernel only"
+            );
+            return;
+        }
+        let mut s = 0x2545_F491_4F6C_DD1Du64;
+        let mut byte = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s as u8
+        };
+        for k in [0, 1, 63, 64, 65, 84, 120, 128, 129, 400] {
+            for (z, za) in [0u8, 1, 127, 128, 255].into_iter().enumerate() {
+                // Rows packed (stride k) and strided past their end.
+                let (lda, ldb) = (k + 3 * z, k + 64 * (z % 2) + z);
+                for m in 1..=9 {
+                    for n in 1..=9 {
+                        let mut a: Vec<u8> = (0..m * lda).map(|_| byte()).collect();
+                        let mut b: Vec<i8> = (0..n * ldb).map(|_| byte() as i8).collect();
+                        if k > 0 {
+                            (a[0], a[(m - 1) * lda + k - 1]) = (0, 255);
+                            (b[0], b[k / 2], b[(n - 1) * ldb + k - 1]) = (-128, -127, 127);
+                        }
+                        let c0: Vec<i32> = (0..m * n).map(|_| i32::from(byte() as i8)).collect();
+                        let mut want = c0.clone();
+                        gemm_bt_u8i8_portable(m, k, n, &a, lda, za, &b, ldb, &mut want);
+                        let mut got = c0;
+                        assert!(super::gemm_bt_u8i8(m, k, n, &a, lda, za, &b, ldb, &mut got));
+                        assert_eq!(
+                            got, want,
+                            "gemm_bt_u8i8 {m}x{k}x{n} lda={lda} ldb={ldb} za={za}"
+                        );
+                    }
+                }
+            }
+        }
+        // Reductions long enough to leave the i32 range in every lane:
+        // the non-saturating vpdpbusd wraps as the portable kernel does.
+        let k = (1 << 21) + 65;
+        for (q, w, za) in [(255u8, 127i8, 0u8), (255, -128, 0), (0, 127, 255)] {
+            let (a, b) = (vec![q; 2 * k], vec![w; k]);
+            let mut want = vec![7; 2];
+            gemm_bt_u8i8_portable(2, k, 1, &a, k, za, &b, k, &mut want);
+            let mut got = vec![7; 2];
+            assert!(super::gemm_bt_u8i8(2, k, 1, &a, k, za, &b, k, &mut got));
+            assert_eq!(
+                got, want,
+                "gemm_bt_u8i8 k={k} a={q} b={w} za={za}: wrapping"
+            );
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Property-based tests of the tensor kernels.
 
 use bnn_tensor::{
-    avg_pool_into, col2im, conv_out_dim, gemm, gemm_at, gemm_bt, gemm_bt_stacked, gemm_stacked,
-    im2col, im2col_stacked_into, max_pool, max_pool_backward, max_pool_into, softmax_rows, Shape4,
-    Tensor,
+    avg_pool_into, col2im, conv_out_dim, gemm, gemm_at, gemm_bt, gemm_bt_stacked, gemm_bt_u8i8,
+    gemm_stacked, im2col, im2col_stacked_into, max_pool, max_pool_backward, max_pool_into,
+    softmax_rows, Shape4, Tensor,
 };
 use proptest::prelude::*;
 
@@ -407,6 +407,46 @@ fn gemm_bt_follows_the_lane_contract_bit_for_bit() {
     }
 }
 
+// The integer twin of gemm_bt against the scalar sum it stands for,
+// taken in i64 so nothing can wrap: strided sub-blocks of larger
+// matrices, every zero point class, depths around the 64-byte VNNI
+// operand, and the extreme codes and weights present.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn gemm_bt_u8i8_equals_the_scalar_i64_sum(
+        m in 1usize..12, n in 1usize..12,
+        k in prop_oneof![Just(0usize), Just(64), Just(400), 1usize..200],
+        pad_a in 0usize..70, pad_b in 0usize..70,
+        za in prop_oneof![Just(0u8), Just(128), Just(255), any::<u8>()],
+        seed in 0u64..1000
+    ) {
+        let mut rng = bnn_rng_stub(seed);
+        let (lda, ldb) = (k + pad_a, k + pad_b);
+        let mut a = rng.bytes(m * lda);
+        let mut b: Vec<i8> = rng.bytes(n * ldb).into_iter().map(|x| x as i8).collect();
+        if k > 0 {
+            (a[0], a[k - 1]) = (0, 255);
+            (b[0], b[k / 2], b[k - 1]) = (-128, 127, -127);
+        }
+        let c0: Vec<i32> = rng.bytes(m * n).into_iter().map(|x| i32::from(x) - 128).collect();
+        let mut got = c0.clone();
+        gemm_bt_u8i8(m, k, n, &a, lda, za, &b, ldb, &mut got);
+        for (idx, (&g, &c)) in got.iter().zip(&c0).enumerate() {
+            let (i, j) = (idx / n, idx % n);
+            let sum: i64 = (0..k)
+                .map(|p| (i64::from(a[i * lda + p]) - i64::from(za)) * i64::from(b[j * ldb + p]))
+                .sum();
+            prop_assert_eq!(
+                i64::from(g), i64::from(c) + sum,
+                "gemm_bt_u8i8 {}x{}x{} lda={} ldb={} za={}: element ({},{})",
+                m, k, n, lda, ldb, za, i, j
+            );
+        }
+    }
+}
+
 /// The per-element im2col the span-copy kernel replaced, kept as its
 /// reference: one bounds-tested load per tap.
 #[allow(clippy::too_many_arguments)]
@@ -591,5 +631,15 @@ impl StubRng {
             (self.0 >> 40) as f32 / (1u64 << 23) as f32 - 1.0
         };
         (0..len).map(&mut draw).collect()
+    }
+
+    /// `len` uniform bytes.
+    fn bytes(&mut self, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                self.next();
+                (self.0 >> 56) as u8
+            })
+            .collect()
     }
 }

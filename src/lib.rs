@@ -255,11 +255,13 @@
 //!
 //! * **`unsafe-audit`** — `unsafe` only in `crates/mcd/src/pool.rs`
 //!   (the worker pool's lifetime erasure) and
-//!   `crates/tensor/src/simd.rs` (the AVX-512 `gemm_bt` kernel's
-//!   dispatch call and loads), each use immediately preceded by a
-//!   `SAFETY:` argument, and every crate roof carries
-//!   `#![deny(unsafe_code)]` or stricter. Two audited modules must not
-//!   quietly become three.
+//!   `crates/tensor/src/simd.rs` (the AVX-512 `gemm_bt` and VNNI
+//!   `gemm_bt_u8i8` kernels' dispatch calls, loads and stores), each
+//!   use immediately preceded by a `SAFETY:` argument, and every crate
+//!   roof carries `#![deny(unsafe_code)]` or stricter (`bnn-quant`'s
+//!   `forbid`s it: its linear layers reach the VNNI kernel only through
+//!   the safe `gemm_bt_u8i8`). Two audited modules must not quietly
+//!   become three.
 //! * **`determinism`** — the engine/kernel crates (`tensor`, `nn`,
 //!   `rng`, `quant`, the deterministic modules of `mcd`, plus the
 //!   `trace` recorder — whose only wall-clock intake is the
@@ -295,14 +297,14 @@
 //! |---|---|---|
 //! | [`accel`] | `bnn-accel` | the accelerator simulator: the integer kernel at the PE array's tile, one sample per suffix walk (its tile counts checked against the cycle model), cycle model, resource model, IC; `Accelerator::into_backend` attaches its cost model to the integer backend, which serves the `accel` substrate with stacked samples |
 //! | [`rng`] | `bnn-rng` | LFSRs, Bernoulli sampler, fixed-point Gaussian samplers |
-//! | [`tensor`] | `bnn-tensor` | NCHW tensors, GEMM, im2col, pooling |
+//! | [`tensor`] | `bnn-tensor` | NCHW tensors, GEMM (and the `u8 × i8` `gemm_bt_u8i8`), im2col, pooling |
 //! | [`nn`] | `bnn-nn` | layer-graph IR, f32 executor, backprop, SGD, model builders |
 //! | [`data`] | `bnn-data` | synthetic MNIST/SVHN/CIFAR-like datasets, OOD noise |
 //! | [`mcd`] | `bnn-mcd` | the `BayesBackend` trait (`info`, `prepare`, `scratches`, `forward_batch`, `model_cost`), the one MC `Engine`, `FloatBackend` (one sample per walk `new` / batched-sample `fused`, same kernels), conformance harness, uncertainty metrics |
 //! | [`serve`] | `bnn-serve` | the request-coalescing serving front door: `Server`, `Handle`, `BatchPolicy` |
 //! | [`net`] | `bnn-net` | the TCP front door: binary protocol v1/v2 (pipelining), `GET /status` / `/metrics` / `/trace` telemetry, tenant gate, blocking clients |
 //! | [`trace`] | `bnn-trace` | stage-span recorder: per-thread rings, log2 histograms, Chrome-trace export behind `/trace` + `/metrics` |
-//! | [`quant`] | `bnn-quant` | 8-bit linear quantization, the one tiled integer kernel and its reference executor over one node-range walk (Monte Carlo samples stacked on its item axis, a table-driven dropout site), `Int8Backend` (the `int8` and `accel` substrates: one suffix walk per sample chunk) |
+//! | [`quant`] | `bnn-quant` | 8-bit linear quantization, the tiled integer executor (one kernel per arm: a convolution's `i16` im2col block, a linear layer's `bnn_tensor::gemm_bt_u8i8` on the raw codes with the zero point hoisted) and its reference executor over one node-range walk (Monte Carlo samples stacked on its item axis, a table-driven dropout site), `Int8Backend` (the `int8` and `accel` substrates: one suffix walk per sample chunk) |
 //! | [`platforms`] | `bnn-platforms` | CPU/GPU latency models, VIBNN and BYNQNet baselines |
 //! | [`framework`] | `bnn-framework` | the automatic hardware/algorithm optimization framework |
 //!
