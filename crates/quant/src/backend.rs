@@ -13,11 +13,13 @@
 //! tensor per sample, so the generic engine in `bnn-mcd` can average
 //! int8 samples exactly like float ones. Both passes are projections of
 //! [`QGraph::walk`] over one output slot per node, with the tiled
-//! integer kernel ([`exec_qnode_tiled`]) at its register-sized serving
+//! integer kernel ([`exec_qnode_tiled`]: one `u8 × i8` matrix kernel
+//! for convolutions and linear layers) at its register-sized serving
 //! tile as the node executor. A chunk's scratch holds the suffix
 //! outputs and, replicated once per sample, the prefix outputs the
-//! suffix reads; it and the kernel's operand buffer are sized by the
-//! first chunk at its position and then overwritten in place. The
+//! suffix reads; it and the kernel's `u8` operand buffer (the largest
+//! convolution's padded plane and im2row rows) are sized by the first
+//! chunk at its position and then overwritten in place. The
 //! backend keeps one such scratch per sample chunk and the quantized
 //! input and prefix slots beside them, so reuse spans requests: a warm
 //! request of the same shape allocates nothing but its results.
@@ -49,7 +51,7 @@ struct Prepared {
     input: QTensor,
     split: usize,
     slots: Vec<QTensor>,
-    ops: Vec<i16>,
+    ops: Vec<u8>,
 }
 
 /// Int8 execution substrate over a quantized graph it owns, with an
@@ -66,7 +68,7 @@ pub struct Int8Backend {
 
 /// One sample chunk's node slots (the suffix outputs and the replicated
 /// crossing prefix outputs) and kernel operand buffer.
-type ChunkScratch = (Vec<QTensor>, Vec<i16>);
+type ChunkScratch = (Vec<QTensor>, Vec<u8>);
 
 impl Int8Backend {
     /// Create a backend owning a quantized graph (`"int8"`, no
@@ -125,7 +127,7 @@ impl Int8Backend {
 /// The serving node executor [`QGraph::walk`] takes: the tiled kernel
 /// at its serving tile over the operand buffer `ops`.
 fn serve(
-    ops: &mut Vec<i16>,
+    ops: &mut Vec<u8>,
 ) -> impl FnMut(&QNode, &[QTensor], &QTensor, &[MaskSet], &mut QTensor) + '_ {
     move |node, outs, input, masks, y| {
         exec_qnode_tiled(Tile::SERVE, ops, node, outs, input, masks, y);

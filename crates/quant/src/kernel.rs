@@ -1,4 +1,4 @@
-//! The tiled node executor over the integer matrix kernels.
+//! The tiled node executor over the one integer matrix kernel.
 //!
 //! A quantized convolution or linear layer is one matrix product per
 //! batch item,
@@ -10,28 +10,29 @@
 //! over `F` output channels, `V` output pixels (1 for a linear layer)
 //! and a reduction of `R = C·K²` taps (the input width for a linear
 //! layer). The `i8` weights are read where the quantizer left them,
-//! products accumulate in `i32`, and the per-channel [`FixedMul`]
-//! requantizes.
+//! products accumulate in `i32`, and the per-channel
+//! [`FixedMul`](crate::FixedMul) requantizes.
 //!
-//! A convolution materialises its operand `x − zx` once per item, as
-//! `i16`: the im2col matrix, one row per tap across the output pixels,
-//! with a padding tap written as 0 so the zero point drops out of the
-//! padding. A linear layer materialises nothing. It hoists the zero
-//! point, `Σ_r w · (x − zx) = Σ_r w · x − zx · Σ_r w`, so
-//! [`bnn_tensor::gemm_bt_u8i8`] multiplies the raw `u8` codes of its
-//! items — the Monte Carlo samples a stacked suffix walk puts on the
-//! item axis — by the weight rows where both sit.
+//! Both arms run [`bnn_tensor::gemm_bt_u8i8`] on raw `u8` codes, with
+//! the zero point hoisted, `Σ_r w · (x − zx) = Σ_r w · x − zx · Σ_r w`,
+//! through one block loop. A linear layer passes its items' rows where
+//! they sit — the Monte Carlo samples a stacked suffix walk puts on the
+//! item axis. A convolution first writes its item's im2row matrix, one
+//! `u8` row per output pixel with the taps in weight order, from an
+//! input plane padded with the code `zx`, so `(q − zx)` is 0 on a
+//! padding tap: a fully connected layer is a convolution with one
+//! output pixel, as on the accelerator's one PE array.
 //!
-//! The loop nest is the accelerator's PE array ([`Tile`]): filter tiles
-//! of `P_F` × pixel tiles of `P_V`, each streaming its reduction through
+//! The loop nest is that PE array ([`Tile`]): filter tiles of `P_F` ×
+//! pixel tiles of `P_V`, each streaming its reduction through
 //! `P_C`-wide adder trees. Integer accumulation is exact, so every tile
 //! gives the bytes of the direct reference loops behind [`exec_qnode`].
 //! The tile decides only the order, and how many tiles the kernel runs:
-//! the count the accelerator's cycle model charges. A linear layer
-//! calls its matrix kernel once per filter tile × reduction tile, and
-//! counts the tiles per item.
+//! the count the accelerator's cycle model charges. Filter and
+//! reduction tiles are the kernel's loops; the rows of one tile are
+//! counted, `⌈V / P_V⌉` pixel tiles per convolution item and one per
+//! linear item.
 
-use crate::fixed::FixedMul;
 use crate::qgraph::{exec_qnode, QNode, QNodeOp, QTensor};
 use bnn_nn::MaskSet;
 use bnn_tensor::{gemm_bt_u8i8, Shape4};
@@ -50,12 +51,14 @@ pub struct Tile {
 }
 
 impl Tile {
-    /// The software serving tile: one register block of [`FILTERS`] ×
-    /// [`LANES`] outputs, each reduced in one pass (an adder tree as
-    /// wide as the reduction, so a dot product vectorises end to end).
+    /// The software serving tile: one register block of [`FILTERS`]
+    /// filters, each output reduced in one pass (an adder tree as wide
+    /// as the reduction), and one pixel tile per item. `pv` shapes no
+    /// loop: operand rows go in accumulator blocks of [`ROWS`] at any
+    /// tile, and pixel tiles are only counted.
     pub(crate) const SERVE: Tile = Tile {
         pf: FILTERS,
-        pv: LANES,
+        pv: usize::MAX,
         pc: usize::MAX,
     };
 }
@@ -66,11 +69,12 @@ impl Tile {
 /// the int8 backend (at a register-sized tile) and of the accelerator
 /// simulator (at its `(P_F, P_V, P_C)`).
 ///
-/// `ops` is a convolution's `i16` operand buffer. It grows to the
+/// `ops` is a convolution's `u8` operand buffer: its item's
+/// zero-point-padded input plane, then its im2row rows. It grows to the
 /// largest operand it has held and is then reused; a linear layer
-/// reads its input codes in place and keeps its sums on the stack, so
-/// a warm executor allocates nothing. Returns the number of tiles the
-/// kernel ran (0 for an op without one).
+/// reads its input codes in place, and both keep their sums on the
+/// stack, so a warm executor allocates nothing. Returns the number of
+/// tiles the kernel ran (0 for an op without one).
 ///
 /// # Panics
 ///
@@ -78,7 +82,7 @@ impl Tile {
 /// not a `u8` code (the quantizer only makes those).
 pub fn exec_qnode_tiled(
     tile: Tile,
-    ops: &mut Vec<i16>,
+    ops: &mut Vec<u8>,
     node: &QNode,
     outs: &[QTensor],
     input: &QTensor,
@@ -102,15 +106,37 @@ pub fn exec_qnode_tiled(
             zy,
             ..
         } => {
-            let (x, zx) = (x(), i16::from(zero_point(*zx)));
-            let v = y.shape.h * y.shape.w;
-            let cols = operand(ops, x.shape.c * k * k * row_stride(v));
-            (0..x.shape.n)
-                .map(|n| {
-                    im2col(x, n, *k, *stride, *pad, zx, y.shape, cols);
-                    qgemm(tile, w, cols, v, bias, requant, *zy, y.item_mut(n))
-                })
-                .sum()
+            let (x, zx, zy) = (x(), zero_point(*zx), *zy);
+            let (s, k) = (x.shape, *k);
+            let (hp, wp) = (s.h + 2 * pad, s.w + 2 * pad);
+            let (v, r) = (y.shape.h * y.shape.w, s.c * k * k);
+            let plane_len = s.c * hp * wp + SPAN;
+            let (plane, rows) = operand(ops, plane_len + v * (r + SPAN)).split_at_mut(plane_len);
+            let mut tiles = 0;
+            for n in 0..s.n {
+                pad_plane(x.item(n), s, *pad, zx, plane);
+                im2row(plane, s.c, (hp, wp), k, *stride, y.shape, rows);
+                let y = y.item_mut(n);
+                let per_row =
+                    tiled_gemm(tile, v, rows, r + SPAN, zx, w, bias, move |i0, fs, acc| {
+                        // `acc` is pixel-major; the slot is filter-major.
+                        let m = acc.len() / fs.len();
+                        let mut t = [0i32; ROWS * FILTERS];
+                        for (i, row) in acc.chunks_exact(fs.len()).enumerate() {
+                            for (j, &c) in row.iter().enumerate() {
+                                t[j * ROWS + i] = c;
+                            }
+                        }
+                        for (f, t) in fs.zip(t.chunks_exact(ROWS)) {
+                            let rq = requant[f];
+                            for (o, &c) in y[f * v + i0..][..m].iter_mut().zip(t) {
+                                *o = (zy + rq.apply(c)).clamp(0, 255) as u8;
+                            }
+                        }
+                    });
+                tiles += per_row * v.div_ceil(tile.pv) as u64;
+            }
+            tiles
         }
         QNodeOp::Linear {
             w,
@@ -122,36 +148,16 @@ pub fn exec_qnode_tiled(
         } => {
             let (x, zx) = (x(), zero_point(*zx));
             let (n, r, f_n) = (x.shape.n, x.shape.item_len(), bias.len());
-            let red_tiles = r.div_ceil(tile.pc);
-            let mut tiles = 0;
-            let mut acc = [0i32; ITEMS * FILTERS];
-            for i0 in (0..n).step_by(ITEMS) {
-                let m = ITEMS.min(n - i0);
-                let (xs, ys) = (&x.data[i0 * r..], &mut y.data[i0 * f_n..]);
-                for f0 in (0..f_n).step_by(tile.pf) {
-                    let f1 = (f0 + tile.pf).min(f_n);
-                    tiles += (m * red_tiles) as u64;
-                    for g0 in (f0..f1).step_by(FILTERS) {
-                        let g = FILTERS.min(f1 - g0);
-                        // Item `i`'s sums are `acc[i·g..(i + 1)·g]`, from
-                        // the block's biases.
-                        let acc = &mut acc[..m * g];
-                        for (c, &b) in acc.iter_mut().zip(bias[g0..g0 + g].iter().cycle()) {
-                            *c = b;
-                        }
-                        for rt in reduction_tiles(r, tile.pc, red_tiles) {
-                            let (a, b) = (&xs[rt.start..], &w[g0 * r + rt.start..]);
-                            gemm_bt_u8i8(m, rt.len(), g, a, r, zx, b, r, acc);
-                        }
-                        for (yrow, crow) in ys.chunks_mut(f_n).zip(acc.chunks_exact(g)) {
-                            for (f, (o, &c)) in (g0..).zip(yrow[g0..].iter_mut().zip(crow)) {
-                                *o = (*zy + requant[f].apply(c)).clamp(0, 255) as u8;
-                            }
-                        }
+            let (y, zy) = (&mut y.data, *zy);
+            let per_row = tiled_gemm(tile, n, &x.data, r, zx, w, bias, move |i0, fs, acc| {
+                let ys = y[i0 * f_n..].chunks_mut(f_n);
+                for (yrow, crow) in ys.zip(acc.chunks_exact(fs.len())) {
+                    for (f, (o, &c)) in fs.clone().zip(yrow[fs.start..].iter_mut().zip(crow)) {
+                        *o = (zy + requant[f].apply(c)).clamp(0, 255) as u8;
                     }
                 }
-            }
-            tiles
+            });
+            per_row * n as u64
         }
         _ => {
             exec_qnode(node, outs, input, masks, y);
@@ -160,25 +166,19 @@ pub fn exec_qnode_tiled(
     }
 }
 
-/// Output pixels per register block: one vector of `i32` accumulators
-/// per filter.
-const LANES: usize = 16;
-
-/// Filters per register block.
+/// Filters per accumulator block.
 const FILTERS: usize = 4;
 
-/// Items of a linear layer (stacked Monte Carlo samples) per
-/// accumulator block: the block's `ITEMS × FILTERS` `i32` sums live on
-/// the stack, and its input rows stay in cache while the weight rows
-/// stream past.
-const ITEMS: usize = 64;
+/// Operand rows per accumulator block — a convolution's output pixels,
+/// a linear layer's items (the stacked Monte Carlo samples): the
+/// block's `ROWS × FILTERS` `i32` sums live on the stack, and its
+/// operand rows stay in cache while the weight rows stream past.
+const ROWS: usize = 64;
 
-/// The operand's row stride for `v` output pixels: each row carries
-/// `LANES − 1` zero columns, so a register block may start at any
-/// pixel of its tile.
-fn row_stride(v: usize) -> usize {
-    v + LANES - 1
-}
+/// The bytes a tap span is copied in, and the slack after the input
+/// plane and after each im2row row that lets a span's last chunk run
+/// past its end.
+const SPAN: usize = 8;
 
 /// A zero point as the `u8` code the quantizer makes.
 fn zero_point(zx: i32) -> u8 {
@@ -200,146 +200,112 @@ fn reduction_tiles(
     (0..count).map(move |t| t * pc..(t * pc).saturating_add(pc).min(r))
 }
 
-/// The first `len` elements of the operand buffer, grown (never
-/// shrunk) to fit. The caller overwrites all of them.
-fn operand(ops: &mut Vec<i16>, len: usize) -> &mut [i16] {
+/// The first `len` bytes of the operand buffer, grown (never shrunk)
+/// to fit.
+fn operand(ops: &mut Vec<u8>, len: usize) -> &mut [u8] {
     if ops.len() < len {
         ops.resize(len, 0);
     }
     &mut ops[..len]
 }
 
-/// Item `n`'s im2col matrix as `x − zx`: row `r = (c, ky, kx)` holds
-/// that tap for every output pixel, a padding tap written as 0, then
-/// the row's zero columns up to [`row_stride`]. Every element of `cols`
-/// is written.
-#[allow(clippy::too_many_arguments)]
-fn im2col(
-    x: &QTensor,
-    n: usize,
+/// Item `xi` of shape `s` into `plane`: each channel widened by `pad`
+/// codes of `zx` on every side, so that `(q − zx)` is 0 on a padding
+/// tap, then [`SPAN`] bytes of slack. Every byte of `plane` is written.
+fn pad_plane(xi: &[u8], s: Shape4, pad: usize, zx: u8, plane: &mut [u8]) {
+    let (hp, wp) = (s.h + 2 * pad, s.w + 2 * pad);
+    plane.fill(zx);
+    for (c, src) in xi.chunks_exact(s.h * s.w).enumerate() {
+        let dst = plane[(c * hp + pad) * wp..].chunks_mut(wp);
+        for (d, src) in dst.zip(src.chunks_exact(s.w)) {
+            d[pad..pad + s.w].copy_from_slice(src);
+        }
+    }
+}
+
+/// The im2row matrix of a `k`×`k` convolution over a padded `plane` of
+/// `c_n` channels, `hp`×`wp` each: one row per output pixel of `y`,
+/// `C·K² + SPAN` bytes apart, its taps in weight order `(c, ky, kx)`.
+/// A tap row `(c, ky)` is `k` adjacent plane bytes at any stride. It is
+/// copied in fixed [`SPAN`]-byte chunks, one output row of pixels at a
+/// time and in ascending tap order for each pixel, so what a chunk
+/// writes past its tap row is overwritten by the next one or lands in
+/// the row's slack, which no kernel reads.
+fn im2row(
+    plane: &[u8],
+    c_n: usize,
+    (hp, wp): (usize, usize),
     k: usize,
     stride: usize,
-    pad: usize,
-    zx: i16,
     y: Shape4,
-    cols: &mut [i16],
+    rows: &mut [u8],
 ) {
-    let (s, xi) = (x.shape, x.item(n));
-    let (wo, v) = (y.w, y.h * y.w);
-    let vp = row_stride(v);
-    // Integer division is slow next to a span copy: none per span.
-    let ceil = |a: usize| if stride == 1 { a } else { a.div_ceil(stride) };
-    for kx in 0..k {
-        // Output columns whose tap lands on a pixel,
-        // `pad ≤ ox·stride + kx < w + pad`: one interval per tap, empty
-        // when the tap lies wholly in the padding.
-        let ox_lo = ceil(pad.saturating_sub(kx)).min(wo);
-        let ox_hi = ceil((s.w + pad).saturating_sub(kx)).clamp(ox_lo, wo);
-        for c in 0..s.c {
+    let lda = c_n * k * k + SPAN;
+    for (oy, rows) in rows.chunks_exact_mut(y.w * lda).enumerate() {
+        let mut tap = 0;
+        for c in 0..c_n {
             for ky in 0..k {
-                let row = &mut cols[((c * k + ky) * k + kx) * vp..][..vp];
-                let (pixels, zeros) = row.split_at_mut(v);
-                zeros.fill(0);
-                for (oy, dst) in pixels.chunks_exact_mut(wo).enumerate() {
-                    let iy = oy * stride + ky;
-                    let (lo, hi) = if (pad..s.h + pad).contains(&iy) {
-                        (ox_lo, ox_hi)
-                    } else {
-                        (0, 0)
-                    };
-                    // Most spans have no padding tap: skip the empty fills.
-                    if lo > 0 {
-                        dst[..lo].fill(0);
-                    }
-                    if hi < wo {
-                        dst[hi..].fill(0);
-                    }
-                    if lo == hi {
-                        continue;
-                    }
-                    let src = &xi[(c * s.h + iy - pad) * s.w + lo * stride + kx - pad..];
-                    let dst = &mut dst[lo..hi];
-                    if stride == 1 {
-                        let src = &src[..dst.len()];
-                        for (d, &q) in dst.iter_mut().zip(src) {
-                            *d = i16::from(q) - zx;
-                        }
-                    } else {
-                        for (d, &q) in dst.iter_mut().zip(src.iter().step_by(stride)) {
-                            *d = i16::from(q) - zx;
-                        }
+                let at = (c * hp + oy * stride + ky) * wp;
+                for t in (0..k).step_by(SPAN) {
+                    let src = plane[at + t..].windows(SPAN).step_by(stride);
+                    for (dst, src) in rows[tap + t..].chunks_mut(lda).zip(src) {
+                        dst[..SPAN].copy_from_slice(src);
                     }
                 }
+                tap += k;
             }
         }
     }
 }
 
-/// One item's `y[f·V + v] = zy + requant_f(bias_f + Σ_r w[f, r] ·
-/// ops[r, v])` over `F = bias.len()` filters, `V = v_n` pixels and the
-/// reduction `R = w.len() / F`, in `tile`'s loop nest: filter tiles ×
-/// pixel tiles, each output's reduction streamed through `pc`-wide
-/// adder trees. Returns the tiles run.
-///
-/// Within a tile, outputs go in register blocks of [`FILTERS`] filters ×
-/// [`LANES`] pixels: each operand column is loaded once and multiplied
-/// by every filter's broadcast weight, as one input vector feeds all of
-/// the PE array's processing units. A lone pixel runs the same block,
-/// its other lanes the row's zero columns.
+/// `bias + (a − zx) · wᵀ` over `m` operand rows of `a`, `lda` apart,
+/// and the `F = bias.len()` weight rows of `w`, each `R = w.len() / F`
+/// long, in `tile`'s loop nest: accumulator blocks of [`ROWS`] rows ×
+/// filter tiles of `pf`, in register blocks of [`FILTERS`], each
+/// streaming its reduction through `pc`-wide tiles of
+/// [`gemm_bt_u8i8`]. `store(i0, fs, acc)` takes each finished block:
+/// rows `i0..`, filters `fs`, `acc` row-major. Returns the tiles of one
+/// row: filter tiles × reduction tiles.
 #[allow(clippy::too_many_arguments)]
-// Inlined into the executor, the register block below ran at a third
-// of its speed.
+// Inlined into the executor, one copy per arm, the linear layers ran
+// ≈ 5 % slower.
 #[inline(never)]
-fn qgemm(
+fn tiled_gemm(
     tile: Tile,
+    m: usize,
+    a: &[u8],
+    lda: usize,
+    zx: u8,
     w: &[i8],
-    ops: &[i16],
-    v_n: usize,
     bias: &[i32],
-    requant: &[FixedMul],
-    zy: i32,
-    y: &mut [u8],
+    mut store: impl FnMut(usize, Range<usize>, &[i32]),
 ) -> u64 {
-    let (f_n, vp) = (bias.len(), row_stride(v_n));
+    let f_n = bias.len();
     let r = w.len() / f_n;
-    assert_eq!(ops.len(), r * vp, "kernel operand does not fit its layer");
-    assert_eq!(y.len(), f_n * v_n, "kernel output does not fit its slot");
-    let out = |f: usize, acc: i32| (zy + requant[f].apply(acc)).clamp(0, 255) as u8;
     let red_tiles = r.div_ceil(tile.pc);
     let mut tiles = 0;
-    for f0 in (0..f_n).step_by(tile.pf) {
-        let f1 = (f0 + tile.pf).min(f_n);
-        for v0 in (0..v_n).step_by(tile.pv) {
-            let v1 = (v0 + tile.pv).min(v_n);
-            tiles += red_tiles as u64;
+    let mut acc = [0i32; ROWS * FILTERS];
+    for i0 in (0..m).step_by(ROWS) {
+        let (rows, a) = (ROWS.min(m - i0), &a[i0 * lda..]);
+        for f0 in (0..f_n).step_by(tile.pf) {
+            let f1 = (f0 + tile.pf).min(f_n);
+            // Every row runs the same tiles: count the first block's.
+            if i0 == 0 {
+                tiles += red_tiles as u64;
+            }
             for g0 in (f0..f1).step_by(FILTERS) {
-                // A short last block repeats its last filter; the
-                // repeats' sums are dropped.
-                let block: [usize; FILTERS] = std::array::from_fn(|j| (g0 + j).min(f1 - 1));
-                // Indexed, not `block.map`: an out-of-line `map` hides
-                // the rows' common length and leaves a bounds check per
-                // filter in the loop below.
-                let wrows: [&[i8]; FILTERS] = std::array::from_fn(|j| &w[block[j] * r..][..r]);
-                for b0 in (v0..v1).step_by(LANES) {
-                    let mut acc = block.map(|f| [bias[f]; LANES]);
-                    for ri in reduction_tiles(r, tile.pc, red_tiles).flatten() {
-                        let col: &[i16; LANES] = ops[ri * vp + b0..][..LANES]
-                            .try_into()
-                            .expect("a register block is LANES wide");
-                        for (acc, wrow) in acc.iter_mut().zip(&wrows) {
-                            let wv = i32::from(wrow[ri]);
-                            for (a, &x) in acc.iter_mut().zip(col) {
-                                *a += wv * i32::from(x);
-                            }
-                        }
-                    }
-                    let b1 = v1.min(b0 + LANES);
-                    for (f, acc) in (g0..f1.min(g0 + FILTERS)).zip(&acc) {
-                        for (o, &a) in y[f * v_n + b0..f * v_n + b1].iter_mut().zip(acc) {
-                            *o = out(f, a);
-                        }
-                    }
+                let fs = g0..f1.min(g0 + FILTERS);
+                // Row `i`'s sums are `acc[i·g..(i + 1)·g]` for the
+                // block's `g` filters, from their biases.
+                let acc = &mut acc[..rows * fs.len()];
+                for (c, &b) in acc.iter_mut().zip(bias[fs.clone()].iter().cycle()) {
+                    *c = b;
                 }
+                for rt in reduction_tiles(r, tile.pc, red_tiles) {
+                    let (ar, wr) = (&a[rt.start..], &w[g0 * r + rt.start..]);
+                    gemm_bt_u8i8(rows, rt.len(), fs.len(), ar, lda, zx, wr, r, acc);
+                }
+                store(i0, fs, acc);
             }
         }
     }

@@ -71,7 +71,7 @@ fn both(node: &QNode, x: &QTensor, out: Shape4, tile: Tile) -> u64 {
         data: vec![0xA5; out.len()],
         shape: out,
     };
-    let mut ops = vec![i16::MIN; 37];
+    let mut ops = vec![0xA5; 37];
     let ran = exec_qnode_tiled(tile, &mut ops, node, &outs, x, &[MaskSet::none()], &mut got);
     assert_eq!(
         got, want,
@@ -118,17 +118,23 @@ proptest! {
     fn tiled_conv_matches_the_reference_loops(
         seed in 0u64..1_000_000,
         n in 1usize..4,
-        c in 1usize..5,
-        k in prop_oneof![Just(1usize), Just(2), Just(3), Just(5)],
+        // Reductions `c·k²` past the kernel's 64- and 128-byte operands.
+        c in 1usize..9,
+        // Tap rows shorter than, equal to and longer than a span copy.
+        k in prop_oneof![Just(1usize), Just(2), Just(3), Just(5), Just(7), Just(8), Just(9)],
         stride in prop_oneof![Just(1usize), Just(2)],
         pad_draw in 0usize..5,
-        extra_h in 0usize..7,
-        extra_w in 0usize..7,
+        // Up to 11 × 11 outputs at stride 1: past a 64-pixel
+        // accumulator block.
+        extra_h in 0usize..11,
+        extra_w in 0usize..11,
         out_c in 1usize..11,
         zx in prop_oneof![Just(0i32), Just(128), Just(255)],
         pf in tile_extent(),
         pv in tile_extent(),
         pc in tile_extent(),
+        // Or the accelerator's default PE array, `(64, 1, 64)`.
+        pe_array in any::<bool>(),
     ) {
         let mut rng = SoftRng::new(seed);
         let pad = pad_draw % k;
@@ -154,9 +160,9 @@ proptest! {
             name: format!("conv c{c} {h}x{w} k{k} s{stride} p{pad} f{out_c}"),
         };
         let x = random_u8(&mut rng, Shape4::new(n, c, h, w));
-        let tile = Tile { pf, pv, pc };
+        let tile = if pe_array { Tile { pf: 64, pv: 1, pc: 64 } } else { Tile { pf, pv, pc } };
         let ran = both(&node, &x, Shape4::new(n, out_c, ho, wo), tile);
-        let per_item = out_c.div_ceil(pf) * (ho * wo).div_ceil(pv) * reduction.div_ceil(pc);
+        let per_item = out_c.div_ceil(tile.pf) * (ho * wo).div_ceil(tile.pv) * reduction.div_ceil(tile.pc);
         prop_assert_eq!(ran, (n * per_item) as u64);
     }
 

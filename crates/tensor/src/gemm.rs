@@ -4,10 +4,11 @@
 //! The training path lowers convolutions to GEMM via im2col, so the
 //! three f32 variants (plain, A-transposed, B-transposed) are the
 //! entire floating-point BLAS surface the stack requires.
-//! [`gemm_bt_u8i8`] is `gemm_bt`'s integer twin for a quantized linear
-//! layer: `u8` codes against `i8` weights into `i32`, the input zero
-//! point hoisted out of the loop, strided so a tile of a larger matrix
-//! needs no copy. Its sums are exact, so it has no order contract; on
+//! [`gemm_bt_u8i8`] is `gemm_bt`'s integer twin, the one kernel of a
+//! quantized convolution (on its im2row rows) and linear layer: `u8`
+//! codes against `i8` weights into `i32`, the input zero point hoisted
+//! out of the loop, strided so a tile of a larger matrix needs no
+//! copy. Its sums are exact, so it has no order contract; on
 //! a CPU with AVX-512 VNNI, detected at run time, it runs `vpdpbusd`
 //! (`simd.rs`), and the safe kernel here is the fallback and the
 //! reference.
@@ -364,7 +365,8 @@ pub(crate) fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
 }
 
 /// `c[m×n] += (a − za) · bᵀ` on 8-bit codes: the integer twin of
-/// [`gemm_bt`], for a quantized linear layer.
+/// [`gemm_bt`], for every quantized convolution (one `a` row per output
+/// pixel) and linear layer (one per item).
 ///
 /// `a` holds `m` rows of `u8` codes `lda` apart, `b` holds `n` rows of
 /// `i8` weights `ldb` apart, and each output is a dot product over the

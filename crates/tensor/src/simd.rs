@@ -438,10 +438,13 @@ mod tests {
             s ^= s << 17;
             s as u8
         };
-        for k in [0, 1, 63, 64, 65, 84, 120, 128, 129, 400] {
+        // LeNet-5's convolution reductions (25, 150) and linear ones.
+        for k in [0, 1, 25, 63, 64, 65, 84, 120, 128, 129, 150, 400] {
             for (z, za) in [0u8, 1, 127, 128, 255].into_iter().enumerate() {
-                // Rows packed (stride k) and strided past their end.
-                let (lda, ldb) = (k + 3 * z, k + 64 * (z % 2) + z);
+                // Rows packed (stride k), strided past their end, and
+                // `a` at a convolution's im2row stride, k + 8.
+                let lda = if z == 4 { k + 8 } else { k + 3 * z };
+                let ldb = k + 64 * (z % 2) + z;
                 for m in 1..=9 {
                     for n in 1..=9 {
                         let mut a: Vec<u8> = (0..m * lda).map(|_| byte()).collect();

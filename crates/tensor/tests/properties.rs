@@ -417,8 +417,10 @@ proptest! {
     #[test]
     fn gemm_bt_u8i8_equals_the_scalar_i64_sum(
         m in 1usize..12, n in 1usize..12,
-        k in prop_oneof![Just(0usize), Just(64), Just(400), 1usize..200],
-        pad_a in 0usize..70, pad_b in 0usize..70,
+        // LeNet-5's two convolution reductions (25, 150) and fc1's 400.
+        k in prop_oneof![Just(0usize), Just(25), Just(64), Just(150), Just(400), 1usize..200],
+        // `lda = k + 8`: a convolution's im2row rows.
+        pad_a in prop_oneof![Just(8usize), 0usize..70], pad_b in 0usize..70,
         za in prop_oneof![Just(0u8), Just(128), Just(255), any::<u8>()],
         seed in 0u64..1000
     ) {

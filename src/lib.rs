@@ -259,8 +259,9 @@
 //!   `gemm_bt_u8i8` kernels' dispatch calls, loads and stores), each
 //!   use immediately preceded by a `SAFETY:` argument, and every crate
 //!   roof carries `#![deny(unsafe_code)]` or stricter (`bnn-quant`'s
-//!   `forbid`s it: its linear layers reach the VNNI kernel only through
-//!   the safe `gemm_bt_u8i8`). Two audited modules must not quietly
+//!   `forbid`s it: its convolutions and linear layers reach the VNNI
+//!   kernel only through the safe `gemm_bt_u8i8`, one kernel for
+//!   both). Two audited modules must not quietly
 //!   become three.
 //! * **`determinism`** — the engine/kernel crates (`tensor`, `nn`,
 //!   `rng`, `quant`, the deterministic modules of `mcd`, plus the
@@ -304,7 +305,7 @@
 //! | [`serve`] | `bnn-serve` | the request-coalescing serving front door: `Server`, `Handle`, `BatchPolicy` |
 //! | [`net`] | `bnn-net` | the TCP front door: binary protocol v1/v2 (pipelining), `GET /status` / `/metrics` / `/trace` telemetry, tenant gate, blocking clients |
 //! | [`trace`] | `bnn-trace` | stage-span recorder: per-thread rings, log2 histograms, Chrome-trace export behind `/trace` + `/metrics` |
-//! | [`quant`] | `bnn-quant` | 8-bit linear quantization, the tiled integer executor (one kernel per arm: a convolution's `i16` im2col block, a linear layer's `bnn_tensor::gemm_bt_u8i8` on the raw codes with the zero point hoisted) and its reference executor over one node-range walk (Monte Carlo samples stacked on its item axis, a table-driven dropout site), `Int8Backend` (the `int8` and `accel` substrates: one suffix walk per sample chunk) |
+//! | [`quant`] | `bnn-quant` | 8-bit linear quantization, the tiled integer executor (one kernel for both arms: `bnn_tensor::gemm_bt_u8i8` on raw `u8` codes with the zero point hoisted, over a convolution's `u8` im2row rows or a linear layer's items where they sit) and its reference executor over one node-range walk (Monte Carlo samples stacked on its item axis, a table-driven dropout site), `Int8Backend` (the `int8` and `accel` substrates: one suffix walk per sample chunk) |
 //! | [`platforms`] | `bnn-platforms` | CPU/GPU latency models, VIBNN and BYNQNet baselines |
 //! | [`framework`] | `bnn-framework` | the automatic hardware/algorithm optimization framework |
 //!

@@ -703,8 +703,9 @@ fn resident_backends_keep_one_warm_scratch_per_chunk() {
         let _ = engine.run(backend, Plan::one(x, &mut src), BayesConfig::new(4, 8));
     }
     /// Every suffix slot and crossing replica, the operand buffer of
-    /// each chunk's scratch, and the prepared input.
-    type Addresses = (Vec<Vec<*const u8>>, Vec<*const i16>, *const u8);
+    /// each chunk's scratch (conv2's padded plane and im2row rows, the
+    /// suffix's largest convolution), and the prepared input.
+    type Addresses = (Vec<Vec<*const u8>>, Vec<*const u8>, *const u8);
     fn addresses(backend: &mut Int8Backend) -> Addresses {
         let input = backend.prepared_input().expect("prepared").data.as_ptr();
         let scratches = backend.scratches();
