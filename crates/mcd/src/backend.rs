@@ -600,16 +600,16 @@ fn slice_items(xs: &Tensor, items: Range<usize>) -> Tensor {
 ///   against.
 /// * [`FloatBackend::fused`] walks it *once per chunk* with the
 ///   samples stacked along the batch axis — fully-connected layers
-///   through one row-stacked GEMM, convolutions through side-by-side
-///   im2col blocks and one GEMM per cache-sized block of samples — so
-///   each weight matrix streams once per layer per chunk (a
-///   convolution's stays cache-resident between its blocks, so
-///   `weight_stream_bytes` still counts it once): the software
-///   analogue of the accelerator's weight-streaming dataflow.
+///   through one row-stacked GEMM, convolutions one GEMM per stacked
+///   item straight on its zero-padded input — so each weight matrix
+///   streams once per layer per chunk (a convolution's stays
+///   cache-resident between its items, so `weight_stream_bytes` still
+///   counts it once): the software analogue of the accelerator's
+///   weight-streaming dataflow.
 ///
 /// Both cuts run the same kernels and differ only in how many mask
 /// sets share a walk. The kernels give every element the same f32
-/// operation sequence at any stacking (see `bnn_tensor::gemm_stacked`),
+/// operation sequence at any stacking (see `bnn_tensor::gemm`),
 /// so both give **bit-identical** predictions under the same seed and
 /// mask stream, at any thread count; they differ in wall-clock time,
 /// in `name` (`"float"` / `"fused"`) and in the weight-streaming

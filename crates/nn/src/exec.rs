@@ -4,8 +4,8 @@ use crate::graph::{out_shape, Graph, Node, NodeId, Op};
 use crate::param::ParamStore;
 use bnn_rng::SoftRng;
 use bnn_tensor::{
-    add_inplace, avg_pool_backward, avg_pool_into, col2im, gemm, gemm_at, gemm_bt, gemm_stacked,
-    global_avg_pool_into, im2col, im2col_stacked_into, max_pool, max_pool_backward, max_pool_into,
+    add_inplace, avg_pool_backward, avg_pool_into, col2im, gemm, gemm_at, gemm_bt, gemm_rows,
+    global_avg_pool_into, im2col, max_pool, max_pool_backward, max_pool_into, pad_phases_into,
     relu_inplace, Shape4, Tensor,
 };
 
@@ -87,21 +87,16 @@ impl MaskSet {
     ///
     /// `active[i]` enables site `i`; `channels[i]` is the mask length
     /// (from [`Graph::site_channels`]); `p` is the drop probability.
-    /// Keep bits come from the batched [`SoftRng::bernoulli_many`]
-    /// drop draws (byte-threshold fast path for `p = k/256`).
+    /// Keep bits come from [`SoftRng::keep_many`]: the negated
+    /// [`SoftRng::bernoulli_many`] drop draws of the same stream,
+    /// eight per word for `p = k/256`.
     pub fn sample_software(
         active: &[bool],
         channels: &[usize],
         p: f32,
         rng: &mut SoftRng,
     ) -> MaskSet {
-        MaskSet::draw(active, channels, p, |c| {
-            let mut bits = rng.bernoulli_many(f64::from(p), c);
-            for b in &mut bits {
-                *b = !*b;
-            }
-            bits
-        })
+        MaskSet::draw(active, channels, p, |c| rng.keep_many(f64::from(p), c))
     }
 
     /// Mask at `site`, if the site is active.
@@ -226,74 +221,59 @@ fn masked_copy_items(
     }
 }
 
-/// `f32`s a convolution block may hold in the workspace: the column
-/// matrix plus the staged GEMM output of one block (256 KiB) stay
-/// L2-resident between the im2col, the GEMM and the gather. Stacking a
-/// whole batch in one block instead puts megabytes of column matrix on
-/// the heap for a 16-image calibration batch, which reads as +27–30 %
-/// `peak_rss_mib` on the benchmark's integer workloads.
-const CONV_BLOCK_F32: usize = 64 * 1024;
-
-/// *The* convolution: the batch is walked in blocks of as many items
-/// as fit [`CONV_BLOCK_F32`] (at least one). Each block's im2col
-/// matrices land side by side in one `[C·K·K, nb·Ho·Wo]` column
-/// matrix, a single [`gemm_stacked`] call covers them — the weight
-/// matrix is read once per block and stays cache-resident between
-/// blocks — and the staged `[F, nb·Ho·Wo]` product is gathered back
-/// into per-item NCHW layout with the bias added. Column matrix and
-/// staged product are the two halves of `work`, grown on demand and
-/// never shrunk.
+/// *The* convolution, one [`gemm_rows`] per item with no im2col: the
+/// item's input is written zero-padded into `stride²` phase planes
+/// ([`pad_phases_into`]), where every row `(c, ky, kx)` of the column
+/// matrix is one contiguous run, so a tap offset stands in for it.
+/// The GEMM computes the "wide" output grid, `Wq` columns per output
+/// row of which the first `Wo` are real, and the gather drops the
+/// wrap columns and adds the bias. Planes and the staged product are
+/// the two halves of `work`, grown on demand and never shrunk.
 ///
-/// Every block size gives the same bytes: the blocked GEMM's
-/// per-element accumulation sequence depends only on the element's
-/// row and the depth panels, never on the column tiling (the
-/// [`gemm_stacked`] contract). So a batch item, a Monte Carlo sample
-/// of a fused suffix and a whole small batch are one code path.
+/// The values are those of im2col + [`bnn_tensor::gemm`]: an
+/// element's accumulation sequence depends only on its filter row and
+/// the depth panels, never on its column or where its `B` row is
+/// stored (the [`bnn_tensor::gemm`] contract). So a batch item, a
+/// Monte Carlo sample of a fused suffix and a whole small batch get
+/// the same bytes from one code path.
 #[allow(clippy::too_many_arguments)]
 fn conv_forward_into(
     x: &Tensor,
     w: &Tensor,
     b: &Tensor,
     k: usize,
-    stride: usize,
+    s: usize,
     pad: usize,
     y: &mut Tensor,
     work: &mut Vec<f32>,
 ) {
-    let si = x.shape();
-    let so = y.shape();
-    let (f, ckk, howo) = (so.c, si.c * k * k, so.h * so.w);
-    let per_item = (ckk + f) * howo;
-    let nb = (CONV_BLOCK_F32 / per_item).clamp(1, si.n.max(1));
-    if work.len() < nb * per_item {
-        work.resize(nb * per_item, 0.0);
+    let (si, so) = (x.shape(), y.shape());
+    let (hq, wq) = ((si.h + 2 * pad).div_ceil(s), (si.w + 2 * pad).div_ceil(s));
+    let (f, plane, howo) = (so.c, hq * wq, so.h * so.w);
+    let wide = (so.h - 1) * wq + so.w;
+    let planes_len = si.c * s * s * plane;
+    if work.len() < planes_len + f * wide {
+        work.resize(planes_len + f * wide, 0.0);
     }
-    for n0 in (0..si.n).step_by(nb) {
-        let items = nb.min(si.n - n0);
-        let total_cols = items * howo;
-        let (cols, stage) = work[..items * per_item].split_at_mut(ckk * total_cols);
-        for i in 0..items {
-            im2col_stacked_into(
-                x.item(n0 + i),
-                si.c,
-                si.h,
-                si.w,
-                k,
-                stride,
-                pad,
-                cols,
-                total_cols,
-                i * howo,
-            );
-        }
+    let (planes, stage) = work.split_at_mut(planes_len);
+    let stage = &mut stage[..f * wide];
+    let tap = |p: usize| {
+        let (c, ky, kx) = (p / (k * k), p / k % k, p % k);
+        ((c * s + ky % s) * s + kx % s) * plane + ky / s * wq + kx / s
+    };
+    for n in 0..si.n {
+        pad_phases_into(x.item(n), si.c, si.h, si.w, s, pad, planes);
         stage.fill(0.0);
-        gemm_stacked(f, ckk, howo, items, w.as_slice(), cols, stage);
-        for i in 0..items {
-            let yi = y.item_mut(n0 + i);
-            for (c, &bv) in b.as_slice().iter().enumerate() {
-                let src = &stage[c * total_cols + i * howo..c * total_cols + (i + 1) * howo];
-                for (d, &s) in yi[c * howo..(c + 1) * howo].iter_mut().zip(src) {
-                    *d = s + bv;
+        gemm_rows(f, si.c * k * k, wide, w.as_slice(), planes, tap, stage);
+        let yi = y.item_mut(n);
+        for ((dst, src), &bv) in yi
+            .chunks_exact_mut(howo)
+            .zip(stage.chunks_exact(wide))
+            .zip(b.as_slice())
+        {
+            for (d, sr) in dst.chunks_exact_mut(so.w).zip(src.chunks(wq)) {
+                for (d, &v) in d.iter_mut().zip(sr) {
+                    *d = v + bv;
                 }
             }
         }
@@ -437,8 +417,8 @@ pub struct ExecScratch {
     /// Node outputs; slots `<= from` stay empty (those nodes are read
     /// from the prefix, never executed).
     outs: Vec<Tensor>,
-    /// Convolution workspace: one block's column matrix and staged
-    /// GEMM output.
+    /// Convolution workspace: one item's padded phase planes and
+    /// staged GEMM output.
     work: Vec<f32>,
     /// The prefix nodes the suffix reads across the boundary (the
     /// Bayesian-site input, plus any residual shortcut), each with its
@@ -794,10 +774,10 @@ impl Graph {
     /// weight matrix once per sample, this walk stacks the samples'
     /// activations along the batch axis, so a fully-connected layer is
     /// one row-stacked GEMM (its weights stream once per layer) and a
-    /// convolution runs per cache-sized block of samples — side-by-side
-    /// im2col blocks through one [`gemm_stacked`] — its weights read
-    /// from memory once per layer and cache-resident between blocks,
-    /// which is why the modelled `weight_stream_bytes` counts them once.
+    /// convolution runs one [`gemm_rows`] per stacked item on its
+    /// zero-padded input — its weights read from memory once per layer
+    /// and cache-resident between items, which is why the modelled
+    /// `weight_stream_bytes` counts them once.
     /// Per-sample dropout masks are applied to each sample's item
     /// group, and the kernels give every element the same f32 operation
     /// sequence however many items share a walk, so the stacked logits
@@ -1351,7 +1331,7 @@ mod tests {
     #[test]
     fn stacked_suffix_covers_convolutions() {
         // A Bayesian site ahead of a conv so the fused walk exercises
-        // the stacked im2col + gemm_stacked path (and the replicated
+        // a convolution over sample-stacked items (and the replicated
         // graph input).
         let mut b = GraphBuilder::new("conv-suffix", 9);
         let x = b.input();
@@ -1429,5 +1409,28 @@ mod tests {
         let m = ms.get(1).expect("site 1 active");
         assert_eq!(m.keep.len(), 8);
         assert!((m.scale - 4.0 / 3.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn software_keep_bits_are_the_negated_drop_draws_of_the_same_stream() {
+        for p in [0.0f32, 1.0 / 256.0, 0.25, 0.5, 255.0 / 256.0, 0.3] {
+            for len in 0..=70 {
+                let seed = 0x5EED ^ (len as u64) << 8;
+                let (mut keep_rng, mut drop_rng) = (SoftRng::new(seed), SoftRng::new(seed));
+                let ms = MaskSet::sample_software(&[true], &[len], p, &mut keep_rng);
+                let want: Vec<bool> = drop_rng
+                    .bernoulli_many(f64::from(p), len)
+                    .iter()
+                    .map(|&drop| !drop)
+                    .collect();
+                let keep = &ms.get(0).expect("site 0 active").keep;
+                assert_eq!(keep, &want, "p = {p}, len = {len}");
+                assert_eq!(
+                    keep_rng.next_u64(),
+                    drop_rng.next_u64(),
+                    "p = {p}, len = {len}: the generators drifted apart"
+                );
+            }
+        }
     }
 }

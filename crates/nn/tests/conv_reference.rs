@@ -1,11 +1,13 @@
 //! An independent reference for the executor's one convolution.
 //!
-//! Every other convolution test compares the blocked im2col + GEMM
-//! kernel with itself at another block count (stacked vs. one sample
-//! per walk, prefix + suffix vs. full pass). This one compares it with
-//! a direct seven-loop convolution written here, on single-conv graphs
-//! whose shapes walk every block shape of the kernel's 64 Ki-`f32`
-//! workspace budget.
+//! Every other convolution test compares the kernel — one GEMM per
+//! item reading the zero-padded input through tap offsets — with
+//! itself at another stacking (stacked vs. one sample per walk, a
+//! prefix and suffix vs. one full pass). This one compares it with a
+//! direct seven-loop convolution written here, on single-conv graphs
+//! whose shapes walk the operand's geometry: kernel sizes, strides
+//! (the phase planes), padding up to `K − 1`, a one-column output,
+//! batches, and reductions past one GEMM depth panel.
 
 use bnn_nn::{GraphBuilder, MaskSet, Op};
 use bnn_rng::SoftRng;
@@ -49,25 +51,40 @@ fn direct_conv(x: &Tensor, w: &Tensor, b: &Tensor, k: usize, stride: usize, pad:
 
 #[test]
 fn conv_matches_a_direct_loop_at_every_block_shape() {
-    // (C, F, K, stride, pad, H, W, N) and which path of the kernel the
-    // shape takes: a block holds 64 Ki / ((C·K·K + F)·Ho·Wo) items.
+    // (C, F, K, stride, pad, H, W, N) and what the shape exercises.
     let cases = [
-        // One item alone exceeds the budget: 3 blocks of 1.
+        // A 32-wide padded plane over 3 items.
         (8, 8, 3, 1, 1, 32, 32, 3),
-        // LeNet-5 conv1, 2 items per block: blocks of 2, 2 and a
-        // remainder of 1.
+        // LeNet-5 conv1: 892 wide columns, 4 wrap columns per row.
         (1, 6, 5, 1, 2, 28, 28, 5),
-        // The whole batch in one block; odd F takes the GEMM's
-        // row-remainder path.
+        // Odd F takes the GEMM's row-remainder path.
         (2, 3, 3, 1, 1, 6, 6, 4),
         // Stride 2 with padding on a non-square image.
         (3, 5, 3, 2, 1, 9, 7, 2),
-        // An empty batch runs no block.
+        // An empty batch runs no GEMM.
         (2, 3, 3, 1, 1, 6, 6, 0),
         // C·K·K = 288 spans two depth panels (see below).
         (32, 7, 3, 1, 1, 6, 6, 2),
+        // K = 1 at stride 2 (ResNet's shortcut): one phase plane of
+        // four is read.
+        (4, 6, 1, 2, 0, 8, 8, 2),
+        // K = 7 at stride 2, pad 3 (a ResNet stem): taps in all four
+        // phase planes, three rows and columns deep.
+        (3, 5, 7, 2, 3, 16, 15, 1),
+        // Stride 3: nine phase planes, odd plane sides.
+        (2, 3, 3, 3, 1, 10, 11, 2),
+        // pad = K − 1: corner taps see one pixel.
+        (2, 4, 3, 1, 2, 5, 6, 1),
+        // Wo = 1: every wide row is one real column and its wrap.
+        (2, 3, 3, 1, 0, 5, 3, 2),
+        // N > 1 at stride 2: each item's planes rewritten in place.
+        (3, 4, 3, 2, 1, 7, 7, 4),
     ];
-    for (c, f, k, stride, pad, h, w, n) in cases {
+    // Then every small geometry: K 1–7, stride 1–3, pad 0..K, odd F.
+    let sweep = (1..=7).flat_map(|k| {
+        (1..=3).flat_map(move |stride| (0..k).map(move |pad| (2, 3, k, stride, pad, 9, 8, 2)))
+    });
+    for (c, f, k, stride, pad, h, w, n) in cases.into_iter().chain(sweep) {
         let mut b = GraphBuilder::new("one-conv", 23);
         let input = b.input();
         let conv = b.conv(input, c, f, k, stride, pad);
@@ -108,7 +125,7 @@ fn conv_matches_a_direct_loop_at_every_block_shape() {
             assert!(got.max_abs_diff(&want) <= 1e-4, "{tag}: beyond 1e-4");
         }
 
-        // Block invariance: each item run alone gives the batch's bytes.
+        // Batch invariance: each item run alone gives the batch's bytes.
         for i in 0..n {
             let one = Tensor::from_vec(shape.with_n(1), x.item(i).to_vec());
             assert_eq!(

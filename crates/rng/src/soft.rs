@@ -100,21 +100,35 @@ impl SoftRng {
     /// Other `p` fall back to one draw per decision. Either way the
     /// stream is a pure function of the seed.
     pub fn bernoulli_many(&mut self, p: f64, len: usize) -> Vec<bool> {
+        self.decisions(p, len, false)
+    }
+
+    /// `len` keep decisions at drop probability `p`: exactly
+    /// `!bernoulli_many(p, len)`, from the same stream, written in one
+    /// pass instead of a draw pass and a negating pass — on the
+    /// `k/256` grid each byte of a word becomes `byte ≥ k` straight
+    /// into the sized vector. This is what a dropout mask needs, and
+    /// what `bnn-nn`'s `MaskSet::sample_software` draws.
+    pub fn keep_many(&mut self, p: f64, len: usize) -> Vec<bool> {
+        self.decisions(p, len, true)
+    }
+
+    /// The body of [`SoftRng::bernoulli_many`] (`negate = false`) and
+    /// [`SoftRng::keep_many`] (`negate = true`).
+    fn decisions(&mut self, p: f64, len: usize, negate: bool) -> Vec<bool> {
         let scaled = p * 256.0;
         if scaled.fract() == 0.0 && (0.0..=256.0).contains(&scaled) {
             let t = scaled as u16;
-            let mut out = Vec::with_capacity(len);
-            while out.len() < len {
-                let mut word = self.next_u64();
-                let take = (len - out.len()).min(8);
-                for _ in 0..take {
-                    out.push(u16::from(word as u8) < t);
-                    word >>= 8;
+            let mut out = vec![false; len];
+            for chunk in out.chunks_mut(8) {
+                let bytes = self.next_u64().to_le_bytes();
+                for (d, &byte) in chunk.iter_mut().zip(&bytes) {
+                    *d = (u16::from(byte) < t) != negate;
                 }
             }
             out
         } else {
-            (0..len).map(|_| self.bernoulli(p)).collect()
+            (0..len).map(|_| self.bernoulli(p) != negate).collect()
         }
     }
 

@@ -1,9 +1,11 @@
-//! Row-major GEMM kernels: three single-precision variants and one
+//! Row-major GEMM kernels: four single-precision entries and one
 //! integer one.
 //!
-//! The training path lowers convolutions to GEMM via im2col, so the
-//! three f32 variants (plain, A-transposed, B-transposed) are the
-//! entire floating-point BLAS surface the stack requires.
+//! Training lowers convolutions to GEMM via im2col; inference reads
+//! each convolution's zero-padded input in place through
+//! [`gemm_rows`], whose `b` rows sit at caller-given offsets. With the
+//! plain, A-transposed and B-transposed variants that is the entire
+//! floating-point BLAS surface the stack requires.
 //! [`gemm_bt_u8i8`] is `gemm_bt`'s integer twin, the one kernel of a
 //! quantized convolution (on its im2row rows) and linear layer: `u8`
 //! codes against `i8` weights into `i32`, the input zero point hoisted
@@ -15,13 +17,18 @@
 //!
 //! The f32 kernels are cache-blocked and register-tiled:
 //!
-//! * [`gemm`] / [`gemm_at`] split the shared dimension into `KC`
-//!   panels and run one generic `R×W` register tile whose accumulators
-//!   live in registers for the whole panel, with the depth loop
-//!   innermost — each loaded `b` vector feeds `R` multiply-add streams
-//!   and the `W`-wide accumulator rows autovectorize. Rows go in bands
-//!   of 4, then 2; columns in tiles of 32, narrowing through 16, 8, 4
-//!   and 1 over the remainder.
+//! * [`gemm`], [`gemm_at`] and [`gemm_rows`] share one driver. It
+//!   splits the shared dimension into `KC` panels, reads row `p` of
+//!   `b` at an offset (`p·n`, or the caller's for `gemm_rows`), packs
+//!   each row band's `a` values, and runs one register tile whose
+//!   accumulators live in registers for the whole panel, with the
+//!   depth loop innermost — each loaded `b` vector feeds `R`
+//!   multiply-add streams. Rows go in bands of 4, then 2, and an odd
+//!   last row on its own. On a CPU with AVX-512F, detected at run
+//!   time, the tile is 4 rows × 32 columns in two zmm per row with a
+//!   masked 16-lane tail (`simd.rs`); the safe tile here (columns in
+//!   tiles of 32, narrowing through 16, 8, 4 and 1) is the fallback
+//!   and the reference.
 //! * [`gemm_bt`] computes dot products along `k`, so its micro-kernel
 //!   keeps 8 partial-sum lanes per output and shares every streamed
 //!   `b` chunk between two rows of `a`. On a CPU with AVX-512F and
@@ -33,9 +40,9 @@
 //! Accumulation order therefore differs from the textbook triple
 //! loop, but it is fixed per element and is a contract, stated on
 //! [`gemm`] and on [`gemm_bt`]: two calls into these kernels agree bit
-//! for bit however their operands are tiled or stacked and whichever
-//! ISA runs them, and only a comparison against a *different* order
-//! needs a tolerance.
+//! for bit however their operands are tiled, stacked or stored and
+//! whichever ISA runs them, and only a comparison against a
+//! *different* order needs a tolerance.
 //!
 //! The previous generation of these kernels skipped zero `a` elements.
 //! That branch is gone: on the dense matrices the NN stack produces it
@@ -45,7 +52,7 @@
 
 /// Depth of the shared dimension per cache panel: `KC` elements of a
 /// `b` column stay resident while a register tile accumulates.
-const KC: usize = 256;
+pub(crate) const KC: usize = 256;
 
 /// `c[m×n] += a[m×k] · b[k×n]` (all row-major).
 ///
@@ -54,8 +61,8 @@ const KC: usize = 256;
 /// Every bit-identity guarantee of the stack (stacked ≡ per-block,
 /// fused ≡ float, solo ≡ coalesced, the benchmark's output digests)
 /// rests on the order in which an element of `c` is accumulated. For
-/// `gemm` and [`gemm_at`], per `KC = 256` panel of the shared dimension
-/// in ascending order:
+/// `gemm`, [`gemm_at`] and [`gemm_rows`], per `KC = 256` panel of the
+/// shared dimension in ascending order:
 ///
 /// * a row `i < m − (m mod 2)` computes `acc = 0.0; for p in panel
 ///   { acc += a[i,p] * b[p,j] }` — a multiply and an add, two
@@ -63,10 +70,12 @@ const KC: usize = 256;
 /// * an odd last row adds each product directly: `c[i,j] += a[i,p] *
 ///   b[p,j]`.
 ///
-/// Nothing else enters an element's value: not its column, not the
-/// register tile covering it or how many rows share a `b` load, not
-/// stacking, not the vector width of the build. `tests/properties.rs`
-/// checks this bit for bit against a scalar transcription.
+/// Nothing else enters an element's value: not its column, not where
+/// row `p` of `b` is stored, not the register tile covering it or how
+/// many rows share a `b` load, not stacking, not the vector width of
+/// the build, not the ISA that runs the tile (the AVX-512 tile and the
+/// safe fallback agree bit for bit). `tests/properties.rs` checks this
+/// bit for bit against a scalar transcription.
 ///
 /// # Panics
 ///
@@ -75,7 +84,7 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     assert_eq!(a.len(), m * k, "a must be m*k");
     assert_eq!(b.len(), k * n, "b must be k*n");
     assert_eq!(c.len(), m * n, "c must be m*n");
-    gemm_tiled(m, k, n, b, c, |i, p| a[i * k + p]);
+    gemm_tiled(m, k, n, b, |p| p * n, c, |i, p| a[i * k + p]);
 }
 
 /// `c[m×n] += aᵀ · b` where `a` is stored `k×m` row-major.
@@ -90,40 +99,83 @@ pub fn gemm_at(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
     assert_eq!(a.len(), k * m, "a must be k*m (transposed)");
     assert_eq!(b.len(), k * n, "b must be k*n");
     assert_eq!(c.len(), m * n, "c must be m*n");
-    gemm_tiled(m, k, n, b, c, |i, p| a[p * m + i]);
+    gemm_tiled(m, k, n, b, |p| p * n, c, |i, p| a[p * m + i]);
 }
 
-/// Shared driver for [`gemm`] and [`gemm_at`]: `a_at(i, p)` abstracts
-/// the storage order of `a`, monomorphized per caller so the
-/// micro-kernel sees a direct indexed load.
-fn gemm_tiled<F: Fn(usize, usize) -> f32>(
+/// `c[m×n] += a[m×k] · B` where row `p` of `B` is `src[row(p) ..
+/// row(p) + n]`: [`gemm`] on a `B` that is never materialised.
+///
+/// Rows may sit anywhere in `src`, in any order, and overlap. That is
+/// what lets a convolution skip im2col: row `(c, ky, kx)` of its
+/// column matrix is one contiguous run of the zero-padded input (see
+/// [`crate::pad_phases_into`]), so a tap offset stands in for the
+/// copy. `row` is called once per `p`. The values follow [`gemm`]'s
+/// accumulation contract, so they equal `gemm` on the materialised
+/// `B` bit for bit.
+///
+/// # Panics
+///
+/// Panics if `a` is not `m×k`, `c` is not `m×n`, or a row ends past
+/// the end of `src`.
+pub fn gemm_rows(
     m: usize,
     k: usize,
     n: usize,
-    b: &[f32],
+    a: &[f32],
+    src: &[f32],
+    row: impl Fn(usize) -> usize,
     c: &mut [f32],
-    a_at: F,
+) {
+    assert_eq!(a.len(), m * k, "a must be m*k");
+    assert_eq!(c.len(), m * n, "c must be m*n");
+    gemm_tiled(m, k, n, src, row, c, |i, p| a[i * k + p]);
+}
+
+/// The one driver of [`gemm`], [`gemm_at`] and [`gemm_rows`]: row `p`
+/// of `b` starts at `src[row(p)]`, and `a_at(i, p)` abstracts the
+/// storage order of `a`, monomorphized per caller so the tile sees a
+/// direct indexed load. Each depth panel's row offsets go into a
+/// table on the stack, checked once, so the register tiles index
+/// `src` through it.
+fn gemm_tiled(
+    m: usize,
+    k: usize,
+    n: usize,
+    src: &[f32],
+    row: impl Fn(usize) -> usize,
+    c: &mut [f32],
+    a_at: impl Fn(usize, usize) -> f32,
 ) {
     let m_even = m - m % 2;
+    let mut offs = [0usize; KC];
     for pb in (0..k).step_by(KC) {
-        let panel = pb..(pb + KC).min(k);
+        let offs = &mut offs[..KC.min(k - pb)];
+        for (q, o) in offs.iter_mut().enumerate() {
+            *o = row(pb + q);
+            assert!(
+                o.checked_add(n).is_some_and(|end| end <= src.len()),
+                "row {} of b ends past src",
+                pb + q
+            );
+        }
         let mut i = 0;
         while i + 4 <= m_even {
-            row_band::<4, F>(i, panel.clone(), n, b, c, &a_at);
+            let band = |r, q| a_at(i + r, pb + q);
+            row_band::<4>(band, offs, src, n, &mut c[i * n..(i + 4) * n]);
             i += 4;
         }
         if i < m_even {
-            row_band::<2, F>(i, panel.clone(), n, b, c, &a_at);
+            let band = |r, q| a_at(i + r, pb + q);
+            row_band::<2>(band, offs, src, n, &mut c[i * n..m_even * n]);
         }
         // The odd last row streams b and adds each product straight
         // into c: a different rounding sequence from the tiles', and
         // part of the contract.
         if m_even < m {
             let crow = &mut c[m_even * n..m * n];
-            for p in panel {
-                let av = a_at(m_even, p);
-                let brow = &b[p * n..(p + 1) * n];
-                for (cv, &bv) in crow.iter_mut().zip(brow) {
+            for (q, &o) in offs.iter().enumerate() {
+                let av = a_at(m_even, pb + q);
+                for (cv, &bv) in crow.iter_mut().zip(&src[o..o + n]) {
                     *cv += av * bv;
                 }
             }
@@ -131,52 +183,68 @@ fn gemm_tiled<F: Fn(usize, usize) -> f32>(
     }
 }
 
-/// Rows `i..i + R` of `c` across all `n` columns for one depth panel:
-/// 32-wide tiles, then the one tile of each narrower width that still
-/// fits, then single columns.
-fn row_band<const R: usize, F: Fn(usize, usize) -> f32>(
-    i: usize,
-    panel: std::ops::Range<usize>,
+/// One row band, `R` rows of `c` across all `n` columns, for one depth
+/// panel: `a_at(r, q)` is the band's row `r` of `a` at panel depth `q`,
+/// and row `q` of the panel's `b` is `src[offs[q]..offs[q] + n]`. The
+/// AVX-512 tile runs where the CPU has it, the portable one everywhere
+/// else.
+fn row_band<const R: usize>(
+    a_at: impl Fn(usize, usize) -> f32,
+    offs: &[usize],
+    src: &[f32],
     n: usize,
-    b: &[f32],
     c: &mut [f32],
-    a_at: &F,
 ) {
-    let j = col_tiles::<R, 32, F>(i, 0, panel.clone(), n, b, c, a_at);
-    let j = col_tiles::<R, 16, F>(i, j, panel.clone(), n, b, c, a_at);
-    let j = col_tiles::<R, 8, F>(i, j, panel.clone(), n, b, c, a_at);
-    let j = col_tiles::<R, 4, F>(i, j, panel.clone(), n, b, c, a_at);
-    col_tiles::<R, 1, F>(i, j, panel, n, b, c, a_at);
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    if crate::simd::gemm_band::<R>(&a_at, offs, src, n, c) {
+        return;
+    }
+    band_portable::<R>(&a_at, offs, src, n, c);
+}
+
+/// The safe row-band kernel: 32-wide register tiles, then the one tile
+/// of each narrower width that still fits, then single columns. The
+/// fallback on every other CPU and the reference the AVX-512 tile is
+/// tested against.
+pub(crate) fn band_portable<const R: usize>(
+    a_at: &impl Fn(usize, usize) -> f32,
+    offs: &[usize],
+    src: &[f32],
+    n: usize,
+    c: &mut [f32],
+) {
+    let j = col_tiles::<R, 32>(0, a_at, offs, src, n, c);
+    let j = col_tiles::<R, 16>(j, a_at, offs, src, n, c);
+    let j = col_tiles::<R, 8>(j, a_at, offs, src, n, c);
+    let j = col_tiles::<R, 4>(j, a_at, offs, src, n, c);
+    col_tiles::<R, 1>(j, a_at, offs, src, n, c);
 }
 
 /// The register tile, over as many `W`-wide column tiles as fit from
 /// column `j` on: `R×W` accumulators updated across the whole depth
 /// panel before touching `c`. Returns the first column not covered.
 #[inline(always)]
-fn col_tiles<const R: usize, const W: usize, F: Fn(usize, usize) -> f32>(
-    i: usize,
+fn col_tiles<const R: usize, const W: usize>(
     mut j: usize,
-    panel: std::ops::Range<usize>,
+    a_at: &impl Fn(usize, usize) -> f32,
+    offs: &[usize],
+    src: &[f32],
     n: usize,
-    b: &[f32],
     c: &mut [f32],
-    a_at: &F,
 ) -> usize {
     while j + W <= n {
         let mut acc = [[0.0f32; W]; R];
-        for p in panel.clone() {
-            let bq: &[f32; W] = b[p * n + j..p * n + j + W]
-                .try_into()
-                .expect("W-sized chunk");
+        for (q, &o) in offs.iter().enumerate() {
+            let bq: &[f32; W] = src[o + j..o + j + W].try_into().expect("W-sized chunk");
             for (r, row) in acc.iter_mut().enumerate() {
-                let ar = a_at(i + r, p);
-                for (av, &bv) in row.iter_mut().zip(bq) {
-                    *av += ar * bv;
+                let av = a_at(r, q);
+                for (acc, &bv) in row.iter_mut().zip(bq) {
+                    *acc += av * bv;
                 }
             }
         }
         for (r, row) in acc.iter().enumerate() {
-            let crow = &mut c[(i + r) * n + j..(i + r) * n + j + W];
+            let crow = &mut c[r * n + j..r * n + j + W];
             for (cv, &av) in crow.iter_mut().zip(row) {
                 *cv += av;
             }
@@ -199,7 +267,10 @@ fn col_tiles<const R: usize, const W: usize, F: Fn(usize, usize) -> f32>(
 /// so stacking Monte Carlo samples along the column axis cannot move
 /// a single ulp while the `a` operand (the weights) streams once for
 /// all `s` blocks instead of once per block. Property-tested against
-/// the per-block reference in `tests/properties.rs`.
+/// the per-block reference in `tests/properties.rs`. The executor's
+/// convolutions no longer stack column blocks (they run one
+/// [`gemm_rows`] per item); the entry point stays for the benchmark's
+/// kernel probe.
 ///
 /// # Panics
 ///

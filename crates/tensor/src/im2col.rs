@@ -1,4 +1,11 @@
-//! im2col / col2im convolution lowering.
+//! Convolution lowering: the zero-padded phase planes the inference
+//! path's convolutions read in place, and im2col / col2im.
+//!
+//! Inference never materialises a column matrix: [`pad_phases_into`]
+//! writes the padded input once, and [`crate::gemm_rows`] reads each
+//! row `(c, ky, kx)` of the column matrix as one contiguous run of it.
+//! [`im2col`] and [`col2im`] remain for training's backward pass, and
+//! [`im2col_stacked_into`] for the probe that times the lowering.
 //!
 //! A convolution with `F` filters over a `C×H×W` input becomes the
 //! GEMM `W[F × C·K·K] · cols[C·K·K × Ho·Wo]`. This mirrors the
@@ -115,6 +122,73 @@ pub fn im2col_stacked_into(
                             *d = s;
                         }
                     }
+                }
+            }
+        }
+    }
+}
+
+/// Write one `C×H×W` image zero-padded by `pad` and split into
+/// `stride²` phase planes: the operand a direct convolution reads
+/// through [`crate::gemm_rows`] instead of an im2col matrix.
+///
+/// With `s = stride`, `Hp = H + 2·pad` and `Hq × Wq = ⌈Hp/s⌉ ×
+/// ⌈Wp/s⌉`, plane `(ch, a, b)` starts at `((ch·s + a)·s + b)·Hq·Wq`
+/// and holds padded pixel `(qy·s + a, qx·s + b)` at `qy·Wq + qx`
+/// (at stride 1, the one plane per channel is the padded image).
+/// Positions in the padding or past the padded image hold `0.0`, and
+/// every position is written, so `out` needs no clearing. Tap `(ch,
+/// ky, kx)` of output `(oy, ox)` then sits at
+///
+/// ```text
+/// ((ch·s + ky mod s)·s + kx mod s)·Hq·Wq + (ky div s)·Wq + kx div s + oy·Wq + ox
+/// ```
+///
+/// so each tap is one contiguous run over the "wide" output grid of
+/// `(Ho − 1)·Wq + Wo` columns, whose `Wq − Wo` wrap columns per row
+/// read in-bounds values the caller drops.
+///
+/// # Panics
+///
+/// Panics if `image.len() != c*h*w`, `stride == 0`, or `out` is not
+/// `c·s²·Hq·Wq` long.
+pub fn pad_phases_into(
+    image: &[f32],
+    c: usize,
+    h: usize,
+    w: usize,
+    stride: usize,
+    pad: usize,
+    out: &mut [f32],
+) {
+    assert_eq!(image.len(), c * h * w, "image buffer must be c*h*w");
+    assert!(stride > 0, "stride must be non-zero");
+    let s = stride;
+    let (hq, wq) = ((h + 2 * pad).div_ceil(s), (w + 2 * pad).div_ceil(s));
+    assert_eq!(out.len(), c * s * s * hq * wq, "out must be c*s*s*hq*wq");
+    if out.is_empty() {
+        return;
+    }
+    for (plane_id, plane) in out.chunks_exact_mut(hq * wq).enumerate() {
+        let (ch, a, b) = (plane_id / (s * s), plane_id / s % s, plane_id % s);
+        // Columns whose padded pixel `qx·s + b` lies on the image.
+        let qx_lo = pad.saturating_sub(b).div_ceil(s).min(wq);
+        let qx_hi = (w + pad).saturating_sub(b).div_ceil(s).clamp(qx_lo, wq);
+        for (qy, dst) in plane.chunks_exact_mut(wq).enumerate() {
+            let py = qy * s + a;
+            if py < pad || py >= h + pad || qx_lo == qx_hi {
+                dst.fill(0.0);
+                continue;
+            }
+            dst[..qx_lo].fill(0.0);
+            dst[qx_hi..].fill(0.0);
+            let src = &image[(ch * h + py - pad) * w + qx_lo * s + b - pad..];
+            let dst = &mut dst[qx_lo..qx_hi];
+            if s == 1 {
+                dst.copy_from_slice(&src[..dst.len()]);
+            } else {
+                for (d, &v) in dst.iter_mut().zip(src.iter().step_by(s)) {
+                    *d = v;
                 }
             }
         }

@@ -1,13 +1,15 @@
 //! Minimal NCHW tensor library underpinning the BNN reproduction.
 //!
 //! Provides exactly the kernels the rest of the stack needs — nothing
-//! more: a dense f32 [`Tensor`] in NCHW layout, row-major [`gemm`],
-//! [`im2col`]/[`col2im`] for convolution lowering, pooling kernels,
-//! numerically-stable softmax, and [`gemm_bt_u8i8`], the `u8 × i8`
-//! product of a quantized linear layer. [`gemm_bt`] and
-//! [`gemm_bt_u8i8`] run AVX-512 kernels where the CPU has them,
-//! detected at run time, in the crate's one `unsafe` module; a safe
-//! kernel of the same bytes is the fallback and the reference.
+//! more: a dense f32 [`Tensor`] in NCHW layout, row-major [`gemm`]
+//! and [`gemm_rows`] (its `b` rows at offsets, which with
+//! [`pad_phases_into`] runs a convolution without im2col),
+//! [`im2col`]/[`col2im`] for training's convolution lowering, pooling
+//! kernels, numerically-stable softmax, and [`gemm_bt_u8i8`], the
+//! `u8 × i8` product of a quantized layer. [`gemm`]'s register tile,
+//! [`gemm_bt`] and [`gemm_bt_u8i8`] run AVX-512 kernels where the CPU
+//! has them, detected at run time, in the crate's one `unsafe` module;
+//! a safe kernel of the same bytes is the fallback and the reference.
 //!
 //! # Example
 //!
@@ -31,8 +33,8 @@ mod shape;
 mod simd;
 mod tensor;
 
-pub use gemm::{gemm, gemm_at, gemm_bt, gemm_bt_stacked, gemm_bt_u8i8, gemm_stacked};
-pub use im2col::{col2im, conv_out_dim, im2col, im2col_stacked_into};
+pub use gemm::{gemm, gemm_at, gemm_bt, gemm_bt_stacked, gemm_bt_u8i8, gemm_rows, gemm_stacked};
+pub use im2col::{col2im, conv_out_dim, im2col, im2col_stacked_into, pad_phases_into};
 pub use ops::{add_inplace, log_softmax_rows, relu_inplace, softmax_rows};
 pub use pool::{
     avg_pool_backward, avg_pool_into, global_avg_pool_into, max_pool, max_pool_backward,

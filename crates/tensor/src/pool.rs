@@ -67,7 +67,10 @@ pub fn max_pool_into(x: &Tensor, k: usize, stride: usize, out: &mut Tensor) {
 /// at `init` and folds its windows' taps in `(ky, kx)`-ascending order,
 /// one input row slice per `ky` — the per-element sequence of the
 /// indexed `for ky { for kx { acc = fold(acc, x[..]) } }` loop, so
-/// signed zeros and NaNs come out as they do there.
+/// signed zeros and NaNs come out as they do there. Windows with `k =
+/// stride = 2` (LeNet-5's pools) take the same four folds per output
+/// from two rows read as `[f32; 2]` pairs, a loop the compiler can
+/// vectorise where the strided one is not.
 fn fold_windows_into(
     x: &Tensor,
     k: usize,
@@ -89,9 +92,17 @@ fn fold_windows_into(
     let (xs, os) = (x.as_slice(), out.as_mut_slice());
     for (row, out_row) in os.chunks_exact_mut(wo).enumerate() {
         let (plane, oy) = (row / ho, row % ho);
+        let in_row = |ky: usize| &xs[(plane * s.h + oy * stride + ky) * s.w..][..s.w];
+        if (k, stride) == (2, 2) {
+            let pairs = |ky: usize| in_row(ky)[..2 * wo].as_chunks::<2>().0;
+            for ((o, p0), p1) in out_row.iter_mut().zip(pairs(0)).zip(pairs(1)) {
+                *o = fold(fold(fold(fold(init, p0[0]), p0[1]), p1[0]), p1[1]);
+            }
+            continue;
+        }
         out_row.fill(init);
         for ky in 0..k {
-            let in_row = &xs[(plane * s.h + oy * stride + ky) * s.w..][..s.w];
+            let in_row = in_row(ky);
             for kx in 0..k {
                 for (o, &v) in out_row.iter_mut().zip(in_row[kx..].iter().step_by(stride)) {
                     *o = fold(*o, v);

@@ -2,8 +2,8 @@
 
 use bnn_tensor::{
     avg_pool_into, col2im, conv_out_dim, gemm, gemm_at, gemm_bt, gemm_bt_stacked, gemm_bt_u8i8,
-    gemm_stacked, im2col, im2col_stacked_into, max_pool, max_pool_backward, max_pool_into,
-    softmax_rows, Shape4, Tensor,
+    gemm_rows, gemm_stacked, im2col, im2col_stacked_into, max_pool, max_pool_backward,
+    max_pool_into, pad_phases_into, softmax_rows, Shape4, Tensor,
 };
 use proptest::prelude::*;
 
@@ -345,6 +345,101 @@ fn gemm_and_gemm_at_follow_the_tile_contract_bit_for_bit() {
                         want[idx].to_bits(),
                         "gemm_at {m}x{k}x{n}: element ({i},{j}) left the contract"
                     );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn gemm_rows_equals_gemm_on_the_materialised_b_bit_for_bit() {
+    // Rows drawn anywhere in a short `src`, so the table is out of
+    // order and rows overlap; depths on both sides of the panel edge;
+    // LeNet-5's wide conv grids (136, 892) among the widths.
+    for n in (1..=47).chain([136, 892]) {
+        for k in [1, 25, 150, 256, 257, 600] {
+            for m in 1..=9 {
+                let mut rng = bnn_rng_stub((m * 1000 + n) as u64 ^ (k as u64) << 20);
+                let src = rng.dense(n + 2 * k + 5);
+                let rows: Vec<usize> = rng
+                    .bytes(2 * k)
+                    .chunks_exact(2)
+                    .map(|b| usize::from(u16::from_le_bytes([b[0], b[1]])) % (2 * k + 6))
+                    .collect();
+                let (a, c0) = (rng.dense(m * k), rng.dense(m * n));
+                let b: Vec<f32> = rows.iter().flat_map(|&r| &src[r..r + n]).copied().collect();
+                let mut want = c0.clone();
+                gemm(m, k, n, &a, &b, &mut want);
+                let mut got = c0;
+                gemm_rows(m, k, n, &a, &src, |p| rows[p], &mut got);
+                let (got, want): (Vec<u32>, Vec<u32>) = got
+                    .iter()
+                    .zip(&want)
+                    .map(|(g, w)| (g.to_bits(), w.to_bits()))
+                    .unzip();
+                assert_eq!(got, want, "gemm_rows {m}x{k}x{n}");
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "row 1 of b ends past src")]
+fn gemm_rows_rejects_a_row_past_src() {
+    let mut c = [0.0; 4];
+    gemm_rows(1, 2, 4, &[1.0, 1.0], &[0.0; 6], |p| 2 * p + 1, &mut c);
+}
+
+#[test]
+fn phase_plane_convolution_equals_im2col_and_gemm_bit_for_bit() {
+    // K 1–7, stride 1–3, pad 0..=K, an odd filter count: the direct
+    // operand, read at the tap offsets `pad_phases_into` documents,
+    // gives im2col + gemm's bytes on the real columns, and every read
+    // stays in bounds (gemm_rows checks each row).
+    let (c, f) = (2, 3);
+    for k in 1..=7 {
+        for stride in 1..=3 {
+            for pad in 0..=k {
+                let (h, w) = (k + 3, k + 2);
+                let (ho, wo) = (
+                    conv_out_dim(h, k, stride, pad),
+                    conv_out_dim(w, k, stride, pad),
+                );
+                let s = stride;
+                let (hq, wq) = ((h + 2 * pad).div_ceil(s), (w + 2 * pad).div_ceil(s));
+                let mut rng = bnn_rng_stub((k * 100 + stride * 10 + pad) as u64);
+                let (image, weights) = (rng.dense(c * h * w), rng.dense(f * c * k * k));
+
+                let mut want = vec![0.0f32; f * ho * wo];
+                gemm(
+                    f,
+                    c * k * k,
+                    ho * wo,
+                    &weights,
+                    &im2col(&image, c, h, w, k, s, pad),
+                    &mut want,
+                );
+
+                // A dirty buffer: every position must be written.
+                let mut planes = vec![f32::NAN; c * s * s * hq * wq];
+                pad_phases_into(&image, c, h, w, s, pad, &mut planes);
+                let wide = (ho - 1) * wq + wo;
+                let mut got = vec![0.0f32; f * wide];
+                let tap = |p: usize| {
+                    let (ch, ky, kx) = (p / (k * k), p / k % k, p % k);
+                    ((ch * s + ky % s) * s + kx % s) * hq * wq + ky / s * wq + kx / s
+                };
+                gemm_rows(f, c * k * k, wide, &weights, &planes, tap, &mut got);
+                for fi in 0..f {
+                    for oy in 0..ho {
+                        for ox in 0..wo {
+                            assert_eq!(
+                                got[fi * wide + oy * wq + ox].to_bits(),
+                                want[(fi * ho + oy) * wo + ox].to_bits(),
+                                "K{k} s{s} p{pad}: filter {fi} output ({oy},{ox})"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -255,8 +255,9 @@
 //!
 //! * **`unsafe-audit`** — `unsafe` only in `crates/mcd/src/pool.rs`
 //!   (the worker pool's lifetime erasure) and
-//!   `crates/tensor/src/simd.rs` (the AVX-512 `gemm_bt` and VNNI
-//!   `gemm_bt_u8i8` kernels' dispatch calls, loads and stores), each
+//!   `crates/tensor/src/simd.rs` (the dispatch calls, loads and stores
+//!   of the AVX-512 `gemm` tile and `gemm_bt` and the VNNI
+//!   `gemm_bt_u8i8`), each
 //!   use immediately preceded by a `SAFETY:` argument, and every crate
 //!   roof carries `#![deny(unsafe_code)]` or stricter (`bnn-quant`'s
 //!   `forbid`s it: its convolutions and linear layers reach the VNNI
@@ -298,7 +299,7 @@
 //! |---|---|---|
 //! | [`accel`] | `bnn-accel` | the accelerator simulator: the integer kernel at the PE array's tile, one sample per suffix walk (its tile counts checked against the cycle model), cycle model, resource model, IC; `Accelerator::into_backend` attaches its cost model to the integer backend, which serves the `accel` substrate with stacked samples |
 //! | [`rng`] | `bnn-rng` | LFSRs, Bernoulli sampler, fixed-point Gaussian samplers |
-//! | [`tensor`] | `bnn-tensor` | NCHW tensors, GEMM (and the `u8 × i8` `gemm_bt_u8i8`), im2col, pooling |
+//! | [`tensor`] | `bnn-tensor` | NCHW tensors, GEMM (with `gemm_rows`, which reads a convolution's zero-padded input through tap offsets, and the `u8 × i8` `gemm_bt_u8i8`), the padded phase planes and training's im2col, pooling |
 //! | [`nn`] | `bnn-nn` | layer-graph IR, f32 executor, backprop, SGD, model builders |
 //! | [`data`] | `bnn-data` | synthetic MNIST/SVHN/CIFAR-like datasets, OOD noise |
 //! | [`mcd`] | `bnn-mcd` | the `BayesBackend` trait (`info`, `prepare`, `scratches`, `forward_batch`, `model_cost`), the one MC `Engine`, `FloatBackend` (one sample per walk `new` / batched-sample `fused`, same kernels), conformance harness, uncertainty metrics |

@@ -72,7 +72,7 @@ fn test_batch(ds: &bnn_fpga::data::Dataset, n: usize) -> Tensor {
 fn conformance_fused_bit_identical_to_float() {
     let (net, ds) = trained_lenet();
     // Batch > 1 plus L sweeping from FC-only to conv-containing
-    // suffixes, so the fused im2col/GEMM stacking is exercised on both
+    // suffixes, so the fused sample stacking is exercised on both
     // layer kinds.
     for l in [2usize, 5] {
         assert_backend_agrees(
