@@ -25,20 +25,22 @@ impl FixedMul {
         }
     }
 
-    /// Apply to an i32 accumulator with round-to-nearest (ties away
-    /// from zero), returning the scaled value.
+    /// Apply to an i32 accumulator: `acc·m0 / 2^(31+shift)` rounded to
+    /// the nearest integer, ties away from zero, then truncated to
+    /// `i32` (a no-op for any multiplier below 1).
+    ///
+    /// Branch-free: `|acc·m0| < 2^62`, so the product's magnitude and
+    /// the rounding half fit an `i64`, and the sign is reapplied with
+    /// its all-ones-or-zero mask. On a run of accumulators under one
+    /// multiplier the loop autovectorizes.
     pub fn apply(&self, acc: i32) -> i32 {
         let prod = i64::from(acc) * i64::from(self.m0);
         let total_shift = 31 + self.shift;
         debug_assert!((1..63).contains(&total_shift), "shift out of range");
-        // Round half away from zero on the magnitude, reapply the sign.
-        let mag = prod.unsigned_abs();
-        let r = (mag + (1u64 << (total_shift - 1))) >> total_shift;
-        if prod < 0 {
-            -(r as i64) as i32
-        } else {
-            r as i32
-        }
+        let sign = prod >> 63;
+        let mag = (prod ^ sign) - sign;
+        let r = (mag + (1 << (total_shift - 1))) >> total_shift;
+        ((r ^ sign) - sign) as i32
     }
 
     /// The represented real value.
@@ -157,6 +159,45 @@ mod tests {
         assert_eq!(fm.apply(-3), -2, "-1.5 rounds away from zero");
         assert_eq!(fm.apply(4), 2);
         assert_eq!(fm.apply(5), 3, "2.5 -> 3");
+    }
+
+    /// `acc·m0 / 2^ts` in `i128`, rounded half away from zero, then
+    /// truncated to `i32` as [`FixedMul::apply`] documents.
+    fn reference(acc: i32, m0: i32, ts: i32) -> i32 {
+        let prod = i128::from(acc) * i128::from(m0);
+        let half = 1i128 << (ts - 1);
+        let mag = (prod.abs() + half) >> ts;
+        (if prod < 0 { -mag } else { mag }) as i32
+    }
+
+    #[test]
+    fn apply_is_round_half_away_from_zero_bit_for_bit() {
+        let ends = [i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX];
+        let mut ties = 0;
+        for m0 in [0, 1 << 30, i32::MAX, 3 << 29, 0x5555_5555] {
+            for ts in 1..=62 {
+                let fm = FixedMul { m0, shift: ts - 31 };
+                // Exact ties: `acc·m0` an odd multiple of `2^(ts−1)`,
+                // i.e. `acc` an odd multiple of `2^(ts − 1 − v2(m0))`.
+                let e = ts - 1 - m0.trailing_zeros() as i32;
+                let tie_accs = (0..=30).contains(&e).then(|| {
+                    let top = i32::MAX >> e | 1;
+                    [1, 3, top, -1, -3, -top].map(|o| o << e)
+                });
+                for acc in ends.into_iter().chain(tie_accs.into_iter().flatten()) {
+                    let prod = i128::from(acc) * i128::from(m0);
+                    if prod.abs() % (1i128 << ts) == 1i128 << (ts - 1) {
+                        ties += 1;
+                    }
+                    assert_eq!(
+                        fm.apply(acc),
+                        reference(acc, m0, ts),
+                        "acc {acc}, m0 {m0}, 31 + shift = {ts}"
+                    );
+                }
+            }
+        }
+        assert!(ties > 100, "only {ties} exact ties checked");
     }
 
     #[test]

@@ -23,6 +23,14 @@
 //! padding tap: a fully connected layer is a convolution with one
 //! output pixel, as on the accelerator's one PE array.
 //!
+//! Both arms requantize a finished block of sums the same way
+//! ([`requantize`]): transposed to filter-major, each filter's run is
+//! requantized under its one multiplier, a loop that vectorizes since
+//! [`FixedMul::apply`] has no branch. Each arm then writes the runs
+//! where its slot keeps them: contiguous in a convolution's
+//! filter-major `[F × V]` item, every `F`-th byte in a linear layer's
+//! `[N × F]` rows.
+//!
 //! The loop nest is that PE array ([`Tile`]): filter tiles of `P_F` ×
 //! pixel tiles of `P_V`, each streaming its reduction through
 //! `P_C`-wide adder trees. Integer accumulation is exact, so every tile
@@ -34,6 +42,7 @@
 //! linear item.
 
 use crate::qgraph::{exec_qnode, QNode, QNodeOp, QTensor};
+use crate::FixedMul;
 use bnn_nn::MaskSet;
 use bnn_tensor::{gemm_bt_u8i8, Shape4};
 use std::ops::Range;
@@ -117,23 +126,14 @@ pub fn exec_qnode_tiled(
                 pad_plane(x.item(n), s, *pad, zx, plane);
                 im2row(plane, s.c, (hp, wp), k, *stride, y.shape, rows);
                 let y = y.item_mut(n);
-                let per_row =
-                    tiled_gemm(tile, v, rows, r + SPAN, zx, w, bias, move |i0, fs, acc| {
-                        // `acc` is pixel-major; the slot is filter-major.
-                        let m = acc.len() / fs.len();
-                        let mut t = [0i32; ROWS * FILTERS];
-                        for (i, row) in acc.chunks_exact(fs.len()).enumerate() {
-                            for (j, &c) in row.iter().enumerate() {
-                                t[j * ROWS + i] = c;
-                            }
-                        }
-                        for (f, t) in fs.zip(t.chunks_exact(ROWS)) {
-                            let rq = requant[f];
-                            for (o, &c) in y[f * v + i0..][..m].iter_mut().zip(t) {
-                                *o = (zy + rq.apply(c)).clamp(0, 255) as u8;
-                            }
-                        }
-                    });
+                let per_row = tiled_gemm(tile, v, rows, r + SPAN, zx, w, bias, |i0, fs, acc| {
+                    // The slot is filter-major: each filter's run of
+                    // pixels is contiguous.
+                    let (m, q) = requantize(acc, fs.clone(), requant, zy);
+                    for (f, q) in fs.zip(q.chunks_exact(ROWS)) {
+                        y[f * v + i0..][..m].copy_from_slice(&q[..m]);
+                    }
+                });
                 tiles += per_row * v.div_ceil(tile.pv) as u64;
             }
             tiles
@@ -149,11 +149,14 @@ pub fn exec_qnode_tiled(
             let (x, zx) = (x(), zero_point(*zx));
             let (n, r, f_n) = (x.shape.n, x.shape.item_len(), bias.len());
             let (y, zy) = (&mut y.data, *zy);
-            let per_row = tiled_gemm(tile, n, &x.data, r, zx, w, bias, move |i0, fs, acc| {
-                let ys = y[i0 * f_n..].chunks_mut(f_n);
-                for (yrow, crow) in ys.zip(acc.chunks_exact(fs.len())) {
-                    for (f, (o, &c)) in fs.clone().zip(yrow[fs.start..].iter_mut().zip(crow)) {
-                        *o = (zy + requant[f].apply(c)).clamp(0, 255) as u8;
+            let per_row = tiled_gemm(tile, n, &x.data, r, zx, w, bias, |i0, fs, acc| {
+                // The slot is row-major: a filter's codes go every
+                // `F`-th byte.
+                let (m, q) = requantize(acc, fs.clone(), requant, zy);
+                for (f, q) in fs.zip(q.chunks_exact(ROWS)) {
+                    let ys = y[i0 * f_n + f..].iter_mut().step_by(f_n);
+                    for (o, &q) in ys.zip(&q[..m]) {
+                        *o = q;
                     }
                 }
             });
@@ -164,6 +167,36 @@ pub fn exec_qnode_tiled(
             0
         }
     }
+}
+
+/// A finished block of [`tiled_gemm`], requantized: `acc`'s row-major
+/// sums of filters `fs` are transposed to filter-major, and each
+/// filter's run of `m` rows is requantized under its one multiplier.
+/// Filter `fs.start + j`'s codes are `q[j·ROWS..][..m]`. Row by row
+/// across the block's filters the multiply does not vectorize: at
+/// LeNet-5 fc1's shape, a row-by-row store took 1.2–1.7× as long as
+/// this one followed by the linear arm's strided write.
+fn requantize(
+    acc: &[i32],
+    fs: Range<usize>,
+    requant: &[FixedMul],
+    zy: i32,
+) -> (usize, [u8; ROWS * FILTERS]) {
+    let m = acc.len() / fs.len();
+    let mut t = [0i32; ROWS * FILTERS];
+    for (i, row) in acc.chunks_exact(fs.len()).enumerate() {
+        for (j, &c) in row.iter().enumerate() {
+            t[j * ROWS + i] = c;
+        }
+    }
+    let mut q = [0u8; ROWS * FILTERS];
+    let runs = q.chunks_exact_mut(ROWS).zip(t.chunks_exact(ROWS));
+    for ((q, t), rq) in runs.zip(&requant[fs]) {
+        for (o, &c) in q[..m].iter_mut().zip(t) {
+            *o = (zy + rq.apply(c)).clamp(0, 255) as u8;
+        }
+    }
+    (m, q)
 }
 
 /// Filters per accumulator block.

@@ -12,8 +12,8 @@
 //!    activations, i8 symmetric per-output-channel weights, i32 bias
 //!    and accumulators, fixed-point requantization multipliers,
 //! 3. [`QGraph::forward`] — bit-exact integer execution, including the
-//!    dropout unit's fixed-point rescale by the mask's `1/(1-p)`, applied
-//!    through a 256-entry table of the kept codes.
+//!    dropout unit's fixed-point rescale of the kept codes by the mask's
+//!    `1/(1-p)`.
 //!
 //! The accelerator simulator (`bnn-accel`) executes the *same*
 //! [`QGraph`], so "simulator output == reference output" is a

@@ -482,10 +482,11 @@ pub fn exec_qnode(
 /// The dropout unit over one walk: one masked copy of `x` into `y` per
 /// sample group (`masks[s]` on items `s·n .. (s+1)·n`; a set without
 /// this site copies its group unchanged). A dropped channel is written
-/// as the zero point `z`, a kept one through the 256-entry table
-/// [`kept_codes`] of its mask's rescale — built once per walk, and
-/// again only for a set with another scale — so an element costs one
-/// byte lookup rather than a fixed-point multiply.
+/// as the zero point `z`, a kept code `v` as `clamp(z + m·(v − z))` under
+/// its mask's rescale `m` ([`site_multiplier`]). At a fully-connected
+/// site (one element per channel) the kept code is computed for every
+/// element and selected against `z` by the keep byte-mask, a loop
+/// without branches that vectorizes.
 fn apply_qmask(
     x: &QTensor,
     masks: &[MaskSet],
@@ -503,37 +504,30 @@ fn apply_qmask(
         .data
         .chunks_exact(group)
         .zip(y.data.chunks_exact_mut(group));
-    let mut table: Option<(f32, [u8; 256])> = None;
     for (set, (src, dst)) in masks.iter().zip(groups) {
         let Some(mask) = set.get(site) else {
             dst.copy_from_slice(src);
             continue;
         };
         assert_eq!(mask.keep.len(), s.c, "{name}: mask length != channels");
-        let t = match &mut table {
-            Some((scale, t)) if *scale == mask.scale => t,
-            slot => {
-                let kept = site_multiplier(mul, mask.scale, name);
-                &mut slot.insert((mask.scale, kept_codes(kept, z))).1
-            }
-        };
+        let kept = site_multiplier(mul, mask.scale, name);
+        let kept_code = |v: u8| (z + kept.apply(i32::from(v) - z)).clamp(0, 255) as u8;
         for (src, dst) in src.chunks_exact(item).zip(dst.chunks_exact_mut(item)) {
             if plane == 1 {
-                // One element per channel (every fully-connected site):
-                // a branch per channel would mispredict on random keep
-                // bits, so the lookup and the zero point are selected
-                // by a byte mask instead.
-                for ((d, &v), &kept) in dst.iter_mut().zip(src).zip(&mask.keep) {
-                    let m = u8::from(kept).wrapping_neg();
-                    *d = (t[usize::from(v)] & m) | (z8 & !m);
+                // A branch per channel would mispredict on random keep
+                // bits: the kept code and the zero point are selected
+                // by a byte mask.
+                for ((d, &v), &keep) in dst.iter_mut().zip(src).zip(&mask.keep) {
+                    let m = u8::from(keep).wrapping_neg();
+                    *d = (kept_code(v) & m) | (z8 & !m);
                 }
                 continue;
             }
             let planes = src.chunks_exact(plane).zip(dst.chunks_exact_mut(plane));
-            for ((src, dst), &kept) in planes.zip(&mask.keep) {
-                if kept {
+            for ((src, dst), &keep) in planes.zip(&mask.keep) {
+                if keep {
                     for (d, &v) in dst.iter_mut().zip(src) {
-                        *d = t[usize::from(v)];
+                        *d = kept_code(v);
                     }
                 } else {
                     dst.fill(z8);
@@ -541,12 +535,6 @@ fn apply_qmask(
             }
         }
     }
-}
-
-/// The dropout unit's kept-channel rescale around the zero point `z`,
-/// tabulated for every u8 code: `t[v] = clamp(z + mul·(v − z))`.
-fn kept_codes(mul: FixedMul, z: i32) -> [u8; 256] {
-    std::array::from_fn(|v| (z + mul.apply(v as i32 - z)).clamp(0, 255) as u8)
 }
 
 /// The fixed-point rescale of a mask's kept channels at a site whose

@@ -3,8 +3,12 @@
 //! the fixed-point rescale of the mask it is handed — the multiplier the
 //! quantizer baked when the mask's scale is the graph's `1/(1-p)`, else
 //! the mask's scale quantized — and a dropped code becomes `z`. The
-//! reference executor and the serving kernel share the site's lookup
-//! table, so this exhaustive check is the table's independent one.
+//! reference executor and the serving kernel share the dropout unit,
+//! which computes each kept code with `FixedMul::apply`: a
+//! fully-connected site selects it against `z` by a byte mask, a site
+//! with planes writes each kept plane. These checks run both arms
+//! against the formula; `FixedMul::apply` itself is pinned bit for bit
+//! against an `i128` reference by `bnn-quant`'s unit tests.
 
 use bnn_nn::{models, Mask, MaskSet};
 use bnn_quant::{exec_qnode, quantize_multiplier, FixedMul, QNode, QNodeOp, QTensor, Quantizer};
@@ -107,6 +111,37 @@ fn dropout_table_matches_the_formula_on_every_code() {
                 let keep = vec![true, false, true, true];
                 let y = run_site(&node, &planar, &[mask(keep.clone(), scale(p))]);
                 assert_formula(&planar, &y, &[keep], want_mul, z);
+            }
+        }
+    }
+}
+
+#[test]
+fn each_group_of_a_walk_follows_its_own_scale() {
+    // Two sample groups in one walk, the first drawn at the graph's p,
+    // the second at 0.5 (another rescale), then the first again: each
+    // group must use its own set's multiplier, on both arms.
+    let codes: Vec<u8> = (0..=255).collect();
+    for z in ZEROS {
+        let node = site(baked(0.25), z);
+        let muls = [baked(0.25), quantize_multiplier(2.0), baked(0.25)];
+        let scales = [scale(0.25), scale(0.5), scale(0.25)];
+        for shape in [Shape4::new(3, 256, 1, 1), Shape4::new(3, 4, 8, 8)] {
+            let x = QTensor {
+                data: [&codes[..], &codes[..], &codes[..]].concat(),
+                shape,
+            };
+            let keep: Vec<bool> = (0..shape.c).map(|c| c % 3 != 1).collect();
+            let sets = scales.map(|sc| mask(keep.clone(), sc));
+            let y = run_site(&node, &x, &sets);
+            let item = shape.item_len();
+            for (g, &mul) in muls.iter().enumerate() {
+                let one = Shape4 { n: 1, ..shape };
+                let part = |t: &QTensor| QTensor {
+                    data: t.data[g * item..][..item].to_vec(),
+                    shape: one,
+                };
+                assert_formula(&part(&x), &part(&y), std::slice::from_ref(&keep), mul, z);
             }
         }
     }

@@ -47,8 +47,9 @@
 //! The previous generation of these kernels skipped zero `a` elements.
 //! That branch is gone: on the dense matrices the NN stack produces it
 //! cost a compare-and-branch per inner iteration and blocked
-//! vectorization. Sparsity is exploited at the tensor level (MCD
-//! zeroes whole channels), never inside the GEMM.
+//! vectorization. Nothing exploits sparsity now: MCD zeroes whole
+//! channels, but every kernel runs dense, so a dropped channel costs
+//! what a kept one does.
 
 /// Depth of the shared dimension per cache panel: `KC` elements of a
 /// `b` column stay resident while a register tile accumulates.

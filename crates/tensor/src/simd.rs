@@ -28,9 +28,11 @@
 //!
 //! **`gemm_bt_u8i8`.** One `vpdpbusd` multiplies 64 `u8` codes by 64
 //! `i8` weights and adds each group of four products into one of 16
-//! `i32` lanes. A register block is 4 `a` rows × 4 `b` rows — 16
-//! accumulators — plus 4 more that sum each `b` row against a ones
-//! vector for the hoisted zero point. The non-saturating `vpdpbusd`
+//! `i32` lanes. The kernel walks column blocks of 4 `b` rows. Each
+//! block first sums its rows against a ones vector, once, for the
+//! hoisted zero point `za·Σ b`. Then every register block of 4 `a` rows
+//! × the block's 4 `b` rows — 16 accumulators — runs against those
+//! sums. The non-saturating `vpdpbusd`
 //! wraps like the portable kernel's `i32` arithmetic, and integer sums
 //! do not depend on order, so the lanes may be reduced in any order
 //! and the bytes still equal the portable kernel's. The `k mod 64`
@@ -353,7 +355,9 @@ pub(crate) fn gemm_bt_u8i8(
     true
 }
 
-/// Rows in blocks of [`MR`], then the last `m mod MR` as one block.
+/// Columns in blocks of [`JR`] `b` rows, each block's `za·Σ b` summed
+/// once; then the block's rows of `a` in blocks of [`MR`], and the
+/// last `m mod MR` as one block.
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
 fn gemm_bt_u8i8_zmm(
@@ -368,58 +372,75 @@ fn gemm_bt_u8i8_zmm(
     c: &mut [i32],
 ) {
     let row = |i: usize| &a[i * lda..][..k];
-    let mut i = 0;
-    while i + MR <= m {
-        let rows = [row(i), row(i + 1), row(i + 2), row(i + 3)];
-        dp_rows(rows, za, b, ldb, &mut c[i * n..(i + MR) * n]);
-        i += MR;
-    }
-    let c = &mut c[i * n..];
-    match m - i {
-        3 => dp_rows([row(i), row(i + 1), row(i + 2)], za, b, ldb, c),
-        2 => dp_rows([row(i), row(i + 1)], za, b, ldb, c),
-        1 => dp_rows([row(i)], za, b, ldb, c),
-        _ => {}
-    }
-}
-
-/// The `R` rows `rows` of `a` against every row of `b`, into the `R`
-/// rows of `c`: [`JR`] `b` rows per register block, each `b` chunk
-/// loaded once for all `R` rows and once more into its `Σ b` sum.
-#[inline]
-#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
-fn dp_rows<const R: usize>(rows: [&[u8]; R], za: u8, b: &[i8], ldb: usize, c: &mut [i32]) {
-    let (k, n) = (rows[0].len(), c.len() / R);
-    let ones = _mm512_set1_epi8(1);
     for j in (0..n).step_by(JR) {
         // A short last block repeats its last `b` row; the repeats'
         // sums are dropped.
-        let mut cols: [&[i8]; JR] = [&[]; JR];
-        for (q, col) in cols.iter_mut().enumerate() {
-            *col = &b[(j + q).min(n - 1) * ldb..][..k];
+        let cols: [&[i8]; JR] = std::array::from_fn(|q| &b[(j + q).min(n - 1) * ldb..][..k]);
+        let zsums = zero_point_sums(&cols, za);
+        let zsums = &zsums[..JR.min(n - j)];
+        let mut i = 0;
+        while i + MR <= m {
+            let rows = [row(i), row(i + 1), row(i + 2), row(i + 3)];
+            dp_rows(rows, &cols, zsums, n, &mut c[i * n + j..]);
+            i += MR;
         }
-        let mut acc = [[_mm512_setzero_si512(); JR]; R];
-        let mut sums = [_mm512_setzero_si512(); JR];
-        for p in (0..k).step_by(BYTES) {
-            let mut bv = [_mm512_setzero_si512(); JR];
-            for ((v, col), sum) in bv.iter_mut().zip(&cols).zip(&mut sums) {
-                *v = load_i8(&col[p..]);
-                *sum = _mm512_dpbusd_epi32(*sum, ones, *v);
-            }
-            for (accs, row) in acc.iter_mut().zip(&rows) {
-                let av = load_u8(&row[p..]);
-                for (s, &bq) in accs.iter_mut().zip(&bv) {
-                    *s = _mm512_dpbusd_epi32(*s, av, bq);
-                }
+        if i < m {
+            let c = &mut c[i * n + j..];
+            match m - i {
+                3 => dp_rows([row(i), row(i + 1), row(i + 2)], &cols, zsums, n, c),
+                2 => dp_rows([row(i), row(i + 1)], &cols, zsums, n, c),
+                _ => dp_rows([row(i)], &cols, zsums, n, c),
             }
         }
-        let zsums = sum4(sums).map(|s| i32::from(za).wrapping_mul(s));
-        for (h, accs) in acc.iter().enumerate() {
-            let dots = sum4(*accs);
-            let crow = &mut c[h * n + j..h * n + (j + JR).min(n)];
-            for ((cij, &dot), &zsum) in crow.iter_mut().zip(&dots).zip(&zsums) {
-                *cij = cij.wrapping_add(dot).wrapping_sub(zsum);
+    }
+}
+
+/// `za·Σ b` of each row in `cols`: `vpdpbusd` against a ones vector.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+fn zero_point_sums(cols: &[&[i8]; JR], za: u8) -> [i32; JR] {
+    let ones = _mm512_set1_epi8(1);
+    let mut sums = [_mm512_setzero_si512(); JR];
+    for p in (0..cols[0].len()).step_by(BYTES) {
+        for (sum, col) in sums.iter_mut().zip(cols) {
+            *sum = _mm512_dpbusd_epi32(*sum, ones, load_i8(&col[p..]));
+        }
+    }
+    sum4(sums).map(|s| i32::from(za).wrapping_mul(s))
+}
+
+/// The `R` rows `rows` of `a` against the column block `cols`, into
+/// the first `zsums.len()` elements of the `R` rows of `c`, `ldc`
+/// apart, less each column's `za·Σ b`: each `b` chunk is loaded once
+/// for all `R` rows.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+fn dp_rows<const R: usize>(
+    rows: [&[u8]; R],
+    cols: &[&[i8]; JR],
+    zsums: &[i32],
+    ldc: usize,
+    c: &mut [i32],
+) {
+    let k = rows[0].len();
+    let mut acc = [[_mm512_setzero_si512(); JR]; R];
+    for p in (0..k).step_by(BYTES) {
+        let mut bv = [_mm512_setzero_si512(); JR];
+        for (v, col) in bv.iter_mut().zip(cols) {
+            *v = load_i8(&col[p..]);
+        }
+        for (accs, row) in acc.iter_mut().zip(&rows) {
+            let av = load_u8(&row[p..]);
+            for (s, &bq) in accs.iter_mut().zip(&bv) {
+                *s = _mm512_dpbusd_epi32(*s, av, bq);
             }
+        }
+    }
+    for (h, accs) in acc.iter().enumerate() {
+        let dots = sum4(*accs);
+        let crow = &mut c[h * ldc..][..zsums.len()];
+        for ((cij, &dot), &zsum) in crow.iter_mut().zip(&dots).zip(zsums) {
+            *cij = cij.wrapping_add(dot).wrapping_sub(zsum);
         }
     }
 }
