@@ -3,7 +3,7 @@
 //! Every bench target (`table1` … `fig6`, `ablations`) prints its
 //! result to stdout *and* writes a CSV under `results/` at the
 //! workspace root, with the paper's published values alongside the
-//! measured ones so EXPERIMENTS.md can be cross-checked mechanically.
+//! measured ones so the two can be compared mechanically.
 //!
 //! Budgets honour two environment variables:
 //! * `BNN_FAST=1` — shrink training/evaluation budgets (~6× faster);

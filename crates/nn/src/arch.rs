@@ -198,14 +198,6 @@ pub fn extract_layers(graph: &Graph, input: Shape4) -> Vec<LayerDesc> {
                     });
                     stored = (shapes[next].h, shapes[next].w);
                 }
-                Op::AvgPool { k, stride } => {
-                    pool = Some(PoolDesc {
-                        k: *k,
-                        stride: *stride,
-                        global: false,
-                    });
-                    stored = (shapes[next].h, shapes[next].w);
-                }
                 Op::GlobalAvgPool => {
                     pool = Some(PoolDesc {
                         k: 0,

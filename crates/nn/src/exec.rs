@@ -4,9 +4,8 @@ use crate::graph::{out_shape, Graph, Node, NodeId, Op};
 use crate::param::ParamStore;
 use bnn_rng::SoftRng;
 use bnn_tensor::{
-    add_inplace, avg_pool_backward, avg_pool_into, col2im, gemm, gemm_at, gemm_bt, gemm_rows,
-    global_avg_pool_into, im2col, max_pool, max_pool_backward, max_pool_into, pad_phases_into,
-    relu_inplace, Shape4, Tensor,
+    add_inplace, col2im, gemm, gemm_at, gemm_bt, gemm_rows, global_avg_pool_into, im2col, max_pool,
+    max_pool_backward, max_pool_into, pad_phases_into, relu_inplace, Shape4, Tensor,
 };
 
 /// A channel-wise dropout mask: `keep[c]` keeps channel `c` (scaled by
@@ -548,7 +547,6 @@ fn eval_node_into<'a>(
             }
             None => max_pool_into(get(node.inputs[0]), *k, *stride, out),
         },
-        Op::AvgPool { k, stride } => avg_pool_into(get(node.inputs[0]), *k, *stride, out),
         Op::GlobalAvgPool => global_avg_pool_into(get(node.inputs[0]), out),
         Op::Flatten => {
             // NCHW flatten is a relabeling; the buffer layout is identical.
@@ -1047,11 +1045,6 @@ impl Graph {
                         not_a_training_pass(node)
                     };
                     let dx = max_pool_backward(&g, arg, acts.outs[xid].shape());
-                    accumulate(&mut grads, xid, dx);
-                }
-                Op::AvgPool { k, stride } => {
-                    let xid = node.inputs[0];
-                    let dx = avg_pool_backward(&g, *k, *stride, acts.outs[xid].shape());
                     accumulate(&mut grads, xid, dx);
                 }
                 Op::GlobalAvgPool => {

@@ -73,13 +73,6 @@ pub enum Op {
         /// Stride.
         stride: usize,
     },
-    /// Average pooling.
-    AvgPool {
-        /// Window size.
-        k: usize,
-        /// Stride.
-        stride: usize,
-    },
     /// Global average pooling to `1×1`.
     GlobalAvgPool,
     /// Flatten `(n,c,h,w)` to `(n, c·h·w, 1, 1)`.
@@ -313,7 +306,7 @@ impl Op {
             Op::Linear { in_f, out_f, .. } => Geometry::Linear(in_f, out_f),
             Op::BatchNorm { channels, .. } => Geometry::BatchNorm(channels),
             Op::Relu | Op::McdSite { .. } => Geometry::Same,
-            Op::MaxPool { k, stride } | Op::AvgPool { k, stride } => Geometry::Pool(k, stride),
+            Op::MaxPool { k, stride } => Geometry::Pool(k, stride),
             Op::GlobalAvgPool => Geometry::GlobalAvgPool,
             Op::Flatten => Geometry::Flatten,
             Op::Add => Geometry::Add,
@@ -337,7 +330,7 @@ pub enum Geometry {
     Linear(usize, usize),
     /// Batch normalization over `channels`.
     BatchNorm(usize),
-    /// Max or average pooling `(k, stride)`, no padding.
+    /// Max pooling `(k, stride)`, no padding.
     Pool(usize, usize),
     /// Global average pooling to `1×1`.
     GlobalAvgPool,
@@ -527,12 +520,6 @@ impl GraphBuilder {
     pub fn max_pool(&mut self, x: NodeId, k: usize, stride: usize) -> NodeId {
         let n = self.nodes.len();
         self.push(Op::MaxPool { k, stride }, vec![x], format!("maxpool{n}"))
-    }
-
-    /// Add an average pool.
-    pub fn avg_pool(&mut self, x: NodeId, k: usize, stride: usize) -> NodeId {
-        let n = self.nodes.len();
-        self.push(Op::AvgPool { k, stride }, vec![x], format!("avgpool{n}"))
     }
 
     /// Add a global average pool.

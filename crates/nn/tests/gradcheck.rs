@@ -86,8 +86,7 @@ fn gradcheck_avgpool_and_gap() {
     let mut b = GraphBuilder::new("g2", 4);
     let x = b.input();
     let c = b.conv(x, 1, 4, 3, 1, 1);
-    let a = b.avg_pool(c, 2, 2);
-    let c2 = b.conv(a, 4, 4, 3, 1, 1);
+    let c2 = b.conv(c, 4, 4, 3, 1, 1);
     let g = b.global_avg_pool(c2);
     let f = b.flatten(g);
     let fc = b.linear(f, 4, 2);

@@ -126,13 +126,6 @@ pub enum QNodeOp {
         /// Stride.
         stride: usize,
     },
-    /// Average pooling with round-to-nearest integer division.
-    AvgPool {
-        /// Window.
-        k: usize,
-        /// Stride.
-        stride: usize,
-    },
     /// Global average pooling.
     GlobalAvgPool,
     /// Flatten.
@@ -396,9 +389,7 @@ impl QNodeOp {
             } => Geometry::Conv(in_c, out_c, k, stride, pad),
             QNodeOp::Linear { in_f, out_f, .. } => Geometry::Linear(in_f, out_f),
             QNodeOp::Relu { .. } | QNodeOp::McdSite { .. } => Geometry::Same,
-            QNodeOp::MaxPool { k, stride } | QNodeOp::AvgPool { k, stride } => {
-                Geometry::Pool(k, stride)
-            }
+            QNodeOp::MaxPool { k, stride } => Geometry::Pool(k, stride),
             QNodeOp::GlobalAvgPool => Geometry::GlobalAvgPool,
             QNodeOp::Flatten => Geometry::Flatten,
             QNodeOp::Add { .. } => Geometry::Add,
@@ -462,7 +453,6 @@ pub fn exec_qnode(
             }
         }
         QNodeOp::MaxPool { k, stride } => qmaxpool(x(0), *k, *stride, y),
-        QNodeOp::AvgPool { k, stride } => qavgpool(x(0), *k, *stride, y),
         QNodeOp::GlobalAvgPool => qgap(x(0), y),
         // NCHW flatten is a relabeling; the buffer layout is identical.
         QNodeOp::Flatten => y.data.copy_from_slice(&x(0).data),
@@ -646,51 +636,23 @@ fn qlinear(
     }
 }
 
-/// Max pooling into `y` (its shape fixes the output extent).
+/// Max pooling into `y` (its shape fixes the output extent): every
+/// output row `(n, c, oy)` folds the `k` input rows its windows cover
+/// (`oy·stride` and down). No padding and a floored output size, so no
+/// window leaves the input.
 fn qmaxpool(x: &QTensor, k: usize, stride: usize, y: &mut QTensor) {
-    for_each_window_row(x, k, stride, y, |out, rows| {
-        out.fill(0);
-        for row in rows {
-            for kx in 0..k {
-                for (o, &v) in out.iter_mut().zip(row[kx..].iter().step_by(stride)) {
-                    *o = (*o).max(v);
-                }
-            }
-        }
-    });
-}
-
-/// Average pooling into `y` (its shape fixes the output extent).
-fn qavgpool(x: &QTensor, k: usize, stride: usize, y: &mut QTensor) {
-    let div = (k * k) as u32;
-    for_each_window_row(x, k, stride, y, |out, rows| {
-        for (ox, o) in out.iter_mut().enumerate() {
-            let sum: u32 = rows
-                .clone()
-                .flat_map(|row| &row[ox * stride..ox * stride + k])
-                .map(|&v| u32::from(v))
-                .sum();
-            *o = ((sum + div / 2) / div) as u8;
-        }
-    });
-}
-
-/// The u8 pools' shared walk: hand every output row `(n, c, oy)` of
-/// `y` to `fold` with the `k` input rows its windows cover (`oy·stride`
-/// and down). No padding and a floored output size, so no window
-/// leaves the input.
-fn for_each_window_row<'x>(
-    x: &'x QTensor,
-    k: usize,
-    stride: usize,
-    y: &mut QTensor,
-    mut fold: impl FnMut(&mut [u8], std::slice::ChunksExact<'x, u8>),
-) {
     let (s, Shape4 { h: ho, w: wo, .. }) = (x.shape, y.shape);
     for (plane, out_plane) in y.data.chunks_exact_mut(ho * wo).enumerate() {
         for (oy, out) in out_plane.chunks_exact_mut(wo).enumerate() {
             let top = (plane * s.h + oy * stride) * s.w;
-            fold(out, x.data[top..top + k * s.w].chunks_exact(s.w));
+            out.fill(0);
+            for row in x.data[top..top + k * s.w].chunks_exact(s.w) {
+                for kx in 0..k {
+                    for (o, &v) in out.iter_mut().zip(row[kx..].iter().step_by(stride)) {
+                        *o = (*o).max(v);
+                    }
+                }
+            }
         }
     }
 }
@@ -770,17 +732,6 @@ mod tests {
         let mut y = QTensor::zeros(Shape4::new(1, 1, 1, 1));
         qmaxpool(&t, 2, 2, &mut y);
         assert_eq!(y.data, vec![9]);
-    }
-
-    #[test]
-    fn qavgpool_rounds_to_nearest() {
-        let t = QTensor {
-            data: vec![1, 2, 3, 5],
-            shape: Shape4::new(1, 1, 2, 2),
-        };
-        let mut y = QTensor::zeros(Shape4::new(1, 1, 1, 1));
-        qavgpool(&t, 2, 2, &mut y);
-        assert_eq!(y.data, vec![3], "11/4 = 2.75 -> 3");
     }
 
     #[test]

@@ -95,7 +95,6 @@ impl<'g> Quantizer<'g> {
             let p = match node.op {
                 Op::Relu
                 | Op::MaxPool { .. }
-                | Op::AvgPool { .. }
                 | Op::GlobalAvgPool
                 | Op::Flatten
                 | Op::McdSite { .. } => qp[node.inputs[0]],
@@ -158,10 +157,6 @@ impl<'g> Quantizer<'g> {
                 Op::BatchNorm { .. } => unreachable!("graph is BN-folded"),
                 Op::Relu => QNodeOp::Relu { z: qp[id].zero },
                 Op::MaxPool { k, stride } => QNodeOp::MaxPool {
-                    k: *k,
-                    stride: *stride,
-                },
-                Op::AvgPool { k, stride } => QNodeOp::AvgPool {
                     k: *k,
                     stride: *stride,
                 },

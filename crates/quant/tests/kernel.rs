@@ -82,14 +82,13 @@ fn both(node: &QNode, x: &QTensor, out: Shape4, tile: Tile) -> u64 {
 }
 
 /// The indexed pooling loop the slice walk replaced.
-fn pool_reference(x: &QTensor, k: usize, stride: usize, max: bool) -> QTensor {
+fn pool_reference(x: &QTensor, k: usize, stride: usize) -> QTensor {
     let s = x.shape;
     let (ho, wo) = (
         conv_out_dim(s.h, k, stride, 0),
         conv_out_dim(s.w, k, stride, 0),
     );
     let mut y = QTensor::zeros(Shape4::new(s.n, s.c, ho, wo));
-    let div = (k * k) as u32;
     for n in 0..s.n {
         for c in 0..s.c {
             for oy in 0..ho {
@@ -98,12 +97,7 @@ fn pool_reference(x: &QTensor, k: usize, stride: usize, max: bool) -> QTensor {
                     let at = |(ky, kx): (usize, usize)| {
                         x.item(n)[(c * s.h + oy * stride + ky) * s.w + ox * stride + kx]
                     };
-                    y.item_mut(n)[(c * ho + oy) * wo + ox] = if max {
-                        taps.map(at).max().unwrap_or(0)
-                    } else {
-                        let sum: u32 = taps.map(|t| u32::from(at(t))).sum();
-                        ((sum + div / 2) / div) as u8
-                    };
+                    y.item_mut(n)[(c * ho + oy) * wo + ox] = taps.map(at).max().unwrap_or(0);
                 }
             }
         }
@@ -209,13 +203,12 @@ proptest! {
         stride in 1usize..4,
         extra_h in 0usize..8,
         extra_w in 0usize..8,
-        max in any::<bool>(),
     ) {
         let mut rng = SoftRng::new(seed);
         let x = random_u8(&mut rng, Shape4::new(n, c, k + extra_h, k + extra_w));
-        let want = pool_reference(&x, k, stride, max);
+        let want = pool_reference(&x, k, stride);
         let node = QNode {
-            op: if max { QNodeOp::MaxPool { k, stride } } else { QNodeOp::AvgPool { k, stride } },
+            op: QNodeOp::MaxPool { k, stride },
             inputs: vec![0],
             name: format!("pool k{k} s{stride}"),
         };

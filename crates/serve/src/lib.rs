@@ -15,10 +15,10 @@
 //! per-request [`Uncertainty`] summary and [`CostReport`] slice.
 //!
 //! The dispatcher is work-conserving: it never sleeps while a request
-//! is queued. A micro-batch is whatever arrived while the previous
-//! batch was computing, so a lone request waits for nothing and a
-//! loaded server coalesces for free; holding an under-full batch open
-//! for late arrivals is an explicit opt-in ([`BatchPolicy::max_wait`]).
+//! is queued, and it never holds an under-full batch open. A
+//! micro-batch is whatever arrived while the previous batch was
+//! computing, so a lone request waits for nothing and a loaded server
+//! coalesces from its backlog.
 //!
 //! # Coalescing invariance
 //!
@@ -122,22 +122,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How the dispatcher forms micro-batches from the request queue.
+/// How the dispatcher forms micro-batches from the request queue: it
+/// takes up to `max_batch` of whatever is queued as soon as it is
+/// free, and never holds an under-full batch open for late arrivals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Most requests coalesced into one engine pass. `1` disables
     /// coalescing (pure FIFO serving). Normalized to at least 1.
     pub max_batch: usize,
-    /// Opt-in hold: how long the dispatcher keeps an under-full batch
-    /// open for late arrivals, measured from the *oldest* queued
-    /// request's submission — latency traded for fuller batches. Zero
-    /// (the default) never holds: a queued request is taken as soon
-    /// as the dispatcher is free, and batches form from whatever
-    /// queued up while the previous batch was computing.
-    /// `Duration::MAX` holds until the batch fills. A hold also closes
-    /// early when the queue reaches [`BatchPolicy::queue_cap`], since
-    /// no request can arrive past the cap until the dispatcher drains.
-    pub max_wait: Duration,
     /// Bound on queued (accepted, not yet dispatched) requests: the
     /// backpressure knob. [`Submission::submit`] blocks at the cap,
     /// [`Submission::try_submit`] rejects — and an arriving submission
@@ -148,21 +140,10 @@ pub struct BatchPolicy {
 }
 
 impl Default for BatchPolicy {
-    /// Micro-batches of up to 16, a 256-request queue and no hold: a
-    /// queued request is dispatched as soon as the dispatcher is
-    /// free; batches form from backlog; set `max_wait` to trade
-    /// latency for fuller batches.
-    ///
-    /// Why no hold: the engine runs a micro-batch as independent
-    /// requests (`mcd.coalesce_gain` ≤ 1 in the `benchmark/` layer
-    /// probes), so holding a batch open is pure latency until
-    /// cross-request stacking lands (ROADMAP item 2) — and after it,
-    /// the batches that form on their own under load already capture
-    /// the gain.
+    /// Micro-batches of up to 16 and a 256-request queue.
     fn default() -> BatchPolicy {
         BatchPolicy {
             max_batch: 16,
-            max_wait: Duration::ZERO,
             queue_cap: 256,
         }
     }
@@ -412,21 +393,6 @@ struct Queued {
     trace: u64,
 }
 
-/// Cap on any *single* dispatcher condvar sleep while a batch is held
-/// open ([`BatchPolicy::max_wait`] non-zero) — an hour, far beyond any
-/// sane hold.
-///
-/// The cap exists only to keep the OS timed-wait away from
-/// astronomical durations like `Duration::MAX` ("hold until full"),
-/// which platforms may reject or saturate unpredictably. It is safe
-/// because the hold loop **re-derives the remaining hold from scratch
-/// after every wake** — from `oldest.elapsed()` — and every event that
-/// should close it early (a new submission, shutdown, a breaker trip)
-/// notifies the `work` condvar. A capped timeout therefore just
-/// re-checks and sleeps again; a filled batch is observed at the very
-/// next wake, never after a stale remainder.
-const WINDOW_WAIT_STEP_CAP: Duration = Duration::from_secs(3600);
-
 struct QState {
     /// One FIFO per priority class, indexed by [`Priority::index`]
     /// (0 = Low).
@@ -445,26 +411,6 @@ impl QState {
 
     fn is_empty(&self) -> bool {
         self.queues.iter().all(VecDeque::is_empty)
-    }
-
-    /// Submission instant of the oldest queued request (across all
-    /// classes) — an opt-in hold is measured from it.
-    fn oldest(&self) -> Option<Instant> {
-        self.queues
-            .iter()
-            .filter_map(|q| q.front())
-            .map(|q| q.enqueued)
-            .min()
-    }
-
-    /// The earliest queued deadline — bounds the dispatcher's waits
-    /// so expiry resolves promptly.
-    fn nearest_deadline(&self) -> Option<Instant> {
-        self.queues
-            .iter()
-            .flatten()
-            .filter_map(|q| q.deadline)
-            .min()
     }
 
     /// Dequeue the next request: highest class first, FIFO within.
@@ -961,13 +907,6 @@ impl Server {
         &self.pool
     }
 
-    /// Requests currently queued — accepted but not yet taken into a
-    /// micro-batch (in-flight batches are not counted). An
-    /// observability hook for load shedding and tests.
-    pub fn queued(&self) -> usize {
-        lock(&self.shared.state).len()
-    }
-
     /// Snapshot of the admission counters (served / shed / expired /
     /// failed / rejected since start) and the backlog gauges
     /// (queued / in-flight right now).
@@ -993,16 +932,6 @@ impl Server {
     /// fast; see [`ServerBuilder::breaker_after`]).
     pub fn breaker_tripped(&self) -> bool {
         lock(&self.shared.state).tripped
-    }
-
-    /// Drain every thread's buffered trace spans as a Chrome
-    /// trace-event JSON document (loadable at `chrome://tracing` or
-    /// Perfetto) — the in-process counterpart of the net layer's
-    /// `GET /trace`. Empty `traceEvents` unless tracing is enabled
-    /// ([`bnn_trace::set_enabled`]); draining clears the rings, so
-    /// consecutive calls partition the span stream.
-    pub fn drain_trace(&self) -> String {
-        bnn_trace::drain_chrome_json()
     }
 
     /// Graceful shutdown: close the queue (new submissions fail
@@ -1125,118 +1054,61 @@ fn fail_queued(st: &mut QState, shared: &SharedQ) {
     }
 }
 
-/// Pop the next micro-batch: block for work, expire overdue requests,
-/// then take everything queued (up to `max_batch`) — the batch is
-/// whatever arrived while the previous one was computing. Only under
-/// an opt-in hold ([`BatchPolicy::max_wait`] non-zero) is an
-/// under-full batch kept open for late arrivals, up to `max_wait`
-/// from the oldest request (unless the batch fills, the server is
-/// draining or tripped, or the queue reaches its cap — at the cap no
-/// producer can enqueue until we drain, so further waiting would be
-/// pure dead time for every queued request *and* every
-/// backpressure-blocked producer). Requests are dequeued highest
-/// priority first, FIFO within a class. Returns `None` when the queue
-/// is closed and empty.
+/// Pop the next micro-batch. Sweep the queue (fail queued work once
+/// the breaker has tripped, expire overdue requests), block for work
+/// only while the queue is empty, then take everything queued up to
+/// `max_batch`, highest priority first and FIFO within a class: the
+/// batch is whatever arrived while the previous one was computing.
+/// Returns `None` when the queue is closed and empty.
 fn next_batch(shared: &SharedQ, policy: &BatchPolicy) -> Option<Vec<Queued>> {
-    // The size past which this batch cannot grow while we hold it
-    // open.
-    let full = policy.max_batch.min(shared.queue_cap);
     let mut st = lock(&shared.state);
-    'accept: loop {
-        // Admission sweep: get a non-empty, non-tripped queue (or
-        // exit once closed and drained).
-        loop {
-            if st.tripped {
-                fail_queued(&mut st, shared);
-            }
-            expire_overdue(&mut st, shared);
-            if !st.is_empty() && !st.tripped {
-                break;
-            }
-            if st.closed && st.is_empty() {
-                return None;
-            }
-            st = shared
-                .work
-                .wait(st)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+    loop {
+        if st.tripped {
+            fail_queued(&mut st, shared);
         }
-        if !policy.max_wait.is_zero() {
-            while !st.closed && !st.tripped && st.len() < full {
-                // The loop guard keeps the queue non-empty here, but a
-                // dispatcher panic is never the right failure mode:
-                // treat an empty queue as a closed window.
-                let Some(oldest) = st.oldest() else { break };
-                // Remaining hold, derived from elapsed time instead
-                // of a materialized deadline `Instant`: `enqueued +
-                // max_wait` would overflow (and panic the dispatcher)
-                // for huge `max_wait` values like `Duration::MAX`
-                // ("hold until full").
-                let remaining = policy.max_wait.saturating_sub(oldest.elapsed());
-                if remaining.is_zero() {
-                    break;
-                }
-                // Each wait is capped ([`WINDOW_WAIT_STEP_CAP`]) and
-                // bounded by the earliest queued deadline so expiry
-                // resolves promptly; the loop re-derives the
-                // remainder, so a capped timeout just re-checks.
-                let mut step = remaining.min(WINDOW_WAIT_STEP_CAP);
-                if let Some(deadline) = st.nearest_deadline() {
-                    step = step.min(deadline.saturating_duration_since(Instant::now()));
-                }
-                st = shared
-                    .work
-                    .wait_timeout(st, step)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .0;
-                expire_overdue(&mut st, shared);
-                if st.is_empty() {
-                    // Everything expired out from under the window.
-                    continue 'accept;
-                }
-            }
-            if st.tripped || st.is_empty() {
-                continue 'accept;
-            }
+        expire_overdue(&mut st, shared);
+        if !st.is_empty() && !st.tripped {
+            break;
         }
-        let depth = st.len();
-        let take = depth.min(policy.max_batch);
-        let mut batch = Vec::with_capacity(take);
-        while batch.len() < take {
-            // `take` is bounded by `len`, so the queue can't run dry
-            // mid-drain; if it somehow did, serving a short batch
-            // still beats panicking the dispatcher.
-            let Some(req) = st.pop_highest() else { break };
-            batch.push(req);
+        if st.closed && st.is_empty() {
+            return None;
         }
-        // Gauge handoff under the queue lock: the popped requests
-        // leave `queued` and enter `in_flight` atomically with the
-        // queue mutation, so the two gauges never double-count a
-        // request between them.
-        Counters::drop_gauge(&shared.counters.queued, batch.len() as u64);
-        Counters::bump(&shared.counters.in_flight, batch.len() as u64);
-        drop(st);
-        shared.space.notify_all();
-        if bnn_trace::enabled() {
-            // Queue-wait spans, recorded outside the queue lock: one
-            // per dequeued request, spanning enqueue to dequeue and
-            // carrying the queue depth the batch was taken from —
-            // backlog is the only reason a request waits.
-            let now = bnn_trace::clock::now_us();
-            for q in &batch {
-                let dur = q.enqueued.elapsed().as_micros() as u64;
-                bnn_trace::record(
-                    bnn_trace::Stage::QueueWait,
-                    bnn_trace::new_span(),
-                    q.trace,
-                    now.saturating_sub(dur),
-                    dur,
-                    depth as u64,
-                );
-            }
-        }
-        return Some(batch);
+        st = shared
+            .work
+            .wait(st)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
     }
+    let depth = st.len();
+    let take = depth.min(policy.max_batch);
+    let mut batch = Vec::with_capacity(take);
+    batch.extend(std::iter::from_fn(|| st.pop_highest()).take(take));
+    // Gauge handoff under the queue lock: the popped requests
+    // leave `queued` and enter `in_flight` atomically with the
+    // queue mutation, so the two gauges never double-count a
+    // request between them.
+    Counters::drop_gauge(&shared.counters.queued, batch.len() as u64);
+    Counters::bump(&shared.counters.in_flight, batch.len() as u64);
+    drop(st);
+    shared.space.notify_all();
+    if bnn_trace::enabled() {
+        // Queue-wait spans, recorded outside the queue lock: one
+        // per dequeued request, spanning enqueue to dequeue and
+        // carrying the queue depth the batch was taken from —
+        // backlog is the only reason a request waits.
+        let now = bnn_trace::clock::now_us();
+        for q in &batch {
+            let dur = q.enqueued.elapsed().as_micros() as u64;
+            bnn_trace::record(
+                bnn_trace::Stage::QueueWait,
+                bnn_trace::new_span(),
+                q.trace,
+                now.saturating_sub(dur),
+                dur,
+                depth as u64,
+            );
+        }
+    }
+    Some(batch)
 }
 
 /// Serve one micro-batch through the request-coalescing engine pass
@@ -1397,105 +1269,6 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_window_holds_until_shutdown_drains() {
-        let net = Arc::new(test_net());
-        // max_batch 3 with a long window and a roomy queue: the
-        // dispatcher holds the under-full batch open (2 < 3 and the
-        // cap is far), so the two requests deterministically coalesce
-        // when shutdown closes the window and drains.
-        let server = Server::for_graph(Arc::clone(&net))
-            .bayes(BayesConfig::new(1, 2))
-            .policy(BatchPolicy {
-                max_batch: 3,
-                max_wait: Duration::from_secs(30),
-                queue_cap: 8,
-            })
-            .start();
-        let handle = server.handle();
-        let a = handle.request(test_input(0.1)).seed(1).submit();
-        let b = handle.request(test_input(0.2)).seed(2).submit();
-        server.shutdown();
-        let ra = a.wait().expect("drained on shutdown");
-        let rb = b.wait().expect("drained on shutdown");
-        assert_eq!(ra.coalesced, 2);
-        assert_eq!(rb.coalesced, 2);
-        assert_eq!(
-            ra.probs.as_slice(),
-            solo(&net, &test_input(0.1), BayesConfig::new(1, 2), 1).as_slice()
-        );
-        assert_eq!(
-            rb.probs.as_slice(),
-            solo(&net, &test_input(0.2), BayesConfig::new(1, 2), 2).as_slice()
-        );
-    }
-
-    #[test]
-    fn window_closes_at_queue_cap_instead_of_stalling() {
-        let net = Arc::new(test_net());
-        // queue_cap 2 below max_batch 3: once two requests are queued
-        // the batch cannot grow (no producer can enqueue until a
-        // drain), so the dispatcher must serve immediately instead of
-        // sleeping out the absurd 1-hour window. A stall here trips
-        // the surrounding test timeout; the replies prove both were
-        // served as one batch.
-        let server = Server::for_graph(Arc::clone(&net))
-            .bayes(BayesConfig::new(1, 2))
-            .policy(BatchPolicy {
-                max_batch: 3,
-                max_wait: Duration::from_secs(3600),
-                queue_cap: 2,
-            })
-            .start();
-        let handle = server.handle();
-        let a = handle.request(test_input(0.1)).seed(1).submit();
-        let b = handle.request(test_input(0.2)).seed(2).submit();
-        let ra = a.wait().expect("served");
-        let rb = b.wait().expect("served");
-        assert!(ra.coalesced <= 2 && rb.coalesced <= 2);
-        assert_eq!(
-            ra.probs.as_slice(),
-            solo(&net, &test_input(0.1), BayesConfig::new(1, 2), 1).as_slice()
-        );
-        server.shutdown();
-        assert_eq!(rb.id, 1);
-    }
-
-    #[test]
-    fn astronomical_max_wait_means_hold_until_full() {
-        let net = Arc::new(test_net());
-        // `Duration::MAX` as "hold the batch open until it fills":
-        // must not overflow the dispatcher's deadline arithmetic. The
-        // window closes on fill for the pair, and shutdown drains the
-        // straggler.
-        let cfg = BayesConfig::new(1, 2);
-        let server = Server::for_graph(Arc::clone(&net))
-            .bayes(cfg)
-            .policy(BatchPolicy {
-                max_batch: 2,
-                max_wait: Duration::MAX,
-                queue_cap: 8,
-            })
-            .start();
-        let handle = server.handle();
-        let a = handle.request(test_input(0.1)).seed(1).submit();
-        let b = handle.request(test_input(0.2)).seed(2).submit();
-        let ra = a.wait().expect("batch filled");
-        let rb = b.wait().expect("batch filled");
-        assert!(ra.coalesced <= 2 && rb.coalesced <= 2);
-        assert_eq!(
-            ra.probs.as_slice(),
-            solo(&net, &test_input(0.1), cfg, 1).as_slice()
-        );
-        let straggler = handle.request(test_input(0.3)).seed(3).submit();
-        server.shutdown();
-        let rc = straggler.wait().expect("drained on shutdown");
-        assert_eq!(
-            rc.probs.as_slice(),
-            solo(&net, &test_input(0.3), cfg, 3).as_slice()
-        );
-    }
-
-    #[test]
     fn backpressure_rejects_while_dispatcher_is_busy() {
         let net = Arc::new(test_net());
         // A slow micro-batch (large S) occupies the dispatcher; the
@@ -1506,7 +1279,6 @@ mod tests {
             .bayes(cfg)
             .policy(BatchPolicy {
                 max_batch: 2,
-                max_wait: Duration::ZERO,
                 queue_cap: 2,
             })
             .start();
@@ -1514,7 +1286,7 @@ mod tests {
         let a = handle.request(test_input(0.1)).seed(1).submit();
         // Wait until the dispatcher has taken the first request into
         // its (long-running) batch, then fill the queue behind it.
-        while server.queued() > 0 {
+        while server.stats().queued > 0 {
             std::thread::yield_now();
         }
         let b = handle.request(test_input(0.2)).seed(2).submit();
@@ -1626,7 +1398,6 @@ mod tests {
             .bayes(BayesConfig::new(1, 4))
             .policy(BatchPolicy {
                 max_batch: 1,
-                max_wait: Duration::ZERO,
                 queue_cap: 8,
             })
             .chaos(ChaosConfig {

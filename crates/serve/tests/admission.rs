@@ -1,8 +1,8 @@
 //! Admission-control integration tests: priorities, load shedding,
-//! deadlines, the work-conserving default (no hold; batches form from
-//! backlog) and retry after a rejection, all against a live server
-//! (the pure queue mechanics and the opt-in hold are unit tested
-//! inside the crate; these pin the end-to-end behaviour).
+//! deadlines, batching from the backlog (no hold) and retry after a
+//! rejection, all against a live server (the pure queue mechanics are
+//! unit tested inside the crate; these pin the end-to-end
+//! behaviour).
 
 use bnn_accel::{AccelConfig, Accelerator};
 use bnn_mcd::{
@@ -82,7 +82,6 @@ fn slow_server(net: &Arc<Graph>, queue_cap: usize) -> Server {
         .pool(Arc::new(WorkerPool::new(0)))
         .policy(BatchPolicy {
             max_batch: 1,
-            max_wait: Duration::ZERO,
             queue_cap,
         })
         .start()
@@ -98,7 +97,7 @@ fn high_priority_sheds_the_youngest_low_request_at_capacity() {
         // Occupy the dispatcher, then give it a moment to pop the
         // blocker off the queue so exactly `queue_cap` slots remain.
         let blocker = handle.request(request_input(0)).seed(0).submit();
-        while server.queued() > 0 {
+        while server.stats().queued > 0 {
             std::thread::sleep(Duration::from_micros(200));
         }
 
@@ -168,7 +167,7 @@ fn queued_deadlines_expire_behind_a_busy_dispatcher() {
         let handle = server.handle();
 
         let blocker = handle.request(request_input(0)).seed(0).submit();
-        while server.queued() > 0 {
+        while server.stats().queued > 0 {
             std::thread::sleep(Duration::from_micros(200));
         }
         // A zero queue budget expires the moment the dispatcher next
@@ -202,7 +201,6 @@ fn closed_loop_overload_serves_every_high_priority_request() {
             .bayes(cfg)
             .policy(BatchPolicy {
                 max_batch: 4,
-                max_wait: Duration::from_micros(100),
                 queue_cap: 8,
             })
             .start();
@@ -306,15 +304,6 @@ fn closed_loop_overload_serves_every_high_priority_request() {
 }
 
 #[test]
-fn default_policy_is_work_conserving() {
-    assert!(
-        BatchPolicy::default().max_wait.is_zero(),
-        "the library default must not hold a queued request: the engine runs a micro-batch \
-         as independent requests, so a hold buys latency and nothing else"
-    );
-}
-
-#[test]
 fn backlog_coalesces_without_a_window() {
     with_deadline(120, || {
         let net = Arc::new(test_net());
@@ -333,7 +322,7 @@ fn backlog_coalesces_without_a_window() {
         let handle = server.handle();
 
         let blocker = handle.request(request_input(0)).seed(0).submit();
-        while server.queued() > 0 {
+        while server.stats().queued > 0 {
             std::thread::yield_now();
         }
         let backlog: Vec<_> = (1..=5u64)
@@ -375,7 +364,7 @@ fn retry_helper_rides_out_a_transiently_full_queue() {
         let handle = server.handle();
 
         let blocker = handle.request(request_input(0)).seed(0).submit();
-        while server.queued() > 0 {
+        while server.stats().queued > 0 {
             std::thread::sleep(Duration::from_micros(200));
         }
         let fillers: Vec<_> = (1..=2u64)

@@ -97,7 +97,6 @@ fn run_sequential(
         .parallel(ParallelConfig::serial())
         .policy(BatchPolicy {
             max_batch: 1,
-            max_wait: Duration::ZERO,
             queue_cap: 16,
         })
         .breaker_after(usize::MAX);
@@ -208,7 +207,6 @@ fn delay_only_chaos_is_bit_transparent_under_coalescing() {
             .bayes(cfg)
             .policy(BatchPolicy {
                 max_batch: 4,
-                max_wait: Duration::from_millis(2),
                 queue_cap: 32,
             })
             .chaos(chaos)
@@ -260,7 +258,6 @@ fn persistent_panics_trip_the_breaker_and_fail_fast() {
             .bayes(BayesConfig::new(2, 2))
             .policy(BatchPolicy {
                 max_batch: 1,
-                max_wait: Duration::ZERO,
                 queue_cap: 8,
             })
             // Every single call panics; three strikes trip the breaker.

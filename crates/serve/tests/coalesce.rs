@@ -21,7 +21,6 @@ use bnn_serve::{Backend, BatchPolicy, Server};
 use bnn_tensor::{Shape4, Tensor};
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A deterministic pseudo-random single-item input.
 fn request_input(seed: u64) -> Tensor {
@@ -57,7 +56,6 @@ proptest! {
         case_seed in 0u64..1000,
         n_requests in 1usize..9,
         max_batch in 1usize..6,
-        max_wait_us in 0u64..3000,
         threads in 1usize..7,
         pool_large in any::<bool>(),
         fused in any::<bool>(),
@@ -74,7 +72,6 @@ proptest! {
             .parallel(ParallelConfig::with_threads(threads))
             .policy(BatchPolicy {
                 max_batch,
-                max_wait: Duration::from_micros(max_wait_us),
                 queue_cap: 64,
             })
             .pool(Arc::new(WorkerPool::new(workers)))

@@ -3,8 +3,8 @@
 //! What these pin down, beyond the bit-identity properties in
 //! `coalesce.rs`:
 //!
-//! * many client threads hammering one server with a *tiny*
-//!   coalescing window and a small bounded queue make progress —
+//! * many client threads hammering one server with a small
+//!   `max_batch` and a small bounded queue make progress —
 //!   blocking submissions, rejections and micro-batch formation all
 //!   interleave without deadlock (every body runs under a hard
 //!   watchdog deadline, so a wedged queue fails loudly instead of
@@ -79,7 +79,6 @@ fn many_clients_tiny_window_bounded_queue() {
             .parallel(ParallelConfig::with_threads(4))
             .policy(BatchPolicy {
                 max_batch: 4,
-                max_wait: Duration::from_micros(50),
                 queue_cap: 8,
             })
             .pool(Arc::new(WorkerPool::new(4)))
@@ -132,9 +131,9 @@ fn many_clients_tiny_window_bounded_queue() {
                 max_coalesced = max_coalesced.max(reply.coalesced);
             }
         }
-        // With 8 clients on a tiny window, at least *some* micro-batch
-        // must actually have coalesced — otherwise this test isn't
-        // exercising the path it claims to.
+        // With 8 clients queueing behind the dispatcher, at least
+        // *some* micro-batch must have coalesced from the backlog —
+        // otherwise this test isn't exercising the path it claims to.
         assert!(
             max_coalesced >= 2,
             "no micro-batch ever coalesced under 8-client load"
@@ -152,7 +151,6 @@ fn shutdown_under_load_drains_accepted_requests() {
             .bayes(cfg)
             .policy(BatchPolicy {
                 max_batch: 4,
-                max_wait: Duration::from_micros(50),
                 queue_cap: 16,
             })
             .start();
@@ -232,7 +230,6 @@ fn backend_panic_fails_the_batch_not_the_server() {
             .bayes(cfg)
             .policy(BatchPolicy {
                 max_batch: 2,
-                max_wait: Duration::from_micros(50),
                 queue_cap: 8,
             })
             .chaos(chaos)
@@ -271,7 +268,6 @@ fn shutdown_races_expiring_deadlines_without_hanging() {
             .bayes(cfg)
             .policy(BatchPolicy {
                 max_batch: 1,
-                max_wait: Duration::ZERO,
                 queue_cap: 64,
             })
             .start();

@@ -36,9 +36,6 @@ mod tensor;
 pub use gemm::{gemm, gemm_at, gemm_bt, gemm_bt_stacked, gemm_bt_u8i8, gemm_rows, gemm_stacked};
 pub use im2col::{col2im, conv_out_dim, im2col, im2col_stacked_into, pad_phases_into};
 pub use ops::{add_inplace, log_softmax_rows, relu_inplace, softmax_rows};
-pub use pool::{
-    avg_pool_backward, avg_pool_into, global_avg_pool_into, max_pool, max_pool_backward,
-    max_pool_into,
-};
+pub use pool::{global_avg_pool_into, max_pool, max_pool_backward, max_pool_into};
 pub use shape::Shape4;
 pub use tensor::Tensor;

@@ -1,4 +1,4 @@
-//! Pooling kernels (max, average, global average) with backward passes.
+//! Pooling kernels (max, global average) with backward passes.
 
 use crate::im2col::conv_out_dim;
 use crate::shape::Shape4;
@@ -56,36 +56,27 @@ pub fn max_pool(x: &Tensor, k: usize, stride: usize) -> (Tensor, Vec<u32>) {
 /// Max-pool into a caller-provided output tensor, discarding the
 /// argmax indices (evaluation-mode scratch-reuse hot path).
 ///
+/// Every output starts at `-inf` and folds its window's taps with
+/// `f32::max` in `(ky, kx)`-ascending order, one input row slice per
+/// `ky` — the per-element sequence of the indexed `for ky { for kx {
+/// acc = acc.max(x[..]) } }` loop, so signed zeros and NaNs come out as
+/// they do there. Windows with `k = stride = 2` (LeNet-5's pools) take
+/// the same four folds per output from two rows read as `[f32; 2]`
+/// pairs, a loop the compiler can vectorise where the strided one is
+/// not.
+///
 /// # Panics
 ///
 /// Panics if `out` does not have the pooled output shape.
 pub fn max_pool_into(x: &Tensor, k: usize, stride: usize, out: &mut Tensor) {
-    fold_windows_into(x, k, stride, out, f32::NEG_INFINITY, f32::max);
-}
-
-/// Shared walk of the `_into` pooling kernels: every output row starts
-/// at `init` and folds its windows' taps in `(ky, kx)`-ascending order,
-/// one input row slice per `ky` — the per-element sequence of the
-/// indexed `for ky { for kx { acc = fold(acc, x[..]) } }` loop, so
-/// signed zeros and NaNs come out as they do there. Windows with `k =
-/// stride = 2` (LeNet-5's pools) take the same four folds per output
-/// from two rows read as `[f32; 2]` pairs, a loop the compiler can
-/// vectorise where the strided one is not.
-fn fold_windows_into(
-    x: &Tensor,
-    k: usize,
-    stride: usize,
-    out: &mut Tensor,
-    init: f32,
-    fold: impl Fn(f32, f32) -> f32,
-) {
+    let (init, fold) = (f32::NEG_INFINITY, f32::max);
     let s = x.shape();
     let ho = conv_out_dim(s.h, k, stride, 0);
     let wo = conv_out_dim(s.w, k, stride, 0);
     assert_eq!(
         out.shape(),
         Shape4::new(s.n, s.c, ho, wo),
-        "pooling: bad output shape"
+        "max_pool_into: bad output shape"
     );
     // No padding and a floored output size: no window leaves the input.
     assert!((ho - 1) * stride + k <= s.h && (wo - 1) * stride + k <= s.w);
@@ -122,44 +113,6 @@ pub fn max_pool_backward(dy: &Tensor, arg: &[u32], input_shape: Shape4) -> Tenso
     let mut dx = Tensor::zeros(input_shape);
     for (g, &i) in dy.iter().zip(arg) {
         dx.as_mut_slice()[i as usize] += *g;
-    }
-    dx
-}
-
-/// Average-pool over `k×k` windows with the given stride, into a
-/// caller-provided output tensor.
-///
-/// # Panics
-///
-/// Panics if the geometry is invalid or `out` does not have the
-/// pooled output shape.
-pub fn avg_pool_into(x: &Tensor, k: usize, stride: usize, out: &mut Tensor) {
-    fold_windows_into(x, k, stride, out, 0.0, |acc, v| acc + v);
-    let inv = 1.0 / (k * k) as f32;
-    for o in out.as_mut_slice() {
-        *o *= inv;
-    }
-}
-
-/// Backward of [`avg_pool_into`]: spreads each output gradient uniformly
-/// over its `k×k` window.
-pub fn avg_pool_backward(dy: &Tensor, k: usize, stride: usize, input_shape: Shape4) -> Tensor {
-    let mut dx = Tensor::zeros(input_shape);
-    let s = dy.shape();
-    let inv = 1.0 / (k * k) as f32;
-    for n in 0..s.n {
-        for c in 0..s.c {
-            for oy in 0..s.h {
-                for ox in 0..s.w {
-                    let g = dy.at(n, c, oy, ox) * inv;
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            *dx.at_mut(n, c, oy * stride + ky, ox * stride + kx) += g;
-                        }
-                    }
-                }
-            }
-        }
     }
     dx
 }
@@ -240,21 +193,6 @@ mod tests {
         let dy = t(2, 1, 1, 1, vec![10.0, 7.0]);
         let dx = max_pool_backward(&dy, &arg, x.shape());
         assert_eq!(dx.as_slice(), &[0., 10., 0., 0., 7., 0., 0., 0.]);
-    }
-
-    #[test]
-    fn avg_pool_2x2() {
-        let x = t(1, 1, 2, 2, vec![1., 5., 3., 3.]);
-        let mut y = Tensor::zeros(Shape4::new(1, 1, 1, 1));
-        avg_pool_into(&x, 2, 2, &mut y);
-        assert_eq!(y.as_slice(), &[3.0]);
-    }
-
-    #[test]
-    fn avg_pool_backward_spreads() {
-        let dy = t(1, 1, 1, 1, vec![8.0]);
-        let dx = avg_pool_backward(&dy, 2, 2, Shape4::new(1, 1, 2, 2));
-        assert_eq!(dx.as_slice(), &[2.0, 2.0, 2.0, 2.0]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property-based tests of the tensor kernels.
 
 use bnn_tensor::{
-    avg_pool_into, col2im, conv_out_dim, gemm, gemm_at, gemm_bt, gemm_bt_stacked, gemm_bt_u8i8,
-    gemm_rows, gemm_stacked, im2col, im2col_stacked_into, max_pool, max_pool_backward,
-    max_pool_into, pad_phases_into, softmax_rows, Shape4, Tensor,
+    col2im, conv_out_dim, gemm, gemm_at, gemm_bt, gemm_bt_stacked, gemm_bt_u8i8, gemm_rows,
+    gemm_stacked, im2col, im2col_stacked_into, max_pool, max_pool_backward, max_pool_into,
+    pad_phases_into, softmax_rows, Shape4, Tensor,
 };
 use proptest::prelude::*;
 
@@ -625,9 +625,9 @@ fn im2col_edge_geometry_matches_reference_and_stays_in_its_block() {
 
 #[test]
 fn pooling_into_kernels_match_the_indexed_formulation_bit_for_bit() {
-    // The `Tensor::at` formulation the row-slice kernels replaced: the
+    // The `Tensor::at` formulation the row-slice kernel replaced: the
     // same fold, in the same (ky, kx) order, from the same start.
-    let reference = |x: &Tensor, k: usize, stride: usize, max: bool| {
+    let reference = |x: &Tensor, k: usize, stride: usize| {
         let s = x.shape();
         let ho = conv_out_dim(s.h, k, stride, 0);
         let wo = conv_out_dim(s.w, k, stride, 0);
@@ -636,18 +636,13 @@ fn pooling_into_kernels_match_the_indexed_formulation_bit_for_bit() {
             for c in 0..s.c {
                 for oy in 0..ho {
                     for ox in 0..wo {
-                        let mut acc = if max { f32::NEG_INFINITY } else { 0.0 };
+                        let mut acc = f32::NEG_INFINITY;
                         for ky in 0..k {
                             for kx in 0..k {
-                                let v = x.at(n, c, oy * stride + ky, ox * stride + kx);
-                                acc = if max { acc.max(v) } else { acc + v };
+                                acc = acc.max(x.at(n, c, oy * stride + ky, ox * stride + kx));
                             }
                         }
-                        *out.at_mut(n, c, oy, ox) = if max {
-                            acc
-                        } else {
-                            acc * (1.0 / (k * k) as f32)
-                        };
+                        *out.at_mut(n, c, oy, ox) = acc;
                     }
                 }
             }
@@ -680,23 +675,14 @@ fn pooling_into_kernels_match_the_indexed_formulation_bit_for_bit() {
                         .map(|(i, &v)| fill(i, v))
                         .collect(),
                 );
-                for max in [true, false] {
-                    let want = reference(&x, k, stride, max);
-                    let mut got = Tensor::full(want.shape(), 9.25);
-                    if max {
-                        max_pool_into(&x, k, stride, &mut got);
-                    } else {
-                        avg_pool_into(&x, k, stride, &mut got);
-                    }
-                    let (got, want): (Vec<u32>, Vec<u32>) = (
-                        got.iter().map(|v| v.to_bits()).collect(),
-                        want.iter().map(|v| v.to_bits()).collect(),
-                    );
-                    assert_eq!(
-                        got, want,
-                        "{label}: {h}x{w} k={k} stride={stride} max={max}"
-                    );
-                }
+                let want = reference(&x, k, stride);
+                let mut got = Tensor::full(want.shape(), 9.25);
+                max_pool_into(&x, k, stride, &mut got);
+                let (got, want): (Vec<u32>, Vec<u32>) = (
+                    got.iter().map(|v| v.to_bits()).collect(),
+                    want.iter().map(|v| v.to_bits()).collect(),
+                );
+                assert_eq!(got, want, "{label}: {h}x{w} k={k} stride={stride}");
             }
         }
     }

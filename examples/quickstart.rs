@@ -25,7 +25,7 @@ use bnn_fpga::net::{http_get, NetClient, NetConfig, NetServer, Request, Response
 use bnn_fpga::nn::{arch::extract_layers, models, SgdConfig, Trainer};
 use bnn_fpga::platforms::PlatformModel;
 use bnn_fpga::quant::Quantizer;
-use bnn_fpga::{Backend, BatchPolicy, Priority, ServeError, Server, Session};
+use bnn_fpga::{Backend, Priority, ServeError, Server, Session};
 
 fn main() {
     // 1. Data + model. LeNet-5 has N = 5 weight layers, each guarded
@@ -118,17 +118,12 @@ fn main() {
     //    summary and its own cost slice. Each request's masks derive
     //    from its own seed, so a reply is bit-identical whether the
     //    request was served alone or coalesced with strangers. The
-    //    default policy never holds a queued request (batches form
-    //    from backlog); the 1 ms `max_wait` here is an opt-in hold so
-    //    four clients sending one request each visibly coalesce.
+    //    dispatcher never holds a queued request: the first of the
+    //    four clients' requests typically runs alone, and the rest
+    //    coalesce from the backlog that queued up behind it.
     let server = Server::for_graph(std::sync::Arc::new(folded.clone()))
         .backend(Backend::Fused)
         .bayes(bayes)
-        .policy(BatchPolicy {
-            max_batch: 8,
-            max_wait: std::time::Duration::from_millis(1),
-            queue_cap: 64,
-        })
         .seed(2024)
         .start();
     println!("\n== 4 concurrent clients through one coalescing server ==");

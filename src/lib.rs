@@ -81,11 +81,10 @@
 //! goes through [`Server`] (crate `bnn-serve`, re-exported as
 //! [`serve`]): callers submit through cheap cloneable [`Handle`]s, a
 //! resident dispatcher coalesces queued requests into micro-batches
-//! under a [`BatchPolicy`] (`max_batch`, `queue_cap` backpressure, and
-//! an opt-in `max_wait` hold — by default the dispatcher never sleeps
-//! on a queued request, and a batch is whatever arrived while the
-//! previous one was computing), and every caller gets back its
-//! probabilities plus a
+//! under a [`BatchPolicy`] (`max_batch` and `queue_cap`
+//! backpressure; the dispatcher never sleeps on a queued request, and
+//! a batch is whatever arrived while the previous one was computing),
+//! and every caller gets back its probabilities plus a
 //! per-request [`mcd::Uncertainty`] summary (max-prob confidence,
 //! predictive entropy, mutual information) and its own
 //! [`mcd::CostReport`] slice. The load-bearing guarantee is
@@ -230,7 +229,7 @@
 //! * **`GET /trace`** drains the rings as Chrome trace-event JSON —
 //!   load it in `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)
 //!   to see queueing, batching and compute laid out on a timeline.
-//!   [`serve::Server::drain_trace`] is the in-process equivalent.
+//!   [`trace::drain_chrome_json`] is the in-process equivalent.
 //! * **`GET /metrics`** renders Prometheus-style text: the rolling
 //!   monitor's cumulative log2 request-latency histogram
 //!   (`bnn_request_latency_us`), admission/net counters and backlog
