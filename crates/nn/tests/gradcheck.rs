@@ -82,7 +82,7 @@ fn gradcheck_conv_bn_relu_maxpool_fc() {
 }
 
 #[test]
-fn gradcheck_avgpool_and_gap() {
+fn gradcheck_conv_conv_gap_fc() {
     let mut b = GraphBuilder::new("g2", 4);
     let x = b.input();
     let c = b.conv(x, 1, 4, 3, 1, 1);

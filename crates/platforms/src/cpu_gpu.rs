@@ -10,10 +10,10 @@
 //! t = overhead + max(2·MACs / eff_flops, bytes / mem_bw)
 //! ```
 //!
-//! Constants are calibrated from public specifications and typical
-//! batch-1 efficiencies, not fitted per table row (DESIGN.md). The
-//! paper's GPU footnote — int8 estimated as fp32 performance ÷ 4 — is
-//! reproduced by the `compute_speedup` field.
+//! Constants come from public specifications and typical batch-1
+//! efficiencies (each constructor shows its arithmetic), not a per-row
+//! fit; they feed Table III's `CPU ms` and `GPU ms` cells. The paper's
+//! GPU footnote (int8 = fp32 ÷ 4) is the `compute_speedup` field.
 
 use bnn_mcd::BayesConfig;
 use bnn_nn::arch::LayerDesc;

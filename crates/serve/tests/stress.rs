@@ -69,7 +69,7 @@ fn solo(net: &Graph, x: &Tensor, cfg: BayesConfig, seed: u64) -> Tensor {
 }
 
 #[test]
-fn many_clients_tiny_window_bounded_queue() {
+fn many_clients_backlog_coalesces_under_bounded_queue() {
     with_deadline(120, || {
         let net = Arc::new(test_net());
         let cfg = BayesConfig::new(2, 3);

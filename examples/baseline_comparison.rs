@@ -61,5 +61,5 @@ fn main() {
     );
 
     println!("\nTable IV context: the paper's accelerator reaches ~1590 GOP/s on");
-    println!("ResNet-101 — see `cargo bench -p bnn-bench --bench table4`.");
+    println!("ResNet-101 — see the Table IV cells of `cargo run -p bnn-bench --release`.");
 }
